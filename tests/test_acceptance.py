@@ -2,7 +2,9 @@
 pass/fail line per criterion.  Run with `pytest -s tests/test_acceptance.py`
 to see the lines as they complete."""
 
+import csv
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -398,7 +400,19 @@ def test_criterion_12_matrix_inequalities():
 # -- 13 -----------------------------------------------------------------
 
 
+GOLDEN = Path(__file__).parent / "golden" / "default_seed.csv"
+
+
 def test_criterion_13_full_suite():
+    """The full registry passes at the default seed, and its report matches
+    the golden file row by row: the same ids and verdicts, lhs/rhs/ratio
+    within 1e-9 relative, every inf still inf.
+
+    A change that moves a number on purpose regenerates the golden file from
+    the repository root with
+
+        PYTHONPATH=src python -m morreylab.cli check '*' --csv tests/golden/default_seed.csv
+    """
     import time
 
     from morreylab.checks import run_suite
@@ -410,3 +424,16 @@ def test_criterion_13_full_suite():
     bad = [r.check_id for r in reports if r.verdict not in OK_VERDICTS]
     ok = not bad and elapsed <= 1800
     assert _line(13, ok, f"{len(reports)} checks in {elapsed:.0f}s, failures: {bad}")
+    with GOLDEN.open(newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [r.check_id for r in reports] == [row["check_id"] for row in rows]
+    for r, row in zip(reports, rows):
+        assert r.verdict == row["verdict"], r.check_id
+        for key in ("lhs", "rhs", "ratio"):
+            got, want = getattr(r, key), row[key]
+            if want == "":
+                assert got is None, (r.check_id, key, got)
+            else:
+                # isclose keeps inf equal only to inf of the same sign
+                assert math.isclose(float(got), float(want), rel_tol=1e-9), \
+                    (r.check_id, key, got, want)
