@@ -131,11 +131,12 @@ def cmd_maximal(args):
 
     f = _load_field(args.field)
     s = _structure_for(f.grid, args.anisotropy)
-    fam = BallFamily.for_structure(s, f.grid, density=args.family_density)
     if args.weight:
         w = Weight(_load_field(args.weight))
-        out = weighted_maximal(f, w, s)
+        fam = BallFamily.for_structure(s, f.grid, shape="cube", density=args.family_density)
+        out = weighted_maximal(f, w, s, family=fam)
     else:
+        fam = BallFamily.for_structure(s, f.grid, density=args.family_density)
         out = classical_maximal(f, s, beta=args.beta, family=fam)
     _save_field(out, args.out)
 

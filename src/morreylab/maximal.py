@@ -52,12 +52,7 @@ class BallFamily:
         if rho_max is None:
             rho_max = min(grid.half_extent)
         if shape is None:
-            if all(k == 1 for k in structure.anisotropy):
-                shape = "ball"
-            elif structure.parabolic:
-                shape = "cylinder"
-            else:
-                shape = "ellipsoid"
+            shape = _member_shape(structure)
         radii = []
         r = float(rho_min)
         while r <= rho_max * (1 + 1e-12):
@@ -66,6 +61,14 @@ class BallFamily:
         if not radii:
             raise ValueError("empty radius family")
         return BallFamily(tuple(radii), shape, float(density))
+
+
+def _member_shape(structure):
+    """Member shape of a structure: balls when it is isotropic, cylinders
+    when it is parabolic, anisotropic ellipsoids otherwise."""
+    if all(k == 1 for k in structure.anisotropy):
+        return "ball"
+    return "cylinder" if structure.parabolic else "ellipsoid"
 
 
 def member_offsets(grid, structure, rho, shape):
@@ -120,7 +123,16 @@ def member_offsets(grid, structure, rho, shape):
 
 
 def _correlate(values, stencil, origin):
-    """corr(c) = sum_{o in stencil} values(c + o), zero outside the domain."""
+    """corr(c) = sum_{o in stencil} values(c + o), zero outside the domain.
+
+    A boolean stencil that fills its bounding box (cubes, intervals,
+    1+1-D cylinders, the smallest balls) is summed exactly by _box_sum;
+    any other shape goes through one FFT correlation.
+    """
+    spans = [np.flatnonzero(stencil.any(axis=tuple(a for a in range(stencil.ndim) if a != ax)))
+             for ax in range(stencil.ndim)]
+    if stencil[tuple(slice(s[0], s[-1] + 1) for s in spans)].all():
+        return _box_sum(values, [(s[0] - o, s[-1] - o) for s, o in zip(spans, origin)])
     ker = np.flip(stencil.astype(float))
     full = fftconvolve(values, ker, mode="full")
     # alignment: corr(c) sits at index c + (shape-1) - origin in 'full'
@@ -131,16 +143,71 @@ def _correlate(values, stencil, origin):
     return full[sl]
 
 
-def member_averages(field, structure, rho, shape, power_integrand=None):
-    """(averages, counts): member mu-averages of |f| (or of a supplied
-    per-cell integrand) at every anchor cell, members clipped to the domain
-    with their measure recomputed.
+def _box_sum(values, bounds):
+    """box(c) = sum of values(c + o) over lo_i <= o_i <= hi_i, zero outside
+    the domain, by separable prefix sums (summed-area tables).  bounds holds
+    one (lo, hi) pair per axis; an axis with lo == hi == 0 is skipped."""
+    out = values
+    for ax, (lo, hi) in enumerate(bounds):
+        if lo == hi == 0:
+            continue
+        n = out.shape[ax]
+        pad = [(0, 0)] * out.ndim
+        pad[ax] = (1, 0)
+        c = np.pad(np.cumsum(out, axis=ax), pad)  # c[k] = sum of the first k cells
+        i = np.arange(n)
+        out = (np.take(c, np.clip(i + hi + 1, 0, n), axis=ax)
+               - np.take(c, np.clip(i + lo, 0, n), axis=ax))
+    return out
+
+
+# Gathered elements per block of _mean_oscillation: bounds its working set.
+_GATHER_BLOCK = 2 ** 16
+
+
+def _mean_oscillation(values, dens, stencil, origin, anchors):
+    """Mean oscillation of values about its dens-weighted mean, over the
+    member anchored at each point of the lattice anchors[0] x anchors[1] x
+    ... (one index array per axis), members clipped to the domain.
+
+    Returns an array shaped like the lattice.  Every member holds its own
+    anchor cell (the stencil contains its origin), so its measure is
+    positive.
+    """
+    offs = np.argwhere(stencil) - np.asarray(origin)
+    lo = np.maximum(-offs.min(axis=0), 0)
+    pad = list(zip(lo, np.maximum(offs.max(axis=0), 0)))
+    # zero padding carries zero measure: the same as clipping to the domain
+    g = np.pad(values, pad).ravel()
+    mu = np.pad(dens, pad).ravel()
+    shape = tuple(n + a + b for n, (a, b) in zip(values.shape, pad))
+    off_lin = np.ravel_multi_index(tuple((offs + lo).T), shape)
+    mesh = np.meshgrid(*anchors, indexing="ij")
+    base = np.ravel_multi_index(tuple(m.ravel() for m in mesh), shape)
+    out = np.empty(len(base))
+    step = max(1, _GATHER_BLOCK // len(off_lin))
+    for s in range(0, len(base), step):
+        idx = base[s:s + step, None] + off_lin
+        gv, mv = g[idx], mu[idx]
+        mass = mv.sum(axis=1)
+        mean = (gv * mv).sum(axis=1) / mass
+        out[s:s + step] = (np.abs(gv - mean[:, None]) * mv).sum(axis=1) / mass
+    return out.reshape(mesh[0].shape)
+
+
+def _anchor_stride(grid, rho, density):
+    """Anchor lattice stride of the rho-members: ~ rho / (density h) cells."""
+    return max(1, int(min(rho / (density * h) for h in grid.h)))
+
+
+def member_averages(field, structure, rho, shape):
+    """(averages, counts): member mu-averages of |f| at every anchor cell,
+    members clipped to the domain with their measure recomputed.
     """
     grid = field.grid
     stencil, origin = member_offsets(grid, structure, rho, shape)
     dens = structure.density_on(grid)
-    integrand = np.abs(field.values) * dens if power_integrand is None else power_integrand
-    num = _correlate(integrand, stencil, origin)
+    num = _correlate(np.abs(field.values) * dens, stencil, origin)
     den = _correlate(dens + np.zeros(grid.cells), stencil, origin)
     with np.errstate(invalid="ignore", divide="ignore"):
         avg = np.where(den > 0, num / den, 0.0)
@@ -150,32 +217,28 @@ def member_averages(field, structure, rho, shape, power_integrand=None):
 def _scatter_max(vals, grid, structure, rho, shape, density):
     """out(z) = max over anchors c on the stride lattice with z in member(c).
 
-    Large members use a conservatively shrunken coarse footprint so the
-    result stays a true lower bound for the family sup.
+    Stride 1 uses the member itself as the footprint; coarser lattices use
+    the conservatively shrunken footprint of _coarse_dilation.
     """
-    hs = grid.h
-    stride = max(1, int(min(rho / (density * h) for h in hs)))
-    if stride == 1:
-        stencil, origin = member_offsets(grid, structure, rho, shape)
-        foot = np.flip(stencil)  # reflected: z - c in member <=> c in z - member
-        return grey_dilation(vals, footprint=foot, mode="constant", cval=-np.inf)
-    sub = tuple(slice(None, None, stride) for _ in range(grid.dim))
-    coarse = vals[sub]
-    margin = math.sqrt(sum((stride * h) ** 2 for h in hs))
-    rho_eff = max(rho - margin, min(hs))
-    cg = _CoarseGrid(grid, stride)
-    stencil, origin = member_offsets(cg, structure, rho_eff, shape)
-    foot = np.flip(stencil)
-    dil = grey_dilation(coarse, footprint=foot, mode="constant", cval=-np.inf)
-    out = dil
-    for ax in range(grid.dim):
-        out = np.repeat(out, stride, axis=ax)
-    sl = tuple(slice(0, n) for n in grid.cells)
-    out = out[sl]
-    pad = [(0, n - s) for n, s in zip(grid.cells, out.shape)]
-    if any(p[1] for p in pad):
-        out = np.pad(out, pad, mode="edge")
-    return out
+    stride = _anchor_stride(grid, rho, density)
+    if stride > 1:
+        sub = tuple(slice(None, None, stride) for _ in range(grid.dim))
+        return _coarse_dilation(vals[sub], grid, structure, rho, shape, stride)
+    stencil, _origin = member_offsets(grid, structure, rho, shape)
+    foot = np.flip(stencil)  # reflected: z - c in member <=> c in z - member
+    return grey_dilation(vals, footprint=foot, mode="constant", cval=-np.inf)
+
+
+def _coarse_dilation(coarse, grid, structure, rho, shape, stride):
+    """Full-grid max of the values on the stride lattice (coarse) over the
+    members that contain each cell, each member shrunk by one coarse cell
+    diagonal so that the result stays a true lower bound for the family sup.
+    """
+    margin = math.sqrt(sum((stride * h) ** 2 for h in grid.h))
+    rho_eff = max(rho - margin, min(grid.h))
+    stencil, _origin = member_offsets(_CoarseGrid(grid, stride), structure, rho_eff, shape)
+    dil = grey_dilation(coarse, footprint=np.flip(stencil), mode="constant", cval=-np.inf)
+    return dil[np.ix_(*[np.arange(n) // stride for n in grid.cells])]
 
 
 class _CoarseGrid:
@@ -184,11 +247,9 @@ class _CoarseGrid:
     def __init__(self, grid, stride):
         self.h = tuple(h * stride for h in grid.h)
         self.dim = grid.dim
-        self.cells = tuple(max(1, n // stride) for n in grid.cells)
 
 
-def classical_maximal(field, structure, beta=0.0, family=None, power_integrand=None,
-                      interior_only=False):
+def classical_maximal(field, structure, beta=0.0, family=None):
     """M_beta f(x) = sup over family members E containing x of
     rho(E)^beta * average_E |f|.
 
@@ -199,26 +260,15 @@ def classical_maximal(field, structure, beta=0.0, family=None, power_integrand=N
         family = BallFamily.for_structure(structure, grid)
     out = np.full(grid.cells, -np.inf)
     for rho in family.radii:
-        avg, den = member_averages(field, structure, rho, family.shape, power_integrand)
+        avg, den = member_averages(field, structure, rho, family.shape)
         vals = rho ** beta * avg
         scattered = _scatter_max(vals, grid, structure, rho, family.shape, family.density)
         out = np.maximum(out, scattered)
     out[out == -np.inf] = 0.0
-    if interior_only:
-        mask = _interior_mask(grid, family.radii[-1])
-        out = np.where(mask, out, 0.0)
     return Field(grid, out)
 
 
-def _interior_mask(grid, margin):
-    xs = grid.mesh()
-    mask = np.ones(grid.cells, dtype=bool)
-    for i in range(grid.dim):
-        mask &= np.abs(xs[i]) < grid.half_extent[i] - margin
-    return mask
-
-
-def classical_sharp(field, structure, family=None, anchor_stride=None):
+def classical_sharp(field, structure, family=None):
     """g^sharp(x) = sup over members containing x of the mean oscillation
     of g there; satisfies g^sharp <= 2 M g by the triangle inequality.
     """
@@ -229,38 +279,11 @@ def classical_sharp(field, structure, family=None, anchor_stride=None):
     out = np.zeros(grid.cells)
     for rho in family.radii:
         stencil, origin = member_offsets(grid, structure, rho, family.shape)
-        stride = anchor_stride or max(1, int(min(rho / (family.density * h) for h in grid.h)))
-        anchors = np.meshgrid(
-            *[np.arange(0, n, stride) for n in grid.cells], indexing="ij"
-        )
-        anchors = np.stack([a.ravel() for a in anchors], axis=1)
-        offs = np.argwhere(stencil) - np.asarray(origin)
-        vals_at_anchor = np.full(len(anchors), 0.0)
-        for a_i, anchor in enumerate(anchors):
-            idx = anchor + offs
-            ok = np.all((idx >= 0) & (idx < np.asarray(grid.cells)), axis=1)
-            if not ok.any():
-                continue
-            lin = tuple(idx[ok].T)
-            g = field.values[lin]
-            mu = dens[lin]
-            m = float((g * mu).sum() / mu.sum())
-            vals_at_anchor[a_i] = float((np.abs(g - m) * mu).sum() / mu.sum())
-        vgrid = np.zeros(tuple(len(np.arange(0, n, stride)) for n in grid.cells))
-        vgrid.ravel()[:] = vals_at_anchor
-        # scatter: member(c) contains z if z - c in member offsets
-        full = np.full(grid.cells, -np.inf)
-        coarse_idx = tuple(
-            np.minimum(np.arange(n) // stride, s - 1)
-            for n, s in zip(grid.cells, vgrid.shape)
-        )
-        # conservative: accept when |z - c| within shrunken member
-        margin = math.sqrt(sum((stride * h) ** 2 for h in grid.h))
-        cg = _CoarseGrid(grid, stride)
-        rho_eff = max(rho - margin, min(grid.h))
-        st_c, or_c = member_offsets(cg, structure, rho_eff, family.shape)
-        dil = grey_dilation(vgrid, footprint=np.flip(st_c), mode="constant", cval=-np.inf)
-        full = dil[np.ix_(*coarse_idx)]
+        stride = _anchor_stride(grid, rho, family.density)
+        osc = _mean_oscillation(field.values, dens, stencil, origin,
+                                [np.arange(0, n, stride) for n in grid.cells])
+        # the shrunken footprint at every stride keeps this a lower bound
+        full = _coarse_dilation(osc, grid, structure, rho, family.shape, stride)
         out = np.maximum(out, np.where(np.isfinite(full), full, 0.0))
     return Field(grid, out)
 

@@ -18,7 +18,8 @@ import numpy as np
 from scipy.signal import fftconvolve
 
 from .grid import Field, lp_norm
-from .maximal import member_offsets, _correlate
+from .maximal import (BallFamily, _box_sum, _correlate, _mean_oscillation, _member_shape,
+                      member_offsets)
 
 __all__ = [
     "NormSpec",
@@ -27,7 +28,6 @@ __all__ = [
     "bmo_seminorms",
     "morrey_product",
     "power_integrand",
-    "slashed_mixed_norm",
     "mixed_norm",
 ]
 
@@ -159,18 +159,10 @@ def mixed_norm(field, p, q, structure, region=None, reversed_order=False):
     return float(((inner ** (p / q)).sum() * volx) ** (1.0 / p))
 
 
-def slashed_mixed_norm(field, p, q, structure, reversed_order=False):
-    """Per-anchor slashed mixed norms over every cylinder in the family;
-    helper used by the Morrey mixed kinds (full windows only)."""
-    raise NotImplementedError("use _mixed_morrey_sup")
-
-
 def _window_sums(arr, wlen):
     """Sliding sums over axis 0 with window wlen at every valid anchor."""
-    c = np.cumsum(arr, axis=0)
-    pad = np.zeros((1,) + arr.shape[1:])
-    c = np.concatenate([pad, c], axis=0)
-    return c[wlen:] - c[:-wlen]
+    sums = _box_sum(arr, [(0, wlen - 1)] + [(0, 0)] * (arr.ndim - 1))
+    return sums[: arr.shape[0] - wlen + 1]
 
 
 def _mixed_morrey_sup(field, p, q, beta, structure, radii, reversed_order=False,
@@ -237,21 +229,17 @@ def _xcorrelate(arr, stencil, origin, x_axes):
     return full[tuple(sl)]
 
 
-def _family_radii(grid, r_cap=None, gamma=2 ** 0.25, rho_min=None):
-    hs = grid.h
-    if rho_min is None:
-        rho_min = 2.0 * max(hs)
+def _family_radii(grid, structure, r_cap=None):
+    """The geometric radii of BallFamily.for_structure up to the cap, plus
+    the cap itself; the smallest radius alone when the family is empty."""
     rho_max = min(grid.half_extent) if r_cap is None else min(r_cap, min(grid.half_extent))
-    radii = []
-    r = float(rho_min)
-    while r <= rho_max * (1 + 1e-12):
-        radii.append(r)
-        r *= gamma
-    if not radii:
-        radii = [rho_min]
+    try:
+        radii = BallFamily.for_structure(structure, grid, rho_max=rho_max).radii
+    except ValueError:  # empty radius family
+        return (2.0 * max(grid.h),)
     if radii[-1] < rho_max * (1 - 1e-12):
-        radii.append(float(rho_max))  # the cap scale itself is always a member
-    return tuple(radii)
+        radii += (float(rho_max),)  # the cap scale itself is always a member
+    return radii
 
 
 def evaluate_norm(field, spec, structure, radii=None, interior_only=False,
@@ -276,20 +264,14 @@ def evaluate_norm(field, spec, structure, radii=None, interior_only=False,
     # Morrey kinds
     if kind in ("Epbr", "EpbDot"):
         cap = spec.r if kind == "Epbr" else None
-        rr = radii if radii is not None else _family_radii(grid, cap)
+        rr = radii if radii is not None else _family_radii(grid, structure, cap)
         if kind == "Epbr":
             rr = tuple(r for r in rr if r <= spec.r * (1 + 1e-12)) or rr[:1]
-        if structure.parabolic:
-            shape = "cylinder"
-        elif all(k == 1 for k in structure.anisotropy):
-            shape = "ball"
-        else:
-            shape = "ellipsoid"
-        return _morrey_sup(field, spec.p, spec.beta, structure, rr, shape,
+        return _morrey_sup(field, spec.p, spec.beta, structure, rr, _member_shape(structure),
                            interior_only, return_profile)
     if kind in ("Epqb", "EpqbDot", "Lqpb_reversed_morrey"):
         cap = spec.r if kind == "Epqb" else None
-        rr = radii if radii is not None else _family_radii(grid, cap)
+        rr = radii if radii is not None else _family_radii(grid, structure, cap)
         if kind == "Epqb":
             rr = tuple(r for r in rr if r <= spec.r * (1 + 1e-12)) or rr[:1]
         return _mixed_morrey_sup(field, spec.p, spec.q, spec.beta, structure, rr,
@@ -307,16 +289,10 @@ def drift_seminorm(b, p_b, rho_b, structure, q_b=None, reversed_order=False,
     """
     grid = b.grid
     if radii is None:
-        radii = _family_radii(grid, rho_b)
+        radii = _family_radii(grid, structure, rho_b)
     radii = tuple(r for r in radii if r <= rho_b * (1 + 1e-12)) or radii[:1]
     if q_b is None:
-        if structure.parabolic:
-            shape = "cylinder"
-        elif all(k == 1 for k in structure.anisotropy):
-            shape = "ball"
-        else:
-            shape = "ellipsoid"
-        return _morrey_sup(b, p_b, 1.0, structure, radii, shape,
+        return _morrey_sup(b, p_b, 1.0, structure, radii, _member_shape(structure),
                            return_profile=return_profile)
     return _mixed_morrey_sup(b, p_b, q_b, 1.0, structure, radii,
                              reversed_order=reversed_order,
@@ -334,28 +310,16 @@ def bmo_seminorms(a_entries, rho, structure, stride=4):
         a_entries = [a_entries]
     grid = a_entries[0].grid
     dens = structure.density_on(grid) + np.zeros(grid.cells)
-    radii = _family_radii(grid, rho)
+    radii = _family_radii(grid, structure, rho)
     sharp = 0.0
+    # not _member_shape: parabolic structures take ellipsoids here, not cylinders
     shape = "ball" if all(k == 1 for k in structure.anisotropy) else "ellipsoid"
+    anchors = [np.arange(0, n, stride) for n in grid.cells]
     for a in a_entries:
         for r in radii:
             stencil, origin = member_offsets(grid, structure, r, shape)
-            offs = np.argwhere(stencil) - np.asarray(origin)
-            anchors = np.meshgrid(*[np.arange(0, n, stride) for n in grid.cells],
-                                  indexing="ij")
-            anchors = np.stack([x.ravel() for x in anchors], axis=1)
-            lim = np.asarray(grid.cells)
-            for anchor in anchors:
-                idx = anchor + offs
-                ok = np.all((idx >= 0) & (idx < lim), axis=1)
-                if not ok.any():
-                    continue
-                lin = tuple(idx[ok].T)
-                g = a.values[lin]
-                mu = dens[lin]
-                mean = float((g * mu).sum() / mu.sum())
-                osc = float((np.abs(g - mean) * mu).sum() / mu.sum())
-                sharp = max(sharp, osc)
+            osc = _mean_oscillation(a.values, dens, stencil, origin, anchors)
+            sharp = max(sharp, float(osc.max()))
     sharpsharp = 0.0
     if structure.parabolic:
         ht = grid.h[0]
@@ -374,7 +338,6 @@ def bmo_seminorms(a_entries, rho, structure, stride=4):
                 # evaluated on the decimated anchor set
                 offs = np.argwhere(stencil) - np.asarray(origin)
                 xl = [np.arange(0, n, stride) for n in grid.cells[1:]]
-                tl = np.arange(0, grid.cells[0] - wlen + 1, max(1, stride))
                 lim = np.asarray(grid.cells[1:])
                 for c in np.stack([x.ravel() for x in np.meshgrid(*xl, indexing="ij")],
                                   axis=1):
@@ -386,10 +349,8 @@ def bmo_seminorms(a_entries, rho, structure, stride=4):
                     block = a.values[(slice(None),) + lin]  # (nt, cells_in_ball)
                     profc = prof[(slice(None),) + tuple(c)][:, None]
                     dev = np.abs(block - profc).mean(axis=1)
-                    csum = np.cumsum(np.concatenate([[0.0], dev]))
-                    wins = (csum[wlen:] - csum[:-wlen]) / wlen
-                    if len(wins):
-                        sharpsharp = max(sharpsharp, float(wins.max()))
+                    wins = _window_sums(dev, wlen) / wlen
+                    sharpsharp = max(sharpsharp, float(wins.max()))
     return sharp, sharpsharp
 
 

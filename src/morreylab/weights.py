@@ -16,7 +16,7 @@ import math
 import numpy as np
 
 from .grid import Field, RadialPower, lp_norm
-from .maximal import BallFamily, classical_maximal
+from .maximal import BallFamily, _correlate, classical_maximal
 
 __all__ = [
     "Weight",
@@ -59,7 +59,7 @@ class Weight:
         return self.field.grid
 
     def ap(self, p, structure, family=None):
-        key = (round(float(p), 12), id(family))
+        key = (round(float(p), 12), family)  # by value: ids of freed families are reused
         if key not in self.cached:
             self.cached[key] = ap_constant(self, p, structure, family)
         return self.cached[key]
@@ -147,35 +147,18 @@ def _cube_half_cells(grid, structure, rho):
     return [max(1, int(np.ceil((rho ** k / 2.0) / h))) for k, h in zip(ks, grid.h)]
 
 
-def _box_sum(values, half_cells):
-    """Sliding box sums (windows clipped at the boundary), separable."""
-    out = values
-    for ax, hc in enumerate(half_cells):
-        c = np.cumsum(out, axis=ax)
-        n = out.shape[ax]
-        idx_hi = np.minimum(np.arange(n) + hc, n - 1)
-        idx_lo = np.arange(n) - hc - 1
-        hi = np.take(c, idx_hi, axis=ax)
-        lo = np.where(
-            (idx_lo >= 0).reshape([-1 if a == ax else 1 for a in range(out.ndim)]),
-            np.take(c, np.maximum(idx_lo, 0), axis=ax),
-            0.0,
-        )
-        out = hi - lo
-    return out
-
-
 def _cube_means(values, grid, structure, rho):
     half_cells = _cube_half_cells(grid, structure, rho)
+    box = np.ones([2 * hc + 1 for hc in half_cells], dtype=bool)
     dens = structure.density_on(grid) + np.zeros(grid.cells)
     inf_mask = ~np.isfinite(values)
     finite_vals = np.where(inf_mask, 0.0, values)
-    num = _box_sum(finite_vals * dens, half_cells)
-    den = _box_sum(dens, half_cells)
+    num = _correlate(finite_vals * dens, box, half_cells)
+    den = _correlate(dens, box, half_cells)
     with np.errstate(invalid="ignore", divide="ignore"):
         avg = np.where(den > 0, num / den, 0.0)
     if inf_mask.any():
-        hit = _box_sum(inf_mask.astype(float), half_cells) > 0.5
+        hit = _correlate(inf_mask.astype(float), box, half_cells) > 0.5
         avg = np.where(hit, np.inf, avg)
     return avg
 

@@ -124,6 +124,31 @@ def test_cli_field_pipeline(tmp_path):
     assert m.values.max() <= 4.0 + 1e-9
 
 
+def test_cli_weighted_maximal_honours_family_density(tmp_path):
+    import numpy as np
+
+    from morreylab.grid import Field, load_field, make_grid, make_structure, save_field
+    from morreylab.maximal import BallFamily, weighted_maximal
+    from morreylab.weights import power_weight
+
+    g = make_grid(1, 1.0, 128)
+    s = make_structure(1, (1,))
+    f = Field(g, np.random.default_rng(0).random(128) ** 4)
+    w = power_weight(g, 0.5)
+    save_field(f, tmp_path / "f.field")
+    save_field(w.field, tmp_path / "w.field")
+    out = subprocess.run(
+        [sys.executable, "-m", "morreylab.cli", "maximal",
+         "--field", str(tmp_path / "f.field"), "--weight", str(tmp_path / "w.field"),
+         "--family-density", "1", "--out", str(tmp_path / "m.field")],
+        capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    fam = BallFamily.for_structure(s, g, shape="cube", density=1.0)
+    want = weighted_maximal(f, w, s, family=fam).values
+    assert not np.allclose(want, weighted_maximal(f, w, s).values)  # the flag matters here
+    assert np.array_equal(load_field(tmp_path / "m.field").values, want)
+
+
 def test_cli_weight_and_norm(tmp_path):
     from morreylab.grid import save_field
     from morreylab.weights import power_weight

@@ -1,0 +1,139 @@
+"""Property tests for the two shared kernels of morreylab.maximal: the
+member-sum correlation (box prefix sums or FFT, chosen from the stencil) and
+the chunked mean-oscillation gather."""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+
+from morreylab.grid import Field, make_grid, make_structure
+from morreylab.maximal import (
+    BallFamily,
+    _correlate,
+    _mean_oscillation,
+    classical_maximal,
+    classical_sharp,
+)
+
+SETTINGS = settings(max_examples=60, deadline=None)
+
+
+def brute_correlate(values, stencil, origin):
+    """sum over stencil offsets o of values(c + o - origin), zero outside."""
+    out = np.zeros(values.shape)
+    offs = np.argwhere(stencil) - np.asarray(origin)
+    lim = np.asarray(values.shape)
+    for c in np.ndindex(values.shape):
+        for o in offs:
+            idx = np.asarray(c) + o
+            if ((idx >= 0) & (idx < lim)).all():
+                out[c] += values[tuple(idx)]
+    return out
+
+
+def loop_mean_oscillation(values, dens, stencil, origin, anchors):
+    """Reference: one anchor at a time, members clipped to the domain."""
+    offs = np.argwhere(stencil) - np.asarray(origin)
+    lim = np.asarray(values.shape)
+    mesh = np.meshgrid(*anchors, indexing="ij")
+    out = np.zeros(mesh[0].shape)
+    for pos in np.ndindex(out.shape):
+        idx = np.array([m[pos] for m in mesh]) + offs
+        ok = np.all((idx >= 0) & (idx < lim), axis=1)
+        lin = tuple(idx[ok].T)
+        g, mu = values[lin], dens[lin]
+        mean = (g * mu).sum() / mu.sum()
+        out[pos] = (np.abs(g - mean) * mu).sum() / mu.sum()
+    return out
+
+
+@st.composite
+def grids_and_stencils(draw, box):
+    """(values, stencil, origin): small random grids in 1-3 D, with stencils
+    that either fill a sub-box of their array (box backend) or are random."""
+    dim = draw(st.integers(1, 3))
+    cells = tuple(draw(st.lists(st.integers(1, 6), min_size=dim, max_size=dim)))
+    shape = tuple(draw(st.lists(st.integers(1, 5), min_size=dim, max_size=dim)))
+    if box:
+        stencil = np.zeros(shape, dtype=bool)
+        lo = [draw(st.integers(0, s - 1)) for s in shape]
+        hi = [draw(st.integers(a, s - 1)) for a, s in zip(lo, shape)]
+        stencil[tuple(slice(a, b + 1) for a, b in zip(lo, hi))] = True
+        values = draw(arrays(float, cells, elements=st.integers(-50, 50).map(float)))
+    else:
+        stencil = draw(arrays(bool, shape))
+        stencil.flat[draw(st.integers(0, stencil.size - 1))] = True
+        values = draw(arrays(float, cells, elements=st.floats(-10, 10)))
+    origin = tuple(draw(st.integers(0, s - 1)) for s in shape)
+    return values, stencil, origin
+
+
+@SETTINGS
+@given(grids_and_stencils(box=True))
+def test_correlate_box_stencils_are_exact(case):
+    # integer data: the prefix-sum backend reproduces brute force exactly,
+    # including members clipped at the boundary and off-centre origins
+    values, stencil, origin = case
+    assert np.array_equal(_correlate(values, stencil, origin),
+                          brute_correlate(values, stencil, origin))
+
+
+@SETTINGS
+@given(grids_and_stencils(box=False))
+def test_correlate_any_stencil_matches_brute_force(case):
+    values, stencil, origin = case
+    want = brute_correlate(values, stencil, origin)
+    scale = 1.0 + np.abs(values).sum()
+    assert np.allclose(_correlate(values, stencil, origin), want, rtol=0, atol=1e-12 * scale)
+
+
+@st.composite
+def oscillation_cases(draw):
+    """(values, dens, stencil, origin, anchors) with the origin in the stencil
+    and the first and last cell of every axis among the anchors."""
+    dim = draw(st.integers(1, 3))
+    cells = tuple(draw(st.lists(st.integers(1, 7), min_size=dim, max_size=dim)))
+    shape = tuple(draw(st.lists(st.integers(1, 5), min_size=dim, max_size=dim)))
+    stencil = draw(arrays(bool, shape))
+    origin = tuple(draw(st.integers(0, s - 1)) for s in shape)
+    stencil[origin] = True
+    values = draw(arrays(float, cells, elements=st.floats(-10, 10)))
+    dens = draw(arrays(float, cells, elements=st.floats(0.1, 10)))
+    anchors = [np.unique([0, n - 1] + draw(st.lists(st.integers(0, n - 1), max_size=3)))
+               for n in cells]
+    return values, dens, stencil, origin, anchors
+
+
+@SETTINGS
+@given(oscillation_cases())
+def test_mean_oscillation_matches_anchor_loop(case):
+    assert np.allclose(_mean_oscillation(*case), loop_mean_oscillation(*case),
+                       rtol=1e-12, atol=1e-12)
+
+
+@SETTINGS
+@given(oscillation_cases(), st.floats(-5, 5), st.floats(-100, 100))
+def test_mean_oscillation_affine_invariance(case, lam, c):
+    # (lam g + c)^# = |lam| g^#
+    values, dens, stencil, origin, anchors = case
+    base = _mean_oscillation(values, dens, stencil, origin, anchors)
+    moved = _mean_oscillation(lam * values + c, dens, stencil, origin, anchors)
+    tol = 1e-12 * (abs(lam) * np.abs(values).max() + abs(c) + 1.0)
+    assert np.allclose(moved, abs(lam) * base, rtol=1e-9, atol=tol)
+
+
+DENSITIES = (1.0, 2.0, 4.0, 8.0, 16.0)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(1, 2), st.integers(0, 2 ** 32 - 1), st.floats(1.0, 6.0))
+def test_family_sups_never_decrease_as_density_rises(dim, seed, spike):
+    n = 64 if dim == 1 else 24
+    g = make_grid(dim, 1.0, n)
+    s = make_structure(dim, (1,) * dim)
+    f = Field(g, np.random.default_rng(seed).random(g.cells) ** spike)
+    for op in (classical_maximal, classical_sharp):
+        sups = [op(f, s, family=BallFamily.for_structure(s, g, density=d)).values.max()
+                for d in DENSITIES]
+        assert all(b >= a - 1e-12 for a, b in zip(sups, sups[1:])), (op.__name__, sups)

@@ -41,6 +41,21 @@ def brute_force_a2_intervals(w_vals, x, h, n_centers=160, n_widths=60):
     return best
 
 
+def test_ap_cache_keyed_by_family_value():
+    g = make_grid(1, 1.0, 256)
+    w = power_weight(g, -0.5)
+    radii = BallFamily.for_structure(S1, g, shape="cube").radii
+    for rho in radii[::6]:  # one-radius families with distinct constants
+        # each family is freed before the next is built, so its id may repeat
+        fam = BallFamily((rho,), "cube")
+        assert w.ap(2.0, S1, fam) == ap_constant(w, 2.0, S1, fam)
+        del fam
+    n = len(w.cached)
+    fam = BallFamily((radii[6],), "cube")
+    assert w.ap(2.0, S1, fam) == ap_constant(w, 2.0, S1, fam)
+    assert len(w.cached) == n  # an equal family reads the same entry
+
+
 def test_a2_sqrt_weight_brute_force_oracle():
     g = make_grid(1, 1.0, 1024)
     w = power_weight(g, 0.5)
