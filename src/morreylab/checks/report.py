@@ -104,11 +104,7 @@ def load_all_checks():
 
     for mod in ("real_analysis", "elliptic", "weights_checks", "parabolic",
                 "mixed", "at_checks"):
-        try:
-            importlib.import_module(f".{mod}", __package__)
-        except ModuleNotFoundError as exc:
-            if mod not in str(exc):
-                raise
+        importlib.import_module(f".{mod}", __package__)
 
 
 def run_check(check_id, cfg=None):

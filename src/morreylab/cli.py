@@ -49,12 +49,14 @@ def _save_field(field, path):
         save_field(field, p)
 
 
-def _structure_for(grid, anisotropy=None):
+def _structure_for(field, anisotropy=None):
+    """The structure of a field: the given anisotropy, else the one its file
+    recorded, else isotropic."""
     from .grid import make_structure
 
     if anisotropy is None:
-        anisotropy = (1,) * grid.dim
-    return make_structure(grid.dim, tuple(anisotropy))
+        anisotropy = field.meta.get("anisotropy") or (1,) * field.grid.dim
+    return make_structure(field.grid.dim, tuple(anisotropy))
 
 
 def cmd_check(args):
@@ -115,7 +117,7 @@ def cmd_czd(args):
     from .dyadic import cz_decompose
 
     f = _load_field(args.field)
-    s = _structure_for(f.grid, args.anisotropy)
+    s = _structure_for(f, args.anisotropy)
     boxes, _good = cz_decompose(f, s, args.level)
     out = [{"n": b.generation, "i": list(b.index), "avg": avg} for b, avg in boxes]
     text = json.dumps(out, indent=2)
@@ -130,7 +132,7 @@ def cmd_maximal(args):
     from .weights import Weight
 
     f = _load_field(args.field)
-    s = _structure_for(f.grid, args.anisotropy)
+    s = _structure_for(f, args.anisotropy)
     if args.weight:
         w = Weight(_load_field(args.weight))
         fam = BallFamily.for_structure(s, f.grid, shape="cube", density=args.family_density)
@@ -148,7 +150,7 @@ def cmd_weight(args):
     from .grid import Field
 
     w = Weight(_load_field(args.field))
-    s = _structure_for(w.grid, args.anisotropy)
+    s = _structure_for(w.field, args.anisotropy)
     fam = BallFamily.for_structure(s, w.grid, shape="cube", density=args.family_density)
     result = {"p": args.p, "family": {"radii": list(fam.radii), "density": fam.density}}
     if args.action == "ap":
@@ -208,7 +210,7 @@ def cmd_norm(args):
             f = f[0]
     else:
         _fail_config("norm needs --field or --function")
-    s = _structure_for(f.grid, aniso)
+    s = _structure_for(f, aniso)
     val = evaluate_norm(f, spec, s)
     print(json.dumps({"norm": spec_d, "value": val}))
 
@@ -242,7 +244,7 @@ def cmd_solve(args):
         _fail_config(f"unknown operator kind {kind}")
     _save_field(u, args.out)
     if args.norm:
-        s = _structure_for(f.grid, aniso)
+        s = _structure_for(f, aniso)
         spec = NormSpec(**json.loads(args.norm))
         op = OperatorSpec(kind, lam=lam, a_of_t=np.asarray(op_d["a_of_t"])
                           if "a_of_t" in op_d else None)

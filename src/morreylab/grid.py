@@ -787,28 +787,53 @@ def hessian(field, structure=None, spectral=None):
 # ---------------------------------------------------------------------------
 
 
+# Singular features a sidecar can hold: kind -> (class, constructor arguments).
+_SAVED_FEATURES = {
+    "radial_power": (RadialPower, ("center", "gamma", "amp")),
+    "subspace_power": (SubspacePower, ("axes", "gamma", "amp")),
+    "parabolic_power": (ParabolicPower, ("alpha", "amp")),
+}
+
+
+def _feature_record(feat):
+    for kind, (cls, args) in _SAVED_FEATURES.items():
+        if type(feat) is cls:
+            return {"kind": kind, **{a: getattr(feat, a) for a in args}}
+    raise ValueError(
+        f"cannot save a field with a {type(feat).__name__} singular feature: it holds a "
+        "callable, and dropping it would make a singular field finite")
+
+
 def save_field(field, path, anisotropy=None):
+    """Raw values plus a JSON sidecar with the grid, the anisotropy (the
+    argument, else the field's meta, else isotropic) and the singular
+    features, so that exact singular masses survive a round trip."""
     path = Path(path)
+    if anisotropy is None:
+        anisotropy = field.meta.get("anisotropy") or (1,) * field.grid.dim
     meta = {
         "dim": field.grid.dim,
-        "anisotropy": list(anisotropy) if anisotropy else [1] * field.grid.dim,
+        "anisotropy": list(anisotropy),
         "shape": list(field.grid.cells),
         "half_extent": list(field.grid.half_extent),
         "periodic": field.grid.periodic,
-        "singular_points": [
-            list(f.center) for f in field.singular if isinstance(f, RadialPower)
-        ],
+        "singular": [_feature_record(f) for f in field.singular],
     }
     path.with_suffix(".json").write_text(json.dumps(meta, indent=2))
     field.values.astype("<f8").tofile(path.with_suffix(".f64"))
 
 
 def load_field(path):
+    """Inverse of save_field; the anisotropy goes to meta["anisotropy"]."""
     path = Path(path)
     meta = json.loads(path.with_suffix(".json").read_text())
     grid = GridSpec(tuple(meta["half_extent"]), tuple(meta["shape"]), meta["periodic"])
     raw = np.fromfile(path.with_suffix(".f64"), dtype="<f8").reshape(meta["shape"])
-    return Field(grid, raw)
+    singular = []
+    for rec in meta.get("singular", []):  # sidecars written before features were saved lack it
+        cls, args = _SAVED_FEATURES[rec["kind"]]
+        singular.append(cls(*(rec[a] for a in args)))
+    return Field(grid, raw, singular, {"anisotropy": tuple(meta["anisotropy"])})
 
 
 def save_field_csv(field, path):

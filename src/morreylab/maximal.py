@@ -10,7 +10,9 @@ converge as the family is refined (the `density` knob).
 
 from __future__ import annotations
 
+import functools
 import math
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,9 +79,23 @@ def member_offsets(grid, structure, rho, shape):
     'ball': |o| < rho.          'ellipsoid': sum (o_i/(rho^{k_i} nu0^{k_i}))^2 < 1.
     'cylinder': o_t in [0, rho^2), |o_x| < rho (axis 0 is t).
     'cube': |o_i| < rho^{k_i}/2.
+
+    Stencils come from a bounded table keyed by value (cell widths,
+    anisotropy, nu0, rho, shape) and are read-only: callers share them.
     """
-    hs = grid.h
-    ks = structure.anisotropy
+    return _member_stencil(tuple(grid.h), tuple(structure.anisotropy), float(structure.nu0),
+                           float(rho), shape)
+
+
+# Entries of the stencil table: a fixed bound keeps it small whatever the run.
+_STENCIL_TABLE_SIZE = 128
+# id(stencil) -> _fill_spans(stencil) for every stencil the table built; an
+# entry is dropped when its stencil is freed, so an id here is never stale.
+_FILL_SPANS = {}
+
+
+@functools.lru_cache(maxsize=_STENCIL_TABLE_SIZE)
+def _member_stencil(hs, ks, nu0, rho, shape):
     if shape == "ball_x":
         # x-only ball stencil for (t, x) grids: offsets over axes 1..d
         hx = hs[1:]
@@ -87,13 +103,14 @@ def member_offsets(grid, structure, rho, shape):
         axes = [(np.arange(-hc, hc + 1)) * h for hc, h in zip(half, hx)]
         mesh = np.meshgrid(*axes, indexing="ij")
         mask = sum(m ** 2 for m in mesh) < rho ** 2
-        return mask, tuple(half)
+        return _frozen(mask), tuple(half)
+    dim = len(hs)
     if shape == "ball":
-        ext = [rho] * grid.dim
+        ext = [rho] * dim
     elif shape == "ellipsoid":
-        ext = [rho ** k * structure.nu0 ** k for k in ks]
+        ext = [rho ** k * nu0 ** k for k in ks]
     elif shape == "cylinder":
-        ext = [rho ** 2] + [rho] * (grid.dim - 1)
+        ext = [rho ** 2] + [rho] * (dim - 1)
     elif shape == "cube":
         ext = [rho ** k / 2.0 for k in ks]
     else:
@@ -111,7 +128,7 @@ def member_offsets(grid, structure, rho, shape):
     elif shape == "ellipsoid":
         mask = sum((m / e) ** 2 for m, e in zip(mesh, ext)) < 1.0
     elif shape == "cylinder":
-        xmask = sum(m ** 2 for m in mesh[1:]) < rho ** 2 if grid.dim > 1 else True
+        xmask = sum(m ** 2 for m in mesh[1:]) < rho ** 2 if dim > 1 else True
         mask = (mesh[0] >= 0) & (mesh[0] < rho ** 2) & xmask
     else:
         mask = np.ones(mesh[0].shape, dtype=bool)
@@ -119,7 +136,24 @@ def member_offsets(grid, structure, rho, shape):
             mask &= np.abs(m) < e
     origin = tuple(0 if (shape == "cylinder" and i == 0) else hc
                    for i, hc in enumerate(half_cells))
-    return mask, origin
+    return _frozen(mask), origin
+
+
+def _frozen(mask):
+    """Make a table stencil read-only and record its fill spans."""
+    mask.flags.writeable = False
+    _FILL_SPANS[id(mask)] = _fill_spans(mask)
+    weakref.finalize(mask, _FILL_SPANS.pop, id(mask), None)
+    return mask
+
+
+def _fill_spans(stencil):
+    """Per-axis (first, last) index of the bounding box of a boolean stencil
+    when the stencil fills that box, else None."""
+    spans = [np.flatnonzero(stencil.any(axis=tuple(a for a in range(stencil.ndim) if a != ax)))
+             for ax in range(stencil.ndim)]
+    box = tuple((int(s[0]), int(s[-1])) for s in spans)
+    return box if stencil[tuple(slice(a, b + 1) for a, b in box)].all() else None
 
 
 def _correlate(values, stencil, origin):
@@ -127,12 +161,13 @@ def _correlate(values, stencil, origin):
 
     A boolean stencil that fills its bounding box (cubes, intervals,
     1+1-D cylinders, the smallest balls) is summed exactly by _box_sum;
-    any other shape goes through one FFT correlation.
+    any other shape goes through one FFT correlation.  Table stencils
+    (member_offsets) carry their fill spans; others are scanned here.
     """
-    spans = [np.flatnonzero(stencil.any(axis=tuple(a for a in range(stencil.ndim) if a != ax)))
-             for ax in range(stencil.ndim)]
-    if stencil[tuple(slice(s[0], s[-1] + 1) for s in spans)].all():
-        return _box_sum(values, [(s[0] - o, s[-1] - o) for s, o in zip(spans, origin)])
+    key = id(stencil)
+    spans = _FILL_SPANS[key] if key in _FILL_SPANS else _fill_spans(stencil)
+    if spans is not None:
+        return _box_sum(values, [(a - o, b - o) for (a, b), o in zip(spans, origin)])
     ker = np.flip(stencil.astype(float))
     full = fftconvolve(values, ker, mode="full")
     # alignment: corr(c) sits at index c + (shape-1) - origin in 'full'
@@ -141,6 +176,15 @@ def _correlate(values, stencil, origin):
         for s, o, n in zip(stencil.shape, origin, values.shape)
     )
     return full[sl]
+
+
+def _prefix_diff(arr, ax, lo, hi):
+    """d[i] = sum of arr[lo[i]:hi[i]] along axis ax, from one prefix sum (a
+    summed-area table step); lo and hi are index arrays in [0, n]."""
+    pad = [(0, 0)] * arr.ndim
+    pad[ax] = (1, 0)
+    c = np.pad(np.cumsum(arr, axis=ax), pad)  # c[k] = sum of the first k cells
+    return np.take(c, hi, axis=ax) - np.take(c, lo, axis=ax)
 
 
 def _box_sum(values, bounds):
@@ -152,13 +196,33 @@ def _box_sum(values, bounds):
         if lo == hi == 0:
             continue
         n = out.shape[ax]
-        pad = [(0, 0)] * out.ndim
-        pad[ax] = (1, 0)
-        c = np.pad(np.cumsum(out, axis=ax), pad)  # c[k] = sum of the first k cells
         i = np.arange(n)
-        out = (np.take(c, np.clip(i + hi + 1, 0, n), axis=ax)
-               - np.take(c, np.clip(i + lo, 0, n), axis=ax))
+        out = _prefix_diff(out, ax, np.clip(i + lo, 0, n), np.clip(i + hi + 1, 0, n))
     return out
+
+
+def _stencil_count(stencil, origin, cells):
+    """Exact uniform measure of every clipped member: count(c) = number of
+    stencil offsets o with c + o - origin inside a grid of shape `cells`.
+
+    Along each axis the offsets that stay inside form one interval, so the
+    count is a box sum of the stencil itself, read off its summed-area
+    table axis by axis.  No FFT, and integers stay exact.
+    """
+    out = stencil.astype(float)
+    for ax, (o, n) in enumerate(zip(origin, cells)):
+        s, c = stencil.shape[ax], np.arange(n)
+        out = _prefix_diff(out, ax, np.clip(o - c, 0, s), np.clip(o - c + n, 0, s))
+    return out
+
+
+def _member_measure(structure, dens, stencil, origin):
+    """mu(member(c) clipped to the domain) at every anchor c: the exact cell
+    count for the uniform measure, a correlation of the density dens
+    otherwise (the only path that can serve a weighted measure)."""
+    if structure.uniform:
+        return _stencil_count(stencil, origin, dens.shape)
+    return _correlate(dens, stencil, origin)
 
 
 # Gathered elements per block of _mean_oscillation: bounds its working set.
@@ -208,7 +272,7 @@ def member_averages(field, structure, rho, shape):
     stencil, origin = member_offsets(grid, structure, rho, shape)
     dens = structure.density_on(grid)
     num = _correlate(np.abs(field.values) * dens, stencil, origin)
-    den = _correlate(dens + np.zeros(grid.cells), stencil, origin)
+    den = _member_measure(structure, dens, stencil, origin)
     with np.errstate(invalid="ignore", divide="ignore"):
         avg = np.where(den > 0, num / den, 0.0)
     return avg, den

@@ -18,8 +18,8 @@ import numpy as np
 from scipy.signal import fftconvolve
 
 from .grid import Field, lp_norm
-from .maximal import (BallFamily, _box_sum, _correlate, _mean_oscillation, _member_shape,
-                      member_offsets)
+from .maximal import (BallFamily, _box_sum, _correlate, _mean_oscillation, _member_measure,
+                      _member_shape, _stencil_count, member_offsets)
 
 __all__ = [
     "NormSpec",
@@ -114,7 +114,7 @@ def _morrey_sup(field, p, beta, structure, radii, shape, interior_only=False,
     for rho in radii:
         stencil, origin = member_offsets(grid, structure, rho, shape)
         num = _correlate(arr, stencil, origin)
-        den = _correlate(dens, stencil, origin)
+        den = _member_measure(structure, dens, stencil, origin)
         with np.errstate(invalid="ignore", divide="ignore"):
             s = np.where(den > 0, num / den, 0.0)
         val = rho ** beta * np.maximum(s, 0.0) ** (1.0 / p)
@@ -188,7 +188,7 @@ def _mixed_morrey_sup(field, p, q, beta, structure, radii, reversed_order=False,
         if not reversed_order:
             # X(t,c) = slashed L_p over the ball at (t, c)
             num = _xcorrelate(arr, stencil, origin, x_axes)
-            den = _xcorrelate(dens, stencil, origin, x_axes)
+            den = _x_measure(structure, dens, stencil, origin)
             with np.errstate(invalid="ignore", divide="ignore"):
                 X = np.where(den > 0, num / den, 0.0)
             if inf_mask.any():
@@ -202,7 +202,7 @@ def _mixed_morrey_sup(field, p, q, beta, structure, radii, reversed_order=False,
             # U(tau, x) = slashed t-window average of |f|^q
             U = np.maximum(_window_sums(arr / dens.clip(min=1e-300), wlen) / wlen, 0.0)
             num = _xcorrelate(U ** (p / q) * dens[: U.shape[0]], stencil, origin, x_axes)
-            den = _xcorrelate(dens[: U.shape[0]] + np.zeros_like(U), stencil, origin, x_axes)
+            den = _x_measure(structure, dens[: U.shape[0]], stencil, origin)
             with np.errstate(invalid="ignore", divide="ignore"):
                 V = np.where(den > 0, num / den, 0.0)
             val = rho ** beta * np.maximum(V, 0.0) ** (1.0 / p)
@@ -227,6 +227,15 @@ def _xcorrelate(arr, stencil, origin, x_axes):
     for s, o, n in zip(stencil.shape, origin, arr.shape[1:]):
         sl.append(slice(s - 1 - o, s - 1 - o + n))
     return full[tuple(sl)]
+
+
+def _x_measure(structure, dens, stencil, origin):
+    """Measure of the x-ball members at every (t, c): the exact cell count of
+    one t-slice broadcast over t for the uniform measure, a correlation of the
+    density dens along the space axes otherwise."""
+    if structure.uniform:
+        return _stencil_count(stencil, origin, dens.shape[1:])[None]
+    return _xcorrelate(dens, stencil, origin, tuple(range(1, dens.ndim)))
 
 
 def _family_radii(grid, structure, r_cap=None):
@@ -331,7 +340,7 @@ def bmo_seminorms(a_entries, rho, structure, stride=4):
                     continue
                 stencil, origin = member_offsets(grid, structure, r, "ball_x")
                 num = _xcorrelate(a.values * dens, stencil, origin, x_axes)
-                den = _xcorrelate(dens, stencil, origin, x_axes)
+                den = _x_measure(structure, dens, stencil, origin)
                 with np.errstate(invalid="ignore", divide="ignore"):
                     prof = np.where(den > 0, num / den, 0.0)  # x-average at (t, c)
                 # deviation |a(t,x) - prof(t,c)| averaged over the cylinder,

@@ -16,7 +16,7 @@ import math
 import numpy as np
 
 from .grid import Field, RadialPower, lp_norm
-from .maximal import BallFamily, _correlate, classical_maximal
+from .maximal import BallFamily, _correlate, _member_measure, classical_maximal
 
 __all__ = [
     "Weight",
@@ -154,7 +154,7 @@ def _cube_means(values, grid, structure, rho):
     inf_mask = ~np.isfinite(values)
     finite_vals = np.where(inf_mask, 0.0, values)
     num = _correlate(finite_vals * dens, box, half_cells)
-    den = _correlate(dens, box, half_cells)
+    den = _member_measure(structure, dens, box, half_cells)
     with np.errstate(invalid="ignore", divide="ignore"):
         avg = np.where(den > 0, num / den, 0.0)
     if inf_mask.any():
@@ -172,6 +172,7 @@ def ap_constant(weight, p, structure, family=None, return_argmax=False):
         raise ValueError("p must be >= 1")
     family = _cube_family(structure, grid, family)
     wv = weight.field.values
+    dual = _dual_field(weight, p, structure) if p > 1 else None
     best = 1.0
     arg = None
     for rho in family.radii:
@@ -185,7 +186,6 @@ def ap_constant(weight, p, structure, family=None, return_argmax=False):
             with np.errstate(invalid="ignore", divide="ignore"):
                 prod = np.where(ess > 0, w_q / ess, np.inf)
         else:
-            dual = _dual_field(weight, p, structure)
             d_q = _cube_means(dual.values, grid, structure, rho)
             prod = w_q * d_q ** (p - 1.0)
         m = float(np.nanmax(prod))
@@ -273,6 +273,7 @@ def reverse_holder(weight, p, structure, family=None, eps_grid=None):
     if eps_grid is None:
         eps_grid = [0.05 * 2 ** j for j in range(7)]  # 0.05 .. 3.2
     cf = weight.field.meta.get("closed_form")
+    w_q = {}  # cube means of w, by radius: the same for every eps
     best = (0.0, 1.0)
     for eps in eps_grid:
         if cf is not None and cf[0] == "radial_power":
@@ -286,7 +287,9 @@ def reverse_holder(weight, p, structure, family=None, eps_grid=None):
         finite = True
         for rho in family.radii:
             lhs = _cube_means(wpow.values, grid, structure, rho)
-            rhs = _cube_means(weight.field.values, grid, structure, rho) ** (1 + eps)
+            if rho not in w_q:
+                w_q[rho] = _cube_means(weight.field.values, grid, structure, rho)
+            rhs = w_q[rho] ** (1 + eps)
             with np.errstate(invalid="ignore", divide="ignore"):
                 ratio = np.where(rhs > 0, lhs / rhs, np.inf)
             m = float(np.nanmax(ratio))

@@ -238,6 +238,31 @@ def test_field_io_roundtrip(tmp_path):
     assert np.array_equal(back.values, f.values)
 
 
+def test_field_io_keeps_singular_features(tmp_path):
+    from morreylab.testfunctions import test_function
+
+    # |x|^-1 on 64^2: its square is not integrable at 0, on disk as in memory
+    g = make_grid(2, 1.0, 64)
+    f = test_function("power", g, gamma=1.0)
+    assert lp_norm(f, 2) == math.inf
+    save_field(f, tmp_path / "f.field", anisotropy=(2, 1))
+    back = load_field(tmp_path / "f.field")
+    assert lp_norm(back, 2) == math.inf
+    assert back.meta["anisotropy"] == (2, 1)
+    for name, p in (("power", 1.5), ("cylinder_slab", 1.5), ("parab_sing", 2.0)):
+        grid = make_grid(3 if name == "cylinder_slab" else 2, 1.0, 16)
+        f = test_function(name, grid, **({"gamma": 0.7} if name == "power" else {}))
+        save_field(f, tmp_path / "g.field")
+        back = load_field(tmp_path / "g.field")
+        assert [type(x) for x in back.singular] == [type(x) for x in f.singular]
+        assert back.power_mass_cells(p) == f.power_mass_cells(p)
+        assert lp_norm(back, p) == lp_norm(f, p)
+    # a shell feature holds a callable: refused, not silently dropped
+    shell = test_function("lqp_vs_lpq", make_grid(3, 1.0, 8), p0=2.0)
+    with pytest.raises(ValueError, match="ShellPower"):
+        save_field(shell, tmp_path / "s.field")
+
+
 def test_field_csv_roundtrip(tmp_path):
     g = make_grid(2, 1.0, 16)
     rng = np.random.default_rng(8)

@@ -35,6 +35,13 @@ def test_registry_complete():
     assert set(REGISTRY) == EXPECTED_IDS
 
 
+def test_missing_check_module_surfaces(monkeypatch):
+    # a check module that cannot be imported must not shrink the registry silently
+    monkeypatch.setitem(sys.modules, "morreylab.checks.mixed", None)
+    with pytest.raises(ModuleNotFoundError, match="mixed"):
+        load_all_checks()
+
+
 def test_run_check_energy_laplace():
     r = run_check("energy-laplace")
     assert r.verdict == "pass"

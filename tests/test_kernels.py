@@ -1,8 +1,10 @@
-"""Property tests for the two shared kernels of morreylab.maximal: the
-member-sum correlation (box prefix sums or FFT, chosen from the stencil) and
-the chunked mean-oscillation gather."""
+"""Property tests for the shared kernels of morreylab.maximal: the
+member-sum correlation (box prefix sums or FFT, chosen from the stencil), the
+exact uniform member measure, the stencil table and the chunked
+mean-oscillation gather."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -12,9 +14,13 @@ from morreylab.maximal import (
     BallFamily,
     _correlate,
     _mean_oscillation,
+    _stencil_count,
     classical_maximal,
     classical_sharp,
+    member_averages,
+    member_offsets,
 )
+from morreylab.norms import NormSpec, evaluate_norm
 
 SETTINGS = settings(max_examples=60, deadline=None)
 
@@ -86,6 +92,78 @@ def test_correlate_any_stencil_matches_brute_force(case):
     want = brute_correlate(values, stencil, origin)
     scale = 1.0 + np.abs(values).sum()
     assert np.allclose(_correlate(values, stencil, origin), want, rtol=0, atol=1e-12 * scale)
+
+
+def brute_count(stencil, origin, cells):
+    """Number of stencil offsets that stay inside the grid, anchor by anchor."""
+    offs = np.argwhere(stencil) - np.asarray(origin)
+    out = np.zeros(cells)
+    for c in np.ndindex(*cells):
+        idx = np.asarray(c) + offs
+        out[c] = np.all((idx >= 0) & (idx < np.asarray(cells)), axis=1).sum()
+    return out
+
+
+@st.composite
+def member_stencils(draw):
+    """(stencil, origin, cells) of a table member on a small grid, in 1-3 D,
+    any anisotropy, radii from below one cell to well past the grid."""
+    dim = draw(st.integers(1, 3))
+    shape = draw(st.sampled_from(("ball", "ellipsoid", "cylinder", "cube")
+                                 + (("ball_x",) if dim > 1 else ())))
+    ks = tuple(draw(st.lists(st.integers(1, 2), min_size=dim, max_size=dim)))
+    cells = tuple(draw(st.lists(st.sampled_from((2, 4, 6, 8)), min_size=dim, max_size=dim)))
+    half = tuple(draw(st.lists(st.floats(0.5, 2.0), min_size=dim, max_size=dim)))
+    rho = draw(st.floats(0.05, 1.5))
+    stencil, origin = member_offsets(make_grid(dim, half, cells), make_structure(dim, ks), rho,
+                                     shape)
+    return stencil, origin, cells[1:] if shape == "ball_x" else cells
+
+
+@SETTINGS
+@given(member_stencils())
+def test_stencil_count_is_the_exact_uniform_measure(case):
+    stencil, origin, cells = case
+    count = _stencil_count(stencil, origin, cells)
+    assert np.array_equal(count, brute_count(stencil, origin, cells))
+    assert np.allclose(count, _correlate(np.ones(cells), stencil, origin), rtol=0, atol=1e-9)
+
+
+def test_stencil_table_is_read_only_and_keyed_by_value():
+    s = make_structure(2, (1, 1))
+    a, origin = member_offsets(make_grid(2, 1.0, 32), s, 0.3, "ball")
+    assert not a.flags.writeable
+    with pytest.raises(ValueError):
+        a[0, 0] = True
+    # two distinct but equal grids share one entry ...
+    b, origin_b = member_offsets(make_grid(2, 1.0, 32), s, 0.3, "ball")
+    assert b is a and origin_b == origin
+    # ... while another radius or cell width is another entry
+    assert member_offsets(make_grid(2, 1.0, 32), s, 0.31, "ball")[0] is not a
+    assert member_offsets(make_grid(2, 1.0, 64), s, 0.3, "ball")[0] is not a
+
+
+def test_weighted_measure_matches_brute_force():
+    # a non-uniform density takes the correlated measure, not the cell count
+    g = make_grid(2, 1.0, 16)
+    rng = np.random.default_rng(3)
+    dens = 0.5 + rng.random(g.cells)
+    s = make_structure(2, (1, 1), density=Field(g, dens))
+    f = Field(g, rng.standard_normal(g.cells))
+    radii = (0.2, 0.45)
+    p, beta = 2.0, 0.5
+    want = 0.0
+    for rho in radii:
+        stencil, origin = member_offsets(g, s, rho, "ball")
+        mu = brute_correlate(dens, stencil, origin)
+        avg, den = member_averages(f, s, rho, "ball")
+        assert np.allclose(den, mu, rtol=1e-12, atol=0)
+        assert np.allclose(avg, brute_correlate(np.abs(f.values) * dens, stencil, origin) / mu,
+                           rtol=1e-10, atol=0)
+        slashed = brute_correlate(np.abs(f.values) ** p * dens, stencil, origin) / mu
+        want = max(want, rho ** beta * slashed.max() ** (1.0 / p))
+    got = evaluate_norm(f, NormSpec("Epbr", p=p, beta=beta, r=1.0), s, radii=radii)
+    assert got == pytest.approx(want, rel=1e-10)
 
 
 @st.composite
