@@ -115,11 +115,11 @@ def check_interp_grad(cfg):
                 fits["local"] = max(fits["local"],
                                     idu / (eps ** p * id2 + eps ** -p * iu))
         fam = BallFamily.for_structure(s, g, density=cfg.density)
+        m2 = classical_maximal(Field(g, d2_mag), s, family=fam)
+        m0 = classical_maximal(u, s, family=fam)
+        rhs = np.sqrt(np.maximum(m2.values * m0.values, 1e-300))
         for i in range(2):
             sharp_du = classical_sharp(Field(g, du[i]), s, family=fam)
-            m2 = classical_maximal(Field(g, d2_mag), s, family=fam)
-            m0 = classical_maximal(u, s, family=fam)
-            rhs = np.sqrt(np.maximum(m2.values * m0.values, 1e-300))
             fits["sharp"] = max(fits["sharp"], float((sharp_du.values / rhs).max()))
         fits["global"] = max(
             fits["global"],

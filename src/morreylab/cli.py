@@ -11,7 +11,8 @@
     morreylab potential --kernel JSON --field F --out G
     morreylab solve --op JSON --rhs F --out G [--norm JSON]
 
-Exit codes: 0 all pass, 1 any check failed, 2 configuration error.
+Exit codes: 0 all pass, 1 any check failed, 2 configuration error.  Any
+other exception is an internal error and surfaces with its traceback.
 """
 
 from __future__ import annotations
@@ -20,33 +21,59 @@ import argparse
 import json
 import math
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
 
 
-def _fail_config(msg):
-    print(f"error: {msg}", file=sys.stderr)
-    sys.exit(2)
+class ConfigError(Exception):
+    """A configuration error of the user's: a bad argument, spec or input
+    file.  The CLI reports it and exits with code 2."""
+
+
+@contextmanager
+def _user_input(what):
+    """Turn the errors raised while user input becomes library objects (files,
+    specs, weights, structures) into a ConfigError."""
+    try:
+        yield
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        raise ConfigError(f"{what}: {exc}") from exc
+
+
+def _require(ok, msg):
+    if not ok:
+        raise ConfigError(msg)
+
+
+def _positive(text):
+    """argparse type of the scale knobs (--grid, --family-density)."""
+    val = float(text)
+    if not val > 0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+    return val
 
 
 def _load_field(path):
     from .grid import load_field, load_field_csv
 
     p = Path(path)
-    if p.suffix == ".csv":
-        return load_field_csv(p)
-    return load_field(p)
+    with _user_input(f"cannot read field {path}"):
+        return load_field_csv(p) if p.suffix == ".csv" else load_field(p)
 
 
-def _save_field(field, path):
+def _save_field(field, path, anisotropy=None):
+    """Write a field; the JSON sidecar records anisotropy (None: the field's
+    own, else isotropic), so a later command runs on the same structure."""
     from .grid import save_field, save_field_csv
 
     p = Path(path)
-    if p.suffix == ".csv":
-        save_field_csv(field, p)
-    else:
-        save_field(field, p)
+    with _user_input(f"cannot write field {path}"):
+        if p.suffix == ".csv":
+            save_field_csv(field, p)
+        else:
+            save_field(field, p, anisotropy)
 
 
 def _structure_for(field, anisotropy=None):
@@ -56,7 +83,16 @@ def _structure_for(field, anisotropy=None):
 
     if anisotropy is None:
         anisotropy = field.meta.get("anisotropy") or (1,) * field.grid.dim
-    return make_structure(field.grid.dim, tuple(anisotropy))
+    with _user_input("bad anisotropy"):
+        return make_structure(field.grid.dim, tuple(anisotropy))
+
+
+def _weight(path):
+    from .weights import Weight
+
+    field = _load_field(path)
+    with _user_input(f"bad weight {path}"):
+        return Weight(field)
 
 
 def cmd_check(args):
@@ -67,8 +103,7 @@ def cmd_check(args):
     reports = run_suite(args.pattern, cfg,
                         progress=(lambda cid: print(f"running {cid} ...", flush=True))
                         if args.verbose else None)
-    if not reports:
-        _fail_config(f"no checks match {args.pattern!r}")
+    _require(reports, f"no checks match {args.pattern!r}")
     ok = True
     for r in reports:
         status = "OK " if r.verdict in OK_VERDICTS else "FAIL"
@@ -114,10 +149,12 @@ def cmd_list_checks(args):
 
 
 def cmd_czd(args):
-    from .dyadic import cz_decompose
+    from .dyadic import cz_decompose, max_generation
 
     f = _load_field(args.field)
     s = _structure_for(f, args.anisotropy)
+    with _user_input("czd"):
+        max_generation(f.grid, s.anisotropy)  # dyadic boxes need power-of-two cells
     boxes, _good = cz_decompose(f, s, args.level)
     out = [{"n": b.generation, "i": list(b.index), "avg": avg} for b, avg in boxes]
     text = json.dumps(out, indent=2)
@@ -129,27 +166,31 @@ def cmd_czd(args):
 
 def cmd_maximal(args):
     from .maximal import BallFamily, classical_maximal, weighted_maximal
-    from .weights import Weight
 
     f = _load_field(args.field)
     s = _structure_for(f, args.anisotropy)
     if args.weight:
-        w = Weight(_load_field(args.weight))
+        w = _weight(args.weight)
         fam = BallFamily.for_structure(s, f.grid, shape="cube", density=args.family_density)
         out = weighted_maximal(f, w, s, family=fam)
     else:
         fam = BallFamily.for_structure(s, f.grid, density=args.family_density)
         out = classical_maximal(f, s, beta=args.beta, family=fam)
-    _save_field(out, args.out)
+    _save_field(out, args.out, s.anisotropy)
 
 
 def cmd_weight(args):
     from .maximal import BallFamily
-    from .weights import (Weight, ap_constant, jones_factorize, rdf_iterate,
-                          reverse_holder)
+    from .weights import ap_constant, jones_factorize, rdf_iterate, reverse_holder
     from .grid import Field
 
-    w = Weight(_load_field(args.field))
+    if args.action in ("ap", "rh"):
+        _require(args.p >= 1, f"weight {args.action} needs p >= 1")
+    elif args.action == "jones":
+        _require(1 < args.p <= 2, "weight jones needs p in (1, 2]")
+    else:
+        _require(args.p > 1, "weight rdf needs p > 1")
+    w = _weight(args.field)
     s = _structure_for(w.field, args.anisotropy)
     fam = BallFamily.for_structure(s, w.grid, shape="cube", density=args.family_density)
     result = {"p": args.p, "family": {"radii": list(fam.radii), "density": fam.density}}
@@ -163,8 +204,9 @@ def cmd_weight(args):
         w1, w2, sn = jones_factorize(w, args.p, s, family=fam)
         result.update({"constant": sn, "stabilized": True})
         if args.out_factors:
-            _save_field(w1, args.out_factors + "_w1")
-            _save_field(w2, args.out_factors + "_w2")
+            # the explicit suffix keeps a dotted prefix from naming one file twice
+            _save_field(w1, args.out_factors + "_w1.field", s.anisotropy)
+            _save_field(w2, args.out_factors + "_w2.field", s.anisotropy)
     elif args.action == "rdf":
         rng = np.random.default_rng(args.seed)
         f = Field(w.grid, rng.random(w.grid.cells) + 0.1)
@@ -196,20 +238,21 @@ def cmd_norm(args):
     from .testfunctions import test_function
     from .grid import make_grid
 
-    spec_d = json.loads(args.spec)
-    aniso = spec_d.pop("anisotropy", None)
-    spec = NormSpec(**spec_d)
+    with _user_input("bad --spec"):
+        spec_d = json.loads(args.spec)
+        aniso = spec_d.pop("anisotropy", None)
+        spec = NormSpec(**spec_d)
     if args.field:
         f = _load_field(args.field)
     elif args.function:
-        name, params = _parse_function(args.function)
-        dim = int(args.dim)
-        g = make_grid(dim, args.half_extent, args.grid_cells)
-        f = test_function(name, g, **params)
+        with _user_input("bad --function"):
+            name, params = _parse_function(args.function)
+            g = make_grid(int(args.dim), args.half_extent, args.grid_cells)
+            f = test_function(name, g, **params)
         if isinstance(f, tuple):
             f = f[0]
     else:
-        _fail_config("norm needs --field or --function")
+        raise ConfigError("norm needs --field or --function")
     s = _structure_for(f, aniso)
     val = evaluate_norm(f, spec, s)
     print(json.dumps({"norm": spec_d, "value": val}))
@@ -218,36 +261,47 @@ def cmd_norm(args):
 def cmd_potential(args):
     from .potentials import KernelSpec, apply_kernel
 
-    spec = KernelSpec(**json.loads(args.kernel))
+    with _user_input("bad --kernel"):
+        spec = KernelSpec(**json.loads(args.kernel))
     f = _load_field(args.field)
+    d = f.grid.dim
+    _require(spec.kind != "heat", "kernel heat: use heat_resolvent")
+    if spec.kind == "riesz":
+        _require(spec.alpha is not None and spec.alpha < d, f"riesz needs 0 < alpha < {d}")
+    elif spec.kind == "newtonian":
+        _require(d >= 3, "the newtonian kernel needs d >= 3")
+    elif spec.kind == "elliptic_resolvent":
+        _require(spec.lam > 0, "elliptic_resolvent needs lam > 0")
     out = apply_kernel(f, spec)
-    _save_field(out, args.out)
+    _save_field(out, args.out, f.meta.get("anisotropy"))
 
 
 def cmd_solve(args):
-    from .grid import Field
     from .norms import NormSpec
     from .solvers import OperatorSpec, apriori_ratio, solve_heat, solve_laplace
 
-    op_d = json.loads(args.op)
+    with _user_input("bad --op"):
+        op_d = json.loads(args.op)
+        kind = op_d.get("kind", "laplace")
+        lam = float(op_d.get("lam", 1.0))
+        a_of_t = np.asarray(op_d["a_of_t"]) if "a_of_t" in op_d else None
+        op = OperatorSpec(kind, lam=lam, a_of_t=a_of_t)
+    spec = None
+    if args.norm:
+        with _user_input("bad --norm"):
+            spec = NormSpec(**json.loads(args.norm))
     f = _load_field(args.rhs)
-    kind = op_d.get("kind", "laplace")
-    lam = float(op_d.get("lam", 1.0))
     if kind == "laplace":
+        _require(lam >= 0, "the laplace solve needs lam >= 0")
+        _require(f.grid.periodic, "the laplace solve needs a periodic grid")
         aniso = (1,) * f.grid.dim
         u = solve_laplace(f, lam)
-    elif kind in ("heat", "heat_at"):
-        aniso = (2,) + (1,) * (f.grid.dim - 1)
-        a_of_t = np.asarray(op_d["a_of_t"]) if "a_of_t" in op_d else None
-        u, _ = solve_heat(f, lam, a_of_t=a_of_t, delta=op_d.get("delta"))
     else:
-        _fail_config(f"unknown operator kind {kind}")
-    _save_field(u, args.out)
-    if args.norm:
+        aniso = (2,) + (1,) * (f.grid.dim - 1)
+        u, _ = solve_heat(f, lam, a_of_t=a_of_t, delta=op_d.get("delta"))
+    _save_field(u, args.out, aniso)
+    if spec is not None:
         s = _structure_for(f, aniso)
-        spec = NormSpec(**json.loads(args.norm))
-        op = OperatorSpec(kind, lam=lam, a_of_t=np.asarray(op_d["a_of_t"])
-                          if "a_of_t" in op_d else None)
         r = apriori_ratio(u, op, spec, s)
         print(json.dumps({k: v for k, v in r.items() if k != "parts"}
                          | {"parts": {k: float(v) for k, v in r["parts"].items()}}))
@@ -261,8 +315,8 @@ def main(argv=None):
     c = sub.add_parser("check", help="run registry checks")
     c.add_argument("pattern", help="check id or glob")
     c.add_argument("--seed", type=int, default=0x5EED)
-    c.add_argument("--grid", type=float, default=1.0, help="resolution multiplier")
-    c.add_argument("--family-density", type=float, default=4.0)
+    c.add_argument("--grid", type=_positive, default=1.0, help="resolution multiplier")
+    c.add_argument("--family-density", type=_positive, default=4.0)
     c.add_argument("--out", help="JSON report path")
     c.add_argument("--csv", help="CSV report path")
     c.add_argument("--plot-data", help="directory for sweep data files")
@@ -284,7 +338,7 @@ def main(argv=None):
     m.add_argument("--field", required=True)
     m.add_argument("--out", required=True)
     m.add_argument("--beta", type=float, default=0.0)
-    m.add_argument("--family-density", type=float, default=4.0)
+    m.add_argument("--family-density", type=_positive, default=4.0)
     m.add_argument("--weight")
     m.add_argument("--anisotropy", type=int, nargs="+")
     m.set_defaults(fn=cmd_maximal)
@@ -294,7 +348,7 @@ def main(argv=None):
     w.add_argument("--field", required=True)
     w.add_argument("--p", type=float, default=2.0)
     w.add_argument("--seed", type=int, default=0x5EED)
-    w.add_argument("--family-density", type=float, default=4.0)
+    w.add_argument("--family-density", type=_positive, default=4.0)
     w.add_argument("--anisotropy", type=int, nargs="+")
     w.add_argument("--out")
     w.add_argument("--out-factors")
@@ -325,10 +379,9 @@ def main(argv=None):
     args = ap.parse_args(argv)
     try:
         args.fn(args)
-    except SystemExit:
-        raise
-    except (ValueError, KeyError, FileNotFoundError, json.JSONDecodeError) as exc:
-        _fail_config(str(exc))
+    except ConfigError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        sys.exit(2)
 
 
 if __name__ == "__main__":

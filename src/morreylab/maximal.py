@@ -178,13 +178,16 @@ def _correlate(values, stencil, origin):
     return full[sl]
 
 
-def _prefix_diff(arr, ax, lo, hi):
-    """d[i] = sum of arr[lo[i]:hi[i]] along axis ax, from one prefix sum (a
-    summed-area table step); lo and hi are index arrays in [0, n]."""
-    pad = [(0, 0)] * arr.ndim
-    pad[ax] = (1, 0)
-    c = np.pad(np.cumsum(arr, axis=ax), pad)  # c[k] = sum of the first k cells
-    return np.take(c, hi, axis=ax) - np.take(c, lo, axis=ax)
+def _prefix_diff(arr, ax, lo, w):
+    """d[i] = sum of arr[lo[i]:lo[i] + w] along axis ax, the range clipped to
+    [0, n], from one summed-area table step in the dtype np.cumsum gives."""
+    n, lead = arr.shape[ax], (slice(None),) * ax
+    c = np.empty(arr.shape[:ax] + (n + 1,) + arr.shape[ax + 1:],
+                 arr.dtype if arr.dtype.kind == "f" else np.cumsum(arr[:0]).dtype)
+    c[lead + (0,)] = 0  # c[k] = sum of the first k cells
+    np.cumsum(arr, axis=ax, out=c[lead + (slice(1, None),)])
+    return (np.take(c, np.minimum(np.maximum(lo + w, 0), n), axis=ax)
+            - np.take(c, np.minimum(np.maximum(lo, 0), n), axis=ax))
 
 
 def _box_sum(values, bounds):
@@ -195,9 +198,7 @@ def _box_sum(values, bounds):
     for ax, (lo, hi) in enumerate(bounds):
         if lo == hi == 0:
             continue
-        n = out.shape[ax]
-        i = np.arange(n)
-        out = _prefix_diff(out, ax, np.clip(i + lo, 0, n), np.clip(i + hi + 1, 0, n))
+        out = _prefix_diff(out, ax, np.arange(out.shape[ax]) + lo, hi - lo + 1)
     return out
 
 
@@ -211,8 +212,7 @@ def _stencil_count(stencil, origin, cells):
     """
     out = stencil.astype(float)
     for ax, (o, n) in enumerate(zip(origin, cells)):
-        s, c = stencil.shape[ax], np.arange(n)
-        out = _prefix_diff(out, ax, np.clip(o - c, 0, s), np.clip(o - c + n, 0, s))
+        out = _prefix_diff(out, ax, o - np.arange(n), n)
     return out
 
 

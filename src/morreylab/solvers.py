@@ -225,17 +225,17 @@ def apriori_ratio(u, op, norm_spec, structure, norm_eval=None):
     du, d2, lap, ut = spectral_derivative_fields(u, structure)
     d2_mag = np.sqrt(sum(d2[i][j] ** 2 for i in range(len(du)) for j in range(len(du))))
     du_mag = np.sqrt(sum(di ** 2 for di in du))
+    u_norm = norm_eval(u)  # the u part and the floor's scale
     parts = {
         "d2": norm_eval(Field(grid, d2_mag)),
         "du": math.sqrt(op.lam) * norm_eval(Field(grid, du_mag)),
-        "u": op.lam * norm_eval(u),
+        "u": op.lam * u_norm,
     }
     if ut is not None:
         parts["ut"] = norm_eval(Field(grid, ut))
     resid = apply_operator(u, op, structure)
     den_raw = norm_eval(resid)
-    u_scale = norm_eval(u)
-    den = denominator_floor(den_raw, u_scale if u_scale > 0 else 1.0)
+    den = denominator_floor(den_raw, u_norm if u_norm > 0 else 1.0)
     num = max(parts.values())
     ratio = math.inf if not math.isfinite(den) else (num / den if den > 0 else math.inf)
     return {

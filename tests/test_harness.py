@@ -195,3 +195,81 @@ def test_cli_solve_pipeline(tmp_path):
     assert out.returncode == 0
     data = json.loads(out.stdout)
     assert math.isfinite(data["ratio"])
+
+
+@pytest.mark.parametrize("command", ["maximal", "potential", "solve", "weight jones"])
+def test_cli_outputs_keep_the_input_anisotropy(tmp_path, command):
+    import numpy as np
+
+    from morreylab.cli import main
+    from morreylab.grid import Field, make_grid, save_field
+
+    g = make_grid(2, math.pi, 16, periodic=True)
+    f = Field(g, 1.0 + np.random.default_rng(4).random(g.cells))
+    save_field(f, tmp_path / "f.field", anisotropy=(2, 1))
+    src, out = str(tmp_path / "f.field"), str(tmp_path / "m.field")
+    argv = {
+        "maximal": ["maximal", "--field", src, "--out", out],
+        "potential": ["potential", "--kernel", json.dumps({"kind": "parabolic", "alpha": 1.0}),
+                      "--field", src, "--out", out],
+        # a heat solve runs on the parabolic (2, 1) structure whatever its input
+        "solve": ["solve", "--op", json.dumps({"kind": "heat", "lam": 1.0}),
+                  "--rhs", src, "--out", out],
+        "weight jones": ["weight", "jones", "--field", src, "--p", "1.5",
+                         "--out", str(tmp_path / "j.json"), "--out-factors", out],
+    }[command]
+    main(argv)
+    written = [tmp_path / "m.json"] if command != "weight jones" else [
+        tmp_path / "m.field_w1.json", tmp_path / "m.field_w2.json"]
+    for sidecar in written:
+        assert json.loads(sidecar.read_text())["anisotropy"] == [2, 1]
+
+
+@pytest.mark.parametrize("exc", [ValueError, KeyError])
+def test_cli_internal_error_is_not_a_config_error(tmp_path, monkeypatch, exc):
+    # a library error that no user input caused surfaces with its traceback;
+    # exit code 2 stays reserved for configuration errors
+    import morreylab.maximal
+    from morreylab.cli import main
+    from morreylab.grid import Field, make_grid, save_field
+
+    g = make_grid(1, 1.0, 32)
+    save_field(Field(g, g.axis(0) ** 2), tmp_path / "f.field")
+
+    def broken(*args, **kwargs):
+        raise exc("internal")
+
+    monkeypatch.setattr(morreylab.maximal, "classical_maximal", broken)
+    with pytest.raises(exc, match="internal"):
+        main(["maximal", "--field", str(tmp_path / "f.field"), "--out", str(tmp_path / "m.field")])
+
+
+def test_cli_config_errors_exit_2(tmp_path):
+    import numpy as np
+
+    from morreylab.cli import main
+    from morreylab.grid import Field, make_grid, save_field
+
+    g = make_grid(1, 1.0, 24)
+    save_field(Field(g, g.axis(0)), tmp_path / "f.field")  # not a weight: has signs
+    f = str(tmp_path / "f.field")
+    bad = [
+        ["maximal", "--field", str(tmp_path / "missing.field"), "--out", f],
+        ["maximal", "--field", f, "--out", f, "--anisotropy", "1", "1"],
+        ["maximal", "--field", f, "--out", f, "--family-density", "0"],
+        ["czd", "--field", f, "--level", "1"],  # 24 cells: no dyadic boxes
+        ["weight", "ap", "--field", f],
+        ["weight", "jones", "--field", f, "--p", "3"],
+        ["norm", "--spec", "{not json", "--field", f],
+        ["norm", "--spec", json.dumps({"kind": "nope", "p": 2.0}), "--field", f],
+        ["norm", "--spec", json.dumps({"kind": "Lp", "p": 2.0}), "--function", "nope"],
+        ["potential", "--kernel", json.dumps({"kind": "riesz", "alpha": 1.5}),
+         "--field", f, "--out", f],
+        ["solve", "--op", json.dumps({"kind": "laplace"}), "--rhs", f, "--out", f],
+        ["solve", "--op", json.dumps({"kind": "wave"}), "--rhs", f, "--out", f],
+    ]
+    for argv in bad:
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2, argv
+    assert np.array_equal(np.fromfile(tmp_path / "f.f64"), g.axis(0))  # nothing overwrote it

@@ -12,6 +12,7 @@ from hypothesis.extra.numpy import arrays
 from morreylab.grid import Field, make_grid, make_structure
 from morreylab.maximal import (
     BallFamily,
+    _box_sum,
     _correlate,
     _mean_oscillation,
     _stencil_count,
@@ -164,6 +165,87 @@ def test_weighted_measure_matches_brute_force():
         want = max(want, rho ** beta * slashed.max() ** (1.0 / p))
     got = evaluate_norm(f, NormSpec("Epbr", p=p, beta=beta, r=1.0), s, radii=radii)
     assert got == pytest.approx(want, rel=1e-10)
+
+
+# The pad-and-clip summed-area step that the kernels replaced: the reference
+# their table-and-clamp form must reproduce bit for bit.
+def pad_clip_prefix_diff(arr, ax, lo, hi):
+    pad = [(0, 0)] * arr.ndim
+    pad[ax] = (1, 0)
+    c = np.pad(np.cumsum(arr, axis=ax), pad)
+    return np.take(c, hi, axis=ax) - np.take(c, lo, axis=ax)
+
+
+def pad_clip_box_sum(values, bounds):
+    out = values
+    for ax, (lo, hi) in enumerate(bounds):
+        if lo == hi == 0:
+            continue
+        n = out.shape[ax]
+        i = np.arange(n)
+        out = pad_clip_prefix_diff(out, ax, np.clip(i + lo, 0, n), np.clip(i + hi + 1, 0, n))
+    return out
+
+
+def pad_clip_stencil_count(stencil, origin, cells):
+    out = stencil.astype(float)
+    for ax, (o, n) in enumerate(zip(origin, cells)):
+        s, c = stencil.shape[ax], np.arange(n)
+        out = pad_clip_prefix_diff(out, ax, np.clip(o - c, 0, s), np.clip(o - c + n, 0, s))
+    return out
+
+
+VALUE_DTYPES = (np.float64, np.float32, np.int8, np.int64, np.uint8, np.bool_)
+
+
+@st.composite
+def box_sum_cases(draw):
+    """(values, bounds) in 1-3 D: random floats (or another dtype), bounds on
+    either side of the anchor, straddling it, wider than the grid, skipped
+    axes, or the axis-0 window of _window_sums."""
+    dim = draw(st.integers(1, 3))
+    cells = tuple(draw(st.lists(st.integers(1, 8), min_size=dim, max_size=dim)))
+    dtype = np.dtype(draw(st.sampled_from(VALUE_DTYPES)))
+    floats = st.floats(-1e6, 1e6, width=dtype.itemsize * 8) if dtype.kind == "f" else None
+    values = draw(arrays(dtype, cells, elements=floats))
+    if draw(st.booleans()):
+        bounds = [(0, draw(st.integers(0, cells[0] - 1)))] + [(0, 0)] * (dim - 1)
+    else:
+        bounds = []
+        for _ in range(dim):
+            lo = draw(st.integers(-12, 12))
+            bounds.append((lo, draw(st.integers(lo, lo + 20))))
+    return values, bounds
+
+
+@settings(max_examples=300, deadline=None)
+@given(box_sum_cases())
+def test_box_sum_is_bit_identical_to_pad_and_clip(case):
+    values, bounds = case
+    got, want = _box_sum(values, bounds), pad_clip_box_sum(values, bounds)
+    assert got.dtype == want.dtype
+    assert np.array_equal(got, want)
+
+
+@st.composite
+def any_stencils(draw):
+    """(stencil, origin, cells): a random boolean stencil in 1-3 D with its
+    origin anywhere in it (a cylinder's origin is its first t row), on grids
+    smaller and larger than the stencil."""
+    dim = draw(st.integers(1, 3))
+    shape = tuple(draw(st.lists(st.integers(1, 6), min_size=dim, max_size=dim)))
+    stencil = draw(arrays(bool, shape))
+    origin = tuple(draw(st.integers(0, s - 1)) for s in shape)
+    cells = tuple(draw(st.lists(st.integers(1, 9), min_size=dim, max_size=dim)))
+    return stencil, origin, cells
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(any_stencils(), member_stencils()))
+def test_stencil_count_is_bit_identical_to_pad_and_clip(case):
+    stencil, origin, cells = case
+    assert np.array_equal(_stencil_count(stencil, origin, cells),
+                          pad_clip_stencil_count(stencil, origin, cells))
 
 
 @st.composite

@@ -209,6 +209,25 @@ def test_apriori_ratio_floored_denominator():
     assert out["floored"] and out["ratio"] == math.inf
 
 
+
+@pytest.mark.parametrize("structure, kind, parts", [(S2, "laplace", 4), (SP, "heat", 5)])
+def test_apriori_ratio_evaluates_each_field_once(structure, kind, parts):
+    # d2, du, u, the residual (and ut on a parabolic structure): one norm each
+    g = make_grid(2, math.pi, 32, periodic=True)
+    u = tf("random_band", g, kmax=4, seed=3)
+    calls = {}
+
+    def counting_norm(fld):
+        key = fld.values.tobytes()
+        calls[key] = calls.get(key, 0) + 1
+        return float(np.abs(fld.values).max())
+
+    apriori_ratio(u, OperatorSpec(kind, lam=2.0), NormSpec("Lp", p=2.0), structure,
+                  norm_eval=counting_norm)
+    assert len(calls) == parts
+    assert set(calls.values()) == {1}
+
+
 def test_oscillation_quadratic_is_zero():
     g = make_grid(2, math.pi, 64, periodic=True)
     xs = g.mesh()
