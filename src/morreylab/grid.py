@@ -11,6 +11,7 @@ the truncation radius accept the grid so callers can sweep it.
 
 from __future__ import annotations
 
+import copy
 import json
 import math
 from dataclasses import dataclass, field as dfield
@@ -27,6 +28,8 @@ __all__ = [
     "SubspacePower",
     "ParabolicPower",
     "ShellPower",
+    "singular_field",
+    "power_integrand",
     "make_structure",
     "make_grid",
     "integrate",
@@ -135,10 +138,30 @@ def make_grid(dim, half_extent, cells, periodic=False):
 # radial closed-form integration (equal-volume ball rule).  When a requested
 # power of the field is not locally integrable the exact mass is +inf, which
 # propagates into norms; that is the honest value, not an overflow.
+#
+# Every feature answers power_masses(grid, p) and scaled(c); singular_field
+# writes the cell averages and power_integrand the masses, so nothing else
+# needs to know the feature types.
 # ---------------------------------------------------------------------------
 
 
-class RadialPower:
+class _CellFeature:
+    """A singular feature whose singular cells all carry one exact mass."""
+
+    def power_masses(self, grid, p):
+        """(cell index, exact mass of |f|^p) for each singular cell; the mass
+        is +inf where the power is not locally integrable."""
+        mass = self.exact_power_mass(grid, p)
+        return [(idx, mass) for idx in self.cell_indices(grid)]
+
+    def scaled(self, c):
+        """The feature of c * f: the amplitude times |c|."""
+        out = copy.copy(self)
+        out.amp = abs(c) * self.amp
+        return out
+
+
+class RadialPower(_CellFeature):
     """Local model amp * |x - center|^{-gamma} near an isolated point."""
 
     def __init__(self, center, gamma, amp=1.0):
@@ -146,16 +169,17 @@ class RadialPower:
         self.gamma = float(gamma)
         self.amp = float(amp)
 
-    def cell_index(self, grid):
+    def cell_indices(self, grid):
+        """[] or [index of the cell holding the center]."""
         idx = []
         for i, c in enumerate(self.center):
             L, n = grid.half_extent[i], grid.cells[i]
             h = 2.0 * L / n
             j = int(np.floor((c + L) / h))
             if j < 0 or j >= n:
-                return None
+                return []
             idx.append(j)
-        return tuple(idx)
+        return [tuple(idx)]
 
     def exact_power_mass(self, grid, p):
         """Exact integral of |f|^p over the singular cell (ball rule).
@@ -174,7 +198,7 @@ class RadialPower:
         return abs(self.amp) ** p * s * r_eq ** (d - g) / (d - g)
 
 
-class SubspacePower:
+class SubspacePower(_CellFeature):
     """Local model amp * |x'|^{-gamma} where x' = coordinates in `axes`.
 
     Singular on the coordinate subspace {x' = 0}; every cell crossed by the
@@ -222,7 +246,7 @@ class SubspacePower:
         return abs(self.amp) ** p * s * r_eq ** (m - g) / (m - g) * rest
 
 
-class ParabolicPower:
+class ParabolicPower(_CellFeature):
     """Local model amp * (|x| + sqrt|t|)^{-alpha} near the origin of R^{1+1}.
 
     Exact cell mass by closed-form integration of (x + sqrt t)^{-alpha*p}
@@ -296,29 +320,29 @@ class ShellPower:
     transverse 1-d mass; non-integrable transverse powers give +inf.
     """
 
-    def __init__(self, cell_mask_fn, gamma, amp_field=None, transverse_h=None):
+    def __init__(self, cell_mask_fn, gamma, amp_field=1.0, transverse_h=None):
         self.cell_mask_fn = cell_mask_fn  # grid -> boolean mask of crossed cells
         self.gamma = float(gamma)
-        self.amp_field = amp_field  # ndarray of local amplitudes or None
+        self.amp_field = amp_field  # local amplitudes: ndarray on the grid, or a scalar
         self.transverse_h = transverse_h
 
-    def exact_power_mass_array(self, grid, p):
-        """(mask, masses) of exact |f|^p cell masses on crossed cells."""
+    def power_masses(self, grid, p):
         mask = self.cell_mask_fn(grid)
         g = self.gamma * p
         hmin = self.transverse_h if self.transverse_h else min(grid.h)
-        vol = grid.cell_volume
         if g >= 1.0:
-            masses = np.full(int(mask.sum()), math.inf)
+            mass = math.inf
         else:
             # transverse average of |s|^{-g} over a width-hmin slab, times
             # the cell volume (area of the shell slice folded into vol/hmin)
-            avg = 2.0 * (hmin / 2.0) ** (1.0 - g) / ((1.0 - g) * hmin)
-            masses = np.full(int(mask.sum()), avg * vol)
-        if self.amp_field is not None:
-            amps = np.abs(self.amp_field[mask]) ** p
-            masses = masses * amps
-        return mask, masses
+            mass = 2.0 * (hmin / 2.0) ** (1.0 - g) / ((1.0 - g) * hmin) * grid.cell_volume
+        amps = np.abs(np.broadcast_to(self.amp_field, mask.shape)[mask]) ** p
+        return list(zip(map(tuple, np.argwhere(mask)), (mass * amps).tolist()))
+
+    def scaled(self, c):
+        out = copy.copy(self)
+        out.amp_field = abs(c) * self.amp_field
+        return out
 
 
 @dataclass
@@ -342,15 +366,21 @@ class Field:
     def copy(self):
         return Field(self.grid, self.values.copy(), list(self.singular), dict(self.meta))
 
+    def _combine(self, other, op):
+        """op on the samples; the result keeps the features of both operands."""
+        if isinstance(other, Field):
+            return Field(self.grid, op(self.values, other.values), self.singular + other.singular)
+        return Field(self.grid, op(self.values, other), list(self.singular))
+
     def __add__(self, other):
-        ov = other.values if isinstance(other, Field) else other
-        return Field(self.grid, self.values + ov, list(self.singular))
+        return self._combine(other, np.add)
 
     def __sub__(self, other):
-        ov = other.values if isinstance(other, Field) else other
-        return Field(self.grid, self.values - ov, list(self.singular))
+        return self._combine(other, np.subtract)
 
     def __mul__(self, other):
+        if not isinstance(other, Field) and np.ndim(other) == 0:
+            return Field(self.grid, self.values * other, [f.scaled(other) for f in self.singular])
         ov = other.values if isinstance(other, Field) else other
         return Field(self.grid, self.values * ov, list(self.singular))
 
@@ -360,57 +390,19 @@ class Field:
         return Field(self.grid, np.abs(self.values), list(self.singular))
 
     def power_mass_cells(self, p):
-        """Exact per-cell masses of |f|^p at singular cells.
+        """(index, exact mass of |f|^p) at every singular cell of every feature;
+        a mass of +inf means the continuum integral diverges there."""
+        return [pair for feat in self.singular for pair in feat.power_masses(self.grid, p)]
 
-        Yields (index, mass) pairs; a mass of +inf means the power is not
-        locally integrable there (the continuum integral diverges).
-        """
-        out = []
-        for feat in self.singular:
-            if isinstance(feat, RadialPower):
-                idx = feat.cell_index(self.grid)
-                if idx is not None:
-                    out.append((idx, feat.exact_power_mass(self.grid, p)))
-            elif isinstance(feat, (SubspacePower, ParabolicPower)):
-                for idx in feat.cell_indices(self.grid):
-                    out.append((idx, feat.exact_power_mass(self.grid, p)))
-            elif isinstance(feat, ShellPower):
-                mask, masses = feat.exact_power_mass_array(self.grid, p)
-                for idx, m in zip(map(tuple, np.argwhere(mask)), masses):
-                    out.append((idx, float(m)))
-            else:
-                raise TypeError(f"unknown singular feature {feat!r}")
-        return out
 
-    def power_cell_masses(self, p):
-        """Aggregate exact singular masses of |f|^p.
-
-        Returns (extra, naive): scalars such that the exact integral of
-        |f|^p over the domain is  midpoint_total - naive + extra.
-        """
-        if not self.singular:
-            return 0.0, 0.0
-        vol = self.grid.cell_volume
-        extra = 0.0
-        naive = 0.0
-        for idx, mass in self.power_mass_cells(p):
-            extra += mass
-            naive += abs(self.values[idx]) ** p * vol
-        return extra, naive
-
-    def singular_cell_mask(self):
-        mask = np.zeros(self.grid.cells, dtype=bool)
-        for feat in self.singular:
-            if isinstance(feat, RadialPower):
-                idx = feat.cell_index(self.grid)
-                if idx is not None:
-                    mask[idx] = True
-            elif isinstance(feat, (SubspacePower, ParabolicPower)):
-                for idx in feat.cell_indices(self.grid):
-                    mask[idx] = True
-            elif isinstance(feat, ShellPower):
-                mask |= feat.cell_mask_fn(self.grid)
-        return mask
+def singular_field(grid, vals, features):
+    """The Field of the samples `vals` whose singular cells hold each
+    feature's exact cell average (+inf where it is not integrable)."""
+    vol = grid.cell_volume
+    for feat in features:
+        for idx, mass in feat.power_masses(grid, 1.0):
+            vals[idx] = mass / vol
+    return Field(grid, vals, list(features))
 
 
 @dataclass(frozen=True)
@@ -542,23 +534,57 @@ def _region_mask(grid, region):
     return mask
 
 
+def power_integrand(field, p, dens):
+    """Per-cell integrand |f|^p * dens with exact singular-cell masses.
+
+    Returns (arr, inf_mask): arr is the midpoint integrand whose singular
+    cells hold the exact masses (per unit cell volume) in place of the
+    samples; inf_mask marks the cells whose continuum mass diverges.
+    """
+    grid = field.grid
+    dens = np.broadcast_to(dens, grid.cells)
+    with np.errstate(over="ignore", invalid="ignore"):
+        arr = np.abs(field.values) ** float(p) * dens
+    inf_mask = ~np.isfinite(arr)
+    arr[inf_mask] = 0.0
+    vol = grid.cell_volume
+    pairs = field.power_mass_cells(float(p))
+    for idx, _ in pairs:  # the exact masses replace the samples
+        inf_mask[idx] = False
+    for idx, mass in pairs:
+        with np.errstate(invalid="ignore"):
+            val = mass / vol * dens[idx]
+        if math.isfinite(val):
+            arr[idx] = val
+        else:
+            inf_mask[idx] = True
+            arr[idx] = 0.0
+    return arr, inf_mask
+
+
+def _cell_density(grid, structure, weight):
+    """Per-cell density of w dmu: the structure's density times the weight's
+    exact cell averages, +inf where the weight is not integrable."""
+    dens = structure.density_on(grid) if structure is not None else 1.0
+    if weight is None:
+        return dens
+    w, w_inf = power_integrand(weight, 1.0, dens)
+    return np.where(w_inf, np.inf, w)
+
+
 def integrate(field, region=None, structure=None, weight=None):
     """Midpoint quadrature of f (optionally times a weight) against d(mu).
 
     region is (lo, hi) per axis; cells whose centers lie inside count.
+    Singular cells count their exact masses; one that diverges inside the
+    region makes the integral infinite, with the sign of its sample.
     """
-    grid = field.grid
-    mask = _region_mask(grid, region)
-    dens = structure.density_on(grid) if structure is not None else 1.0
-    w = weight.values if weight is not None else 1.0
-    vals = field.values * w * dens
-    total = float(vals[mask].sum()) * grid.cell_volume
-    if field.singular and np.all(field.values >= 0):
-        extra, naive = field.power_cell_masses(1.0)
-        smask = field.singular_cell_mask() & mask
-        if smask.any():
-            total += extra - naive
-    return total
+    mask = _region_mask(field.grid, region)
+    arr, inf_mask = power_integrand(field, 1.0, _cell_density(field.grid, structure, weight))
+    hit = mask & inf_mask
+    if hit.any():
+        return float(np.copysign(np.inf, field.values[hit]).sum())
+    return float(np.copysign(arr, field.values)[mask].sum()) * field.grid.cell_volume
 
 
 def average(field, region=None, structure=None):
@@ -581,41 +607,27 @@ def lp_norm(field, p, region=None, structure=None, weight=None, slashed=False):
     """(integral over region of |f|^p w dmu)^(1/p); p = inf -> max over samples.
 
     slashed=True divides the measure of the region first ("slash norm").
-    Singular fields contribute exact closed-form cell masses for |f|^p.
+    Singular cells of the field and of the weight inside the region count
+    their exact closed-form masses; one that diverges makes the norm +inf.
     """
     grid = field.grid
     mask = _region_mask(grid, region)
-    dens = structure.density_on(grid) if structure is not None else np.ones(grid.cells)
-    wv = weight.values if weight is not None else np.ones(grid.cells)
     if p == math.inf or p == "inf":
         if not mask.any():
             return 0.0
         return float(np.abs(field.values[mask]).max())
     p = float(p)
-    integrand = np.abs(field.values) ** p * wv * dens
-    total = float(integrand[mask].sum()) * grid.cell_volume
-    if field.singular:
-        # weight/density assumed smooth at the singular cells
-        extra, naive = field.power_cell_masses(p)
-        smask = field.singular_cell_mask() & mask
-        if smask.any():
-            corr = wv * dens
-            scale = float(corr[smask].mean()) if np.ndim(corr) else float(corr)
-            total += (extra - naive) * scale
-    if weight is not None and getattr(weight, "singular", None):
-        # weighted integral with singular weight: f smooth, w carries masses
-        extraw, naivew = weight.power_cell_masses(1.0)
-        smask = weight.singular_cell_mask() & mask
-        if smask.any():
-            f_here = float((np.abs(field.values[smask]) ** p).mean())
-            total += (extraw - naivew) * f_here
+    arr, inf_mask = power_integrand(field, p, _cell_density(grid, structure, weight))
+    if inf_mask[mask].any():
+        return math.inf
+    total = float(arr[mask].sum()) * grid.cell_volume
     if slashed:
+        dens = np.broadcast_to(structure.density_on(grid) if structure is not None else 1.0,
+                               grid.cells)
         mu = float(dens[mask].sum()) * grid.cell_volume
         if mu == 0.0:
             return 0.0
         total /= mu
-    if total == math.inf:
-        return math.inf
     return total ** (1.0 / p)
 
 
@@ -806,8 +818,9 @@ def _feature_record(feat):
 
 def save_field(field, path, anisotropy=None):
     """Raw values plus a JSON sidecar with the grid, the anisotropy (the
-    argument, else the field's meta, else isotropic) and the singular
-    features, so that exact singular masses survive a round trip."""
+    argument, else the field's meta, else isotropic), the singular features
+    and any meta["closed_form"], so that exact singular masses and the
+    closed forms of weights survive a round trip."""
     path = Path(path)
     if anisotropy is None:
         anisotropy = field.meta.get("anisotropy") or (1,) * field.grid.dim
@@ -819,12 +832,15 @@ def save_field(field, path, anisotropy=None):
         "periodic": field.grid.periodic,
         "singular": [_feature_record(f) for f in field.singular],
     }
+    if "closed_form" in field.meta:
+        meta["closed_form"] = list(field.meta["closed_form"])
     path.with_suffix(".json").write_text(json.dumps(meta, indent=2))
     field.values.astype("<f8").tofile(path.with_suffix(".f64"))
 
 
 def load_field(path):
-    """Inverse of save_field; the anisotropy goes to meta["anisotropy"]."""
+    """Inverse of save_field; the anisotropy goes to meta["anisotropy"] and
+    a closed form to meta["closed_form"], as a tuple."""
     path = Path(path)
     meta = json.loads(path.with_suffix(".json").read_text())
     grid = GridSpec(tuple(meta["half_extent"]), tuple(meta["shape"]), meta["periodic"])
@@ -833,7 +849,10 @@ def load_field(path):
     for rec in meta.get("singular", []):  # sidecars written before features were saved lack it
         cls, args = _SAVED_FEATURES[rec["kind"]]
         singular.append(cls(*(rec[a] for a in args)))
-    return Field(grid, raw, singular, {"anisotropy": tuple(meta["anisotropy"])})
+    out = {"anisotropy": tuple(meta["anisotropy"])}
+    if "closed_form" in meta:
+        out["closed_form"] = tuple(meta["closed_form"])
+    return Field(grid, raw, singular, out)
 
 
 def save_field_csv(field, path):

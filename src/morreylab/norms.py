@@ -10,14 +10,13 @@ criterion or exactly, when a closed-form singular cell mass is infinite.
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.signal import fftconvolve
 
-from .grid import Field, lp_norm
+from .grid import Field, lp_norm, power_integrand
 from .maximal import (BallFamily, _box_sum, _correlate, _mean_oscillation, _member_measure,
                       _member_shape, _stencil_count, member_offsets)
 
@@ -78,36 +77,13 @@ class NormSpec:
             )
 
 
-def power_integrand(field, p, structure):
-    """Per-cell integrand |f|^p * density with exact singular-cell masses.
-
-    Returns (arr, inf_mask): arr is the midpoint integrand, already patched
-    with the finite exact masses (per unit cell volume); inf_mask marks
-    cells whose continuum |f|^p mass diverges.
-    """
-    grid = field.grid
-    dens = structure.density_on(grid) + np.zeros(grid.cells)
-    with np.errstate(over="ignore", invalid="ignore"):
-        arr = np.abs(field.values) ** float(p) * dens
-    inf_mask = ~np.isfinite(arr)
-    arr = np.where(inf_mask, 0.0, arr)
-    vol = grid.cell_volume
-    for idx, mass in field.power_mass_cells(float(p)):
-        if math.isfinite(mass):
-            arr[idx] = mass / vol * dens[idx]
-        else:
-            inf_mask[idx] = True
-            arr[idx] = 0.0
-    return arr, inf_mask
-
-
 def _morrey_sup(field, p, beta, structure, radii, shape, interior_only=False,
                 return_profile=False):
     """sup over rho in radii, members centered at every cell, of
     rho^beta * slashed L_p over the member."""
     grid = field.grid
-    arr, inf_mask = power_integrand(field, p, structure)
     dens = structure.density_on(grid) + np.zeros(grid.cells)
+    arr, inf_mask = power_integrand(field, p, dens)
     best = 0.0
     profile = []
     interior = _interior(grid, radii[-1]) if interior_only else None
@@ -177,8 +153,8 @@ def _mixed_morrey_sup(field, p, q, beta, structure, radii, reversed_order=False,
     best = 0.0
     profile = []
     inner_p = p if not reversed_order else q
-    arr, inf_mask = power_integrand(field, inner_p, structure)
     dens = structure.density_on(grid) + np.zeros(grid.cells)
+    arr, inf_mask = power_integrand(field, inner_p, dens)
     x_axes = tuple(range(1, grid.dim))
     for rho in radii:
         wlen = max(1, int(round(rho ** 2 / ht)))
@@ -332,34 +308,18 @@ def bmo_seminorms(a_entries, rho, structure, stride=4):
     sharpsharp = 0.0
     if structure.parabolic:
         ht = grid.h[0]
-        x_axes = tuple(range(1, grid.dim))
+        # members: the x-ball at every (t, c), c on the decimated lattice;
+        # mean deviation from the x-average profile, then averaged over t
+        anchors = [np.arange(grid.cells[0])] + anchors[1:]
         for a in a_entries:
             for r in radii:
                 wlen = max(1, int(round(r ** 2 / ht)))
                 if wlen > grid.cells[0]:
                     continue
                 stencil, origin = member_offsets(grid, structure, r, "ball_x")
-                num = _xcorrelate(a.values * dens, stencil, origin, x_axes)
-                den = _x_measure(structure, dens, stencil, origin)
-                with np.errstate(invalid="ignore", divide="ignore"):
-                    prof = np.where(den > 0, num / den, 0.0)  # x-average at (t, c)
-                # deviation |a(t,x) - prof(t,c)| averaged over the cylinder,
-                # evaluated on the decimated anchor set
-                offs = np.argwhere(stencil) - np.asarray(origin)
-                xl = [np.arange(0, n, stride) for n in grid.cells[1:]]
-                lim = np.asarray(grid.cells[1:])
-                for c in np.stack([x.ravel() for x in np.meshgrid(*xl, indexing="ij")],
-                                  axis=1):
-                    idx = c + offs
-                    ok = np.all((idx >= 0) & (idx < lim), axis=1)
-                    if not ok.any():
-                        continue
-                    lin = tuple(idx[ok].T)
-                    block = a.values[(slice(None),) + lin]  # (nt, cells_in_ball)
-                    profc = prof[(slice(None),) + tuple(c)][:, None]
-                    dev = np.abs(block - profc).mean(axis=1)
-                    wins = _window_sums(dev, wlen) / wlen
-                    sharpsharp = max(sharpsharp, float(wins.max()))
+                dev = _mean_oscillation(a.values, dens, stencil[None], (0,) + tuple(origin),
+                                        anchors)
+                sharpsharp = max(sharpsharp, float((_window_sums(dev, wlen) / wlen).max()))
     return sharp, sharpsharp
 
 

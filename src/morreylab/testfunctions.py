@@ -18,6 +18,7 @@ from .grid import (
     RadialPower,
     ShellPower,
     SubspacePower,
+    singular_field,
 )
 
 __all__ = ["test_function", "TEST_FUNCTION_IDS"]
@@ -30,15 +31,8 @@ def _power(grid, gamma, amp=1.0):
         return Field(grid, np.full(grid.cells, amp))
     with np.errstate(divide="ignore"):
         vals = amp * np.where(r > 0, r ** (-gamma), np.inf)
-    sing = []
-    if gamma > 0:
-        feat = RadialPower((0.0,) * grid.dim, gamma, amp)
-        idx = feat.cell_index(grid)
-        if idx is not None:
-            m = feat.exact_power_mass(grid, 1.0)
-            vals[idx] = m / grid.cell_volume if math.isfinite(m) else np.inf
-            sing = [feat]
-    return Field(grid, vals, sing)
+    feats = [RadialPower((0.0,) * grid.dim, gamma, amp)] if gamma > 0 else []
+    return singular_field(grid, vals, feats)
 
 
 def _gaussian(grid, sigma=1.0, center=None, amp=1.0):
@@ -136,12 +130,8 @@ def _cz_bump(grid, p=None):
         with np.errstate(divide="ignore"):
             local = np.where((rr < rn) & (rr > 0), 1.0 / rr, 0.0)
         vals += local
-        feat = RadialPower(center, 1.0)
-        idx = feat.cell_index(grid)
-        if idx is not None:
-            vals[idx] = feat.exact_power_mass(grid, 1.0) / grid.cell_volume
-            sing.append(feat)
-    return Field(grid, vals, sing), r
+        sing.append(RadialPower(center, 1.0))
+    return singular_field(grid, vals, sing), r
 
 
 # -- kappa_ridge: the profile refuting the eps-absorption inequality ---------
@@ -229,17 +219,8 @@ def _parab_sing(grid):
     box = (np.abs(xs[0]) <= 1.0) & (rr <= 1.0)
     with np.errstate(divide="ignore"):
         vals = np.where((rho > 0) & box, 1.0 / rho, 0.0)
-    sing = []
-    if grid.dim == 2:
-        feat = ParabolicPower(1.0)
-        m = feat.exact_power_mass(grid, 1.0)
-        for idx in feat.cell_indices(grid):
-            vals[idx] = m / grid.cell_volume
-        sing = [feat]
-    else:
-        # center cells: cheap subsample average along the x-axes
-        pass
-    return Field(grid, vals, sing)
+    # the exact corner-cell masses are known for d = 1 only
+    return singular_field(grid, vals, [ParabolicPower(1.0)] if grid.dim == 2 else [])
 
 
 # -- lqp_vs_lpq: finite reversed-order norm, divergent standard order --------
@@ -287,11 +268,7 @@ def _cylinder_slab(grid, d_prime=2):
     rp = np.sqrt(sum(xs[i] ** 2 for i in range(d_prime)))
     with np.errstate(divide="ignore"):
         vals = np.where(rp > 0, 1.0 / rp, np.inf)
-    feat = SubspacePower(tuple(range(d_prime)), 1.0)
-    m = feat.exact_power_mass(grid, 1.0)
-    for idx in feat.cell_indices(grid):
-        vals[idx] = m / grid.cell_volume if math.isfinite(m) else np.inf
-    return Field(grid, vals, [feat])
+    return singular_field(grid, vals, [SubspacePower(tuple(range(d_prime)), 1.0)])
 
 
 def _mollified_power(grid, gamma, eps):

@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from .grid import Field, RadialPower, lp_norm
+from .grid import Field, ParabolicPower, RadialPower, lp_norm, singular_field
 from .maximal import BallFamily, _correlate, _member_measure, classical_maximal
 
 __all__ = [
@@ -65,29 +65,17 @@ class Weight:
         return self.cached[key]
 
 
-def power_weight(grid, alpha, cap=None):
+def power_weight(grid, alpha):
     """w(x) = |x|^alpha sampled with exact singular-cell averages.
 
     Negative alpha is a genuine singularity at 0; the singular cell carries
-    the closed-form average (or +inf when non-integrable).  `cap` truncates
-    w at a constant, as in min(|x|^alpha, c).
+    the closed-form average (or +inf when non-integrable).
     """
     r = grid.radius()
     with np.errstate(divide="ignore"):
         vals = np.where(r > 0, r ** alpha, np.inf if alpha < 0 else 0.0)
-    sing = []
-    if alpha < 0:
-        feat = RadialPower((0.0,) * grid.dim, -alpha)
-        m = feat.exact_power_mass(grid, 1.0)
-        idx = feat.cell_index(grid)
-        if idx is not None:
-            vals[idx] = m / grid.cell_volume if math.isfinite(m) else np.inf
-            sing = [feat]
-    if cap is not None:
-        vals = np.minimum(vals, cap)
-        sing = []
-    f = Field(grid, np.where(np.isfinite(vals), vals, np.finfo(float).max), sing)
-    f.values[~np.isfinite(vals)] = np.inf
+    feats = [RadialPower((0.0,) * grid.dim, -alpha)] if alpha < 0 else []
+    f = singular_field(grid, vals, feats)
     f.meta["closed_form"] = ("radial_power", float(alpha))
     return Weight(f)
 
@@ -99,21 +87,9 @@ def parabolic_power_weight(grid, alpha):
     rho = rr + np.sqrt(np.abs(xs[0]))
     with np.errstate(divide="ignore"):
         vals = np.where(rho > 0, rho ** (-alpha), np.inf)
-    # exact corner-cell average for the d=1 parabolic case
-    sing = []
-    if grid.dim == 2 and alpha > 0:
-        from .grid import ParabolicPower
-
-        feat = ParabolicPower(alpha)
-        cells = feat.cell_indices(grid)
-        mass = feat.exact_power_mass(grid, 1.0)
-        for idx in cells:
-            vals[idx] = mass / grid.cell_volume if math.isfinite(mass) else np.inf
-        if math.isfinite(mass):
-            sing = [feat]
-    fin = np.isfinite(vals)
-    f = Field(grid, np.where(fin, vals, np.finfo(float).max), sing)
-    f.values[~fin] = np.inf
+    # the exact corner-cell averages are known for d = 1 only
+    feats = [ParabolicPower(alpha)] if grid.dim == 2 and alpha > 0 else []
+    f = singular_field(grid, vals, feats)
     f.meta["closed_form"] = ("parabolic_power", float(-alpha))
     return Weight(f)
 
@@ -127,9 +103,7 @@ def _dual_field(weight, p, structure):
     if cf is not None and cf[0] == "radial_power":
         return power_weight(grid, cf[1] * expo).field
     if cf is not None and cf[0] == "parabolic_power":
-        from .weights import parabolic_power_weight as ppw
-
-        return ppw(grid, -cf[1] * expo).field
+        return parabolic_power_weight(grid, -cf[1] * expo).field
     with np.errstate(divide="ignore", over="ignore"):
         vals = weight.field.values ** expo
     return Field(grid, np.where(np.isfinite(vals), vals, np.inf), weight.field.singular)

@@ -110,6 +110,60 @@ def test_lp_norm_singular_power_radial_oracle():
     assert lp_norm(f, 2) == pytest.approx(oracle, rel=0.02)
 
 
+def test_nonintegrable_singular_cell_gives_inf_not_nan():
+    from morreylab.testfunctions import test_function
+    from morreylab.weights import power_weight
+
+    # |x|^-2.5 on 64^2: the singular cell's mass is infinite for every p >= 0.8
+    g = make_grid(2, 1.0, 64)
+    f = test_function("power", g, gamma=2.5)
+    assert lp_norm(f, 1) == math.inf
+    assert integrate(f) == math.inf
+    assert integrate(-1.0 * f) == -math.inf  # the sign of the singular cell's sample
+    assert lp_norm(power_weight(g, -2.5).field, 1) == math.inf
+    # below the threshold the exact mass replaces the infinite sample
+    assert math.isfinite(lp_norm(f, 0.5))
+
+
+def test_lp_norm_counts_singular_masses_inside_the_region_only():
+    from morreylab.testfunctions import test_function
+
+    g = make_grid(3, 1.0, 32)
+    f = test_function("cylinder_slab", g)
+    p = 1.5
+    lower = lp_norm(f, p, region=([-1, -1, -1], [1, 1, 0])) ** p
+    upper = lp_norm(f, p, region=([-1, -1, 0], [1, 1, 1])) ** p
+    assert lower + upper == pytest.approx(lp_norm(f, p) ** p, rel=1e-12)
+    assert integrate(f, region=([-1, -1, -1], [1, 1, 0])) \
+        + integrate(f, region=([-1, -1, 0], [1, 1, 1])) == pytest.approx(integrate(f), rel=1e-12)
+
+
+def test_scalar_multiple_scales_singular_masses():
+    from morreylab.testfunctions import test_function
+
+    g = make_grid(2, 1.0, 64)
+    f = test_function("power", g, gamma=1.0)
+    for c in (2.0, -2.0):
+        assert lp_norm(c * f, 1.5) == pytest.approx(2.0 * lp_norm(f, 1.5), rel=1e-12)
+        assert lp_norm(f * c, 1.5) == pytest.approx(2.0 * lp_norm(f, 1.5), rel=1e-12)
+    # a shell feature scales its amplitude field
+    shell = test_function("lqp_vs_lpq", make_grid(3, 1.0, 8), p0=2.0)
+    for (i, m), (j, m3) in zip(shell.power_mass_cells(0.5), (3 * shell).power_mass_cells(0.5)):
+        assert i == j and m3 == pytest.approx(math.sqrt(3.0) * m, rel=1e-12)
+
+
+def test_sum_keeps_the_features_of_both_operands():
+    from morreylab.testfunctions import test_function
+
+    g = make_grid(2, 1.0, 64)
+    zero = Field(g, np.zeros(g.cells))
+    f = test_function("power", g, gamma=1.0)  # |x|^-1 is not in L_2 near 0
+    for s in (zero + f, f + zero, zero - f, f - zero):
+        assert lp_norm(s, 2) == math.inf
+        assert lp_norm(s, 1.5) == pytest.approx(lp_norm(f, 1.5), rel=1e-12)
+    assert lp_norm(zero + test_function("power", g, gamma=2.5), 1) == math.inf
+
+
 def test_quadrature_exact_for_cellwise_constants():
     g = make_grid(2, 1.0, 32)
     rng = np.random.default_rng(0)
@@ -261,6 +315,16 @@ def test_field_io_keeps_singular_features(tmp_path):
     shell = test_function("lqp_vs_lpq", make_grid(3, 1.0, 8), p0=2.0)
     with pytest.raises(ValueError, match="ShellPower"):
         save_field(shell, tmp_path / "s.field")
+
+
+def test_field_io_keeps_the_closed_form(tmp_path):
+    from morreylab.weights import power_weight
+
+    g = make_grid(1, 1.0, 64)
+    save_field(power_weight(g, -0.9).field, tmp_path / "w.field")
+    assert load_field(tmp_path / "w.field").meta["closed_form"] == ("radial_power", -0.9)
+    save_field(Field(g, np.ones(g.cells)), tmp_path / "f.field")
+    assert "closed_form" not in load_field(tmp_path / "f.field").meta
 
 
 def test_field_csv_roundtrip(tmp_path):

@@ -179,6 +179,31 @@ def test_cli_weight_and_norm(tmp_path):
     assert math.isfinite(data["value"]) and data["value"] > 0
 
 
+@pytest.mark.parametrize("alpha, action, p", [(1.5, "ap", 2.0), (-0.9, "rh", 1.5)])
+def test_cli_weight_on_a_saved_weight_matches_the_library(tmp_path, alpha, action, p):
+    # the CLI sees the closed form of a saved power weight, as the library does:
+    # |x|^1.5 is outside A_2, and |x|^-0.9 has reverse Holder exponent 0.1 on [0, 3.2]
+    from morreylab.cli import main
+    from morreylab.grid import make_grid, make_structure, save_field
+    from morreylab.maximal import BallFamily
+    from morreylab.weights import ap_constant, power_weight, reverse_holder
+
+    g = make_grid(1, 1.0, 256)
+    w = power_weight(g, alpha)
+    save_field(w.field, tmp_path / "w.field")
+    main(["weight", action, "--field", str(tmp_path / "w.field"), "--p", str(p),
+          "--out", str(tmp_path / "r.json")])
+    data = json.loads((tmp_path / "r.json").read_text())
+    s = make_structure(1)
+    fam = BallFamily.for_structure(s, g, shape="cube", density=4.0)
+    if action == "ap":
+        assert data["constant"] == ap_constant(w, p, s, fam) == math.inf
+    else:
+        eps, n = reverse_holder(w, p, s, fam)
+        assert (data["eps"], data["constant"]) == (eps, n)
+        assert eps == 0.1
+
+
 def test_cli_solve_pipeline(tmp_path):
     from morreylab.grid import Field, make_grid, save_field
     from morreylab.testfunctions import test_function as tf

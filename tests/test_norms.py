@@ -131,6 +131,50 @@ def test_bmo_time_only_coefficient_x_average_vanishes():
     assert sharp > 0.01
 
 
+def _sharpsharp_reference(a, rho, structure, stride=4):
+    """a## by a per-anchor loop: at every t and every x-anchor on the stride
+    lattice, the mu-mean deviation of a over the x-ball from its mu-average
+    there, then averaged over t-windows of length rho^2 / ht."""
+    from morreylab.maximal import member_offsets
+    from morreylab.norms import _family_radii
+
+    grid = a.grid
+    mu = structure.density_on(grid)
+    lim = np.asarray(grid.cells[1:])
+    best = 0.0
+    for r in _family_radii(grid, structure, rho):
+        wlen = max(1, int(round(r ** 2 / grid.h[0])))
+        if wlen > grid.cells[0]:
+            continue
+        stencil, origin = member_offsets(grid, structure, r, "ball_x")
+        offs = np.argwhere(stencil) - np.asarray(origin)
+        for c in np.ndindex(*[len(range(0, n, stride)) for n in grid.cells[1:]]):
+            idx = stride * np.asarray(c) + offs
+            cells = tuple(idx[np.all((idx >= 0) & (idx < lim), axis=1)].T)
+            dev = []
+            for t in range(grid.cells[0]):
+                v, m = a.values[t][cells], mu[t][cells]
+                mean = (v * m).sum() / m.sum()
+                dev.append((np.abs(v - mean) * m).sum() / m.sum())
+            for t0 in range(grid.cells[0] - wlen + 1):
+                best = max(best, sum(dev[t0:t0 + wlen]) / wlen)
+    return best
+
+
+@pytest.mark.parametrize("cells", [(32, 32), (16, 24, 24)])
+def test_bmo_sharpsharp_matches_per_anchor_reference(cells):
+    g = make_grid(len(cells), 1.0, cells)
+    rng = np.random.default_rng(11)
+    a = Field(g, 1.0 + rng.random(cells) + np.sin(3.0 * g.mesh()[1]))
+    aniso = (2,) + (1,) * (len(cells) - 1)
+    structures = [make_structure(len(cells), aniso)]
+    if len(cells) == 2:  # a non-uniform measure: mu-averages throughout
+        structures.append(make_structure(2, aniso, Field(g, 1.0 + 0.5 * rng.random(cells))))
+    for s in structures:
+        _, sharpsharp = bmo_seminorms(a, 0.6, s)
+        assert sharpsharp == pytest.approx(_sharpsharp_reference(a, 0.6, s), rel=1e-12)
+
+
 def test_bmo_log_oscillation_bounded():
     g = make_grid(2, 1.0, 128)
     r = g.radius()
