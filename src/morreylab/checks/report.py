@@ -15,7 +15,9 @@ from __future__ import annotations
 import fnmatch
 import json
 import math
+import sys
 import time
+import traceback
 from dataclasses import dataclass, asdict
 
 __all__ = ["CheckConfig", "CheckReport", "register", "REGISTRY", "run_check",
@@ -145,14 +147,25 @@ def run_check(check_id, cfg=None):
 
 
 def run_suite(pattern="*", cfg=None, progress=None):
-    """Run every check whose id matches the glob; returns list of reports."""
+    """Run every check whose id matches the glob; returns list of reports.
+
+    A check that raises gets an 'error' report (nan numbers, the exception
+    in params) and its traceback goes to stderr; the other checks still run.
+    """
     load_all_checks()
+    cfg = cfg or CheckConfig()
     ids = sorted(i for i in REGISTRY if fnmatch.fnmatch(i, pattern or "*"))
     reports = []
     for cid in ids:
         if progress:
             progress(cid)
-        reports.append(run_check(cid, cfg))
+        try:
+            reports.append(run_check(cid, cfg))
+        except Exception as exc:
+            traceback.print_exc(file=sys.stderr)
+            reports.append(CheckReport(cid, cfg.seed, "", {"error": f"{type(exc).__name__}: {exc}"},
+                                       math.nan, math.nan, math.nan, math.nan, "", "error", 0.0,
+                                       cfg.slack))
     return reports
 
 

@@ -104,13 +104,11 @@ def cmd_check(args):
                         progress=(lambda cid: print(f"running {cid} ...", flush=True))
                         if args.verbose else None)
     _require(reports, f"no checks match {args.pattern!r}")
-    ok = True
     for r in reports:
-        status = "OK " if r.verdict in OK_VERDICTS else "FAIL"
+        status = "OK " if r.verdict in OK_VERDICTS else "ERR " if r.verdict == "error" else "FAIL"
         ratio = "inf" if math.isinf(r.ratio) else f"{r.ratio:.4g}"
         print(f"[{status}] {r.check_id:24s} verdict={r.verdict:22s} "
               f"ratio={ratio} bound={r.bound:.4g} ({r.runtime_ms:.0f} ms)")
-        ok &= r.verdict in OK_VERDICTS
     if args.out:
         Path(args.out).write_text(
             "[" + ",\n".join(r.to_json() for r in reports) + "]\n")
@@ -128,7 +126,8 @@ def cmd_check(args):
                         isinstance(v, (int, float)) for v in val):
                     fn = outdir / f"{r.check_id}__{key}.txt"
                     fn.write_text("\n".join(f"{i} {v}" for i, v in enumerate(val)) + "\n")
-    sys.exit(0 if ok else 1)
+    verdicts = {r.verdict for r in reports}
+    sys.exit(3 if "error" in verdicts else 0 if verdicts <= set(OK_VERDICTS) else 1)
 
 
 def cmd_list_checks(args):

@@ -684,17 +684,16 @@ def mollify(field, eps, structure=None):
         raise ValueError("mollification width eps exceeds half_extent / 4")
     parab = structure is not None and structure.parabolic
     ker = mollifier_kernel(grid, eps, parabolic=parab)
-    from scipy.signal import fftconvolve
+    from .maximal import _fft_correlate  # local import: maximal builds on this module
 
+    kflip = np.flip(ker)
     if grid.periodic:
-        padded = field.values
-        # circular convolution via explicit wrap-pad then 'same'
-        pads = [(s // 2, s // 2) for s in ker.shape]
-        wrapped = np.pad(padded, pads, mode="wrap")
-        out = fftconvolve(wrapped, ker, mode="valid") * grid.cell_volume
+        # circular convolution: correlate the wrap-padded values, keep n cells
+        wrapped = np.pad(field.values, [(s // 2, s // 2) for s in ker.shape], mode="wrap")
+        out = _fft_correlate(wrapped, kflip, (0,) * ker.ndim)[tuple(map(slice, grid.cells))]
     else:
-        out = fftconvolve(field.values, ker, mode="same") * grid.cell_volume
-    return Field(grid, out)
+        out = _fft_correlate(field.values, kflip, [s // 2 for s in ker.shape])
+    return Field(grid, out * grid.cell_volume)
 
 
 # ---------------------------------------------------------------------------

@@ -16,8 +16,8 @@ import weakref
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.fft
 from scipy.ndimage import grey_dilation
-from scipy.signal import fftconvolve
 
 from .grid import Field
 
@@ -157,25 +157,44 @@ def _fill_spans(stencil):
 
 
 def _correlate(values, stencil, origin):
-    """corr(c) = sum_{o in stencil} values(c + o), zero outside the domain.
+    """corr(c) = sum_{o in stencil} values(c + o), zero outside the domain,
+    over the trailing stencil.ndim axes of values; leading axes are a batch.
 
     A boolean stencil that fills its bounding box (cubes, intervals,
     1+1-D cylinders, the smallest balls) is summed exactly by _box_sum;
-    any other shape goes through one FFT correlation.  Table stencils
+    any other shape goes through _fft_correlate.  Table stencils
     (member_offsets) carry their fill spans; others are scanned here.
     """
     key = id(stencil)
     spans = _FILL_SPANS[key] if key in _FILL_SPANS else _fill_spans(stencil)
-    if spans is not None:
-        return _box_sum(values, [(a - o, b - o) for (a, b), o in zip(spans, origin)])
-    ker = np.flip(stencil.astype(float))
-    full = fftconvolve(values, ker, mode="full")
-    # alignment: corr(c) sits at index c + (shape-1) - origin in 'full'
-    sl = tuple(
-        slice(s - 1 - o, s - 1 - o + n)
-        for s, o, n in zip(stencil.shape, origin, values.shape)
-    )
-    return full[sl]
+    if spans is None:
+        return _fft_correlate(values, stencil, origin)
+    batch = [(0, 0)] * (values.ndim - stencil.ndim)
+    return _box_sum(values, batch + [(a - o, b - o) for (a, b), o in zip(spans, origin)])
+
+
+def _fft_correlate(values, kernel, origin):
+    """corr(c) = sum_k kernel[k] values(c + k - origin) over the trailing
+    kernel.ndim axes of values, zero outside the domain; leading axes are a
+    batch.  Any real kernel.
+
+    One linear correlation by FFT.  Each axis is padded only as far as the
+    longer side of the kernel reaches, n + max(origin, s - 1 - origin), and
+    the kernel spectrum is pruned: one axis at a time, last to first, so each
+    pass transforms only the lines the kernel (or its partial transform)
+    occupies.  Kernel entries past the transform length meet only padding.
+    """
+    axes = tuple(range(values.ndim - kernel.ndim, values.ndim))
+    cells = values.shape[axes[0]:]
+    lens = [scipy.fft.next_fast_len(n + max(o, s - 1 - o), real=True)
+            for n, s, o in zip(cells, kernel.shape, origin)]
+    spec = scipy.fft.rfft(np.flip(kernel), n=lens[-1], axis=-1)
+    for ax in range(kernel.ndim - 2, -1, -1):
+        spec = scipy.fft.fft(spec, n=lens[ax], axis=ax)
+    full = scipy.fft.irfftn(scipy.fft.rfftn(values, s=lens, axes=axes) * spec, s=lens, axes=axes)
+    # corr(c) sits at index c + (s - 1 - origin) of the linear convolution
+    return full[(...,) + tuple(slice(s - 1 - o, s - 1 - o + n)
+                               for s, o, n in zip(kernel.shape, origin, cells))]
 
 
 def _prefix_diff(arr, ax, lo, w):
@@ -219,9 +238,11 @@ def _stencil_count(stencil, origin, cells):
 def _member_measure(structure, dens, stencil, origin):
     """mu(member(c) clipped to the domain) at every anchor c: the exact cell
     count for the uniform measure, a correlation of the density dens
-    otherwise (the only path that can serve a weighted measure)."""
+    otherwise (the only path that can serve a weighted measure).  Axes of
+    dens before the stencil's are a batch, as in _correlate; the count
+    carries none and broadcasts over them."""
     if structure.uniform:
-        return _stencil_count(stencil, origin, dens.shape)
+        return _stencil_count(stencil, origin, dens.shape[dens.ndim - stencil.ndim:])
     return _correlate(dens, stencil, origin)
 
 

@@ -14,11 +14,10 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import fftconvolve
 
 from .grid import Field, lp_norm, power_integrand
 from .maximal import (BallFamily, _box_sum, _correlate, _mean_oscillation, _member_measure,
-                      _member_shape, _stencil_count, member_offsets)
+                      _member_shape, member_offsets)
 
 __all__ = [
     "NormSpec",
@@ -155,7 +154,6 @@ def _mixed_morrey_sup(field, p, q, beta, structure, radii, reversed_order=False,
     inner_p = p if not reversed_order else q
     dens = structure.density_on(grid) + np.zeros(grid.cells)
     arr, inf_mask = power_integrand(field, inner_p, dens)
-    x_axes = tuple(range(1, grid.dim))
     for rho in radii:
         wlen = max(1, int(round(rho ** 2 / ht)))
         if wlen > grid.cells[0]:
@@ -163,12 +161,12 @@ def _mixed_morrey_sup(field, p, q, beta, structure, radii, reversed_order=False,
         stencil, origin = member_offsets(grid, structure, rho, "ball_x")
         if not reversed_order:
             # X(t,c) = slashed L_p over the ball at (t, c)
-            num = _xcorrelate(arr, stencil, origin, x_axes)
-            den = _x_measure(structure, dens, stencil, origin)
+            num = _correlate(arr, stencil, origin)
+            den = _member_measure(structure, dens, stencil, origin)
             with np.errstate(invalid="ignore", divide="ignore"):
                 X = np.where(den > 0, num / den, 0.0)
             if inf_mask.any():
-                hit = _xcorrelate(inf_mask.astype(float), stencil, origin, x_axes) > 0.5
+                hit = _correlate(inf_mask.astype(float), stencil, origin) > 0.5
             Y = _window_sums(np.maximum(X, 0.0) ** (q / p), wlen) / wlen
             val = rho ** beta * np.maximum(Y, 0.0) ** (1.0 / q)
             if inf_mask.any():
@@ -177,14 +175,14 @@ def _mixed_morrey_sup(field, p, q, beta, structure, radii, reversed_order=False,
         else:
             # U(tau, x) = slashed t-window average of |f|^q
             U = np.maximum(_window_sums(arr / dens.clip(min=1e-300), wlen) / wlen, 0.0)
-            num = _xcorrelate(U ** (p / q) * dens[: U.shape[0]], stencil, origin, x_axes)
-            den = _x_measure(structure, dens[: U.shape[0]], stencil, origin)
+            num = _correlate(U ** (p / q) * dens[: U.shape[0]], stencil, origin)
+            den = _member_measure(structure, dens[: U.shape[0]], stencil, origin)
             with np.errstate(invalid="ignore", divide="ignore"):
                 V = np.where(den > 0, num / den, 0.0)
             val = rho ** beta * np.maximum(V, 0.0) ** (1.0 / p)
             if inf_mask.any():
                 hit = _window_sums(inf_mask.astype(float), wlen) > 0.5
-                hit2 = _xcorrelate(hit.astype(float), stencil, origin, x_axes) > 0.5
+                hit2 = _correlate(hit.astype(float), stencil, origin) > 0.5
                 val = np.where(hit2, np.inf, val)
         m = float(val.max())
         profile.append((rho, m))
@@ -192,26 +190,6 @@ def _mixed_morrey_sup(field, p, q, beta, structure, radii, reversed_order=False,
     if return_profile:
         return best, profile
     return best
-
-
-def _xcorrelate(arr, stencil, origin, x_axes):
-    """Cross-correlate along the space axes only (kernel has no t extent)."""
-    ker = np.flip(stencil.astype(float))
-    ker = ker.reshape((1,) + ker.shape)
-    full = fftconvolve(arr, ker, mode="full", axes=(0,) + x_axes)
-    sl = [slice(0, arr.shape[0])]
-    for s, o, n in zip(stencil.shape, origin, arr.shape[1:]):
-        sl.append(slice(s - 1 - o, s - 1 - o + n))
-    return full[tuple(sl)]
-
-
-def _x_measure(structure, dens, stencil, origin):
-    """Measure of the x-ball members at every (t, c): the exact cell count of
-    one t-slice broadcast over t for the uniform measure, a correlation of the
-    density dens along the space axes otherwise."""
-    if structure.uniform:
-        return _stencil_count(stencil, origin, dens.shape[1:])[None]
-    return _xcorrelate(dens, stencil, origin, tuple(range(1, dens.ndim)))
 
 
 def _family_radii(grid, structure, r_cap=None):

@@ -15,10 +15,10 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import fftconvolve
 from scipy.special import gamma as _gamma, kv as _besselk
 
 from .grid import Field, unit_sphere_area
+from .maximal import _fft_correlate
 
 __all__ = [
     "KernelSpec",
@@ -174,12 +174,11 @@ def parabolic_kernel_array(grid, alpha, k):
     return ker
 
 
-def _linear_convolve(values, ker, grid):
-    full = fftconvolve(values, ker, mode="full")
-    sl = tuple(
-        slice(n - 1, 2 * n - 1) for n in grid.cells
-    )
-    return full[sl]
+def _linear_convolve(values, ker):
+    """out(c) = sum_j ker[j] values(c - j + n - 1), zero outside the domain:
+    the linear convolution with a kernel whose index j holds the offset
+    j - (n - 1) on each axis (ker.shape = m, offsets -(n - 1) .. m - n)."""
+    return _fft_correlate(values, np.flip(ker), [m - n for m, n in zip(ker.shape, values.shape)])
 
 
 def _support_margin_warning(field, policy):
@@ -235,24 +234,16 @@ def apply_kernel(field, spec, structure=None):
         out = np.fft.ifftn(np.fft.fftn(field.values) * np.fft.fftn(kper)).real
         out *= grid.cell_volume
         return Field(grid, out)
-    out = _linear_convolve(field.values, ker, grid) * grid.cell_volume
-    return Field(grid, out)
+    return Field(grid, _linear_convolve(field.values, ker) * grid.cell_volume)
 
 
 def apply_parabolic(field, alpha, k):
     """P_{alpha,k} f(t,x) = int p_{alpha,k}(s-t, |y-x|) f(s,y): future-ordered."""
     grid = field.grid
     ker = parabolic_kernel_array(grid, alpha, k)
-    # correlate in t (kernel looks forward), convolve in x
-    v = field.values
-    ker_t_reversed = ker[::-1]  # so fftconvolve aligns "future" correctly
-    full = fftconvolve(v, ker_t_reversed, mode="full")
-    nt = grid.cells[0]
-    sl = [slice(nt - 1, 2 * nt - 1)]
-    for n in grid.cells[1:]:
-        sl.append(slice(n - 1, 2 * n - 1))
-    # time alignment: full conv index nt-1 corresponds to s-t = +ht/2 window
-    out = full[tuple(sl)] * grid.cell_volume
+    # correlate in t (kernel looks forward), convolve in x; the first t row
+    # of ker is the s - t = +ht/2 slab
+    out = _linear_convolve(field.values, ker[::-1]) * grid.cell_volume
     return Field(grid, out)
 
 

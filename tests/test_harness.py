@@ -1,7 +1,9 @@
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -98,6 +100,45 @@ def test_list_checks_formats_identical_content():
     md_ids = [line.split("`")[1] for line in out_md.stdout.splitlines()
               if line.startswith("| `")]
     assert set(md_ids) == {i for i, _, _ in rows}
+
+
+def test_cli_crashing_check_gets_an_error_row_and_exit_3(tmp_path, monkeypatch, capsys):
+    # an internal error in one check is not a refuted estimate: the other
+    # checks still run and report, in order, and the run exits 3
+    from morreylab.cli import main
+
+    def crash(cfg):
+        raise RuntimeError("internal")
+
+    load_all_checks()
+    monkeypatch.setitem(REGISTRY, "dyadic-n-crash", (crash, "raises", ()))
+    csv, out = tmp_path / "r.csv", tmp_path / "r.json"
+    with pytest.raises(SystemExit) as info:
+        main(["check", "dyadic-*", "--csv", str(csv), "--out", str(out)])
+    assert info.value.code == 3
+    rows = json.loads(out.read_text())
+    assert [r["check_id"] for r in rows] == ["dyadic-mean", "dyadic-n-crash", "dyadic-strong"]
+    assert [r["verdict"] for r in rows] == ["pass", "error", "pass"]
+    assert rows[1]["params"] == {"error": "RuntimeError: internal"}
+    assert [line.split(",")[0] for line in csv.read_text().splitlines()[1:]] == [
+        '"dyadic-mean"', '"dyadic-n-crash"', '"dyadic-strong"']
+    assert "RuntimeError: internal" in capsys.readouterr().err
+
+
+def test_import_graph_leaves_out_scipy_signal_and_stats():
+    # start-up cost of every CLI call: scipy.signal pulls in scipy.stats,
+    # scipy.linalg and scipy.sparse, and no module of the package needs it
+    import morreylab
+
+    src = Path(morreylab.__file__).resolve().parents[1]
+    code = ("import sys, morreylab; from morreylab.checks.report import load_all_checks; "
+            "load_all_checks(); print([m for m in ('scipy.signal', 'scipy.stats') "
+            "if m in sys.modules])")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
+                         check=True)
+    assert out.stdout.strip() == "[]"
+    assert [p for p in src.rglob("*.py") if "scipy.signal" in p.read_text()] == []
 
 
 def test_report_schema_keys():

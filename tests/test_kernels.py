@@ -1,19 +1,25 @@
 """Property tests for the shared kernels of morreylab.maximal: the
 member-sum correlation (box prefix sums or FFT, chosen from the stencil), the
-exact uniform member measure, the stencil table and the chunked
-mean-oscillation gather."""
+one FFT correlation behind it and behind every convolution of potentials and
+grid.mollify, the exact uniform member measure, the stencil table and the
+chunked mean-oscillation gather."""
+
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy.signal import fftconvolve
 
-from morreylab.grid import Field, make_grid, make_structure
+from morreylab.grid import Field, make_grid, make_structure, mollifier_kernel, mollify
 from morreylab.maximal import (
     BallFamily,
     _box_sum,
     _correlate,
+    _fft_correlate,
+    _fill_spans,
     _mean_oscillation,
     _stencil_count,
     classical_maximal,
@@ -22,20 +28,24 @@ from morreylab.maximal import (
     member_offsets,
 )
 from morreylab.norms import NormSpec, evaluate_norm
+from morreylab.potentials import (KernelSpec, apply_kernel, apply_parabolic,
+                                  elliptic_resolvent_kernel, parabolic_kernel_array,
+                                  riesz_kernel_array)
 
 SETTINGS = settings(max_examples=60, deadline=None)
 
 
 def brute_correlate(values, stencil, origin):
-    """sum over stencil offsets o of values(c + o - origin), zero outside."""
+    """sum over offsets k of stencil[k] values(c + k - origin), zero outside;
+    a boolean stencil weighs every offset it holds by one."""
     out = np.zeros(values.shape)
-    offs = np.argwhere(stencil) - np.asarray(origin)
+    ks = np.argwhere(stencil)
     lim = np.asarray(values.shape)
     for c in np.ndindex(values.shape):
-        for o in offs:
-            idx = np.asarray(c) + o
+        for k in ks:
+            idx = np.asarray(c) + k - np.asarray(origin)
             if ((idx >= 0) & (idx < lim)).all():
-                out[c] += values[tuple(idx)]
+                out[c] += stencil[tuple(k)] * values[tuple(idx)]
     return out
 
 
@@ -93,6 +103,97 @@ def test_correlate_any_stencil_matches_brute_force(case):
     want = brute_correlate(values, stencil, origin)
     scale = 1.0 + np.abs(values).sum()
     assert np.allclose(_correlate(values, stencil, origin), want, rtol=0, atol=1e-12 * scale)
+
+
+@st.composite
+def real_kernels(draw):
+    """(values, kernel, origin): a real kernel in 1-3 D, as large as or larger
+    than the grid along any axis, its origin anywhere in it and often at
+    either end (a cylinder's origin is its first t row)."""
+    dim = draw(st.integers(1, 3))
+    cells = tuple(draw(st.lists(st.integers(1, 6), min_size=dim, max_size=dim)))
+    shape = tuple(draw(st.lists(st.integers(1, 9), min_size=dim, max_size=dim)))
+    kernel = draw(arrays(float, shape, elements=st.floats(-10, 10)))
+    origin = tuple(draw(st.one_of(st.sampled_from((0, s - 1)), st.integers(0, s - 1)))
+                   for s in shape)
+    values = draw(arrays(float, cells, elements=st.floats(-10, 10)))
+    return values, kernel, origin
+
+
+@settings(max_examples=200, deadline=None)
+@given(real_kernels())
+def test_fft_correlate_real_kernels_match_brute_force(case):
+    values, kernel, origin = case
+    want = brute_correlate(values, kernel, origin)
+    scale = 1.0 + np.abs(values).sum() * np.abs(kernel).max()
+    assert np.allclose(_fft_correlate(values, kernel, origin), want, rtol=0, atol=1e-12 * scale)
+
+
+@pytest.mark.parametrize("end", ["first", "last"])
+def test_fft_correlate_origin_at_either_end(end):
+    # cylinders anchor at their first t row: origin 0; the mirrored case too
+    rng = np.random.default_rng(7)
+    values = rng.standard_normal((9, 7))
+    kernel = rng.standard_normal((5, 11))
+    origin = (0, 0) if end == "first" else (4, 10)
+    want = brute_correlate(values, kernel, origin)
+    assert np.allclose(_fft_correlate(values, kernel, origin), want, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("rho, box", [(0.1, True), (0.25, False), (0.3, True), (0.7, False)])
+def test_correlate_x_stencil_on_t_x_array_is_per_slice(rho, box):
+    # leading axes are a batch: a ball_x stencil on (t, x) sums each t slice
+    # alone, on the box path and on the FFT path
+    g = make_grid(3, 1.0, (6, 12, 10))
+    stencil, origin = member_offsets(g, make_structure(3, (2, 1, 1)), rho, "ball_x")
+    assert (_fill_spans(stencil) is not None) == box
+    values = np.random.default_rng(11).standard_normal(g.cells)
+    want = np.stack([brute_correlate(v, stencil, origin) for v in values])
+    assert np.allclose(_correlate(values, stencil, origin), want, rtol=0, atol=1e-12)
+
+
+def _oracle_close(got, want):
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("dim, cells", [(1, 40), (2, 20), (2, (12, 18)), (3, 10)])
+def test_apply_kernel_linear_matches_fftconvolve(dim, cells):
+    g = make_grid(dim, 1.0, cells)
+    f = Field(g, np.random.default_rng(dim).standard_normal(g.cells))
+    full_slice = tuple(slice(n - 1, 2 * n - 1) for n in g.cells)
+    for spec, ker in ((KernelSpec("riesz", alpha=0.5), riesz_kernel_array(g, 0.5)),
+                      (KernelSpec("elliptic_resolvent", lam=2.0),
+                       elliptic_resolvent_kernel(g, 2.0))):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the random source reaches the edge
+            got = apply_kernel(f, spec).values
+        _oracle_close(got, fftconvolve(f.values, ker, mode="full")[full_slice] * g.cell_volume)
+
+
+@pytest.mark.parametrize("cells", [(20, 16), (12, 10, 8)])
+def test_apply_parabolic_matches_fftconvolve(cells):
+    g = make_grid(len(cells), 1.0, cells)
+    f = Field(g, np.random.default_rng(5).standard_normal(g.cells))
+    ker = parabolic_kernel_array(g, 1.0, 4.0)
+    full = fftconvolve(f.values, ker[::-1], mode="full")
+    want = full[tuple(slice(n - 1, 2 * n - 1) for n in g.cells)] * g.cell_volume
+    _oracle_close(apply_parabolic(f, 1.0, 4.0).values, want)
+
+
+@pytest.mark.parametrize("periodic", [False, True])
+@pytest.mark.parametrize("dim, cells, parabolic", [(1, 40, False), (2, 24, False),
+                                                   (2, (24, 16), True), (3, 12, False)])
+def test_mollify_matches_fftconvolve(periodic, dim, cells, parabolic):
+    g = make_grid(dim, 2.0, cells, periodic=periodic)
+    f = Field(g, np.random.default_rng(dim).standard_normal(g.cells))
+    structure = make_structure(dim, (2,) + (1,) * (dim - 1)) if parabolic else None
+    ker = mollifier_kernel(g, 0.45, parabolic=parabolic)
+    if periodic:
+        wrapped = np.pad(f.values, [(s // 2, s // 2) for s in ker.shape], mode="wrap")
+        want = fftconvolve(wrapped, ker, mode="valid")
+    else:
+        want = fftconvolve(f.values, ker, mode="same")
+    _oracle_close(mollify(f, 0.45, structure).values, want * g.cell_volume)
 
 
 def brute_count(stencil, origin, cells):
