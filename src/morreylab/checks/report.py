@@ -15,7 +15,6 @@ from __future__ import annotations
 import fnmatch
 import json
 import math
-import sys
 import time
 import traceback
 from dataclasses import dataclass, asdict
@@ -161,11 +160,11 @@ def run_suite(pattern="*", cfg=None, progress=None):
             progress(cid)
         try:
             reports.append(run_check(cid, cfg))
-        except Exception as exc:
-            traceback.print_exc(file=sys.stderr)
+        except Exception as exc:  # a bug in one check must not hide the other reports
+            traceback.print_exc()
+            nan = math.nan
             reports.append(CheckReport(cid, cfg.seed, "", {"error": f"{type(exc).__name__}: {exc}"},
-                                       math.nan, math.nan, math.nan, math.nan, "", "error", 0.0,
-                                       cfg.slack))
+                                       nan, nan, nan, nan, "", "error", 0.0, cfg.slack))
     return reports
 
 
