@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.fft
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.ndimage import grey_dilation
 
 from .grid import Field
@@ -173,6 +174,29 @@ def _correlate(values, stencil, origin):
     return _box_sum(values, batch + [(a - o, b - o) for (a, b), o in zip(spans, origin)])
 
 
+def _members_holding(mask, stencil, origin):
+    """hit(c): the member anchored at c holds a marked cell, i.e. c + o -
+    origin is in mask for some stencil offset o; over the trailing
+    stencil.ndim axes of mask, leading axes a batch as in _correlate.
+
+    An exact scatter of the reflected stencil around each marked cell, a
+    block of at most _GATHER_BLOCK anchors at a time.  When the marked cells
+    times the stencil outnumber the grid, one correlation of the mask is the
+    cheaper way; its sums are small integers, so > 0.5 reads them exactly.
+    """
+    cells = np.argwhere(mask)
+    offs = np.argwhere(stencil) - np.asarray(origin)
+    if len(cells) * len(offs) > mask.size:
+        return _correlate(mask.astype(float), stencil, origin) > 0.5
+    offs = np.pad(offs, ((0, 0), (mask.ndim - stencil.ndim, 0)))
+    hit = np.zeros(mask.shape, dtype=bool)
+    step = max(1, _GATHER_BLOCK // len(offs))
+    for s in range(0, len(cells), step):
+        anchors = (cells[s:s + step, None] - offs).reshape(-1, mask.ndim)
+        hit[tuple(anchors[((anchors >= 0) & (anchors < mask.shape)).all(axis=1)].T)] = True
+    return hit
+
+
 def _fft_correlate(values, kernel, origin):
     """corr(c) = sum_k kernel[k] values(c + k - origin) over the trailing
     kernel.ndim axes of values, zero outside the domain; leading axes are a
@@ -247,37 +271,61 @@ def _member_measure(structure, dens, stencil, origin):
 
 
 # Gathered elements per block of _mean_oscillation: bounds its working set.
-_GATHER_BLOCK = 2 ** 16
+# A gathered block lays the stencil axis outermost, so its reductions run
+# along the lattice points of the block; 2**16 left too few of them for
+# large 3-D stencils.
+_GATHER_BLOCK = 2 ** 17
 
 
-def _mean_oscillation(values, dens, stencil, origin, anchors):
+def _mean_oscillation(values, dens, stencil, origin, strides):
     """Mean oscillation of values about its dens-weighted mean, over the
-    member anchored at each point of the lattice anchors[0] x anchors[1] x
-    ... (one index array per axis), members clipped to the domain.
+    member anchored at each point of the lattice arange(0, n_i, strides[i]),
+    members clipped to the domain; dens None is the uniform measure.
 
     Returns an array shaped like the lattice.  Every member holds its own
     anchor cell (the stencil contains its origin), so its measure is
-    positive.
+    positive.  Members are read through one strided window view per array,
+    a block of lattice rows at a time; zero padding carries zero measure,
+    the same as clipping to the domain.
     """
-    offs = np.argwhere(stencil) - np.asarray(origin)
-    lo = np.maximum(-offs.min(axis=0), 0)
-    pad = list(zip(lo, np.maximum(offs.max(axis=0), 0)))
-    # zero padding carries zero measure: the same as clipping to the domain
-    g = np.pad(values, pad).ravel()
-    mu = np.pad(dens, pad).ravel()
-    shape = tuple(n + a + b for n, (a, b) in zip(values.shape, pad))
-    off_lin = np.ravel_multi_index(tuple((offs + lo).T), shape)
-    mesh = np.meshgrid(*anchors, indexing="ij")
-    base = np.ravel_multi_index(tuple(m.ravel() for m in mesh), shape)
-    out = np.empty(len(base))
-    step = max(1, _GATHER_BLOCK // len(off_lin))
-    for s in range(0, len(base), step):
-        idx = base[s:s + step, None] + off_lin
-        gv, mv = g[idx], mu[idx]
-        mass = mv.sum(axis=1)
-        mean = (gv * mv).sum(axis=1) / mass
-        out[s:s + step] = (np.abs(gv - mean[:, None]) * mv).sum(axis=1) / mass
-    return out.reshape(mesh[0].shape)
+    pad = [(o, s - 1 - o) for o, s in zip(origin, stencil.shape)]
+    lattice = tuple(slice(None, None, s) for s in strides)
+
+    def members(arr):
+        return sliding_window_view(np.pad(arr, pad), stencil.shape)[lattice]
+
+    gw = members(values)
+    # the uniform measure is the in-domain indicator; its mass is the count
+    mw = members(np.ones(values.shape, dtype=bool) if dens is None else dens)
+    count = _stencil_count(stencil, origin, values.shape)[lattice] if dens is None else None
+    out = np.empty(gw.shape[:values.ndim])
+    # A block is a run of lattice points along axis k, with the axes before k
+    # fixed and those after it whole: k is the first axis whose trailing
+    # slab fits the bound, and the runs along it are cut to equal lengths.
+    row = int(np.count_nonzero(stencil))
+    k = 0
+    while k < out.ndim - 1 and row * math.prod(out.shape[k + 1:]) > _GATHER_BLOCK:
+        k += 1
+    slab = row * math.prod(out.shape[k + 1:])
+    runs = -(-out.shape[k] * slab // _GATHER_BLOCK)
+    step = -(-out.shape[k] // runs)
+    sel = (...,) + np.nonzero(stencil)
+    for lead in np.ndindex(out.shape[:k]):
+        for s in range(0, out.shape[k], step):
+            blk = lead + (slice(s, s + step),)
+            gv, mv = gw[blk][sel], mw[blk][sel]
+            if dens is None:
+                # the padding holds zeros, so gv * mv would equal gv bitwise
+                mass = count[blk]
+                mean = gv.sum(axis=-1) / mass
+            else:
+                mass = mv.sum(axis=-1)
+                mean = (gv * mv).sum(axis=-1) / mass
+            gv -= mean[..., None]
+            np.abs(gv, out=gv)
+            gv *= mv
+            out[blk] = gv.sum(axis=-1) / mass
+    return out
 
 
 def _anchor_stride(grid, rho, density):
@@ -360,13 +408,12 @@ def classical_sharp(field, structure, family=None):
     grid = field.grid
     if family is None:
         family = BallFamily.for_structure(structure, grid)
-    dens = structure.density_on(grid) + np.zeros(grid.cells)
+    dens = None if structure.uniform else structure.density_on(grid)
     out = np.zeros(grid.cells)
     for rho in family.radii:
         stencil, origin = member_offsets(grid, structure, rho, family.shape)
         stride = _anchor_stride(grid, rho, family.density)
-        osc = _mean_oscillation(field.values, dens, stencil, origin,
-                                [np.arange(0, n, stride) for n in grid.cells])
+        osc = _mean_oscillation(field.values, dens, stencil, origin, (stride,) * grid.dim)
         # the shrunken footprint at every stride keeps this a lower bound
         full = _coarse_dilation(osc, grid, structure, rho, family.shape, stride)
         out = np.maximum(out, np.where(np.isfinite(full), full, 0.0))

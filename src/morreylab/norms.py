@@ -17,7 +17,7 @@ import numpy as np
 
 from .grid import Field, lp_norm, power_integrand
 from .maximal import (BallFamily, _box_sum, _correlate, _mean_oscillation, _member_measure,
-                      _member_shape, member_offsets)
+                      _member_shape, _members_holding, member_offsets)
 
 __all__ = [
     "NormSpec",
@@ -94,8 +94,7 @@ def _morrey_sup(field, p, beta, structure, radii, shape, interior_only=False,
             s = np.where(den > 0, num / den, 0.0)
         val = rho ** beta * np.maximum(s, 0.0) ** (1.0 / p)
         if inf_mask.any():
-            hit = _correlate(inf_mask.astype(float), stencil, origin) > 0.5
-            val = np.where(hit, np.inf, val)
+            val = np.where(_members_holding(inf_mask, stencil, origin), np.inf, val)
         if interior is not None:
             val = np.where(interior, val, 0.0)
         m = float(val.max())
@@ -166,7 +165,7 @@ def _mixed_morrey_sup(field, p, q, beta, structure, radii, reversed_order=False,
             with np.errstate(invalid="ignore", divide="ignore"):
                 X = np.where(den > 0, num / den, 0.0)
             if inf_mask.any():
-                hit = _correlate(inf_mask.astype(float), stencil, origin) > 0.5
+                hit = _members_holding(inf_mask, stencil, origin)
             Y = _window_sums(np.maximum(X, 0.0) ** (q / p), wlen) / wlen
             val = rho ** beta * np.maximum(Y, 0.0) ** (1.0 / q)
             if inf_mask.any():
@@ -182,8 +181,7 @@ def _mixed_morrey_sup(field, p, q, beta, structure, radii, reversed_order=False,
             val = rho ** beta * np.maximum(V, 0.0) ** (1.0 / p)
             if inf_mask.any():
                 hit = _window_sums(inf_mask.astype(float), wlen) > 0.5
-                hit2 = _correlate(hit.astype(float), stencil, origin) > 0.5
-                val = np.where(hit2, np.inf, val)
+                val = np.where(_members_holding(hit, stencil, origin), np.inf, val)
         m = float(val.max())
         profile.append((rho, m))
         best = max(best, m)
@@ -272,23 +270,23 @@ def bmo_seminorms(a_entries, rho, structure, stride=4):
     if isinstance(a_entries, Field):
         a_entries = [a_entries]
     grid = a_entries[0].grid
-    dens = structure.density_on(grid) + np.zeros(grid.cells)
+    dens = None if structure.uniform else structure.density_on(grid)
     radii = _family_radii(grid, structure, rho)
     sharp = 0.0
     # not _member_shape: parabolic structures take ellipsoids here, not cylinders
     shape = "ball" if all(k == 1 for k in structure.anisotropy) else "ellipsoid"
-    anchors = [np.arange(0, n, stride) for n in grid.cells]
+    strides = (stride,) * grid.dim
     for a in a_entries:
         for r in radii:
             stencil, origin = member_offsets(grid, structure, r, shape)
-            osc = _mean_oscillation(a.values, dens, stencil, origin, anchors)
+            osc = _mean_oscillation(a.values, dens, stencil, origin, strides)
             sharp = max(sharp, float(osc.max()))
     sharpsharp = 0.0
     if structure.parabolic:
         ht = grid.h[0]
         # members: the x-ball at every (t, c), c on the decimated lattice;
         # mean deviation from the x-average profile, then averaged over t
-        anchors = [np.arange(grid.cells[0])] + anchors[1:]
+        strides = (1,) + strides[1:]
         for a in a_entries:
             for r in radii:
                 wlen = max(1, int(round(r ** 2 / ht)))
@@ -296,7 +294,7 @@ def bmo_seminorms(a_entries, rho, structure, stride=4):
                     continue
                 stencil, origin = member_offsets(grid, structure, r, "ball_x")
                 dev = _mean_oscillation(a.values, dens, stencil[None], (0,) + tuple(origin),
-                                        anchors)
+                                        strides)
                 sharpsharp = max(sharpsharp, float((_window_sums(dev, wlen) / wlen).max()))
     return sharp, sharpsharp
 

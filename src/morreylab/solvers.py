@@ -130,8 +130,13 @@ def spectral_derivative_fields(u, structure, grid=None):
 
 def apply_operator(u, op, structure):
     """L u - lam u evaluated spectrally (band-limited u on the torus)."""
+    return _operator_from_derivatives(u, op, spectral_derivative_fields(u, structure))
+
+
+def _operator_from_derivatives(u, op, derivatives):
+    """L u - lam u from the spectral_derivative_fields of u."""
     grid = u.grid
-    du, d2, lap, ut = spectral_derivative_fields(u, structure)
+    du, d2, lap, ut = derivatives
     if op.kind == "laplace":
         out = lap - op.lam * u.values
     elif op.kind == "heat":
@@ -222,7 +227,8 @@ def apriori_ratio(u, op, norm_spec, structure, norm_eval=None):
         def norm_eval(fld):
             return evaluate_norm(fld, norm_spec, structure)
 
-    du, d2, lap, ut = spectral_derivative_fields(u, structure)
+    derivatives = spectral_derivative_fields(u, structure)
+    du, d2, lap, ut = derivatives
     d2_mag = np.sqrt(sum(d2[i][j] ** 2 for i in range(len(du)) for j in range(len(du))))
     du_mag = np.sqrt(sum(di ** 2 for di in du))
     u_norm = norm_eval(u)  # the u part and the floor's scale
@@ -233,7 +239,7 @@ def apriori_ratio(u, op, norm_spec, structure, norm_eval=None):
     }
     if ut is not None:
         parts["ut"] = norm_eval(Field(grid, ut))
-    resid = apply_operator(u, op, structure)
+    resid = _operator_from_derivatives(u, op, derivatives)
     den_raw = norm_eval(resid)
     den = denominator_floor(den_raw, u_norm if u_norm > 0 else 1.0)
     num = max(parts.values())
@@ -295,12 +301,18 @@ def oscillation_estimate(u, f_rhs, structure, kappa, rho, p, center=None):
 
 def random_sdelta(rng, d, delta):
     """Random symmetric matrix with eigenvalues in [delta, 1/delta]."""
-    q, _ = np.linalg.qr(rng.normal(size=(d, d)))
-    ev = rng.uniform(delta, 1.0 / delta, size=d)
-    return (q * ev) @ q.T
+    return _sdelta_from_draws(rng.normal(size=(d, d)), rng.uniform(delta, 1.0 / delta, size=d))
+
+
+def _sdelta_from_draws(g, ev):
+    """q diag(ev) q^T with q the Q factor of g: the matrix random_sdelta
+    builds from its draws.  Leading axes of g and ev are a stack."""
+    q, _ = np.linalg.qr(g)
+    return (q * ev[..., None, :]) @ np.swapaxes(q, -1, -2)
 
 
 def sdelta_brackets(a, u):
-    """{a, u} = a^{ij} a^{kr} u_{ik} u_{jr} = tr(a u a u) for symmetric a, u."""
+    """{a, u} = a^{ij} a^{kr} u_{ik} u_{jr} = tr(a u a u) for symmetric a, u.
+    Leading axes of a and u are a stack of pairs, with one bracket each."""
     au = a @ u
-    return float((au * (u @ a)).sum())
+    return (au * (u @ a)).sum(axis=(-2, -1))

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.signal import fftconvolve
 
+from morreylab import maximal
 from morreylab.grid import Field, make_grid, make_structure, mollifier_kernel, mollify
 from morreylab.maximal import (
     BallFamily,
@@ -49,11 +50,13 @@ def brute_correlate(values, stencil, origin):
     return out
 
 
-def loop_mean_oscillation(values, dens, stencil, origin, anchors):
-    """Reference: one anchor at a time, members clipped to the domain."""
+def loop_mean_oscillation(values, dens, stencil, origin, strides):
+    """Reference: one anchor of the lattice arange(0, n, stride) at a time,
+    members clipped to the domain."""
     offs = np.argwhere(stencil) - np.asarray(origin)
     lim = np.asarray(values.shape)
-    mesh = np.meshgrid(*anchors, indexing="ij")
+    mesh = np.meshgrid(*[np.arange(0, n, s) for n, s in zip(values.shape, strides)],
+                       indexing="ij")
     out = np.zeros(mesh[0].shape)
     for pos in np.ndindex(out.shape):
         idx = np.array([m[pos] for m in mesh]) + offs
@@ -351,35 +354,72 @@ def test_stencil_count_is_bit_identical_to_pad_and_clip(case):
 
 @st.composite
 def oscillation_cases(draw):
-    """(values, dens, stencil, origin, anchors) with the origin in the stencil
-    and the first and last cell of every axis among the anchors."""
+    """(values, dens, stencil, origin, strides) with the origin in the stencil
+    and a lattice stride of 1-3 per axis; an axis of n = stride * m + 1 cells
+    puts both its first and its last cell on the lattice."""
     dim = draw(st.integers(1, 3))
-    cells = tuple(draw(st.lists(st.integers(1, 7), min_size=dim, max_size=dim)))
+    strides = tuple(draw(st.lists(st.integers(1, 3), min_size=dim, max_size=dim)))
+    cells = tuple(draw(st.one_of(st.integers(1, 7), st.integers(0, 3).map(lambda m, s=s: s * m + 1)))
+                  for s in strides)
     shape = tuple(draw(st.lists(st.integers(1, 5), min_size=dim, max_size=dim)))
     stencil = draw(arrays(bool, shape))
     origin = tuple(draw(st.integers(0, s - 1)) for s in shape)
     stencil[origin] = True
     values = draw(arrays(float, cells, elements=st.floats(-10, 10)))
     dens = draw(arrays(float, cells, elements=st.floats(0.1, 10)))
-    anchors = [np.unique([0, n - 1] + draw(st.lists(st.integers(0, n - 1), max_size=3)))
-               for n in cells]
-    return values, dens, stencil, origin, anchors
+    return values, dens, stencil, origin, strides
 
 
 @SETTINGS
 @given(oscillation_cases())
 def test_mean_oscillation_matches_anchor_loop(case):
+    values, dens, stencil, origin, strides = case
     assert np.allclose(_mean_oscillation(*case), loop_mean_oscillation(*case),
                        rtol=1e-12, atol=1e-12)
+    uniform = (values, np.ones(values.shape), stencil, origin, strides)
+    assert np.allclose(_mean_oscillation(values, None, stencil, origin, strides),
+                       loop_mean_oscillation(*uniform), rtol=1e-12, atol=1e-12)
+
+
+@SETTINGS
+@given(oscillation_cases())
+def test_mean_oscillation_uniform_path_is_bit_identical_to_unit_density(case):
+    # dens=None skips the density gather; the arithmetic must not move
+    values, _dens, stencil, origin, strides = case
+    assert np.array_equal(_mean_oscillation(values, None, stencil, origin, strides),
+                          _mean_oscillation(values, np.ones(values.shape), stencil, origin,
+                                            strides))
+
+
+def test_mean_oscillation_weighs_by_the_density():
+    # one member holding both cells: mean 3/4 under dens (1, 3), osc 3/8;
+    # mean 1/2 and osc 1/2 under the uniform measure
+    values, stencil = np.array([0.0, 1.0]), np.array([True, True])
+    weighted = _mean_oscillation(values, np.array([1.0, 3.0]), stencil, (0,), (2,))
+    assert weighted.tolist() == [0.375]
+    assert _mean_oscillation(values, None, stencil, (0,), (2,)).tolist() == [0.5]
+
+
+def test_mean_oscillation_blocks_do_not_change_the_result(monkeypatch):
+    # a 3-D lattice cut into runs along its last axis gives the same numbers
+    rng = np.random.default_rng(3)
+    values, dens = rng.normal(size=(7, 6, 9)), rng.uniform(0.5, 2.0, size=(7, 6, 9))
+    stencil = rng.random((3, 4, 3)) < 0.6
+    stencil[1, 2, 0] = True
+    whole = [_mean_oscillation(values, d, stencil, (1, 2, 0), (2, 1, 2)) for d in (None, dens)]
+    monkeypatch.setattr(maximal, "_GATHER_BLOCK", 5)
+    cut = [_mean_oscillation(values, d, stencil, (1, 2, 0), (2, 1, 2)) for d in (None, dens)]
+    for a, b in zip(whole, cut):
+        assert np.allclose(a, b, rtol=1e-13, atol=1e-13)
 
 
 @SETTINGS
 @given(oscillation_cases(), st.floats(-5, 5), st.floats(-100, 100))
 def test_mean_oscillation_affine_invariance(case, lam, c):
     # (lam g + c)^# = |lam| g^#
-    values, dens, stencil, origin, anchors = case
-    base = _mean_oscillation(values, dens, stencil, origin, anchors)
-    moved = _mean_oscillation(lam * values + c, dens, stencil, origin, anchors)
+    values, dens, stencil, origin, strides = case
+    base = _mean_oscillation(values, dens, stencil, origin, strides)
+    moved = _mean_oscillation(lam * values + c, dens, stencil, origin, strides)
     tol = 1e-12 * (abs(lam) * np.abs(values).max() + abs(c) + 1.0)
     assert np.allclose(moved, abs(lam) * base, rtol=1e-9, atol=tol)
 

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from morreylab.grid import Field, lp_norm, make_grid, make_structure, mollify
+from morreylab.grid import Field, lp_norm, make_grid, make_structure, mollify, power_integrand
+from morreylab.maximal import BallFamily, _members_holding, member_offsets
 from morreylab.norms import (
     NormSpec,
     bmo_seminorms,
@@ -315,3 +316,37 @@ def test_lqp_asym_field_masses():
                          reversed_order=True)
     assert not math.isfinite(std)
     assert math.isfinite(rev)
+
+
+def brute_members_holding(mask, stencil, origin):
+    """Anchor by anchor: does some in-domain cell c + o - origin of the
+    member anchored at c lie in mask?"""
+    offs = np.argwhere(stencil) - np.asarray(origin)
+    lim = np.asarray(mask.shape)
+    out = np.zeros(mask.shape, dtype=bool)
+    for c in np.ndindex(mask.shape):
+        idx = np.asarray(c) + offs
+        idx = idx[np.all((idx >= 0) & (idx < lim), axis=1)]
+        out[c] = bool(mask[tuple(idx.T)].any())
+    return out
+
+
+@pytest.mark.parametrize("case", ["power-2d", "parab-cylinder"])
+def test_divergent_anchor_set_is_exact_membership(case):
+    # the anchors that _morrey_sup sets to inf: every member holding a cell
+    # of divergent mass, on |x|^-1.5 at p = 2 in 2-D and on the parabolic
+    # singularity over cylinders at p = 3 (alpha p = 3 = d + 2)
+    if case == "power-2d":
+        g, s, p, shape = make_grid(2, 1.0, 24), S2, 2.0, "ball"
+        f = tf("power", g, gamma=1.5)
+    else:
+        g, s, p, shape = make_grid(2, (1.0, 1.0), (24, 20)), SP, 3.0, "cylinder"
+        f = tf("parab_sing", g)
+    _, inf_mask = power_integrand(f, p, np.ones(g.cells))
+    assert 1 <= inf_mask.sum() <= 4
+    for rho in BallFamily.for_structure(s, g).radii:
+        stencil, origin = member_offsets(g, s, rho, shape)
+        hit = _members_holding(inf_mask, stencil, origin)
+        assert np.array_equal(hit, brute_members_holding(inf_mask, stencil, origin)), rho
+    spec = NormSpec("EpbDot", p=p, beta=1.0)
+    assert evaluate_norm(f, spec, s) == math.inf

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from morreylab import solvers
+from morreylab.checks.at_checks import _sdelta_pairs
 from morreylab.grid import Field, make_grid, make_structure
 from morreylab.norms import NormSpec
 from morreylab.solvers import (
@@ -228,6 +230,34 @@ def test_apriori_ratio_evaluates_each_field_once(structure, kind, parts):
     assert set(calls.values()) == {1}
 
 
+@pytest.mark.parametrize("structure, op", [
+    (S2, OperatorSpec("laplace", lam=2.0)),
+    (SP, OperatorSpec("heat", lam=1.0)),
+    (SP, OperatorSpec("heat_at", lam=0.5, a_of_t=np.full((32, 1, 1), 0.7), delta=0.5)),
+])
+def test_apriori_ratio_takes_one_derivative_pass(monkeypatch, structure, op):
+    # the residual reuses the derivative fields of the numerator parts, and
+    # reads the same as apply_operator's
+    g = make_grid(2, math.pi, 32, periodic=True)
+    u = tf("random_band", g, kmax=4, seed=5)
+
+    def norm(fld):
+        return float(np.sqrt((fld.values ** 2).sum()))
+
+    want = norm(apply_operator(u, op, structure))
+    passes = []
+    taken = solvers.spectral_derivative_fields
+
+    def counting(*args, **kwargs):
+        passes.append(1)
+        return taken(*args, **kwargs)
+
+    monkeypatch.setattr(solvers, "spectral_derivative_fields", counting)
+    out = apriori_ratio(u, op, NormSpec("Lp", p=2.0), structure, norm_eval=norm)
+    assert len(passes) == 1
+    assert out["denominator"] == want
+
+
 def test_oscillation_quadratic_is_zero():
     g = make_grid(2, math.pi, 64, periodic=True)
     xs = g.mesh()
@@ -249,6 +279,24 @@ def test_matrix_bracket_inequalities_bulk():
             assert br >= delta ** 2 * float((u ** 2).sum()) - 1e-12
             shifted = sdelta_brackets(a - delta * np.eye(3), u)
             assert -1e-12 <= shifted <= (1 - delta ** 2) ** 2 * br + 1e-10
+
+
+def test_stacked_brackets_match_pair_by_pair():
+    # at-matrix's stacked pairs against the per-pair loop, on equal streams
+    for delta in (0.2, 0.5, 0.9):
+        loop = np.random.default_rng(11)
+        a, u = _sdelta_pairs(np.random.default_rng(11), 300, delta)
+        stacked = sdelta_brackets(a, u)
+        shifted = sdelta_brackets(a - delta * np.eye(3), u)
+        for k in range(len(u)):
+            ak = random_sdelta(loop, 3, delta)
+            uk = loop.normal(size=(3, 3))
+            uk = 0.5 * (uk + uk.T)
+            assert np.allclose(a[k], ak, rtol=0, atol=1e-12)
+            assert np.array_equal(u[k], uk)
+            assert stacked[k] == pytest.approx(sdelta_brackets(ak, uk), rel=1e-12, abs=1e-12)
+            assert shifted[k] == pytest.approx(sdelta_brackets(ak - delta * np.eye(3), uk),
+                                               rel=1e-12, abs=1e-12)
 
 
 def test_interpolation_gradient_family():
