@@ -14,10 +14,10 @@ from ..potentials import at_kernel_array, sigma
 from ..solvers import (
     OperatorSpec,
     _sdelta_from_draws,
+    _stacked_brackets,
     apriori_ratio,
     oscillation_estimate,
     random_sdelta,
-    sdelta_brackets,
     solve_heat,
     spectral_derivative_fields,
 )
@@ -50,9 +50,9 @@ def check_at_matrix(cfg):
     n_pairs = 3000
     for delta in (0.2, 0.5, 0.9):
         a, u = _sdelta_pairs(rng, n_pairs, delta)
-        br = sdelta_brackets(a, u)
+        br = _stacked_brackets(a, u)
         lower = delta ** 2 * (u ** 2).sum(axis=(1, 2))
-        br_shift = sdelta_brackets(a - delta * np.eye(3), u)
+        br_shift = _stacked_brackets(a - delta * np.eye(3), u)
         worst = max(worst, float((lower - br).max()), float((-br_shift).max()),
                     float((br_shift - (1 - delta ** 2) ** 2 * br).max()))
     return {

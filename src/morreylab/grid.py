@@ -12,7 +12,6 @@ the truncation radius accept the grid so callers can sweep it.
 from __future__ import annotations
 
 import copy
-import functools
 import json
 import math
 from dataclasses import dataclass, field as dfield
@@ -437,10 +436,7 @@ class Structure:
         return self.measure_density.values
 
 
-@functools.lru_cache(maxsize=64)
 def _solve_nu0(anisotropy):
-    """nu0 of an anisotropy tuple of ints, by bisection; a pure function of
-    the tuple, so its value is cached."""
     ks = np.asarray(anisotropy, dtype=float)
 
     def f(nu):

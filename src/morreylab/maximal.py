@@ -174,29 +174,6 @@ def _correlate(values, stencil, origin):
     return _box_sum(values, batch + [(a - o, b - o) for (a, b), o in zip(spans, origin)])
 
 
-def _members_holding(mask, stencil, origin):
-    """hit(c): the member anchored at c holds a marked cell, i.e. c + o -
-    origin is in mask for some stencil offset o; over the trailing
-    stencil.ndim axes of mask, leading axes a batch as in _correlate.
-
-    An exact scatter of the reflected stencil around each marked cell, a
-    block of at most _GATHER_BLOCK anchors at a time.  When the marked cells
-    times the stencil outnumber the grid, one correlation of the mask is the
-    cheaper way; its sums are small integers, so > 0.5 reads them exactly.
-    """
-    cells = np.argwhere(mask)
-    offs = np.argwhere(stencil) - np.asarray(origin)
-    if len(cells) * len(offs) > mask.size:
-        return _correlate(mask.astype(float), stencil, origin) > 0.5
-    offs = np.pad(offs, ((0, 0), (mask.ndim - stencil.ndim, 0)))
-    hit = np.zeros(mask.shape, dtype=bool)
-    step = max(1, _GATHER_BLOCK // len(offs))
-    for s in range(0, len(cells), step):
-        anchors = (cells[s:s + step, None] - offs).reshape(-1, mask.ndim)
-        hit[tuple(anchors[((anchors >= 0) & (anchors < mask.shape)).all(axis=1)].T)] = True
-    return hit
-
-
 def _fft_correlate(values, kernel, origin):
     """corr(c) = sum_k kernel[k] values(c + k - origin) over the trailing
     kernel.ndim axes of values, zero outside the domain; leading axes are a

@@ -17,7 +17,7 @@ import numpy as np
 
 from .grid import Field, lp_norm, power_integrand
 from .maximal import (BallFamily, _box_sum, _correlate, _mean_oscillation, _member_measure,
-                      _member_shape, _members_holding, member_offsets)
+                      _member_shape, member_offsets)
 
 __all__ = [
     "NormSpec",
@@ -94,7 +94,8 @@ def _morrey_sup(field, p, beta, structure, radii, shape, interior_only=False,
             s = np.where(den > 0, num / den, 0.0)
         val = rho ** beta * np.maximum(s, 0.0) ** (1.0 / p)
         if inf_mask.any():
-            val = np.where(_members_holding(inf_mask, stencil, origin), np.inf, val)
+            hit = _correlate(inf_mask.astype(float), stencil, origin) > 0.5
+            val = np.where(hit, np.inf, val)
         if interior is not None:
             val = np.where(interior, val, 0.0)
         m = float(val.max())
@@ -165,7 +166,7 @@ def _mixed_morrey_sup(field, p, q, beta, structure, radii, reversed_order=False,
             with np.errstate(invalid="ignore", divide="ignore"):
                 X = np.where(den > 0, num / den, 0.0)
             if inf_mask.any():
-                hit = _members_holding(inf_mask, stencil, origin)
+                hit = _correlate(inf_mask.astype(float), stencil, origin) > 0.5
             Y = _window_sums(np.maximum(X, 0.0) ** (q / p), wlen) / wlen
             val = rho ** beta * np.maximum(Y, 0.0) ** (1.0 / q)
             if inf_mask.any():
@@ -181,7 +182,8 @@ def _mixed_morrey_sup(field, p, q, beta, structure, radii, reversed_order=False,
             val = rho ** beta * np.maximum(V, 0.0) ** (1.0 / p)
             if inf_mask.any():
                 hit = _window_sums(inf_mask.astype(float), wlen) > 0.5
-                val = np.where(_members_holding(hit, stencil, origin), np.inf, val)
+                hit2 = _correlate(hit.astype(float), stencil, origin) > 0.5
+                val = np.where(hit2, np.inf, val)
         m = float(val.max())
         profile.append((rho, m))
         best = max(best, m)

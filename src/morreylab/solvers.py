@@ -312,7 +312,12 @@ def _sdelta_from_draws(g, ev):
 
 
 def sdelta_brackets(a, u):
-    """{a, u} = a^{ij} a^{kr} u_{ik} u_{jr} = tr(a u a u) for symmetric a, u.
-    Leading axes of a and u are a stack of pairs, with one bracket each."""
+    """{a, u} = a^{ij} a^{kr} u_{ik} u_{jr} = tr(a u a u) for symmetric a, u."""
+    return float(_stacked_brackets(a, u))
+
+
+def _stacked_brackets(a, u):
+    """sdelta_brackets of every pair of a stack: leading axes of a and u are
+    the stack, with one bracket each."""
     au = a @ u
     return (au * (u @ a)).sum(axis=(-2, -1))

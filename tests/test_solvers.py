@@ -10,6 +10,7 @@ from morreylab.norms import NormSpec
 from morreylab.solvers import (
     DriftDivergence,
     OperatorSpec,
+    _stacked_brackets,
     apply_operator,
     apriori_ratio,
     oscillation_estimate,
@@ -286,14 +287,15 @@ def test_stacked_brackets_match_pair_by_pair():
     for delta in (0.2, 0.5, 0.9):
         loop = np.random.default_rng(11)
         a, u = _sdelta_pairs(np.random.default_rng(11), 300, delta)
-        stacked = sdelta_brackets(a, u)
-        shifted = sdelta_brackets(a - delta * np.eye(3), u)
+        stacked = _stacked_brackets(a, u)
+        shifted = _stacked_brackets(a - delta * np.eye(3), u)
         for k in range(len(u)):
             ak = random_sdelta(loop, 3, delta)
             uk = loop.normal(size=(3, 3))
             uk = 0.5 * (uk + uk.T)
             assert np.allclose(a[k], ak, rtol=0, atol=1e-12)
             assert np.array_equal(u[k], uk)
+            assert isinstance(sdelta_brackets(ak, uk), float)
             assert stacked[k] == pytest.approx(sdelta_brackets(ak, uk), rel=1e-12, abs=1e-12)
             assert shifted[k] == pytest.approx(sdelta_brackets(ak - delta * np.eye(3), uk),
                                                rel=1e-12, abs=1e-12)
