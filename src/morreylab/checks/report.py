@@ -19,6 +19,8 @@ import time
 import traceback
 from dataclasses import dataclass, asdict
 
+from ..grid import ConfigError
+
 __all__ = ["CheckConfig", "CheckReport", "register", "REGISTRY", "run_check",
            "run_suite", "list_checks", "load_all_checks"]
 
@@ -150,6 +152,7 @@ def run_suite(pattern="*", cfg=None, progress=None):
 
     A check that raises gets an 'error' report (nan numbers, the exception
     in params) and its traceback goes to stderr; the other checks still run.
+    A ConfigError is the user's and ends the run.
     """
     load_all_checks()
     cfg = cfg or CheckConfig()
@@ -160,6 +163,8 @@ def run_suite(pattern="*", cfg=None, progress=None):
             progress(cid)
         try:
             reports.append(run_check(cid, cfg))
+        except ConfigError:
+            raise  # the user's configuration, not a fault of the check
         except Exception as exc:  # a bug in one check must not hide the other reports
             traceback.print_exc()
             nan = math.nan

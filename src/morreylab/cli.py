@@ -26,10 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-
-class ConfigError(Exception):
-    """A configuration error of the user's: a bad argument, spec or input
-    file.  The CLI reports it and exits with code 2."""
+from .grid import ConfigError
 
 
 @contextmanager

@@ -18,9 +18,9 @@ from dataclasses import dataclass, field as dfield
 from pathlib import Path
 
 import numpy as np
-from scipy.special import gamma as _gamma
 
 __all__ = [
+    "ConfigError",
     "GridSpec",
     "Structure",
     "Field",
@@ -50,9 +50,15 @@ __all__ = [
 MAX_TOTAL_CELLS = 2 ** 24
 
 
+class ConfigError(Exception):
+    """A configuration error of the user's: a bad argument, spec or input
+    file, or a resolution too coarse for what is asked.  The CLI reports it
+    and exits with code 2; the check runner passes it through."""
+
+
 def unit_sphere_area(d):
     """Surface area of the unit sphere S^{d-1} in R^d."""
-    return 2.0 * math.pi ** (d / 2.0) / _gamma(d / 2.0)
+    return 2.0 * math.pi ** (d / 2.0) / math.gamma(d / 2.0)
 
 
 @dataclass(frozen=True)

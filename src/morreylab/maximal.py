@@ -16,9 +16,7 @@ import weakref
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.fft
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.ndimage import grey_dilation
 
 from .grid import Field
 
@@ -157,45 +155,115 @@ def _fill_spans(stencil):
     return box if stencil[tuple(slice(a, b + 1) for a, b in box)].all() else None
 
 
-def _correlate(values, stencil, origin):
+def _correlate(values, stencil, origin, forward=None):
     """corr(c) = sum_{o in stencil} values(c + o), zero outside the domain,
     over the trailing stencil.ndim axes of values; leading axes are a batch.
 
     A boolean stencil that fills its bounding box (cubes, intervals,
     1+1-D cylinders, the smallest balls) is summed exactly by _box_sum;
-    any other shape goes through _fft_correlate.  Table stencils
-    (member_offsets) carry their fill spans; others are scanned here.
+    any other shape goes through _fft_correlate, which takes `forward`.
+    Table stencils (member_offsets) carry their fill spans; others are
+    scanned here.
     """
     key = id(stencil)
     spans = _FILL_SPANS[key] if key in _FILL_SPANS else _fill_spans(stencil)
     if spans is None:
-        return _fft_correlate(values, stencil, origin)
+        return _fft_correlate(values, stencil, origin, forward)
     batch = [(0, 0)] * (values.ndim - stencil.ndim)
     return _box_sum(values, batch + [(a - o, b - o) for (a, b), o in zip(spans, origin)])
 
 
-def _fft_correlate(values, kernel, origin):
+class _Forward:
+    """The forward spectrum of one values array at its last transform shape.
+
+    A radius loop over one field passes one of these to every correlation
+    of that field.  Ascending radii give non-decreasing padded shapes, so
+    consecutive radii that pad to the same shape share one forward
+    transform, and at most one spectrum is alive.
+    """
+
+    def __init__(self):
+        self.values = self.lens = self.spec = None
+
+    def rfftn(self, values, lens, axes):
+        if values is not self.values or lens != self.lens:
+            self.spec = None  # drop the old spectrum before making the next
+            self.spec = np.fft.rfftn(values, s=lens, axes=axes)
+            self.values, self.lens = values, lens
+        return self.spec
+
+
+@functools.lru_cache(maxsize=1024)
+def _fast_len(n):
+    """Smallest 5-smooth integer >= n, the lengths pocketfft transforms
+    fastest (scipy.fft.next_fast_len(n, real=True) returns the same)."""
+    best, p5 = 1 << (n - 1).bit_length(), 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            # the smallest p35 * 2^k >= n
+            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
+def _fft_correlate(values, kernel, origin, forward=None):
     """corr(c) = sum_k kernel[k] values(c + k - origin) over the trailing
     kernel.ndim axes of values, zero outside the domain; leading axes are a
     batch.  Any real kernel.
 
-    One linear correlation by FFT.  Each axis is padded only as far as the
-    longer side of the kernel reaches, n + max(origin, s - 1 - origin), and
-    the kernel spectrum is pruned: one axis at a time, last to first, so each
-    pass transforms only the lines the kernel (or its partial transform)
-    occupies.  Kernel entries past the transform length meet only padding.
+    One linear correlation by numpy.fft.  Each axis is padded only as far as
+    the longer side of the kernel reaches, n + max(origin, s - 1 - origin),
+    rounded up to _fast_len, and the kernel spectrum is pruned: one axis at
+    a time, last to first, so each pass transforms only the lines the kernel
+    (or its partial transform) occupies.  Kernel entries past the transform
+    length meet only padding.  A _Forward holder passed as `forward` keeps
+    the forward spectrum of values for the next call at the same shape.
+    The inverse is pruned too: each pass crops its axis to the cells kept,
+    so the next pass transforms only their lines.
     """
     axes = tuple(range(values.ndim - kernel.ndim, values.ndim))
     cells = values.shape[axes[0]:]
-    lens = [scipy.fft.next_fast_len(n + max(o, s - 1 - o), real=True)
-            for n, s, o in zip(cells, kernel.shape, origin)]
-    spec = scipy.fft.rfft(np.flip(kernel), n=lens[-1], axis=-1)
+    lens = tuple(_fast_len(n + max(o, s - 1 - o)) for n, s, o in zip(cells, kernel.shape, origin))
+    spec = np.fft.rfft(np.flip(kernel), n=lens[-1], axis=-1)
     for ax in range(kernel.ndim - 2, -1, -1):
-        spec = scipy.fft.fft(spec, n=lens[ax], axis=ax)
-    full = scipy.fft.irfftn(scipy.fft.rfftn(values, s=lens, axes=axes) * spec, s=lens, axes=axes)
+        spec = np.fft.fft(spec, n=lens[ax], axis=ax)
+    spec = (forward or _Forward()).rfftn(values, lens, axes) * spec
     # corr(c) sits at index c + (s - 1 - origin) of the linear convolution
-    return full[(...,) + tuple(slice(s - 1 - o, s - 1 - o + n)
-                               for s, o, n in zip(kernel.shape, origin, cells))]
+    keep = [slice(s - 1 - o, s - 1 - o + n) for s, o, n in zip(kernel.shape, origin, cells)]
+    for ax, m, k in zip(axes[:-1], lens, keep):
+        spec = np.fft.ifft(spec, n=m, axis=ax)[(slice(None),) * ax + (k,)]
+    return np.fft.irfft(spec, n=lens[-1], axis=-1)[..., keep[-1]]
+
+
+def _max_filter(values, footprint, origin):
+    """out(c) = max of values(c + k - origin) over the cells k of a boolean
+    footprint, -inf outside the domain.
+
+    The footprint is split into runs along its last axis.  The running max
+    of each run width is built once, from power-of-two windows by doubling,
+    and each run then costs one np.maximum over the grid.  A max is exact,
+    so the result does not depend on how the windows are combined.
+    """
+    cells, shape = values.shape, footprint.shape
+    padded = np.full([n + s - 1 for n, s in zip(cells, shape)], -np.inf)
+    padded[tuple(slice(o, o + n) for o, n in zip(origin, cells))] = values
+    # run edges along the last axis, in C order: start, end, start, end, ...
+    line = np.zeros(shape[:-1] + (shape[-1] + 2,), dtype=bool)
+    line[..., 1:-1] = footprint
+    edges = np.argwhere(line[..., 1:] != line[..., :-1])
+    starts, widths = edges[0::2], edges[1::2, -1] - edges[0::2, -1]
+    out = np.full(cells, -np.inf)
+    win, width = padded, 1  # win[..., j] = max of padded[..., j:j + width]
+    for w in sorted(set(widths.tolist())):
+        while 2 * width <= w:
+            win = np.maximum(win[..., :-width], win[..., width:])
+            width *= 2
+        run = win if w == width else np.maximum(win[..., :width - w], win[..., w - width:])
+        for start in starts[widths == w].tolist():
+            np.maximum(out, run[tuple(slice(i, i + n) for i, n in zip(start, cells))], out=out)
+    return out
 
 
 def _prefix_diff(arr, ax, lo, w):
@@ -314,14 +382,24 @@ def member_averages(field, structure, rho, shape):
     """(averages, counts): member mu-averages of |f| at every anchor cell,
     members clipped to the domain with their measure recomputed.
     """
-    grid = field.grid
+    dens = structure.density_on(field.grid)
+    return _member_averages(np.abs(field.values) * dens, dens, field.grid, structure, rho, shape)
+
+
+def _member_averages(weighted, dens, grid, structure, rho, shape, forward=None):
+    """member_averages from the weighted values |f| dens; `forward` is the
+    _Forward holder of `weighted` in a radius loop."""
     stencil, origin = member_offsets(grid, structure, rho, shape)
-    dens = structure.density_on(grid)
-    num = _correlate(np.abs(field.values) * dens, stencil, origin)
+    num = _correlate(weighted, stencil, origin, forward)
     den = _member_measure(structure, dens, stencil, origin)
     with np.errstate(invalid="ignore", divide="ignore"):
         avg = np.where(den > 0, num / den, 0.0)
     return avg, den
+
+
+def _centred(stencil):
+    """The centre (s - 1) // 2 of every axis of a stencil."""
+    return tuple((s - 1) // 2 for s in stencil.shape)
 
 
 def _scatter_max(vals, grid, structure, rho, shape, density):
@@ -335,8 +413,11 @@ def _scatter_max(vals, grid, structure, rho, shape, density):
         sub = tuple(slice(None, None, stride) for _ in range(grid.dim))
         return _coarse_dilation(vals[sub], grid, structure, rho, shape, stride)
     stencil, _origin = member_offsets(grid, structure, rho, shape)
-    foot = np.flip(stencil)  # reflected: z - c in member <=> c in z - member
-    return grey_dilation(vals, footprint=foot, mode="constant", cval=-np.inf)
+    # Centred, not at the stencil origin: a cylinder's values land on the
+    # wrong t rows (the FOUND on _scatter_max in CHANGES.md).  The exact
+    # placement is the reflected footprint np.flip(stencil) at the
+    # reflected origin s - 1 - origin.
+    return _max_filter(vals, stencil, _centred(stencil))
 
 
 def _coarse_dilation(coarse, grid, structure, rho, shape, stride):
@@ -347,7 +428,8 @@ def _coarse_dilation(coarse, grid, structure, rho, shape, stride):
     margin = math.sqrt(sum((stride * h) ** 2 for h in grid.h))
     rho_eff = max(rho - margin, min(grid.h))
     stencil, _origin = member_offsets(_CoarseGrid(grid, stride), structure, rho_eff, shape)
-    dil = grey_dilation(coarse, footprint=np.flip(stencil), mode="constant", cval=-np.inf)
+    # centred, as in _scatter_max (same FOUND in CHANGES.md)
+    dil = _max_filter(coarse, stencil, _centred(stencil))
     return dil[np.ix_(*[np.arange(n) // stride for n in grid.cells])]
 
 
@@ -368,9 +450,11 @@ def classical_maximal(field, structure, beta=0.0, family=None):
     grid = field.grid
     if family is None:
         family = BallFamily.for_structure(structure, grid)
+    dens = structure.density_on(grid)
+    weighted, forward = np.abs(field.values) * dens, _Forward()
     out = np.full(grid.cells, -np.inf)
     for rho in family.radii:
-        avg, den = member_averages(field, structure, rho, family.shape)
+        avg, _den = _member_averages(weighted, dens, grid, structure, rho, family.shape, forward)
         vals = rho ** beta * avg
         scattered = _scatter_max(vals, grid, structure, rho, family.shape, family.density)
         out = np.maximum(out, scattered)
@@ -408,11 +492,13 @@ def weighted_maximal(field, weight, structure, family=None):
     dens = structure.density_on(grid)
     wvals = weight.field.values if hasattr(weight, "field") else weight.values
     wmu = wvals * dens
+    weighted, wmu_full = np.abs(field.values) * wmu, wmu + np.zeros(grid.cells)
+    num_fwd, den_fwd = _Forward(), _Forward()
     out = np.full(grid.cells, -np.inf)
     for rho in family.radii:
         stencil, origin = member_offsets(grid, structure, rho, family.shape)
-        num = _correlate(np.abs(field.values) * wmu, stencil, origin)
-        den = _correlate(wmu + np.zeros(grid.cells), stencil, origin)
+        num = _correlate(weighted, stencil, origin, num_fwd)
+        den = _correlate(wmu_full, stencil, origin, den_fwd)
         with np.errstate(invalid="ignore", divide="ignore"):
             avg = np.where(den > 0, num / den, 0.0)
         scattered = _scatter_max(avg, grid, structure, rho, family.shape, family.density)

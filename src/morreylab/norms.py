@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import Field, lp_norm, power_integrand
-from .maximal import (BallFamily, _box_sum, _correlate, _mean_oscillation, _member_measure,
-                      _member_shape, member_offsets)
+from .maximal import (BallFamily, _box_sum, _correlate, _Forward, _mean_oscillation,
+                      _member_measure, _member_shape, member_offsets)
 
 __all__ = [
     "NormSpec",
@@ -83,18 +83,21 @@ def _morrey_sup(field, p, beta, structure, radii, shape, interior_only=False,
     grid = field.grid
     dens = structure.density_on(grid) + np.zeros(grid.cells)
     arr, inf_mask = power_integrand(field, p, dens)
+    # one forward spectrum per field, shared by radii that pad alike
+    mask = inf_mask.astype(float) if inf_mask.any() else None
+    arr_fwd, mask_fwd = _Forward(), _Forward()
     best = 0.0
     profile = []
     interior = _interior(grid, radii[-1]) if interior_only else None
     for rho in radii:
         stencil, origin = member_offsets(grid, structure, rho, shape)
-        num = _correlate(arr, stencil, origin)
+        num = _correlate(arr, stencil, origin, arr_fwd)
         den = _member_measure(structure, dens, stencil, origin)
         with np.errstate(invalid="ignore", divide="ignore"):
             s = np.where(den > 0, num / den, 0.0)
         val = rho ** beta * np.maximum(s, 0.0) ** (1.0 / p)
-        if inf_mask.any():
-            hit = _correlate(inf_mask.astype(float), stencil, origin) > 0.5
+        if mask is not None:
+            hit = _correlate(mask, stencil, origin, mask_fwd) > 0.5
             val = np.where(hit, np.inf, val)
         if interior is not None:
             val = np.where(interior, val, 0.0)
@@ -154,6 +157,8 @@ def _mixed_morrey_sup(field, p, q, beta, structure, radii, reversed_order=False,
     inner_p = p if not reversed_order else q
     dens = structure.density_on(grid) + np.zeros(grid.cells)
     arr, inf_mask = power_integrand(field, inner_p, dens)
+    mask = inf_mask.astype(float) if inf_mask.any() else None
+    arr_fwd, mask_fwd = _Forward(), _Forward()
     for rho in radii:
         wlen = max(1, int(round(rho ** 2 / ht)))
         if wlen > grid.cells[0]:
@@ -161,15 +166,14 @@ def _mixed_morrey_sup(field, p, q, beta, structure, radii, reversed_order=False,
         stencil, origin = member_offsets(grid, structure, rho, "ball_x")
         if not reversed_order:
             # X(t,c) = slashed L_p over the ball at (t, c)
-            num = _correlate(arr, stencil, origin)
+            num = _correlate(arr, stencil, origin, arr_fwd)
             den = _member_measure(structure, dens, stencil, origin)
             with np.errstate(invalid="ignore", divide="ignore"):
                 X = np.where(den > 0, num / den, 0.0)
-            if inf_mask.any():
-                hit = _correlate(inf_mask.astype(float), stencil, origin) > 0.5
             Y = _window_sums(np.maximum(X, 0.0) ** (q / p), wlen) / wlen
             val = rho ** beta * np.maximum(Y, 0.0) ** (1.0 / q)
-            if inf_mask.any():
+            if mask is not None:
+                hit = _correlate(mask, stencil, origin, mask_fwd) > 0.5
                 hits = _window_sums(hit.astype(float), wlen) > 0.5
                 val = np.where(hits, np.inf, val)
         else:
@@ -180,8 +184,8 @@ def _mixed_morrey_sup(field, p, q, beta, structure, radii, reversed_order=False,
             with np.errstate(invalid="ignore", divide="ignore"):
                 V = np.where(den > 0, num / den, 0.0)
             val = rho ** beta * np.maximum(V, 0.0) ** (1.0 / p)
-            if inf_mask.any():
-                hit = _window_sums(inf_mask.astype(float), wlen) > 0.5
+            if mask is not None:
+                hit = _window_sums(mask, wlen) > 0.5
                 hit2 = _correlate(hit.astype(float), stencil, origin) > 0.5
                 val = np.where(hit2, np.inf, val)
         m = float(val.max())

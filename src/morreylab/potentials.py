@@ -15,7 +15,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gamma as _gamma, kv as _besselk
 
 from .grid import Field, unit_sphere_area
 from .maximal import _fft_correlate
@@ -61,7 +60,7 @@ class KernelSpec:
 
 def newtonian_constant(d):
     """c_d with u = c_d |x|^{2-d} * f solving -Delta u = f (d >= 3)."""
-    return _gamma(d / 2.0 - 1.0) / (4.0 * math.pi ** (d / 2.0))
+    return math.gamma(d / 2.0 - 1.0) / (4.0 * math.pi ** (d / 2.0))
 
 
 def _offset_mesh(grid):
@@ -118,6 +117,8 @@ def elliptic_resolvent_kernel(grid, lam):
     Closed form (2 pi)^{-d/2} (sqrt(lam)/|x|)^{d/2-1} K_{d/2-1}(sqrt(lam)|x|);
     decays exponentially.  Self cell via fine radial quadrature.
     """
+    from scipy.special import kv as _besselk  # the only scipy use of the package
+
     if lam <= 0:
         raise ValueError("need lam > 0")
     d = grid.dim

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Field
+from .grid import ConfigError, Field
 from .potentials import heat_resolvent_modewise
 
 __all__ = [
@@ -285,9 +285,14 @@ def oscillation_estimate(u, f_rhs, structure, kappa, rho, p, center=None):
         inner = rr < rho ** 2
         outer = rr < (kappa * rho) ** 2
     vals = d2_mag[inner]
+    if not vals.size:
+        # an empty member has no oscillation to compare: the grid is too coarse
+        raise ConfigError(f"the rho = {rho:g} member at {list(center)} holds no cell of the "
+                          f"{'x'.join(map(str, grid.cells))} grid (cell widths "
+                          f"{', '.join(f'{h:.4g}' for h in grid.h)}); refine the grid")
     if vals.size > 4000:
         vals = vals[:: int(np.ceil(vals.size / 4000))]
-    osc = float(np.abs(vals[None, :] - vals[:, None]).mean()) if vals.size else 0.0
+    osc = float(np.abs(vals[None, :] - vals[:, None]).mean())
     # slashed L_p over the kappa rho member
     fv = np.where(outer, np.abs(f_rhs.values), 0.0)
     slashed = (float((fv ** p).sum()) / max(int(outer.sum()), 1)) ** (1.0 / p)

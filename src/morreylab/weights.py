@@ -137,6 +137,28 @@ def _cube_means(values, grid, structure, rho):
     return avg
 
 
+def _running_min(values, size):
+    """min of values over the box of size[i] cells centred at every cell
+    (start size[i] // 2 cells before it), the box clipped to the domain:
+    scipy.ndimage.minimum_filter with mode='nearest'.  Separable; along each
+    axis the edge-padded values are reduced by shifted np.minimum passes
+    whose window doubles until it spans size[i] cells."""
+    out = values
+    for ax, w in enumerate(size):
+        lead, n, lo = (slice(None),) * ax, out.shape[ax], w // 2
+        run = np.empty(out.shape[:ax] + (n + w - 1,) + out.shape[ax + 1:])
+        run[lead + (slice(lo, lo + n),)] = out
+        run[lead + (slice(None, lo),)] = out[lead + (slice(None, 1),)]
+        run[lead + (slice(lo + n, None),)] = out[lead + (slice(n - 1, None),)]
+        width = 1  # run[..., j, ...] = min of the padded axis over [j, j + width)
+        while width < w:
+            step = min(width, w - width)
+            run = np.minimum(run[lead + (slice(None, -step),)], run[lead + (slice(step, None),)])
+            width += step
+        out = run
+    return out
+
+
 def ap_constant(weight, p, structure, family=None, return_argmax=False):
     """sup over family cubes of w_Q ((w^{-1/(p-1)})_Q)^{p-1} (p > 1), or of
     w_Q / essinf_Q w (p = 1).  A certified lower bound of [w]_{A_p}.
@@ -152,11 +174,8 @@ def ap_constant(weight, p, structure, family=None, return_argmax=False):
     for rho in family.radii:
         w_q = _cube_means(wv, grid, structure, rho)
         if p == 1:
-            from scipy.ndimage import minimum_filter
-
             size = tuple(2 * hc + 1 for hc in _cube_half_cells(grid, structure, rho))
-            ess = minimum_filter(np.where(np.isfinite(wv), wv, np.finfo(float).max),
-                                 size=size, mode="nearest")
+            ess = _running_min(np.where(np.isfinite(wv), wv, np.finfo(float).max), size)
             with np.errstate(invalid="ignore", divide="ignore"):
                 prod = np.where(ess > 0, w_q / ess, np.inf)
         else:

@@ -125,20 +125,44 @@ def test_cli_crashing_check_gets_an_error_row_and_exit_3(tmp_path, monkeypatch, 
     assert "RuntimeError: internal" in capsys.readouterr().err
 
 
-def test_import_graph_leaves_out_scipy_signal_and_stats():
-    # start-up cost of every CLI call: scipy.signal pulls in scipy.stats,
-    # scipy.linalg and scipy.sparse, and no module of the package needs it
+def test_import_graph_leaves_out_scipy():
+    # start-up cost of every CLI call: the package runs on numpy alone, so no
+    # scipy module loads with it, nor on the paths that once imported one
+    # lazily (the at-solve quadrature, the A_1 running min, the 3-D max filter)
     import morreylab
 
     src = Path(morreylab.__file__).resolve().parents[1]
-    code = ("import sys, morreylab; from morreylab.checks.report import load_all_checks; "
-            "load_all_checks(); print([m for m in ('scipy.signal', 'scipy.stats') "
-            "if m in sys.modules])")
+    code = "\n".join([
+        "import sys, morreylab",
+        "from morreylab.checks.report import load_all_checks, run_check",
+        "from morreylab.grid import Field, make_grid, make_structure",
+        "from morreylab.maximal import classical_maximal",
+        "def loaded(): return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')",
+        "load_all_checks()",
+        "print(loaded())",
+        "assert run_check('at-solve').verdict == 'pass'",
+        "assert run_check('w-alpha-a1').verdict == 'pass'",
+        "g = make_grid(3, 1.0, 16)",
+        "classical_maximal(Field(g, g.radius()), make_structure(3))",
+        "print(loaded())",
+    ])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
                          check=True)
-    assert out.stdout.strip() == "[]"
+    assert out.stdout.split() == ["[]", "[]"]
     assert [p for p in src.rglob("*.py") if "scipy.signal" in p.read_text()] == []
+
+
+def test_empty_member_is_a_config_error_of_the_cli(tmp_path):
+    # at half resolution the rho = 0.1 ball of osc-kappa holds no grid cell:
+    # a configuration error (exit 2), not a fail verdict
+    out = subprocess.run(
+        [sys.executable, "-m", "morreylab.cli", "check", "osc-kappa", "--grid", "0.5",
+         "--csv", str(tmp_path / "r.csv")], capture_output=True, text=True)
+    assert out.returncode == 2
+    assert "rho = 0.1" in out.stderr and "32x32" in out.stderr
+    assert "Traceback" not in out.stderr
+    assert not (tmp_path / "r.csv").exists()
 
 
 def test_report_schema_keys():

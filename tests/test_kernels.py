@@ -1,8 +1,9 @@
 """Property tests for the shared kernels of morreylab.maximal: the
 member-sum correlation (box prefix sums or FFT, chosen from the stencil), the
 one FFT correlation behind it and behind every convolution of potentials and
-grid.mollify, the exact uniform member measure, the stencil table and the
-chunked mean-oscillation gather."""
+grid.mollify, its fast transform lengths, the exact uniform member measure,
+the stencil table, the chunked mean-oscillation gather and the max filter
+behind the scatter of member values."""
 
 import warnings
 
@@ -19,8 +20,11 @@ from morreylab.maximal import (
     BallFamily,
     _box_sum,
     _correlate,
+    _centred,
+    _fast_len,
     _fft_correlate,
     _fill_spans,
+    _max_filter,
     _mean_oscillation,
     _stencil_count,
     classical_maximal,
@@ -438,3 +442,85 @@ def test_family_sups_never_decrease_as_density_rises(dim, seed, spike):
         sups = [op(f, s, family=BallFamily.for_structure(s, g, density=d)).values.max()
                 for d in DENSITIES]
         assert all(b >= a - 1e-12 for a, b in zip(sups, sups[1:])), (op.__name__, sups)
+
+
+def brute_max_filter(values, footprint, origin):
+    """max of values(c + k - origin) over the cells k of footprint, one
+    offset at a time, -inf where no offset stays inside the domain."""
+    out = np.full(values.shape, -np.inf)
+    cells = np.indices(values.shape)
+    lim = np.asarray(values.shape).reshape((-1,) + (1,) * values.ndim)
+    for k in np.argwhere(footprint):
+        idx = cells + (k - np.asarray(origin)).reshape(lim.shape)
+        ok = np.all((idx >= 0) & (idx < lim), axis=0)
+        out[ok] = np.maximum(out[ok], values[tuple(idx[:, ok])])
+    return out
+
+
+@st.composite
+def max_filter_cases(draw):
+    """(values, footprint): 1-3 D grids and random boolean footprints, whose
+    lines along the last axis hold no run, one run or several."""
+    dim = draw(st.integers(1, 3))
+    cells = tuple(draw(st.lists(st.integers(1, 6), min_size=dim, max_size=dim)))
+    shape = tuple(draw(st.lists(st.integers(1, 5 if dim < 3 else 4), min_size=dim,
+                                max_size=dim)))
+    footprint = draw(arrays(np.bool_, shape))
+    values = draw(arrays(np.float64, cells, elements=st.floats(-1e3, 1e3)))
+    return values, footprint
+
+
+@SETTINGS
+@given(max_filter_cases())
+def test_max_filter_matches_brute_force_at_every_origin(case):
+    values, footprint = case
+    for origin in np.ndindex(footprint.shape):
+        assert np.array_equal(_max_filter(values, footprint, origin),
+                              brute_max_filter(values, footprint, origin))
+
+
+def test_max_filter_lines_with_several_runs_or_none():
+    rng = np.random.default_rng(5)
+    footprint = np.array([[1, 0, 1, 1, 0, 1, 1, 1],
+                          [0, 0, 0, 0, 0, 0, 0, 0],
+                          [1, 1, 1, 1, 1, 1, 1, 1],
+                          [0, 1, 0, 0, 0, 0, 1, 0]], dtype=bool)
+    values = rng.normal(size=(7, 11))
+    for origin in [(0, 0), (3, 7), (1, 4), (2, 2)]:
+        out = _max_filter(values, footprint, origin)
+        assert np.array_equal(out, brute_max_filter(values, footprint, origin))
+    # every offset of a footprint far to one side leaves the domain
+    far = np.zeros((1, 15), dtype=bool)
+    far[0, -2:] = True
+    out = _max_filter(values, far, (0, 0))
+    assert np.isneginf(out[:, -2:]).all() and np.isfinite(out[:, :-14]).all()
+
+
+def test_scatter_placement_is_grey_dilations():
+    # the scatter keeps the centred placement of scipy.ndimage.grey_dilation
+    # with the reflected footprint, bit for bit
+    from scipy.ndimage import grey_dilation
+
+    rng = np.random.default_rng(8)
+    g = make_grid(2, 1.0, 20)
+    s = make_structure(2, (2, 1))
+    values = rng.normal(size=g.cells)
+    for shape in ("cylinder", "ball", "cube"):
+        for rho in (0.15, 0.3, 0.5):
+            stencil, _origin = member_offsets(g, s, rho, shape)
+            want = grey_dilation(values, footprint=np.flip(stencil), mode="constant",
+                                 cval=-np.inf)
+            assert np.array_equal(_max_filter(values, stencil, _centred(stencil)), want)
+
+
+def test_fast_len_is_the_smallest_5_smooth_length():
+    smooth = set()
+    for a in range(13):
+        for b in range(8):
+            for c in range(6):
+                m = 2 ** a * 3 ** b * 5 ** c
+                if m <= 8192:
+                    smooth.add(m)
+    ordered = sorted(smooth)
+    for n in range(1, 4097):
+        assert _fast_len(n) == next(m for m in ordered if m >= n), n

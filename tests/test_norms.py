@@ -351,3 +351,35 @@ def test_divergent_anchor_set_is_exact_membership(case):
         assert np.array_equal(hit, brute_members_holding(inf_mask, stencil, origin)), rho
     spec = NormSpec("EpbDot", p=p, beta=1.0)
     assert evaluate_norm(f, spec, s) == math.inf
+
+
+def test_morrey_sup_shares_forward_spectra_across_radii(monkeypatch):
+    # radii whose stencils pad to the same transform shape share one forward
+    # transform of the field; the sups are bit-identical to one radius per call
+    from morreylab import maximal
+    from morreylab.norms import _morrey_sup
+
+    g = make_grid(2, 1.0, 40)
+    f = Field(g, np.random.default_rng(3).normal(size=g.cells))
+    radii = BallFamily.for_structure(S2, g).radii
+    shapes = []
+    for rho in radii:
+        stencil, origin = member_offsets(g, S2, rho, "ball")
+        if maximal._fill_spans(stencil) is None:  # the FFT path
+            shapes.append(tuple(maximal._fast_len(n + max(o, s - 1 - o))
+                                for n, s, o in zip(g.cells, stencil.shape, origin)))
+    assert len(set(shapes)) < len(shapes)  # the case holds shared shapes
+    alone = [_morrey_sup(f, 2.0, 0.5, S2, [rho], "ball", return_profile=True)[1][0]
+             for rho in radii]
+    calls = []
+    rfftn = np.fft.rfftn
+
+    def counting(a, *args, **kwargs):
+        calls.append(a.shape)
+        return rfftn(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "rfftn", counting)
+    best, profile = _morrey_sup(f, 2.0, 0.5, S2, radii, "ball", return_profile=True)
+    assert len(calls) == len(set(shapes))
+    assert profile == alone
+    assert best == max(m for _, m in alone)

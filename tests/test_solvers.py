@@ -5,7 +5,7 @@ import pytest
 
 from morreylab import solvers
 from morreylab.checks.at_checks import _sdelta_pairs
-from morreylab.grid import Field, make_grid, make_structure
+from morreylab.grid import ConfigError, Field, make_grid, make_structure
 from morreylab.norms import NormSpec
 from morreylab.solvers import (
     DriftDivergence,
@@ -260,13 +260,26 @@ def test_apriori_ratio_takes_one_derivative_pass(monkeypatch, structure, op):
 
 
 def test_oscillation_quadratic_is_zero():
-    g = make_grid(2, math.pi, 64, periodic=True)
+    g = make_grid(2, math.pi, 128, periodic=True)
     xs = g.mesh()
     u = Field(g, np.cos(xs[0]))
     # cos has nonzero osc; a genuinely quadratic poly is not periodic, so
     # check instead that a single Fourier mode on a tiny ball has tiny osc
-    data = oscillation_estimate(u, Field(g, np.abs(u.values)), S2, 4.0, 0.05, 2.0)
-    assert data["osc"] < 0.05
+    # (the ball holds cells at two distances from the origin, so osc > 0)
+    data = oscillation_estimate(u, Field(g, np.abs(u.values)), S2, 4.0, 0.1, 2.0)
+    assert 0 < data["osc"] < 0.05
+
+
+def test_oscillation_of_an_empty_member_is_a_config_error():
+    # a 0.1 ball about the origin of a 32^2 grid on a 2 pi box holds no cell
+    # centre (the nearest lie 0.139 away); 64^2 puts four inside it
+    g = make_grid(2, math.pi, 32, periodic=True)
+    u = Field(g, np.cos(g.mesh()[0]))
+    with pytest.raises(ConfigError, match=r"rho = 0\.1 .*32x32 grid"):
+        oscillation_estimate(u, Field(g, np.abs(u.values)), S2, 2.0, 0.1, 2.0)
+    g = make_grid(2, math.pi, 64, periodic=True)
+    u = Field(g, np.cos(g.mesh()[0]))
+    assert oscillation_estimate(u, Field(g, np.abs(u.values)), S2, 2.0, 0.1, 2.0)["osc"] > 0
 
 
 def test_matrix_bracket_inequalities_bulk():

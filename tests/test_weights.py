@@ -18,6 +18,7 @@ from morreylab.weights import (
     self_improve,
     extrapolate_check,
 )
+from morreylab.weights import _running_min
 
 S1 = make_structure(1, (1,))
 
@@ -268,3 +269,17 @@ def test_min_of_a1_weights_is_a1():
     c = a1_constant(wmin, S1)
     assert math.isfinite(c)
     assert c <= a1_constant(w1, S1) * 2.0
+
+
+@pytest.mark.parametrize("shape, size", [((9,), (1,)), ((9,), (4,)), ((9,), (13,)),
+                                         ((6, 7), (3, 5)), ((6, 7), (2, 8)),
+                                         ((4, 5, 6), (3, 1, 5)), ((4, 5, 6), (5, 4, 2))])
+def test_running_min_is_the_clipped_box_min(shape, size):
+    # minimum_filter(mode='nearest') semantics: the min over the box of
+    # size[i] cells that starts size[i] // 2 cells before each cell, clipped
+    vals = np.random.default_rng(len(shape) + sum(size)).normal(size=shape)
+    want = np.empty(shape)
+    for c in np.ndindex(shape):
+        want[c] = vals[tuple(slice(max(0, i - w // 2), max(0, i - w // 2 + w))
+                             for i, w in zip(c, size))].min()
+    assert np.array_equal(_running_min(vals, size), want)
