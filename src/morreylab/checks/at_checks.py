@@ -8,7 +8,7 @@ import math
 
 import numpy as np
 
-from ..grid import Field, make_grid
+from ..grid import Field, _wavenumbers, make_grid
 from ..norms import NormSpec
 from ..potentials import at_kernel_array, sigma
 from ..solvers import (
@@ -149,7 +149,7 @@ def check_at_solve(cfg):
     caus = float(np.abs(u.values[tail]).max()) / max(float(np.abs(u.values).max()), 1e-300)
     # independent quadrature of the explicit mode formula at sampled modes
     fh = np.fft.fft(f.values, axis=1)
-    ks = 2.0 * np.pi * np.fft.fftfreq(g.cells[1], d=g.h[1])
+    (ks,) = _wavenumbers(g, (1,))
     t0_axis = g.axis(0)
     worst_quad = 0.0
     a_scalar = a_path[:, 0, 0]

@@ -36,10 +36,6 @@ __all__ = [
     "average",
     "lp_norm",
     "mollify",
-    "differentiate",
-    "laplacian",
-    "gradient",
-    "hessian",
     "save_field",
     "load_field",
     "save_field_csv",
@@ -703,100 +699,20 @@ def mollify(field, eps, structure=None):
 
 
 # ---------------------------------------------------------------------------
-# Differentiation
+# Wavenumbers
 # ---------------------------------------------------------------------------
 
 
-def _wavenumbers(grid, axis):
-    n = grid.cells[axis]
-    h = grid.h[axis]
-    return 2.0 * np.pi * np.fft.fftfreq(n, d=h)
-
-
-def _spectral_derivative(values, grid, axis, order):
-    k = _wavenumbers(grid, axis)
-    shape = [1] * grid.dim
-    shape[axis] = -1
-    k = k.reshape(shape)
-    f_hat = np.fft.fftn(values)
-    out = np.fft.ifftn(f_hat * (1j * k) ** order).real
+def _wavenumbers(grid, axes):
+    """Angular wavenumbers 2 pi fftfreq(n, h) of each of `axes`, in fft
+    order, each shaped to broadcast over an array whose axes are `axes`."""
+    axes = tuple(axes)
+    out = []
+    for i, a in enumerate(axes):
+        shape = [1] * len(axes)
+        shape[i] = -1
+        out.append(2.0 * np.pi * np.fft.fftfreq(grid.cells[a], d=grid.h[a]).reshape(shape))
     return out
-
-_FD4_D1 = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / 12.0
-_FD4_D2 = np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / 12.0
-
-
-def _fd_derivative(values, grid, axis, order):
-    h = grid.h[axis]
-    stencil = _FD4_D1 / h if order == 1 else _FD4_D2 / h ** 2
-    pad = [(0, 0)] * grid.dim
-    pad[axis] = (2, 2)
-    padded = np.pad(values, pad, mode="edge" if not grid.periodic else "wrap")
-    out = np.zeros_like(values)
-    sl_all = [slice(None)] * grid.dim
-    for j, c in enumerate(stencil):
-        if c == 0.0:
-            continue
-        sl = list(sl_all)
-        sl[axis] = slice(j, j + values.shape[axis])
-        out += c * padded[tuple(sl)]
-    return out
-
-
-def differentiate(field, axes, structure=None, spectral=None):
-    """Derivative field for the multi-derivative given by `axes`.
-
-    `axes` is a tuple of axis indices, one per differentiation, e.g. (0,)
-    for D_0, (0, 1) for D_01, (1, 1) for D_11.  Spatial order <= 2 and time
-    order <= 1 (for parabolic structures axis 0 is t).  Periodic grids use
-    spectral derivatives (exact on band-limited inputs); otherwise 4th-order
-    centered differences.
-    """
-    axes = tuple(int(a) for a in axes)
-    grid = field.grid
-    counts = {}
-    for a in axes:
-        counts[a] = counts.get(a, 0) + 1
-    parab = structure is not None and structure.parabolic
-    spatial_order = 0
-    for a, c in counts.items():
-        if parab and a == 0:
-            if c > 1:
-                raise ValueError("time derivatives of order > 1 are unsupported")
-        else:
-            spatial_order += c
-    if spatial_order > 2:
-        raise ValueError("spatial derivatives of order > 2 are unsupported")
-    use_spectral = grid.periodic if spectral is None else spectral
-    vals = field.values
-    for a, c in sorted(counts.items()):
-        if use_spectral:
-            vals = _spectral_derivative(vals, grid, a, c)
-        else:
-            vals = _fd_derivative(vals, grid, a, c)
-    return Field(grid, vals)
-
-
-def gradient(field, structure=None, spectral=None):
-    grid = field.grid
-    first = 1 if (structure is not None and structure.parabolic) else 0
-    return [differentiate(field, (a,), structure, spectral) for a in range(first, grid.dim)]
-
-
-def laplacian(field, structure=None, spectral=None):
-    grid = field.grid
-    first = 1 if (structure is not None and structure.parabolic) else 0
-    out = np.zeros(grid.cells)
-    for a in range(first, grid.dim):
-        out += differentiate(field, (a, a), structure, spectral).values
-    return Field(grid, out)
-
-
-def hessian(field, structure=None, spectral=None):
-    grid = field.grid
-    first = 1 if (structure is not None and structure.parabolic) else 0
-    axes = range(first, grid.dim)
-    return [[differentiate(field, (i, j), structure, spectral) for j in axes] for i in axes]
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Field, unit_sphere_area
+from .grid import Field, _wavenumbers, unit_sphere_area
 from .maximal import _fft_correlate
 
 __all__ = [
@@ -257,13 +257,6 @@ def apply_parabolic_conjugate(field, alpha, k):
     return Field(grid, out.values[tuple(slice(None, None, -1) for _ in grid.cells)].copy())
 
 
-def _x_wavenumber_sq(grid):
-    ks = [2.0 * np.pi * np.fft.fftfreq(n, d=h) for n, h in
-          zip(grid.cells[1:], grid.h[1:])]
-    mesh = np.meshgrid(*ks, indexing="ij")
-    return sum(m ** 2 for m in mesh), mesh
-
-
 def heat_resolvent_modewise(field, lam, a_of_t=None, delta=None):
     """u = R_lam f by exact per-slab exponential integration per x-mode.
 
@@ -275,7 +268,8 @@ def heat_resolvent_modewise(field, lam, a_of_t=None, delta=None):
     grid = field.grid
     nt = grid.cells[0]
     ht = grid.h[0]
-    ksq, kmesh = _x_wavenumber_sq(grid)
+    kx = _wavenumbers(grid, range(1, grid.dim))
+    ksq = sum(k ** 2 for k in kx)
     fh = np.fft.fftn(field.values, axes=tuple(range(1, grid.dim)))
     if a_of_t is None:
         q = np.broadcast_to(ksq, (nt,) + ksq.shape)
@@ -289,7 +283,7 @@ def heat_resolvent_modewise(field, lam, a_of_t=None, delta=None):
         q = np.zeros((nt,) + ksq.shape)
         for i in range(d):
             for j in range(d):
-                q += a[:, i, j].reshape((-1,) + (1,) * d) * kmesh[i] * kmesh[j]
+                q += a[:, i, j].reshape((-1,) + (1,) * d) * kx[i] * kx[j]
     kap = lam + q
     uh = np.zeros_like(fh)
     v_next = np.zeros_like(fh[0])  # exact solution value at slab left edges

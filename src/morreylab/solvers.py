@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import ConfigError, Field
+from .grid import ConfigError, Field, _wavenumbers
 from .potentials import heat_resolvent_modewise
 
 __all__ = [
@@ -73,11 +73,6 @@ def _xaxes(grid, parabolic):
     return tuple(range(1, grid.dim)) if parabolic else tuple(range(grid.dim))
 
 
-def _wavenumber_mesh(grid, axes):
-    ks = [2.0 * np.pi * np.fft.fftfreq(grid.cells[a], d=grid.h[a]) for a in axes]
-    return np.meshgrid(*ks, indexing="ij")
-
-
 def solve_laplace(f, lam, structure=None):
     """u with Delta u - lam u + f = 0 on the periodic grid (spectral).
 
@@ -89,8 +84,7 @@ def solve_laplace(f, lam, structure=None):
     grid = f.grid
     if not grid.periodic:
         raise ValueError("solve_laplace needs a periodic grid")
-    kmesh = _wavenumber_mesh(grid, range(grid.dim))
-    ksq = sum(m ** 2 for m in kmesh)
+    ksq = sum(k ** 2 for k in _wavenumbers(grid, range(grid.dim)))
     fh = np.fft.fftn(f.values)
     denom = ksq + lam
     if lam == 0:
@@ -114,17 +108,42 @@ def solve_heat(f, lam, a_of_t=None, delta=None):
     return heat_resolvent_modewise(f, lam, a_of_t=a_of_t, delta=delta)
 
 
-def spectral_derivative_fields(u, structure, grid=None):
-    """(Du list, D2 matrix, lap, ut or None) all spectral on the torus."""
-    grid = u.grid if grid is None else grid
+def spectral_derivative_fields(u, structure):
+    """(Du list, D2 matrix, lap, ut or None), spectral on the periodic grid.
+
+    One rfftn and one irfftn per output; d2[j][i] is the array d2[i][j].
+    Each output is the real part of the complex-transform derivative: a
+    first-order factor is 0 at the Nyquist index, and so is an off-diagonal
+    D2 factor where exactly one of its two axes is there.
+    """
+    grid = u.grid
+    if not grid.periodic:
+        raise ValueError("spectral_derivative_fields needs a periodic grid")
     parab = structure is not None and structure.parabolic
     xaxes = _xaxes(grid, parab)
-    kmesh = _wavenumber_mesh(grid, range(grid.dim))
-    uh = np.fft.fftn(u.values)
-    du = [np.fft.ifftn(uh * 1j * kmesh[a]).real for a in xaxes]
-    d2 = [[np.fft.ifftn(-uh * kmesh[a] * kmesh[b]).real for b in xaxes] for a in xaxes]
+    n_last = grid.cells[-1]
+    ks = _wavenumbers(grid, range(grid.dim))
+    ks[-1] = ks[-1][..., : n_last // 2 + 1]  # the half spectrum of rfftn
+    odd = []  # each k with its Nyquist entry (cells are even) set to 0
+    for k, n in zip(ks, grid.cells):
+        k = k.copy()
+        k.flat[n // 2] = 0.0
+        odd.append(k)
+    uh = np.fft.rfftn(u.values)
+
+    def back(factor):
+        return np.fft.irfftn(uh * factor, s=grid.cells, axes=range(grid.dim))
+
+    du = [back(1j * odd[a]) for a in xaxes]
+    d2 = [[None] * len(xaxes) for _ in xaxes]
+    for i, a in enumerate(xaxes):
+        d2[i][i] = back(-ks[a] ** 2)
+        for j in range(i + 1, len(xaxes)):
+            b = xaxes[j]
+            both_nyquist = (ks[a] - odd[a]) * (ks[b] - odd[b])
+            d2[i][j] = d2[j][i] = back(-(odd[a] * odd[b] + both_nyquist))
     lap = sum(d2[i][i] for i in range(len(xaxes)))
-    ut = np.fft.ifftn(uh * 1j * kmesh[0]).real if parab else None
+    ut = back(1j * odd[0]) if parab else None
     return du, d2, lap, ut
 
 

@@ -6,7 +6,6 @@ import pytest
 from morreylab.grid import (
     Field,
     RadialPower,
-    differentiate,
     integrate,
     lp_norm,
     load_field,
@@ -19,6 +18,7 @@ from morreylab.grid import (
     save_field_csv,
     average,
 )
+from morreylab.solvers import spectral_derivative_fields
 
 
 def test_nu0_isotropic_closed_form():
@@ -232,8 +232,8 @@ def test_mollify_converges_on_step():
 def test_spectral_derivative_sine():
     g = make_grid(1, 1.0, 128, periodic=True)
     x = g.axis(0)
-    d = differentiate(Field(g, np.sin(np.pi * x)), (0,))
-    assert np.abs(d.values - np.pi * np.cos(np.pi * x)).max() < 1e-10
+    (d,), _, _, _ = spectral_derivative_fields(Field(g, np.sin(np.pi * x)), None)
+    assert np.abs(d - np.pi * np.cos(np.pi * x)).max() < 1e-10
 
 
 def test_spectral_laplacian_plane_wave():
@@ -241,33 +241,9 @@ def test_spectral_laplacian_plane_wave():
     xs = g.mesh()
     k = (3, 5)
     f = Field(g, np.cos(k[0] * xs[0] + k[1] * xs[1]))
-    lap = differentiate(f, (0, 0)).values + differentiate(f, (1, 1)).values
+    _, _, lap, _ = spectral_derivative_fields(f, None)
     expected = -(k[0] ** 2 + k[1] ** 2) * f.values
     assert np.abs(lap - expected).max() < 1e-9 * (k[0] ** 2 + k[1] ** 2)
-
-
-def test_fd_gradient_fourth_order_sweep():
-    # centered-difference gradient of x^3 converges at 4th order
-    errs = []
-    for n in (64, 128, 256):
-        g = make_grid(1, 1.0, n)
-        x = g.axis(0)
-        d = differentiate(Field(g, x ** 3 * np.exp(-x ** 2)), (0,), spectral=False)
-        exact = (3 * x ** 2 - 2 * x ** 4) * np.exp(-x ** 2)
-        i0 = n // 2
-        errs.append(abs(d.values[i0] - exact[i0]))
-    rate = math.log2(errs[0] / errs[-1]) / 2.0
-    assert rate > 3.0
-
-
-def test_derivative_order_caps():
-    s = make_structure(2, (2, 1))
-    g = make_grid(2, 1.0, 32, periodic=True)
-    f = Field(g, np.zeros(g.cells))
-    with pytest.raises(ValueError):
-        differentiate(f, (0, 0), s)  # second time derivative
-    with pytest.raises(ValueError):
-        differentiate(f, (1, 1, 1), s)  # third space derivative
 
 
 def test_spectral_roundtrip_solve():
@@ -277,7 +253,7 @@ def test_spectral_roundtrip_solve():
     from morreylab.testfunctions import test_function
 
     u = test_function("random_band", g, kmax=5, seed=1)
-    lap = differentiate(u, (0, 0)).values + differentiate(u, (1, 1)).values
+    _, _, lap, _ = spectral_derivative_fields(u, None)
     rec = solve_laplace(Field(g, -lap), 0.0)
     assert np.abs(rec.values - u.values).max() < 1e-10 * np.abs(u.values).max()
 

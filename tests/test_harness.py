@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -363,3 +364,14 @@ def test_cli_config_errors_exit_2(tmp_path):
             main(argv)
         assert info.value.code == 2, argv
     assert np.array_equal(np.fromfile(tmp_path / "f.f64"), g.axis(0))  # nothing overwrote it
+
+
+DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=[p.stem for p in DEMOS])
+def test_demo_runs(demo, tmp_path, monkeypatch):
+    # the demos call the public API: one that breaks on an API change fails here
+    monkeypatch.chdir(tmp_path)
+    runpy.run_path(str(demo), run_name="__main__")
+    assert list(tmp_path.iterdir()) == []  # a demo writes no file

@@ -40,15 +40,26 @@ def test_newtonian_constant_3d():
     assert newtonian_constant(3) == pytest.approx(1.0 / (4.0 * math.pi), rel=1e-12)
 
 
+def _fd4_laplacian(values, h):
+    """4th-order centred-difference Laplacian; the two cells nearest each
+    face are left at 0."""
+    stencil = np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / 12.0
+    core = tuple(slice(2, n - 2) for n in values.shape)
+    out = np.zeros_like(values)
+    for a, ha in enumerate(h):
+        for j, c in enumerate(stencil):
+            shifted = list(core)
+            shifted[a] = slice(j, values.shape[a] - 4 + j)
+            out[core] += c / ha ** 2 * values[tuple(shifted)]
+    return out
+
+
 def test_newtonian_inverts_laplacian():
-    # Delta (R f) = -f verified spectrally in the interior
+    # Delta (R f) = -f verified by centred differences in the interior
     g = make_grid(3, 4.0, 64)
     f = Field(g, np.exp(-4.0 * g.radius() ** 2))
     u = apply_kernel(f, KernelSpec("newtonian"))
-    # compare Laplacian by centered differences in the interior
-    from morreylab.grid import differentiate
-
-    lap = sum(differentiate(u, (a, a), spectral=False).values for a in range(3))
+    lap = _fd4_laplacian(u.values, g.h)
     r = g.radius()
     inner = r < 1.0
     err = np.abs(lap + f.values)[inner].max()

@@ -77,6 +77,56 @@ def test_hessian_energy_identity_every_u():
     assert lhs == pytest.approx(rhs, rel=1e-12)
 
 
+def _complex_derivatives(u, parab):
+    """The derivatives as real parts of complex fftn/ifftn: the reference
+    for the real transforms, Nyquist planes included."""
+    g = u.grid
+    ks = np.meshgrid(*[2 * np.pi * np.fft.fftfreq(n, d=h) for n, h in zip(g.cells, g.h)],
+                     indexing="ij")
+    uh = np.fft.fftn(u.values)
+    xaxes = range(1 if parab else 0, g.dim)
+    du = [np.fft.ifftn(1j * ks[a] * uh).real for a in xaxes]
+    d2 = [[np.fft.ifftn(-ks[a] * ks[b] * uh).real for b in xaxes] for a in xaxes]
+    ut = np.fft.ifftn(1j * ks[0] * uh).real if parab else None
+    return du, d2, sum(d2[i][i] for i in range(len(d2))), ut
+
+
+@pytest.mark.parametrize("dim, cells, parab", [
+    (2, (8, 8), False),
+    (2, (64, 64), False),
+    (3, (16, 12, 20), False),
+    (3, (16, 12, 20), True),
+])
+def test_spectral_derivatives_match_complex_transforms_on_white_noise(dim, cells, parab):
+    # white noise fills the Nyquist planes, which band-limited fields leave empty
+    g = make_grid(dim, (1.0,) + (math.pi,) * (dim - 1), cells, periodic=True)
+    s = make_structure(dim, (2,) + (1,) * (dim - 1)) if parab else make_structure(dim, (1,) * dim)
+    u = Field(g, np.random.default_rng(dim + 2 * parab).standard_normal(cells))
+    du, d2, lap, ut = spectral_derivative_fields(u, s)
+    want_du, want_d2, want_lap, want_ut = _complex_derivatives(u, parab)
+
+    def close(got, want):
+        return np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    assert len(du) == len(want_du) == dim - parab
+    assert all(close(x, y) for x, y in zip(du, want_du))
+    for i in range(len(du)):
+        for j in range(len(du)):
+            assert d2[i][j] is d2[j][i]
+            assert close(d2[i][j], want_d2[i][j]), (i, j)
+    assert close(lap, want_lap)
+    if parab:
+        assert close(ut, want_ut)
+    else:
+        assert ut is None
+
+
+def test_spectral_derivatives_need_a_periodic_grid():
+    g = make_grid(2, math.pi, 16)
+    with pytest.raises(ValueError, match="periodic"):
+        spectral_derivative_fields(Field(g, np.zeros(g.cells)), S2)
+
+
 def test_heat_modewise_formula():
     # f = e^{ikx} g(t): the mode solves the scalar backward ODE exactly
     g = make_grid(2, (1.0, math.pi), (64, 32), periodic=True)
