@@ -706,7 +706,6 @@ def mollify(field, eps, structure=None):
 def _wavenumbers(grid, axes):
     """Angular wavenumbers 2 pi fftfreq(n, h) of each of `axes`, in fft
     order, each shaped to broadcast over an array whose axes are `axes`."""
-    axes = tuple(axes)
     out = []
     for i, a in enumerate(axes):
         shape = [1] * len(axes)

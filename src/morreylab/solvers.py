@@ -121,9 +121,8 @@ def spectral_derivative_fields(u, structure):
         raise ValueError("spectral_derivative_fields needs a periodic grid")
     parab = structure is not None and structure.parabolic
     xaxes = _xaxes(grid, parab)
-    n_last = grid.cells[-1]
     ks = _wavenumbers(grid, range(grid.dim))
-    ks[-1] = ks[-1][..., : n_last // 2 + 1]  # the half spectrum of rfftn
+    ks[-1] = ks[-1][..., : grid.cells[-1] // 2 + 1]  # the half spectrum of rfftn
     odd = []  # each k with its Nyquist entry (cells are even) set to 0
     for k, n in zip(ks, grid.cells):
         k = k.copy()
