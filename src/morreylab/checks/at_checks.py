@@ -21,12 +21,8 @@ from ..solvers import (
     solve_heat,
     spectral_derivative_fields,
 )
-from .common import bump_mix, parabolic_structure, random_signed, stability
+from .common import bump_mix, parabolic_grid, parabolic_structure, random_signed, stability
 from .report import register
-
-
-def _pgrid(cfg, nt=64, nx=64, lt=1.0, lx=math.pi, periodic=True):
-    return make_grid(2, (lt, lx), (cfg.cells(nt), cfg.cells(nx)), periodic)
 
 
 def _random_path(rng, nt, d, delta):
@@ -65,7 +61,7 @@ def check_at_matrix(cfg):
 def check_at_energy(cfg):
     s = parabolic_structure(1)
     delta = 0.5
-    g = _pgrid(cfg)
+    g = parabolic_grid(cfg)
     rng = np.random.default_rng(cfg.seed)
     worst = 0.0
     for k in range(5):
@@ -135,7 +131,7 @@ def check_at_kernel(cfg):
 def check_at_solve(cfg):
     s = parabolic_structure(1)
     delta = 0.5
-    g = _pgrid(cfg)
+    g = parabolic_grid(cfg)
     rng = np.random.default_rng(cfg.seed)
     nt = g.cells[0]
     ht = g.h[0]
@@ -196,7 +192,7 @@ def check_at_osc(cfg):
     delta = 0.5
     fits = []
     for n in (48, 96):
-        g = _pgrid(cfg, n, n)
+        g = parabolic_grid(cfg, n, n)
         rng = np.random.default_rng(cfg.seed)
         a_path = _random_path(rng, g.cells[0], 1, delta)
         f = bump_mix(g, cfg.seed, nonneg=False)
@@ -228,7 +224,7 @@ def check_at_mixed(cfg):
     p, q = 2.0, 3.0
     vals = []
     for n in (48, 96):
-        g = _pgrid(cfg, n, n)
+        g = parabolic_grid(cfg, n, n)
         rng = np.random.default_rng(cfg.seed)
         a_path = _random_path(rng, g.cells[0], 1, delta)
         worst = 0.0

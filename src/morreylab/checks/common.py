@@ -6,12 +6,13 @@ import math
 
 import numpy as np
 
-from ..grid import Field, make_structure
+from ..grid import Field, make_grid, make_structure
 from ..testfunctions import test_function
 
 __all__ = [
     "elliptic_structure",
     "parabolic_structure",
+    "parabolic_grid",
     "random_nonneg",
     "random_signed",
     "bump_mix",
@@ -26,6 +27,11 @@ def elliptic_structure(d):
 
 def parabolic_structure(d_space):
     return make_structure(d_space + 1, (2,) + (1,) * d_space)
+
+
+def parabolic_grid(cfg, nt=64, nx=64, lt=1.0, lx=math.pi, periodic=True):
+    """The (1+1)-D (t, x) grid of nt x nx cells at the run's resolution."""
+    return make_grid(2, (lt, lx), (cfg.cells(nt), cfg.cells(nx)), periodic)
 
 
 def random_nonneg(grid, seed, roughness=3):

@@ -15,12 +15,9 @@ from ..norms import NormSpec, drift_seminorm, evaluate_norm, mixed_norm
 from ..solvers import OperatorSpec, apriori_ratio, spectral_derivative_fields
 from ..testfunctions import test_function
 from ..weights import power_weight
-from .common import bump_mix, elliptic_structure, parabolic_structure, random_signed, stability
+from .common import (bump_mix, elliptic_structure, parabolic_grid, parabolic_structure,
+                     random_signed, stability)
 from .report import register
-
-
-def _pgrid(cfg, nt=64, nx=64, lt=1.0, lx=math.pi, periodic=True):
-    return make_grid(2, (lt, lx), (cfg.cells(nt), cfg.cells(nx)), periodic)
 
 
 @register("mixed-transfer", "single-weight hypotheses transfer to iterated norms with the explicit factor")
@@ -58,7 +55,7 @@ def check_hl_mixed(cfg):
     p, q = 2.0, 3.0
     fits = {"std": [], "rev": []}
     for n in (48, 96):
-        g = _pgrid(cfg, n, n, 1.0, 1.0, periodic=False)
+        g = parabolic_grid(cfg, n, n, 1.0, 1.0, periodic=False)
         w_s, w_r = 0.0, 0.0
         for k in range(3):
             f = bump_mix(g, cfg.seed + k)
@@ -82,7 +79,7 @@ def check_fs_mixed(cfg):
     p, q = 2.0, 3.0
     fits = []
     for n in (64, 128):
-        g = _pgrid(cfg, n, n, 1.0, 1.0, periodic=False)
+        g = parabolic_grid(cfg, n, n, 1.0, 1.0, periodic=False)
         worst = 0.0
         for k in range(4):
             f = random_signed(g, cfg.seed + 3 * k, kmax=20)
@@ -105,7 +102,7 @@ def check_heat_mixed(cfg):
     p, q = 2.0, 3.0
     vals = []
     for n in (48, 96):
-        g = _pgrid(cfg, n, n)
+        g = parabolic_grid(cfg, n, n)
         worst = 0.0
         for k in range(4):
             u = random_signed(g, cfg.seed + 7 * k)
@@ -126,7 +123,7 @@ def check_poincare(cfg):
     s = parabolic_structure(1)
     fits = []
     for n in (64, 96):
-        g = _pgrid(cfg, n, n)
+        g = parabolic_grid(cfg, n, n)
         worst = 0.0
         for k in range(3):
             u = random_signed(g, cfg.seed + 5 * k)
@@ -156,7 +153,7 @@ def check_trace_lr(cfg):
     gamma = 1.0 / p + 2.0 / q - 1.0 / r
     fits = []
     for n in (48, 96):
-        g = _pgrid(cfg, n, n)
+        g = parabolic_grid(cfg, n, n)
         worst = 0.0
         for k in range(4):
             u = random_signed(g, cfg.seed + 11 * k)
@@ -184,7 +181,7 @@ def check_trace_morrey(cfg):
     s1 = elliptic_structure(1)
     fits = []
     for n in (48, 96):
-        g = _pgrid(cfg, n, n)
+        g = parabolic_grid(cfg, n, n)
         gx = make_grid(1, g.half_extent[1], g.cells[1], periodic=True)
         worst = 0.0
         for k in range(4):
@@ -211,7 +208,7 @@ def check_mixed_morrey_max(cfg):
     p, q, beta = 2.0, 3.0, 1.0
     fits = []
     for n in (48, 96):
-        g = _pgrid(cfg, n, n, 1.0, 1.0, periodic=False)
+        g = parabolic_grid(cfg, n, n, 1.0, 1.0, periodic=False)
         worst = 0.0
         for k in range(3):
             f = bump_mix(g, cfg.seed + k)
@@ -236,7 +233,7 @@ def check_mixed_embed(cfg):
     r1, r2 = q1 * beta / (beta - 1.0), q2 * beta / (beta - 1.0)
     fits = []
     for n in (48, 96):
-        g = _pgrid(cfg, n, n)
+        g = parabolic_grid(cfg, n, n)
         worst = 0.0
         for k in range(3):
             u = random_signed(g, cfg.seed + 17 * k)
@@ -318,7 +315,7 @@ def check_mixed_morrey_heat(cfg):
     p, q, beta = 2.0, 3.0, 1.1
     vals = []
     for n in (48, 96):
-        g = _pgrid(cfg, n, n)
+        g = parabolic_grid(cfg, n, n)
         worst = 0.0
         for k in range(3):
             u = random_signed(g, cfg.seed + 29 * k)
@@ -340,7 +337,7 @@ def check_mixed_interp(cfg):
     p, q, beta = 2.0, 3.0, 1.1
     fits = []
     for n in (48, 96):
-        g = _pgrid(cfg, n, n)
+        g = parabolic_grid(cfg, n, n)
         worst = 0.0
         for k in range(3):
             u = random_signed(g, cfg.seed + 31 * k)

@@ -20,18 +20,14 @@ from ..solvers import (
     spectral_derivative_fields,
 )
 from ..weights import ap_constant, parabolic_power_weight
-from .common import bump_mix, parabolic_structure, random_signed, stability
+from .common import bump_mix, parabolic_grid, parabolic_structure, random_signed, stability
 from .report import register
-
-
-def _pgrid(cfg, nt=64, nx=64, lt=1.0, lx=math.pi, periodic=True):
-    return make_grid(2, (lt, lx), (cfg.cells(nt), cfg.cells(nx)), periodic)
 
 
 @register("heat-energy", "exact space-time energy identity for the heat operator")
 def check_heat_energy(cfg):
     s = parabolic_structure(1)
-    g = _pgrid(cfg)
+    g = parabolic_grid(cfg)
     worst = 0.0
     for k in range(5):
         u = random_signed(g, cfg.seed + k)
@@ -51,7 +47,7 @@ def check_heat_cz(cfg):
     s = parabolic_structure(1)
     fits = []
     for n in (32, 64, 128):
-        g = _pgrid(cfg, n, n)
+        g = parabolic_grid(cfg, n, n)
         worst = 0.0
         for k in range(4):
             u = random_signed(g, cfg.seed + 9 * k)
@@ -73,7 +69,7 @@ def check_heat_sharp(cfg):
     p = 1.5
     fits = []
     for n in (48, 96):
-        g = _pgrid(cfg, n, n)
+        g = parabolic_grid(cfg, n, n)
         f = bump_mix(g, cfg.seed, nonneg=False)
         f = Field(g, f.values - f.values.mean())
         u, _ = solve_heat(f, 1.0)
@@ -191,7 +187,7 @@ def check_hl_parab_morrey(cfg):
     p, beta = 2.0, 1.0
     fits = []
     for n in (48, 96):
-        g = _pgrid(cfg, n, n, 1.0, 1.0, periodic=False)
+        g = parabolic_grid(cfg, n, n, 1.0, 1.0, periodic=False)
         worst = 0.0
         for k in range(3):
             f = bump_mix(g, cfg.seed + k)
@@ -214,7 +210,7 @@ def check_fs_parab_morrey(cfg):
     p, beta = 2.0, 1.0
     fits = []
     for n in (64, 128):
-        g = _pgrid(cfg, n, n, 1.0, 1.0, periodic=False)
+        g = parabolic_grid(cfg, n, n, 1.0, 1.0, periodic=False)
         worst = 0.0
         for k in range(3):
             f = random_signed(g, cfg.seed + 3 * k, kmax=20)
@@ -238,7 +234,7 @@ def check_heat_morrey(cfg):
     p, beta = 2.0, 1.2
     vals = []
     for n in (48, 96):
-        g = _pgrid(cfg, n, n)
+        g = parabolic_grid(cfg, n, n)
         worst = 0.0
         for k in range(3):
             u = random_signed(g, cfg.seed + 7 * k)
@@ -260,7 +256,7 @@ def check_parab_embed(cfg):
     p, gamma = 2.0, 1.5
     fits = {"plain": [], "eps": []}
     for n in (48, 96):
-        g = _pgrid(cfg, n, n)
+        g = parabolic_grid(cfg, n, n)
         w_plain, w_eps = 0.0, 0.0
         for k in range(3):
             u = random_signed(g, cfg.seed + 13 * k)
@@ -309,7 +305,7 @@ def check_parab_grad_embed(cfg):
     r_t = p * beta / (beta - 1.0)
     fits = []
     for n in (48, 96):
-        g = _pgrid(cfg, n, n)
+        g = parabolic_grid(cfg, n, n)
         worst = 0.0
         for k in range(3):
             u = random_signed(g, cfg.seed + 17 * k)
@@ -332,7 +328,7 @@ def check_parab_holder(cfg):
     alpha = 2.0 - beta
     fits = []
     for n in (48, 96):
-        g = _pgrid(cfg, n, n)
+        g = parabolic_grid(cfg, n, n)
         worst = 0.0
         rng = np.random.default_rng(cfg.seed)
         for k in range(3):

@@ -107,7 +107,7 @@ def _box_reduce(values, nb, bs, op="sum"):
     return getattr(v, op)(axis=axes)
 
 
-def _broadcast_boxes(box_vals, nb, bs):
+def _broadcast_boxes(box_vals, bs):
     out = box_vals
     for ax, s in enumerate(bs):
         out = np.repeat(out, s, axis=ax)
@@ -126,10 +126,10 @@ def conditional_average(field, structure, g):
     nb, bs = _block_shape(grid, ks, g)
     dens = structure.density_on(grid)
     num = _box_reduce(field.values * dens, nb, bs, "sum")
-    den = _box_reduce(dens + np.zeros_like(field.values), nb, bs, "sum")
+    den = _box_reduce(dens, nb, bs, "sum")
     with np.errstate(invalid="ignore", divide="ignore"):
         avg = np.where(den > 0, num / den, 0.0)
-    return Field(grid, _broadcast_boxes(avg, nb, bs))
+    return Field(grid, _broadcast_boxes(avg, bs))
 
 
 @dataclass
@@ -219,7 +219,7 @@ def cz_decompose(field, structure, lam, g_min=0, g_max=None):
         per_box = _box_reduce(mask.astype(float), nb, bs, "mean")
         avg = _box_reduce(
             field.values * structure.density_on(grid), nb, bs, "sum"
-        ) / _box_reduce(structure.density_on(grid) + np.zeros(grid.cells), nb, bs, "sum")
+        ) / _box_reduce(structure.density_on(grid), nb, bs, "sum")
         for idx in np.argwhere(per_box == 1.0):
             bad_boxes.append((DyadicBox(g, tuple(int(i) for i in idx)), float(avg[tuple(idx)])))
     good_mask = tau.generations == INFINITY
@@ -258,7 +258,7 @@ def box_doubling_constant(grid, structure, g_min=0, g_max=None):
     ks = structure.anisotropy
     if g_max is None:
         g_max = max_generation(grid, ks)
-    dens = structure.density_on(grid) + np.zeros(grid.cells)
+    dens = structure.density_on(grid)
     worst = 1.0
     for g in range(g_min + 1, g_max + 1):
         nb_c, bs_c = _block_shape(grid, ks, g)

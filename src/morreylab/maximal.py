@@ -304,15 +304,21 @@ def _stencil_count(stencil, origin, cells):
     return out
 
 
-def _member_measure(structure, dens, stencil, origin):
-    """mu(member(c) clipped to the domain) at every anchor c: the exact cell
-    count for the uniform measure, a correlation of the density dens
-    otherwise (the only path that can serve a weighted measure).  Axes of
-    dens before the stencil's are a batch, as in _correlate; the count
-    carries none and broadcasts over them."""
+def _member_means(weighted, dens, structure, stencil, origin, forward=None):
+    """(means, measures): mu(E)^-1 int_E g dmu over the member E anchored at
+    every cell, members clipped to the domain, and mu(E).  weighted holds
+    g dens; `forward` is its _Forward holder in a radius loop.  mu(E) is the
+    exact cell count for the uniform measure, a correlation of the density
+    dens otherwise.  Axes of weighted before the stencil's are a batch, as
+    in _correlate; the count carries none and broadcasts over them.  An
+    empty member has mean 0."""
+    num = _correlate(weighted, stencil, origin, forward)
     if structure.uniform:
-        return _stencil_count(stencil, origin, dens.shape[dens.ndim - stencil.ndim:])
-    return _correlate(dens, stencil, origin)
+        den = _stencil_count(stencil, origin, weighted.shape[weighted.ndim - stencil.ndim:])
+    else:
+        den = _correlate(dens, stencil, origin)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        return np.where(den > 0, num / den, 0.0), den
 
 
 # Gathered elements per block of _mean_oscillation: bounds its working set.
@@ -383,18 +389,8 @@ def member_averages(field, structure, rho, shape):
     members clipped to the domain with their measure recomputed.
     """
     dens = structure.density_on(field.grid)
-    return _member_averages(np.abs(field.values) * dens, dens, field.grid, structure, rho, shape)
-
-
-def _member_averages(weighted, dens, grid, structure, rho, shape, forward=None):
-    """member_averages from the weighted values |f| dens; `forward` is the
-    _Forward holder of `weighted` in a radius loop."""
-    stencil, origin = member_offsets(grid, structure, rho, shape)
-    num = _correlate(weighted, stencil, origin, forward)
-    den = _member_measure(structure, dens, stencil, origin)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        avg = np.where(den > 0, num / den, 0.0)
-    return avg, den
+    stencil, origin = member_offsets(field.grid, structure, rho, shape)
+    return _member_means(np.abs(field.values) * dens, dens, structure, stencil, origin)
 
 
 def _centred(stencil):
@@ -454,7 +450,8 @@ def classical_maximal(field, structure, beta=0.0, family=None):
     weighted, forward = np.abs(field.values) * dens, _Forward()
     out = np.full(grid.cells, -np.inf)
     for rho in family.radii:
-        avg, _den = _member_averages(weighted, dens, grid, structure, rho, family.shape, forward)
+        stencil, origin = member_offsets(grid, structure, rho, family.shape)
+        avg, _den = _member_means(weighted, dens, structure, stencil, origin, forward)
         vals = rho ** beta * avg
         scattered = _scatter_max(vals, grid, structure, rho, family.shape, family.density)
         out = np.maximum(out, scattered)
@@ -492,13 +489,13 @@ def weighted_maximal(field, weight, structure, family=None):
     dens = structure.density_on(grid)
     wvals = weight.field.values if hasattr(weight, "field") else weight.values
     wmu = wvals * dens
-    weighted, wmu_full = np.abs(field.values) * wmu, wmu + np.zeros(grid.cells)
+    weighted = np.abs(field.values) * wmu
     num_fwd, den_fwd = _Forward(), _Forward()
     out = np.full(grid.cells, -np.inf)
     for rho in family.radii:
         stencil, origin = member_offsets(grid, structure, rho, family.shape)
         num = _correlate(weighted, stencil, origin, num_fwd)
-        den = _correlate(wmu_full, stencil, origin, den_fwd)
+        den = _correlate(wmu, stencil, origin, den_fwd)
         with np.errstate(invalid="ignore", divide="ignore"):
             avg = np.where(den > 0, num / den, 0.0)
         scattered = _scatter_max(avg, grid, structure, rho, family.shape, family.density)

@@ -17,7 +17,7 @@ import numpy as np
 
 from .grid import Field, lp_norm, power_integrand
 from .maximal import (BallFamily, _box_sum, _correlate, _Forward, _mean_oscillation,
-                      _member_measure, _member_shape, member_offsets)
+                      _member_means, _member_shape, member_offsets)
 
 __all__ = [
     "NormSpec",
@@ -57,7 +57,7 @@ class NormSpec:
         if self.kind not in _KINDS:
             raise ValueError(f"unknown norm kind {self.kind!r}; use one of {_KINDS}")
 
-    def advisory(self, structure, grid=None):
+    def advisory(self, structure):
         """Warn when beta exceeds the d/p (+2/q) threshold: above it the
         homogeneous space is {0} and the local one collapses to local Lp."""
         if self.beta is None:
@@ -76,31 +76,25 @@ class NormSpec:
             )
 
 
-def _morrey_sup(field, p, beta, structure, radii, shape, interior_only=False,
-                return_profile=False):
+def _morrey_sup(field, p, beta, structure, radii, return_profile=False):
     """sup over rho in radii, members centered at every cell, of
     rho^beta * slashed L_p over the member."""
     grid = field.grid
-    dens = structure.density_on(grid) + np.zeros(grid.cells)
+    shape = _member_shape(structure)
+    dens = structure.density_on(grid)
     arr, inf_mask = power_integrand(field, p, dens)
     # one forward spectrum per field, shared by radii that pad alike
     mask = inf_mask.astype(float) if inf_mask.any() else None
     arr_fwd, mask_fwd = _Forward(), _Forward()
     best = 0.0
     profile = []
-    interior = _interior(grid, radii[-1]) if interior_only else None
     for rho in radii:
         stencil, origin = member_offsets(grid, structure, rho, shape)
-        num = _correlate(arr, stencil, origin, arr_fwd)
-        den = _member_measure(structure, dens, stencil, origin)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            s = np.where(den > 0, num / den, 0.0)
+        s, _ = _member_means(arr, dens, structure, stencil, origin, arr_fwd)
         val = rho ** beta * np.maximum(s, 0.0) ** (1.0 / p)
         if mask is not None:
             hit = _correlate(mask, stencil, origin, mask_fwd) > 0.5
             val = np.where(hit, np.inf, val)
-        if interior is not None:
-            val = np.where(interior, val, 0.0)
         m = float(val.max())
         profile.append((rho, m))
         best = max(best, m)
@@ -109,27 +103,13 @@ def _morrey_sup(field, p, beta, structure, radii, shape, interior_only=False,
     return best
 
 
-def _interior(grid, margin):
-    xs = grid.mesh()
-    mask = np.ones(grid.cells, dtype=bool)
-    for i in range(grid.dim):
-        mask &= np.abs(xs[i]) < grid.half_extent[i] - margin
-    return mask
-
-
-def mixed_norm(field, p, q, structure, region=None, reversed_order=False):
+def mixed_norm(field, p, q, structure, reversed_order=False):
     """Global L_{p,q} (inner x with p, outer t with q) or reversed L_{q,p}
     (inner t with q, outer x with p).  Axis 0 is t."""
     grid = field.grid
     ht = grid.h[0]
     volx = grid.cell_volume / ht
-    vals = np.abs(field.values)
-    mask = np.ones(grid.cells, dtype=bool)
-    if region is not None:
-        from .grid import _region_mask
-
-        mask = _region_mask(grid, region)
-    v = np.where(mask, vals, 0.0)
+    v = np.abs(field.values)
     if not reversed_order:
         inner = (v ** p).sum(axis=tuple(range(1, grid.dim))) * volx
         return float(((inner ** (q / p)).sum() * ht) ** (1.0 / q))
@@ -155,7 +135,7 @@ def _mixed_morrey_sup(field, p, q, beta, structure, radii, reversed_order=False,
     best = 0.0
     profile = []
     inner_p = p if not reversed_order else q
-    dens = structure.density_on(grid) + np.zeros(grid.cells)
+    dens = structure.density_on(grid)
     arr, inf_mask = power_integrand(field, inner_p, dens)
     mask = inf_mask.astype(float) if inf_mask.any() else None
     arr_fwd, mask_fwd = _Forward(), _Forward()
@@ -166,10 +146,7 @@ def _mixed_morrey_sup(field, p, q, beta, structure, radii, reversed_order=False,
         stencil, origin = member_offsets(grid, structure, rho, "ball_x")
         if not reversed_order:
             # X(t,c) = slashed L_p over the ball at (t, c)
-            num = _correlate(arr, stencil, origin, arr_fwd)
-            den = _member_measure(structure, dens, stencil, origin)
-            with np.errstate(invalid="ignore", divide="ignore"):
-                X = np.where(den > 0, num / den, 0.0)
+            X, _ = _member_means(arr, dens, structure, stencil, origin, arr_fwd)
             Y = _window_sums(np.maximum(X, 0.0) ** (q / p), wlen) / wlen
             val = rho ** beta * np.maximum(Y, 0.0) ** (1.0 / q)
             if mask is not None:
@@ -179,10 +156,8 @@ def _mixed_morrey_sup(field, p, q, beta, structure, radii, reversed_order=False,
         else:
             # U(tau, x) = slashed t-window average of |f|^q
             U = np.maximum(_window_sums(arr / dens.clip(min=1e-300), wlen) / wlen, 0.0)
-            num = _correlate(U ** (p / q) * dens[: U.shape[0]], stencil, origin)
-            den = _member_measure(structure, dens[: U.shape[0]], stencil, origin)
-            with np.errstate(invalid="ignore", divide="ignore"):
-                V = np.where(den > 0, num / den, 0.0)
+            dens_u = dens[: U.shape[0]]
+            V, _ = _member_means(U ** (p / q) * dens_u, dens_u, structure, stencil, origin)
             val = rho ** beta * np.maximum(V, 0.0) ** (1.0 / p)
             if mask is not None:
                 hit = _window_sums(mask, wlen) > 0.5
@@ -209,8 +184,7 @@ def _family_radii(grid, structure, r_cap=None):
     return radii
 
 
-def evaluate_norm(field, spec, structure, radii=None, interior_only=False,
-                  return_profile=False):
+def evaluate_norm(field, spec, structure, radii=None, return_profile=False):
     """Evaluate the norm described by `spec` on `field`.
 
     Morrey kinds sup over the finite scale family (rho <= spec.r for the
@@ -218,7 +192,7 @@ def evaluate_norm(field, spec, structure, radii=None, interior_only=False,
     ones); mixed kinds use iterated integrals in the declared order.
     """
     grid = field.grid
-    spec.advisory(structure, grid)
+    spec.advisory(structure)
     kind = spec.kind
     if kind == "Lp":
         return lp_norm(field, spec.p, structure=structure)
@@ -228,23 +202,16 @@ def evaluate_norm(field, spec, structure, radii=None, interior_only=False,
         return mixed_norm(field, spec.p, spec.q, structure)
     if kind == "Lqp_reversed":
         return mixed_norm(field, spec.p, spec.q, structure, reversed_order=True)
-    # Morrey kinds
+    # Morrey kinds; the inhomogeneous ones cap the scales at spec.r
+    cap = spec.r if kind in ("Epbr", "Epqb") else None
+    rr = radii if radii is not None else _family_radii(grid, structure, cap)
+    if cap is not None:
+        rr = tuple(r for r in rr if r <= cap * (1 + 1e-12)) or rr[:1]
     if kind in ("Epbr", "EpbDot"):
-        cap = spec.r if kind == "Epbr" else None
-        rr = radii if radii is not None else _family_radii(grid, structure, cap)
-        if kind == "Epbr":
-            rr = tuple(r for r in rr if r <= spec.r * (1 + 1e-12)) or rr[:1]
-        return _morrey_sup(field, spec.p, spec.beta, structure, rr, _member_shape(structure),
-                           interior_only, return_profile)
-    if kind in ("Epqb", "EpqbDot", "Lqpb_reversed_morrey"):
-        cap = spec.r if kind == "Epqb" else None
-        rr = radii if radii is not None else _family_radii(grid, structure, cap)
-        if kind == "Epqb":
-            rr = tuple(r for r in rr if r <= spec.r * (1 + 1e-12)) or rr[:1]
-        return _mixed_morrey_sup(field, spec.p, spec.q, spec.beta, structure, rr,
-                                 reversed_order=(kind == "Lqpb_reversed_morrey"),
-                                 return_profile=return_profile)
-    raise AssertionError
+        return _morrey_sup(field, spec.p, spec.beta, structure, rr, return_profile)
+    return _mixed_morrey_sup(field, spec.p, spec.q, spec.beta, structure, rr,
+                             reversed_order=(kind == "Lqpb_reversed_morrey"),
+                             return_profile=return_profile)
 
 
 def drift_seminorm(b, p_b, rho_b, structure, q_b=None, reversed_order=False,
@@ -259,8 +226,7 @@ def drift_seminorm(b, p_b, rho_b, structure, q_b=None, reversed_order=False,
         radii = _family_radii(grid, structure, rho_b)
     radii = tuple(r for r in radii if r <= rho_b * (1 + 1e-12)) or radii[:1]
     if q_b is None:
-        return _morrey_sup(b, p_b, 1.0, structure, radii, _member_shape(structure),
-                           return_profile=return_profile)
+        return _morrey_sup(b, p_b, 1.0, structure, radii, return_profile=return_profile)
     return _mixed_morrey_sup(b, p_b, q_b, 1.0, structure, radii,
                              reversed_order=reversed_order,
                              return_profile=return_profile)

@@ -202,7 +202,7 @@ def _support_margin_warning(field, policy):
         )
 
 
-def apply_kernel(field, spec, structure=None):
+def apply_kernel(field, spec):
     """Discrete convolution with the requested kernel.
 
     Translation-invariant kinds use zero-padded FFT (linear); heat_resolvent

@@ -73,7 +73,7 @@ def _xaxes(grid, parabolic):
     return tuple(range(1, grid.dim)) if parabolic else tuple(range(grid.dim))
 
 
-def solve_laplace(f, lam, structure=None):
+def solve_laplace(f, lam):
     """u with Delta u - lam u + f = 0 on the periodic grid (spectral).
 
     lam > 0 required; lam = 0 is allowed for mean-zero f (the zero mode of

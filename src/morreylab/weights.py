@@ -16,7 +16,7 @@ import math
 import numpy as np
 
 from .grid import Field, ParabolicPower, RadialPower, lp_norm, singular_field
-from .maximal import BallFamily, _correlate, _member_measure, classical_maximal
+from .maximal import BallFamily, _correlate, _member_means, classical_maximal
 
 __all__ = [
     "Weight",
@@ -94,7 +94,7 @@ def parabolic_power_weight(grid, alpha):
     return Weight(f)
 
 
-def _dual_field(weight, p, structure):
+def _dual_field(weight, p):
     """The field w^{-1/(p-1)} with exact singular-cell masses when the
     closed form of w is known; pointwise powers otherwise."""
     grid = weight.grid
@@ -124,13 +124,10 @@ def _cube_half_cells(grid, structure, rho):
 def _cube_means(values, grid, structure, rho):
     half_cells = _cube_half_cells(grid, structure, rho)
     box = np.ones([2 * hc + 1 for hc in half_cells], dtype=bool)
-    dens = structure.density_on(grid) + np.zeros(grid.cells)
+    dens = structure.density_on(grid)
     inf_mask = ~np.isfinite(values)
     finite_vals = np.where(inf_mask, 0.0, values)
-    num = _correlate(finite_vals * dens, box, half_cells)
-    den = _member_measure(structure, dens, box, half_cells)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        avg = np.where(den > 0, num / den, 0.0)
+    avg, _ = _member_means(finite_vals * dens, dens, structure, box, half_cells)
     if inf_mask.any():
         hit = _correlate(inf_mask.astype(float), box, half_cells) > 0.5
         avg = np.where(hit, np.inf, avg)
@@ -168,7 +165,7 @@ def ap_constant(weight, p, structure, family=None, return_argmax=False):
         raise ValueError("p must be >= 1")
     family = _cube_family(structure, grid, family)
     wv = weight.field.values
-    dual = _dual_field(weight, p, structure) if p > 1 else None
+    dual = _dual_field(weight, p) if p > 1 else None
     best = 1.0
     arg = None
     for rho in family.radii:
@@ -202,7 +199,7 @@ def ainf_profile(weight, p, structure, family=None, n_pairs=400, seed=0):
     """
     grid = weight.grid
     rng = np.random.default_rng(seed)
-    dens = structure.density_on(grid) + np.zeros(grid.cells)
+    dens = structure.density_on(grid)
     wv = weight.field.values
     wmu = np.where(np.isfinite(wv), wv, 0.0) * dens
     ratios = []
@@ -303,7 +300,7 @@ def self_improve(weight, p, structure, family=None):
     (1 + eps)/(p - 1) = 1/(q - 1)."""
     if p <= 1:
         raise ValueError("self improvement needs p > 1")
-    dual = Weight(_dual_field(weight, p, structure))
+    dual = Weight(_dual_field(weight, p))
     eps, _ = reverse_holder(dual, p / (p - 1.0), structure, family)
     if eps == 0.0:
         import warnings
@@ -399,7 +396,7 @@ def jones_factorize(weight, p, structure, n_terms=24, family=None, seed=0):
     return w1, w2, s_norm
 
 
-def extrapolate_check(pairs, p, q, w_q, structure, probe_weights, family=None):
+def extrapolate_check(pairs, p, q, w_q, structure, probe_weights):
     """Rubio de Francia extrapolation transfer check.
 
     pairs: list of (f, g) Fields.  Verifies the hypothesis

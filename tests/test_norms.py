@@ -55,17 +55,6 @@ def test_morrey_scaling_law():
     assert lhs == pytest.approx(rhs, rel=1e-9)
 
 
-def test_center_restriction_equivalence():
-    # restricting sup centers to the inner ball changes nothing when the
-    # field is supported there
-    g = make_grid(2, 2.0, 128)
-    f = tf("bump", g, radius=0.5)
-    full = evaluate_norm(f, NormSpec("Epbr", p=2, beta=0.6, r=1.0), S2)
-    inner = evaluate_norm(f, NormSpec("Epbr", p=2, beta=0.6, r=1.0), S2,
-                          interior_only=True)
-    assert inner == pytest.approx(full, rel=1e-9)
-
-
 def test_advisory_above_threshold():
     g = make_grid(2, 1.0, 32)
     f = Field(g, np.ones(g.cells))
@@ -102,6 +91,39 @@ def test_drift_seminorm_inverse_distance_scale_invariant():
     vals = [drift_seminorm(b, 2.0, rho_b, S3) for rho_b in (0.25, 0.5, 1.0)]
     assert max(vals) / min(vals) < 1.05
     assert math.isfinite(vals[0])
+
+
+@pytest.mark.parametrize("reversed_order", [False, True])
+def test_drift_seminorm_with_a_density_matches_brute_force(reversed_order):
+    # every x-ball x t-window cylinder on a (1+1)-D grid with a non-uniform
+    # measure.  Standard order: the t-mean of the dens-weighted x-ball means
+    # of |b|^p, raised to q/p.  Reversed: the t-mean of |b|^q, raised to p/q,
+    # then its x-ball mean weighted by the density of the window's first row.
+    g = make_grid(2, (1.0, 1.0), (12, 12))
+    rng = np.random.default_rng(13)
+    dens = 0.5 + rng.random(g.cells)
+    s = make_structure(2, (2, 1), density=Field(g, dens))
+    b = Field(g, rng.standard_normal(g.cells))
+    p, q, radii = 2.0, 3.0, (0.25, 0.4, 0.6)
+    (nt, nx), (ht, hx) = g.cells, g.h
+    absb = np.abs(b.values)
+    want = 0.0
+    for rho in radii:
+        wlen = max(1, int(round(rho ** 2 / ht)))
+        for c in range(nx):
+            ball = ((np.arange(nx) - c) * hx) ** 2 < rho ** 2
+            for tau in range(nt - wlen + 1):
+                rows = slice(tau, tau + wlen)
+                if not reversed_order:
+                    x_means = ((absb[rows] ** p * dens[rows])[:, ball].sum(axis=1)
+                               / dens[rows][:, ball].sum(axis=1))
+                    val = (x_means ** (q / p)).mean() ** (1.0 / q)
+                else:
+                    t_means = (absb[rows] ** q).mean(axis=0) ** (p / q)
+                    val = ((t_means * dens[tau])[ball].sum() / dens[tau][ball].sum()) ** (1.0 / p)
+                want = max(want, rho * val)
+    got = drift_seminorm(b, p, 1.0, s, q_b=q, reversed_order=reversed_order, radii=radii)
+    assert got == pytest.approx(want, rel=1e-10)
 
 
 def test_cz_bump_drift_vs_lq():
@@ -369,7 +391,7 @@ def test_morrey_sup_shares_forward_spectra_across_radii(monkeypatch):
             shapes.append(tuple(maximal._fast_len(n + max(o, s - 1 - o))
                                 for n, s, o in zip(g.cells, stencil.shape, origin)))
     assert len(set(shapes)) < len(shapes)  # the case holds shared shapes
-    alone = [_morrey_sup(f, 2.0, 0.5, S2, [rho], "ball", return_profile=True)[1][0]
+    alone = [_morrey_sup(f, 2.0, 0.5, S2, [rho], return_profile=True)[1][0]
              for rho in radii]
     calls = []
     rfftn = np.fft.rfftn
@@ -379,7 +401,7 @@ def test_morrey_sup_shares_forward_spectra_across_radii(monkeypatch):
         return rfftn(a, *args, **kwargs)
 
     monkeypatch.setattr(np.fft, "rfftn", counting)
-    best, profile = _morrey_sup(f, 2.0, 0.5, S2, radii, "ball", return_profile=True)
+    best, profile = _morrey_sup(f, 2.0, 0.5, S2, radii, return_profile=True)
     assert len(calls) == len(set(shapes))
     assert profile == alone
     assert best == max(m for _, m in alone)
