@@ -261,7 +261,6 @@ def cmd_potential(args):
         spec = KernelSpec(**json.loads(args.kernel))
     f = _load_field(args.field)
     d = f.grid.dim
-    _require(spec.kind != "heat", "kernel heat: use heat_resolvent")
     if spec.kind == "riesz":
         _require(spec.alpha is not None and spec.alpha < d, f"riesz needs 0 < alpha < {d}")
     elif spec.kind == "newtonian":

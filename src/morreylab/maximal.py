@@ -27,7 +27,6 @@ __all__ = [
     "classical_maximal",
     "classical_sharp",
     "weighted_maximal",
-    "mixed_maximal_check",
 ]
 
 
@@ -503,23 +502,3 @@ def weighted_maximal(field, weight, structure, family=None):
     out[out == -np.inf] = 0.0
     return Field(grid, out)
 
-
-def mixed_maximal_check(field, structure, p, q, beta=None, family=None):
-    """Ratios ||M f|| / ||f|| in L_{p,q}, reversed L_{q,p}, and (optionally)
-    the homogeneous mixed Morrey norm of exponent beta.
-    """
-    from . import norms  # local import: norms builds on this module
-
-    mf = classical_maximal(field, structure, 0.0, family)
-    out = {}
-    for kind in ("Lpq", "Lqp_reversed"):
-        spec = norms.NormSpec(kind=kind, p=p, q=q)
-        nf = norms.evaluate_norm(field, spec, structure)
-        nmf = norms.evaluate_norm(mf, spec, structure)
-        out[kind] = nmf / nf if nf > 0 else math.inf
-    if beta is not None:
-        spec = norms.NormSpec(kind="EpqbDot", p=p, q=q, beta=beta)
-        nf = norms.evaluate_norm(field, spec, structure)
-        nmf = norms.evaluate_norm(mf, spec, structure)
-        out["EpqbDot"] = nmf / nf if nf > 0 else math.inf
-    return out

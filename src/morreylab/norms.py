@@ -1,5 +1,5 @@
 """Morrey, homogeneous Morrey, mixed and parabolic mixed Morrey norms, drift
-and BMO seminorms, and the Holder-type product inequality.
+and BMO seminorms.
 
 All sups over scales and centers run over the shared finite family
 discipline (geometric radii, every grid cell as a center, members clipped
@@ -24,7 +24,6 @@ __all__ = [
     "evaluate_norm",
     "drift_seminorm",
     "bmo_seminorms",
-    "morrey_product",
     "power_integrand",
     "mixed_norm",
 ]
@@ -105,15 +104,17 @@ def _morrey_sup(field, p, beta, structure, radii, return_profile=False):
 
 def mixed_norm(field, p, q, structure, reversed_order=False):
     """Global L_{p,q} (inner x with p, outer t with q) or reversed L_{q,p}
-    (inner t with q, outer x with p).  Axis 0 is t."""
+    (inner t with q, outer x with p).  Axis 0 is t; the structure's measure
+    density weighs the inner integrand, so p = q gives the L_p norm."""
     grid = field.grid
     ht = grid.h[0]
     volx = grid.cell_volume / ht
     v = np.abs(field.values)
+    dens = structure.density_on(grid)
     if not reversed_order:
-        inner = (v ** p).sum(axis=tuple(range(1, grid.dim))) * volx
+        inner = (v ** p * dens).sum(axis=tuple(range(1, grid.dim))) * volx
         return float(((inner ** (q / p)).sum() * ht) ** (1.0 / q))
-    inner = (v ** q).sum(axis=0) * ht
+    inner = (v ** q * dens).sum(axis=0) * ht
     return float(((inner ** (p / q)).sum() * volx) ** (1.0 / p))
 
 
@@ -270,26 +271,3 @@ def bmo_seminorms(a_entries, rho, structure, stride=4):
                 sharpsharp = max(sharpsharp, float((_window_sums(dev, wlen) / wlen).max()))
     return sharp, sharpsharp
 
-
-def morrey_product(f, g, p, beta, structure, p0=None, s=None, homogeneous=True):
-    """Holder-type Morrey product bound:
-
-        ||f g||_{E_{p,beta}} <= ||f||_{E_{p0,1}} ||g||_{E_{s,beta-1}}
-
-    with p0 = beta p and s = p0/(p0 - p) so that p0 = s (beta - 1).
-    Returns (lhs, norm_f, norm_g).
-    """
-    if beta <= 1:
-        raise ValueError("need beta > 1")
-    if p0 is None:
-        p0 = beta * p
-    if s is None:
-        s = p * p0 / (p0 - p)
-    if abs(p0 - s * (beta - 1.0)) > 1e-9 * p0:
-        raise ValueError("exponent relation p0 = beta p = s (beta - 1) violated")
-    kind = "EpbDot" if homogeneous else "Epbr"
-    prod = Field(f.grid, f.values * g.values, list(f.singular) + list(g.singular))
-    n_fg = evaluate_norm(prod, NormSpec(kind, p=p, beta=beta), structure)
-    n_f = evaluate_norm(f, NormSpec(kind, p=p0, beta=1.0), structure)
-    n_g = evaluate_norm(g, NormSpec(kind, p=s, beta=beta - 1.0), structure)
-    return n_fg, n_f, n_g

@@ -41,7 +41,7 @@ __all__ = [
 class KernelSpec:
     """Which kernel plus its parameters and the truncation policy."""
 
-    kind: str  # riesz | newtonian | elliptic_resolvent | heat | heat_resolvent
+    kind: str  # riesz | newtonian | elliptic_resolvent | heat_resolvent
     #          | parabolic | parabolic_conjugate | at_kernel
     alpha: float = None
     k: float = 4.0
@@ -50,8 +50,8 @@ class KernelSpec:
     policy: str = "linear"  # linear (zero-padded) | periodic
 
     def __post_init__(self):
-        kinds = ("riesz", "newtonian", "elliptic_resolvent", "heat",
-                 "heat_resolvent", "parabolic", "parabolic_conjugate", "at_kernel")
+        kinds = ("riesz", "newtonian", "elliptic_resolvent", "heat_resolvent",
+                 "parabolic", "parabolic_conjugate", "at_kernel")
         if self.kind not in kinds:
             raise ValueError(f"unknown kernel kind {self.kind!r}")
         if self.kind == "riesz" and self.alpha is not None and self.alpha <= 0:
@@ -223,8 +223,6 @@ def apply_kernel(field, spec):
         ker = newtonian_kernel_array(grid)
     elif spec.kind == "elliptic_resolvent":
         ker = elliptic_resolvent_kernel(grid, spec.lam)
-    elif spec.kind == "heat":
-        raise ValueError("use heat_resolvent (time-ordered) or heat_kernel_array")
     else:
         raise AssertionError
     if spec.policy == "periodic":

@@ -42,37 +42,11 @@ def _gaussian(grid, sigma=1.0, center=None, amp=1.0):
     return f
 
 
-def _gaussian_grad_sq(grid, sigma=1.0, amp=1.0):
-    """|D gaussian|^2 sampled from the closed form."""
-    r = grid.radius()
-    g = amp * np.exp(-(r ** 2) / (2.0 * sigma ** 2))
-    return Field(grid, (r / sigma ** 2) ** 2 * g ** 2)
-
-
 def _bump(grid, radius=1.0, center=None, amp=1.0):
     r = grid.radius(center) / radius
     vals = np.zeros(grid.cells)
     inside = r < 1.0
     vals[inside] = amp * np.exp(-1.0 / (1.0 - r[inside] ** 2))
-    return Field(grid, vals)
-
-
-def _bump_grad_sq(grid, radius=1.0, amp=1.0):
-    r = grid.radius() / radius
-    vals = np.zeros(grid.cells)
-    inside = r < 1.0
-    ri = r[inside]
-    g = np.exp(-1.0 / (1.0 - ri ** 2))
-    dg = g * (-2.0 * ri / (1.0 - ri ** 2) ** 2) / radius
-    vals[inside] = (amp * dg) ** 2
-    return Field(grid, vals)
-
-
-def _trig(grid, k):
-    xs = grid.mesh()
-    vals = np.ones(grid.cells)
-    for i, ki in enumerate(k):
-        vals = vals * np.cos(np.pi * ki * xs[i] / grid.half_extent[i])
     return Field(grid, vals)
 
 
@@ -277,42 +251,24 @@ def _mollified_power(grid, gamma, eps):
     return Field(grid, (r ** 2 + eps ** 2) ** (-gamma / 2.0))
 
 
-TEST_FUNCTION_IDS = (
-    "power",
-    "gaussian",
-    "gaussian_grad_sq",
-    "bump",
-    "bump_grad_sq",
-    "trig",
-    "random_band",
-    "cz_bump",
-    "kappa_ridge",
-    "exp_drift_pair",
-    "parab_sing",
-    "lqp_vs_lpq",
-    "cylinder_slab",
-    "mollified_power",
-)
+_TABLE = {
+    "power": _power,
+    "gaussian": _gaussian,
+    "bump": _bump,
+    "random_band": _random_band,
+    "cz_bump": _cz_bump,
+    "kappa_ridge": _kappa_ridge,
+    "exp_drift_pair": _exp_drift_pair,
+    "parab_sing": _parab_sing,
+    "lqp_vs_lpq": _lqp_vs_lpq,
+    "cylinder_slab": _cylinder_slab,
+    "mollified_power": _mollified_power,
+}
+TEST_FUNCTION_IDS = tuple(_TABLE)
 
 
 def test_function(name, grid, **params):
     """Dispatch into the library; unknown ids raise ValueError."""
-    table = {
-        "power": _power,
-        "gaussian": _gaussian,
-        "gaussian_grad_sq": _gaussian_grad_sq,
-        "bump": _bump,
-        "bump_grad_sq": _bump_grad_sq,
-        "trig": _trig,
-        "random_band": _random_band,
-        "cz_bump": _cz_bump,
-        "kappa_ridge": _kappa_ridge,
-        "exp_drift_pair": _exp_drift_pair,
-        "parab_sing": _parab_sing,
-        "lqp_vs_lpq": _lqp_vs_lpq,
-        "cylinder_slab": _cylinder_slab,
-        "mollified_power": _mollified_power,
-    }
-    if name not in table:
+    if name not in _TABLE:
         raise ValueError(f"unknown test function {name!r}; known: {TEST_FUNCTION_IDS}")
-    return table[name](grid, **params)
+    return _TABLE[name](grid, **params)

@@ -326,6 +326,29 @@ def _estimate_op_norm(op, shape, norm, n_iter=6, seed=0, inflate=1.2):
     return max(est, 1.0) * inflate
 
 
+def _rdf_series(op, start, exponent, weight, structure, n_terms, seed):
+    """sum_n op^n(start) / (2 ||op||)^n with ||op|| estimated in L_exponent(w).
+
+    Raises RdfDivergence once a partial sum exceeds 4 ||start||.
+    Returns (sum, op_norm_estimate).
+    """
+
+    def pnorm(u):
+        return lp_norm(Field(weight.grid, u), exponent, structure=structure,
+                       weight=weight.field)
+
+    op_norm = _estimate_op_norm(op, start.shape, pnorm, seed=seed)
+    term = start
+    v = term.copy()
+    nf = pnorm(term)
+    for _ in range(1, n_terms):
+        term = op(term) / (2.0 * op_norm)
+        v = v + term
+        if pnorm(v) > 4.0 * nf:
+            raise RdfDivergence(op_norm)
+    return v, op_norm
+
+
 def rdf_iterate(f, weight, p_prime, structure, n_terms=24, family=None, seed=0):
     """Rubio de Francia majorant v = sum_n T^n f / (2^n ||T||^n) with
     T u = w^{-1} M(u w); guarantees f <= v, ||v|| <= 2 ||f||, and
@@ -337,24 +360,13 @@ def rdf_iterate(f, weight, p_prime, structure, n_terms=24, family=None, seed=0):
     wv = weight.field.values
     if family is None:
         family = BallFamily.for_structure(structure, grid, shape="cube", density=6.0)
+    fam = BallFamily(family.radii, "cube", family.density)
 
     def T(u):
-        uw = Field(grid, np.abs(u) * wv)
-        return classical_maximal(uw, structure, 0.0,
-                                 BallFamily(family.radii, "cube", family.density)).values / wv
+        return classical_maximal(Field(grid, np.abs(u) * wv), structure, 0.0, fam).values / wv
 
-    def pnorm(u):
-        return lp_norm(Field(grid, u), p_prime, structure=structure, weight=weight.field)
-
-    t_norm = _estimate_op_norm(T, grid.cells, pnorm, seed=seed)
-    term = np.abs(f.values).astype(float)
-    v = term.copy()
-    nf = pnorm(term)
-    for n in range(1, n_terms):
-        term = T(term) / (2.0 * t_norm)
-        v = v + term
-        if pnorm(v) > 4.0 * nf:
-            raise RdfDivergence(t_norm)
+    v, t_norm = _rdf_series(T, np.abs(f.values).astype(float), p_prime, weight, structure,
+                            n_terms, seed)
     return Field(grid, v), t_norm
 
 
@@ -371,7 +383,6 @@ def jones_factorize(weight, p, structure, n_terms=24, family=None, seed=0):
     if family is None:
         family = BallFamily.for_structure(structure, grid, shape="cube", density=6.0)
     fam = BallFamily(family.radii, "cube", family.density)
-    pp = p / (p - 1.0)
 
     def S(u):
         t1 = classical_maximal(Field(grid, np.abs(u) * wv), structure, 0.0, fam).values / wv
@@ -379,18 +390,8 @@ def jones_factorize(weight, p, structure, n_terms=24, family=None, seed=0):
                                fam).values ** (p - 1)
         return t1 + t2
 
-    def pnorm(u):
-        return lp_norm(Field(grid, u), pp, structure=structure, weight=weight.field)
-
-    s_norm = _estimate_op_norm(S, grid.cells, pnorm, seed=seed)
-    term = np.ones(grid.cells)
-    v = term.copy()
-    nf = pnorm(term)
-    for _ in range(1, n_terms):
-        term = S(term) / (2.0 * s_norm)
-        v = v + term
-        if pnorm(v) > 4.0 * nf:
-            raise RdfDivergence(s_norm)
+    v, s_norm = _rdf_series(S, np.ones(grid.cells), p / (p - 1.0), weight, structure,
+                            n_terms, seed)
     w2 = Field(grid, v * wv)
     w1 = Field(grid, v ** (1.0 / (p - 1.0)))
     return w1, w2, s_norm

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import pkgutil
 import runpy
 import subprocess
 import sys
@@ -8,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+import morreylab
 from morreylab.checks import CheckConfig, list_checks, run_check, run_suite
 from morreylab.checks.report import REGISTRY, load_all_checks
 
@@ -356,6 +358,7 @@ def test_cli_config_errors_exit_2(tmp_path):
         ["norm", "--spec", json.dumps({"kind": "Lp", "p": 2.0}), "--function", "nope"],
         ["potential", "--kernel", json.dumps({"kind": "riesz", "alpha": 1.5}),
          "--field", f, "--out", f],
+        ["potential", "--kernel", json.dumps({"kind": "heat"}), "--field", f, "--out", f],
         ["solve", "--op", json.dumps({"kind": "laplace"}), "--rhs", f, "--out", f],
         ["solve", "--op", json.dumps({"kind": "wave"}), "--rhs", f, "--out", f],
     ]
@@ -364,6 +367,17 @@ def test_cli_config_errors_exit_2(tmp_path):
             main(argv)
         assert info.value.code == 2, argv
     assert np.array_equal(np.fromfile(tmp_path / "f.f64"), g.axis(0))  # nothing overwrote it
+
+
+MODULES = ["morreylab"] + [m.name for m in pkgutil.walk_packages(morreylab.__path__,
+                                                                  "morreylab.")]
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_star_import(module):
+    # every name in a module's __all__ must exist: a deleted function whose
+    # name stayed in __all__ fails here
+    exec(f"from {module} import *", {})
 
 
 DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))

@@ -10,7 +10,6 @@ from morreylab.maximal import (
     classical_maximal,
     classical_sharp,
     member_averages,
-    mixed_maximal_check,
     weighted_maximal,
 )
 from morreylab.weights import power_weight
@@ -130,19 +129,6 @@ def test_muckenhoupt_weighted_bound():
         m = classical_maximal(f, S1)
         worst = max(worst, lp_norm(m, 2, weight=w.field) / lp_norm(f, 2, weight=w.field))
     assert worst < 4.0
-
-
-def test_mixed_maximal_ratios():
-    s = make_structure(2, (2, 1))
-    g = make_grid(2, (1.0, 1.0), (64, 64))
-    c = Field(g, np.ones(g.cells))
-    out = mixed_maximal_check(c, s, 2.0, 3.0)
-    assert out["Lpq"] == pytest.approx(1.0, abs=1e-9)
-    assert out["Lqp_reversed"] == pytest.approx(1.0, abs=1e-9)
-    rng = np.random.default_rng(7)
-    f = Field(g, rng.random(g.cells))
-    out = mixed_maximal_check(f, s, 2.0, 3.0, beta=1.0)
-    assert all(math.isfinite(v) and v < 10 for v in out.values())
 
 
 def test_sublinearity_exact():

@@ -11,8 +11,8 @@ from morreylab.norms import (
     drift_seminorm,
     evaluate_norm,
     mixed_norm,
-    morrey_product,
 )
+from morreylab.testfunctions import TEST_FUNCTION_IDS
 from morreylab.testfunctions import test_function as tf
 
 S1 = make_structure(1, (1,))
@@ -76,6 +76,31 @@ def test_mixed_norm_matches_lp_when_equal_exponents():
     rng = np.random.default_rng(0)
     f = Field(g, rng.random(g.cells))
     assert mixed_norm(f, 2.0, 2.0, SP) == pytest.approx(lp_norm(f, 2.0), rel=1e-12)
+
+
+@pytest.mark.parametrize("reversed_order", [False, True])
+def test_mixed_norm_weighs_the_measure(reversed_order):
+    g = make_grid(2, (1.0, 1.0), (12, 12))
+    rng = np.random.default_rng(1)
+    dens = 0.5 + rng.random(g.cells)
+    s = make_structure(2, (2, 1), density=Field(g, dens))
+    f = Field(g, rng.random(g.cells))
+    ht, hx = g.h
+    for p, q in ((2.0, 2.0), (1.5, 3.0)):
+        # iterated integrals cell by cell: the density weighs the inner one
+        if not reversed_order:
+            inner = [sum(f.values[i, j] ** p * dens[i, j] * hx for j in range(12))
+                     for i in range(12)]
+            want = sum(v ** (q / p) * ht for v in inner) ** (1.0 / q)
+        else:
+            inner = [sum(f.values[i, j] ** q * dens[i, j] * ht for i in range(12))
+                     for j in range(12)]
+            want = sum(v ** (p / q) * hx for v in inner) ** (1.0 / p)
+        got = mixed_norm(f, p, q, s, reversed_order=reversed_order)
+        assert got == pytest.approx(want, rel=1e-12)
+    kind = "Lqp_reversed" if reversed_order else "Lpq"
+    assert evaluate_norm(f, NormSpec(kind, p=2.0, q=2.0), s) == pytest.approx(
+        evaluate_norm(f, NormSpec("Lp", p=2.0), s), rel=1e-12)
 
 
 def test_drift_seminorm_constant():
@@ -214,8 +239,17 @@ def test_test_function_power_zero_gamma():
 
 def test_test_function_unknown_id():
     g = make_grid(1, 1.0, 16)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as info:
         tf("nope", g)
+    assert str(info.value).endswith(f"known: {TEST_FUNCTION_IDS}")
+
+
+def test_test_function_ids_are_dispatched():
+    g = make_grid(3, 1.0, 8)
+    params = {"power": {"gamma": 1.0}, "kappa_ridge": {"kappa": 0.2, "beta": 1.0},
+              "lqp_vs_lpq": {"p0": 2.0}, "mollified_power": {"gamma": 1.0, "eps": 0.1}}
+    for name in TEST_FUNCTION_IDS:
+        tf(name, g, **params.get(name, {}))
 
 
 def test_exp_drift_pair_residual_vanishes():
@@ -253,41 +287,6 @@ def test_cylinder_slab_classification():
     fin = evaluate_norm(b, NormSpec("Epbr", p=1.5, beta=1.0, r=1.0), S3)
     assert math.isfinite(fin)
     assert not math.isfinite(lp_norm(b, 2.0))
-
-
-def test_morrey_product_constant():
-    g = make_grid(2, 1.0, 64)
-    f = Field(g, np.ones(g.cells))
-    rng = np.random.default_rng(1)
-    h = Field(g, rng.random(g.cells))
-    n_fg, n_f, n_g = morrey_product(f, h, p=1.2, beta=1.5, structure=S2)
-    assert n_fg <= n_f * n_g * (1 + 1e-9)
-
-
-def test_morrey_product_singular_pair():
-    g = make_grid(3, 1.5, 48)
-    beta, p = 1.5, 4.0 / 3.0
-    f = tf("power", g, gamma=1.0)
-    h = tf("bump", g, radius=1.0)
-    n_fg, n_f, n_g = morrey_product(f, h, p=p, beta=beta, structure=S3)
-    assert n_fg <= n_f * n_g * (1 + 1e-9)
-
-
-def test_morrey_product_random_seeds():
-    g = make_grid(2, 1.0, 64)
-    for seed in range(20):
-        rng = np.random.default_rng(seed)
-        f = Field(g, rng.random(g.cells))
-        h = Field(g, rng.random(g.cells))
-        n_fg, n_f, n_g = morrey_product(f, h, p=1.2, beta=1.5, structure=S2)
-        assert n_fg <= n_f * n_g * (1 + 1e-9)
-
-
-def test_morrey_product_exponent_mismatch():
-    g = make_grid(2, 1.0, 32)
-    f = Field(g, np.ones(g.cells))
-    with pytest.raises(ValueError):
-        morrey_product(f, f, p=1.2, beta=1.5, structure=S2, p0=2.0, s=2.0)
 
 
 def test_comparability_across_scale_caps():

@@ -36,6 +36,12 @@ def test_riesz_alpha_validation():
         KernelSpec("riesz", alpha=-1.0)
 
 
+def test_kernel_kinds_exclude_heat():
+    # the heat kernel is applied through heat_resolvent, never by apply_kernel
+    with pytest.raises(ValueError, match="unknown kernel kind"):
+        KernelSpec("heat")
+
+
 def test_newtonian_constant_3d():
     assert newtonian_constant(3) == pytest.approx(1.0 / (4.0 * math.pi), rel=1e-12)
 
