@@ -12,6 +12,7 @@ the truncation radius accept the grid so callers can sweep it.
 from __future__ import annotations
 
 import copy
+import functools
 import json
 import math
 from dataclasses import dataclass, field as dfield
@@ -438,7 +439,10 @@ class Structure:
         return self.measure_density.values
 
 
+@functools.lru_cache(maxsize=64)
 def _solve_nu0(anisotropy):
+    """The nu0 > 0 with sum nu0^(-2 k_i) = 4, by bisection; memoized by the
+    int anisotropy tuple."""
     ks = np.asarray(anisotropy, dtype=float)
 
     def f(nu):

@@ -87,7 +87,7 @@ def member_offsets(grid, structure, rho, shape):
 
 # Entries of the stencil table: a fixed bound keeps it small whatever the run.
 _STENCIL_TABLE_SIZE = 128
-# id(stencil) -> _fill_spans(stencil) for every stencil the table built; an
+# id(stencil) -> _fill_spans(stencil) for every stencil a table built; an
 # entry is dropped when its stencil is freed, so an id here is never stale.
 _FILL_SPANS = {}
 
@@ -137,12 +137,25 @@ def _member_stencil(hs, ks, nu0, rho, shape):
     return _frozen(mask), origin
 
 
+@functools.lru_cache(maxsize=_STENCIL_TABLE_SIZE)
+def _box_stencil(half_cells):
+    """The full box of 2 h_i + 1 cells per axis, centred: (stencil, origin),
+    read-only and shared from a bounded table keyed by the half widths."""
+    return _frozen(np.ones([2 * h + 1 for h in half_cells], dtype=bool)), tuple(half_cells)
+
+
 def _frozen(mask):
     """Make a table stencil read-only and record its fill spans."""
     mask.flags.writeable = False
     _FILL_SPANS[id(mask)] = _fill_spans(mask)
-    weakref.finalize(mask, _FILL_SPANS.pop, id(mask), None)
+    weakref.finalize(mask, _forget, id(mask))
     return mask
+
+
+def _forget(key):
+    """Drop what the tables hold under the id of a freed stencil."""
+    _FILL_SPANS.pop(key, None)
+    _COUNTS.drop(key)
 
 
 def _fill_spans(stencil):
@@ -265,16 +278,30 @@ def _max_filter(values, footprint, origin):
     return out
 
 
-def _prefix_diff(arr, ax, lo, w):
-    """d[i] = sum of arr[lo[i]:lo[i] + w] along axis ax, the range clipped to
-    [0, n], from one summed-area table step in the dtype np.cumsum gives."""
-    n, lead = arr.shape[ax], (slice(None),) * ax
-    c = np.empty(arr.shape[:ax] + (n + 1,) + arr.shape[ax + 1:],
+def _prefix_diff(arr, ax, lo, w, n, step=1):
+    """d[i] = sum of arr[j:j + w] along axis ax, j = lo + step * i for i < n
+    (step 1 or -1), each range clipped to [0, m], from one summed-area table
+    step in the dtype np.cumsum gives.
+
+    The table c (c[k] = sum of the first k of the m cells) is extended past
+    each end by copies of c[0] and c[m], as far as the windows reach (at
+    most n), so both ends of every window are plain slices of it, read
+    backwards when step is -1.
+    """
+    m, lead = arr.shape[ax], (slice(None),) * ax
+    first = lo if step > 0 else lo - n + 1  # the smallest window start
+    # a start below -n or past m reads the same ends as one at -n or m
+    a, b = (min(max(j, -n), m) for j in (first, first + w))
+    pre, post = max(0, -a), max(0, b + n - 1 - m)
+    c = np.empty(arr.shape[:ax] + (pre + m + 1 + post,) + arr.shape[ax + 1:],
                  arr.dtype if arr.dtype.kind == "f" else np.cumsum(arr[:0]).dtype)
-    c[lead + (0,)] = 0  # c[k] = sum of the first k cells
-    np.cumsum(arr, axis=ax, out=c[lead + (slice(1, None),)])
-    return (np.take(c, np.minimum(np.maximum(lo + w, 0), n), axis=ax)
-            - np.take(c, np.minimum(np.maximum(lo, 0), n), axis=ax))
+    c[lead + (slice(None, pre + 1),)] = 0
+    np.cumsum(arr, axis=ax, out=c[lead + (slice(pre + 1, pre + m + 1),)])
+    c[lead + (slice(pre + m + 1, None),)] = c[lead + (slice(pre + m, pre + m + 1),)]
+    ends, starts = (c[lead + (slice(pre + j, pre + j + n),)] for j in (b, a))
+    if step < 0:
+        ends, starts = np.flip(ends, ax), np.flip(starts, ax)
+    return ends - starts
 
 
 def _box_sum(values, bounds):
@@ -285,8 +312,55 @@ def _box_sum(values, bounds):
     for ax, (lo, hi) in enumerate(bounds):
         if lo == hi == 0:
             continue
-        out = _prefix_diff(out, ax, np.arange(out.shape[ax]) + lo, hi - lo + 1)
+        out = _prefix_diff(out, ax, lo, hi - lo + 1, out.shape[ax])
     return out
+
+
+class _CountTable:
+    """Bounded table of the uniform member counts of table stencils.
+
+    Keyed by (id(stencil), origin, cells) like _FILL_SPANS, so only a live
+    table stencil has entries, and _forget drops them when it is freed.
+    Counts above `entry_bytes` are never stored; past `total_bytes` the
+    least recently used go first.  Stored counts are read-only.
+    """
+
+    def __init__(self, entry_bytes, total_bytes):
+        self.entry_bytes, self.total_bytes, self.nbytes = entry_bytes, total_bytes, 0
+        self.counts = {}  # key -> count, least recently used first
+        self.keys = {}  # id(stencil) -> its keys in counts
+
+    def get(self, stencil, origin, cells):
+        key = (id(stencil), tuple(origin), tuple(cells))
+        if key[0] not in _FILL_SPANS:
+            return _stencil_count(stencil, origin, cells)
+        count = self.counts.pop(key, None)
+        if count is None:
+            count = _stencil_count(stencil, origin, cells)
+            if count.nbytes > self.entry_bytes:
+                return count
+            count.flags.writeable = False
+            self.nbytes += count.nbytes
+            self.keys.setdefault(key[0], set()).add(key)
+        self.counts[key] = count
+        while self.nbytes > self.total_bytes:
+            self._pop(next(iter(self.counts)))
+        return count
+
+    def _pop(self, key):
+        self.nbytes -= self.counts.pop(key).nbytes
+        keys = self.keys[key[0]]
+        keys.discard(key)
+        if not keys:
+            del self.keys[key[0]]
+
+    def drop(self, sid):
+        for key in self.keys.pop(sid, ()):
+            self.nbytes -= self.counts.pop(key).nbytes
+
+
+# Bounds of the count table: small counts only, so it stays within ~1 MB.
+_COUNTS = _CountTable(entry_bytes=64 * 1024, total_bytes=1024 * 1024)
 
 
 def _stencil_count(stencil, origin, cells):
@@ -299,7 +373,7 @@ def _stencil_count(stencil, origin, cells):
     """
     out = stencil.astype(float)
     for ax, (o, n) in enumerate(zip(origin, cells)):
-        out = _prefix_diff(out, ax, o - np.arange(n), n)
+        out = _prefix_diff(out, ax, o, n, n, step=-1)
     return out
 
 
@@ -312,10 +386,12 @@ def _member_means(weighted, dens, structure, stencil, origin, forward=None):
     in _correlate; the count carries none and broadcasts over them.  An
     empty member has mean 0."""
     num = _correlate(weighted, stencil, origin, forward)
-    if structure.uniform:
-        den = _stencil_count(stencil, origin, weighted.shape[weighted.ndim - stencil.ndim:])
-    else:
+    if not structure.uniform:
         den = _correlate(dens, stencil, origin)
+    else:
+        den = _COUNTS.get(stencil, origin, weighted.shape[weighted.ndim - stencil.ndim:])
+        if stencil[tuple(origin)]:  # every member holds its anchor cell: den >= 1
+            return num / den, den
     with np.errstate(invalid="ignore", divide="ignore"):
         return np.where(den > 0, num / den, 0.0), den
 
@@ -347,7 +423,7 @@ def _mean_oscillation(values, dens, stencil, origin, strides):
     gw = members(values)
     # the uniform measure is the in-domain indicator; its mass is the count
     mw = members(np.ones(values.shape, dtype=bool) if dens is None else dens)
-    count = _stencil_count(stencil, origin, values.shape)[lattice] if dens is None else None
+    count = _COUNTS.get(stencil, origin, values.shape)[lattice] if dens is None else None
     out = np.empty(gw.shape[:values.ndim])
     # A block is a run of lattice points along axis k, with the axes before k
     # fixed and those after it whole: k is the first axis whose trailing

@@ -89,12 +89,13 @@ def _morrey_sup(field, p, beta, structure, radii, return_profile=False):
     profile = []
     for rho in radii:
         stencil, origin = member_offsets(grid, structure, rho, shape)
-        s, _ = _member_means(arr, dens, structure, stencil, origin, arr_fwd)
-        val = rho ** beta * np.maximum(s, 0.0) ** (1.0 / p)
-        if mask is not None:
-            hit = _correlate(mask, stencil, origin, mask_fwd) > 0.5
-            val = np.where(hit, np.inf, val)
-        m = float(val.max())
+        if mask is not None and (_correlate(mask, stencil, origin, mask_fwd) > 0.5).any():
+            m = np.inf  # some member holds a divergent cell
+        else:
+            s, _ = _member_means(arr, dens, structure, stencil, origin, arr_fwd)
+            # the scale is monotone, so the largest mean gives the largest value
+            top = np.maximum(s.max(keepdims=True), 0.0)
+            m = (rho ** beta * top ** (1.0 / p)).item()
         profile.append((rho, m))
         best = max(best, m)
     if return_profile:

@@ -16,7 +16,7 @@ import math
 import numpy as np
 
 from .grid import Field, ParabolicPower, RadialPower, lp_norm, singular_field
-from .maximal import BallFamily, _correlate, _member_means, classical_maximal
+from .maximal import BallFamily, _box_stencil, _correlate, _member_means, classical_maximal
 
 __all__ = [
     "Weight",
@@ -122,14 +122,13 @@ def _cube_half_cells(grid, structure, rho):
 
 
 def _cube_means(values, grid, structure, rho):
-    half_cells = _cube_half_cells(grid, structure, rho)
-    box = np.ones([2 * hc + 1 for hc in half_cells], dtype=bool)
+    box, origin = _box_stencil(tuple(_cube_half_cells(grid, structure, rho)))
     dens = structure.density_on(grid)
     inf_mask = ~np.isfinite(values)
     finite_vals = np.where(inf_mask, 0.0, values)
-    avg, _ = _member_means(finite_vals * dens, dens, structure, box, half_cells)
+    avg, _ = _member_means(finite_vals * dens, dens, structure, box, origin)
     if inf_mask.any():
-        hit = _correlate(inf_mask.astype(float), box, half_cells) > 0.5
+        hit = _correlate(inf_mask.astype(float), box, origin) > 0.5
         avg = np.where(hit, np.inf, avg)
     return avg
 

@@ -2,9 +2,10 @@
 member-sum correlation (box prefix sums or FFT, chosen from the stencil), the
 one FFT correlation behind it and behind every convolution of potentials and
 grid.mollify, its fast transform lengths, the exact uniform member measure,
-the stencil table, the chunked mean-oscillation gather and the max filter
+the stencil table and its bounded count table, the chunked mean-oscillation gather and the max filter
 behind the scatter of member values."""
 
+import gc
 import warnings
 
 import numpy as np
@@ -18,6 +19,7 @@ from morreylab import maximal
 from morreylab.grid import Field, make_grid, make_structure, mollifier_kernel, mollify
 from morreylab.maximal import (
     BallFamily,
+    _box_stencil,
     _box_sum,
     _correlate,
     _centred,
@@ -26,6 +28,7 @@ from morreylab.maximal import (
     _fill_spans,
     _max_filter,
     _mean_oscillation,
+    _member_means,
     _stencil_count,
     classical_maximal,
     classical_sharp,
@@ -354,6 +357,90 @@ def test_stencil_count_is_bit_identical_to_pad_and_clip(case):
     stencil, origin, cells = case
     assert np.array_equal(_stencil_count(stencil, origin, cells),
                           pad_clip_stencil_count(stencil, origin, cells))
+
+
+@settings(max_examples=200, deadline=None)
+@given(member_stencils())
+def test_table_counts_are_bit_identical_and_read_only(case):
+    # a count from the table is the pad-and-clip count, stored once, read-only
+    stencil, origin, cells = case
+    count = maximal._COUNTS.get(stencil, origin, cells)
+    assert np.array_equal(count, pad_clip_stencil_count(stencil, origin, cells))
+    assert not count.flags.writeable
+    assert maximal._COUNTS.get(stencil, origin, cells) is count
+
+
+def test_count_table_never_exceeds_its_byte_bound():
+    # a private table with small bounds; the stencils stay alive throughout
+    table = maximal._CountTable(entry_bytes=8 * 64, total_bytes=8 * 200)
+    g, s = make_grid(1, 1.0, 48), make_structure(1, (1,))
+    stencils = [member_offsets(g, s, rho, "ball") for rho in np.linspace(0.1, 0.9, 12)]
+    for stencil, origin in stencils:
+        for n in (16, 24, 40, 80):  # 80 cells is past the entry bound
+            count = table.get(stencil, origin, (n,))
+            assert np.array_equal(count, pad_clip_stencil_count(stencil, origin, (n,)))
+            assert table.nbytes == sum(c.nbytes for c in table.counts.values())
+            assert table.nbytes <= table.total_bytes
+            assert all(c.nbytes <= table.entry_bytes for c in table.counts.values())
+    assert table.counts  # the table did store counts
+    # the least recently used went first: the last count asked for is kept
+    stencil, origin = stencils[-1]
+    assert table.get(stencil, origin, (40,)) is table.get(stencil, origin, (40,))
+
+
+def test_count_table_entry_goes_when_its_stencil_is_freed():
+    stencil = maximal._frozen(np.ones((3, 5), dtype=bool))
+    key = id(stencil)
+    maximal._COUNTS.get(stencil, (1, 2), (8, 8))
+    maximal._COUNTS.get(stencil, (1, 2), (6, 10))
+    assert sum(k[0] == key for k in maximal._COUNTS.counts) == 2
+    before = maximal._COUNTS.nbytes
+    del stencil
+    gc.collect()
+    assert not any(k[0] == key for k in maximal._COUNTS.counts)
+    assert key not in maximal._COUNTS.keys and key not in maximal._FILL_SPANS
+    assert maximal._COUNTS.nbytes == before - 8 * 8 * 8 - 6 * 10 * 8
+    # a stencil from no table is counted but never stored
+    loose = np.ones((3, 3), dtype=bool)
+    assert maximal._COUNTS.get(loose, (1, 1), (4, 4)).flags.writeable
+    assert not any(k[0] == id(loose) for k in maximal._COUNTS.counts)
+
+
+def test_cube_boxes_come_from_the_table_with_fill_spans(monkeypatch):
+    from morreylab import weights
+
+    box, origin = _box_stencil((2, 3))
+    assert _box_stencil((2, 3))[0] is box and origin == (2, 3)
+    assert not box.flags.writeable and box.all() and box.shape == (5, 7)
+    assert maximal._FILL_SPANS[id(box)] == ((0, 4), (0, 6))
+    # every cube mean of weights reads a table box, whose spans are recorded
+    seen = []
+
+    def spying(weighted, dens, structure, stencil, origin, forward=None):
+        seen.append(maximal._FILL_SPANS.get(id(stencil)))
+        return _member_means(weighted, dens, structure, stencil, origin, forward)
+
+    monkeypatch.setattr(weights, "_member_means", spying)
+    g, s = make_grid(2, 1.0, 16), make_structure(2, (1, 1))
+    w = weights.power_weight(g, 0.5)
+    weights.ap_constant(w, 2.0, s)
+    assert seen and all(spans is not None for spans in seen)
+
+
+@settings(max_examples=100, deadline=None)
+@given(member_stencils(), st.integers(0, 2 ** 32 - 1))
+def test_direct_division_is_bit_identical_to_the_where_path(case, seed):
+    # a member stencil holds its origin, so the uniform count is >= 1 and
+    # num / den needs no np.where guard
+    stencil, origin, cells = case
+    assert stencil[origin]
+    values = np.random.default_rng(seed).standard_normal(cells)
+    structure = make_structure(len(cells), (1,) * len(cells))
+    means, den = _member_means(values, None, structure, stencil, origin)
+    num, count = _correlate(values, stencil, origin), _stencil_count(stencil, origin, cells)
+    assert np.array_equal(den, count) and den.min() >= 1
+    with np.errstate(invalid="ignore", divide="ignore"):
+        assert np.array_equal(means, np.where(count > 0, num / count, 0.0))
 
 
 @st.composite

@@ -404,3 +404,31 @@ def test_morrey_sup_shares_forward_spectra_across_radii(monkeypatch):
     assert len(calls) == len(set(shapes))
     assert profile == alone
     assert best == max(m for _, m in alone)
+
+
+@pytest.mark.parametrize("p, beta", [(1.0, 0.0), (2.0, 0.5), (3.0, 1.5), (1.5, 2.0)])
+def test_morrey_sup_scales_only_the_largest_mean(p, beta):
+    # the sup applies rho^beta max(., 0)^(1/p) to the largest member mean
+    # alone; it is bit-identical to scaling every mean and taking the max,
+    # and a member holding a divergent cell makes the radius inf
+    from morreylab.maximal import _member_means
+    from morreylab.norms import _morrey_sup
+
+    g = make_grid(2, 1.0, 32)
+    rng = np.random.default_rng(int(10 * p + beta))
+    for f in (Field(g, rng.standard_normal(g.cells) * rng.random(g.cells) ** 4),
+              tf("power", g, gamma=2.5 / p)):
+        dens = np.ones(g.cells)
+        arr, inf_mask = power_integrand(f, p, dens)
+        radii = BallFamily.for_structure(S2, g).radii
+        want = []
+        for rho in radii:
+            stencil, origin = member_offsets(g, S2, rho, "ball")
+            s, _ = _member_means(arr, dens, S2, stencil, origin)
+            val = rho ** beta * np.maximum(s, 0.0) ** (1.0 / p)
+            hit = _correlate(inf_mask.astype(float), stencil, origin) > 0.5
+            want.append((rho, float(np.where(hit, np.inf, val).max())))
+        best, profile = _morrey_sup(f, p, beta, S2, radii, return_profile=True)
+        assert profile == want
+        assert best == max(m for _, m in want)
+        assert inf_mask.any() == (best == math.inf)
