@@ -2,8 +2,8 @@
 member-sum correlation (box prefix sums or FFT, chosen from the stencil), the
 one FFT correlation behind it and behind every convolution of potentials and
 grid.mollify, its fast transform lengths, the exact uniform member measure,
-the stencil table and its bounded count table, the chunked mean-oscillation gather and the max filter
-behind the scatter of member values."""
+the stencil table and its bounded count table, the chunked mean-oscillation
+gather and the max filter behind the scatter of member values."""
 
 import gc
 import warnings
@@ -383,7 +383,7 @@ def test_count_table_never_exceeds_its_byte_bound():
             assert table.nbytes <= table.total_bytes
             assert all(c.nbytes <= table.entry_bytes for c in table.counts.values())
     assert table.counts  # the table did store counts
-    # the least recently used went first: the last count asked for is kept
+    # eviction takes the least recently used, so the count asked for last stays
     stencil, origin = stencils[-1]
     assert table.get(stencil, origin, (40,)) is table.get(stencil, origin, (40,))
 
