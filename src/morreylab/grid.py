@@ -90,7 +90,7 @@ class GridSpec:
     def dim(self):
         return len(self.cells)
 
-    @property
+    @functools.cached_property
     def h(self):
         return tuple(2.0 * L / n for L, n in zip(self.half_extent, self.cells))
 
@@ -690,13 +690,12 @@ def mollify(field, eps, structure=None):
         raise ValueError("mollification width eps exceeds half_extent / 4")
     parab = structure is not None and structure.parabolic
     ker = mollifier_kernel(grid, eps, parabolic=parab)
-    from .maximal import _fft_correlate  # local import: maximal builds on this module
+    # local import: maximal builds on this module
+    from .maximal import _circular_correlate, _fft_correlate
 
     kflip = np.flip(ker)
     if grid.periodic:
-        # circular convolution: correlate the wrap-padded values, keep n cells
-        wrapped = np.pad(field.values, [(s // 2, s // 2) for s in ker.shape], mode="wrap")
-        out = _fft_correlate(wrapped, kflip, (0,) * ker.ndim)[tuple(map(slice, grid.cells))]
+        out = _circular_correlate(field.values, kflip)
     else:
         out = _fft_correlate(field.values, kflip, [s // 2 for s in ker.shape])
     return Field(grid, out * grid.cell_volume)

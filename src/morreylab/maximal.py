@@ -77,12 +77,15 @@ def member_offsets(grid, structure, rho, shape):
     'ball': |o| < rho.          'ellipsoid': sum (o_i/(rho^{k_i} nu0^{k_i}))^2 < 1.
     'cylinder': o_t in [0, rho^2), |o_x| < rho (axis 0 is t).
     'cube': |o_i| < rho^{k_i}/2.
+    'ball_x': the ball over axes 1.., for the x slices of a (t, x) grid.
 
     Stencils come from a bounded table keyed by value (cell widths,
     anisotropy, nu0, rho, shape) and are read-only: callers share them.
     """
-    return _member_stencil(tuple(grid.h), tuple(structure.anisotropy), float(structure.nu0),
-                           float(rho), shape)
+    hs, ks = tuple(grid.h), tuple(structure.anisotropy)
+    if shape == "ball_x":
+        hs, ks, shape = hs[1:], ks[1:], "ball"
+    return _member_stencil(hs, ks, float(structure.nu0), float(rho), shape)
 
 
 # Entries of the stencil table: a fixed bound keeps it small whatever the run.
@@ -94,14 +97,6 @@ _FILL_SPANS = {}
 
 @functools.lru_cache(maxsize=_STENCIL_TABLE_SIZE)
 def _member_stencil(hs, ks, nu0, rho, shape):
-    if shape == "ball_x":
-        # x-only ball stencil for (t, x) grids: offsets over axes 1..d
-        hx = hs[1:]
-        half = [max(1, int(np.ceil(rho / h)) + 1) for h in hx]
-        axes = [(np.arange(-hc, hc + 1)) * h for hc, h in zip(half, hx)]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        mask = sum(m ** 2 for m in mesh) < rho ** 2
-        return _frozen(mask), tuple(half)
     dim = len(hs)
     if shape == "ball":
         ext = [rho] * dim
@@ -247,6 +242,14 @@ def _fft_correlate(values, kernel, origin, forward=None):
     for ax, m, k in zip(axes[:-1], lens, keep):
         spec = np.fft.ifft(spec, n=m, axis=ax)[(slice(None),) * ax + (k,)]
     return np.fft.irfft(spec, n=lens[-1], axis=-1)[..., keep[-1]]
+
+
+def _circular_correlate(values, kernel):
+    """corr(c) = sum_k kernel[k] values((c + k - s // 2) mod n): the periodic
+    correlation with a kernel centred at s // 2, by _fft_correlate on the
+    values wrap-padded by s // 2 cells on each side."""
+    wrapped = np.pad(values, [(s // 2, s // 2) for s in kernel.shape], mode="wrap")
+    return _fft_correlate(wrapped, kernel, (0,) * kernel.ndim)[tuple(map(slice, values.shape))]
 
 
 def _max_filter(values, footprint, origin):
@@ -468,48 +471,34 @@ def member_averages(field, structure, rho, shape):
     return _member_means(np.abs(field.values) * dens, dens, structure, stencil, origin)
 
 
-def _centred(stencil):
-    """The centre (s - 1) // 2 of every axis of a stencil."""
-    return tuple((s - 1) // 2 for s in stencil.shape)
-
-
-def _scatter_max(vals, grid, structure, rho, shape, density):
-    """out(z) = max over anchors c on the stride lattice with z in member(c).
-
-    Stride 1 uses the member itself as the footprint; coarser lattices use
-    the conservatively shrunken footprint of _coarse_dilation.
+def _scatter_max(lattice, grid, structure, rho, shape, stride):
+    """out(z) = max of the values on the stride lattice over the anchors whose
+    member holds the whole stride block of z (cells stride * (z // stride) +
+    [0, stride)^dim), -inf where there is none; a lower bound of the max over
+    the anchors whose member holds z, and equal to it at stride 1.
     """
-    stride = _anchor_stride(grid, rho, density)
-    if stride > 1:
-        sub = tuple(slice(None, None, stride) for _ in range(grid.dim))
-        return _coarse_dilation(vals[sub], grid, structure, rho, shape, stride)
-    stencil, _origin = member_offsets(grid, structure, rho, shape)
-    # Centred, not at the stencil origin: a cylinder's values land on the
-    # wrong t rows (the FOUND on _scatter_max in CHANGES.md).  The exact
-    # placement is the reflected footprint np.flip(stencil) at the
-    # reflected origin s - 1 - origin.
-    return _max_filter(vals, stencil, _centred(stencil))
+    footprint, origin = _block_footprint(tuple(grid.h), tuple(structure.anisotropy),
+                                         float(structure.nu0), float(rho), shape, stride)
+    out = _max_filter(lattice, footprint, origin)
+    return out[np.ix_(*[np.arange(n) // stride for n in grid.cells])]
 
 
-def _coarse_dilation(coarse, grid, structure, rho, shape, stride):
-    """Full-grid max of the values on the stride lattice (coarse) over the
-    members that contain each cell, each member shrunk by one coarse cell
-    diagonal so that the result stays a true lower bound for the family sup.
-    """
-    margin = math.sqrt(sum((stride * h) ** 2 for h in grid.h))
-    rho_eff = max(rho - margin, min(grid.h))
-    stencil, _origin = member_offsets(_CoarseGrid(grid, stride), structure, rho_eff, shape)
-    # centred, as in _scatter_max (same FOUND in CHANGES.md)
-    dil = _max_filter(coarse, stencil, _centred(stencil))
-    return dil[np.ix_(*[np.arange(n) // stride for n in grid.cells])]
-
-
-class _CoarseGrid:
-    """Just enough grid interface for member_offsets on a strided lattice."""
-
-    def __init__(self, grid, stride):
-        self.h = tuple(h * stride for h in grid.h)
-        self.dim = grid.dim
+@functools.lru_cache(maxsize=_STENCIL_TABLE_SIZE)
+def _block_footprint(hs, ks, nu0, rho, shape, stride):
+    """(footprint, origin) for _max_filter: the block offsets d whose block
+    d * stride + [0, stride)^dim of member offsets lies wholly in the member,
+    reflected, since an anchor's value reaches the cells its member holds.
+    Read-only and shared from a bounded table keyed by value."""
+    stencil, origin = _member_stencil(hs, ks, nu0, rho, shape)
+    # pad with False so that the origin starts a block and every block is whole
+    pad = [(-o % stride, (o - s) % stride) for o, s in zip(origin, stencil.shape)]
+    padded = np.pad(stencil, pad)
+    blocks = padded.reshape([x for n in padded.shape for x in (n // stride, stride)])
+    inside = blocks.all(axis=tuple(range(1, 2 * padded.ndim, 2)))
+    footprint = np.flip(inside)
+    footprint.flags.writeable = False
+    return footprint, tuple(n - 1 - (o + p) // stride
+                            for n, o, (p, _) in zip(inside.shape, origin, pad))
 
 
 def classical_maximal(field, structure, beta=0.0, family=None):
@@ -527,9 +516,9 @@ def classical_maximal(field, structure, beta=0.0, family=None):
     for rho in family.radii:
         stencil, origin = member_offsets(grid, structure, rho, family.shape)
         avg, _den = _member_means(weighted, dens, structure, stencil, origin, forward)
-        vals = rho ** beta * avg
-        scattered = _scatter_max(vals, grid, structure, rho, family.shape, family.density)
-        out = np.maximum(out, scattered)
+        stride = _anchor_stride(grid, rho, family.density)
+        lattice = rho ** beta * avg[(slice(None, None, stride),) * grid.dim]
+        out = np.maximum(out, _scatter_max(lattice, grid, structure, rho, family.shape, stride))
     out[out == -np.inf] = 0.0
     return Field(grid, out)
 
@@ -547,9 +536,7 @@ def classical_sharp(field, structure, family=None):
         stencil, origin = member_offsets(grid, structure, rho, family.shape)
         stride = _anchor_stride(grid, rho, family.density)
         osc = _mean_oscillation(field.values, dens, stencil, origin, (stride,) * grid.dim)
-        # the shrunken footprint at every stride keeps this a lower bound
-        full = _coarse_dilation(osc, grid, structure, rho, family.shape, stride)
-        out = np.maximum(out, np.where(np.isfinite(full), full, 0.0))
+        out = np.maximum(out, _scatter_max(osc, grid, structure, rho, family.shape, stride))
     return Field(grid, out)
 
 
@@ -571,10 +558,11 @@ def weighted_maximal(field, weight, structure, family=None):
         stencil, origin = member_offsets(grid, structure, rho, family.shape)
         num = _correlate(weighted, stencil, origin, num_fwd)
         den = _correlate(wmu, stencil, origin, den_fwd)
+        stride = _anchor_stride(grid, rho, family.density)
+        lattice = (slice(None, None, stride),) * grid.dim
         with np.errstate(invalid="ignore", divide="ignore"):
-            avg = np.where(den > 0, num / den, 0.0)
-        scattered = _scatter_max(avg, grid, structure, rho, family.shape, family.density)
-        out = np.maximum(out, scattered)
+            avg = np.where(den[lattice] > 0, num[lattice] / den[lattice], 0.0)
+        out = np.maximum(out, _scatter_max(avg, grid, structure, rho, family.shape, stride))
     out[out == -np.inf] = 0.0
     return Field(grid, out)
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import Field, _wavenumbers, unit_sphere_area
-from .maximal import _fft_correlate
+from .maximal import _circular_correlate, _fft_correlate
 
 __all__ = [
     "KernelSpec",
@@ -226,13 +226,8 @@ def apply_kernel(field, spec):
     else:
         raise AssertionError
     if spec.policy == "periodic":
-        # circular convolution via FFT of the wrapped kernel
-        kper = np.zeros(grid.cells)
-        mesh = np.meshgrid(*[np.arange(-(n - 1), n) for n in grid.cells], indexing="ij")
-        np.add.at(kper, tuple(m % n for m, n in zip(mesh, grid.cells)), ker)
-        out = np.fft.ifftn(np.fft.fftn(field.values) * np.fft.fftn(kper)).real
-        out *= grid.cell_volume
-        return Field(grid, out)
+        # ker holds the offsets -(n - 1) .. n - 1, centred at index n - 1
+        return Field(grid, _circular_correlate(field.values, np.flip(ker)) * grid.cell_volume)
     return Field(grid, _linear_convolve(field.values, ker) * grid.cell_volume)
 
 

@@ -3,7 +3,8 @@ member-sum correlation (box prefix sums or FFT, chosen from the stencil), the
 one FFT correlation behind it and behind every convolution of potentials and
 grid.mollify, its fast transform lengths, the exact uniform member measure,
 the stencil table and its bounded count table, the chunked mean-oscillation
-gather and the max filter behind the scatter of member values."""
+gather, and the max filter and block footprint behind the scatter of member
+values."""
 
 import gc
 import warnings
@@ -22,7 +23,6 @@ from morreylab.maximal import (
     _box_stencil,
     _box_sum,
     _correlate,
-    _centred,
     _fast_len,
     _fft_correlate,
     _fill_spans,
@@ -178,6 +178,23 @@ def test_apply_kernel_linear_matches_fftconvolve(dim, cells):
             warnings.simplefilter("ignore")  # the random source reaches the edge
             got = apply_kernel(f, spec).values
         _oracle_close(got, fftconvolve(f.values, ker, mode="full")[full_slice] * g.cell_volume)
+
+
+@pytest.mark.parametrize("dim, cells", [(1, 40), (2, (12, 18)), (3, 10)])
+def test_apply_kernel_periodic_matches_the_folded_kernel(dim, cells):
+    # oracle: fold the kernel's offsets -(n - 1) .. n - 1 onto one period,
+    # then convolve circularly by complex FFTs
+    g = make_grid(dim, 1.0, cells)
+    f = Field(g, np.random.default_rng(dim).standard_normal(g.cells))
+    for spec, ker in ((KernelSpec("riesz", alpha=0.5, policy="periodic"),
+                       riesz_kernel_array(g, 0.5)),
+                      (KernelSpec("elliptic_resolvent", lam=2.0, policy="periodic"),
+                       elliptic_resolvent_kernel(g, 2.0))):
+        folded = np.zeros(g.cells)
+        mesh = np.meshgrid(*[np.arange(-(n - 1), n) for n in g.cells], indexing="ij")
+        np.add.at(folded, tuple(m % n for m, n in zip(mesh, g.cells)), ker)
+        want = np.fft.ifftn(np.fft.fftn(f.values) * np.fft.fftn(folded)).real
+        _oracle_close(apply_kernel(f, spec).values, want * g.cell_volume)
 
 
 @pytest.mark.parametrize("cells", [(20, 16), (12, 10, 8)])
@@ -584,8 +601,8 @@ def test_max_filter_lines_with_several_runs_or_none():
 
 
 def test_scatter_placement_is_grey_dilations():
-    # the scatter keeps the centred placement of scipy.ndimage.grey_dilation
-    # with the reflected footprint, bit for bit
+    # the max filter at the centre (s - 1) // 2 of its footprint is
+    # scipy.ndimage.grey_dilation with the reflected footprint, bit for bit
     from scipy.ndimage import grey_dilation
 
     rng = np.random.default_rng(8)
@@ -597,7 +614,69 @@ def test_scatter_placement_is_grey_dilations():
             stencil, _origin = member_offsets(g, s, rho, shape)
             want = grey_dilation(values, footprint=np.flip(stencil), mode="constant",
                                  cval=-np.inf)
-            assert np.array_equal(_max_filter(values, stencil, _centred(stencil)), want)
+            centre = tuple((n - 1) // 2 for n in stencil.shape)
+            assert np.array_equal(_max_filter(values, stencil, centre), want)
+
+
+def brute_scatter(lattice, grid, structure, rho, shape, stride):
+    """max of lattice[j] over the anchors stride * j whose member holds the
+    cell, one anchor at a time, -inf where no member holds it."""
+    stencil, origin = member_offsets(grid, structure, rho, shape)
+    offs = np.argwhere(stencil) - np.asarray(origin)
+    cells = np.asarray(grid.cells)
+    out = np.full(grid.cells, -np.inf)
+    for j in np.ndindex(lattice.shape):
+        idx = stride * np.asarray(j) + offs
+        held = tuple(idx[np.all((idx >= 0) & (idx < cells), axis=1)].T)
+        out[held] = np.maximum(out[held], lattice[j])
+    return out
+
+
+@pytest.mark.parametrize("ks, shape", [((2, 1), "cylinder"), ((2, 1, 1), "cylinder"),
+                                       ((1, 1), "ball"), ((1, 1, 1), "ball"),
+                                       ((2, 1), "ellipsoid"), ((1, 2, 1), "ellipsoid"),
+                                       ((1, 1), "cube"), ((2, 1, 1), "cube")])
+def test_scatter_at_stride_1_is_the_member_scatter(ks, shape):
+    dim = len(ks)
+    g = make_grid(dim, 1.0, 20 if dim == 2 else 10)
+    s = make_structure(dim, ks)
+    values = np.random.default_rng(dim).normal(size=g.cells)
+    for rho in (0.15, 0.3, 0.55):
+        want = brute_scatter(values, g, s, rho, shape, 1)
+        assert np.array_equal(maximal._scatter_max(values, g, s, rho, shape, 1), want)
+
+
+@pytest.mark.parametrize("density", [1.0, 2.0, 4.0])
+@pytest.mark.parametrize("ks, cells", [((1, 1), 64), ((2, 1), 64), ((2, 1, 1), 24)])
+def test_scatter_on_a_lattice_credits_only_members_holding_the_cell(density, ks, cells):
+    # a cell takes an anchor's value only if the anchor's member holds it, so
+    # the scatter never exceeds the brute-force scatter of the lattice values
+    dim = len(ks)
+    g = make_grid(dim, 1.0, cells)
+    s = make_structure(dim, ks)
+    rng = np.random.default_rng(len(ks) + int(density))
+    for shape in (maximal._member_shape(s), "cube"):
+        family = BallFamily.for_structure(s, g, density=density, shape=shape)
+        for rho in family.radii[::2]:
+            stride = maximal._anchor_stride(g, rho, density)
+            if stride == 1:
+                continue  # exact there: test_scatter_at_stride_1_is_the_member_scatter
+            lattice = rng.normal(size=[-(-n // stride) for n in g.cells])
+            got = maximal._scatter_max(lattice, g, s, rho, shape, stride)
+            assert (got <= brute_scatter(lattice, g, s, rho, shape, stride)).all()
+
+
+def test_scatter_of_a_strided_cylinder_stays_in_its_members():
+    # the (1+1)-D cylinder of the default family at rho = 0.297, stride 2
+    g = make_grid(2, 1.0, 64)
+    s = make_structure(2, (2, 1))
+    rho = BallFamily.for_structure(s, g).radii[9]
+    stride = maximal._anchor_stride(g, rho, 4.0)
+    assert stride == 2
+    lattice = np.random.default_rng(3).normal(size=(32, 32))
+    got = maximal._scatter_max(lattice, g, s, rho, "cylinder", stride)
+    want = brute_scatter(lattice, g, s, rho, "cylinder", stride)
+    assert (got <= want).all() and np.isfinite(got).any()
 
 
 def test_fast_len_is_the_smallest_5_smooth_length():
