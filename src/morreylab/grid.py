@@ -121,9 +121,6 @@ class GridSpec:
         r2 = sum((x - c) ** 2 for x, c in zip(xs, center))
         return np.sqrt(r2)
 
-    def refine(self, factor=2):
-        return GridSpec(self.half_extent, tuple(n * factor for n in self.cells), self.periodic)
-
 
 def make_grid(dim, half_extent, cells, periodic=False):
     if np.isscalar(half_extent):
@@ -410,16 +407,16 @@ def singular_field(grid, vals, features):
 
 @dataclass(frozen=True)
 class Structure:
-    """Real-analytic structure: anisotropy exponents, measure, doubling data.
+    """Real-analytic structure: anisotropy exponents and measure.
 
-    nu0 solves nu^(-2 k_1) + ... + nu^(-2 k_d) = 4; doubling_n0 is an
-    empirical estimate of sup mu(Q_2l)/mu(Q_l), never an assumption.
+    nu0 solves nu^(-2 k_1) + ... + nu^(-2 k_d) = 4.  The doubling constant
+    of the measure is measured on demand along the dyadic filtration, by
+    dyadic.box_doubling_constant, never assumed.
     """
 
     dim: int
     anisotropy: tuple
     measure_density: object  # Field or None for the uniform density
-    doubling_n0: float
     nu0: float
 
     @property
@@ -461,52 +458,6 @@ def _solve_nu0(anisotropy):
     return nu
 
 
-def _estimate_doubling(anisotropy, density_field):
-    """Empirical sup of mu(Q_2l)/mu(Q_l) over a deterministic (x, l) lattice."""
-    ks = tuple(anisotropy)
-    if density_field is None:
-        return float(2 ** sum(ks))
-    grid = density_field.grid
-    dens = density_field.values
-    ratio_max = 1.0
-    ls = []
-    lmax = min(L ** (1.0 / k) for L, k in zip(grid.half_extent, ks)) / 2.0
-    lmin = 8.0 * max(grid.h)  # below this the discrete cubes degenerate
-    l = lmax
-    for _ in range(6):
-        if l < lmin:
-            break
-        ls.append(l)
-        l /= 2.0
-    # centers: every 8th cell per axis
-    centers = np.meshgrid(*[g[:: max(1, len(g) // 8)] for g in grid.axes()], indexing="ij")
-    centers = np.stack([c.ravel() for c in centers], axis=1)
-    xs = grid.mesh()
-    vol = grid.cell_volume
-    for l in ls:
-        for c in centers:
-            m_small = None
-            for fac in (1.0, 2.0):
-                inside = np.ones(grid.cells, dtype=bool)
-                ok = True
-                for i, k in enumerate(ks):
-                    half = (fac * l) ** k / 2.0
-                    if abs(c[i]) + half > grid.half_extent[i]:
-                        ok = False
-                        break
-                    inside &= np.abs(xs[i] - c[i]) < half
-                if not ok:
-                    m_small = None
-                    break
-                m = float(dens[inside].sum()) * vol
-                if fac == 1.0:
-                    m_small = m
-                else:
-                    if m_small and m_small > 0:
-                        ratio_max = max(ratio_max, m / m_small)
-    return float(ratio_max)
-
-
 def make_structure(dim, anisotropy=None, density=None):
     """Build a Structure; density None means the uniform (Lebesgue) measure."""
     if anisotropy is None:
@@ -519,9 +470,7 @@ def make_structure(dim, anisotropy=None, density=None):
     if density is not None:
         if np.any(density.values <= 0):
             raise ValueError("measure density must be positive at every sample")
-    nu0 = _solve_nu0(anisotropy)
-    n0 = _estimate_doubling(anisotropy, density)
-    return Structure(dim, anisotropy, density, n0, nu0)
+    return Structure(dim, anisotropy, density, _solve_nu0(anisotropy))
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@
 Euclidean sharp function, and the weighted maximal operator.
 
 Every sup over the (continuum) family is approximated by a finite family:
-geometric radii rho_j = rho_min * gamma^j and anchor points on a decimated
+geometric radii rho_j = 2 max(h) gamma^j and anchor points on a decimated
 sublattice whose stride scales with the radius.  Every reported maximal
 value is therefore a certified lower bound; checks compare ratios, which
 converge as the family is refined (the `density` knob).
@@ -23,7 +23,6 @@ from .grid import Field
 __all__ = [
     "BallFamily",
     "member_offsets",
-    "member_averages",
     "classical_maximal",
     "classical_sharp",
     "weighted_maximal",
@@ -34,7 +33,7 @@ __all__ = [
 class BallFamily:
     """Finite family of members (balls / ellipsoids / cylinders / cubes).
 
-    radii are geometric: rho_min * gamma^j up to rho_max; anchors sit on a
+    radii are geometric: 2 max(h) gamma^j up to rho_max; anchors sit on a
     sublattice of stride ~ rho/(density*h) cells, so larger members are
     anchored more sparsely at equal covering quality.
     """
@@ -44,17 +43,14 @@ class BallFamily:
     density: float = 4.0
 
     @staticmethod
-    def for_structure(structure, grid, gamma=2 ** 0.25, rho_min=None, rho_max=None,
-                      density=4.0, shape=None):
-        hs = grid.h
-        if rho_min is None:
-            rho_min = 2.0 * max(hs)
+    def for_structure(structure, grid, gamma=2 ** 0.25, rho_max=None, density=4.0,
+                      shape=None):
         if rho_max is None:
             rho_max = min(grid.half_extent)
         if shape is None:
             shape = _member_shape(structure)
         radii = []
-        r = float(rho_min)
+        r = 2.0 * max(grid.h)
         while r <= rho_max * (1 + 1e-12):
             radii.append(r)
             r *= gamma
@@ -380,16 +376,17 @@ def _stencil_count(stencil, origin, cells):
     return out
 
 
-def _member_means(weighted, dens, structure, stencil, origin, forward=None):
+def _member_means(weighted, dens, stencil, origin, forward=None):
     """(means, measures): mu(E)^-1 int_E g dmu over the member E anchored at
-    every cell, members clipped to the domain, and mu(E).  weighted holds
-    g dens; `forward` is its _Forward holder in a radius loop.  mu(E) is the
-    exact cell count for the uniform measure, a correlation of the density
+    every cell, members clipped to the domain, and mu(E), for the measure
+    dmu = dens dx; dens None is the uniform measure.  weighted holds g dens
+    (g when dens is None); `forward` is its _Forward holder in a radius loop.
+    mu(E) is the exact cell count for the uniform measure, a correlation of
     dens otherwise.  Axes of weighted before the stencil's are a batch, as
     in _correlate; the count carries none and broadcasts over them.  An
     empty member has mean 0."""
     num = _correlate(weighted, stencil, origin, forward)
-    if not structure.uniform:
+    if dens is not None:
         den = _correlate(dens, stencil, origin)
     else:
         den = _COUNTS.get(stencil, origin, weighted.shape[weighted.ndim - stencil.ndim:])
@@ -462,15 +459,6 @@ def _anchor_stride(grid, rho, density):
     return max(1, int(min(rho / (density * h) for h in grid.h)))
 
 
-def member_averages(field, structure, rho, shape):
-    """(averages, counts): member mu-averages of |f| at every anchor cell,
-    members clipped to the domain with their measure recomputed.
-    """
-    dens = structure.density_on(field.grid)
-    stencil, origin = member_offsets(field.grid, structure, rho, shape)
-    return _member_means(np.abs(field.values) * dens, dens, structure, stencil, origin)
-
-
 def _scatter_max(lattice, grid, structure, rho, shape, stride):
     """out(z) = max of the values on the stride lattice over the anchors whose
     member holds the whole stride block of z (cells stride * (z // stride) +
@@ -507,20 +495,10 @@ def classical_maximal(field, structure, beta=0.0, family=None):
 
     beta omitted means the plain Hardy-Littlewood maximal function.
     """
-    grid = field.grid
     if family is None:
-        family = BallFamily.for_structure(structure, grid)
-    dens = structure.density_on(grid)
-    weighted, forward = np.abs(field.values) * dens, _Forward()
-    out = np.full(grid.cells, -np.inf)
-    for rho in family.radii:
-        stencil, origin = member_offsets(grid, structure, rho, family.shape)
-        avg, _den = _member_means(weighted, dens, structure, stencil, origin, forward)
-        stride = _anchor_stride(grid, rho, family.density)
-        lattice = rho ** beta * avg[(slice(None, None, stride),) * grid.dim]
-        out = np.maximum(out, _scatter_max(lattice, grid, structure, rho, family.shape, stride))
-    out[out == -np.inf] = 0.0
-    return Field(grid, out)
+        family = BallFamily.for_structure(structure, field.grid)
+    dens = None if structure.uniform else structure.density_on(field.grid)
+    return _sup_of_means(field, dens, structure, family, beta)
 
 
 def classical_sharp(field, structure, family=None):
@@ -541,28 +519,32 @@ def classical_sharp(field, structure, family=None):
 
 
 def weighted_maximal(field, weight, structure, family=None):
-    """M_w f(x) = sup over cubes Q containing x of w(Q)^{-1} int_Q |f| w dmu.
+    """M_w f(x) = sup over cubes Q containing x of w(Q)^{-1} int_Q |f| w dmu:
+    the maximal function of the measure w dmu.
 
     `weight` may be a Field or a weights.Weight wrapper.
     """
     grid = field.grid
     if family is None:
         family = BallFamily.for_structure(structure, grid, shape="cube")
-    dens = structure.density_on(grid)
     wvals = weight.field.values if hasattr(weight, "field") else weight.values
-    wmu = wvals * dens
-    weighted = np.abs(field.values) * wmu
-    num_fwd, den_fwd = _Forward(), _Forward()
+    return _sup_of_means(field, wvals * structure.density_on(grid), structure, family)
+
+
+def _sup_of_means(field, dens, structure, family, beta=0.0):
+    """sup over family members E containing x of rho(E)^beta times the
+    dens dx-average of |f| over E; dens None is the uniform measure.  Each
+    radius scatters the means on its anchor lattice; a cell no member holds
+    reads 0."""
+    grid = field.grid
+    weighted = np.abs(field.values) if dens is None else np.abs(field.values) * dens
+    forward = _Forward()
     out = np.full(grid.cells, -np.inf)
     for rho in family.radii:
         stencil, origin = member_offsets(grid, structure, rho, family.shape)
-        num = _correlate(weighted, stencil, origin, num_fwd)
-        den = _correlate(wmu, stencil, origin, den_fwd)
+        avg, _den = _member_means(weighted, dens, stencil, origin, forward)
         stride = _anchor_stride(grid, rho, family.density)
-        lattice = (slice(None, None, stride),) * grid.dim
-        with np.errstate(invalid="ignore", divide="ignore"):
-            avg = np.where(den[lattice] > 0, num[lattice] / den[lattice], 0.0)
-        out = np.maximum(out, _scatter_max(avg, grid, structure, rho, family.shape, stride))
+        lattice = rho ** beta * avg[(slice(None, None, stride),) * grid.dim]
+        out = np.maximum(out, _scatter_max(lattice, grid, structure, rho, family.shape, stride))
     out[out == -np.inf] = 0.0
     return Field(grid, out)
-

@@ -10,6 +10,7 @@ criterion or exactly, when a closed-form singular cell mass is infinite.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -82,6 +83,7 @@ def _morrey_sup(field, p, beta, structure, radii, return_profile=False):
     shape = _member_shape(structure)
     dens = structure.density_on(grid)
     arr, inf_mask = power_integrand(field, p, dens)
+    mu = None if structure.uniform else dens
     # one forward spectrum per field, shared by radii that pad alike
     mask = inf_mask.astype(float) if inf_mask.any() else None
     arr_fwd, mask_fwd = _Forward(), _Forward()
@@ -92,7 +94,7 @@ def _morrey_sup(field, p, beta, structure, radii, return_profile=False):
         if mask is not None and (_correlate(mask, stencil, origin, mask_fwd) > 0.5).any():
             m = np.inf  # some member holds a divergent cell
         else:
-            s, _ = _member_means(arr, dens, structure, stencil, origin, arr_fwd)
+            s, _ = _member_means(arr, mu, stencil, origin, arr_fwd)
             # the scale is monotone, so the largest mean gives the largest value
             top = np.maximum(s.max(keepdims=True), 0.0)
             m = (rho ** beta * top ** (1.0 / p)).item()
@@ -106,16 +108,19 @@ def _morrey_sup(field, p, beta, structure, radii, return_profile=False):
 def mixed_norm(field, p, q, structure, reversed_order=False):
     """Global L_{p,q} (inner x with p, outer t with q) or reversed L_{q,p}
     (inner t with q, outer x with p).  Axis 0 is t; the structure's measure
-    density weighs the inner integrand, so p = q gives the L_p norm."""
+    density weighs the inner integrand, so p = q gives the L_p norm.  Singular
+    cells count their exact masses; one that diverges makes the norm inf."""
     grid = field.grid
     ht = grid.h[0]
     volx = grid.cell_volume / ht
-    v = np.abs(field.values)
-    dens = structure.density_on(grid)
+    arr, inf_mask = power_integrand(field, q if reversed_order else p,
+                                    structure.density_on(grid))
+    if inf_mask.any():
+        return math.inf
     if not reversed_order:
-        inner = (v ** p * dens).sum(axis=tuple(range(1, grid.dim))) * volx
+        inner = arr.sum(axis=tuple(range(1, grid.dim))) * volx
         return float(((inner ** (q / p)).sum() * ht) ** (1.0 / q))
-    inner = (v ** q * dens).sum(axis=0) * ht
+    inner = arr.sum(axis=0) * ht
     return float(((inner ** (p / q)).sum() * volx) ** (1.0 / p))
 
 
@@ -139,6 +144,7 @@ def _mixed_morrey_sup(field, p, q, beta, structure, radii, reversed_order=False,
     inner_p = p if not reversed_order else q
     dens = structure.density_on(grid)
     arr, inf_mask = power_integrand(field, inner_p, dens)
+    mu = None if structure.uniform else dens
     mask = inf_mask.astype(float) if inf_mask.any() else None
     arr_fwd, mask_fwd = _Forward(), _Forward()
     for rho in radii:
@@ -148,7 +154,7 @@ def _mixed_morrey_sup(field, p, q, beta, structure, radii, reversed_order=False,
         stencil, origin = member_offsets(grid, structure, rho, "ball_x")
         if not reversed_order:
             # X(t,c) = slashed L_p over the ball at (t, c)
-            X, _ = _member_means(arr, dens, structure, stencil, origin, arr_fwd)
+            X, _ = _member_means(arr, mu, stencil, origin, arr_fwd)
             Y = _window_sums(np.maximum(X, 0.0) ** (q / p), wlen) / wlen
             val = rho ** beta * np.maximum(Y, 0.0) ** (1.0 / q)
             if mask is not None:
@@ -159,7 +165,8 @@ def _mixed_morrey_sup(field, p, q, beta, structure, radii, reversed_order=False,
             # U(tau, x) = slashed t-window average of |f|^q
             U = np.maximum(_window_sums(arr / dens.clip(min=1e-300), wlen) / wlen, 0.0)
             dens_u = dens[: U.shape[0]]
-            V, _ = _member_means(U ** (p / q) * dens_u, dens_u, structure, stencil, origin)
+            V, _ = _member_means(U ** (p / q) * dens_u, None if mu is None else dens_u,
+                                 stencil, origin)
             val = rho ** beta * np.maximum(V, 0.0) ** (1.0 / p)
             if mask is not None:
                 hit = _window_sums(mask, wlen) > 0.5

@@ -126,7 +126,7 @@ def _cube_means(values, grid, structure, rho):
     dens = structure.density_on(grid)
     inf_mask = ~np.isfinite(values)
     finite_vals = np.where(inf_mask, 0.0, values)
-    avg, _ = _member_means(finite_vals * dens, dens, structure, box, origin)
+    avg, _ = _member_means(finite_vals * dens, None if structure.uniform else dens, box, origin)
     if inf_mask.any():
         hit = _correlate(inf_mask.astype(float), box, origin) > 0.5
         avg = np.where(hit, np.inf, avg)
@@ -359,10 +359,9 @@ def rdf_iterate(f, weight, p_prime, structure, n_terms=24, family=None, seed=0):
     wv = weight.field.values
     if family is None:
         family = BallFamily.for_structure(structure, grid, shape="cube", density=6.0)
-    fam = BallFamily(family.radii, "cube", family.density)
 
     def T(u):
-        return classical_maximal(Field(grid, np.abs(u) * wv), structure, 0.0, fam).values / wv
+        return classical_maximal(Field(grid, np.abs(u) * wv), structure, 0.0, family).values / wv
 
     v, t_norm = _rdf_series(T, np.abs(f.values).astype(float), p_prime, weight, structure,
                             n_terms, seed)
@@ -381,12 +380,11 @@ def jones_factorize(weight, p, structure, n_terms=24, family=None, seed=0):
     wv = weight.field.values
     if family is None:
         family = BallFamily.for_structure(structure, grid, shape="cube", density=6.0)
-    fam = BallFamily(family.radii, "cube", family.density)
 
     def S(u):
-        t1 = classical_maximal(Field(grid, np.abs(u) * wv), structure, 0.0, fam).values / wv
+        t1 = classical_maximal(Field(grid, np.abs(u) * wv), structure, 0.0, family).values / wv
         t2 = classical_maximal(Field(grid, np.abs(u) ** (1 / (p - 1))), structure, 0.0,
-                               fam).values ** (p - 1)
+                               family).values ** (p - 1)
         return t1 + t2
 
     v, s_norm = _rdf_series(S, np.ones(grid.cells), p / (p - 1.0), weight, structure,

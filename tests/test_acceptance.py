@@ -3,6 +3,7 @@ pass/fail line per criterion.  Run with `pytest -s tests/test_acceptance.py`
 to see the lines as they complete."""
 
 import csv
+import json
 import math
 from pathlib import Path
 
@@ -403,10 +404,25 @@ def test_criterion_12_matrix_inequalities():
 GOLDEN = Path(__file__).parent / "golden" / "default_seed.csv"
 
 
+def _same_params(got, want):
+    """Parsed params equal: numbers within 1e-9 relative, every inf still
+    inf; keys, lengths, strings and bools exactly."""
+    if isinstance(want, dict):
+        return isinstance(got, dict) and got.keys() == want.keys() \
+            and all(_same_params(got[k], want[k]) for k in want)
+    if isinstance(want, list):
+        return isinstance(got, list) and len(got) == len(want) \
+            and all(map(_same_params, got, want))
+    if type(want) in (int, float) and type(got) in (int, float):
+        return math.isclose(got, want, rel_tol=1e-9)
+    return type(got) is type(want) and got == want
+
+
 def test_criterion_13_full_suite():
     """The full registry passes at the default seed, and its report matches
     the golden file row by row: the same ids and verdicts, lhs/rhs/ratio
-    within 1e-9 relative, every inf still inf.
+    and every number in params within 1e-9 relative, every inf still inf,
+    the rest of params exactly.
 
     A change that moves a number on purpose regenerates the golden file from
     the repository root with
@@ -437,3 +453,5 @@ def test_criterion_13_full_suite():
                 # isclose keeps inf equal only to inf of the same sign
                 assert math.isclose(float(got), float(want), rel_tol=1e-9), \
                     (r.check_id, key, got, want)
+        got = json.loads(r.csv_row()[3])
+        assert _same_params(got, json.loads(row["params"])), (r.check_id, got, row["params"])

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from morreylab.dyadic import box_doubling_constant
 from morreylab.grid import (
     Field,
     RadialPower,
@@ -41,17 +42,18 @@ def test_nu0_equation_residual():
 
 
 def test_doubling_uniform_matches_dimension():
-    s = make_structure(2, (1, 1))
-    assert s.doubling_n0 == pytest.approx(2 ** 2, rel=0.05)
+    # a parent box holds 2^d children of equal measure
+    g = make_grid(2, 2.0, 128)
+    assert box_doubling_constant(g, make_structure(2, (1, 1))) == 2 ** 2
 
 
 def test_doubling_power_density_finite():
-    # brute-force ratio scan over cubes built into make_structure
+    # the parent/child measure ratio along the filtration stays bounded
     g = make_grid(2, 2.0, 128)
     r = g.radius()
     dens = Field(g, np.sqrt(np.maximum(r, min(g.h) / 2)))
     s = make_structure(2, (1, 1), density=dens)
-    assert 1.0 <= s.doubling_n0 <= 8.0
+    assert 1.0 <= box_doubling_constant(g, s) <= 8.0
 
 
 def test_nonpositive_density_rejected():

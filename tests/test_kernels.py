@@ -32,7 +32,6 @@ from morreylab.maximal import (
     _stencil_count,
     classical_maximal,
     classical_sharp,
-    member_averages,
     member_offsets,
 )
 from morreylab.norms import NormSpec, evaluate_norm
@@ -285,7 +284,7 @@ def test_weighted_measure_matches_brute_force():
     for rho in radii:
         stencil, origin = member_offsets(g, s, rho, "ball")
         mu = brute_correlate(dens, stencil, origin)
-        avg, den = member_averages(f, s, rho, "ball")
+        avg, den = _member_means(np.abs(f.values) * dens, dens, stencil, origin)
         assert np.allclose(den, mu, rtol=1e-12, atol=0)
         assert np.allclose(avg, brute_correlate(np.abs(f.values) * dens, stencil, origin) / mu,
                            rtol=1e-10, atol=0)
@@ -433,9 +432,9 @@ def test_cube_boxes_come_from_the_table_with_fill_spans(monkeypatch):
     # every cube mean of weights reads a table box, whose spans are recorded
     seen = []
 
-    def spying(weighted, dens, structure, stencil, origin, forward=None):
+    def spying(weighted, dens, stencil, origin, forward=None):
         seen.append(maximal._FILL_SPANS.get(id(stencil)))
-        return _member_means(weighted, dens, structure, stencil, origin, forward)
+        return _member_means(weighted, dens, stencil, origin, forward)
 
     monkeypatch.setattr(weights, "_member_means", spying)
     g, s = make_grid(2, 1.0, 16), make_structure(2, (1, 1))
@@ -452,8 +451,7 @@ def test_direct_division_is_bit_identical_to_the_where_path(case, seed):
     stencil, origin, cells = case
     assert stencil[origin]
     values = np.random.default_rng(seed).standard_normal(cells)
-    structure = make_structure(len(cells), (1,) * len(cells))
-    means, den = _member_means(values, None, structure, stencil, origin)
+    means, den = _member_means(values, None, stencil, origin)
     num, count = _correlate(values, stencil, origin), _stencil_count(stencil, origin, cells)
     assert np.array_equal(den, count) and den.min() >= 1
     with np.errstate(invalid="ignore", divide="ignore"):

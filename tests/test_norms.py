@@ -76,6 +76,16 @@ def test_mixed_norm_matches_lp_when_equal_exponents():
     rng = np.random.default_rng(0)
     f = Field(g, rng.random(g.cells))
     assert mixed_norm(f, 2.0, 2.0, SP) == pytest.approx(lp_norm(f, 2.0), rel=1e-12)
+    # singular cells count their exact masses in both orders: |x|^-1 is not
+    # square integrable in 2-D, |x|^-0.5 is
+    g = make_grid(2, (1.0, 1.0), (32, 32))
+    for gamma in (1.0, 0.5):
+        f = tf("power", g, gamma=gamma)
+        want = lp_norm(f, 2.0)
+        assert (want == math.inf) == (gamma == 1.0)
+        for reversed_order in (False, True):
+            got = mixed_norm(f, 2.0, 2.0, SP, reversed_order=reversed_order)
+            assert got == want or got == pytest.approx(want, rel=1e-12), (gamma, got, want)
 
 
 @pytest.mark.parametrize("reversed_order", [False, True])
@@ -424,7 +434,7 @@ def test_morrey_sup_scales_only_the_largest_mean(p, beta):
         want = []
         for rho in radii:
             stencil, origin = member_offsets(g, S2, rho, "ball")
-            s, _ = _member_means(arr, dens, S2, stencil, origin)
+            s, _ = _member_means(arr, None, stencil, origin)
             val = rho ** beta * np.maximum(s, 0.0) ** (1.0 / p)
             hit = _correlate(inf_mask.astype(float), stencil, origin) > 0.5
             want.append((rho, float(np.where(hit, np.inf, val).max())))
