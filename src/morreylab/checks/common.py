@@ -34,10 +34,9 @@ def parabolic_grid(cfg, nt=64, nx=64, lt=1.0, lx=math.pi, periodic=True):
     return make_grid(2, (lt, lx), (cfg.cells(nt), cfg.cells(nx)), periodic)
 
 
-def random_nonneg(grid, seed, roughness=3):
-    rng = np.random.default_rng(seed)
-    vals = rng.random(grid.cells) ** roughness
-    return Field(grid, vals)
+def random_nonneg(grid, seed):
+    """Uniform draws cubed: nonnegative, with rare large values."""
+    return Field(grid, np.random.default_rng(seed).random(grid.cells) ** 3)
 
 
 def random_signed(grid, seed, kmax=5, mean_zero=True):

@@ -104,9 +104,10 @@ def check_maximal_weak(cfg):
 
 
 @register("dyadic-strong", "strong-type dyadic maximal bound with the dual-exponent constant")
-def check_dyadic_strong(cfg, p=2.0, d=1, n_seeds=20):
+def check_dyadic_strong(cfg):
+    p, d, n_seeds = 2.0, 1, 20
     s = elliptic_structure(d)
-    n = cfg.cells(1024 if d == 1 else 64)
+    n = cfg.cells(1024)
     g = make_grid(d, 1.0, n)
     worst = 0.0
     q = p / (p - 1.0)

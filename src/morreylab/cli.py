@@ -11,8 +11,9 @@
     morreylab potential --kernel JSON --field F --out G
     morreylab solve --op JSON --rhs F --out G [--norm JSON]
 
-Exit codes: 0 all pass, 1 any check failed, 2 configuration error.  Any
-other exception is an internal error and surfaces with its traceback.
+Exit codes: 0 all pass, 1 any check failed, 2 configuration error, 3 a
+check raised (its row reads "error").  Any other exception is an internal
+error and surfaces with its traceback.
 """
 
 from __future__ import annotations
@@ -216,8 +217,6 @@ def cmd_weight(args):
 
 
 def _parse_function(spec):
-    from .testfunctions import test_function
-
     if ":" in spec:
         name, raw = spec.split(":", 1)
         params = {}

@@ -58,13 +58,6 @@ class DyadicBox:
             hi.append(-L + (self.index[ax] + 1) * span * h)
         return lo, hi
 
-    def contains(self, other, grid, anisotropy):
-        """True if `other` (a finer box) is contained in self."""
-        lo_s, hi_s = self.corner_coords(grid, anisotropy)
-        lo_o, hi_o = other.corner_coords(grid, anisotropy)
-        eps = 1e-12
-        return all(a <= c + eps and d <= b + eps for a, b, c, d in zip(lo_s, hi_s, lo_o, hi_o))
-
 
 def _check_pow2(grid, anisotropy):
     for n, k in zip(grid.cells, anisotropy):
@@ -114,6 +107,13 @@ def _broadcast_boxes(box_vals, bs):
     return out
 
 
+def _box_means(values, structure, grid, nb, bs):
+    """mu-average of values on each box of shape (nb, bs); make_structure
+    keeps every density positive, so no box has zero measure."""
+    dens = structure.density_on(grid)
+    return _box_reduce(values * dens, nb, bs, "sum") / _box_reduce(dens, nb, bs, "sum")
+
+
 def conditional_average(field, structure, g):
     """f_{|g}: constant on each generation-g box, the mu-average of f there.
 
@@ -124,12 +124,7 @@ def conditional_average(field, structure, g):
     ks = structure.anisotropy
     _check_pow2(grid, ks)
     nb, bs = _block_shape(grid, ks, g)
-    dens = structure.density_on(grid)
-    num = _box_reduce(field.values * dens, nb, bs, "sum")
-    den = _box_reduce(dens, nb, bs, "sum")
-    with np.errstate(invalid="ignore", divide="ignore"):
-        avg = np.where(den > 0, num / den, 0.0)
-    return Field(grid, _broadcast_boxes(avg, bs))
+    return Field(grid, _broadcast_boxes(_box_means(field.values, structure, grid, nb, bs), bs))
 
 
 @dataclass
@@ -165,31 +160,22 @@ class GenerationMap:
         return Field(field.grid, out)
 
 
-def stopping_time(field, structure, lam, g_min=0, g_max=None):
-    """First generation g in (g_min, g_max] with f_{|g}(x) > lam, else inf.
+def stopping_time(field, structure, lam):
+    """First generation g >= 1 with f_{|g}(x) > lam, else inf.
 
-    Requires f >= 0 and f_{|g_min} <= lam everywhere (the discrete surrogate
+    Requires f >= 0 and f_{|0} <= lam everywhere (the discrete surrogate
     of f_{|n} -> 0 as n -> -infinity); ties (equality) do not stop.
     """
     grid = field.grid
     ks = structure.anisotropy
     if np.any(field.values < 0):
         raise ValueError("stopping_time requires f >= 0")
-    if g_max is None:
-        g_max = max_generation(grid, ks)
-    coarse = conditional_average(field, structure, g_min).values
-    if np.any(coarse > lam):
-        nb, _ = _block_shape(grid, ks, g_min)
-        bad = np.unravel_index(
-            int(np.argmax(_box_reduce(coarse, *_block_shape(grid, ks, g_min), "max"))),
-            nb,
-        )
-        raise ValueError(
-            f"precondition f_(|{g_min}) <= lambda fails on generation-{g_min} box {bad}"
-        )
+    if np.any(conditional_average(field, structure, 0).values > lam):
+        box = np.unravel_index(0, (1,) * grid.dim)  # the one generation-0 box
+        raise ValueError(f"precondition f_(|0) <= lambda fails on generation-0 box {box}")
     taus = np.full(grid.cells, INFINITY, dtype=int)
     undecided = np.ones(grid.cells, dtype=bool)
-    for g in range(g_min + 1, g_max + 1):
+    for g in range(1, max_generation(grid, ks) + 1):
         avg = conditional_average(field, structure, g).values
         newly = undecided & (avg > lam)
         taus[newly] = g
@@ -199,34 +185,31 @@ def stopping_time(field, structure, lam, g_min=0, g_max=None):
     return GenerationMap(grid, ks, taus)
 
 
-def cz_decompose(field, structure, lam, g_min=0, g_max=None):
+def cz_decompose(field, structure, lam):
     """Riesz-Calderon-Zygmund decomposition at level lam.
 
     Returns (bad_boxes, good_mask): bad boxes are the maximal selected
     boxes (pairwise disjoint) on which the average first exceeds lam; on the
     good region every computed conditional average is <= lam.
     """
-    tau = stopping_time(field, structure, lam, g_min, g_max)
+    tau = stopping_time(field, structure, lam)
     grid = field.grid
     ks = structure.anisotropy
     bad_boxes = []
-    gmax = int(tau.generations.max())
-    for g in range(max(g_min + 1, 0), gmax + 1):
+    for g in range(1, int(tau.generations.max()) + 1):
         mask = tau.generations == g
         if not mask.any():
             continue
         nb, bs = _block_shape(grid, ks, g)
         per_box = _box_reduce(mask.astype(float), nb, bs, "mean")
-        avg = _box_reduce(
-            field.values * structure.density_on(grid), nb, bs, "sum"
-        ) / _box_reduce(structure.density_on(grid), nb, bs, "sum")
+        avg = _box_means(field.values, structure, grid, nb, bs)
         for idx in np.argwhere(per_box == 1.0):
             bad_boxes.append((DyadicBox(g, tuple(int(i) for i in idx)), float(avg[tuple(idx)])))
     good_mask = tau.generations == INFINITY
     return bad_boxes, good_mask
 
 
-def dyadic_maximal(field, structure, g_min=0, g_max=None):
+def dyadic_maximal(field, structure, g_max=None):
     """M f(x) = max over generations of |f|_{|g}(x); equals M|f| by definition."""
     grid = field.grid
     ks = structure.anisotropy
@@ -234,33 +217,31 @@ def dyadic_maximal(field, structure, g_min=0, g_max=None):
         g_max = max_generation(grid, ks)
     absf = Field(grid, np.abs(field.values))
     out = np.zeros(grid.cells)
-    for g in range(g_min, g_max + 1):
+    for g in range(g_max + 1):
         out = np.maximum(out, conditional_average(absf, structure, g).values)
     return Field(grid, out)
 
 
-def dyadic_sharp(field, structure, g_min=0, g_max=None):
+def dyadic_sharp(field, structure, g_max=None):
     """f^#(x) = max over generations of the mean oscillation on the box at x."""
     grid = field.grid
     ks = structure.anisotropy
     if g_max is None:
         g_max = max_generation(grid, ks)
     out = np.zeros(grid.cells)
-    for g in range(g_min, g_max + 1):
+    for g in range(g_max + 1):
         avg = conditional_average(field, structure, g)
         dev = Field(grid, np.abs(field.values - avg.values))
         out = np.maximum(out, conditional_average(dev, structure, g).values)
     return Field(grid, out)
 
 
-def box_doubling_constant(grid, structure, g_min=0, g_max=None):
+def box_doubling_constant(grid, structure):
     """Empirical sup over boxes of mu(parent)/mu(child) along the filtration."""
     ks = structure.anisotropy
-    if g_max is None:
-        g_max = max_generation(grid, ks)
     dens = structure.density_on(grid)
     worst = 1.0
-    for g in range(g_min + 1, g_max + 1):
+    for g in range(1, max_generation(grid, ks) + 1):
         nb_c, bs_c = _block_shape(grid, ks, g)
         nb_p, bs_p = _block_shape(grid, ks, g - 1)
         child = _box_reduce(dens, nb_c, bs_c, "sum")

@@ -34,9 +34,7 @@ __all__ = [
     "make_structure",
     "make_grid",
     "integrate",
-    "average",
     "lp_norm",
-    "mollify",
     "save_field",
     "load_field",
     "save_field_csv",
@@ -527,41 +525,23 @@ def _cell_density(grid, structure, weight):
     return np.where(w_inf, np.inf, w)
 
 
-def integrate(field, region=None, structure=None, weight=None):
-    """Midpoint quadrature of f (optionally times a weight) against d(mu).
+def integrate(field, structure=None, weight=None):
+    """Midpoint quadrature of f (optionally times a weight) against d(mu)
+    over the whole grid.
 
-    region is (lo, hi) per axis; cells whose centers lie inside count.
-    Singular cells count their exact masses; one that diverges inside the
-    region makes the integral infinite, with the sign of its sample.
+    Singular cells count their exact masses; one that diverges makes the
+    integral infinite, with the sign of its sample.
     """
-    mask = _region_mask(field.grid, region)
     arr, inf_mask = power_integrand(field, 1.0, _cell_density(field.grid, structure, weight))
-    hit = mask & inf_mask
-    if hit.any():
-        return float(np.copysign(np.inf, field.values[hit]).sum())
-    return float(np.copysign(arr, field.values)[mask].sum()) * field.grid.cell_volume
+    if inf_mask.any():
+        return float(np.copysign(np.inf, field.values[inf_mask]).sum())
+    return float(np.copysign(arr, field.values).sum()) * field.grid.cell_volume
 
 
-def average(field, region=None, structure=None):
-    """mu-average over the region with the convention 0/0 := 0."""
-    grid = field.grid
-    mask = _region_mask(grid, region)
-    if not mask.any():
-        return 0.0
-    dens = structure.density_on(grid) if structure is not None else np.ones(grid.cells)
-    if np.isscalar(dens):
-        dens = np.full(grid.cells, dens)
-    denom = float(dens[mask].sum()) * grid.cell_volume
-    if denom == 0.0:
-        return 0.0
-    num = float((field.values * dens)[mask].sum()) * grid.cell_volume
-    return num / denom
-
-
-def lp_norm(field, p, region=None, structure=None, weight=None, slashed=False):
+def lp_norm(field, p, region=None, structure=None, weight=None):
     """(integral over region of |f|^p w dmu)^(1/p); p = inf -> max over samples.
 
-    slashed=True divides the measure of the region first ("slash norm").
+    region is (lo, hi) per axis; cells whose centers lie inside count.
     Singular cells of the field and of the weight inside the region count
     their exact closed-form masses; one that diverges makes the norm +inf.
     """
@@ -575,79 +555,7 @@ def lp_norm(field, p, region=None, structure=None, weight=None, slashed=False):
     arr, inf_mask = power_integrand(field, p, _cell_density(grid, structure, weight))
     if inf_mask[mask].any():
         return math.inf
-    total = float(arr[mask].sum()) * grid.cell_volume
-    if slashed:
-        dens = np.broadcast_to(structure.density_on(grid) if structure is not None else 1.0,
-                               grid.cells)
-        mu = float(dens[mask].sum()) * grid.cell_volume
-        if mu == 0.0:
-            return 0.0
-        total /= mu
-    return total ** (1.0 / p)
-
-
-# ---------------------------------------------------------------------------
-# Mollification
-# ---------------------------------------------------------------------------
-
-
-def _bump(r):
-    out = np.zeros_like(r)
-    inside = np.abs(r) < 1.0
-    out[inside] = np.exp(-1.0 / (1.0 - r[inside] ** 2))
-    return out
-
-
-def mollifier_kernel(grid, eps, parabolic=False):
-    """Discrete samples of the scaled bump zeta_eps, normalized to unit mass."""
-    if parabolic:
-        # anisotropic scaling with support in C_1(-1, 0): t in (-eps^2, 0)
-        sizes = [max(3, 2 * int(np.ceil(eps ** 2 / grid.h[0])) + 1)]
-        sizes += [max(3, 2 * int(np.ceil(eps / grid.h[i])) + 1) for i in range(1, grid.dim)]
-        offs = [
-            (np.arange(n) - n // 2) * h for n, h in zip(sizes, grid.h)
-        ]
-        t = offs[0]
-        tprof = _bump(2.0 * (t / eps ** 2) + 1.0) * (t <= 0)
-        r2 = 0.0
-        mesh = np.meshgrid(*offs[1:], indexing="ij")
-        for m in mesh:
-            r2 = r2 + (m / eps) ** 2
-        xprof = _bump(np.sqrt(r2)) if grid.dim > 1 else np.ones(())
-        ker = tprof.reshape((-1,) + (1,) * (grid.dim - 1)) * xprof
-    else:
-        sizes = [max(3, 2 * int(np.ceil(eps / h)) + 1) for h in grid.h]
-        offs = [(np.arange(n) - n // 2) * h for n, h in zip(sizes, grid.h)]
-        mesh = np.meshgrid(*offs, indexing="ij")
-        r = np.sqrt(sum((m / eps) ** 2 for m in mesh))
-        ker = _bump(r)
-    s = ker.sum() * grid.cell_volume
-    if s <= 0:
-        raise ValueError("degenerate mollifier: eps below grid resolution")
-    return ker / s
-
-
-def mollify(field, eps, structure=None):
-    """Convolution with the scaled unit-mass bump zeta_eps.
-
-    For parabolic structures the anisotropic scaling (t/eps^2, x/eps) with
-    support in C_1(-1,0) is used, so the output at time t only sees earlier
-    inputs.
-    """
-    grid = field.grid
-    if eps > min(grid.half_extent) / 4.0:
-        raise ValueError("mollification width eps exceeds half_extent / 4")
-    parab = structure is not None and structure.parabolic
-    ker = mollifier_kernel(grid, eps, parabolic=parab)
-    # local import: maximal builds on this module
-    from .maximal import _circular_correlate, _fft_correlate
-
-    kflip = np.flip(ker)
-    if grid.periodic:
-        out = _circular_correlate(field.values, kflip)
-    else:
-        out = _fft_correlate(field.values, kflip, [s // 2 for s in ker.shape])
-    return Field(grid, out * grid.cell_volume)
+    return (float(arr[mask].sum()) * grid.cell_volume) ** (1.0 / p)
 
 
 # ---------------------------------------------------------------------------

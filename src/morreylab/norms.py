@@ -241,10 +241,11 @@ def drift_seminorm(b, p_b, rho_b, structure, q_b=None, reversed_order=False,
                              return_profile=return_profile)
 
 
-def bmo_seminorms(a_entries, rho, structure, stride=4):
+def bmo_seminorms(a_entries, rho, structure):
     """(a_sharp_rho, a_sharpsharp_rho) for a bounded (matrix-valued) field.
 
-    a_sharp_rho: sup over balls of radius <= rho of the mean oscillation.
+    a_sharp_rho: sup over balls of radius <= rho, centred on every fourth
+    cell along each axis, of the mean oscillation.
     a_sharpsharp: sup over cylinders of the mean deviation from the
     x-average profile  a~_C(t)  (parabolic structures only).
     """
@@ -256,7 +257,7 @@ def bmo_seminorms(a_entries, rho, structure, stride=4):
     sharp = 0.0
     # not _member_shape: parabolic structures take ellipsoids here, not cylinders
     shape = "ball" if all(k == 1 for k in structure.anisotropy) else "ellipsoid"
-    strides = (stride,) * grid.dim
+    strides = (4,) * grid.dim
     for a in a_entries:
         for r in radii:
             stencil, origin = member_offsets(grid, structure, r, shape)

@@ -24,7 +24,6 @@ __all__ = [
     "newtonian_constant",
     "riesz_kernel_array",
     "elliptic_resolvent_kernel",
-    "heat_kernel_array",
     "parabolic_kernel_array",
     "apply_kernel",
     "apply_parabolic",
@@ -136,15 +135,6 @@ def elliptic_resolvent_kernel(grid, lam):
     rr = (np.arange(4000) + 0.5) * (r_eq / 4000)
     avg = float((profile(rr) * s * rr ** (d - 1)).sum() * (r_eq / 4000) / vol)
     return _radial_kernel(grid, profile, avg)
-
-
-def heat_kernel_array(grid_x, t):
-    """p(t, x) = (4 pi t)^{-d/2} exp(-|x|^2 / 4t) sampled at cell centers."""
-    if t <= 0:
-        raise ValueError("need t > 0")
-    d = grid_x.dim
-    r2 = grid_x.radius() ** 2
-    return (4.0 * math.pi * t) ** (-d / 2.0) * np.exp(-r2 / (4.0 * t))
 
 
 def parabolic_kernel_array(grid, alpha, k):
@@ -349,15 +339,15 @@ def at_kernel_array(grid_x, a_of_t, t, s, ht, delta=None):
     return (4.0 * math.pi * tt) ** (-d / 2.0) * np.exp(-r2 / (4.0 * tt)) * det
 
 
-def kernel_decay_check(grid, alpha, k, n_samples=2000, seed=0):
-    """Verify p_{alpha,k}(s,|x|) <= N rho(s,x)^{-(d+2-alpha)} on a sample
-    lattice (alpha <= d+2) and return the fitted envelope constant."""
+def kernel_decay_check(grid, alpha, k, seed=0):
+    """Verify p_{alpha,k}(s,|x|) <= N rho(s,x)^{-(d+2-alpha)} at 2000 random
+    points (alpha <= d+2) and return the fitted envelope constant."""
     d = grid.dim - 1
     if alpha > d + 2:
         raise ValueError("decay bound needs alpha <= d+2")
     rng = np.random.default_rng(seed)
-    ts = rng.uniform(1e-6, grid.half_extent[0], n_samples)
-    xs = rng.uniform(-grid.half_extent[1], grid.half_extent[1], (n_samples, d))
+    ts = rng.uniform(1e-6, grid.half_extent[0], 2000)
+    xs = rng.uniform(-grid.half_extent[1], grid.half_extent[1], (2000, d))
     r = np.sqrt((xs ** 2).sum(axis=1))
     p = ts ** (-(d + 2 - alpha) / 2.0) * np.exp(-r ** 2 / (k * ts))
     rho = np.sqrt(ts) + r
@@ -366,20 +356,16 @@ def kernel_decay_check(grid, alpha, k, n_samples=2000, seed=0):
     return float(ratio.max())
 
 
-def potential_sharp_check(field, structure, alpha, k=4.0, elliptic=False,
-                          family=None, sample_stride=4):
-    """Fitted N in (P_{alpha,k} f)^sharp <= N M_alpha f (or Riesz variant),
-    evaluated on a decimated sample set.  Returns (N_fit, ratio_field)."""
+def potential_sharp_check(field, structure, alpha, k=4.0, family=None):
+    """Fitted N in (P_{alpha,k} f)^sharp <= N M_alpha f, evaluated on every
+    fourth cell along each axis.  Returns (N_fit, sharp field)."""
     from .maximal import classical_maximal, classical_sharp
 
     grid = field.grid
-    if elliptic:
-        pot = apply_kernel(field, KernelSpec("riesz", alpha=alpha))
-    else:
-        pot = apply_parabolic(field, alpha, k)
+    pot = apply_parabolic(field, alpha, k)
     m_a = classical_maximal(field, structure, beta=alpha, family=family)
     sharp = classical_sharp(pot, structure, family=family)
-    sub = tuple(slice(None, None, sample_stride) for _ in grid.cells)
+    sub = tuple(slice(None, None, 4) for _ in grid.cells)
     num = sharp.values[sub]
     den = m_a.values[sub]
     with np.errstate(invalid="ignore", divide="ignore"):

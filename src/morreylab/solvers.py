@@ -177,15 +177,16 @@ def _operator_from_derivatives(u, op, derivatives):
     return Field(grid, out)
 
 
-def solve_drift(f, lam, b, structure, norm=None, max_iter=40, tol=1e-10):
+def solve_drift(f, lam, b, structure, max_iter=40):
     """Successive approximation for  Delta u + b.Du - lam u + f = 0
     (or the heat analog on parabolic structures).
 
     u0 = 0; u_{n+1} solves the drift-free resolvent with source f + b.Du_n.
     Raises DriftDivergence with the measured contraction factor when the
     update ratio reaches 1 (this is a feature: the counterexample drifts
-    must diverge or produce unbounded ratios).
-    Returns (u, trace) with trace the list of update norms.
+    must diverge or produce unbounded ratios).  Stops once the RMS update
+    is at most 1e-10 times the RMS of u.
+    Returns (u, trace) with trace the list of RMS update norms.
     """
     grid = f.grid
     parab = structure.parabolic
@@ -202,7 +203,9 @@ def solve_drift(f, lam, b, structure, norm=None, max_iter=40, tol=1e-10):
             acc += bi.values * di
         return acc
 
-    nrm = norm if norm is not None else (lambda v: float(np.sqrt(np.mean(v ** 2))))
+    def nrm(v):
+        return float(np.sqrt(np.mean(v ** 2)))
+
     u = Field(grid, np.zeros(grid.cells))
     trace = []
     prev_update = None
@@ -217,7 +220,7 @@ def solve_drift(f, lam, b, structure, norm=None, max_iter=40, tol=1e-10):
                 raise DriftDivergence(kappa_c, trace)
         denom = nrm(u_next.values)
         u = u_next
-        if denom > 0 and upd <= tol * denom:
+        if denom > 0 and upd <= 1e-10 * denom:
             return u, trace
         prev_update = upd
     return u, trace
@@ -335,12 +338,7 @@ def _sdelta_from_draws(g, ev):
 
 
 def sdelta_brackets(a, u):
-    """{a, u} = a^{ij} a^{kr} u_{ik} u_{jr} = tr(a u a u) for symmetric a, u."""
-    return float(_stacked_brackets(a, u))
-
-
-def _stacked_brackets(a, u):
-    """sdelta_brackets of every pair of a stack: leading axes of a and u are
-    the stack, with one bracket each."""
+    """{a, u} = a^{ij} a^{kr} u_{ik} u_{jr} = tr(a u a u) for symmetric a, u.
+    Leading axes of a and u are a stack, with one bracket each."""
     au = a @ u
     return (au * (u @ a)).sum(axis=(-2, -1))

@@ -1,5 +1,5 @@
 """Muckenhoupt A_p machinery: constants, reverse Holder, self-improvement,
-the Rubio de Francia iteration, Jones factorization, extrapolation transfer.
+the Rubio de Francia iteration and Jones factorization.
 
 Constants computed over a finite cube family are certified lower bounds of
 the continuum constants.  Finiteness vs. divergence is decided by the
@@ -29,7 +29,6 @@ __all__ = [
     "self_improve",
     "rdf_iterate",
     "jones_factorize",
-    "extrapolate_check",
     "RdfDivergence",
 ]
 
@@ -46,23 +45,16 @@ class RdfDivergence(RuntimeError):
 
 
 class Weight:
-    """Strictly positive field with cached A_p constant estimates."""
+    """Strictly positive field."""
 
     def __init__(self, field):
         if np.any(field.values <= 0):
             raise ValueError("weight must be positive at every sample")
         self.field = field
-        self.cached = {}
 
     @property
     def grid(self):
         return self.field.grid
-
-    def ap(self, p, structure, family=None):
-        key = (round(float(p), 12), family)  # by value: ids of freed families are reused
-        if key not in self.cached:
-            self.cached[key] = ap_constant(self, p, structure, family)
-        return self.cached[key]
 
 
 def power_weight(grid, alpha):
@@ -190,8 +182,8 @@ def a1_constant(field, structure, family=None):
     return ap_constant(Weight(field), 1.0, structure, family)
 
 
-def ainf_profile(weight, p, structure, family=None, n_pairs=400, seed=0):
-    """Fit (beta, N) with w(S)/w(Q) <= N (mu(S)/mu(Q))^beta over random
+def ainf_profile(weight, p, structure, family=None, seed=0):
+    """Fit (beta, N) with w(S)/w(Q) <= N (mu(S)/mu(Q))^beta over 400 random
     S inside Q pairs; all sampled pairs satisfy the returned bound.
     Also returns the worst violation margin of the lower-bound direction
     [w]_{A_p} w(S)/w(Q) >= (mu(S)/mu(Q))^p.
@@ -202,9 +194,9 @@ def ainf_profile(weight, p, structure, family=None, n_pairs=400, seed=0):
     wv = weight.field.values
     wmu = np.where(np.isfinite(wv), wv, 0.0) * dens
     ratios = []
-    apw = weight.ap(p, structure, family)
+    apw = ap_constant(weight, p, structure, family)
     lower_margin = math.inf
-    for _ in range(n_pairs):
+    for _ in range(400):
         # random cube Q and random sub-box S
         k = structure.anisotropy
         l = math.exp(rng.uniform(math.log(4 * max(grid.h)), math.log(min(grid.half_extent))))
@@ -305,28 +297,30 @@ def self_improve(weight, p, structure, family=None):
         import warnings
 
         warnings.warn("no reverse-Holder gain found; returning q = p")
-        return p, weight.ap(p, structure, family)
+        return p, ap_constant(weight, p, structure, family)
     q = 1.0 + (p - 1.0) / (1.0 + eps)
     return q, ap_constant(weight, q, structure, family)
 
 
-def _estimate_op_norm(op, shape, norm, n_iter=6, seed=0, inflate=1.2):
-    """Power iteration on random nonnegative inputs; inflated for safety."""
+def _estimate_op_norm(op, shape, norm, seed):
+    """Six power iterations on random nonnegative inputs, inflated by 1.2
+    for safety."""
     rng = np.random.default_rng(seed)
     u = rng.random(shape) + 0.1
     est = 1.0
-    for _ in range(n_iter):
+    for _ in range(6):
         nu = norm(u)
         if nu == 0:
             break
         u = u / nu
         u = op(u)
         est = norm(u)
-    return max(est, 1.0) * inflate
+    return max(est, 1.0) * 1.2
 
 
-def _rdf_series(op, start, exponent, weight, structure, n_terms, seed):
-    """sum_n op^n(start) / (2 ||op||)^n with ||op|| estimated in L_exponent(w).
+def _rdf_series(op, start, exponent, weight, structure, seed):
+    """sum_{n < 24} op^n(start) / (2 ||op||)^n with ||op|| estimated in
+    L_exponent(w).
 
     Raises RdfDivergence once a partial sum exceeds 4 ||start||.
     Returns (sum, op_norm_estimate).
@@ -336,11 +330,11 @@ def _rdf_series(op, start, exponent, weight, structure, n_terms, seed):
         return lp_norm(Field(weight.grid, u), exponent, structure=structure,
                        weight=weight.field)
 
-    op_norm = _estimate_op_norm(op, start.shape, pnorm, seed=seed)
+    op_norm = _estimate_op_norm(op, start.shape, pnorm, seed)
     term = start
     v = term.copy()
     nf = pnorm(term)
-    for _ in range(1, n_terms):
+    for _ in range(1, 24):
         term = op(term) / (2.0 * op_norm)
         v = v + term
         if pnorm(v) > 4.0 * nf:
@@ -348,7 +342,7 @@ def _rdf_series(op, start, exponent, weight, structure, n_terms, seed):
     return v, op_norm
 
 
-def rdf_iterate(f, weight, p_prime, structure, n_terms=24, family=None, seed=0):
+def rdf_iterate(f, weight, p_prime, structure, family=None, seed=0):
     """Rubio de Francia majorant v = sum_n T^n f / (2^n ||T||^n) with
     T u = w^{-1} M(u w); guarantees f <= v, ||v|| <= 2 ||f||, and
     M(v w) <= 2 ||T|| v w pointwise up to family slack.
@@ -364,11 +358,11 @@ def rdf_iterate(f, weight, p_prime, structure, n_terms=24, family=None, seed=0):
         return classical_maximal(Field(grid, np.abs(u) * wv), structure, 0.0, family).values / wv
 
     v, t_norm = _rdf_series(T, np.abs(f.values).astype(float), p_prime, weight, structure,
-                            n_terms, seed)
+                            seed)
     return Field(grid, v), t_norm
 
 
-def jones_factorize(weight, p, structure, n_terms=24, family=None, seed=0):
+def jones_factorize(weight, p, structure, family=None, seed=0):
     """Jones factorization w = w1^{1-p} w2 with both factors A_1.
 
     Runs the fixed-point construction with S the sum of the two sublinear
@@ -387,34 +381,8 @@ def jones_factorize(weight, p, structure, n_terms=24, family=None, seed=0):
                                family).values ** (p - 1)
         return t1 + t2
 
-    v, s_norm = _rdf_series(S, np.ones(grid.cells), p / (p - 1.0), weight, structure,
-                            n_terms, seed)
+    v, s_norm = _rdf_series(S, np.ones(grid.cells), p / (p - 1.0), weight, structure, seed)
     w2 = Field(grid, v * wv)
     w1 = Field(grid, v ** (1.0 / (p - 1.0)))
     return w1, w2, s_norm
 
-
-def extrapolate_check(pairs, p, q, w_q, structure, probe_weights):
-    """Rubio de Francia extrapolation transfer check.
-
-    pairs: list of (f, g) Fields.  Verifies the hypothesis
-    ||f||_{L_p(w)} <= ||g||_{L_p(w)} over the probe A_p weights, then checks
-    the conclusion ||f||_{L_q(w_q)} <= 2^{q+1} ||g||_{L_q(w_q)}.
-
-    Returns dict with hypothesis_ok, worst hypothesis margin, conclusion
-    ratios and the 2^{q+1} bound.
-    """
-    out = {"hypothesis_ok": True, "hyp_margin": 0.0, "ratios": [], "bound": 2.0 ** (q + 1)}
-    for f, g in pairs:
-        for w in probe_weights:
-            nf = lp_norm(f, p, structure=structure, weight=w.field)
-            ng = lp_norm(g, p, structure=structure, weight=w.field)
-            margin = nf / ng - 1.0 if ng > 0 else math.inf
-            if margin > 1e-9:
-                out["hypothesis_ok"] = False
-                out["hyp_margin"] = max(out["hyp_margin"], margin)
-    for f, g in pairs:
-        nf = lp_norm(f, q, structure=structure, weight=w_q.field)
-        ng = lp_norm(g, q, structure=structure, weight=w_q.field)
-        out["ratios"].append(nf / ng if ng > 0 else math.inf)
-    return out

@@ -254,10 +254,16 @@ def test_box_nesting_by_corner_containment():
     # the generation-1 ancestor indices are the child indices shifted by k_i
     parent = DyadicBox(1, (3 >> 2, 1 >> 1))
     stranger = DyadicBox(1, ((3 >> 2) ^ 1, 1 >> 1))
-    assert parent.contains(child, g, ks)
-    assert not stranger.contains(child, g, ks)
+
+    def holds(outer, inner):
+        """Every axis's cell slice of `outer` holds that of `inner`."""
+        return all(o.start <= i.start and i.stop <= o.stop
+                   for o, i in zip(outer.cell_slices(g, ks), inner.cell_slices(g, ks)))
+
+    assert holds(parent, child)
+    assert not holds(stranger, child)
     # every finer generation nests inside exactly one ancestor per generation
-    for gen in (1, 2):
+    for gen in (0, 1, 2):
         anc = DyadicBox(gen, tuple(i >> (k * (child.generation - gen))
                                    for i, k in zip(child.index, ks)))
-        assert anc.contains(child, g, ks)
+        assert holds(anc, child)

@@ -13,11 +13,8 @@ from morreylab.grid import (
     load_field_csv,
     make_grid,
     make_structure,
-    mollifier_kernel,
-    mollify,
     save_field,
     save_field_csv,
-    average,
 )
 from morreylab.solvers import spectral_derivative_fields
 
@@ -80,12 +77,6 @@ def test_integrate_ball_indicator_pi_richardson():
     assert richardson == pytest.approx(math.pi, abs=5e-3)
 
 
-def test_average_empty_region_is_zero():
-    g = make_grid(1, 1.0, 32)
-    f = Field(g, np.ones(32))
-    assert average(f, region=([5.0], [6.0])) == 0.0
-
-
 def test_lp_norm_constant():
     g = make_grid(2, 1.0, 64)
     f = Field(g, np.ones(g.cells))
@@ -136,8 +127,6 @@ def test_lp_norm_counts_singular_masses_inside_the_region_only():
     lower = lp_norm(f, p, region=([-1, -1, -1], [1, 1, 0])) ** p
     upper = lp_norm(f, p, region=([-1, -1, 0], [1, 1, 1])) ** p
     assert lower + upper == pytest.approx(lp_norm(f, p) ** p, rel=1e-12)
-    assert integrate(f, region=([-1, -1, -1], [1, 1, 0])) \
-        + integrate(f, region=([-1, -1, 0], [1, 1, 1])) == pytest.approx(integrate(f), rel=1e-12)
 
 
 def test_scalar_multiple_scales_singular_masses():
@@ -185,50 +174,6 @@ def test_lp_scaling_relation():
     lhs = lp_norm(f1, p, region=([-1.0], [1.0])) * r_sc ** (d / p)
     rhs = lp_norm(f2, p, region=([-2.0], [2.0]))
     assert lhs == pytest.approx(rhs, rel=1e-10)
-
-
-def test_mollifier_mass_unit():
-    g = make_grid(2, 1.0, 128)
-    ker = mollifier_kernel(g, 0.2)
-    assert float(ker.sum()) * g.cell_volume == pytest.approx(1.0, abs=1e-10)
-
-
-def test_mollify_constant_away_from_boundary():
-    g = make_grid(1, 1.0, 256)
-    f = Field(g, np.full(256, 3.3))
-    out = mollify(f, 0.1)
-    inner = np.abs(g.axis(0)) < 0.8
-    assert np.abs(out.values[inner] - 3.3).max() < 1e-12
-
-
-def test_mollify_eps_cap():
-    g = make_grid(1, 1.0, 64)
-    with pytest.raises(ValueError):
-        mollify(Field(g, np.ones(64)), 0.3)
-
-
-def test_mollify_morrey_nonexpansive():
-    from morreylab.norms import NormSpec, evaluate_norm
-
-    s = make_structure(2, (1, 1))
-    g = make_grid(2, 1.0, 128)
-    rng = np.random.default_rng(3)
-    f = Field(g, rng.random(g.cells))
-    fm = mollify(f, 0.05)
-    spec = NormSpec("Epbr", p=2.0, beta=0.5)
-    assert evaluate_norm(fm, spec, s) <= evaluate_norm(f, spec, s) * (1 + 1e-9)
-
-
-def test_mollify_converges_on_step():
-    g = make_grid(1, 1.0, 512)
-    x = g.axis(0)
-    f = Field(g, (x > 0).astype(float))
-    errs = []
-    for eps in (0.2, 0.1, 0.05):
-        out = mollify(f, eps)
-        inner = np.abs(x) < 0.7
-        errs.append(float(np.abs(out.values - f.values)[inner].sum()) * g.h[0])
-    assert errs[0] > errs[1] > errs[2]
 
 
 def test_spectral_derivative_sine():
@@ -321,17 +266,3 @@ def test_nonfinite_needs_singular_flag():
     g = make_grid(1, 1.0, 16)
     with pytest.raises(ValueError):
         Field(g, np.full(16, np.nan))
-
-
-def test_parabolic_mollifier_causal_support():
-    # the anisotropic bump is supported in t in (-eps^2, 0]: smoothing a
-    # front that switches on at t = 0 must not leak to earlier times
-    s = make_structure(2, (2, 1))
-    g = make_grid(2, (1.0, 1.0), (128, 64))
-    xs = g.mesh()
-    f = Field(g, (xs[0] >= 0).astype(float))
-    out = mollify(f, 0.2, structure=s)
-    early = xs[0] < -(0.2 ** 2) - 2 * g.h[0]
-    assert np.abs(out.values[early]).max() < 1e-12
-    ker = mollifier_kernel(g, 0.2, parabolic=True)
-    assert float(ker.sum()) * g.cell_volume == pytest.approx(1.0, abs=1e-10)

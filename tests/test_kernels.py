@@ -1,7 +1,7 @@
 """Property tests for the shared kernels of morreylab.maximal: the
 member-sum correlation (box prefix sums or FFT, chosen from the stencil), the
-one FFT correlation behind it and behind every convolution of potentials and
-grid.mollify, its fast transform lengths, the exact uniform member measure,
+one FFT correlation behind it and behind every convolution of potentials,
+its fast transform lengths, the exact uniform member measure,
 the stencil table and its bounded count table, the chunked mean-oscillation
 gather, and the max filter and block footprint behind the scatter of member
 values."""
@@ -17,7 +17,7 @@ from hypothesis.extra.numpy import arrays
 from scipy.signal import fftconvolve
 
 from morreylab import maximal
-from morreylab.grid import Field, make_grid, make_structure, mollifier_kernel, mollify
+from morreylab.grid import Field, make_grid, make_structure
 from morreylab.maximal import (
     BallFamily,
     _box_stencil,
@@ -204,22 +204,6 @@ def test_apply_parabolic_matches_fftconvolve(cells):
     full = fftconvolve(f.values, ker[::-1], mode="full")
     want = full[tuple(slice(n - 1, 2 * n - 1) for n in g.cells)] * g.cell_volume
     _oracle_close(apply_parabolic(f, 1.0, 4.0).values, want)
-
-
-@pytest.mark.parametrize("periodic", [False, True])
-@pytest.mark.parametrize("dim, cells, parabolic", [(1, 40, False), (2, 24, False),
-                                                   (2, (24, 16), True), (3, 12, False)])
-def test_mollify_matches_fftconvolve(periodic, dim, cells, parabolic):
-    g = make_grid(dim, 2.0, cells, periodic=periodic)
-    f = Field(g, np.random.default_rng(dim).standard_normal(g.cells))
-    structure = make_structure(dim, (2,) + (1,) * (dim - 1)) if parabolic else None
-    ker = mollifier_kernel(g, 0.45, parabolic=parabolic)
-    if periodic:
-        wrapped = np.pad(f.values, [(s // 2, s // 2) for s in ker.shape], mode="wrap")
-        want = fftconvolve(wrapped, ker, mode="valid")
-    else:
-        want = fftconvolve(f.values, ker, mode="same")
-    _oracle_close(mollify(f, 0.45, structure).values, want * g.cell_volume)
 
 
 def brute_count(stencil, origin, cells):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from morreylab.grid import Field, lp_norm, make_grid, make_structure, mollify, power_integrand
+from morreylab.grid import Field, lp_norm, make_grid, make_structure, power_integrand
 from morreylab.maximal import BallFamily, _correlate, member_offsets
 from morreylab.norms import (
     NormSpec,
@@ -276,11 +276,18 @@ def test_kappa_ridge_norm_bounds():
     beta, p = 1.5, 4.0 / 3.0
     kappa = 0.1
     u, b_du, d2 = tf("kappa_ridge", g, kappa=kappa, beta=beta)
-    r3 = 3 * kappa
-    n_bdu = lp_norm(b_du, p, region=([-r3] * 3, [r3] * 3), slashed=True)
+
+    def slashed(f, r):
+        """The L_p norm over the cube [-r, r]^3 of the measure-normalised
+        integral: the integral divided by the measure of the cells inside."""
+        inside = np.all(np.abs(np.stack(g.mesh())) <= r, axis=0)
+        return lp_norm(f, p, region=([-r] * 3, [r] * 3)) \
+            / (float(inside.sum()) * g.cell_volume) ** (1.0 / p)
+
+    n_bdu = slashed(b_du, 3 * kappa)
     assert n_bdu >= 0.05 * (3 * kappa) ** -2.0  # N1 (3 kappa)^{-2} envelope
     for r in (0.3, 0.6):
-        n_d2 = lp_norm(d2, p, region=([-r] * 3, [r] * 3), slashed=True)
+        n_d2 = slashed(d2, r)
         assert n_d2 <= 40.0 * kappa ** (beta - 2.0) * r ** (-beta)
 
 
@@ -309,33 +316,6 @@ def test_comparability_across_scale_caps():
     big = evaluate_norm(f, NormSpec("Epbr", p=2.0, beta=0.5, r=1.0), S2)
     small = evaluate_norm(f, NormSpec("Epbr", p=2.0, beta=0.5, r=mu), S2)
     assert big <= (1 + 1 / mu) ** (2 / 2.0) * small / mu ** 0.5 * (1 + 1e-9)
-
-
-def test_mollify_approximation_monotone():
-    # ||f^(eps) - f||_{E_{p,beta}(B)} decreases along an eps-sequence
-    # for f in a slightly better Morrey class
-    g = make_grid(2, 1.0, 256)
-    f = tf("mollified_power", g, gamma=0.4, eps=0.02)
-    errs = []
-    for eps in (0.12, 0.06, 0.03):
-        fm = mollify(f, eps)
-        diff = Field(g, np.where(np.abs(np.stack(g.mesh())).max(axis=0) < 0.6,
-                                 fm.values - f.values, 0.0))
-        errs.append(evaluate_norm(diff, NormSpec("Epbr", p=2.0, beta=0.8, r=0.5), S2))
-    assert errs[0] > errs[1] > errs[2]
-
-
-def test_mollified_maximal_bounded_in_morrey():
-    from morreylab.maximal import classical_maximal
-
-    g = make_grid(2, 1.0, 128)
-    rng = np.random.default_rng(5)
-    f = Field(g, rng.random(g.cells))
-    sup_eps = np.maximum.reduce([mollify(f, e).values for e in (0.05, 0.1, 0.2)])
-    spec = NormSpec("Epbr", p=2.0, beta=0.5, r=0.5)
-    lhs = evaluate_norm(Field(g, sup_eps), spec, S2)
-    rhs = evaluate_norm(f, spec, S2)
-    assert lhs <= 3.0 * rhs
 
 
 def test_lqp_asym_field_masses():

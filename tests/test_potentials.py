@@ -12,7 +12,6 @@ from morreylab.potentials import (
     apply_parabolic_conjugate,
     at_kernel_array,
     elliptic_resolvent_kernel,
-    heat_kernel_array,
     heat_resolvent_modewise,
     kernel_decay_check,
     newtonian_constant,
@@ -94,13 +93,6 @@ def test_heat_kernel_semigroup():
     conv = fftconvolve(p1, p2, mode="same") * h
     p3 = (4 * math.pi * 0.3) ** -0.5 * np.exp(-x ** 2 / 1.2)
     assert np.abs(conv - p3).max() < 1e-8
-
-
-def test_heat_kernel_mass():
-    g = make_grid(2, 8.0, 128)
-    for t in (0.05, 0.2, 0.5):
-        ker = heat_kernel_array(g, t)
-        assert float(ker.sum()) * g.cell_volume == pytest.approx(1.0, abs=1e-8)
 
 
 def test_heat_resolvent_of_one():

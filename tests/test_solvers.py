@@ -10,7 +10,6 @@ from morreylab.norms import NormSpec
 from morreylab.solvers import (
     DriftDivergence,
     OperatorSpec,
-    _stacked_brackets,
     apply_operator,
     apriori_ratio,
     oscillation_estimate,
@@ -350,8 +349,8 @@ def test_stacked_brackets_match_pair_by_pair():
     for delta in (0.2, 0.5, 0.9):
         loop = np.random.default_rng(11)
         a, u = _sdelta_pairs(np.random.default_rng(11), 300, delta)
-        stacked = _stacked_brackets(a, u)
-        shifted = _stacked_brackets(a - delta * np.eye(3), u)
+        stacked = sdelta_brackets(a, u)
+        shifted = sdelta_brackets(a - delta * np.eye(3), u)
         for k in range(len(u)):
             ak = random_sdelta(loop, 3, delta)
             uk = loop.normal(size=(3, 3))

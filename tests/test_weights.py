@@ -16,7 +16,6 @@ from morreylab.weights import (
     rdf_iterate,
     reverse_holder,
     self_improve,
-    extrapolate_check,
 )
 from morreylab.weights import _cube_half_cells, _running_min
 
@@ -40,21 +39,6 @@ def brute_force_a2_intervals(w_vals, x, h, n_centers=160, n_widths=60):
             seg = w_vals[lo:hi]
             best = max(best, float(seg.mean() * (1.0 / seg).mean()))
     return best
-
-
-def test_ap_cache_keyed_by_family_value():
-    g = make_grid(1, 1.0, 256)
-    w = power_weight(g, -0.5)
-    radii = BallFamily.for_structure(S1, g, shape="cube").radii
-    for rho in radii[::6]:  # one-radius families with distinct constants
-        # each family is freed before the next is built, so its id may repeat
-        fam = BallFamily((rho,), "cube")
-        assert w.ap(2.0, S1, fam) == ap_constant(w, 2.0, S1, fam)
-        del fam
-    n = len(w.cached)
-    fam = BallFamily((radii[6],), "cube")
-    assert w.ap(2.0, S1, fam) == ap_constant(w, 2.0, S1, fam)
-    assert len(w.cached) == n  # an equal family reads the same entry
 
 
 def test_a2_sqrt_weight_brute_force_oracle():
@@ -154,6 +138,19 @@ def test_ainf_profile_unit_and_power():
     assert lmw >= 1.0 - 1e-9  # lower-bound direction on every sampled pair
 
 
+def test_ainf_profile_reads_the_constant_of_its_own_structure():
+    # the lower margin scales with [w]_{A_2} of the structure passed in, so a
+    # weight profiled under one structure and then another must not carry
+    # the first structure's constant into the second
+    g = make_grid(2, 1.0, 64)
+    w = power_weight(g, 0.5)
+    iso, parab = make_structure(2), make_structure(2, (2, 1))
+    ainf_profile(w, 2.0, iso)
+    again = ainf_profile(w, 2.0, parab)
+    assert again == ainf_profile(power_weight(g, 0.5), 2.0, parab)
+    assert again[2] != ainf_profile(power_weight(g, 0.5), 2.0, iso)[2]
+
+
 def test_reverse_holder_unit_weight():
     g = make_grid(1, 1.0, 256)
     eps, n = reverse_holder(Weight(Field(g, np.ones(256))), 2.0, S1)
@@ -247,33 +244,6 @@ def test_a1_product_direction():
     lhs = ap_constant(prod, p, S1)
     rhs = a1_constant(u, S1) * a1_constant(v, S1) ** (p - 1)
     assert lhs <= rhs * 1.05
-
-
-def test_extrapolate_trivial_pair():
-    g = make_grid(1, 1.0, 256)
-    rng = np.random.default_rng(6)
-    f = Field(g, rng.random(256))
-    probes = [power_weight(g, 0.0), power_weight(g, 0.5), power_weight(g, -0.5)]
-    wq = power_weight(g, 0.5)
-    out = extrapolate_check([(f, f)], 2.0, 3.0, wq, S1, probes)
-    assert out["hypothesis_ok"]
-    assert all(r == pytest.approx(1.0, rel=1e-12) for r in out["ratios"])
-    assert out["bound"] == pytest.approx(2.0 ** 4)
-
-
-def test_extrapolate_maximal_pair():
-    g = make_grid(1, 1.0, 512)
-    rng = np.random.default_rng(7)
-    gfun = Field(g, rng.random(512))
-    probes = [power_weight(g, 0.0), power_weight(g, 0.5), power_weight(g, -0.5)]
-    fam = BallFamily.for_structure(S1, g, shape="cube", density=6.0)
-    m = classical_maximal(gfun, S1, family=fam)
-    scale = max(lp_norm(m, 2, weight=w.field) / lp_norm(gfun, 2, weight=w.field)
-                for w in probes)
-    f = Field(g, m.values / scale)
-    out = extrapolate_check([(f, gfun)], 2.0, 3.0, power_weight(g, 0.5), S1, probes)
-    assert out["hypothesis_ok"]
-    assert max(out["ratios"]) <= out["bound"]
 
 
 def test_parabolic_power_weight_a1_range():
