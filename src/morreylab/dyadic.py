@@ -109,7 +109,10 @@ def _broadcast_boxes(box_vals, bs):
 
 def _box_means(values, structure, grid, nb, bs):
     """mu-average of values on each box of shape (nb, bs); make_structure
-    keeps every density positive, so no box has zero measure."""
+    keeps every density positive, so no box has zero measure.  On the
+    uniform measure a box's mass is its cell count."""
+    if structure.uniform:
+        return _box_reduce(values, nb, bs, "sum") / math.prod(bs)
     dens = structure.density_on(grid)
     return _box_reduce(values * dens, nb, bs, "sum") / _box_reduce(dens, nb, bs, "sum")
 

@@ -16,7 +16,7 @@ import weakref
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 from .grid import Field
 
@@ -111,7 +111,7 @@ def _member_stencil(hs, ks, nu0, rho, shape):
             axes.append(np.arange(0, hc + 1) * hs[0])
         else:
             axes.append((np.arange(-hc, hc + 1)) * hs[i])
-    mesh = np.meshgrid(*axes, indexing="ij")
+    mesh = np.meshgrid(*axes, indexing="ij", sparse=True)
     if shape == "ball":
         mask = sum(m ** 2 for m in mesh) < rho ** 2
     elif shape == "ellipsoid":
@@ -120,7 +120,7 @@ def _member_stencil(hs, ks, nu0, rho, shape):
         xmask = sum(m ** 2 for m in mesh[1:]) < rho ** 2 if dim > 1 else True
         mask = (mesh[0] >= 0) & (mesh[0] < rho ** 2) & xmask
     else:
-        mask = np.ones(mesh[0].shape, dtype=bool)
+        mask = np.ones([len(a) for a in axes], dtype=bool)
         for m, e in zip(mesh, ext):
             mask &= np.abs(m) < e
     origin = tuple(0 if (shape == "cylinder" and i == 0) else hc
@@ -376,24 +376,42 @@ def _stencil_count(stencil, origin, cells):
     return out
 
 
-def _member_means(weighted, dens, stencil, origin, forward=None):
+def _member_means(weighted, dens, stencil, origin, forward=None, dens_forward=None):
     """(means, measures): mu(E)^-1 int_E g dmu over the member E anchored at
     every cell, members clipped to the domain, and mu(E), for the measure
     dmu = dens dx; dens None is the uniform measure.  weighted holds g dens
-    (g when dens is None); `forward` is its _Forward holder in a radius loop.
+    (g when dens is None); in a radius loop `forward` and `dens_forward` are
+    the _Forward holders of weighted and of dens.
     mu(E) is the exact cell count for the uniform measure, a correlation of
     dens otherwise.  Axes of weighted before the stencil's are a batch, as
     in _correlate; the count carries none and broadcasts over them.  An
     empty member has mean 0."""
     num = _correlate(weighted, stencil, origin, forward)
     if dens is not None:
-        den = _correlate(dens, stencil, origin)
+        den = _correlate(dens, stencil, origin, dens_forward)
     else:
         den = _COUNTS.get(stencil, origin, weighted.shape[weighted.ndim - stencil.ndim:])
         if stencil[tuple(origin)]:  # every member holds its anchor cell: den >= 1
             return num / den, den
     with np.errstate(invalid="ignore", divide="ignore"):
         return np.where(den > 0, num / den, 0.0), den
+
+
+def _nonpositive(values):
+    """values - max, or min - values when the values lie nearer their min on
+    average: a shift, and maybe a reflection, that no mean oscillation sees.
+    Every finite value ends <= 0, and the bulk of them stay small, which
+    keeps the rounding of sums of maxima near that of the values' spread.
+    NaN and inf values are carried along and do not move the others."""
+    lo, hi, mid = values.min(), values.max(), values.mean()
+    if not math.isfinite(hi - lo):
+        finite = np.isfinite(values)
+        if not finite.any():
+            return values
+        lo = values.min(initial=np.inf, where=finite)
+        hi = values.max(initial=-np.inf, where=finite)
+        mid = values.mean(where=finite)
+    return values - hi if hi - mid <= mid - lo else lo - values
 
 
 # Gathered elements per block of _mean_oscillation: bounds its working set.
@@ -410,47 +428,65 @@ def _mean_oscillation(values, dens, stencil, origin, strides):
 
     Returns an array shaped like the lattice.  Every member holds its own
     anchor cell (the stencil contains its origin), so its measure is
-    positive.  Members are read through one strided window view per array,
-    a block of lattice rows at a time; zero padding carries zero measure,
-    the same as clipping to the domain.
+    positive.  Members are read through one strided view of the zero-padded
+    grid per array, a block of lattice rows at a time: each lattice point
+    sees the run of the flat padded grid from its member's first cell to
+    its last, and the K = count_nonzero(stencil) values g of the member are
+    gathered from it once, by one flat index per stencil cell.
+
+    Within a member sum (g - m) dmu = 0, so the oscillation is
+    sum |g - m| dmu = 2 (sum max(g, m) dmu - sum g dmu): one in-place max and
+    one sum after the mean, with no subtraction, abs or mask product.  The
+    values are first moved to <= 0 (_nonpositive), so every member mean m is
+    <= 0 and a padded zero adds max(0, m) = 0 to the sum of maxima.  So the
+    uniform measure gathers no mask (the mass is the exact count), and a
+    density is gathered from its own zero padding.
     """
-    pad = [(o, s - 1 - o) for o, s in zip(origin, stencil.shape)]
-    lattice = tuple(slice(None, None, s) for s in strides)
+    cells, lattice = values.shape, tuple(slice(None, None, s) for s in strides)
+    inside = tuple(slice(o, o + n) for o, n in zip(origin, cells))
+    padded_shape = [n + s - 1 for n, s in zip(cells, stencil.shape)]
+    # flat offset of each stencil cell in the padded grid, in cells
+    flat = np.ravel_multi_index(np.nonzero(stencil), padded_shape)
+    out = np.empty([-(-n // s) for n, s in zip(cells, strides)])
 
     def members(arr):
-        return sliding_window_view(np.pad(arr, pad), stencil.shape)[lattice]
+        padded = np.zeros(padded_shape)
+        padded[inside] = arr
+        steps = [s * b for s, b in zip(strides, padded.strides)]
+        return as_strided(padded, out.shape + (int(flat[-1]) + 1,),
+                          steps + [padded.itemsize], writeable=False)
 
-    gw = members(values)
-    # the uniform measure is the in-domain indicator; its mass is the count
-    mw = members(np.ones(values.shape, dtype=bool) if dens is None else dens)
-    count = _COUNTS.get(stencil, origin, values.shape)[lattice] if dens is None else None
-    out = np.empty(gw.shape[:values.ndim])
+    gw = members(_nonpositive(values))
+    if dens is None:
+        count = _COUNTS.get(stencil, origin, cells)[lattice]
+    else:
+        mw = members(dens)
     # A block is a run of lattice points along axis k, with the axes before k
     # fixed and those after it whole: k is the first axis whose trailing
     # slab fits the bound, and the runs along it are cut to equal lengths.
-    row = int(np.count_nonzero(stencil))
+    row = flat.size
     k = 0
     while k < out.ndim - 1 and row * math.prod(out.shape[k + 1:]) > _GATHER_BLOCK:
         k += 1
     slab = row * math.prod(out.shape[k + 1:])
     runs = -(-out.shape[k] * slab // _GATHER_BLOCK)
     step = -(-out.shape[k] // runs)
-    sel = (...,) + np.nonzero(stencil)
+    sel = (..., flat)
     for lead in np.ndindex(out.shape[:k]):
         for s in range(0, out.shape[k], step):
             blk = lead + (slice(s, s + step),)
-            gv, mv = gw[blk][sel], mw[blk][sel]
+            gv = gw[blk][sel]
             if dens is None:
-                # the padding holds zeros, so gv * mv would equal gv bitwise
                 mass = count[blk]
-                mean = gv.sum(axis=-1) / mass
+                total = gv.sum(axis=-1)
             else:
+                mv = mw[blk][sel]
                 mass = mv.sum(axis=-1)
-                mean = (gv * mv).sum(axis=-1) / mass
-            gv -= mean[..., None]
-            np.abs(gv, out=gv)
-            gv *= mv
-            out[blk] = gv.sum(axis=-1) / mass
+                total = (gv * mv).sum(axis=-1)
+            np.maximum(gv, (total / mass)[..., None], out=gv)
+            if dens is not None:
+                gv *= mv
+            out[blk] = 2.0 * (gv.sum(axis=-1) - total) / mass
     return out
 
 
@@ -463,11 +499,14 @@ def _scatter_max(lattice, grid, structure, rho, shape, stride):
     """out(z) = max of the values on the stride lattice over the anchors whose
     member holds the whole stride block of z (cells stride * (z // stride) +
     [0, stride)^dim), -inf where there is none; a lower bound of the max over
-    the anchors whose member holds z, and equal to it at stride 1.
+    the anchors whose member holds z, and equal to it at stride 1, where the
+    lattice is the grid and no block expansion is needed.
     """
     footprint, origin = _block_footprint(tuple(grid.h), tuple(structure.anisotropy),
                                          float(structure.nu0), float(rho), shape, stride)
     out = _max_filter(lattice, footprint, origin)
+    if stride == 1:
+        return out
     return out[np.ix_(*[np.arange(n) // stride for n in grid.cells])]
 
 
@@ -478,6 +517,8 @@ def _block_footprint(hs, ks, nu0, rho, shape, stride):
     reflected, since an anchor's value reaches the cells its member holds.
     Read-only and shared from a bounded table keyed by value."""
     stencil, origin = _member_stencil(hs, ks, nu0, rho, shape)
+    if stride == 1:  # every block is one cell: the reflected stencil
+        return np.flip(stencil), tuple(s - 1 - o for s, o in zip(stencil.shape, origin))
     # pad with False so that the origin starts a block and every block is whole
     pad = [(-o % stride, (o - s) % stride) for o, s in zip(origin, stencil.shape)]
     padded = np.pad(stencil, pad)
@@ -514,7 +555,7 @@ def classical_sharp(field, structure, family=None):
         stencil, origin = member_offsets(grid, structure, rho, family.shape)
         stride = _anchor_stride(grid, rho, family.density)
         osc = _mean_oscillation(field.values, dens, stencil, origin, (stride,) * grid.dim)
-        out = np.maximum(out, _scatter_max(osc, grid, structure, rho, family.shape, stride))
+        np.maximum(out, _scatter_max(osc, grid, structure, rho, family.shape, stride), out=out)
     return Field(grid, out)
 
 
@@ -538,13 +579,14 @@ def _sup_of_means(field, dens, structure, family, beta=0.0):
     reads 0."""
     grid = field.grid
     weighted = np.abs(field.values) if dens is None else np.abs(field.values) * dens
-    forward = _Forward()
+    forward, dens_forward = _Forward(), _Forward()
     out = np.full(grid.cells, -np.inf)
     for rho in family.radii:
         stencil, origin = member_offsets(grid, structure, rho, family.shape)
-        avg, _den = _member_means(weighted, dens, stencil, origin, forward)
+        avg, _den = _member_means(weighted, dens, stencil, origin, forward, dens_forward)
         stride = _anchor_stride(grid, rho, family.density)
         lattice = rho ** beta * avg[(slice(None, None, stride),) * grid.dim]
-        out = np.maximum(out, _scatter_max(lattice, grid, structure, rho, family.shape, stride))
+        np.maximum(out, _scatter_max(lattice, grid, structure, rho, family.shape, stride),
+                   out=out)
     out[out == -np.inf] = 0.0
     return Field(grid, out)

@@ -267,3 +267,24 @@ def test_box_nesting_by_corner_containment():
         anc = DyadicBox(gen, tuple(i >> (k * (child.generation - gen))
                                    for i, k in zip(child.index, ks)))
         assert holds(anc, child)
+
+
+@pytest.mark.parametrize("cells, ks", [((256,), (1,)), ((64, 16), (2, 1)), ((16, 16, 16), (1, 1, 1))])
+def test_uniform_box_means_are_bit_identical_to_a_unit_density(cells, ks):
+    # the uniform measure divides box sums by the cell count; an explicit
+    # unit density divides by the box sums of ones
+    dim = len(cells)
+    g = make_grid(dim, 1.0, cells)
+    f = Field(g, np.random.default_rng(dim).standard_normal(g.cells))
+    uniform = make_structure(dim, ks)
+    unit = make_structure(dim, ks, density=Field(g, np.ones(g.cells)))
+    assert not unit.uniform
+    for gen in range(max_generation(g, ks) + 1):
+        assert np.array_equal(conditional_average(f, uniform, gen).values,
+                              conditional_average(f, unit, gen).values)
+    for op in (dyadic_maximal, dyadic_sharp):
+        assert np.array_equal(op(f, uniform).values, op(f, unit).values)
+    absf = Field(g, np.abs(f.values))
+    bad_u, good_u = cz_decompose(absf, uniform, 1.0)
+    bad_1, good_1 = cz_decompose(absf, unit, 1.0)
+    assert bad_u and bad_u == bad_1 and np.array_equal(good_u, good_1)

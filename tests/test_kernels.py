@@ -481,6 +481,42 @@ def test_mean_oscillation_uniform_path_is_bit_identical_to_unit_density(case):
                                             strides))
 
 
+@pytest.mark.parametrize("offset", [-1e3, 1e3])
+@pytest.mark.parametrize("cells, shape, strides", [((9, 7), (5, 4), (1, 2)),
+                                                   ((6, 5, 7), (3, 4, 3), (2, 1, 3))])
+def test_mean_oscillation_of_a_large_offset_on_clipped_members(offset, cells, shape, strides):
+    # C + noise on clipped members, C of either sign: the shift to values
+    # <= 0 must leave the oscillation of the noise, with every padded zero
+    # adding nothing to the sum of maxima
+    rng = np.random.default_rng(len(cells))
+    values = offset + rng.normal(size=cells)
+    stencil = rng.random(shape) < 0.7
+    origin = tuple(s // 2 for s in shape)
+    stencil[origin] = True
+    for dens in (None, rng.uniform(0.5, 2.0, size=cells)):
+        got = _mean_oscillation(values, dens, stencil, origin, strides)
+        want = loop_mean_oscillation(values, np.ones(cells) if dens is None else dens,
+                                     stencil, origin, strides)
+        assert np.allclose(got, want, rtol=1e-9, atol=0.0)
+
+
+def test_mean_oscillation_keeps_non_finite_values_in_their_members():
+    # an inf or NaN value spoils only the members that hold it
+    rng = np.random.default_rng(9)
+    values = 3.0 + rng.normal(size=(12, 10))
+    values[2, 3], values[9, 7] = np.inf, np.nan
+    stencil = np.ones((3, 3), dtype=bool)
+    held = np.zeros(values.shape, dtype=bool)
+    held[1:4, 2:5] = held[8:11, 6:9] = True
+    clean = np.where(np.isfinite(values), values, 0.0)
+    for dens in (None, rng.uniform(0.5, 2.0, size=values.shape)):
+        with np.errstate(invalid="ignore"):
+            got = _mean_oscillation(values, dens, stencil, (1, 1), (1, 1))
+        want = _mean_oscillation(clean, dens, stencil, (1, 1), (1, 1))
+        assert np.isnan(got[held]).all()
+        assert np.allclose(got[~held], want[~held], rtol=1e-12, atol=1e-12)
+
+
 def test_mean_oscillation_weighs_by_the_density():
     # one member holding both cells: mean 3/4 under dens (1, 3), osc 3/8;
     # mean 1/2 and osc 1/2 under the uniform measure

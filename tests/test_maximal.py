@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from morreylab.checks import CheckConfig, run_check
+from morreylab import maximal
 from morreylab.dyadic import dyadic_maximal
 from morreylab.grid import Field, lp_norm, make_grid, make_structure
 from morreylab.maximal import (
@@ -139,6 +140,36 @@ def test_weighted_maximal_is_the_maximal_function_of_w_dmu(cells, aniso, shape, 
     f = Field(g, rng.standard_normal(g.cells))
     got = weighted_maximal(f, Field(g, w), s, family=fam).values
     assert np.array_equal(got, classical_maximal(f, wmu, family=fam).values)
+
+
+def test_weighted_maximal_keeps_the_density_spectrum_across_radii(monkeypatch):
+    # the density w dmu has its own forward spectrum in the radius loop, as
+    # the weighted field has: one transform per padded shape, not per radius,
+    # and the same values as transforming anew at every radius
+    g = make_grid(2, 1.0, 128)
+    rng = np.random.default_rng(11)
+    w = Field(g, 0.5 + rng.random(g.cells))
+    f = Field(g, rng.standard_normal(g.cells))
+    fam = BallFamily.for_structure(S2, g, shape="ball")
+    assert len(fam.radii) == 21
+
+    class Anew(maximal._Forward):
+        def rfftn(self, values, lens, axes):
+            self.values = None
+            return super().rfftn(values, lens, axes)
+
+    calls = []
+    rfftn = np.fft.rfftn
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return rfftn(*args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "rfftn", counting)
+    got = weighted_maximal(f, w, S2, family=fam).values
+    assert len(calls) <= 16
+    monkeypatch.setattr(maximal, "_Forward", Anew)
+    assert np.array_equal(got, weighted_maximal(f, w, S2, family=fam).values)
 
 
 def test_muckenhoupt_weighted_bound():
