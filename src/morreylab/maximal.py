@@ -430,9 +430,10 @@ def _mean_oscillation(values, dens, stencil, origin, strides):
     anchor cell (the stencil contains its origin), so its measure is
     positive.  Members are read through one strided view of the zero-padded
     grid per array, a block of lattice rows at a time: each lattice point
-    sees the run of the flat padded grid from its member's first cell to
-    its last, and the K = count_nonzero(stencil) values g of the member are
-    gathered from it once, by one flat index per stencil cell.
+    sees the run of the flat padded grid from the first cell of its
+    stencil's box to its member's last cell, and the K = count_nonzero(stencil)
+    values g of the member are gathered from it once, by one flat index per
+    stencil cell.
 
     Within a member sum (g - m) dmu = 0, so the oscillation is
     sum |g - m| dmu = 2 (sum max(g, m) dmu - sum g dmu): one in-place max and

@@ -269,7 +269,8 @@ def test_box_nesting_by_corner_containment():
         assert holds(anc, child)
 
 
-@pytest.mark.parametrize("cells, ks", [((256,), (1,)), ((64, 16), (2, 1)), ((16, 16, 16), (1, 1, 1))])
+@pytest.mark.parametrize("cells, ks", [((256,), (1,)), ((64, 16), (2, 1)),
+                                      ((16, 16, 16), (1, 1, 1))])
 def test_uniform_box_means_are_bit_identical_to_a_unit_density(cells, ks):
     # the uniform measure divides box sums by the cell count; an explicit
     # unit density divides by the box sums of ones
