@@ -397,23 +397,6 @@ def _member_means(weighted, dens, stencil, origin, forward=None, dens_forward=No
         return np.where(den > 0, num / den, 0.0), den
 
 
-def _nonpositive(values):
-    """values - max, or min - values when the values lie nearer their min on
-    average: a shift, and maybe a reflection, that no mean oscillation sees.
-    Every finite value ends <= 0, and the bulk of them stay small, which
-    keeps the rounding of sums of maxima near that of the values' spread.
-    NaN and inf values are carried along and do not move the others."""
-    lo, hi, mid = values.min(), values.max(), values.mean()
-    if not math.isfinite(hi - lo):
-        finite = np.isfinite(values)
-        if not finite.any():
-            return values
-        lo = values.min(initial=np.inf, where=finite)
-        hi = values.max(initial=-np.inf, where=finite)
-        mid = values.mean(where=finite)
-    return values - hi if hi - mid <= mid - lo else lo - values
-
-
 # Gathered elements per block of _mean_oscillation: bounds its working set.
 # A gathered block lays the stencil axis outermost, so its reductions run
 # along the lattice points of the block; 2**16 left too few of them for
@@ -435,13 +418,16 @@ def _mean_oscillation(values, dens, stencil, origin, strides):
     values g of the member are gathered from it once, by one flat index per
     stencil cell.
 
-    Within a member sum (g - m) dmu = 0, so the oscillation is
-    sum |g - m| dmu = 2 (sum max(g, m) dmu - sum g dmu): one in-place max and
-    one sum after the mean, with no subtraction, abs or mask product.  The
-    values are first moved to <= 0 (_nonpositive), so every member mean m is
-    <= 0 and a padded zero adds max(0, m) = 0 to the sum of maxima.  So the
-    uniform measure gathers no mask (the mass is the exact count), and a
-    density is gathered from its own zero padding.
+    Within a member sum (g - m) dmu = 0, and max(g, m) + min(g, m) = g + m, so
+    sum |g - m| dmu = 2 (sum max(g, m) dmu - sum g dmu)
+                    = 2 (sum g dmu - sum min(g, m) dmu):
+    one in-place max or min with the mean and one sum after the mean, with
+    no subtraction, abs or mask product per value.  A member takes the max when
+    m <= 0 and the min when m > 0, so a padded zero adds max(0, m) = 0 or
+    min(0, m) = 0 and the uniform measure gathers no mask (the mass is the
+    exact count); a density is gathered from its own zero padding.  The
+    values are not shifted, so each member's rounding depends on its own
+    values only.
     """
     cells, lattice = values.shape, tuple(slice(None, None, s) for s in strides)
     inside = tuple(slice(o, o + n) for o, n in zip(origin, cells))
@@ -457,7 +443,7 @@ def _mean_oscillation(values, dens, stencil, origin, strides):
         return as_strided(padded, out.shape + (int(flat[-1]) + 1,),
                           steps + [padded.itemsize], writeable=False)
 
-    gw = members(_nonpositive(values))
+    gw = members(values)
     if dens is None:
         count = _COUNTS.get(stencil, origin, cells)[lattice]
     else:
@@ -484,11 +470,25 @@ def _mean_oscillation(values, dens, stencil, origin, strides):
                 mv = mw[blk][sel]
                 mass = mv.sum(axis=-1)
                 total = (gv * mv).sum(axis=-1)
-            np.maximum(gv, (total / mass)[..., None], out=gv)
+            _clip_at_mean(gv, total / mass)
             if dens is not None:
                 gv *= mv
-            out[blk] = 2.0 * (gv.sum(axis=-1) - total) / mass
+            out[blk] = 2.0 * np.abs(gv.sum(axis=-1) - total) / mass
     return out
+
+
+def _clip_at_mean(gv, mean):
+    """gv <- max(gv, m) along the last axis of the members whose mean m is
+    <= 0 (or NaN), min(gv, m) along the others, in place: one pass when a
+    block's means share a sign, two when they do not."""
+    up = mean > 0
+    if not up.any():
+        np.maximum(gv, mean[..., None], out=gv)
+    elif up.all():
+        np.minimum(gv, mean[..., None], out=gv)
+    else:
+        np.maximum(gv, np.where(up, -np.inf, mean)[..., None], out=gv)
+        np.minimum(gv, np.where(up, mean, np.inf)[..., None], out=gv)
 
 
 def _anchor_stride(grid, rho, density):
@@ -518,8 +518,6 @@ def _block_footprint(hs, ks, nu0, rho, shape, stride):
     reflected, since an anchor's value reaches the cells its member holds.
     Read-only and shared from a bounded table keyed by value."""
     stencil, origin = _member_stencil(hs, ks, nu0, rho, shape)
-    if stride == 1:  # every block is one cell: the reflected stencil
-        return np.flip(stencil), tuple(s - 1 - o for s, o in zip(stencil.shape, origin))
     # pad with False so that the origin starts a block and every block is whole
     pad = [(-o % stride, (o - s) % stride) for o, s in zip(origin, stencil.shape)]
     padded = np.pad(stencil, pad)

@@ -485,9 +485,9 @@ def test_mean_oscillation_uniform_path_is_bit_identical_to_unit_density(case):
 @pytest.mark.parametrize("cells, shape, strides", [((9, 7), (5, 4), (1, 2)),
                                                    ((6, 5, 7), (3, 4, 3), (2, 1, 3))])
 def test_mean_oscillation_of_a_large_offset_on_clipped_members(offset, cells, shape, strides):
-    # C + noise on clipped members, C of either sign: the shift to values
-    # <= 0 must leave the oscillation of the noise, with every padded zero
-    # adding nothing to the sum of maxima
+    # C + noise on clipped members, C of either sign: the member means take
+    # both signs' branch, and every padded zero must add nothing to the sum
+    # of maxima or minima
     rng = np.random.default_rng(len(cells))
     values = offset + rng.normal(size=cells)
     stencil = rng.random(shape) < 0.7
@@ -498,6 +498,25 @@ def test_mean_oscillation_of_a_large_offset_on_clipped_members(offset, cells, sh
         want = loop_mean_oscillation(values, np.ones(cells) if dens is None else dens,
                                      stencil, origin, strides)
         assert np.allclose(got, want, rtol=1e-9, atol=0.0)
+
+
+@pytest.mark.parametrize("strides", [(1, 1), (2, 3)])
+def test_mean_oscillation_of_a_smooth_field_with_spikes_of_both_signs(strides):
+    # +-1e8 spikes on a smooth O(1) field whose members oscillate by ~1e-2:
+    # members away from the spikes must keep their digits, so no rounding
+    # may scale with the range of the whole field
+    y, x = np.mgrid[0:40, 0:36].astype(float)
+    values = np.sin(0.05 * x) + np.cos(0.04 * y)
+    values[10, 8], values[28, 25] = 1e8, -1e8
+    yy, xx = np.mgrid[-3:4, -3:4]
+    stencil = yy ** 2 + xx ** 2 <= 9
+    dens = 1.0 + 0.5 * np.cos(0.1 * x) * np.sin(0.07 * y)
+    for d in (None, dens):
+        got = _mean_oscillation(values, d, stencil, (3, 3), strides)
+        want = loop_mean_oscillation(values, np.ones(values.shape) if d is None else d,
+                                     stencil, (3, 3), strides)
+        assert want.min() < 1e-2
+        assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
 
 
 def test_mean_oscillation_keeps_non_finite_values_in_their_members():
