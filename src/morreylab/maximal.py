@@ -422,12 +422,12 @@ def _mean_oscillation(values, dens, stencil, origin, strides):
     sum |g - m| dmu = 2 (sum max(g, m) dmu - sum g dmu)
                     = 2 (sum g dmu - sum min(g, m) dmu):
     one in-place max or min with the mean and one sum after the mean, with
-    no subtraction, abs or mask product per value.  A member takes the max when
-    m <= 0 and the min when m > 0, so a padded zero adds max(0, m) = 0 or
-    min(0, m) = 0 and the uniform measure gathers no mask (the mass is the
-    exact count); a density is gathered from its own zero padding.  The
-    values are not shifted, so each member's rounding depends on its own
-    values only.
+    no subtraction, abs or mask product per value.  A clipped member takes
+    the max when m <= 0 and the min when m > 0, so a padded zero adds
+    max(0, m) = 0 or min(0, m) = 0 and the uniform measure gathers no mask
+    (the mass is the exact count); a density is gathered from its own zero
+    padding.  The values are not shifted, so each member's rounding depends
+    on its own values only.
     """
     cells, lattice = values.shape, tuple(slice(None, None, s) for s in strides)
     inside = tuple(slice(o, o + n) for o, n in zip(origin, cells))
@@ -444,9 +444,8 @@ def _mean_oscillation(values, dens, stencil, origin, strides):
                           steps + [padded.itemsize], writeable=False)
 
     gw = members(values)
-    if dens is None:
-        count = _COUNTS.get(stencil, origin, cells)[lattice]
-    else:
+    count = _COUNTS.get(stencil, origin, cells)[lattice]
+    if dens is not None:
         mw = members(dens)
     # A block is a run of lattice points along axis k, with the axes before k
     # fixed and those after it whole: k is the first axis whose trailing
@@ -470,21 +469,23 @@ def _mean_oscillation(values, dens, stencil, origin, strides):
                 mv = mw[blk][sel]
                 mass = mv.sum(axis=-1)
                 total = (gv * mv).sum(axis=-1)
-            _clip_at_mean(gv, total / mass)
+            _clip_at_mean(gv, total / mass, count[blk] < row)
             if dens is not None:
                 gv *= mv
             out[blk] = 2.0 * np.abs(gv.sum(axis=-1) - total) / mass
     return out
 
 
-def _clip_at_mean(gv, mean):
-    """gv <- max(gv, m) along the last axis of the members whose mean m is
-    <= 0 (or NaN), min(gv, m) along the others, in place: one pass when a
-    block's means share a sign, two when they do not."""
-    up = mean > 0
+def _clip_at_mean(gv, mean, clipped):
+    """gv <- max(gv, m) or min(gv, m) along the last axis, in place, with m
+    the member mean: the min on a clipped member whose m > 0, the max on a
+    clipped one whose m <= 0 (or NaN), either on a whole one, which reads no
+    padded cell.  One pass when the block's clipped members agree, two when
+    they do not."""
+    up = (mean > 0) & clipped
     if not up.any():
         np.maximum(gv, mean[..., None], out=gv)
-    elif up.all():
+    elif not (clipped & ~up).any():
         np.minimum(gv, mean[..., None], out=gv)
     else:
         np.maximum(gv, np.where(up, -np.inf, mean)[..., None], out=gv)
