@@ -241,13 +241,12 @@ def _radial_profiles(g, d):
 @register("hardy-grad", "Hardy inequality: u over |x| controlled by the gradient, sharp constant")
 def check_hardy_grad(cfg):
     d = 3
-    s = elliptic_structure(d)
     g = make_grid(d, 4.0, cfg.cells(64))
     w2 = test_function("power", g, gamma=2.0)
     worst = 0.0
     gauss_ratio = None
     for name, parm, u, du2, _lap in _radial_profiles(g, d):
-        num = integrate(Field(g, u ** 2), structure=s, weight=w2)
+        num = integrate(Field(g, u ** 2), weight=w2)
         den = float(du2.sum()) * g.cell_volume
         ratio = num / den
         worst = max(worst, ratio)
@@ -268,14 +267,13 @@ def check_hardy_grad(cfg):
 def check_hardy_lap(cfg):
     d = 3
     r_exp = 1.25  # needs 1 < r < d/2
-    s = elliptic_structure(d)
     fits = []
     for n in (48, 64):
         g = make_grid(d, 4.0, cfg.cells(n))
         w = test_function("power", g, gamma=2.0 * r_exp)
         worst = 0.0
         for name, parm, u, _du2, lap in _radial_profiles(g, d):
-            num = integrate(Field(g, np.abs(u) ** r_exp), structure=s, weight=w)
+            num = integrate(Field(g, np.abs(u) ** r_exp), weight=w)
             den = float((lap ** r_exp).sum()) * g.cell_volume
             if den > 0:
                 worst = max(worst, num / den)
@@ -309,7 +307,7 @@ def check_adams(cfg):
         f = bump_mix(g, cfg.seed)
         rf = apply_kernel(f, KernelSpec("riesz", alpha=1.0))
         w_r = test_function("power", g, gamma=r_exp)  # |x|^{-r}
-        num = integrate(Field(g, np.abs(rf.values) ** r_exp), structure=s, weight=w_r.copy())
+        num = integrate(Field(g, np.abs(rf.values) ** r_exp), weight=w_r.copy())
         den = a_norm ** r_exp * float((np.abs(f.values) ** r_exp).sum()) * g.cell_volume
         ratios.append(num / den)
         bad, bad_prof = evaluate_norm(
@@ -346,7 +344,7 @@ def check_adams_cf(cfg):
             u = random_signed(g, cfg.seed + k, kmax=4)
             du, d2, _, _ = spectral_derivative_fields(u, s)
             du_mag = Field(g, np.sqrt(sum(x ** 2 for x in du)) ** r_exp)
-            num = integrate(du_mag, structure=s, weight=b_r.copy())
+            num = integrate(du_mag, weight=b_r.copy())
             d2_mag = np.sqrt(sum(d2[i][j] ** 2 for i in range(d) for j in range(d)))
             den = float((d2_mag ** r_exp).sum()) * g.cell_volume
             worst = max(worst, num / den)

@@ -39,8 +39,8 @@ def check_mixed_transfer(cfg):
         )
         f = Field(g, mg.values / scale)
         # hypothesis now holds on every probe; check the mixed-norm conclusion
-        num = mixed_norm(f, p1, p2, s)
-        den = mixed_norm(gfun, p1, p2, s)
+        num = mixed_norm(f, p1, p2)
+        den = mixed_norm(gfun, p1, p2)
         worst = max(worst, num / den)
     alpha = 2.0 + 1.0 / p1 + 1.0 / p2
     return {
@@ -61,9 +61,9 @@ def check_hl_mixed(cfg):
             f = bump_mix(g, cfg.seed + k)
             m = classical_maximal(f, s, family=BallFamily.for_structure(
                 s, g, density=cfg.density))
-            w_s = max(w_s, mixed_norm(m, p, q, s) / mixed_norm(f, p, q, s))
-            w_r = max(w_r, mixed_norm(m, p, q, s, reversed_order=True)
-                      / mixed_norm(f, p, q, s, reversed_order=True))
+            w_s = max(w_s, mixed_norm(m, p, q) / mixed_norm(f, p, q))
+            w_r = max(w_r, mixed_norm(m, p, q, reversed_order=True)
+                      / mixed_norm(f, p, q, reversed_order=True))
         fits["std"].append(w_s)
         fits["rev"].append(w_r)
     growth = max(stability(fits["std"]), stability(fits["rev"]))
@@ -85,9 +85,9 @@ def check_fs_mixed(cfg):
             f = random_signed(g, cfg.seed + 3 * k, kmax=20)
             f = Field(g, f.values - f.values.mean())
             sharp = dyadic_sharp(f, s)
-            den = mixed_norm(sharp, p, q, s)
+            den = mixed_norm(sharp, p, q)
             if den > 0:
-                worst = max(worst, mixed_norm(f, p, q, s) / den)
+                worst = max(worst, mixed_norm(f, p, q) / den)
         fits.append(worst)
     return {
         "lhs": stability(fits), "rhs": 1.0, "bound": 1.10,
@@ -161,8 +161,8 @@ def check_trace_lr(cfg):
             it0 = g.cells[0] // 2
             trace = np.abs(du[0][it0])
             num = float((trace ** r).sum() * g.h[1]) ** (1.0 / r)
-            op_part = mixed_norm(Field(g, np.sqrt(ut ** 2 + d2[0][0] ** 2)), p, q, s)
-            nu = mixed_norm(u, p, q, s)
+            op_part = mixed_norm(Field(g, np.sqrt(ut ** 2 + d2[0][0] ** 2)), p, q)
+            nu = mixed_norm(u, p, q)
             for eps in (0.5, 1.0):
                 den = eps * op_part + eps ** (-(1 + gamma) / (1 - gamma)) * nu
                 worst = max(worst, num / den)
@@ -238,8 +238,8 @@ def check_mixed_embed(cfg):
         for k in range(3):
             u = random_signed(g, cfg.seed + 17 * k)
             du, _, lap, ut = spectral_derivative_fields(u, s)
-            num = mixed_norm(Field(g, np.abs(du[0])), r1, r2, s)
-            den = mixed_norm(Field(g, np.abs(ut + lap)), q1, q2, s)
+            num = mixed_norm(Field(g, np.abs(du[0])), r1, r2)
+            den = mixed_norm(Field(g, np.abs(ut + lap)), q1, q2)
             worst = max(worst, num / den)
         fits.append(worst)
     return {

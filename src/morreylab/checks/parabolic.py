@@ -102,7 +102,7 @@ def check_parab_adams(cfg):
         for k in range(3):
             u = random_signed(g, cfg.seed + 11 * k, kmax=4)
             du, d2, _, ut = spectral_derivative_fields(u, s)
-            num = integrate(Field(g, np.abs(b.values * du[0]) ** p), structure=s)
+            num = integrate(Field(g, np.abs(b.values * du[0]) ** p))
             den = bn ** p * float(((d2[0][0] ** 2 + ut ** 2) ** (p / 2.0)).sum()) * g.cell_volume
             worst = max(worst, num / den)
         ratios.append(worst)
@@ -166,7 +166,7 @@ def check_parab_weight_int(cfg):
         worst = 0.0
         for k in range(4):
             f = bump_mix(g, cfg.seed + k)
-            num = integrate(Field(g, f.values * wcap.values), structure=s)
+            num = integrate(Field(g, f.values * wcap.values))
             m = classical_maximal(f, s, beta=beta,
                                   family=BallFamily.for_structure(s, g, density=cfg.density))
             i0 = tuple(n_ // 2 for n_ in g.cells)

@@ -41,8 +41,8 @@ def check_dyadic_mean(cfg):
             worst = max(worst, abs(a - b))
             scale = max(scale, abs(b))
         # whole space: integral preserved exactly
-        a = integrate(ftau, structure=s)
-        b = integrate(f, structure=s)
+        a = integrate(ftau)
+        b = integrate(f)
         worst = max(worst, abs(a - b))
         scale = max(scale, abs(b))
     return {

@@ -1,5 +1,5 @@
 """Dyadic filtration of partitions, stopping times, CZ decomposition and the
-dyadic maximal / sharp operators for a general sampled measure.
+dyadic maximal / sharp operators for the Lebesgue measure.
 
 Generations are numbered g = 0 (the whole domain as one box) up to
 max_generation(); a generation-g box spans cells[i] >> (k_i * g) cells along
@@ -107,27 +107,23 @@ def _broadcast_boxes(box_vals, bs):
     return out
 
 
-def _box_means(values, structure, grid, nb, bs):
-    """mu-average of values on each box of shape (nb, bs); make_structure
-    keeps every density positive, so no box has zero measure.  On the
-    uniform measure a box's mass is its cell count."""
-    if structure.uniform:
-        return _box_reduce(values, nb, bs, "sum") / math.prod(bs)
-    dens = structure.density_on(grid)
-    return _box_reduce(values * dens, nb, bs, "sum") / _box_reduce(dens, nb, bs, "sum")
+def _box_means(values, nb, bs):
+    """Average of values on each box of shape (nb, bs): its sum over its
+    cell count."""
+    return _box_reduce(values, nb, bs, "sum") / math.prod(bs)
 
 
 def conditional_average(field, structure, g):
-    """f_{|g}: constant on each generation-g box, the mu-average of f there.
+    """f_{|g}: constant on each generation-g box, the average of f there.
 
     Preserves box integrals: for every generation-g box B,
-    integral_B f_{|g} dmu = integral_B f dmu.
+    integral_B f_{|g} dx = integral_B f dx.
     """
     grid = field.grid
     ks = structure.anisotropy
     _check_pow2(grid, ks)
     nb, bs = _block_shape(grid, ks, g)
-    return Field(grid, _broadcast_boxes(_box_means(field.values, structure, grid, nb, bs), bs))
+    return Field(grid, _broadcast_boxes(_box_means(field.values, nb, bs), bs))
 
 
 @dataclass
@@ -205,7 +201,7 @@ def cz_decompose(field, structure, lam):
             continue
         nb, bs = _block_shape(grid, ks, g)
         per_box = _box_reduce(mask.astype(float), nb, bs, "mean")
-        avg = _box_means(field.values, structure, grid, nb, bs)
+        avg = _box_means(field.values, nb, bs)
         for idx in np.argwhere(per_box == 1.0):
             bad_boxes.append((DyadicBox(g, tuple(int(i) for i in idx)), float(avg[tuple(idx)])))
     good_mask = tau.generations == INFINITY
@@ -240,18 +236,12 @@ def dyadic_sharp(field, structure, g_max=None):
 
 
 def box_doubling_constant(grid, structure):
-    """Empirical sup over boxes of mu(parent)/mu(child) along the filtration."""
+    """Empirical sup over boxes of |parent|/|child| along the filtration: the
+    ratio of their cell counts, one per generation, since a generation's
+    boxes share one shape."""
     ks = structure.anisotropy
-    dens = structure.density_on(grid)
     worst = 1.0
     for g in range(1, max_generation(grid, ks) + 1):
-        nb_c, bs_c = _block_shape(grid, ks, g)
-        nb_p, bs_p = _block_shape(grid, ks, g - 1)
-        child = _box_reduce(dens, nb_c, bs_c, "sum")
-        parent = _box_reduce(dens, nb_p, bs_p, "sum")
-        # each child's parent index = child index >> k per axis
-        idx = np.indices(nb_c)
-        pidx = tuple(idx[a] >> ks[a] for a in range(len(nb_c)))
-        ratio = parent[pidx] / np.where(child > 0, child, np.inf)
-        worst = max(worst, float(ratio.max()))
+        parent, child = (math.prod(_block_shape(grid, ks, j)[1]) for j in (g - 1, g))
+        worst = max(worst, parent / child)
     return worst

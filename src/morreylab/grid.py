@@ -3,7 +3,8 @@
 Everything downstream (dyadic partitions, maximal operators, weights, norms,
 potentials, solvers) works on a `Field`: a real array sampled at the cell
 centers of a uniform grid over a centered box, together with a `Structure`
-fixing the anisotropy exponents and the background measure.
+fixing the anisotropy exponents; the measure is the Lebesgue measure dx,
+and weights enter as w dx.
 
 All "R^d" objects live on a truncated box; operations that are sensitive to
 the truncation radius accept the grid so callers can sweep it.
@@ -405,7 +406,8 @@ def singular_field(grid, vals, features):
 
 @dataclass(frozen=True)
 class Structure:
-    """Real-analytic structure: anisotropy exponents and measure.
+    """Real-analytic structure on R^d with the Lebesgue measure: the
+    anisotropy exponents k_i.
 
     nu0 solves nu^(-2 k_1) + ... + nu^(-2 k_d) = 4.  The doubling constant
     of the measure is measured on demand along the dyadic filtration, by
@@ -414,24 +416,12 @@ class Structure:
 
     dim: int
     anisotropy: tuple
-    measure_density: object  # Field or None for the uniform density
     nu0: float
-
-    @property
-    def uniform(self):
-        return self.measure_density is None
 
     @property
     def parabolic(self):
         return self.anisotropy[0] == 2 and all(k == 1 for k in self.anisotropy[1:]) \
             and len(self.anisotropy) > 1
-
-    def density_on(self, grid):
-        if self.measure_density is None:
-            return np.ones(grid.cells)
-        if self.measure_density.grid != grid:
-            raise ValueError("measure density sampled on a different grid")
-        return self.measure_density.values
 
 
 @functools.lru_cache(maxsize=64)
@@ -456,8 +446,8 @@ def _solve_nu0(anisotropy):
     return nu
 
 
-def make_structure(dim, anisotropy=None, density=None):
-    """Build a Structure; density None means the uniform (Lebesgue) measure."""
+def make_structure(dim, anisotropy=None):
+    """Build a Structure; anisotropy None means the isotropic (1, ..., 1)."""
     if anisotropy is None:
         anisotropy = (1,) * dim
     anisotropy = tuple(int(k) for k in anisotropy)
@@ -465,10 +455,7 @@ def make_structure(dim, anisotropy=None, density=None):
         raise ValueError("anisotropy length != dim")
     if any(k < 1 for k in anisotropy):
         raise ValueError("anisotropy entries must be >= 1")
-    if density is not None:
-        if np.any(density.values <= 0):
-            raise ValueError("measure density must be positive at every sample")
-    return Structure(dim, anisotropy, density, _solve_nu0(anisotropy))
+    return Structure(dim, anisotropy, _solve_nu0(anisotropy))
 
 
 # ---------------------------------------------------------------------------
@@ -487,17 +474,19 @@ def _region_mask(grid, region):
     return mask
 
 
-def power_integrand(field, p, dens):
-    """Per-cell integrand |f|^p * dens with exact singular-cell masses.
+def power_integrand(field, p, dens=None):
+    """Per-cell integrand |f|^p, times the per-cell density dens of a weight
+    if one is given, with exact singular-cell masses.
 
     Returns (arr, inf_mask): arr is the midpoint integrand whose singular
     cells hold the exact masses (per unit cell volume) in place of the
     samples; inf_mask marks the cells whose continuum mass diverges.
     """
     grid = field.grid
-    dens = np.broadcast_to(dens, grid.cells)
     with np.errstate(over="ignore", invalid="ignore"):
-        arr = np.abs(field.values) ** float(p) * dens
+        arr = np.abs(field.values) ** float(p)
+        if dens is not None:
+            arr = arr * dens
     inf_mask = ~np.isfinite(arr)
     arr[inf_mask] = 0.0
     vol = grid.cell_volume
@@ -505,8 +494,10 @@ def power_integrand(field, p, dens):
     for idx, _ in pairs:  # the exact masses replace the samples
         inf_mask[idx] = False
     for idx, mass in pairs:
-        with np.errstate(invalid="ignore"):
-            val = mass / vol * dens[idx]
+        val = mass / vol
+        if dens is not None:
+            with np.errstate(invalid="ignore"):
+                val = val * dens[idx]
         if math.isfinite(val):
             arr[idx] = val
         else:
@@ -515,31 +506,30 @@ def power_integrand(field, p, dens):
     return arr, inf_mask
 
 
-def _cell_density(grid, structure, weight):
-    """Per-cell density of w dmu: the structure's density times the weight's
-    exact cell averages, +inf where the weight is not integrable."""
-    dens = structure.density_on(grid) if structure is not None else 1.0
+def _cell_density(weight):
+    """Per-cell density of w dx: the weight's exact cell averages, +inf where
+    the weight is not integrable; None (dx itself) without a weight."""
     if weight is None:
-        return dens
-    w, w_inf = power_integrand(weight, 1.0, dens)
+        return None
+    w, w_inf = power_integrand(weight, 1.0)
     return np.where(w_inf, np.inf, w)
 
 
-def integrate(field, structure=None, weight=None):
-    """Midpoint quadrature of f (optionally times a weight) against d(mu)
-    over the whole grid.
+def integrate(field, weight=None):
+    """Midpoint quadrature of f (optionally times a weight) against dx over
+    the whole grid.
 
     Singular cells count their exact masses; one that diverges makes the
     integral infinite, with the sign of its sample.
     """
-    arr, inf_mask = power_integrand(field, 1.0, _cell_density(field.grid, structure, weight))
+    arr, inf_mask = power_integrand(field, 1.0, _cell_density(weight))
     if inf_mask.any():
         return float(np.copysign(np.inf, field.values[inf_mask]).sum())
     return float(np.copysign(arr, field.values).sum()) * field.grid.cell_volume
 
 
-def lp_norm(field, p, region=None, structure=None, weight=None):
-    """(integral over region of |f|^p w dmu)^(1/p); p = inf -> max over samples.
+def lp_norm(field, p, region=None, weight=None):
+    """(integral over region of |f|^p w dx)^(1/p); p = inf -> max over samples.
 
     region is (lo, hi) per axis; cells whose centers lie inside count.
     Singular cells of the field and of the weight inside the region count
@@ -552,7 +542,7 @@ def lp_norm(field, p, region=None, structure=None, weight=None):
             return 0.0
         return float(np.abs(field.values[mask]).max())
     p = float(p)
-    arr, inf_mask = power_integrand(field, p, _cell_density(grid, structure, weight))
+    arr, inf_mask = power_integrand(field, p, _cell_density(weight))
     if inf_mask[mask].any():
         return math.inf
     return (float(arr[mask].sum()) * grid.cell_volume) ** (1.0 / p)

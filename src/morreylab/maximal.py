@@ -379,13 +379,13 @@ def _stencil_count(stencil, origin, cells):
 def _member_means(weighted, dens, stencil, origin, forward=None, dens_forward=None):
     """(means, measures): mu(E)^-1 int_E g dmu over the member E anchored at
     every cell, members clipped to the domain, and mu(E), for the measure
-    dmu = dens dx; dens None is the uniform measure.  weighted holds g dens
+    dmu = dens dx (M_w's w dx); dens None is dx itself.  weighted holds g dens
     (g when dens is None); in a radius loop `forward` and `dens_forward` are
     the _Forward holders of weighted and of dens.
-    mu(E) is the exact cell count for the uniform measure, a correlation of
-    dens otherwise.  Axes of weighted before the stencil's are a batch, as
-    in _correlate; the count carries none and broadcasts over them.  An
-    empty member has mean 0."""
+    mu(E) is the exact cell count for dx, a correlation of dens otherwise.
+    Axes of weighted before the stencil's are a batch, as in _correlate; the
+    count carries none and broadcasts over them.  An empty member has mean
+    0."""
     num = _correlate(weighted, stencil, origin, forward)
     if dens is not None:
         den = _correlate(dens, stencil, origin, dens_forward)
@@ -404,30 +404,28 @@ def _member_means(weighted, dens, stencil, origin, forward=None, dens_forward=No
 _GATHER_BLOCK = 2 ** 17
 
 
-def _mean_oscillation(values, dens, stencil, origin, strides):
-    """Mean oscillation of values about its dens-weighted mean, over the
-    member anchored at each point of the lattice arange(0, n_i, strides[i]),
-    members clipped to the domain; dens None is the uniform measure.
+def _mean_oscillation(values, stencil, origin, strides):
+    """Mean oscillation of values about its mean, over the member anchored at
+    each point of the lattice arange(0, n_i, strides[i]), members clipped to
+    the domain.
 
     Returns an array shaped like the lattice.  Every member holds its own
-    anchor cell (the stencil contains its origin), so its measure is
+    anchor cell (the stencil contains its origin), so its cell count is
     positive.  Members are read through one strided view of the zero-padded
-    grid per array, a block of lattice rows at a time: each lattice point
+    grid, a block of lattice rows at a time: each lattice point
     sees the run of the flat padded grid from the first cell of its
     stencil's box to its member's last cell, and the K = count_nonzero(stencil)
     values g of the member are gathered from it once, by one flat index per
     stencil cell.
 
-    Within a member sum (g - m) dmu = 0, and max(g, m) + min(g, m) = g + m, so
-    sum |g - m| dmu = 2 (sum max(g, m) dmu - sum g dmu)
-                    = 2 (sum g dmu - sum min(g, m) dmu):
+    Within a member sum (g - m) = 0, and max(g, m) + min(g, m) = g + m, so
+    sum |g - m| = 2 (sum max(g, m) - sum g) = 2 (sum g - sum min(g, m)):
     one in-place max or min with the mean and one sum after the mean, with
     no subtraction, abs or mask product per value.  A clipped member takes
     the max when m <= 0 and the min when m > 0, so a padded zero adds
-    max(0, m) = 0 or min(0, m) = 0 and the uniform measure gathers no mask
-    (the mass is the exact count); a density is gathered from its own zero
-    padding.  The values are not shifted, so each member's rounding depends
-    on its own values only.
+    max(0, m) = 0 or min(0, m) = 0 and no mask is gathered (the mass is the
+    exact count).  The values are not shifted, so each member's rounding
+    depends on its own values only.
     """
     cells, lattice = values.shape, tuple(slice(None, None, s) for s in strides)
     inside = tuple(slice(o, o + n) for o, n in zip(origin, cells))
@@ -435,18 +433,12 @@ def _mean_oscillation(values, dens, stencil, origin, strides):
     # flat offset of each stencil cell in the padded grid, in cells
     flat = np.ravel_multi_index(np.nonzero(stencil), padded_shape)
     out = np.empty([-(-n // s) for n, s in zip(cells, strides)])
-
-    def members(arr):
-        padded = np.zeros(padded_shape)
-        padded[inside] = arr
-        steps = [s * b for s, b in zip(strides, padded.strides)]
-        return as_strided(padded, out.shape + (int(flat[-1]) + 1,),
-                          steps + [padded.itemsize], writeable=False)
-
-    gw = members(values)
+    padded = np.zeros(padded_shape)
+    padded[inside] = values
+    steps = [s * b for s, b in zip(strides, padded.strides)]
+    gw = as_strided(padded, out.shape + (int(flat[-1]) + 1,), steps + [padded.itemsize],
+                    writeable=False)
     count = _COUNTS.get(stencil, origin, cells)[lattice]
-    if dens is not None:
-        mw = members(dens)
     # A block is a run of lattice points along axis k, with the axes before k
     # fixed and those after it whole: k is the first axis whose trailing
     # slab fits the bound, and the runs along it are cut to equal lengths.
@@ -461,17 +453,9 @@ def _mean_oscillation(values, dens, stencil, origin, strides):
     for lead in np.ndindex(out.shape[:k]):
         for s in range(0, out.shape[k], step):
             blk = lead + (slice(s, s + step),)
-            gv = gw[blk][sel]
-            if dens is None:
-                mass = count[blk]
-                total = gv.sum(axis=-1)
-            else:
-                mv = mw[blk][sel]
-                mass = mv.sum(axis=-1)
-                total = (gv * mv).sum(axis=-1)
-            _clip_at_mean(gv, total / mass, count[blk] < row)
-            if dens is not None:
-                gv *= mv
+            gv, mass = gw[blk][sel], count[blk]
+            total = gv.sum(axis=-1)
+            _clip_at_mean(gv, total / mass, mass < row)
             out[blk] = 2.0 * np.abs(gv.sum(axis=-1) - total) / mass
     return out
 
@@ -538,8 +522,7 @@ def classical_maximal(field, structure, beta=0.0, family=None):
     """
     if family is None:
         family = BallFamily.for_structure(structure, field.grid)
-    dens = None if structure.uniform else structure.density_on(field.grid)
-    return _sup_of_means(field, dens, structure, family, beta)
+    return _sup_of_means(field, None, structure, family, beta)
 
 
 def classical_sharp(field, structure, family=None):
@@ -549,19 +532,18 @@ def classical_sharp(field, structure, family=None):
     grid = field.grid
     if family is None:
         family = BallFamily.for_structure(structure, grid)
-    dens = None if structure.uniform else structure.density_on(grid)
     out = np.zeros(grid.cells)
     for rho in family.radii:
         stencil, origin = member_offsets(grid, structure, rho, family.shape)
         stride = _anchor_stride(grid, rho, family.density)
-        osc = _mean_oscillation(field.values, dens, stencil, origin, (stride,) * grid.dim)
+        osc = _mean_oscillation(field.values, stencil, origin, (stride,) * grid.dim)
         np.maximum(out, _scatter_max(osc, grid, structure, rho, family.shape, stride), out=out)
     return Field(grid, out)
 
 
 def weighted_maximal(field, weight, structure, family=None):
-    """M_w f(x) = sup over cubes Q containing x of w(Q)^{-1} int_Q |f| w dmu:
-    the maximal function of the measure w dmu.
+    """M_w f(x) = sup over cubes Q containing x of w(Q)^{-1} int_Q |f| w dx:
+    the maximal function of the measure w dx.
 
     `weight` may be a Field or a weights.Weight wrapper.
     """
@@ -569,12 +551,12 @@ def weighted_maximal(field, weight, structure, family=None):
     if family is None:
         family = BallFamily.for_structure(structure, grid, shape="cube")
     wvals = weight.field.values if hasattr(weight, "field") else weight.values
-    return _sup_of_means(field, wvals * structure.density_on(grid), structure, family)
+    return _sup_of_means(field, wvals, structure, family)
 
 
 def _sup_of_means(field, dens, structure, family, beta=0.0):
     """sup over family members E containing x of rho(E)^beta times the
-    dens dx-average of |f| over E; dens None is the uniform measure.  Each
+    dens dx-average of |f| over E; dens None is dx itself.  Each
     radius scatters the means on its anchor lattice; a cell no member holds
     reads 0."""
     grid = field.grid

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import Field, lp_norm, power_integrand
-from .maximal import (BallFamily, _box_sum, _correlate, _Forward, _mean_oscillation,
-                      _member_means, _member_shape, member_offsets)
+from .maximal import (BallFamily, _box_sum, _Forward, _mean_oscillation, _member_means,
+                      _member_shape, member_offsets)
 
 __all__ = [
     "NormSpec",
@@ -78,23 +78,23 @@ class NormSpec:
 
 def _morrey_sup(field, p, beta, structure, radii, return_profile=False):
     """sup over rho in radii, members centered at every cell, of
-    rho^beta * slashed L_p over the member."""
+    rho^beta * slashed L_p over the member.
+
+    Every member holds its anchor cell, so a divergent cell makes every
+    radius inf."""
     grid = field.grid
     shape = _member_shape(structure)
-    dens = structure.density_on(grid)
-    arr, inf_mask = power_integrand(field, p, dens)
-    mu = None if structure.uniform else dens
-    # one forward spectrum per field, shared by radii that pad alike
-    mask = inf_mask.astype(float) if inf_mask.any() else None
-    arr_fwd, mask_fwd = _Forward(), _Forward()
+    arr, inf_mask = power_integrand(field, p)
+    diverges = inf_mask.any()
+    arr_fwd = _Forward()  # one forward spectrum per field, shared by radii that pad alike
     best = 0.0
     profile = []
     for rho in radii:
-        stencil, origin = member_offsets(grid, structure, rho, shape)
-        if mask is not None and (_correlate(mask, stencil, origin, mask_fwd) > 0.5).any():
-            m = np.inf  # some member holds a divergent cell
+        if diverges:
+            m = np.inf
         else:
-            s, _ = _member_means(arr, mu, stencil, origin, arr_fwd)
+            stencil, origin = member_offsets(grid, structure, rho, shape)
+            s, _ = _member_means(arr, None, stencil, origin, arr_fwd)
             # the scale is monotone, so the largest mean gives the largest value
             top = np.maximum(s.max(keepdims=True), 0.0)
             m = (rho ** beta * top ** (1.0 / p)).item()
@@ -105,16 +105,15 @@ def _morrey_sup(field, p, beta, structure, radii, return_profile=False):
     return best
 
 
-def mixed_norm(field, p, q, structure, reversed_order=False):
+def mixed_norm(field, p, q, reversed_order=False):
     """Global L_{p,q} (inner x with p, outer t with q) or reversed L_{q,p}
-    (inner t with q, outer x with p).  Axis 0 is t; the structure's measure
-    density weighs the inner integrand, so p = q gives the L_p norm.  Singular
-    cells count their exact masses; one that diverges makes the norm inf."""
+    (inner t with q, outer x with p).  Axis 0 is t; p = q gives the L_p
+    norm.  Singular cells count their exact masses; one that diverges makes
+    the norm inf."""
     grid = field.grid
     ht = grid.h[0]
     volx = grid.cell_volume / ht
-    arr, inf_mask = power_integrand(field, q if reversed_order else p,
-                                    structure.density_on(grid))
+    arr, inf_mask = power_integrand(field, q if reversed_order else p)
     if inf_mask.any():
         return math.inf
     if not reversed_order:
@@ -135,44 +134,34 @@ def _mixed_morrey_sup(field, p, q, beta, structure, radii, reversed_order=False,
     """sup over cylinders C_rho of rho^beta * slashed mixed norm.
 
     Standard order: inner x with exponent p, outer t with exponent q.
-    Reversed: inner t with exponent q, outer x with exponent p.
+    Reversed: inner t with exponent q, outer x with exponent p.  Every
+    cylinder holds its anchor cell, so a divergent cell of |f|^(inner
+    exponent) makes every kept radius inf.
     """
     grid = field.grid
     ht = grid.h[0]
     best = 0.0
     profile = []
-    inner_p = p if not reversed_order else q
-    dens = structure.density_on(grid)
-    arr, inf_mask = power_integrand(field, inner_p, dens)
-    mu = None if structure.uniform else dens
-    mask = inf_mask.astype(float) if inf_mask.any() else None
-    arr_fwd, mask_fwd = _Forward(), _Forward()
+    arr, inf_mask = power_integrand(field, q if reversed_order else p)
+    diverges = inf_mask.any()
+    arr_fwd = _Forward()
     for rho in radii:
         wlen = max(1, int(round(rho ** 2 / ht)))
         if wlen > grid.cells[0]:
             continue
         stencil, origin = member_offsets(grid, structure, rho, "ball_x")
-        if not reversed_order:
+        if diverges:
+            m = np.inf
+        elif not reversed_order:
             # X(t,c) = slashed L_p over the ball at (t, c)
-            X, _ = _member_means(arr, mu, stencil, origin, arr_fwd)
+            X, _ = _member_means(arr, None, stencil, origin, arr_fwd)
             Y = _window_sums(np.maximum(X, 0.0) ** (q / p), wlen) / wlen
-            val = rho ** beta * np.maximum(Y, 0.0) ** (1.0 / q)
-            if mask is not None:
-                hit = _correlate(mask, stencil, origin, mask_fwd) > 0.5
-                hits = _window_sums(hit.astype(float), wlen) > 0.5
-                val = np.where(hits, np.inf, val)
+            m = float((rho ** beta * np.maximum(Y, 0.0) ** (1.0 / q)).max())
         else:
             # U(tau, x) = slashed t-window average of |f|^q
-            U = np.maximum(_window_sums(arr / dens.clip(min=1e-300), wlen) / wlen, 0.0)
-            dens_u = dens[: U.shape[0]]
-            V, _ = _member_means(U ** (p / q) * dens_u, None if mu is None else dens_u,
-                                 stencil, origin)
-            val = rho ** beta * np.maximum(V, 0.0) ** (1.0 / p)
-            if mask is not None:
-                hit = _window_sums(mask, wlen) > 0.5
-                hit2 = _correlate(hit.astype(float), stencil, origin) > 0.5
-                val = np.where(hit2, np.inf, val)
-        m = float(val.max())
+            U = np.maximum(_window_sums(arr, wlen) / wlen, 0.0)
+            V, _ = _member_means(U ** (p / q), None, stencil, origin)
+            m = float((rho ** beta * np.maximum(V, 0.0) ** (1.0 / p)).max())
         profile.append((rho, m))
         best = max(best, m)
     if return_profile:
@@ -204,13 +193,13 @@ def evaluate_norm(field, spec, structure, radii=None, return_profile=False):
     spec.advisory(structure)
     kind = spec.kind
     if kind == "Lp":
-        return lp_norm(field, spec.p, structure=structure)
+        return lp_norm(field, spec.p)
     if kind == "LpW":
-        return lp_norm(field, spec.p, structure=structure, weight=spec.weight)
+        return lp_norm(field, spec.p, weight=spec.weight)
     if kind == "Lpq":
-        return mixed_norm(field, spec.p, spec.q, structure)
+        return mixed_norm(field, spec.p, spec.q)
     if kind == "Lqp_reversed":
-        return mixed_norm(field, spec.p, spec.q, structure, reversed_order=True)
+        return mixed_norm(field, spec.p, spec.q, reversed_order=True)
     # Morrey kinds; the inhomogeneous ones cap the scales at spec.r
     cap = spec.r if kind in ("Epbr", "Epqb") else None
     rr = radii if radii is not None else _family_radii(grid, structure, cap)
@@ -252,7 +241,6 @@ def bmo_seminorms(a_entries, rho, structure):
     if isinstance(a_entries, Field):
         a_entries = [a_entries]
     grid = a_entries[0].grid
-    dens = None if structure.uniform else structure.density_on(grid)
     radii = _family_radii(grid, structure, rho)
     sharp = 0.0
     # not _member_shape: parabolic structures take ellipsoids here, not cylinders
@@ -261,7 +249,7 @@ def bmo_seminorms(a_entries, rho, structure):
     for a in a_entries:
         for r in radii:
             stencil, origin = member_offsets(grid, structure, r, shape)
-            osc = _mean_oscillation(a.values, dens, stencil, origin, strides)
+            osc = _mean_oscillation(a.values, stencil, origin, strides)
             sharp = max(sharp, float(osc.max()))
     sharpsharp = 0.0
     if structure.parabolic:
@@ -275,8 +263,7 @@ def bmo_seminorms(a_entries, rho, structure):
                 if wlen > grid.cells[0]:
                     continue
                 stencil, origin = member_offsets(grid, structure, r, "ball_x")
-                dev = _mean_oscillation(a.values, dens, stencil[None], (0,) + tuple(origin),
-                                        strides)
+                dev = _mean_oscillation(a.values, stencil[None], (0,) + tuple(origin), strides)
                 sharpsharp = max(sharpsharp, float((_window_sums(dev, wlen) / wlen).max()))
     return sharp, sharpsharp
 

@@ -115,10 +115,8 @@ def _cube_half_cells(grid, structure, rho):
 
 def _cube_means(values, grid, structure, rho):
     box, origin = _box_stencil(tuple(_cube_half_cells(grid, structure, rho)))
-    dens = structure.density_on(grid)
     inf_mask = ~np.isfinite(values)
-    finite_vals = np.where(inf_mask, 0.0, values)
-    avg, _ = _member_means(finite_vals * dens, None if structure.uniform else dens, box, origin)
+    avg, _ = _member_means(np.where(inf_mask, 0.0, values), None, box, origin)
     if inf_mask.any():
         hit = _correlate(inf_mask.astype(float), box, origin) > 0.5
         avg = np.where(hit, np.inf, avg)
@@ -183,16 +181,15 @@ def a1_constant(field, structure, family=None):
 
 
 def ainf_profile(weight, p, structure, family=None, seed=0):
-    """Fit (beta, N) with w(S)/w(Q) <= N (mu(S)/mu(Q))^beta over 400 random
+    """Fit (beta, N) with w(S)/w(Q) <= N (|S|/|Q|)^beta over 400 random
     S inside Q pairs; all sampled pairs satisfy the returned bound.
     Also returns the worst violation margin of the lower-bound direction
-    [w]_{A_p} w(S)/w(Q) >= (mu(S)/mu(Q))^p.
+    [w]_{A_p} w(S)/w(Q) >= (|S|/|Q|)^p.
     """
     grid = weight.grid
     rng = np.random.default_rng(seed)
-    dens = structure.density_on(grid)
     wv = weight.field.values
-    wmu = np.where(np.isfinite(wv), wv, 0.0) * dens
+    wfin = np.where(np.isfinite(wv), wv, 0.0)
     ratios = []
     apw = ap_constant(weight, p, structure, family)
     lower_margin = math.inf
@@ -223,15 +220,14 @@ def ainf_profile(weight, p, structure, family=None, seed=0):
             sl_s.append((int(st), int(st + m)))
         q_idx = tuple(slice(a, b) for a, b in sl_q)
         s_idx = tuple(slice(a, b) for a, b in sl_s)
-        mu_q, mu_s = float(dens[q_idx].sum()), float(dens[s_idx].sum())
-        w_q, w_s = float(wmu[q_idx].sum()), float(wmu[s_idx].sum())
-        if mu_q <= 0 or w_q <= 0 or mu_s <= 0:
+        w_q, w_s = float(wfin[q_idx].sum()), float(wfin[s_idx].sum())
+        if w_q <= 0:
             continue
-        x = mu_s / mu_q
+        # |S| / |Q| by cell counts, both positive
+        x = math.prod(b - a for a, b in sl_s) / math.prod(b - a for a, b in sl_q)
         y = w_s / w_q
         ratios.append((x, y))
-        if x > 0:
-            lower_margin = min(lower_margin, apw * y / x ** p)
+        lower_margin = min(lower_margin, apw * y / x ** p)
     xs = np.array([r[0] for r in ratios])
     ys = np.array([r[1] for r in ratios])
     keep = (xs > 0) & (xs < 1) & (ys > 0)
@@ -318,7 +314,7 @@ def _estimate_op_norm(op, shape, norm, seed):
     return max(est, 1.0) * 1.2
 
 
-def _rdf_series(op, start, exponent, weight, structure, seed):
+def _rdf_series(op, start, exponent, weight, seed):
     """sum_{n < 24} op^n(start) / (2 ||op||)^n with ||op|| estimated in
     L_exponent(w).
 
@@ -327,8 +323,7 @@ def _rdf_series(op, start, exponent, weight, structure, seed):
     """
 
     def pnorm(u):
-        return lp_norm(Field(weight.grid, u), exponent, structure=structure,
-                       weight=weight.field)
+        return lp_norm(Field(weight.grid, u), exponent, weight=weight.field)
 
     op_norm = _estimate_op_norm(op, start.shape, pnorm, seed)
     term = start
@@ -357,8 +352,7 @@ def rdf_iterate(f, weight, p_prime, structure, family=None, seed=0):
     def T(u):
         return classical_maximal(Field(grid, np.abs(u) * wv), structure, 0.0, family).values / wv
 
-    v, t_norm = _rdf_series(T, np.abs(f.values).astype(float), p_prime, weight, structure,
-                            seed)
+    v, t_norm = _rdf_series(T, np.abs(f.values).astype(float), p_prime, weight, seed)
     return Field(grid, v), t_norm
 
 
@@ -381,7 +375,7 @@ def jones_factorize(weight, p, structure, family=None, seed=0):
                                family).values ** (p - 1)
         return t1 + t2
 
-    v, s_norm = _rdf_series(S, np.ones(grid.cells), p / (p - 1.0), weight, structure, seed)
+    v, s_norm = _rdf_series(S, np.ones(grid.cells), p / (p - 1.0), weight, seed)
     w2 = Field(grid, v * wv)
     w1 = Field(grid, v ** (1.0 / (p - 1.0)))
     return w1, w2, s_norm

@@ -105,13 +105,12 @@ def test_criterion_3_hardy():
     from morreylab.checks.elliptic import _radial_profiles
 
     d = 3
-    s = make_structure(d, (1,) * d)
     g = make_grid(d, 4.0, 64)
     w2 = tf("power", g, gamma=2.0)
     worst = 0.0
     gauss_ratio = None
     for name, parm, u, du2, _lap in _radial_profiles(g, d):
-        num = integrate(Field(g, u ** 2), structure=s, weight=w2)
+        num = integrate(Field(g, u ** 2), weight=w2)
         den = float(du2.sum()) * g.cell_volume
         ratio = num / den
         worst = max(worst, ratio)
@@ -322,7 +321,7 @@ def test_criterion_9_resolvent_family():
 
     # mixed norm, standard order
     def mixed_norm_eval(s, g):
-        return lambda fld: mixed_norm(fld, 2.0, 3.0, s)
+        return lambda fld: mixed_norm(fld, 2.0, 3.0)
 
     vals = _ratio_engine("heat", (32, 64, 128), msg_heat, mixed_norm_eval)
     details["mixed"] = vals
@@ -339,7 +338,7 @@ def test_criterion_9_resolvent_family():
         return s, g, a_path
 
     def rev_norm(s, g):
-        return lambda fld: mixed_norm(fld, 2.0, 3.0, s, reversed_order=True)
+        return lambda fld: mixed_norm(fld, 2.0, 3.0, reversed_order=True)
 
     vals = _ratio_engine("heat_at", (32, 64, 128), msg_at, rev_norm)
     details["at"] = vals

@@ -44,21 +44,6 @@ def test_doubling_uniform_matches_dimension():
     assert box_doubling_constant(g, make_structure(2, (1, 1))) == 2 ** 2
 
 
-def test_doubling_power_density_finite():
-    # the parent/child measure ratio along the filtration stays bounded
-    g = make_grid(2, 2.0, 128)
-    r = g.radius()
-    dens = Field(g, np.sqrt(np.maximum(r, min(g.h) / 2)))
-    s = make_structure(2, (1, 1), density=dens)
-    assert 1.0 <= box_doubling_constant(g, s) <= 8.0
-
-
-def test_nonpositive_density_rejected():
-    g = make_grid(1, 1.0, 16)
-    with pytest.raises(ValueError):
-        make_structure(1, (1,), density=Field(g, np.zeros(16)))
-
-
 def test_integrate_constant_box():
     g = make_grid(2, 1.0, 64)
     f = Field(g, np.ones(g.cells))

@@ -56,7 +56,7 @@ def brute_correlate(values, stencil, origin):
     return out
 
 
-def loop_mean_oscillation(values, dens, stencil, origin, strides):
+def loop_mean_oscillation(values, stencil, origin, strides):
     """Reference: one anchor of the lattice arange(0, n, stride) at a time,
     members clipped to the domain."""
     offs = np.argwhere(stencil) - np.asarray(origin)
@@ -68,9 +68,8 @@ def loop_mean_oscillation(values, dens, stencil, origin, strides):
         idx = np.array([m[pos] for m in mesh]) + offs
         ok = np.all((idx >= 0) & (idx < lim), axis=1)
         lin = tuple(idx[ok].T)
-        g, mu = values[lin], dens[lin]
-        mean = (g * mu).sum() / mu.sum()
-        out[pos] = (np.abs(g - mean) * mu).sum() / mu.sum()
+        g = values[lin]
+        out[pos] = np.abs(g - g.mean()).mean()
     return out
 
 
@@ -256,11 +255,12 @@ def test_stencil_table_is_read_only_and_keyed_by_value():
 
 
 def test_weighted_measure_matches_brute_force():
-    # a non-uniform density takes the correlated measure, not the cell count
+    # M_w's density w takes the correlated measure, not the cell count; the
+    # Morrey sup on dx takes the cell count
     g = make_grid(2, 1.0, 16)
     rng = np.random.default_rng(3)
     dens = 0.5 + rng.random(g.cells)
-    s = make_structure(2, (1, 1), density=Field(g, dens))
+    s = make_structure(2, (1, 1))
     f = Field(g, rng.standard_normal(g.cells))
     radii = (0.2, 0.45)
     p, beta = 2.0, 0.5
@@ -272,7 +272,8 @@ def test_weighted_measure_matches_brute_force():
         assert np.allclose(den, mu, rtol=1e-12, atol=0)
         assert np.allclose(avg, brute_correlate(np.abs(f.values) * dens, stencil, origin) / mu,
                            rtol=1e-10, atol=0)
-        slashed = brute_correlate(np.abs(f.values) ** p * dens, stencil, origin) / mu
+        count = brute_correlate(np.ones(g.cells), stencil, origin)
+        slashed = brute_correlate(np.abs(f.values) ** p, stencil, origin) / count
         want = max(want, rho ** beta * slashed.max() ** (1.0 / p))
     got = evaluate_norm(f, NormSpec("Epbr", p=p, beta=beta, r=1.0), s, radii=radii)
     assert got == pytest.approx(want, rel=1e-10)
@@ -444,7 +445,7 @@ def test_direct_division_is_bit_identical_to_the_where_path(case, seed):
 
 @st.composite
 def oscillation_cases(draw):
-    """(values, dens, stencil, origin, strides) with the origin in the stencil
+    """(values, stencil, origin, strides) with the origin in the stencil
     and a lattice stride of 1-3 per axis; an axis of n = stride * m + 1 cells
     puts both its first and its last cell on the lattice."""
     dim = draw(st.integers(1, 3))
@@ -456,29 +457,14 @@ def oscillation_cases(draw):
     origin = tuple(draw(st.integers(0, s - 1)) for s in shape)
     stencil[origin] = True
     values = draw(arrays(float, cells, elements=st.floats(-10, 10)))
-    dens = draw(arrays(float, cells, elements=st.floats(0.1, 10)))
-    return values, dens, stencil, origin, strides
+    return values, stencil, origin, strides
 
 
 @SETTINGS
 @given(oscillation_cases())
 def test_mean_oscillation_matches_anchor_loop(case):
-    values, dens, stencil, origin, strides = case
     assert np.allclose(_mean_oscillation(*case), loop_mean_oscillation(*case),
                        rtol=1e-12, atol=1e-12)
-    uniform = (values, np.ones(values.shape), stencil, origin, strides)
-    assert np.allclose(_mean_oscillation(values, None, stencil, origin, strides),
-                       loop_mean_oscillation(*uniform), rtol=1e-12, atol=1e-12)
-
-
-@SETTINGS
-@given(oscillation_cases())
-def test_mean_oscillation_uniform_path_is_bit_identical_to_unit_density(case):
-    # dens=None skips the density gather; the arithmetic must not move
-    values, _dens, stencil, origin, strides = case
-    assert np.array_equal(_mean_oscillation(values, None, stencil, origin, strides),
-                          _mean_oscillation(values, np.ones(values.shape), stencil, origin,
-                                            strides))
 
 
 @pytest.mark.parametrize("offset", [-1e3, 1e3])
@@ -493,11 +479,9 @@ def test_mean_oscillation_of_a_large_offset_on_clipped_members(offset, cells, sh
     stencil = rng.random(shape) < 0.7
     origin = tuple(s // 2 for s in shape)
     stencil[origin] = True
-    for dens in (None, rng.uniform(0.5, 2.0, size=cells)):
-        got = _mean_oscillation(values, dens, stencil, origin, strides)
-        want = loop_mean_oscillation(values, np.ones(cells) if dens is None else dens,
-                                     stencil, origin, strides)
-        assert np.allclose(got, want, rtol=1e-9, atol=0.0)
+    got = _mean_oscillation(values, stencil, origin, strides)
+    want = loop_mean_oscillation(values, stencil, origin, strides)
+    assert np.allclose(got, want, rtol=1e-9, atol=0.0)
 
 
 @pytest.mark.parametrize("strides", [(1, 1), (2, 3)])
@@ -510,13 +494,10 @@ def test_mean_oscillation_of_a_smooth_field_with_spikes_of_both_signs(strides):
     values[10, 8], values[28, 25] = 1e8, -1e8
     yy, xx = np.mgrid[-3:4, -3:4]
     stencil = yy ** 2 + xx ** 2 <= 9
-    dens = 1.0 + 0.5 * np.cos(0.1 * x) * np.sin(0.07 * y)
-    for d in (None, dens):
-        got = _mean_oscillation(values, d, stencil, (3, 3), strides)
-        want = loop_mean_oscillation(values, np.ones(values.shape) if d is None else d,
-                                     stencil, (3, 3), strides)
-        assert want.min() < 1e-2
-        assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
+    got = _mean_oscillation(values, stencil, (3, 3), strides)
+    want = loop_mean_oscillation(values, stencil, (3, 3), strides)
+    assert want.min() < 1e-2
+    assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
 
 
 def test_mean_oscillation_keeps_non_finite_values_in_their_members():
@@ -528,43 +509,32 @@ def test_mean_oscillation_keeps_non_finite_values_in_their_members():
     held = np.zeros(values.shape, dtype=bool)
     held[1:4, 2:5] = held[8:11, 6:9] = True
     clean = np.where(np.isfinite(values), values, 0.0)
-    for dens in (None, rng.uniform(0.5, 2.0, size=values.shape)):
-        with np.errstate(invalid="ignore"):
-            got = _mean_oscillation(values, dens, stencil, (1, 1), (1, 1))
-        want = _mean_oscillation(clean, dens, stencil, (1, 1), (1, 1))
-        assert np.isnan(got[held]).all()
-        assert np.allclose(got[~held], want[~held], rtol=1e-12, atol=1e-12)
-
-
-def test_mean_oscillation_weighs_by_the_density():
-    # one member holding both cells: mean 3/4 under dens (1, 3), osc 3/8;
-    # mean 1/2 and osc 1/2 under the uniform measure
-    values, stencil = np.array([0.0, 1.0]), np.array([True, True])
-    weighted = _mean_oscillation(values, np.array([1.0, 3.0]), stencil, (0,), (2,))
-    assert weighted.tolist() == [0.375]
-    assert _mean_oscillation(values, None, stencil, (0,), (2,)).tolist() == [0.5]
+    with np.errstate(invalid="ignore"):
+        got = _mean_oscillation(values, stencil, (1, 1), (1, 1))
+    want = _mean_oscillation(clean, stencil, (1, 1), (1, 1))
+    assert np.isnan(got[held]).all()
+    assert np.allclose(got[~held], want[~held], rtol=1e-12, atol=1e-12)
 
 
 def test_mean_oscillation_blocks_do_not_change_the_result(monkeypatch):
     # a 3-D lattice cut into runs along its last axis gives the same numbers
     rng = np.random.default_rng(3)
-    values, dens = rng.normal(size=(7, 6, 9)), rng.uniform(0.5, 2.0, size=(7, 6, 9))
+    values = rng.normal(size=(7, 6, 9))
     stencil = rng.random((3, 4, 3)) < 0.6
     stencil[1, 2, 0] = True
-    whole = [_mean_oscillation(values, d, stencil, (1, 2, 0), (2, 1, 2)) for d in (None, dens)]
+    whole = _mean_oscillation(values, stencil, (1, 2, 0), (2, 1, 2))
     monkeypatch.setattr(maximal, "_GATHER_BLOCK", 5)
-    cut = [_mean_oscillation(values, d, stencil, (1, 2, 0), (2, 1, 2)) for d in (None, dens)]
-    for a, b in zip(whole, cut):
-        assert np.allclose(a, b, rtol=1e-13, atol=1e-13)
+    cut = _mean_oscillation(values, stencil, (1, 2, 0), (2, 1, 2))
+    assert np.allclose(whole, cut, rtol=1e-13, atol=1e-13)
 
 
 @SETTINGS
 @given(oscillation_cases(), st.floats(-5, 5), st.floats(-100, 100))
 def test_mean_oscillation_affine_invariance(case, lam, c):
     # (lam g + c)^# = |lam| g^#
-    values, dens, stencil, origin, strides = case
-    base = _mean_oscillation(values, dens, stencil, origin, strides)
-    moved = _mean_oscillation(lam * values + c, dens, stencil, origin, strides)
+    values, stencil, origin, strides = case
+    base = _mean_oscillation(values, stencil, origin, strides)
+    moved = _mean_oscillation(lam * values + c, stencil, origin, strides)
     tol = 1e-12 * (abs(lam) * np.abs(values).max() + abs(c) + 1.0)
     assert np.allclose(moved, abs(lam) * base, rtol=1e-9, atol=tol)
 

@@ -66,8 +66,8 @@ def test_mixed_norm_orders_differ():
     g = make_grid(2, (1.0, 1.0), (64, 64))
     xs = g.mesh()
     f = Field(g, np.exp(-8 * xs[0] ** 2) + 0.1 * np.abs(xs[1]))
-    a = mixed_norm(f, 2.0, 3.0, SP)
-    b = mixed_norm(f, 2.0, 3.0, SP, reversed_order=True)
+    a = mixed_norm(f, 2.0, 3.0)
+    b = mixed_norm(f, 2.0, 3.0, reversed_order=True)
     assert a > 0 and b > 0 and abs(a - b) > 1e-6
 
 
@@ -75,7 +75,7 @@ def test_mixed_norm_matches_lp_when_equal_exponents():
     g = make_grid(2, (1.0, 1.0), (64, 64))
     rng = np.random.default_rng(0)
     f = Field(g, rng.random(g.cells))
-    assert mixed_norm(f, 2.0, 2.0, SP) == pytest.approx(lp_norm(f, 2.0), rel=1e-12)
+    assert mixed_norm(f, 2.0, 2.0) == pytest.approx(lp_norm(f, 2.0), rel=1e-12)
     # singular cells count their exact masses in both orders: |x|^-1 is not
     # square integrable in 2-D, |x|^-0.5 is
     g = make_grid(2, (1.0, 1.0), (32, 32))
@@ -84,7 +84,7 @@ def test_mixed_norm_matches_lp_when_equal_exponents():
         want = lp_norm(f, 2.0)
         assert (want == math.inf) == (gamma == 1.0)
         for reversed_order in (False, True):
-            got = mixed_norm(f, 2.0, 2.0, SP, reversed_order=reversed_order)
+            got = mixed_norm(f, 2.0, 2.0, reversed_order=reversed_order)
             assert got == want or got == pytest.approx(want, rel=1e-12), (gamma, got, want)
 
 
@@ -92,25 +92,21 @@ def test_mixed_norm_matches_lp_when_equal_exponents():
 def test_mixed_norm_weighs_the_measure(reversed_order):
     g = make_grid(2, (1.0, 1.0), (12, 12))
     rng = np.random.default_rng(1)
-    dens = 0.5 + rng.random(g.cells)
-    s = make_structure(2, (2, 1), density=Field(g, dens))
     f = Field(g, rng.random(g.cells))
     ht, hx = g.h
     for p, q in ((2.0, 2.0), (1.5, 3.0)):
-        # iterated integrals cell by cell: the density weighs the inner one
+        # iterated integrals cell by cell, each cell weighing its width
         if not reversed_order:
-            inner = [sum(f.values[i, j] ** p * dens[i, j] * hx for j in range(12))
-                     for i in range(12)]
+            inner = [sum(f.values[i, j] ** p * hx for j in range(12)) for i in range(12)]
             want = sum(v ** (q / p) * ht for v in inner) ** (1.0 / q)
         else:
-            inner = [sum(f.values[i, j] ** q * dens[i, j] * ht for i in range(12))
-                     for j in range(12)]
+            inner = [sum(f.values[i, j] ** q * ht for i in range(12)) for j in range(12)]
             want = sum(v ** (p / q) * hx for v in inner) ** (1.0 / p)
-        got = mixed_norm(f, p, q, s, reversed_order=reversed_order)
+        got = mixed_norm(f, p, q, reversed_order=reversed_order)
         assert got == pytest.approx(want, rel=1e-12)
     kind = "Lqp_reversed" if reversed_order else "Lpq"
-    assert evaluate_norm(f, NormSpec(kind, p=2.0, q=2.0), s) == pytest.approx(
-        evaluate_norm(f, NormSpec("Lp", p=2.0), s), rel=1e-12)
+    assert evaluate_norm(f, NormSpec(kind, p=2.0, q=2.0), SP) == pytest.approx(
+        evaluate_norm(f, NormSpec("Lp", p=2.0), SP), rel=1e-12)
 
 
 def test_drift_seminorm_constant():
@@ -130,14 +126,11 @@ def test_drift_seminorm_inverse_distance_scale_invariant():
 
 @pytest.mark.parametrize("reversed_order", [False, True])
 def test_drift_seminorm_with_a_density_matches_brute_force(reversed_order):
-    # every x-ball x t-window cylinder on a (1+1)-D grid with a non-uniform
-    # measure.  Standard order: the t-mean of the dens-weighted x-ball means
-    # of |b|^p, raised to q/p.  Reversed: the t-mean of |b|^q, raised to p/q,
-    # then its x-ball mean weighted by the density of the window's first row.
+    # every x-ball x t-window cylinder on a (1+1)-D grid.  Standard order:
+    # the t-mean of the x-ball means of |b|^p, raised to q/p.  Reversed: the
+    # t-mean of |b|^q, raised to p/q, then its x-ball mean.
     g = make_grid(2, (1.0, 1.0), (12, 12))
     rng = np.random.default_rng(13)
-    dens = 0.5 + rng.random(g.cells)
-    s = make_structure(2, (2, 1), density=Field(g, dens))
     b = Field(g, rng.standard_normal(g.cells))
     p, q, radii = 2.0, 3.0, (0.25, 0.4, 0.6)
     (nt, nx), (ht, hx) = g.cells, g.h
@@ -150,14 +143,13 @@ def test_drift_seminorm_with_a_density_matches_brute_force(reversed_order):
             for tau in range(nt - wlen + 1):
                 rows = slice(tau, tau + wlen)
                 if not reversed_order:
-                    x_means = ((absb[rows] ** p * dens[rows])[:, ball].sum(axis=1)
-                               / dens[rows][:, ball].sum(axis=1))
+                    x_means = (absb[rows] ** p)[:, ball].mean(axis=1)
                     val = (x_means ** (q / p)).mean() ** (1.0 / q)
                 else:
                     t_means = (absb[rows] ** q).mean(axis=0) ** (p / q)
-                    val = ((t_means * dens[tau])[ball].sum() / dens[tau][ball].sum()) ** (1.0 / p)
+                    val = t_means[ball].mean() ** (1.0 / p)
                 want = max(want, rho * val)
-    got = drift_seminorm(b, p, 1.0, s, q_b=q, reversed_order=reversed_order, radii=radii)
+    got = drift_seminorm(b, p, 1.0, SP, q_b=q, reversed_order=reversed_order, radii=radii)
     assert got == pytest.approx(want, rel=1e-10)
 
 
@@ -191,13 +183,12 @@ def test_bmo_time_only_coefficient_x_average_vanishes():
 
 def _sharpsharp_reference(a, rho, structure, stride=4):
     """a## by a per-anchor loop: at every t and every x-anchor on the stride
-    lattice, the mu-mean deviation of a over the x-ball from its mu-average
-    there, then averaged over t-windows of length rho^2 / ht."""
+    lattice, the mean deviation of a over the x-ball from its average there,
+    then averaged over t-windows of length rho^2 / ht."""
     from morreylab.maximal import member_offsets
     from morreylab.norms import _family_radii
 
     grid = a.grid
-    mu = structure.density_on(grid)
     lim = np.asarray(grid.cells[1:])
     best = 0.0
     for r in _family_radii(grid, structure, rho):
@@ -211,9 +202,8 @@ def _sharpsharp_reference(a, rho, structure, stride=4):
             cells = tuple(idx[np.all((idx >= 0) & (idx < lim), axis=1)].T)
             dev = []
             for t in range(grid.cells[0]):
-                v, m = a.values[t][cells], mu[t][cells]
-                mean = (v * m).sum() / m.sum()
-                dev.append((np.abs(v - mean) * m).sum() / m.sum())
+                v = a.values[t][cells]
+                dev.append(np.abs(v - v.mean()).mean())
             for t0 in range(grid.cells[0] - wlen + 1):
                 best = max(best, sum(dev[t0:t0 + wlen]) / wlen)
     return best
@@ -224,13 +214,9 @@ def test_bmo_sharpsharp_matches_per_anchor_reference(cells):
     g = make_grid(len(cells), 1.0, cells)
     rng = np.random.default_rng(11)
     a = Field(g, 1.0 + rng.random(cells) + np.sin(3.0 * g.mesh()[1]))
-    aniso = (2,) + (1,) * (len(cells) - 1)
-    structures = [make_structure(len(cells), aniso)]
-    if len(cells) == 2:  # a non-uniform measure: mu-averages throughout
-        structures.append(make_structure(2, aniso, Field(g, 1.0 + 0.5 * rng.random(cells))))
-    for s in structures:
-        _, sharpsharp = bmo_seminorms(a, 0.6, s)
-        assert sharpsharp == pytest.approx(_sharpsharp_reference(a, 0.6, s), rel=1e-12)
+    s = make_structure(len(cells), (2,) + (1,) * (len(cells) - 1))
+    _, sharpsharp = bmo_seminorms(a, 0.6, s)
+    assert sharpsharp == pytest.approx(_sharpsharp_reference(a, 0.6, s), rel=1e-12)
 
 
 def test_bmo_log_oscillation_bounded():
@@ -344,24 +330,62 @@ def brute_members_holding(mask, stencil, origin):
 
 @pytest.mark.parametrize("case", ["power-2d", "parab-cylinder"])
 def test_divergent_anchor_set_is_exact_membership(case):
-    # the anchors that _morrey_sup sets to inf: every member holding a cell
-    # of divergent mass, on |x|^-1.5 at p = 2 in 2-D and on the parabolic
-    # singularity over cylinders at p = 3 (alpha p = 3 = d + 2)
+    # the anchors whose member holds a cell of divergent mass, on |x|^-1.5 at
+    # p = 2 in 2-D and on the parabolic singularity over cylinders at p = 3
+    # (alpha p = 3 = d + 2); the norm is inf
     if case == "power-2d":
         g, s, p, shape = make_grid(2, 1.0, 24), S2, 2.0, "ball"
         f = tf("power", g, gamma=1.5)
     else:
         g, s, p, shape = make_grid(2, (1.0, 1.0), (24, 20)), SP, 3.0, "cylinder"
         f = tf("parab_sing", g)
-    _, inf_mask = power_integrand(f, p, np.ones(g.cells))
+    _, inf_mask = power_integrand(f, p)
     assert 1 <= inf_mask.sum() <= 4
     for rho in BallFamily.for_structure(s, g).radii:
         stencil, origin = member_offsets(g, s, rho, shape)
-        # the mask correlation _morrey_sup reads: its sums count marked cells
+        # a mask correlation, as weights._cube_means reads: its sums count marked cells
         hit = _correlate(inf_mask.astype(float), stencil, origin) > 0.5
         assert np.array_equal(hit, brute_members_holding(inf_mask, stencil, origin)), rho
     spec = NormSpec("EpbDot", p=p, beta=1.0)
     assert evaluate_norm(f, spec, s) == math.inf
+
+
+@pytest.mark.parametrize("case", ["power-2d", "parab-cylinder"])
+def test_divergent_fields_make_every_radius_inf_without_a_correlation(case, monkeypatch):
+    # every member holds its anchor cell, so a cell of divergent mass makes
+    # every kept radius inf in the Morrey sup and in both orders of the mixed
+    # sup, with no member sum or mask correlation at all
+    from morreylab import maximal, norms
+    from morreylab.norms import _mixed_morrey_sup, _morrey_sup
+
+    if case == "power-2d":
+        g, s, p = make_grid(2, 1.0, 24), S2, 2.0
+        f = tf("power", g, gamma=1.5)
+    else:
+        g, s, p = make_grid(2, (1.0, 1.0), (24, 20)), SP, 3.0
+        f = tf("parab_sing", g)
+    # the last radius's t-window is longer than the grid: the mixed sups skip it
+    radii = BallFamily.for_structure(s, g).radii + (2.0,)
+    kept = [rho for rho in radii if max(1, int(round(rho ** 2 / g.h[0]))) <= g.cells[0]]
+    assert len(kept) == len(radii) - 1
+    calls = []
+
+    def counting(fn):
+        def wrapped(*args, **kwargs):
+            calls.append(fn.__name__)
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(maximal, "_fft_correlate", counting(maximal._fft_correlate))
+    monkeypatch.setattr(maximal, "_box_sum", counting(maximal._box_sum))
+    monkeypatch.setattr(norms, "_box_sum", counting(norms._box_sum))
+    best, profile = _morrey_sup(f, p, 1.0, s, radii, return_profile=True)
+    assert best == math.inf and profile == [(rho, math.inf) for rho in radii]
+    for reversed_order in (False, True):
+        best, profile = _mixed_morrey_sup(f, p, p, 1.0, s, radii, reversed_order=reversed_order,
+                                          return_profile=True)
+        assert best == math.inf and profile == [(rho, math.inf) for rho in kept]
+    assert calls == []
 
 
 def test_morrey_sup_shares_forward_spectra_across_radii(monkeypatch):
@@ -408,8 +432,7 @@ def test_morrey_sup_scales_only_the_largest_mean(p, beta):
     rng = np.random.default_rng(int(10 * p + beta))
     for f in (Field(g, rng.standard_normal(g.cells) * rng.random(g.cells) ** 4),
               tf("power", g, gamma=2.5 / p)):
-        dens = np.ones(g.cells)
-        arr, inf_mask = power_integrand(f, p, dens)
+        arr, inf_mask = power_integrand(f, p)
         radii = BallFamily.for_structure(S2, g).radii
         want = []
         for rho in radii:
