@@ -236,9 +236,9 @@ def dyadic_sharp(field, structure, g_max=None):
 
 
 def box_doubling_constant(grid, structure):
-    """Empirical sup over boxes of |parent|/|child| along the filtration: the
-    ratio of their cell counts, one per generation, since a generation's
-    boxes share one shape."""
+    """The largest ratio |parent|/|child| of cell counts over the
+    generations of the filtration; a generation's boxes share one shape, so
+    one ratio per generation is the max over every parent-child pair."""
     ks = structure.anisotropy
     worst = 1.0
     for g in range(1, max_generation(grid, ks) + 1):

@@ -114,7 +114,7 @@ class GridSpec:
 
     def radius(self, center=None):
         """Euclidean distance of every cell center from `center` (default 0)."""
-        xs = self.mesh()
+        xs = np.meshgrid(*self.axes(), indexing="ij", sparse=True)
         if center is None:
             center = [0.0] * self.dim
         r2 = sum((x - c) ** 2 for x, c in zip(xs, center))

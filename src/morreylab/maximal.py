@@ -164,7 +164,7 @@ def _correlate(values, stencil, origin, forward=None):
 
     A boolean stencil that fills its bounding box (cubes, intervals,
     1+1-D cylinders, the smallest balls) is summed exactly by _box_sum;
-    any other shape goes through _fft_correlate, which takes `forward`.
+    any other shape goes through _fft_correlate.  Both take `forward`.
     Table stencils (member_offsets) carry their fill spans; others are
     scanned here.
     """
@@ -173,27 +173,41 @@ def _correlate(values, stencil, origin, forward=None):
     if spans is None:
         return _fft_correlate(values, stencil, origin, forward)
     batch = [(0, 0)] * (values.ndim - stencil.ndim)
-    return _box_sum(values, batch + [(a - o, b - o) for (a, b), o in zip(spans, origin)])
+    return _box_sum(values, batch + [(a - o, b - o) for (a, b), o in zip(spans, origin)],
+                    forward)
 
 
 class _Forward:
-    """The forward spectrum of one values array at its last transform shape.
+    """What the correlations of one values array share across radii: its
+    forward spectrum at the last transform shape, or its summed-area table
+    along the first axis that a box member sums.
 
     A radius loop over one field passes one of these to every correlation
     of that field.  Ascending radii give non-decreasing padded shapes, so
     consecutive radii that pad to the same shape share one forward
-    transform, and at most one spectrum is alive.
+    transform, and box members of one field share one table.  The holder
+    keeps one array at a time: making a spectrum drops the table, and
+    making a table drops the spectrum.  Callers only read what it returns.
     """
 
     def __init__(self):
-        self.values = self.lens = self.spec = None
+        self.values = self.key = self.array = None
+
+    def _keep(self, values, key, make):
+        if values is not self.values or key != self.key:
+            self.array = None  # drop the old array before making the next
+            self.array = make()
+            self.values, self.key = values, key
+        return self.array
 
     def rfftn(self, values, lens, axes):
-        if values is not self.values or lens != self.lens:
-            self.spec = None  # drop the old spectrum before making the next
-            self.spec = np.fft.rfftn(values, s=lens, axes=axes)
-            self.values, self.lens = values, lens
-        return self.spec
+        return self._keep(values, lens, lambda: np.fft.rfftn(values, s=lens, axes=axes))
+
+    def table(self, values, ax):
+        """(pre, c) of _summed_table along ax, extended by the axis length
+        m past each end: it serves every window of a box sum of values."""
+        m = values.shape[ax]
+        return self._keep(values, ("table", ax), lambda: _summed_table(values, ax, m, m))
 
 
 @functools.lru_cache(maxsize=1024)
@@ -223,8 +237,10 @@ def _fft_correlate(values, kernel, origin, forward=None):
     (or its partial transform) occupies.  Kernel entries past the transform
     length meet only padding.  A _Forward holder passed as `forward` keeps
     the forward spectrum of values for the next call at the same shape.
-    The inverse is pruned too: each pass crops its axis to the cells kept,
-    so the next pass transforms only their lines.
+    The product overwrites the kernel spectrum, which is this call's own,
+    unless batch axes broadcast it, and every complex inverse pass runs in
+    place; each crops its axis to the cells kept, so the next pass
+    transforms only their lines.
     """
     axes = tuple(range(values.ndim - kernel.ndim, values.ndim))
     cells = values.shape[axes[0]:]
@@ -232,11 +248,14 @@ def _fft_correlate(values, kernel, origin, forward=None):
     spec = np.fft.rfft(np.flip(kernel), n=lens[-1], axis=-1)
     for ax in range(kernel.ndim - 2, -1, -1):
         spec = np.fft.fft(spec, n=lens[ax], axis=ax)
-    spec = (forward or _Forward()).rfftn(values, lens, axes) * spec
+    fwd = (forward or _Forward()).rfftn(values, lens, axes)
+    # in place only where the product has the kernel spectrum's shape and dtype
+    same = fwd.shape == spec.shape and fwd.dtype == spec.dtype
+    spec = np.multiply(fwd, spec, out=spec if same else None)
     # corr(c) sits at index c + (s - 1 - origin) of the linear convolution
     keep = [slice(s - 1 - o, s - 1 - o + n) for s, o, n in zip(kernel.shape, origin, cells)]
     for ax, m, k in zip(axes[:-1], lens, keep):
-        spec = np.fft.ifft(spec, n=m, axis=ax)[(slice(None),) * ax + (k,)]
+        spec = np.fft.ifft(spec, n=m, axis=ax, out=spec)[(slice(None),) * ax + (k,)]
     return np.fft.irfft(spec, n=lens[-1], axis=-1)[..., keep[-1]]
 
 
@@ -248,70 +267,92 @@ def _circular_correlate(values, kernel):
     return _fft_correlate(wrapped, kernel, (0,) * kernel.ndim)[tuple(map(slice, values.shape))]
 
 
-def _max_filter(values, footprint, origin):
-    """out(c) = max of values(c + k - origin) over the cells k of a boolean
-    footprint, -inf outside the domain.
-
-    The footprint is split into runs along its last axis.  The running max
-    of each run width is built once, from power-of-two windows by doubling,
-    and each run then costs one np.maximum over the grid.  A max is exact,
-    so the result does not depend on how the windows are combined.
-    """
-    cells, shape = values.shape, footprint.shape
-    padded = np.full([n + s - 1 for n, s in zip(cells, shape)], -np.inf)
-    padded[tuple(slice(o, o + n) for o, n in zip(origin, cells))] = values
+def _footprint_runs(footprint):
+    """The runs of a boolean footprint along its last axis, grouped by
+    width: ((width, (start, ...)), ...) by ascending width, each start the
+    index tuple of a run's first cell, in C order."""
+    shape = footprint.shape
     # run edges along the last axis, in C order: start, end, start, end, ...
     line = np.zeros(shape[:-1] + (shape[-1] + 2,), dtype=bool)
     line[..., 1:-1] = footprint
     edges = np.argwhere(line[..., 1:] != line[..., :-1])
     starts, widths = edges[0::2], edges[1::2, -1] - edges[0::2, -1]
-    out = np.full(cells, -np.inf)
+    return tuple((w, tuple(map(tuple, starts[widths == w].tolist())))
+                 for w in sorted(set(widths.tolist())))
+
+
+def _max_filter(values, footprint, origin, runs, out=None):
+    """out(c) = max of out(c) and of values(c + k - origin) over the cells k
+    of a boolean footprint, whose runs are _footprint_runs(footprint); out
+    omitted starts at -inf, the value where no offset stays in the domain.
+
+    The running max of each run width is built once, from power-of-two
+    windows by doubling, and each run then costs one np.maximum over the
+    grid.  A max is exact, so the result does not depend on how the
+    windows are combined.
+    """
+    cells, shape = values.shape, footprint.shape
+    padded = np.full([n + s - 1 for n, s in zip(cells, shape)], -np.inf)
+    padded[tuple(slice(o, o + n) for o, n in zip(origin, cells))] = values
+    if out is None:
+        out = np.full(cells, -np.inf)
     win, width = padded, 1  # win[..., j] = max of padded[..., j:j + width]
-    for w in sorted(set(widths.tolist())):
+    for w, starts in runs:
         while 2 * width <= w:
             win = np.maximum(win[..., :-width], win[..., width:])
             width *= 2
         run = win if w == width else np.maximum(win[..., :width - w], win[..., w - width:])
-        for start in starts[widths == w].tolist():
+        for start in starts:
             np.maximum(out, run[tuple(slice(i, i + n) for i, n in zip(start, cells))], out=out)
     return out
 
 
-def _prefix_diff(arr, ax, lo, w, n, step=1):
-    """d[i] = sum of arr[j:j + w] along axis ax, j = lo + step * i for i < n
-    (step 1 or -1), each range clipped to [0, m], from one summed-area table
-    step in the dtype np.cumsum gives.
-
-    The table c (c[k] = sum of the first k of the m cells) is extended past
-    each end by copies of c[0] and c[m], as far as the windows reach (at
-    most n), so both ends of every window are plain slices of it, read
-    backwards when step is -1.
-    """
+def _summed_table(arr, ax, pre, post):
+    """(pre, c): the summed-area table of arr along axis ax, c[pre + k] = sum
+    of the first k of its m cells, in the dtype np.cumsum gives, extended by
+    pre copies of c[pre] = 0 before it and post copies of c[pre + m] after."""
     m, lead = arr.shape[ax], (slice(None),) * ax
-    first = lo if step > 0 else lo - n + 1  # the smallest window start
-    # a start below -n or past m reads the same ends as one at -n or m
-    a, b = (min(max(j, -n), m) for j in (first, first + w))
-    pre, post = max(0, -a), max(0, b + n - 1 - m)
     c = np.empty(arr.shape[:ax] + (pre + m + 1 + post,) + arr.shape[ax + 1:],
                  arr.dtype if arr.dtype.kind == "f" else np.cumsum(arr[:0]).dtype)
     c[lead + (slice(None, pre + 1),)] = 0
     np.cumsum(arr, axis=ax, out=c[lead + (slice(pre + 1, pre + m + 1),)])
     c[lead + (slice(pre + m + 1, None),)] = c[lead + (slice(pre + m, pre + m + 1),)]
+    return pre, c
+
+
+def _prefix_diff(arr, ax, lo, w, n, step=1, table=None):
+    """d[i] = sum of arr[j:j + w] along axis ax, j = lo + step * i for i < n
+    (step 1 or -1), each range clipped to [0, m], from one summed-area table
+    (_summed_table) of arr along ax.
+
+    The table reaches past each end as far as the windows do, so both ends
+    of every window are plain slices of it, read backwards when step is -1.
+    It is `table`, a _Forward holder's, when one is given, else one only as
+    long as the windows need.
+    """
+    m, lead = arr.shape[ax], (slice(None),) * ax
+    first = lo if step > 0 else lo - n + 1  # the smallest window start
+    # a start below -n or past m reads the same ends as one at -n or m
+    a, b = (min(max(j, -n), m) for j in (first, first + w))
+    pre, c = table or _summed_table(arr, ax, max(0, -a), max(0, b + n - 1 - m))
     ends, starts = (c[lead + (slice(pre + j, pre + j + n),)] for j in (b, a))
     if step < 0:
         ends, starts = np.flip(ends, ax), np.flip(starts, ax)
     return ends - starts
 
 
-def _box_sum(values, bounds):
+def _box_sum(values, bounds, forward=None):
     """box(c) = sum of values(c + o) over lo_i <= o_i <= hi_i, zero outside
     the domain, by separable prefix sums (summed-area tables).  bounds holds
-    one (lo, hi) pair per axis; an axis with lo == hi == 0 is skipped."""
+    one (lo, hi) pair per axis; an axis with lo == hi == 0 is skipped.  In
+    a radius loop `forward` is the _Forward holder of values, whose table
+    serves the first summed axis."""
     out = values
     for ax, (lo, hi) in enumerate(bounds):
         if lo == hi == 0:
             continue
-        out = _prefix_diff(out, ax, lo, hi - lo + 1, out.shape[ax])
+        table = forward.table(values, ax) if forward is not None and out is values else None
+        out = _prefix_diff(out, ax, lo, hi - lo + 1, out.shape[ax], table=table)
     return out
 
 
@@ -481,27 +522,31 @@ def _anchor_stride(grid, rho, density):
     return max(1, int(min(rho / (density * h) for h in grid.h)))
 
 
-def _scatter_max(lattice, grid, structure, rho, shape, stride):
-    """out(z) = max of the values on the stride lattice over the anchors whose
-    member holds the whole stride block of z (cells stride * (z // stride) +
-    [0, stride)^dim), -inf where there is none; a lower bound of the max over
+def _scatter_max(lattice, grid, structure, rho, shape, stride, out):
+    """out(z) <- max of out(z) and of the values on the stride lattice over
+    the anchors whose member holds the whole stride block of z (cells
+    stride * (z // stride) + [0, stride)^dim); a lower bound of the max over
     the anchors whose member holds z, and equal to it at stride 1, where the
-    lattice is the grid and no block expansion is needed.
+    lattice is the grid and the runs max straight into out.  Returns out.
     """
-    footprint, origin = _block_footprint(tuple(grid.h), tuple(structure.anisotropy),
-                                         float(structure.nu0), float(rho), shape, stride)
-    out = _max_filter(lattice, footprint, origin)
+    footprint, origin, runs = _block_footprint(tuple(grid.h), tuple(structure.anisotropy),
+                                               float(structure.nu0), float(rho), shape,
+                                               stride)
     if stride == 1:
-        return out
-    return out[np.ix_(*[np.arange(n) // stride for n in grid.cells])]
+        return _max_filter(lattice, footprint, origin, runs, out)
+    block = _max_filter(lattice, footprint, origin, runs)
+    for ax, n in enumerate(grid.cells):
+        block = np.repeat(block, stride, axis=ax)[(slice(None),) * ax + (slice(n),)]
+    return np.maximum(out, block, out=out)
 
 
 @functools.lru_cache(maxsize=_STENCIL_TABLE_SIZE)
 def _block_footprint(hs, ks, nu0, rho, shape, stride):
-    """(footprint, origin) for _max_filter: the block offsets d whose block
-    d * stride + [0, stride)^dim of member offsets lies wholly in the member,
-    reflected, since an anchor's value reaches the cells its member holds.
-    Read-only and shared from a bounded table keyed by value."""
+    """(footprint, origin, runs) for _max_filter: the block offsets d whose
+    block d * stride + [0, stride)^dim of member offsets lies wholly in the
+    member, reflected, since an anchor's value reaches the cells its member
+    holds, and its _footprint_runs.  Read-only and shared from a bounded
+    table keyed by value."""
     stencil, origin = _member_stencil(hs, ks, nu0, rho, shape)
     # pad with False so that the origin starts a block and every block is whole
     pad = [(-o % stride, (o - s) % stride) for o, s in zip(origin, stencil.shape)]
@@ -510,8 +555,8 @@ def _block_footprint(hs, ks, nu0, rho, shape, stride):
     inside = blocks.all(axis=tuple(range(1, 2 * padded.ndim, 2)))
     footprint = np.flip(inside)
     footprint.flags.writeable = False
-    return footprint, tuple(n - 1 - (o + p) // stride
-                            for n, o, (p, _) in zip(inside.shape, origin, pad))
+    reflected = tuple(n - 1 - (o + p) // stride for n, o, (p, _) in zip(inside.shape, origin, pad))
+    return footprint, reflected, _footprint_runs(footprint)
 
 
 def classical_maximal(field, structure, beta=0.0, family=None):
@@ -537,7 +582,7 @@ def classical_sharp(field, structure, family=None):
         stencil, origin = member_offsets(grid, structure, rho, family.shape)
         stride = _anchor_stride(grid, rho, family.density)
         osc = _mean_oscillation(field.values, stencil, origin, (stride,) * grid.dim)
-        np.maximum(out, _scatter_max(osc, grid, structure, rho, family.shape, stride), out=out)
+        _scatter_max(osc, grid, structure, rho, family.shape, stride, out)
     return Field(grid, out)
 
 
@@ -568,7 +613,6 @@ def _sup_of_means(field, dens, structure, family, beta=0.0):
         avg, _den = _member_means(weighted, dens, stencil, origin, forward, dens_forward)
         stride = _anchor_stride(grid, rho, family.density)
         lattice = rho ** beta * avg[(slice(None, None, stride),) * grid.dim]
-        np.maximum(out, _scatter_max(lattice, grid, structure, rho, family.shape, stride),
-                   out=out)
+        _scatter_max(lattice, grid, structure, rho, family.shape, stride, out)
     out[out == -np.inf] = 0.0
     return Field(grid, out)

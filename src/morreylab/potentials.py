@@ -66,7 +66,7 @@ def _offset_mesh(grid):
     offs = [
         (np.arange(-(n - 1), n)) * h for n, h in zip(grid.cells, grid.h)
     ]
-    return np.meshgrid(*offs, indexing="ij")
+    return np.meshgrid(*offs, indexing="ij", sparse=True)
 
 
 def _radial_kernel(grid, profile, self_avg):
@@ -149,7 +149,7 @@ def parabolic_kernel_array(grid, alpha, k):
     offs_t = (np.arange(nt) + 0.5) * ht  # s > 0 half, slab centers
     mesh_x = np.meshgrid(
         *[(np.arange(-(n - 1), n)) * h for n, h in zip(grid.cells[1:], grid.h[1:])],
-        indexing="ij",
+        indexing="ij", sparse=True,
     )
     r2 = sum(m ** 2 for m in mesh_x) if mesh_x else np.zeros(())
     s = offs_t.reshape((-1,) + (1,) * d)

@@ -26,6 +26,8 @@ from morreylab.maximal import (
     _fast_len,
     _fft_correlate,
     _fill_spans,
+    _footprint_runs,
+    _Forward,
     _max_filter,
     _mean_oscillation,
     _member_means,
@@ -146,6 +148,26 @@ def test_fft_correlate_origin_at_either_end(end):
     origin = (0, 0) if end == "first" else (4, 10)
     want = brute_correlate(values, kernel, origin)
     assert np.allclose(_fft_correlate(values, kernel, origin), want, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("batch", [(), (2,)])
+def test_correlation_leaves_the_holders_spectrum_as_made(batch):
+    # the product overwrites the call's own kernel spectrum (or, with batch
+    # axes, a new array), never the holder's: after every correlation the
+    # kept spectrum still equals a fresh rfftn, and each result equals one
+    # made without a holder
+    rng = np.random.default_rng(13)
+    values = rng.standard_normal(batch + (20, 15))
+    axes = tuple(range(len(batch), values.ndim))
+    fwd = _Forward()
+    for size in (3, 4, 5, 9):
+        kernel = rng.standard_normal((size, size))
+        origin = (size // 2, 0)
+        got = _fft_correlate(values, kernel, origin, fwd)
+        assert np.array_equal(fwd.array, np.fft.rfftn(values, s=fwd.key, axes=axes))
+        assert np.array_equal(got, _fft_correlate(values, kernel, origin))
+        want = [brute_correlate(v, kernel, origin) for v in values.reshape((-1, 20, 15))]
+        assert np.allclose(got, np.reshape(want, got.shape), rtol=0, atol=1e-11)
 
 
 @pytest.mark.parametrize("rho, box", [(0.1, True), (0.25, False), (0.3, True), (0.7, False)])
@@ -337,6 +359,31 @@ def test_box_sum_is_bit_identical_to_pad_and_clip(case):
     got, want = _box_sum(values, bounds), pad_clip_box_sum(values, bounds)
     assert got.dtype == want.dtype
     assert np.array_equal(got, want)
+
+
+def test_box_sums_of_one_field_read_one_holder_table():
+    # box members of one field read the summed-area table its _Forward
+    # holder keeps: bit for bit the sums of a table made per call, over
+    # ascending radii, batch axes, windows wider than the grid or past its
+    # ends, and a spectrum made in between, which drops the table
+    rng = np.random.default_rng(12)
+    values = rng.standard_normal((3, 17, 12)) * 10.0 ** rng.integers(-3, 4, size=(3, 17, 12))
+    cases = [[(0, 0), (0, 0), (-1, 1)]]  # first summed axis 2
+    cases += [[(0, 0), (-h, h), (-(h // 2), h)] for h in range(1, 20)]  # axis 1 from here
+    cases += [[(0, 0), (0, 25), (0, 0)], [(0, 0), (-25, -18), (1, 3)], [(0, 0), (18, 30), (0, 0)]]
+    fwd, tables = _Forward(), []
+    for k, bounds in enumerate(cases):
+        if k == 10:
+            fwd.rfftn(values, (18, 16), (1, 2))
+            assert fwd.key == (18, 16)
+        got = _box_sum(values, bounds, fwd)
+        want = _box_sum(values, bounds)
+        assert got.dtype == want.dtype and np.array_equal(got, want), bounds
+        ax = next(i for i, b in enumerate(bounds) if b != (0, 0))
+        assert fwd.key == ("table", ax)
+        tables.append(fwd.array)
+    # one table for axis 2, one for axis 1, one more after the spectrum
+    assert len({id(t) for t in tables}) == 3
 
 
 @st.composite
@@ -586,7 +633,7 @@ def max_filter_cases(draw):
 def test_max_filter_matches_brute_force_at_every_origin(case):
     values, footprint = case
     for origin in np.ndindex(footprint.shape):
-        assert np.array_equal(_max_filter(values, footprint, origin),
+        assert np.array_equal(_max_filter(values, footprint, origin, _footprint_runs(footprint)),
                               brute_max_filter(values, footprint, origin))
 
 
@@ -598,12 +645,12 @@ def test_max_filter_lines_with_several_runs_or_none():
                           [0, 1, 0, 0, 0, 0, 1, 0]], dtype=bool)
     values = rng.normal(size=(7, 11))
     for origin in [(0, 0), (3, 7), (1, 4), (2, 2)]:
-        out = _max_filter(values, footprint, origin)
+        out = _max_filter(values, footprint, origin, _footprint_runs(footprint))
         assert np.array_equal(out, brute_max_filter(values, footprint, origin))
     # every offset of a footprint far to one side leaves the domain
     far = np.zeros((1, 15), dtype=bool)
     far[0, -2:] = True
-    out = _max_filter(values, far, (0, 0))
+    out = _max_filter(values, far, (0, 0), _footprint_runs(far))
     assert np.isneginf(out[:, -2:]).all() and np.isfinite(out[:, :-14]).all()
 
 
@@ -622,7 +669,8 @@ def test_scatter_placement_is_grey_dilations():
             want = grey_dilation(values, footprint=np.flip(stencil), mode="constant",
                                  cval=-np.inf)
             centre = tuple((n - 1) // 2 for n in stencil.shape)
-            assert np.array_equal(_max_filter(values, stencil, centre), want)
+            assert np.array_equal(_max_filter(values, stencil, centre, _footprint_runs(stencil)),
+                                  want)
 
 
 def brute_scatter(lattice, grid, structure, rho, shape, stride):
@@ -650,7 +698,8 @@ def test_scatter_at_stride_1_is_the_member_scatter(ks, shape):
     values = np.random.default_rng(dim).normal(size=g.cells)
     for rho in (0.15, 0.3, 0.55):
         want = brute_scatter(values, g, s, rho, shape, 1)
-        assert np.array_equal(maximal._scatter_max(values, g, s, rho, shape, 1), want)
+        got = maximal._scatter_max(values, g, s, rho, shape, 1, np.full(g.cells, -np.inf))
+        assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("density", [1.0, 2.0, 4.0])
@@ -669,7 +718,8 @@ def test_scatter_on_a_lattice_credits_only_members_holding_the_cell(density, ks,
             if stride == 1:
                 continue  # exact there: test_scatter_at_stride_1_is_the_member_scatter
             lattice = rng.normal(size=[-(-n // stride) for n in g.cells])
-            got = maximal._scatter_max(lattice, g, s, rho, shape, stride)
+            got = maximal._scatter_max(lattice, g, s, rho, shape, stride,
+                                       np.full(g.cells, -np.inf))
             assert (got <= brute_scatter(lattice, g, s, rho, shape, stride)).all()
 
 
@@ -681,9 +731,55 @@ def test_scatter_of_a_strided_cylinder_stays_in_its_members():
     stride = maximal._anchor_stride(g, rho, 4.0)
     assert stride == 2
     lattice = np.random.default_rng(3).normal(size=(32, 32))
-    got = maximal._scatter_max(lattice, g, s, rho, "cylinder", stride)
+    got = maximal._scatter_max(lattice, g, s, rho, "cylinder", stride, np.full(g.cells, -np.inf))
     want = brute_scatter(lattice, g, s, rho, "cylinder", stride)
     assert (got <= want).all() and np.isfinite(got).any()
+
+
+def brute_block_scatter(lattice, grid, structure, rho, shape, stride):
+    """max of lattice[j] over the anchors stride * j whose member holds every
+    cell of the cell's stride block stride * (z // stride) + [0, stride)^dim,
+    the block not clipped to the grid, one anchor at a time; -inf where no
+    member does."""
+    stencil, origin = member_offsets(grid, structure, rho, shape)
+    corner = stride * (np.indices(grid.cells).reshape(grid.dim, -1).T // stride)
+    out = np.full(corner.shape[0], -np.inf)
+    for j in np.ndindex(lattice.shape):
+        held = np.ones(corner.shape[0], dtype=bool)
+        for e in np.ndindex((stride,) * grid.dim):
+            o = corner + np.asarray(e) - stride * np.asarray(j) + np.asarray(origin)
+            ok = np.all((o >= 0) & (o < stencil.shape), axis=1)
+            held &= ok
+            held[ok] &= stencil[tuple(o[ok].T)]
+        out[held] = np.maximum(out[held], lattice[j])
+    return out.reshape(grid.cells)
+
+
+@pytest.mark.parametrize("stride", [1, 2, 3, 4])
+@pytest.mark.parametrize("ks, shape", [((1,), "ball"), ((2,), "cylinder"), ((2,), "ellipsoid"),
+                                       ((2,), "cube"), ((1, 1), "ball"), ((2, 1), "cylinder"),
+                                       ((1, 2), "ellipsoid"), ((2, 1), "cube"),
+                                       ((1, 1, 1), "ball"), ((2, 1, 1), "cylinder"),
+                                       ((1, 2, 1), "ellipsoid"), ((1, 1, 1), "cube")])
+def test_scatter_maxes_into_a_finite_accumulator(ks, shape, stride):
+    # the scatter maxes into the radius loop's sup in place: a random finite
+    # accumulator becomes max(acc, block scatter) bit for bit, by the runs
+    # alone at stride 1 and through the expanded lattice past it
+    dim = len(ks)
+    g = make_grid(dim, 1.0, {1: 42, 2: 14, 3: 10}[dim])  # partial blocks at strides 3, 4
+    s = make_structure(dim, ks)
+    rng = np.random.default_rng([dim, stride])
+    credited = False
+    for rho in (0.3, 0.7, 1.4):
+        lattice = rng.standard_normal([-(-n // stride) for n in g.cells])
+        acc = rng.standard_normal(g.cells)
+        scatter = brute_block_scatter(lattice, g, s, rho, shape, stride)
+        # the accumulator wins at some cells and the lattice at others
+        credited |= bool((scatter > acc).any() and (acc > scatter).any())
+        want = np.maximum(acc, scatter)
+        assert maximal._scatter_max(lattice, g, s, rho, shape, stride, acc) is acc
+        assert np.array_equal(acc, want)
+    assert credited
 
 
 def test_fast_len_is_the_smallest_5_smooth_length():
