@@ -12,8 +12,7 @@ from __future__ import annotations
 
 import functools
 import math
-import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, field as _field
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -68,31 +67,58 @@ def _member_shape(structure):
 
 
 def member_offsets(grid, structure, rho, shape):
-    """Boolean stencil of cell offsets in one member, plus the origin index.
+    """The _Member record of one family member: its boolean stencil of cell
+    offsets, origin index and fill spans.
 
     'ball': |o| < rho.          'ellipsoid': sum (o_i/(rho^{k_i} nu0^{k_i}))^2 < 1.
     'cylinder': o_t in [0, rho^2), |o_x| < rho (axis 0 is t).
     'cube': |o_i| < rho^{k_i}/2.
+    'box': the full box of 2 c_i + 1 cells, c_i = max(1, ceil(rho^{k_i} / (2 h_i))),
+    centred: the A_p cube of weights.
     'ball_x': the ball over axes 1.., for the x slices of a (t, x) grid.
 
-    Stencils come from a bounded table keyed by value (cell widths,
-    anisotropy, nu0, rho, shape) and are read-only: callers share them.
+    Records come from one bounded table keyed by value (cell widths,
+    anisotropy, nu0, rho, shape), and their stencils are read-only: callers
+    share them.
     """
     hs, ks = tuple(grid.h), tuple(structure.anisotropy)
     if shape == "ball_x":
         hs, ks, shape = hs[1:], ks[1:], "ball"
-    return _member_stencil(hs, ks, float(structure.nu0), float(rho), shape)
+    return _member(hs, ks, float(structure.nu0), float(rho), shape)
 
 
-# Entries of the stencil table: a fixed bound keeps it small whatever the run.
+@dataclass(frozen=True)
+class _Member:
+    """One family member: its boolean stencil `mask`, the `origin` index of
+    the anchor cell in it, and its table `key`.
+
+    Records compare and hash by key alone, so equal grids give equal records
+    and the count and footprint tables are keyed by value.  A record made
+    from a bare stencil has no key (None): its counts are made at every
+    call and never stored.
+    """
+
+    mask: np.ndarray = _field(compare=False)
+    origin: tuple = _field(compare=False)
+    key: tuple = None
+
+    @functools.cached_property
+    def spans(self):
+        """Per-axis (first, last) index of the stencil's bounding box when the
+        stencil fills that box, else None."""
+        mask = self.mask
+        spans = [np.flatnonzero(mask.any(axis=tuple(a for a in range(mask.ndim) if a != ax)))
+                 for ax in range(mask.ndim)]
+        box = tuple((int(s[0]), int(s[-1])) for s in spans)
+        return box if mask[tuple(slice(a, b + 1) for a, b in box)].all() else None
+
+
+# Entries of the member table: a fixed bound keeps it small whatever the run.
 _STENCIL_TABLE_SIZE = 128
-# id(stencil) -> _fill_spans(stencil) for every stencil a table built; an
-# entry is dropped when its stencil is freed, so an id here is never stale.
-_FILL_SPANS = {}
 
 
 @functools.lru_cache(maxsize=_STENCIL_TABLE_SIZE)
-def _member_stencil(hs, ks, nu0, rho, shape):
+def _member(hs, ks, nu0, rho, shape):
     dim = len(hs)
     if shape == "ball":
         ext = [rho] * dim
@@ -100,11 +126,13 @@ def _member_stencil(hs, ks, nu0, rho, shape):
         ext = [rho ** k * nu0 ** k for k in ks]
     elif shape == "cylinder":
         ext = [rho ** 2] + [rho] * (dim - 1)
-    elif shape == "cube":
+    elif shape in ("cube", "box"):
         ext = [rho ** k / 2.0 for k in ks]
     else:
         raise ValueError(f"unknown member shape {shape!r}")
-    half_cells = [max(1, int(np.ceil(e / h)) + 1) for e, h in zip(ext, hs)]
+    # a box reaches its last cell; the other shapes test one cell further
+    reach = 0 if shape == "box" else 1
+    half_cells = [max(1, int(np.ceil(e / h)) + reach) for e, h in zip(ext, hs)]
     axes = []
     for i, hc in enumerate(half_cells):
         if shape == "cylinder" and i == 0:
@@ -121,59 +149,30 @@ def _member_stencil(hs, ks, nu0, rho, shape):
         mask = (mesh[0] >= 0) & (mesh[0] < rho ** 2) & xmask
     else:
         mask = np.ones([len(a) for a in axes], dtype=bool)
-        for m, e in zip(mesh, ext):
-            mask &= np.abs(m) < e
+        if shape == "cube":
+            for m, e in zip(mesh, ext):
+                mask &= np.abs(m) < e
     origin = tuple(0 if (shape == "cylinder" and i == 0) else hc
                    for i, hc in enumerate(half_cells))
-    return _frozen(mask), origin
-
-
-@functools.lru_cache(maxsize=_STENCIL_TABLE_SIZE)
-def _box_stencil(half_cells):
-    """The full box of 2 h_i + 1 cells per axis, centred: (stencil, origin),
-    read-only and shared from a bounded table keyed by the half widths."""
-    return _frozen(np.ones([2 * h + 1 for h in half_cells], dtype=bool)), tuple(half_cells)
-
-
-def _frozen(mask):
-    """Make a table stencil read-only and record its fill spans."""
     mask.flags.writeable = False
-    _FILL_SPANS[id(mask)] = _fill_spans(mask)
-    weakref.finalize(mask, _forget, id(mask))
-    return mask
+    return _Member(mask, origin, (hs, ks, nu0, rho, shape))
 
 
-def _forget(key):
-    """Drop what the tables hold under the id of a freed stencil."""
-    _FILL_SPANS.pop(key, None)
-    _COUNTS.drop(key)
-
-
-def _fill_spans(stencil):
-    """Per-axis (first, last) index of the bounding box of a boolean stencil
-    when the stencil fills that box, else None."""
-    spans = [np.flatnonzero(stencil.any(axis=tuple(a for a in range(stencil.ndim) if a != ax)))
-             for ax in range(stencil.ndim)]
-    box = tuple((int(s[0]), int(s[-1])) for s in spans)
-    return box if stencil[tuple(slice(a, b + 1) for a, b in box)].all() else None
-
-
-def _correlate(values, stencil, origin, forward=None):
+def _correlate(values, member, forward=None):
     """corr(c) = sum_{o in stencil} values(c + o), zero outside the domain,
-    over the trailing stencil.ndim axes of values; leading axes are a batch.
+    over the trailing stencil.ndim axes of values for the stencil of a
+    _Member; leading axes are a batch.
 
-    A boolean stencil that fills its bounding box (cubes, intervals,
-    1+1-D cylinders, the smallest balls) is summed exactly by _box_sum;
-    any other shape goes through _fft_correlate.  Both take `forward`.
-    Table stencils (member_offsets) carry their fill spans; others are
-    scanned here.
+    A stencil that fills its bounding box (cubes, boxes, intervals, 1+1-D
+    cylinders, the smallest balls) is summed exactly by _box_sum from the
+    record's fill spans; any other shape goes through _fft_correlate.  Both
+    take `forward`.
     """
-    key = id(stencil)
-    spans = _FILL_SPANS[key] if key in _FILL_SPANS else _fill_spans(stencil)
-    if spans is None:
-        return _fft_correlate(values, stencil, origin, forward)
-    batch = [(0, 0)] * (values.ndim - stencil.ndim)
-    return _box_sum(values, batch + [(a - o, b - o) for (a, b), o in zip(spans, origin)],
+    if member.spans is None:
+        return _fft_correlate(values, member.mask, member.origin, forward)
+    batch = [(0, 0)] * (values.ndim - member.mask.ndim)
+    return _box_sum(values, batch + [(a - o, b - o) for (a, b), o in zip(member.spans,
+                                                                          member.origin)],
                     forward)
 
 
@@ -357,46 +356,33 @@ def _box_sum(values, bounds, forward=None):
 
 
 class _CountTable:
-    """Bounded table of the uniform member counts of table stencils.
+    """Bounded table of the uniform member counts of table records.
 
-    Keyed by (id(stencil), origin, cells) like _FILL_SPANS, so only a live
-    table stencil has entries, and _forget drops them when it is freed.
-    Counts above `entry_bytes` are never stored; past `total_bytes` the
-    least recently used go first.  Stored counts are read-only.
+    Keyed by (member.key, cells), so a count outlives the record it was made
+    for and serves every equal one.  A keyless record is counted at every
+    call.  Counts above `entry_bytes` are never stored; past `total_bytes`
+    the least recently used go first.  Stored counts are read-only.
     """
 
     def __init__(self, entry_bytes, total_bytes):
         self.entry_bytes, self.total_bytes, self.nbytes = entry_bytes, total_bytes, 0
         self.counts = {}  # key -> count, least recently used first
-        self.keys = {}  # id(stencil) -> its keys in counts
 
-    def get(self, stencil, origin, cells):
-        key = (id(stencil), tuple(origin), tuple(cells))
-        if key[0] not in _FILL_SPANS:
-            return _stencil_count(stencil, origin, cells)
+    def get(self, member, cells):
+        if member.key is None:
+            return _stencil_count(member.mask, member.origin, cells)
+        key = (member.key, tuple(cells))
         count = self.counts.pop(key, None)
         if count is None:
-            count = _stencil_count(stencil, origin, cells)
+            count = _stencil_count(member.mask, member.origin, cells)
             if count.nbytes > self.entry_bytes:
                 return count
             count.flags.writeable = False
             self.nbytes += count.nbytes
-            self.keys.setdefault(key[0], set()).add(key)
         self.counts[key] = count
         while self.nbytes > self.total_bytes:
-            self._pop(next(iter(self.counts)))
+            self.nbytes -= self.counts.pop(next(iter(self.counts))).nbytes
         return count
-
-    def _pop(self, key):
-        self.nbytes -= self.counts.pop(key).nbytes
-        keys = self.keys[key[0]]
-        keys.discard(key)
-        if not keys:
-            del self.keys[key[0]]
-
-    def drop(self, sid):
-        for key in self.keys.pop(sid, ()):
-            self.nbytes -= self.counts.pop(key).nbytes
 
 
 # Bounds of the count table: small counts only, so it stays within ~1 MB.
@@ -417,7 +403,7 @@ def _stencil_count(stencil, origin, cells):
     return out
 
 
-def _member_means(weighted, dens, stencil, origin, forward=None, dens_forward=None):
+def _member_means(weighted, dens, member, forward=None, dens_forward=None):
     """(means, measures): mu(E)^-1 int_E g dmu over the member E anchored at
     every cell, members clipped to the domain, and mu(E), for the measure
     dmu = dens dx (M_w's w dx); dens None is dx itself.  weighted holds g dens
@@ -427,12 +413,12 @@ def _member_means(weighted, dens, stencil, origin, forward=None, dens_forward=No
     Axes of weighted before the stencil's are a batch, as in _correlate; the
     count carries none and broadcasts over them.  An empty member has mean
     0."""
-    num = _correlate(weighted, stencil, origin, forward)
+    num = _correlate(weighted, member, forward)
     if dens is not None:
-        den = _correlate(dens, stencil, origin, dens_forward)
+        den = _correlate(dens, member, dens_forward)
     else:
-        den = _COUNTS.get(stencil, origin, weighted.shape[weighted.ndim - stencil.ndim:])
-        if stencil[tuple(origin)]:  # every member holds its anchor cell: den >= 1
+        den = _COUNTS.get(member, weighted.shape[weighted.ndim - member.mask.ndim:])
+        if member.mask[member.origin]:  # every member holds its anchor cell: den >= 1
             return num / den, den
     with np.errstate(invalid="ignore", divide="ignore"):
         return np.where(den > 0, num / den, 0.0), den
@@ -445,7 +431,7 @@ def _member_means(weighted, dens, stencil, origin, forward=None, dens_forward=No
 _GATHER_BLOCK = 2 ** 17
 
 
-def _mean_oscillation(values, stencil, origin, strides):
+def _mean_oscillation(values, member, strides):
     """Mean oscillation of values about its mean, over the member anchored at
     each point of the lattice arange(0, n_i, strides[i]), members clipped to
     the domain.
@@ -468,6 +454,7 @@ def _mean_oscillation(values, stencil, origin, strides):
     exact count).  The values are not shifted, so each member's rounding
     depends on its own values only.
     """
+    stencil, origin = member.mask, member.origin
     cells, lattice = values.shape, tuple(slice(None, None, s) for s in strides)
     inside = tuple(slice(o, o + n) for o, n in zip(origin, cells))
     padded_shape = [n + s - 1 for n, s in zip(cells, stencil.shape)]
@@ -479,7 +466,7 @@ def _mean_oscillation(values, stencil, origin, strides):
     steps = [s * b for s, b in zip(strides, padded.strides)]
     gw = as_strided(padded, out.shape + (int(flat[-1]) + 1,), steps + [padded.itemsize],
                     writeable=False)
-    count = _COUNTS.get(stencil, origin, cells)[lattice]
+    count = _COUNTS.get(member, cells)[lattice]
     # A block is a run of lattice points along axis k, with the axes before k
     # fixed and those after it whole: k is the first axis whose trailing
     # slab fits the bound, and the runs along it are cut to equal lengths.
@@ -522,32 +509,31 @@ def _anchor_stride(grid, rho, density):
     return max(1, int(min(rho / (density * h) for h in grid.h)))
 
 
-def _scatter_max(lattice, grid, structure, rho, shape, stride, out):
+def _scatter_max(lattice, member, stride, out):
     """out(z) <- max of out(z) and of the values on the stride lattice over
-    the anchors whose member holds the whole stride block of z (cells
-    stride * (z // stride) + [0, stride)^dim); a lower bound of the max over
-    the anchors whose member holds z, and equal to it at stride 1, where the
-    lattice is the grid and the runs max straight into out.  Returns out.
+    the anchors whose member (a table record) holds the whole stride block of
+    z (cells stride * (z // stride) + [0, stride)^dim); a lower bound of the
+    max over the anchors whose member holds z, and equal to it at stride 1,
+    where the lattice is the grid and the runs max straight into out.
+    Returns out.
     """
-    footprint, origin, runs = _block_footprint(tuple(grid.h), tuple(structure.anisotropy),
-                                               float(structure.nu0), float(rho), shape,
-                                               stride)
+    footprint, origin, runs = _block_footprint(member, stride)
     if stride == 1:
         return _max_filter(lattice, footprint, origin, runs, out)
     block = _max_filter(lattice, footprint, origin, runs)
-    for ax, n in enumerate(grid.cells):
+    for ax, n in enumerate(out.shape):
         block = np.repeat(block, stride, axis=ax)[(slice(None),) * ax + (slice(n),)]
     return np.maximum(out, block, out=out)
 
 
 @functools.lru_cache(maxsize=_STENCIL_TABLE_SIZE)
-def _block_footprint(hs, ks, nu0, rho, shape, stride):
+def _block_footprint(member, stride):
     """(footprint, origin, runs) for _max_filter: the block offsets d whose
     block d * stride + [0, stride)^dim of member offsets lies wholly in the
     member, reflected, since an anchor's value reaches the cells its member
     holds, and its _footprint_runs.  Read-only and shared from a bounded
-    table keyed by value."""
-    stencil, origin = _member_stencil(hs, ks, nu0, rho, shape)
+    table keyed by the record's key and the stride."""
+    stencil, origin = member.mask, member.origin
     # pad with False so that the origin starts a block and every block is whole
     pad = [(-o % stride, (o - s) % stride) for o, s in zip(origin, stencil.shape)]
     padded = np.pad(stencil, pad)
@@ -579,10 +565,10 @@ def classical_sharp(field, structure, family=None):
         family = BallFamily.for_structure(structure, grid)
     out = np.zeros(grid.cells)
     for rho in family.radii:
-        stencil, origin = member_offsets(grid, structure, rho, family.shape)
+        member = member_offsets(grid, structure, rho, family.shape)
         stride = _anchor_stride(grid, rho, family.density)
-        osc = _mean_oscillation(field.values, stencil, origin, (stride,) * grid.dim)
-        _scatter_max(osc, grid, structure, rho, family.shape, stride, out)
+        osc = _mean_oscillation(field.values, member, (stride,) * grid.dim)
+        _scatter_max(osc, member, stride, out)
     return Field(grid, out)
 
 
@@ -609,10 +595,10 @@ def _sup_of_means(field, dens, structure, family, beta=0.0):
     forward, dens_forward = _Forward(), _Forward()
     out = np.full(grid.cells, -np.inf)
     for rho in family.radii:
-        stencil, origin = member_offsets(grid, structure, rho, family.shape)
-        avg, _den = _member_means(weighted, dens, stencil, origin, forward, dens_forward)
+        member = member_offsets(grid, structure, rho, family.shape)
+        avg, _den = _member_means(weighted, dens, member, forward, dens_forward)
         stride = _anchor_stride(grid, rho, family.density)
         lattice = rho ** beta * avg[(slice(None, None, stride),) * grid.dim]
-        _scatter_max(lattice, grid, structure, rho, family.shape, stride, out)
+        _scatter_max(lattice, member, stride, out)
     out[out == -np.inf] = 0.0
     return Field(grid, out)

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import Field, lp_norm, power_integrand
-from .maximal import (BallFamily, _box_sum, _Forward, _mean_oscillation, _member_means,
-                      _member_shape, member_offsets)
+from .maximal import (BallFamily, _box_sum, _Forward, _Member, _mean_oscillation,
+                      _member_means, _member_shape, member_offsets)
 
 __all__ = [
     "NormSpec",
@@ -93,8 +93,8 @@ def _morrey_sup(field, p, beta, structure, radii, return_profile=False):
         if diverges:
             m = np.inf
         else:
-            stencil, origin = member_offsets(grid, structure, rho, shape)
-            s, _ = _member_means(arr, None, stencil, origin, arr_fwd)
+            member = member_offsets(grid, structure, rho, shape)
+            s, _ = _member_means(arr, None, member, arr_fwd)
             # the scale is monotone, so the largest mean gives the largest value
             top = np.maximum(s.max(keepdims=True), 0.0)
             m = (rho ** beta * top ** (1.0 / p)).item()
@@ -149,18 +149,18 @@ def _mixed_morrey_sup(field, p, q, beta, structure, radii, reversed_order=False,
         wlen = max(1, int(round(rho ** 2 / ht)))
         if wlen > grid.cells[0]:
             continue
-        stencil, origin = member_offsets(grid, structure, rho, "ball_x")
+        member = member_offsets(grid, structure, rho, "ball_x")
         if diverges:
             m = np.inf
         elif not reversed_order:
             # X(t,c) = slashed L_p over the ball at (t, c)
-            X, _ = _member_means(arr, None, stencil, origin, arr_fwd)
+            X, _ = _member_means(arr, None, member, arr_fwd)
             Y = _window_sums(np.maximum(X, 0.0) ** (q / p), wlen) / wlen
             m = float((rho ** beta * np.maximum(Y, 0.0) ** (1.0 / q)).max())
         else:
             # U(tau, x) = slashed t-window average of |f|^q
             U = np.maximum(_window_sums(arr, wlen) / wlen, 0.0)
-            V, _ = _member_means(U ** (p / q), None, stencil, origin)
+            V, _ = _member_means(U ** (p / q), None, member)
             m = float((rho ** beta * np.maximum(V, 0.0) ** (1.0 / p)).max())
         profile.append((rho, m))
         best = max(best, m)
@@ -248,8 +248,7 @@ def bmo_seminorms(a_entries, rho, structure):
     strides = (4,) * grid.dim
     for a in a_entries:
         for r in radii:
-            stencil, origin = member_offsets(grid, structure, r, shape)
-            osc = _mean_oscillation(a.values, stencil, origin, strides)
+            osc = _mean_oscillation(a.values, member_offsets(grid, structure, r, shape), strides)
             sharp = max(sharp, float(osc.max()))
     sharpsharp = 0.0
     if structure.parabolic:
@@ -262,8 +261,10 @@ def bmo_seminorms(a_entries, rho, structure):
                 wlen = max(1, int(round(r ** 2 / ht)))
                 if wlen > grid.cells[0]:
                     continue
-                stencil, origin = member_offsets(grid, structure, r, "ball_x")
-                dev = _mean_oscillation(a.values, stencil[None], (0,) + tuple(origin), strides)
+                ball = member_offsets(grid, structure, r, "ball_x")
+                # the x-ball as a one-row cylinder: a keyless record
+                cylinder = _Member(ball.mask[None], (0,) + ball.origin)
+                dev = _mean_oscillation(a.values, cylinder, strides)
                 sharpsharp = max(sharpsharp, float((_window_sums(dev, wlen) / wlen).max()))
     return sharp, sharpsharp
 

@@ -16,7 +16,8 @@ import math
 import numpy as np
 
 from .grid import Field, ParabolicPower, RadialPower, lp_norm, singular_field
-from .maximal import BallFamily, _box_stencil, _correlate, _member_means, classical_maximal
+from .maximal import (BallFamily, _correlate, _Forward, _member_means, classical_maximal,
+                      member_offsets)
 
 __all__ = [
     "Weight",
@@ -108,17 +109,24 @@ def _cube_family(structure, grid, family):
     return family
 
 
-def _cube_half_cells(grid, structure, rho):
-    ks = structure.anisotropy
-    return [max(1, int(np.ceil((rho ** k / 2.0) / h))) for k, h in zip(ks, grid.h)]
-
-
-def _cube_means(values, grid, structure, rho):
-    box, origin = _box_stencil(tuple(_cube_half_cells(grid, structure, rho)))
+def _cube_field(values):
+    """What the cube means of one array share across radii: the array with
+    its non-finite values zeroed, the float mask of those (None when there
+    are none), and a _Forward holder for each, which keeps its summed-area
+    table."""
     inf_mask = ~np.isfinite(values)
-    avg, _ = _member_means(np.where(inf_mask, 0.0, values), None, box, origin)
-    if inf_mask.any():
-        hit = _correlate(inf_mask.astype(float), box, origin) > 0.5
+    marks = inf_mask.astype(float) if inf_mask.any() else None
+    return np.where(inf_mask, 0.0, values), marks, _Forward(), _Forward()
+
+
+def _cube_means(cube_field, box):
+    """Means over the 'box' member anchored at every cell of the array that
+    _cube_field prepared, boxes clipped to the domain; inf where the box
+    holds a non-finite value."""
+    zeroed, marks, forward, marks_forward = cube_field
+    avg, _ = _member_means(zeroed, None, box, forward)
+    if marks is not None:
+        hit = _correlate(marks, box, marks_forward) > 0.5
         avg = np.where(hit, np.inf, avg)
     return avg
 
@@ -154,18 +162,22 @@ def ap_constant(weight, p, structure, family=None, return_argmax=False):
         raise ValueError("p must be >= 1")
     family = _cube_family(structure, grid, family)
     wv = weight.field.values
-    dual = _dual_field(weight, p) if p > 1 else None
+    w_cube = _cube_field(wv)
+    if p > 1:
+        dual_cube = _cube_field(_dual_field(weight, p).values)
+    else:
+        finite = np.where(np.isfinite(wv), wv, np.finfo(float).max)
     best = 1.0
     arg = None
     for rho in family.radii:
-        w_q = _cube_means(wv, grid, structure, rho)
+        box = member_offsets(grid, structure, rho, "box")
+        w_q = _cube_means(w_cube, box)
         if p == 1:
-            size = tuple(2 * hc + 1 for hc in _cube_half_cells(grid, structure, rho))
-            ess = _running_min(np.where(np.isfinite(wv), wv, np.finfo(float).max), size)
+            ess = _running_min(finite, box.mask.shape)
             with np.errstate(invalid="ignore", divide="ignore"):
                 prod = np.where(ess > 0, w_q / ess, np.inf)
         else:
-            d_q = _cube_means(dual.values, grid, structure, rho)
+            d_q = _cube_means(dual_cube, box)
             prod = w_q * d_q ** (p - 1.0)
         m = float(np.nanmax(prod))
         if m > best:
@@ -250,6 +262,7 @@ def reverse_holder(weight, p, structure, family=None, eps_grid=None):
     if eps_grid is None:
         eps_grid = [0.05 * 2 ** j for j in range(7)]  # 0.05 .. 3.2
     cf = weight.field.meta.get("closed_form")
+    w_cube = _cube_field(weight.field.values)
     w_q = {}  # cube means of w, by radius: the same for every eps
     best = (0.0, 1.0)
     for eps in eps_grid:
@@ -260,12 +273,14 @@ def reverse_holder(weight, p, structure, family=None, eps_grid=None):
                 wpow = Field(grid, np.where(
                     np.isfinite(weight.field.values),
                     weight.field.values ** (1 + eps), np.inf))
+        wpow_cube = _cube_field(wpow.values)
         sup = 1.0
         finite = True
         for rho in family.radii:
-            lhs = _cube_means(wpow.values, grid, structure, rho)
+            box = member_offsets(grid, structure, rho, "box")
+            lhs = _cube_means(wpow_cube, box)
             if rho not in w_q:
-                w_q[rho] = _cube_means(weight.field.values, grid, structure, rho)
+                w_q[rho] = _cube_means(w_cube, box)
             rhs = w_q[rho] ** (1 + eps)
             with np.errstate(invalid="ignore", divide="ignore"):
                 ratio = np.where(rhs > 0, lhs / rhs, np.inf)

@@ -439,7 +439,24 @@ def test_criterion_13_full_suite():
     bad = [r.check_id for r in reports if r.verdict not in OK_VERDICTS]
     ok = not bad and elapsed <= 1800
     assert _line(13, ok, f"{len(reports)} checks in {elapsed:.0f}s, failures: {bad}")
-    with GOLDEN.open(newline="") as fh:
+    _assert_matches_golden(reports, GOLDEN)
+
+
+def test_grid_half_report_matches_its_golden_file():
+    """The second regression oracle: every check but the `o*` ones at half
+    resolution matches tests/golden/grid_half.csv as criterion 13 matches
+    the default file.  Regenerate it from the repository root with
+
+        PYTHONPATH=src python -m morreylab.cli check '[!o]*' --grid 0.5 --csv tests/golden/grid_half.csv
+    """
+    from morreylab.checks import CheckConfig, run_suite
+
+    _assert_matches_golden(run_suite("[!o]*", CheckConfig(grid=0.5)),
+                           GOLDEN.with_name("grid_half.csv"))
+
+
+def _assert_matches_golden(reports, path):
+    with path.open(newline="") as fh:
         rows = list(csv.DictReader(fh))
     assert [r.check_id for r in reports] == [row["check_id"] for row in rows]
     for r, row in zip(reports, rows):

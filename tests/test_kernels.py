@@ -2,11 +2,10 @@
 member-sum correlation (box prefix sums or FFT, chosen from the stencil), the
 one FFT correlation behind it and behind every convolution of potentials,
 its fast transform lengths, the exact uniform member measure,
-the stencil table and its bounded count table, the chunked mean-oscillation
-gather, and the max filter and block footprint behind the scatter of member
-values."""
+the value-keyed member table and its bounded count table, the chunked
+mean-oscillation gather, and the max filter and block footprint behind the
+scatter of member values."""
 
-import gc
 import warnings
 
 import numpy as np
@@ -20,15 +19,14 @@ from morreylab import maximal
 from morreylab.grid import Field, make_grid, make_structure
 from morreylab.maximal import (
     BallFamily,
-    _box_stencil,
     _box_sum,
     _correlate,
     _fast_len,
     _fft_correlate,
-    _fill_spans,
     _footprint_runs,
     _Forward,
     _max_filter,
+    _Member,
     _mean_oscillation,
     _member_means,
     _stencil_count,
@@ -56,6 +54,11 @@ def brute_correlate(values, stencil, origin):
             if ((idx >= 0) & (idx < lim)).all():
                 out[c] += stencil[tuple(k)] * values[tuple(idx)]
     return out
+
+
+def mean_oscillation(values, stencil, origin, strides):
+    """_mean_oscillation over the keyless record of a bare stencil."""
+    return _mean_oscillation(values, _Member(stencil, origin), strides)
 
 
 def loop_mean_oscillation(values, stencil, origin, strides):
@@ -102,7 +105,7 @@ def test_correlate_box_stencils_are_exact(case):
     # integer data: the prefix-sum backend reproduces brute force exactly,
     # including members clipped at the boundary and off-centre origins
     values, stencil, origin = case
-    assert np.array_equal(_correlate(values, stencil, origin),
+    assert np.array_equal(_correlate(values, _Member(stencil, origin)),
                           brute_correlate(values, stencil, origin))
 
 
@@ -112,7 +115,8 @@ def test_correlate_any_stencil_matches_brute_force(case):
     values, stencil, origin = case
     want = brute_correlate(values, stencil, origin)
     scale = 1.0 + np.abs(values).sum()
-    assert np.allclose(_correlate(values, stencil, origin), want, rtol=0, atol=1e-12 * scale)
+    assert np.allclose(_correlate(values, _Member(stencil, origin)), want, rtol=0,
+                       atol=1e-12 * scale)
 
 
 @st.composite
@@ -175,11 +179,11 @@ def test_correlate_x_stencil_on_t_x_array_is_per_slice(rho, box):
     # leading axes are a batch: a ball_x stencil on (t, x) sums each t slice
     # alone, on the box path and on the FFT path
     g = make_grid(3, 1.0, (6, 12, 10))
-    stencil, origin = member_offsets(g, make_structure(3, (2, 1, 1)), rho, "ball_x")
-    assert (_fill_spans(stencil) is not None) == box
+    member = member_offsets(g, make_structure(3, (2, 1, 1)), rho, "ball_x")
+    assert (member.spans is not None) == box
     values = np.random.default_rng(11).standard_normal(g.cells)
-    want = np.stack([brute_correlate(v, stencil, origin) for v in values])
-    assert np.allclose(_correlate(values, stencil, origin), want, rtol=0, atol=1e-12)
+    want = np.stack([brute_correlate(v, member.mask, member.origin) for v in values])
+    assert np.allclose(_correlate(values, member), want, rtol=0, atol=1e-12)
 
 
 def _oracle_close(got, want):
@@ -239,41 +243,41 @@ def brute_count(stencil, origin, cells):
 
 @st.composite
 def member_stencils(draw):
-    """(stencil, origin, cells) of a table member on a small grid, in 1-3 D,
-    any anisotropy, radii from below one cell to well past the grid."""
+    """(member, cells): a table member on a small grid, in 1-3 D, any
+    anisotropy, radii from below one cell to well past the grid."""
     dim = draw(st.integers(1, 3))
-    shape = draw(st.sampled_from(("ball", "ellipsoid", "cylinder", "cube")
+    shape = draw(st.sampled_from(("ball", "ellipsoid", "cylinder", "cube", "box")
                                  + (("ball_x",) if dim > 1 else ())))
     ks = tuple(draw(st.lists(st.integers(1, 2), min_size=dim, max_size=dim)))
     cells = tuple(draw(st.lists(st.sampled_from((2, 4, 6, 8)), min_size=dim, max_size=dim)))
     half = tuple(draw(st.lists(st.floats(0.5, 2.0), min_size=dim, max_size=dim)))
     rho = draw(st.floats(0.05, 1.5))
-    stencil, origin = member_offsets(make_grid(dim, half, cells), make_structure(dim, ks), rho,
-                                     shape)
-    return stencil, origin, cells[1:] if shape == "ball_x" else cells
+    member = member_offsets(make_grid(dim, half, cells), make_structure(dim, ks), rho, shape)
+    return member, cells[1:] if shape == "ball_x" else cells
 
 
 @SETTINGS
 @given(member_stencils())
 def test_stencil_count_is_the_exact_uniform_measure(case):
-    stencil, origin, cells = case
-    count = _stencil_count(stencil, origin, cells)
-    assert np.array_equal(count, brute_count(stencil, origin, cells))
-    assert np.allclose(count, _correlate(np.ones(cells), stencil, origin), rtol=0, atol=1e-9)
+    member, cells = case
+    count = _stencil_count(member.mask, member.origin, cells)
+    assert np.array_equal(count, brute_count(member.mask, member.origin, cells))
+    assert np.allclose(count, _correlate(np.ones(cells), member), rtol=0, atol=1e-9)
 
 
 def test_stencil_table_is_read_only_and_keyed_by_value():
     s = make_structure(2, (1, 1))
-    a, origin = member_offsets(make_grid(2, 1.0, 32), s, 0.3, "ball")
-    assert not a.flags.writeable
+    a = member_offsets(make_grid(2, 1.0, 32), s, 0.3, "ball")
+    assert not a.mask.flags.writeable
     with pytest.raises(ValueError):
-        a[0, 0] = True
+        a.mask[0, 0] = True
     # two distinct but equal grids share one entry ...
-    b, origin_b = member_offsets(make_grid(2, 1.0, 32), s, 0.3, "ball")
-    assert b is a and origin_b == origin
+    b = member_offsets(make_grid(2, 1.0, 32), s, 0.3, "ball")
+    assert b is a and b.origin == a.origin
     # ... while another radius or cell width is another entry
-    assert member_offsets(make_grid(2, 1.0, 32), s, 0.31, "ball")[0] is not a
-    assert member_offsets(make_grid(2, 1.0, 64), s, 0.3, "ball")[0] is not a
+    for other in (member_offsets(make_grid(2, 1.0, 32), s, 0.31, "ball"),
+                  member_offsets(make_grid(2, 1.0, 64), s, 0.3, "ball")):
+        assert other is not a and other != a and other.key != a.key
 
 
 def test_weighted_measure_matches_brute_force():
@@ -288,9 +292,10 @@ def test_weighted_measure_matches_brute_force():
     p, beta = 2.0, 0.5
     want = 0.0
     for rho in radii:
-        stencil, origin = member_offsets(g, s, rho, "ball")
+        member = member_offsets(g, s, rho, "ball")
+        stencil, origin = member.mask, member.origin
         mu = brute_correlate(dens, stencil, origin)
-        avg, den = _member_means(np.abs(f.values) * dens, dens, stencil, origin)
+        avg, den = _member_means(np.abs(f.values) * dens, dens, member)
         assert np.allclose(den, mu, rtol=1e-12, atol=0)
         assert np.allclose(avg, brute_correlate(np.abs(f.values) * dens, stencil, origin) / mu,
                            rtol=1e-10, atol=0)
@@ -388,91 +393,113 @@ def test_box_sums_of_one_field_read_one_holder_table():
 
 @st.composite
 def any_stencils(draw):
-    """(stencil, origin, cells): a random boolean stencil in 1-3 D with its
-    origin anywhere in it (a cylinder's origin is its first t row), on grids
-    smaller and larger than the stencil."""
+    """(member, cells): a keyless record of a random boolean stencil in 1-3 D
+    with its origin anywhere in it (a cylinder's origin is its first t row),
+    on grids smaller and larger than the stencil."""
     dim = draw(st.integers(1, 3))
     shape = tuple(draw(st.lists(st.integers(1, 6), min_size=dim, max_size=dim)))
     stencil = draw(arrays(bool, shape))
     origin = tuple(draw(st.integers(0, s - 1)) for s in shape)
     cells = tuple(draw(st.lists(st.integers(1, 9), min_size=dim, max_size=dim)))
-    return stencil, origin, cells
+    return _Member(stencil, origin), cells
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.one_of(any_stencils(), member_stencils()))
 def test_stencil_count_is_bit_identical_to_pad_and_clip(case):
-    stencil, origin, cells = case
-    assert np.array_equal(_stencil_count(stencil, origin, cells),
-                          pad_clip_stencil_count(stencil, origin, cells))
+    member, cells = case
+    assert np.array_equal(_stencil_count(member.mask, member.origin, cells),
+                          pad_clip_stencil_count(member.mask, member.origin, cells))
 
 
 @settings(max_examples=200, deadline=None)
 @given(member_stencils())
 def test_table_counts_are_bit_identical_and_read_only(case):
     # a count from the table is the pad-and-clip count, stored once, read-only
-    stencil, origin, cells = case
-    count = maximal._COUNTS.get(stencil, origin, cells)
-    assert np.array_equal(count, pad_clip_stencil_count(stencil, origin, cells))
+    member, cells = case
+    count = maximal._COUNTS.get(member, cells)
+    assert np.array_equal(count, pad_clip_stencil_count(member.mask, member.origin, cells))
     assert not count.flags.writeable
-    assert maximal._COUNTS.get(stencil, origin, cells) is count
+    assert maximal._COUNTS.get(member, cells) is count
 
 
 def test_count_table_never_exceeds_its_byte_bound():
     # a private table with small bounds; the stencils stay alive throughout
     table = maximal._CountTable(entry_bytes=8 * 64, total_bytes=8 * 200)
     g, s = make_grid(1, 1.0, 48), make_structure(1, (1,))
-    stencils = [member_offsets(g, s, rho, "ball") for rho in np.linspace(0.1, 0.9, 12)]
-    for stencil, origin in stencils:
+    members = [member_offsets(g, s, rho, "ball") for rho in np.linspace(0.1, 0.9, 12)]
+    for member in members:
         for n in (16, 24, 40, 80):  # 80 cells is past the entry bound
-            count = table.get(stencil, origin, (n,))
-            assert np.array_equal(count, pad_clip_stencil_count(stencil, origin, (n,)))
+            count = table.get(member, (n,))
+            assert np.array_equal(count, pad_clip_stencil_count(member.mask, member.origin, (n,)))
             assert table.nbytes == sum(c.nbytes for c in table.counts.values())
             assert table.nbytes <= table.total_bytes
             assert all(c.nbytes <= table.entry_bytes for c in table.counts.values())
     assert table.counts  # the table did store counts
     # eviction takes the least recently used, so the count asked for last stays
-    stencil, origin = stencils[-1]
-    assert table.get(stencil, origin, (40,)) is table.get(stencil, origin, (40,))
+    assert table.get(members[-1], (40,)) is table.get(members[-1], (40,))
 
 
-def test_count_table_entry_goes_when_its_stencil_is_freed():
-    stencil = maximal._frozen(np.ones((3, 5), dtype=bool))
-    key = id(stencil)
-    maximal._COUNTS.get(stencil, (1, 2), (8, 8))
-    maximal._COUNTS.get(stencil, (1, 2), (6, 10))
-    assert sum(k[0] == key for k in maximal._COUNTS.counts) == 2
-    before = maximal._COUNTS.nbytes
-    del stencil
-    gc.collect()
-    assert not any(k[0] == key for k in maximal._COUNTS.counts)
-    assert key not in maximal._COUNTS.keys and key not in maximal._FILL_SPANS
-    assert maximal._COUNTS.nbytes == before - 8 * 8 * 8 - 6 * 10 * 8
-    # a stencil from no table is counted but never stored
-    loose = np.ones((3, 3), dtype=bool)
-    assert maximal._COUNTS.get(loose, (1, 1), (4, 4)).flags.writeable
-    assert not any(k[0] == id(loose) for k in maximal._COUNTS.counts)
+def test_equal_grids_give_one_record_and_one_stored_count():
+    s = make_structure(2, (1, 1))
+    a = member_offsets(make_grid(2, 1.0, 32), s, 0.45, "ball")
+    b = member_offsets(make_grid(2, 1.0, 32), s, 0.45, "ball")
+    assert b is a
+    count = maximal._COUNTS.get(a, (20, 24))
+    assert maximal._COUNTS.get(b, (20, 24)) is count
+    assert sum(key[0] == a.key for key in maximal._COUNTS.counts) == 1
+    # another radius or cell width is another record, with its own count
+    for other in (member_offsets(make_grid(2, 1.0, 32), s, 0.5, "ball"),
+                  member_offsets(make_grid(2, 1.0, 40), s, 0.45, "ball")):
+        assert other != a
+        assert maximal._COUNTS.get(other, (20, 24)) is not count
 
 
-def test_cube_boxes_come_from_the_table_with_fill_spans(monkeypatch):
+def test_a_stored_count_survives_the_member_table_eviction():
+    s = make_structure(2, (1, 1))
+    member = member_offsets(make_grid(2, 1.0, 32), s, 0.35, "cylinder")
+    count = maximal._COUNTS.get(member, (16, 18))
+    maximal._member.cache_clear()
+    rebuilt = member_offsets(make_grid(2, 1.0, 32), s, 0.35, "cylinder")
+    assert rebuilt is not member and rebuilt == member
+    assert maximal._COUNTS.get(rebuilt, (16, 18)) is count
+
+
+def test_a_keyless_record_is_counted_but_never_stored():
+    loose = _Member(np.ones((3, 3), dtype=bool), (1, 1))
+    assert loose.key is None
+    stored = dict(maximal._COUNTS.counts)
+    count = maximal._COUNTS.get(loose, (4, 4))
+    assert count.flags.writeable
+    assert np.array_equal(count, pad_clip_stencil_count(loose.mask, loose.origin, (4, 4)))
+    assert maximal._COUNTS.get(loose, (4, 4)) is not count
+    assert maximal._COUNTS.counts.keys() == stored.keys()
+
+
+def test_ap_boxes_are_table_records_whose_spans_are_the_box(monkeypatch):
     from morreylab import weights
 
-    box, origin = _box_stencil((2, 3))
-    assert _box_stencil((2, 3))[0] is box and origin == (2, 3)
-    assert not box.flags.writeable and box.all() and box.shape == (5, 7)
-    assert maximal._FILL_SPANS[id(box)] == ((0, 4), (0, 6))
-    # every cube mean of weights reads a table box, whose spans are recorded
+    g, s = make_grid(2, (1.0, 1.5), (16, 20)), make_structure(2, (1, 1))
+    box = member_offsets(g, s, 0.5, "box")
+    assert member_offsets(g, s, 0.5, "box") is box and box.key is not None
+    # half widths max(1, ceil(rho^k / (2 h))): 0.5 / 0.25 = 2 and 0.5 / 0.3 -> 2
+    assert box.origin == (2, 2) and box.mask.shape == (5, 5)
+    assert not box.mask.flags.writeable and box.mask.all()
+    assert box.spans == ((0, 4), (0, 4))
+    # every cube mean of weights reads a table box
     seen = []
 
-    def spying(weighted, dens, stencil, origin, forward=None):
-        seen.append(maximal._FILL_SPANS.get(id(stencil)))
-        return _member_means(weighted, dens, stencil, origin, forward)
+    def spying(weighted, dens, member, forward=None):
+        seen.append(member)
+        return _member_means(weighted, dens, member, forward)
 
     monkeypatch.setattr(weights, "_member_means", spying)
-    g, s = make_grid(2, 1.0, 16), make_structure(2, (1, 1))
     w = weights.power_weight(g, 0.5)
     weights.ap_constant(w, 2.0, s)
-    assert seen and all(spans is not None for spans in seen)
+    assert seen
+    for member in seen:
+        assert member.key is not None and member.key[-1] == "box"
+        assert member.spans == tuple((0, n - 1) for n in member.mask.shape)
 
 
 @settings(max_examples=100, deadline=None)
@@ -480,11 +507,12 @@ def test_cube_boxes_come_from_the_table_with_fill_spans(monkeypatch):
 def test_direct_division_is_bit_identical_to_the_where_path(case, seed):
     # a member stencil holds its origin, so the uniform count is >= 1 and
     # num / den needs no np.where guard
-    stencil, origin, cells = case
-    assert stencil[origin]
+    member, cells = case
+    assert member.mask[member.origin]
     values = np.random.default_rng(seed).standard_normal(cells)
-    means, den = _member_means(values, None, stencil, origin)
-    num, count = _correlate(values, stencil, origin), _stencil_count(stencil, origin, cells)
+    means, den = _member_means(values, None, member)
+    num = _correlate(values, member)
+    count = _stencil_count(member.mask, member.origin, cells)
     assert np.array_equal(den, count) and den.min() >= 1
     with np.errstate(invalid="ignore", divide="ignore"):
         assert np.array_equal(means, np.where(count > 0, num / count, 0.0))
@@ -510,7 +538,7 @@ def oscillation_cases(draw):
 @SETTINGS
 @given(oscillation_cases())
 def test_mean_oscillation_matches_anchor_loop(case):
-    assert np.allclose(_mean_oscillation(*case), loop_mean_oscillation(*case),
+    assert np.allclose(mean_oscillation(*case), loop_mean_oscillation(*case),
                        rtol=1e-12, atol=1e-12)
 
 
@@ -526,7 +554,7 @@ def test_mean_oscillation_of_a_large_offset_on_clipped_members(offset, cells, sh
     stencil = rng.random(shape) < 0.7
     origin = tuple(s // 2 for s in shape)
     stencil[origin] = True
-    got = _mean_oscillation(values, stencil, origin, strides)
+    got = mean_oscillation(values, stencil, origin, strides)
     want = loop_mean_oscillation(values, stencil, origin, strides)
     assert np.allclose(got, want, rtol=1e-9, atol=0.0)
 
@@ -541,7 +569,7 @@ def test_mean_oscillation_of_a_smooth_field_with_spikes_of_both_signs(strides):
     values[10, 8], values[28, 25] = 1e8, -1e8
     yy, xx = np.mgrid[-3:4, -3:4]
     stencil = yy ** 2 + xx ** 2 <= 9
-    got = _mean_oscillation(values, stencil, (3, 3), strides)
+    got = mean_oscillation(values, stencil, (3, 3), strides)
     want = loop_mean_oscillation(values, stencil, (3, 3), strides)
     assert want.min() < 1e-2
     assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
@@ -557,8 +585,8 @@ def test_mean_oscillation_keeps_non_finite_values_in_their_members():
     held[1:4, 2:5] = held[8:11, 6:9] = True
     clean = np.where(np.isfinite(values), values, 0.0)
     with np.errstate(invalid="ignore"):
-        got = _mean_oscillation(values, stencil, (1, 1), (1, 1))
-    want = _mean_oscillation(clean, stencil, (1, 1), (1, 1))
+        got = mean_oscillation(values, stencil, (1, 1), (1, 1))
+    want = mean_oscillation(clean, stencil, (1, 1), (1, 1))
     assert np.isnan(got[held]).all()
     assert np.allclose(got[~held], want[~held], rtol=1e-12, atol=1e-12)
 
@@ -569,9 +597,9 @@ def test_mean_oscillation_blocks_do_not_change_the_result(monkeypatch):
     values = rng.normal(size=(7, 6, 9))
     stencil = rng.random((3, 4, 3)) < 0.6
     stencil[1, 2, 0] = True
-    whole = _mean_oscillation(values, stencil, (1, 2, 0), (2, 1, 2))
+    whole = mean_oscillation(values, stencil, (1, 2, 0), (2, 1, 2))
     monkeypatch.setattr(maximal, "_GATHER_BLOCK", 5)
-    cut = _mean_oscillation(values, stencil, (1, 2, 0), (2, 1, 2))
+    cut = mean_oscillation(values, stencil, (1, 2, 0), (2, 1, 2))
     assert np.allclose(whole, cut, rtol=1e-13, atol=1e-13)
 
 
@@ -580,8 +608,8 @@ def test_mean_oscillation_blocks_do_not_change_the_result(monkeypatch):
 def test_mean_oscillation_affine_invariance(case, lam, c):
     # (lam g + c)^# = |lam| g^#
     values, stencil, origin, strides = case
-    base = _mean_oscillation(values, stencil, origin, strides)
-    moved = _mean_oscillation(lam * values + c, stencil, origin, strides)
+    base = mean_oscillation(values, stencil, origin, strides)
+    moved = mean_oscillation(lam * values + c, stencil, origin, strides)
     tol = 1e-12 * (abs(lam) * np.abs(values).max() + abs(c) + 1.0)
     assert np.allclose(moved, abs(lam) * base, rtol=1e-9, atol=tol)
 
@@ -665,7 +693,7 @@ def test_scatter_placement_is_grey_dilations():
     values = rng.normal(size=g.cells)
     for shape in ("cylinder", "ball", "cube"):
         for rho in (0.15, 0.3, 0.5):
-            stencil, _origin = member_offsets(g, s, rho, shape)
+            stencil = member_offsets(g, s, rho, shape).mask
             want = grey_dilation(values, footprint=np.flip(stencil), mode="constant",
                                  cval=-np.inf)
             centre = tuple((n - 1) // 2 for n in stencil.shape)
@@ -676,7 +704,8 @@ def test_scatter_placement_is_grey_dilations():
 def brute_scatter(lattice, grid, structure, rho, shape, stride):
     """max of lattice[j] over the anchors stride * j whose member holds the
     cell, one anchor at a time, -inf where no member holds it."""
-    stencil, origin = member_offsets(grid, structure, rho, shape)
+    member = member_offsets(grid, structure, rho, shape)
+    stencil, origin = member.mask, member.origin
     offs = np.argwhere(stencil) - np.asarray(origin)
     cells = np.asarray(grid.cells)
     out = np.full(grid.cells, -np.inf)
@@ -698,7 +727,8 @@ def test_scatter_at_stride_1_is_the_member_scatter(ks, shape):
     values = np.random.default_rng(dim).normal(size=g.cells)
     for rho in (0.15, 0.3, 0.55):
         want = brute_scatter(values, g, s, rho, shape, 1)
-        got = maximal._scatter_max(values, g, s, rho, shape, 1, np.full(g.cells, -np.inf))
+        got = maximal._scatter_max(values, member_offsets(g, s, rho, shape), 1,
+                                   np.full(g.cells, -np.inf))
         assert np.array_equal(got, want)
 
 
@@ -718,7 +748,7 @@ def test_scatter_on_a_lattice_credits_only_members_holding_the_cell(density, ks,
             if stride == 1:
                 continue  # exact there: test_scatter_at_stride_1_is_the_member_scatter
             lattice = rng.normal(size=[-(-n // stride) for n in g.cells])
-            got = maximal._scatter_max(lattice, g, s, rho, shape, stride,
+            got = maximal._scatter_max(lattice, member_offsets(g, s, rho, shape), stride,
                                        np.full(g.cells, -np.inf))
             assert (got <= brute_scatter(lattice, g, s, rho, shape, stride)).all()
 
@@ -731,7 +761,8 @@ def test_scatter_of_a_strided_cylinder_stays_in_its_members():
     stride = maximal._anchor_stride(g, rho, 4.0)
     assert stride == 2
     lattice = np.random.default_rng(3).normal(size=(32, 32))
-    got = maximal._scatter_max(lattice, g, s, rho, "cylinder", stride, np.full(g.cells, -np.inf))
+    got = maximal._scatter_max(lattice, member_offsets(g, s, rho, "cylinder"), stride,
+                               np.full(g.cells, -np.inf))
     want = brute_scatter(lattice, g, s, rho, "cylinder", stride)
     assert (got <= want).all() and np.isfinite(got).any()
 
@@ -741,7 +772,8 @@ def brute_block_scatter(lattice, grid, structure, rho, shape, stride):
     cell of the cell's stride block stride * (z // stride) + [0, stride)^dim,
     the block not clipped to the grid, one anchor at a time; -inf where no
     member does."""
-    stencil, origin = member_offsets(grid, structure, rho, shape)
+    member = member_offsets(grid, structure, rho, shape)
+    stencil, origin = member.mask, member.origin
     corner = stride * (np.indices(grid.cells).reshape(grid.dim, -1).T // stride)
     out = np.full(corner.shape[0], -np.inf)
     for j in np.ndindex(lattice.shape):
@@ -777,7 +809,8 @@ def test_scatter_maxes_into_a_finite_accumulator(ks, shape, stride):
         # the accumulator wins at some cells and the lattice at others
         credited |= bool((scatter > acc).any() and (acc > scatter).any())
         want = np.maximum(acc, scatter)
-        assert maximal._scatter_max(lattice, g, s, rho, shape, stride, acc) is acc
+        assert maximal._scatter_max(lattice, member_offsets(g, s, rho, shape), stride,
+                                    acc) is acc
         assert np.array_equal(acc, want)
     assert credited
 

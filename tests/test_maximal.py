@@ -140,8 +140,8 @@ def test_weighted_maximal_is_the_maximal_function_of_w_dmu(cells, aniso, shape):
     want = np.zeros(g.cells)
     for rho in fam.radii:
         assert maximal._anchor_stride(g, rho, fam.density) == 1
-        stencil, origin = member_offsets(g, s, rho, shape)
-        offs = np.argwhere(stencil) - np.asarray(origin)
+        member = member_offsets(g, s, rho, shape)
+        offs = np.argwhere(member.mask) - np.asarray(member.origin)
         for c in np.ndindex(g.cells):
             idx = np.asarray(c) + offs
             held = tuple(idx[np.all((idx >= 0) & (idx < g.cells), axis=1)].T)
@@ -229,8 +229,7 @@ def test_fractional_beta_scaling():
 
 def test_member_means_clip_at_boundary():
     g = make_grid(1, 1.0, 128)
-    stencil, origin = member_offsets(g, S1, 0.5, "ball")
-    avg, counts = _member_means(np.ones(128), None, stencil, origin)
+    avg, counts = _member_means(np.ones(128), None, member_offsets(g, S1, 0.5, "ball"))
     assert np.abs(avg - 1.0).max() < 1e-12  # recomputed measure keeps avg exact
     assert counts[0] < counts[64]  # clipped member has smaller measure
 

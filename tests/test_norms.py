@@ -195,8 +195,8 @@ def _sharpsharp_reference(a, rho, structure, stride=4):
         wlen = max(1, int(round(r ** 2 / grid.h[0])))
         if wlen > grid.cells[0]:
             continue
-        stencil, origin = member_offsets(grid, structure, r, "ball_x")
-        offs = np.argwhere(stencil) - np.asarray(origin)
+        member = member_offsets(grid, structure, r, "ball_x")
+        offs = np.argwhere(member.mask) - np.asarray(member.origin)
         for c in np.ndindex(*[len(range(0, n, stride)) for n in grid.cells[1:]]):
             idx = stride * np.asarray(c) + offs
             cells = tuple(idx[np.all((idx >= 0) & (idx < lim), axis=1)].T)
@@ -342,10 +342,10 @@ def test_divergent_anchor_set_is_exact_membership(case):
     _, inf_mask = power_integrand(f, p)
     assert 1 <= inf_mask.sum() <= 4
     for rho in BallFamily.for_structure(s, g).radii:
-        stencil, origin = member_offsets(g, s, rho, shape)
+        member = member_offsets(g, s, rho, shape)
         # a mask correlation, as weights._cube_means reads: its sums count marked cells
-        hit = _correlate(inf_mask.astype(float), stencil, origin) > 0.5
-        assert np.array_equal(hit, brute_members_holding(inf_mask, stencil, origin)), rho
+        hit = _correlate(inf_mask.astype(float), member) > 0.5
+        assert np.array_equal(hit, brute_members_holding(inf_mask, member.mask, member.origin)), rho
     spec = NormSpec("EpbDot", p=p, beta=1.0)
     assert evaluate_norm(f, spec, s) == math.inf
 
@@ -399,10 +399,10 @@ def test_morrey_sup_shares_forward_spectra_across_radii(monkeypatch):
     radii = BallFamily.for_structure(S2, g).radii
     shapes = []
     for rho in radii:
-        stencil, origin = member_offsets(g, S2, rho, "ball")
-        if maximal._fill_spans(stencil) is None:  # the FFT path
+        member = member_offsets(g, S2, rho, "ball")
+        if member.spans is None:  # the FFT path
             shapes.append(tuple(maximal._fast_len(n + max(o, s - 1 - o))
-                                for n, s, o in zip(g.cells, stencil.shape, origin)))
+                                for n, s, o in zip(g.cells, member.mask.shape, member.origin)))
     assert len(set(shapes)) < len(shapes)  # the case holds shared shapes
     alone = [_morrey_sup(f, 2.0, 0.5, S2, [rho], return_profile=True)[1][0]
              for rho in radii]
@@ -436,10 +436,10 @@ def test_morrey_sup_scales_only_the_largest_mean(p, beta):
         radii = BallFamily.for_structure(S2, g).radii
         want = []
         for rho in radii:
-            stencil, origin = member_offsets(g, S2, rho, "ball")
-            s, _ = _member_means(arr, None, stencil, origin)
+            member = member_offsets(g, S2, rho, "ball")
+            s, _ = _member_means(arr, None, member)
             val = rho ** beta * np.maximum(s, 0.0) ** (1.0 / p)
-            hit = _correlate(inf_mask.astype(float), stencil, origin) > 0.5
+            hit = _correlate(inf_mask.astype(float), member) > 0.5
             want.append((rho, float(np.where(hit, np.inf, val).max())))
         best, profile = _morrey_sup(f, p, beta, S2, radii, return_profile=True)
         assert profile == want

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from morreylab.grid import Field, lp_norm, make_grid, make_structure
-from morreylab.maximal import BallFamily, classical_maximal
+from morreylab.maximal import BallFamily, classical_maximal, member_offsets
 from morreylab.weights import (
     Weight,
     a1_constant,
@@ -17,7 +17,7 @@ from morreylab.weights import (
     reverse_holder,
     self_improve,
 )
-from morreylab.weights import _cube_half_cells, _running_min
+from morreylab.weights import _running_min
 
 S1 = make_structure(1, (1,))
 
@@ -79,12 +79,54 @@ def test_ap_constant_with_a_density_matches_brute_force(p):
     fam = BallFamily.for_structure(s, g, shape="cube", rho_max=2.0 * min(g.half_extent))
     want = 1.0
     for rho in fam.radii:
-        half = _cube_half_cells(g, s, rho)
+        half = member_offsets(g, s, rho, "box").origin  # the half widths of the cube
         for c in np.ndindex(g.cells):
             box = tuple(slice(max(0, i - hc), i + hc + 1) for i, hc in zip(c, half))
             w_q, d_q = wv[box].mean(), dual[box].mean()
             want = max(want, w_q * d_q ** (p - 1.0))
     assert ap_constant(Weight(Field(g, wv)), p, s) == pytest.approx(want, rel=1e-12)
+
+
+def test_ap_constant_keeps_one_table_per_field_across_radii(monkeypatch):
+    # one ap_constant call masks each field once and keeps one holder per
+    # array across radii: one summed-area table per array (w with its
+    # non-finite values zeroed, their mask, the dual) and summed axis, and
+    # every cube mean bit for bit the one made without holders
+    from morreylab import maximal, weights
+
+    g, s = make_grid(2, 1.0, 32), make_structure(2, (1, 1))
+    w = power_weight(g, -2.5)  # its singular cell is not integrable: +inf
+    assert np.isinf(w.field.values).sum() == 1
+    radii = BallFamily.for_structure(s, g, shape="cube", rho_max=2.0).radii
+    table, cube_means = maximal._Forward.table, weights._cube_means
+
+    def run():
+        means = []
+
+        def keeping(cube_field, box):
+            means.append(cube_means(cube_field, box))
+            return means[-1]
+
+        monkeypatch.setattr(weights, "_cube_means", keeping)
+        return ap_constant(w, 2.0, s, return_argmax=True), means
+
+    asks = []
+
+    def asking(holder, values, ax):
+        asks.append((values, ax, table(holder, values, ax)[1]))
+        return table(holder, values, ax)
+
+    monkeypatch.setattr(maximal._Forward, "table", asking)
+    held, held_means = run()
+    arrays = {(id(values), ax) for values, ax, _ in asks}
+    assert len(arrays) == 3 and len(asks) == 3 * len(radii)
+    assert len({id(c) for _, _, c in asks}) == len(arrays)
+    monkeypatch.setattr(weights, "_Forward", lambda: None)
+    asks.clear()
+    alone, alone_means = run()
+    assert not asks and held == alone
+    assert len(held_means) == 2 * len(radii)
+    assert all(np.array_equal(a, b) for a, b in zip(held_means, alone_means))
 
 
 @pytest.mark.parametrize("alpha,finite", [
