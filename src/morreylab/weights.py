@@ -166,14 +166,14 @@ def ap_constant(weight, p, structure, family=None, return_argmax=False):
     if p > 1:
         dual_cube = _cube_field(_dual_field(weight, p).values)
     else:
-        finite = np.where(np.isfinite(wv), wv, np.finfo(float).max)
+        capped = np.where(np.isfinite(wv), wv, np.finfo(float).max)
     best = 1.0
     arg = None
     for rho in family.radii:
         box = member_offsets(grid, structure, rho, "box")
         w_q = _cube_means(w_cube, box)
         if p == 1:
-            ess = _running_min(finite, box.mask.shape)
+            ess = _running_min(capped, box.mask.shape)
             with np.errstate(invalid="ignore", divide="ignore"):
                 prod = np.where(ess > 0, w_q / ess, np.inf)
         else:
