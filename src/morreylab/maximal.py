@@ -224,6 +224,20 @@ def _fast_len(n):
     return best
 
 
+def _transform_lens(cells, shape, origin):
+    """Per-axis transform lengths of _fft_correlate for a kernel of the given
+    shape and origin: n + max(origin, s - 1 - origin), rounded up to
+    _fast_len."""
+    return tuple(_fast_len(n + max(o, s - 1 - o)) for n, s, o in zip(cells, shape, origin))
+
+
+def _spectrum_bytes(cells, member):
+    """Bytes of the forward spectrum that _fft_correlate makes of one array
+    of shape `cells` for the stencil of a _Member."""
+    lens = _transform_lens(cells, member.mask.shape, member.origin)
+    return 16 * math.prod(lens[:-1]) * (lens[-1] // 2 + 1)
+
+
 def _fft_correlate(values, kernel, origin, forward=None):
     """corr(c) = sum_k kernel[k] values(c + k - origin) over the trailing
     kernel.ndim axes of values, zero outside the domain; leading axes are a
@@ -243,12 +257,14 @@ def _fft_correlate(values, kernel, origin, forward=None):
     """
     axes = tuple(range(values.ndim - kernel.ndim, values.ndim))
     cells = values.shape[axes[0]:]
-    lens = tuple(_fast_len(n + max(o, s - 1 - o)) for n, s, o in zip(cells, kernel.shape, origin))
+    lens = _transform_lens(cells, kernel.shape, origin)
     spec = np.fft.rfft(np.flip(kernel), n=lens[-1], axis=-1)
     for ax in range(kernel.ndim - 2, -1, -1):
         spec = np.fft.fft(spec, n=lens[ax], axis=ax)
+    spec = spec.reshape((1,) * axes[0] + spec.shape)  # batch axes of length one
     fwd = (forward or _Forward()).rfftn(values, lens, axes)
-    # in place only where the product has the kernel spectrum's shape and dtype
+    # in place only where the product has the kernel spectrum's shape and
+    # dtype: a batch of more than one broadcasts it
     same = fwd.shape == spec.shape and fwd.dtype == spec.dtype
     spec = np.multiply(fwd, spec, out=spec if same else None)
     # corr(c) sits at index c + (s - 1 - origin) of the linear convolution
@@ -360,8 +376,10 @@ class _CountTable:
 
     Keyed by (member.key, cells), so a count outlives the record it was made
     for and serves every equal one.  A keyless record is counted at every
-    call.  Counts above `entry_bytes` are never stored; past `total_bytes`
-    the least recently used go first.  Stored counts are read-only.
+    call.  A count of at most `entry_bytes` is stored whole; a larger one is
+    stored compressed (_compressed_count) and expanded on every read, unless
+    even that exceeds `total_bytes`.  Past `total_bytes` the least recently
+    used go first.  Stored counts are read-only.
     """
 
     def __init__(self, entry_bytes, total_bytes):
@@ -369,24 +387,56 @@ class _CountTable:
         self.counts = {}  # key -> count, least recently used first
 
     def get(self, member, cells):
+        cells = tuple(cells)
         if member.key is None:
             return _stencil_count(member.mask, member.origin, cells)
-        key = (member.key, tuple(cells))
+        key = (member.key, cells)
         count = self.counts.pop(key, None)
         if count is None:
-            count = _stencil_count(member.mask, member.origin, cells)
-            if count.nbytes > self.entry_bytes:
-                return count
+            if 8 * math.prod(cells) <= self.entry_bytes:
+                count = _stencil_count(member.mask, member.origin, cells)
+            else:
+                count = _compressed_count(member, cells)
+            if count.nbytes > self.total_bytes:
+                return _expand_count(count, member.origin, cells)
             count.flags.writeable = False
             self.nbytes += count.nbytes
         self.counts[key] = count
         while self.nbytes > self.total_bytes:
             self.nbytes -= self.counts.pop(next(iter(self.counts))).nbytes
-        return count
+        return _expand_count(count, member.origin, cells)
 
 
-# Bounds of the count table: small counts only, so it stays within ~1 MB.
+# Bounds of the count table: whole counts up to 64 KB (8,192 cells), and
+# ~1 MB in all.
 _COUNTS = _CountTable(entry_bytes=64 * 1024, total_bytes=1024 * 1024)
+
+
+def _compressed_count(member, cells):
+    """The uniform count of a member on the grid of min(n_i, s_i) cells per
+    axis, s_i the stencil's extent, as int32 (exact).
+
+    Where n_i > s_i, every anchor from origin_i to origin_i + n_i - s_i holds
+    the stencil's whole extent along axis i, so those anchors share one
+    count: the one at index origin_i of the compressed grid.  The anchors
+    before them are clipped as on the compressed grid, and those after them
+    as its anchors past origin_i.  _expand_count restores the full count.
+    """
+    small = tuple(min(n, s) for n, s in zip(cells, member.mask.shape))
+    return _stencil_count(member.mask, member.origin, small).astype(np.int32)
+
+
+def _expand_count(count, origin, cells):
+    """The count on the full grid of shape `cells` from a _compressed_count
+    (or a whole count, returned as it is): n_i - m_i + 1 copies of index
+    origin_i along each axis i that the compression shortened to m_i."""
+    for ax, (o, n) in enumerate(zip(origin, cells)):
+        m = count.shape[ax]
+        if m < n:
+            reps = np.ones(m, dtype=np.intp)
+            reps[o] = n - m + 1
+            count = np.repeat(count, reps, axis=ax)
+    return count
 
 
 def _stencil_count(stencil, origin, cells):

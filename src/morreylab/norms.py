@@ -10,6 +10,7 @@ criterion or exactly, when a closed-form singular cell mass is infinite.
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -18,11 +19,12 @@ import numpy as np
 
 from .grid import Field, lp_norm, power_integrand
 from .maximal import (BallFamily, _box_sum, _Forward, _Member, _mean_oscillation,
-                      _member_means, _member_shape, member_offsets)
+                      _member_means, _member_shape, _spectrum_bytes, member_offsets)
 
 __all__ = [
     "NormSpec",
     "evaluate_norm",
+    "evaluate_norms",
     "drift_seminorm",
     "bmo_seminorms",
     "power_integrand",
@@ -76,33 +78,50 @@ class NormSpec:
             )
 
 
-def _morrey_sup(field, p, beta, structure, radii, return_profile=False):
-    """sup over rho in radii, members centered at every cell, of
-    rho^beta * slashed L_p over the member.
+# Bytes of the forward spectra of one stack of fields in _morrey_sup.  A
+# stack of k > 1 fields also makes their product with the kernel spectrum,
+# which broadcasts over the stack, so a stack holds about twice this.  32 MB
+# takes the two 125^3 spectra (15 MB each) of `adams` at the default grid,
+# whose Riesz potential peaks higher: `check '*'` read 4.59 s and 169 MB
+# peak RSS with it, against 4.78 s and 175 MB with a 4.5 MB cap, which
+# stacks that pair at --grid 0.5 only.
+_STACK_BYTES = 32 * 2 ** 20
 
-    Every member holds its anchor cell, so a divergent cell makes every
-    radius inf."""
-    grid = field.grid
+
+def _morrey_sup(fields, p, beta, structure, radii):
+    """[(best, profile)] for each of a list of fields on one grid: the sup
+    over rho in radii, members centered at every cell, of rho^beta times
+    the slashed L_p norm over the member, and its (rho, value) profile.
+
+    The fields are correlated as stacks along a leading batch axis, each as
+    large as keeps its forward spectra within _STACK_BYTES, so each radius
+    makes one kernel spectrum and reads one count per stack.  Every member
+    holds its anchor cell, so a field with a divergent cell reads inf at
+    every radius and joins no stack."""
+    grid = fields[0].grid
     shape = _member_shape(structure)
-    arr, inf_mask = power_integrand(field, p)
-    diverges = inf_mask.any()
-    arr_fwd = _Forward()  # one forward spectrum per field, shared by radii that pad alike
-    best = 0.0
-    profile = []
-    for rho in radii:
-        if diverges:
-            m = np.inf
-        else:
-            member = member_offsets(grid, structure, rho, shape)
-            s, _ = _member_means(arr, None, member, arr_fwd)
-            # the scale is monotone, so the largest mean gives the largest value
-            top = np.maximum(s.max(keepdims=True), 0.0)
-            m = (rho ** beta * top ** (1.0 / p)).item()
-        profile.append((rho, m))
-        best = max(best, m)
-    if return_profile:
-        return best, profile
-    return best
+    members = [member_offsets(grid, structure, rho, shape) for rho in radii]
+    size = max(1, _STACK_BYTES // max((_spectrum_bytes(grid.cells, m) for m in members),
+                                      default=1))
+    out = [[(rho, math.inf) for rho in radii] for _ in fields]  # the profiles
+    finite = ((i, arr) for i, (arr, inf_mask) in
+              enumerate(power_integrand(f, p) for f in fields) if not inf_mask.any())
+    while chunk := list(itertools.islice(finite, size)):
+        index, arrs = zip(*chunk)
+        stack = np.stack(arrs)
+        del chunk, arrs
+        fwd = _Forward()  # one forward spectrum per stack, shared by radii that pad alike
+        profiles = [[] for _ in index]
+        for rho, member in zip(radii, members):
+            # the scale is monotone, so the largest mean gives the largest
+            # value; the means are dropped before the next radius correlates
+            top = np.maximum(_member_means(stack, None, member, fwd)[0]
+                             .reshape(len(index), -1).max(axis=1), 0.0)
+            for profile, m in zip(profiles, rho ** beta * top ** (1.0 / p)):
+                profile.append((rho, m.item()))
+        for i, profile in zip(index, profiles):
+            out[i] = profile
+    return [(max([0.0] + [m for _rho, m in profile]), profile) for profile in out]
 
 
 def mixed_norm(field, p, q, reversed_order=False):
@@ -129,9 +148,9 @@ def _window_sums(arr, wlen):
     return sums[: arr.shape[0] - wlen + 1]
 
 
-def _mixed_morrey_sup(field, p, q, beta, structure, radii, reversed_order=False,
-                      return_profile=False):
-    """sup over cylinders C_rho of rho^beta * slashed mixed norm.
+def _mixed_morrey_sup(field, p, q, beta, structure, radii, reversed_order=False):
+    """(best, profile): the sup over cylinders C_rho of rho^beta * slashed
+    mixed norm, and its (rho, value) profile over the kept radii.
 
     Standard order: inner x with exponent p, outer t with exponent q.
     Reversed: inner t with exponent q, outer x with exponent p.  Every
@@ -164,9 +183,7 @@ def _mixed_morrey_sup(field, p, q, beta, structure, radii, reversed_order=False,
             m = float((rho ** beta * np.maximum(V, 0.0) ** (1.0 / p)).max())
         profile.append((rho, m))
         best = max(best, m)
-    if return_profile:
-        return best, profile
-    return best
+    return best, profile
 
 
 def _family_radii(grid, structure, r_cap=None):
@@ -189,27 +206,34 @@ def evaluate_norm(field, spec, structure, radii=None, return_profile=False):
     inhomogeneous kinds, up to the truncation radius for the homogeneous
     ones); mixed kinds use iterated integrals in the declared order.
     """
-    grid = field.grid
+    return evaluate_norms([field], spec, structure, radii, return_profile)[0]
+
+
+def evaluate_norms(fields, spec, structure, radii=None, return_profile=False):
+    """[evaluate_norm(f, ...) for f in fields], for fields on one grid.  The
+    Morrey kinds Epbr and EpbDot sup over all of them in one pass of the
+    radius loop, which makes one kernel spectrum per radius and stack."""
+    grid = fields[0].grid
     spec.advisory(structure)
     kind = spec.kind
-    if kind == "Lp":
-        return lp_norm(field, spec.p)
-    if kind == "LpW":
-        return lp_norm(field, spec.p, weight=spec.weight)
-    if kind == "Lpq":
-        return mixed_norm(field, spec.p, spec.q)
-    if kind == "Lqp_reversed":
-        return mixed_norm(field, spec.p, spec.q, reversed_order=True)
+    if kind in ("Lp", "LpW"):
+        weight = spec.weight if kind == "LpW" else None
+        return [lp_norm(f, spec.p, weight=weight) for f in fields]
+    if kind in ("Lpq", "Lqp_reversed"):
+        return [mixed_norm(f, spec.p, spec.q, reversed_order=(kind == "Lqp_reversed"))
+                for f in fields]
     # Morrey kinds; the inhomogeneous ones cap the scales at spec.r
     cap = spec.r if kind in ("Epbr", "Epqb") else None
     rr = radii if radii is not None else _family_radii(grid, structure, cap)
     if cap is not None:
         rr = tuple(r for r in rr if r <= cap * (1 + 1e-12)) or rr[:1]
     if kind in ("Epbr", "EpbDot"):
-        return _morrey_sup(field, spec.p, spec.beta, structure, rr, return_profile)
-    return _mixed_morrey_sup(field, spec.p, spec.q, spec.beta, structure, rr,
-                             reversed_order=(kind == "Lqpb_reversed_morrey"),
-                             return_profile=return_profile)
+        sups = _morrey_sup(fields, spec.p, spec.beta, structure, rr)
+    else:
+        sups = [_mixed_morrey_sup(f, spec.p, spec.q, spec.beta, structure, rr,
+                                  reversed_order=(kind == "Lqpb_reversed_morrey"))
+                for f in fields]
+    return sups if return_profile else [best for best, _profile in sups]
 
 
 def drift_seminorm(b, p_b, rho_b, structure, q_b=None, reversed_order=False,
@@ -224,10 +248,11 @@ def drift_seminorm(b, p_b, rho_b, structure, q_b=None, reversed_order=False,
         radii = _family_radii(grid, structure, rho_b)
     radii = tuple(r for r in radii if r <= rho_b * (1 + 1e-12)) or radii[:1]
     if q_b is None:
-        return _morrey_sup(b, p_b, 1.0, structure, radii, return_profile=return_profile)
-    return _mixed_morrey_sup(b, p_b, q_b, 1.0, structure, radii,
-                             reversed_order=reversed_order,
-                             return_profile=return_profile)
+        best, profile = _morrey_sup([b], p_b, 1.0, structure, radii)[0]
+    else:
+        best, profile = _mixed_morrey_sup(b, p_b, q_b, 1.0, structure, radii,
+                                          reversed_order=reversed_order)
+    return (best, profile) if return_profile else best
 
 
 def bmo_seminorms(a_entries, rho, structure):
@@ -262,8 +287,8 @@ def bmo_seminorms(a_entries, rho, structure):
                 if wlen > grid.cells[0]:
                     continue
                 ball = member_offsets(grid, structure, r, "ball_x")
-                # the x-ball as a one-row cylinder: a keyless record
-                cylinder = _Member(ball.mask[None], (0,) + ball.origin)
+                # the x-ball as a one-row cylinder, keyed by the ball's key
+                cylinder = _Member(ball.mask[None], (0,) + ball.origin, ("row", ball.key))
                 dev = _mean_oscillation(a.values, cylinder, strides)
                 sharpsharp = max(sharpsharp, float((_window_sums(dev, wlen) / wlen).max()))
     return sharp, sharpsharp

@@ -238,30 +238,29 @@ def apriori_ratio(u, op, norm_spec, structure, norm_eval=None):
     on parabolic structures) in the requested norm, against ||L u - lam u||.
 
     norm_eval(field) -> float may override the norm; otherwise norms.
-    evaluate_norm with norm_spec is used.  Returns a dict with the parts,
-    the denominator and the ratio (inf when the denominator is floored).
+    evaluate_norms with norm_spec takes all the fields in one pass.  Returns
+    a dict with the parts, the denominator and the ratio (inf when the
+    denominator is floored).
     """
-    from .norms import evaluate_norm
+    from .norms import evaluate_norms
 
     grid = u.grid
-    if norm_eval is None:
-        def norm_eval(fld):
-            return evaluate_norm(fld, norm_spec, structure)
-
     derivatives = spectral_derivative_fields(u, structure)
     du, d2, lap, ut = derivatives
     d2_mag = np.sqrt(sum(d2[i][j] ** 2 for i in range(len(du)) for j in range(len(du))))
     du_mag = np.sqrt(sum(di ** 2 for di in du))
-    u_norm = norm_eval(u)  # the u part and the floor's scale
-    parts = {
-        "d2": norm_eval(Field(grid, d2_mag)),
-        "du": math.sqrt(op.lam) * norm_eval(Field(grid, du_mag)),
-        "u": op.lam * u_norm,
-    }
+    fields = [u, Field(grid, d2_mag), Field(grid, du_mag),
+              _operator_from_derivatives(u, op, derivatives)]
     if ut is not None:
-        parts["ut"] = norm_eval(Field(grid, ut))
-    resid = _operator_from_derivatives(u, op, derivatives)
-    den_raw = norm_eval(resid)
+        fields.append(Field(grid, ut))
+    if norm_eval is None:
+        values = evaluate_norms(fields, norm_spec, structure)
+    else:
+        values = [norm_eval(fld) for fld in fields]
+    u_norm, d2_norm, du_norm, den_raw = values[:4]  # u_norm: the u part and the floor's scale
+    parts = {"d2": d2_norm, "du": math.sqrt(op.lam) * du_norm, "u": op.lam * u_norm}
+    if ut is not None:
+        parts["ut"] = values[4]
     den = denominator_floor(den_raw, u_norm if u_norm > 0 else 1.0)
     num = max(parts.values())
     ratio = math.inf if not math.isfinite(den) else (num / den if den > 0 else math.inf)

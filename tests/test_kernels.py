@@ -476,6 +476,56 @@ def test_a_keyless_record_is_counted_but_never_stored():
     assert maximal._COUNTS.counts.keys() == stored.keys()
 
 
+@st.composite
+def counts_past_the_stencil(draw):
+    """(member, cells): a keyed record of a random boolean stencil in 1-3 D
+    that holds its origin, on a grid shorter than, as long as or longer than
+    the stencil on each axis."""
+    dim = draw(st.integers(1, 3))
+    shape = tuple(draw(st.lists(st.integers(1, 7), min_size=dim, max_size=dim)))
+    stencil = draw(arrays(bool, shape))
+    origin = tuple(draw(st.integers(0, s - 1)) for s in shape)
+    stencil[origin] = True
+    cells = tuple(draw(st.sampled_from([n for n in (s - 2, s - 1, s, s + 1, s + 5) if n > 0]))
+                  for s in shape)
+    return _Member(stencil, origin, ("random", stencil.tobytes(), shape, origin)), cells
+
+
+@settings(max_examples=300, deadline=None)
+@given(counts_past_the_stencil())
+def test_compressed_counts_expand_to_the_full_count(case):
+    # a table that stores every count compressed reads the full count back,
+    # at the first read and from storage
+    member, cells = case
+    table = maximal._CountTable(entry_bytes=0, total_bytes=2 ** 20)
+    want = _stencil_count(member.mask, member.origin, cells)
+    first = table.get(member, cells)
+    assert np.array_equal(first, want)
+    (stored,) = table.counts.values()
+    assert stored.shape == tuple(min(n, s) for n, s in zip(cells, member.mask.shape))
+    assert np.array_equal(table.get(member, cells), want)
+
+
+def test_a_count_past_the_entry_bound_is_stored_compressed(monkeypatch):
+    # a 40^3 count (512 KB as floats) is counted once, on the grid the
+    # stencil spans, and a second read makes no count
+    member = member_offsets(make_grid(3, 1.0, 40), make_structure(3), 0.3, "ball")
+    cells = (40, 40, 40)
+    want = _stencil_count(member.mask, member.origin, cells)
+    assert want.nbytes > maximal._COUNTS.entry_bytes
+    maximal._COUNTS.get(member, cells)
+    calls = []
+
+    def counting(*args):
+        calls.append(args[2])
+        return _stencil_count(*args)
+
+    monkeypatch.setattr(maximal, "_stencil_count", counting)
+    assert np.array_equal(maximal._COUNTS.get(member, cells), want)
+    assert calls == []
+    assert maximal._COUNTS.counts[(member.key, cells)].shape == member.mask.shape
+
+
 def test_ap_boxes_are_table_records_whose_spans_are_the_box(monkeypatch):
     from morreylab import weights
 

@@ -10,6 +10,7 @@ from morreylab.norms import (
     bmo_seminorms,
     drift_seminorm,
     evaluate_norm,
+    evaluate_norms,
     mixed_norm,
 )
 from morreylab.testfunctions import TEST_FUNCTION_IDS
@@ -379,11 +380,10 @@ def test_divergent_fields_make_every_radius_inf_without_a_correlation(case, monk
     monkeypatch.setattr(maximal, "_fft_correlate", counting(maximal._fft_correlate))
     monkeypatch.setattr(maximal, "_box_sum", counting(maximal._box_sum))
     monkeypatch.setattr(norms, "_box_sum", counting(norms._box_sum))
-    best, profile = _morrey_sup(f, p, 1.0, s, radii, return_profile=True)
+    (best, profile), = _morrey_sup([f], p, 1.0, s, radii)
     assert best == math.inf and profile == [(rho, math.inf) for rho in radii]
     for reversed_order in (False, True):
-        best, profile = _mixed_morrey_sup(f, p, p, 1.0, s, radii, reversed_order=reversed_order,
-                                          return_profile=True)
+        best, profile = _mixed_morrey_sup(f, p, p, 1.0, s, radii, reversed_order=reversed_order)
         assert best == math.inf and profile == [(rho, math.inf) for rho in kept]
     assert calls == []
 
@@ -404,7 +404,7 @@ def test_morrey_sup_shares_forward_spectra_across_radii(monkeypatch):
             shapes.append(tuple(maximal._fast_len(n + max(o, s - 1 - o))
                                 for n, s, o in zip(g.cells, member.mask.shape, member.origin)))
     assert len(set(shapes)) < len(shapes)  # the case holds shared shapes
-    alone = [_morrey_sup(f, 2.0, 0.5, S2, [rho], return_profile=True)[1][0]
+    alone = [_morrey_sup([f], 2.0, 0.5, S2, [rho])[0][1][0]
              for rho in radii]
     calls = []
     rfftn = np.fft.rfftn
@@ -414,7 +414,7 @@ def test_morrey_sup_shares_forward_spectra_across_radii(monkeypatch):
         return rfftn(a, *args, **kwargs)
 
     monkeypatch.setattr(np.fft, "rfftn", counting)
-    best, profile = _morrey_sup(f, 2.0, 0.5, S2, radii, return_profile=True)
+    (best, profile), = _morrey_sup([f], 2.0, 0.5, S2, radii)
     assert len(calls) == len(set(shapes))
     assert profile == alone
     assert best == max(m for _, m in alone)
@@ -441,7 +441,87 @@ def test_morrey_sup_scales_only_the_largest_mean(p, beta):
             val = rho ** beta * np.maximum(s, 0.0) ** (1.0 / p)
             hit = _correlate(inf_mask.astype(float), member) > 0.5
             want.append((rho, float(np.where(hit, np.inf, val).max())))
-        best, profile = _morrey_sup(f, p, beta, S2, radii, return_profile=True)
+        (best, profile), = _morrey_sup([f], p, beta, S2, radii)
         assert profile == want
         assert best == max(m for _, m in want)
         assert inf_mask.any() == (best == math.inf)
+
+
+def _batch_fields(g, p):
+    """Fields on one grid for the stacked sups: random, smooth, one with a
+    divergent cell at p (the third) and an isolated singular cell."""
+    rng = np.random.default_rng(len(g.cells))
+    return [Field(g, rng.standard_normal(g.cells)),
+            Field(g, np.cos(sum(g.mesh()))),
+            tf("power", g, gamma=g.dim / p + 0.2),
+            Field(g, rng.random(g.cells) ** 6),
+            tf("power", g, gamma=0.5 * g.dim / p),
+            Field(g, rng.standard_normal(g.cells) * rng.random(g.cells) ** 4)]
+
+
+@pytest.mark.parametrize("case", ["ball-2d", "ball-3d", "cylinder"])
+@pytest.mark.parametrize("stack_bytes", [None, "two"])
+def test_stacked_morrey_sup_is_one_call_per_field(case, stack_bytes, monkeypatch):
+    # a stack's (best, profile) is bit-identical to one call per field; a
+    # divergent field reads inf at every radius and joins no stack, and the
+    # byte cap splits the others into stacks
+    from morreylab import maximal, norms
+    from morreylab.maximal import _spectrum_bytes
+    from morreylab.norms import _morrey_sup
+
+    g, s, p = {"ball-2d": (make_grid(2, 1.0, 32), S2, 2.0),
+               "ball-3d": (make_grid(3, 1.0, 12), S3, 1.5),
+               "cylinder": (make_grid(2, (1.0, 1.0), (24, 20)), SP, 3.0)}[case]
+    fields = _batch_fields(g, p)
+    radii = BallFamily.for_structure(s, g).radii
+    alone = [_morrey_sup([f], p, 0.7, s, radii)[0] for f in fields]
+    assert alone[2] == (math.inf, [(rho, math.inf) for rho in radii])
+    if stack_bytes == "two":  # room for the spectra of two fields
+        members = [member_offsets(g, s, rho, maximal._member_shape(s)) for rho in radii]
+        monkeypatch.setattr(norms, "_STACK_BYTES",
+                            2 * max(_spectrum_bytes(g.cells, m) for m in members))
+    stacks = []
+
+    def counting(fn):
+        def wrapped(values, *args, **kwargs):
+            if values.ndim > g.dim:  # a stack, not a count or a table
+                stacks.append(values.shape[0])
+            return fn(values, *args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(maximal, "_fft_correlate", counting(maximal._fft_correlate))
+    monkeypatch.setattr(maximal, "_box_sum", counting(maximal._box_sum))
+    assert _morrey_sup(fields, p, 0.7, s, radii) == alone
+    # one correlation per radius and stack, none for the divergent field
+    sizes = [5] if stack_bytes is None else [2, 2, 1]
+    assert stacks == [n for n in sizes for _ in radii]
+
+
+@pytest.mark.parametrize("spec", [NormSpec("Lp", p=3.0), NormSpec("Epbr", p=2.0, beta=0.8),
+                                  NormSpec("EpbDot", p=1.5, beta=1.2),
+                                  NormSpec("Epqb", p=2.0, q=3.0, beta=1.0)])
+def test_evaluate_norms_is_evaluate_norm_per_field(spec):
+    g = make_grid(2, (1.0, 1.0), (24, 20))
+    fields = _batch_fields(g, spec.p)
+    got = evaluate_norms(fields, spec, SP, return_profile=spec.kind != "Lp")
+    assert got == [evaluate_norm(f, spec, SP, return_profile=spec.kind != "Lp")
+                   for f in fields]
+
+
+def test_bmo_seminorms_store_every_count(monkeypatch):
+    # the x-ball cylinder of a# # is a keyed record: a second call recounts
+    # nothing
+    from morreylab import maximal
+
+    g = make_grid(2, (1.0, 1.0), (24, 20))
+    a = Field(g, 1.0 + np.random.default_rng(5).random(g.cells))
+    first = bmo_seminorms(a, 0.5, SP)
+    calls, count = [], maximal._stencil_count
+
+    def counting(*args):
+        calls.append(args[2])
+        return count(*args)
+
+    monkeypatch.setattr(maximal, "_stencil_count", counting)
+    assert bmo_seminorms(a, 0.5, SP) == first
+    assert calls == []
