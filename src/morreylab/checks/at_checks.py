@@ -14,7 +14,7 @@ from ..potentials import at_kernel_array, sigma
 from ..solvers import (
     OperatorSpec,
     _sdelta_from_draws,
-    apriori_ratio,
+    apriori_ratios,
     oscillation_estimate,
     random_sdelta,
     sdelta_brackets,
@@ -230,9 +230,9 @@ def check_at_mixed(cfg):
         worst = 0.0
         for k in range(4):
             u = random_signed(g, cfg.seed + 37 * k)
-            for lam in (1.0, 10.0, 100.0):
-                op = OperatorSpec("heat_at", lam=lam, a_of_t=a_path, delta=delta)
-                r = apriori_ratio(u, op, NormSpec("Lqp_reversed", p=p, q=q), s)
+            ops = [OperatorSpec("heat_at", lam=lam, a_of_t=a_path, delta=delta)
+                   for lam in (1.0, 10.0, 100.0)]
+            for r in apriori_ratios(u, ops, NormSpec("Lqp_reversed", p=p, q=q), s):
                 worst = max(worst, r["ratio"])
         vals.append(worst)
     return {

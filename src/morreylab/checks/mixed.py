@@ -12,7 +12,7 @@ from ..dyadic import dyadic_sharp
 from ..grid import Field, lp_norm, make_grid, make_structure
 from ..maximal import BallFamily, classical_maximal
 from ..norms import NormSpec, drift_seminorm, evaluate_norm, mixed_norm
-from ..solvers import OperatorSpec, apriori_ratio, spectral_derivative_fields
+from ..solvers import OperatorSpec, apriori_ratios, spectral_derivative_fields
 from ..testfunctions import test_function
 from ..weights import power_weight
 from .common import (bump_mix, elliptic_structure, parabolic_grid, parabolic_structure,
@@ -106,9 +106,8 @@ def check_heat_mixed(cfg):
         worst = 0.0
         for k in range(4):
             u = random_signed(g, cfg.seed + 7 * k)
-            for lam in (1.0, 10.0, 100.0):
-                r = apriori_ratio(u, OperatorSpec("heat", lam=lam),
-                                  NormSpec("Lpq", p=p, q=q), s)
+            ops = [OperatorSpec("heat", lam=lam) for lam in (1.0, 10.0, 100.0)]
+            for r in apriori_ratios(u, ops, NormSpec("Lpq", p=p, q=q), s):
                 worst = max(worst, r["ratio"])
         vals.append(worst)
     return {
@@ -319,9 +318,8 @@ def check_mixed_morrey_heat(cfg):
         worst = 0.0
         for k in range(3):
             u = random_signed(g, cfg.seed + 29 * k)
-            for lam in (1.0, 10.0):
-                r = apriori_ratio(u, OperatorSpec("heat", lam=lam),
-                                  NormSpec("EpqbDot", p=p, q=q, beta=beta), s)
+            for r in apriori_ratios(u, [OperatorSpec("heat", lam=lam) for lam in (1.0, 10.0)],
+                                    NormSpec("EpqbDot", p=p, q=q, beta=beta), s):
                 worst = max(worst, r["ratio"])
         vals.append(worst)
     return {

@@ -106,11 +106,18 @@ class _Member:
     def spans(self):
         """Per-axis (first, last) index of the stencil's bounding box when the
         stencil fills that box, else None."""
-        mask = self.mask
-        spans = [np.flatnonzero(mask.any(axis=tuple(a for a in range(mask.ndim) if a != ax)))
-                 for ax in range(mask.ndim)]
-        box = tuple((int(s[0]), int(s[-1])) for s in spans)
-        return box if mask[tuple(slice(a, b + 1) for a, b in box)].all() else None
+        box = _bounding_box(self.mask)
+        return box if self.mask[tuple(slice(a, b + 1) for a, b in box)].all() else None
+
+
+def _bounding_box(mask):
+    """Per-axis (first, last) index of the True cells of a boolean array, or
+    None when it has none."""
+    lines = [np.flatnonzero(mask.any(axis=tuple(a for a in range(mask.ndim) if a != ax)))
+             for ax in range(mask.ndim)]
+    if not lines[0].size:
+        return None
+    return tuple((int(line[0]), int(line[-1])) for line in lines)
 
 
 # Entries of the member table: a fixed bound keeps it small whatever the run.
@@ -453,7 +460,7 @@ def _stencil_count(stencil, origin, cells):
     return out
 
 
-def _member_means(weighted, dens, member, forward=None, dens_forward=None):
+def _member_means(weighted, dens, member, forward=None, dens_forward=None, window=None):
     """(means, measures): mu(E)^-1 int_E g dmu over the member E anchored at
     every cell, members clipped to the domain, and mu(E), for the measure
     dmu = dens dx (M_w's w dx); dens None is dx itself.  weighted holds g dens
@@ -462,12 +469,18 @@ def _member_means(weighted, dens, member, forward=None, dens_forward=None):
     mu(E) is the exact cell count for dx, a correlation of dens otherwise.
     Axes of weighted before the stencil's are a batch, as in _correlate; the
     count carries none and broadcasts over them.  An empty member has mean
-    0."""
+    0.
+
+    On dx, `window` = (cells, box) says that weighted is the box (a tuple of
+    slices) of a grid of shape `cells` that is zero outside it: the means
+    are those of the anchors in the box, over members clipped to the whole
+    grid, so the count is the grid's, sliced to the box."""
     num = _correlate(weighted, member, forward)
     if dens is not None:
         den = _correlate(dens, member, dens_forward)
     else:
-        den = _COUNTS.get(member, weighted.shape[weighted.ndim - member.mask.ndim:])
+        cells, box = window or (weighted.shape[weighted.ndim - member.mask.ndim:], ())
+        den = _COUNTS.get(member, cells)[box]
         if member.mask[member.origin]:  # every member holds its anchor cell: den >= 1
             return num / den, den
     with np.errstate(invalid="ignore", divide="ignore"):

@@ -18,8 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import Field, lp_norm, power_integrand
-from .maximal import (BallFamily, _box_sum, _Forward, _Member, _mean_oscillation,
-                      _member_means, _member_shape, _spectrum_bytes, member_offsets)
+from .maximal import (BallFamily, _bounding_box, _box_sum, _Forward, _Member,
+                      _mean_oscillation, _member_means, _member_shape, _spectrum_bytes,
+                      member_offsets)
 
 __all__ = [
     "NormSpec",
@@ -97,7 +98,15 @@ def _morrey_sup(fields, p, beta, structure, radii):
     large as keeps its forward spectra within _STACK_BYTES, so each radius
     makes one kernel spectrum and reads one count per stack.  Every member
     holds its anchor cell, so a field with a divergent cell reads inf at
-    every radius and joins no stack."""
+    every radius and joins no stack.
+
+    A stack is correlated only over the window of anchors whose members
+    reach its support, the bounding box [a_i, b_i] of its nonzero cells:
+    along axis i, a stencil of extent s_i and origin o_i reaches it from
+    the anchors in [a_i - (s_i - 1 - o_i), b_i + o_i].  The window holds the
+    support, so its correlation is exact; an anchor outside it has mean 0,
+    which the clamp at 0 covers.  So fields whose supports differ widely are
+    best not stacked."""
     grid = fields[0].grid
     shape = _member_shape(structure)
     members = [member_offsets(grid, structure, rho, shape) for rho in radii]
@@ -110,12 +119,19 @@ def _morrey_sup(fields, p, beta, structure, radii):
         index, arrs = zip(*chunk)
         stack = np.stack(arrs)
         del chunk, arrs
-        fwd = _Forward()  # one forward spectrum per stack, shared by radii that pad alike
+        # an all-zero stack takes any one cell as its support
+        support = _bounding_box(stack.any(axis=0)) or ((0, 0),) * grid.dim
+        fwd = _Forward()  # one forward spectrum per window, shared by radii that pad alike
+        box = view = None
         profiles = [[] for _ in index]
         for rho, member in zip(radii, members):
+            reach = tuple(slice(max(0, a - (s - 1 - o)), min(n, b + o + 1)) for (a, b), s, o, n
+                          in zip(support, member.mask.shape, member.origin, grid.cells))
+            if reach != box:  # one view per window: the holder keys on the array
+                box, view = reach, stack[(slice(None),) + reach]
             # the scale is monotone, so the largest mean gives the largest
             # value; the means are dropped before the next radius correlates
-            top = np.maximum(_member_means(stack, None, member, fwd)[0]
+            top = np.maximum(_member_means(view, None, member, fwd, window=(grid.cells, box))[0]
                              .reshape(len(index), -1).max(axis=1), 0.0)
             for profile, m in zip(profiles, rho ** beta * top ** (1.0 / p)):
                 profile.append((rho, m.item()))

@@ -25,6 +25,7 @@ __all__ = [
     "solve_drift",
     "apply_operator",
     "apriori_ratio",
+    "apriori_ratios",
     "oscillation_estimate",
     "random_sdelta",
     "sdelta_brackets",
@@ -234,13 +235,21 @@ def denominator_floor(den, u_norm):
 
 
 def apriori_ratio(u, op, norm_spec, structure, norm_eval=None):
-    """Numerator parts ||D^2 u||, sqrt(lam)||Du||, lam||u|| (plus ||du/dt||
-    on parabolic structures) in the requested norm, against ||L u - lam u||.
+    """apriori_ratios for one operator: its dict."""
+    return apriori_ratios(u, [op], norm_spec, structure, norm_eval)[0]
 
+
+def apriori_ratios(u, ops, norm_spec, structure, norm_eval=None):
+    """For each op, the numerator parts ||D^2 u||, sqrt(lam)||Du||, lam||u||
+    (plus ||du/dt|| on parabolic structures) in the requested norm, against
+    ||L u - lam u||.
+
+    One derivative pass and one field list serve every op: u, |D^2 u|,
+    |Du|, (u_t), then one residual per op, each evaluated once.
     norm_eval(field) -> float may override the norm; otherwise norms.
-    evaluate_norms with norm_spec takes all the fields in one pass.  Returns
-    a dict with the parts, the denominator and the ratio (inf when the
-    denominator is floored).
+    evaluate_norms with norm_spec takes the whole list in one pass.  Returns
+    one dict per op with the parts, the denominator and the ratio (inf when
+    the denominator is floored).
     """
     from .norms import evaluate_norms
 
@@ -249,28 +258,31 @@ def apriori_ratio(u, op, norm_spec, structure, norm_eval=None):
     du, d2, lap, ut = derivatives
     d2_mag = np.sqrt(sum(d2[i][j] ** 2 for i in range(len(du)) for j in range(len(du))))
     du_mag = np.sqrt(sum(di ** 2 for di in du))
-    fields = [u, Field(grid, d2_mag), Field(grid, du_mag),
-              _operator_from_derivatives(u, op, derivatives)]
+    fields = [u, Field(grid, d2_mag), Field(grid, du_mag)]
     if ut is not None:
         fields.append(Field(grid, ut))
+    fields += [_operator_from_derivatives(u, op, derivatives) for op in ops]
     if norm_eval is None:
         values = evaluate_norms(fields, norm_spec, structure)
     else:
         values = [norm_eval(fld) for fld in fields]
-    u_norm, d2_norm, du_norm, den_raw = values[:4]  # u_norm: the u part and the floor's scale
-    parts = {"d2": d2_norm, "du": math.sqrt(op.lam) * du_norm, "u": op.lam * u_norm}
-    if ut is not None:
-        parts["ut"] = values[4]
-    den = denominator_floor(den_raw, u_norm if u_norm > 0 else 1.0)
-    num = max(parts.values())
-    ratio = math.inf if not math.isfinite(den) else (num / den if den > 0 else math.inf)
-    return {
-        "parts": parts,
-        "numerator": num,
-        "denominator": den_raw,
-        "ratio": ratio,
-        "floored": not math.isfinite(den),
-    }
+    u_norm, d2_norm, du_norm = values[:3]  # u_norm: the u part and the floor's scale
+    out = []
+    for op, den_raw in zip(ops, values[len(fields) - len(ops):]):
+        parts = {"d2": d2_norm, "du": math.sqrt(op.lam) * du_norm, "u": op.lam * u_norm}
+        if ut is not None:
+            parts["ut"] = values[3]
+        den = denominator_floor(den_raw, u_norm if u_norm > 0 else 1.0)
+        num = max(parts.values())
+        ratio = math.inf if not math.isfinite(den) else (num / den if den > 0 else math.inf)
+        out.append({
+            "parts": parts,
+            "numerator": num,
+            "denominator": den_raw,
+            "ratio": ratio,
+            "floored": not math.isfinite(den),
+        })
+    return out
 
 
 def oscillation_estimate(u, f_rhs, structure, kappa, rho, p, center=None):

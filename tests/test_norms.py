@@ -497,6 +497,97 @@ def test_stacked_morrey_sup_is_one_call_per_field(case, stack_bytes, monkeypatch
     assert stacks == [n for n in sizes for _ in radii]
 
 
+def _direct_profile(f, p, beta, structure, radii):
+    """_morrey_sup's profile of one field by direct summation: each member's
+    sum and clipped cell count, one stencil offset at a time."""
+    from morreylab.maximal import _member_shape
+
+    arr, _ = power_integrand(f, p)
+    cells = arr.shape
+    profile = []
+    for rho in radii:
+        member = member_offsets(f.grid, structure, rho, _member_shape(structure))
+        # values(c + k - origin) is padded[c + k]
+        pad = [(o, s - 1 - o) for s, o in zip(member.mask.shape, member.origin)]
+        padded, inside = np.pad(arr, pad), np.pad(np.ones(cells), pad)
+        total, count = np.zeros(cells), np.zeros(cells)
+        for k in zip(*np.nonzero(member.mask)):
+            at = tuple(slice(i, i + n) for i, n in zip(k, cells))
+            total += padded[at]
+            count += inside[at]
+        profile.append((rho, rho ** beta * float((total / count).max()) ** (1.0 / p)))
+    return profile
+
+
+def _bump(g, centre, width):
+    """A smooth bump of the given width about centre, zero past it."""
+    rr = sum((x - c) ** 2 for x, c in zip(g.mesh(), centre)) / width ** 2
+    return Field(g, np.maximum(1.0 - rr, 0.0) ** 2)
+
+
+def _compact_cases(g):
+    """Stacks of compactly supported fields on g: an off-centre bump, a
+    support that touches the face at the start of axis 0, one nonzero
+    corner cell, one nonzero interior cell (whose largest means sit where
+    the members reach past the window), an all-zero field stacked with the
+    bump, and the ridge fields of kappa_ridge at kappa = 0.05."""
+    lo = -0.75
+    bump = _bump(g, (0.2,) + (-0.15,) * (g.dim - 1), 0.3)
+    corner, spike = np.zeros(g.cells), np.zeros(g.cells)
+    corner[(-1,) * g.dim] = 2.0
+    spike[tuple(n // 3 for n in g.cells)] = 3.0
+    _u, b_du, d2 = tf("kappa_ridge", g, kappa=0.05, beta=1.5)
+    return [[bump], [_bump(g, (lo + 0.1,) + (0.1,) * (g.dim - 1), 0.35)],
+            [Field(g, corner)], [Field(g, spike)], [Field(g, np.zeros(g.cells)), bump],
+            [b_du], [d2]]
+
+
+@pytest.mark.parametrize("case", ["interval", "ball-2d", "cylinder", "ball-3d"])
+def test_windowed_morrey_sup_matches_direct_summation(case):
+    # a stack is correlated over the window of anchors that reach its
+    # support; every profile matches the direct sums over the whole grid
+    from morreylab.norms import _morrey_sup
+
+    g, s = {"interval": (make_grid(1, 0.75, 96), S1),
+            "ball-2d": (make_grid(2, 0.75, 40), S2),
+            "cylinder": (make_grid(2, 0.75, (40, 32)), SP),
+            "ball-3d": (make_grid(3, 0.75, 20), S3)}[case]
+    radii = BallFamily.for_structure(s, g, rho_max=0.5).radii
+    p, beta = 4.0 / 3.0, 1.5
+    for stack in _compact_cases(g):
+        for got, f in zip(_morrey_sup(stack, p, beta, s, radii), stack):
+            want = _direct_profile(f, p, beta, s, radii)
+            assert got[1] == [(rho, pytest.approx(m, rel=1e-12, abs=0.0)) for rho, m in want]
+            assert got[0] == max(m for _rho, m in got[1])
+
+
+def test_windowed_morrey_sup_correlates_no_more_than_the_window(monkeypatch):
+    # each correlation reads only the anchors whose members reach the
+    # bump's support, and the window shrinks below the grid
+    from morreylab import maximal
+    from morreylab.maximal import _bounding_box
+    from morreylab.norms import _morrey_sup
+
+    g = make_grid(2, 0.75, 48)
+    f = _bump(g, (0.3, -0.2), 0.2)
+    radii = BallFamily.for_structure(S2, g, rho_max=0.5).radii
+    (a0, b0), (a1, b1) = _bounding_box(f.values != 0)
+    shapes = []
+    correlate = maximal._fft_correlate
+
+    def recording(values, kernel, origin, forward=None):
+        windows = [min(n, b + o + 1) - max(0, a - (s - 1 - o)) for (a, b), s, o, n
+                   in zip(((a0, b0), (a1, b1)), kernel.shape, origin, g.cells)]
+        shapes.append((values.shape[1:], tuple(windows)))
+        return correlate(values, kernel, origin, forward)
+
+    monkeypatch.setattr(maximal, "_fft_correlate", recording)
+    _morrey_sup([f], 2.0, 1.0, S2, radii)
+    assert shapes  # the case holds FFT members
+    assert all(got == window for got, window in shapes)
+    assert all(n < m for got, _ in shapes for n, m in zip(got, g.cells))
+
+
 @pytest.mark.parametrize("spec", [NormSpec("Lp", p=3.0), NormSpec("Epbr", p=2.0, beta=0.8),
                                   NormSpec("EpbDot", p=1.5, beta=1.2),
                                   NormSpec("Epqb", p=2.0, q=3.0, beta=1.0)])

@@ -12,6 +12,7 @@ from morreylab.solvers import (
     OperatorSpec,
     apply_operator,
     apriori_ratio,
+    apriori_ratios,
     oscillation_estimate,
     random_sdelta,
     sdelta_brackets,
@@ -306,6 +307,64 @@ def test_apriori_ratio_takes_one_derivative_pass(monkeypatch, structure, op):
     out = apriori_ratio(u, op, NormSpec("Lp", p=2.0), structure, norm_eval=norm)
     assert len(passes) == 1
     assert out["denominator"] == want
+
+
+def _lam_sweep(case, g):
+    """(structure, ops, norm spec) of one a-priori sweep over lam."""
+    xs = g.mesh()
+    if case == "laplace-Lp":
+        drift = [Field(g, 0.3 * np.sin(xs[1])), Field(g, 0.2 * np.cos(xs[0]))]
+        return S2, [OperatorSpec("laplace", lam=1.0), OperatorSpec("laplace", lam=10.0),
+                    OperatorSpec("laplace", lam=4.0, b=drift)], NormSpec("Lp", p=3.0)
+    if case == "laplace-Epbr":
+        return S2, [OperatorSpec("laplace", lam=lam) for lam in (0.0, 1.0, 10.0)], \
+            NormSpec("Epbr", p=2.0, beta=0.8)
+    if case == "heat-EpqbDot":
+        return SP, [OperatorSpec("heat", lam=lam) for lam in (1.0, 10.0)], \
+            NormSpec("EpqbDot", p=2.0, q=3.0, beta=1.1)
+    a_path = np.stack([np.full((1, 1), 0.6 + 0.5 * t) for t in np.linspace(0, 1, g.cells[0])])
+    return SP, [OperatorSpec("heat_at", lam=lam, a_of_t=a_path, delta=0.5)
+                for lam in (1.0, 10.0, 100.0)], NormSpec("Lqp_reversed", p=2.0, q=3.0)
+
+
+@pytest.mark.parametrize("case", ["laplace-Lp", "laplace-Epbr", "heat-EpqbDot", "heat_at-Lqp"])
+def test_apriori_ratios_are_apriori_ratio_per_op(case):
+    # one sweep over the ops returns, bit for bit, the dict of one
+    # apriori_ratio call per op
+    g = make_grid(2, math.pi, 32, periodic=True)
+    u = tf("random_band", g, kmax=4, seed=11)
+    structure, ops, spec = _lam_sweep(case, g)
+    got = apriori_ratios(u, ops, spec, structure)
+    assert got == [apriori_ratio(u, op, spec, structure) for op in ops]
+    assert len({r["denominator"] for r in got}) == len(ops)  # each op its own residual
+
+
+@pytest.mark.parametrize("case, parts", [("laplace-Lp", 3), ("heat_at-Lqp", 4)])
+def test_apriori_ratios_take_one_pass_and_evaluate_each_field_once(monkeypatch, case, parts):
+    # one derivative pass per u; norm_eval sees u, |D2 u|, |Du| (and u_t),
+    # then one residual per op, each field once
+    g = make_grid(2, math.pi, 32, periodic=True)
+    u = tf("random_band", g, kmax=4, seed=12)
+    structure, ops, spec = _lam_sweep(case, g)
+    passes, calls = [], {}
+    taken = solvers.spectral_derivative_fields
+
+    def counting(*args, **kwargs):
+        passes.append(1)
+        return taken(*args, **kwargs)
+
+    def counting_norm(fld):
+        key = fld.values.tobytes()
+        calls[key] = calls.get(key, 0) + 1
+        return float(np.sqrt((fld.values ** 2).sum()))
+
+    monkeypatch.setattr(solvers, "spectral_derivative_fields", counting)
+    got = apriori_ratios(u, ops, spec, structure, norm_eval=counting_norm)
+    assert len(passes) == 1
+    assert len(calls) == parts + len(ops)
+    assert set(calls.values()) == {1}
+    assert [r["denominator"] for r in got] == [
+        float(np.sqrt((apply_operator(u, op, structure).values ** 2).sum())) for op in ops]
 
 
 def test_oscillation_quadratic_is_zero():
