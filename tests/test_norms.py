@@ -571,14 +571,14 @@ def test_windowed_morrey_sup_correlates_no_more_than_the_window(monkeypatch):
     g = make_grid(2, 0.75, 48)
     f = _bump(g, (0.3, -0.2), 0.2)
     radii = BallFamily.for_structure(S2, g, rho_max=0.5).radii
-    (a0, b0), (a1, b1) = _bounding_box(f.values != 0)
+    support = _bounding_box(f.values != 0)
     shapes = []
     correlate = maximal._fft_correlate
 
     def recording(values, kernel, origin, forward=None):
-        windows = [min(n, b + o + 1) - max(0, a - (s - 1 - o)) for (a, b), s, o, n
-                   in zip(((a0, b0), (a1, b1)), kernel.shape, origin, g.cells)]
-        shapes.append((values.shape[1:], tuple(windows)))
+        window = tuple(min(n, b + o + 1) - max(0, a - (s - 1 - o)) for (a, b), s, o, n
+                       in zip(support, kernel.shape, origin, g.cells))
+        shapes.append((values.shape[1:], window))
         return correlate(values, kernel, origin, forward)
 
     monkeypatch.setattr(maximal, "_fft_correlate", recording)
