@@ -77,9 +77,11 @@ def member_offsets(grid, structure, rho, shape):
     centred: the A_p cube of weights.
     'ball_x': the ball over axes 1.., for the x slices of a (t, x) grid.
 
-    Records come from one bounded table keyed by value (cell widths,
-    anisotropy, nu0, rho, shape), and their stencils are read-only: callers
-    share them.
+    Each stencil is cut to the bounding box of its cells.  Records come from
+    one bounded table keyed by the value they are made from (cell widths,
+    anisotropy, nu0, rho, shape); a record's own key is its cell set, so
+    radii with equal cell sets give equal records.  Stencils are read-only:
+    callers share them.
     """
     hs, ks = tuple(grid.h), tuple(structure.anisotropy)
     if shape == "ball_x":
@@ -90,12 +92,13 @@ def member_offsets(grid, structure, rho, shape):
 @dataclass(frozen=True)
 class _Member:
     """One family member: its boolean stencil `mask`, the `origin` index of
-    the anchor cell in it, and its table `key`.
+    the anchor cell in it, and its `key`.
 
-    Records compare and hash by key alone, so equal grids give equal records
-    and the count and footprint tables are keyed by value.  A record made
-    from a bare stencil has no key (None): its counts are made at every
-    call and never stored.
+    Records compare and hash by key alone.  A table record's key is its
+    exact cell set (_cell_key), so records of equal cell sets are equal,
+    whatever radius, shape or grid made them, and share their entries in
+    the count and footprint tables.  A record made from a bare stencil has
+    no key (None): its counts are made at every call and never stored.
     """
 
     mask: np.ndarray = _field(compare=False)
@@ -108,6 +111,12 @@ class _Member:
         stencil fills that box, else None."""
         box = _bounding_box(self.mask)
         return box if self.mask[tuple(slice(a, b + 1) for a, b in box)].all() else None
+
+
+def _cell_key(mask, origin):
+    """The exact cell set of a stencil as a record key: its shape, its bits
+    packed in C order, and its origin."""
+    return mask.shape, np.packbits(mask).tobytes(), tuple(origin)
 
 
 def _bounding_box(mask):
@@ -161,8 +170,13 @@ def _member(hs, ks, nu0, rho, shape):
                 mask &= np.abs(m) < e
     origin = tuple(0 if (shape == "cylinder" and i == 0) else hc
                    for i, hc in enumerate(half_cells))
+    # the strict tests leave the outer layers empty: cut them, so that no
+    # correlation pads or transforms lines the stencil does not reach
+    box = _bounding_box(mask)
+    mask = np.ascontiguousarray(mask[tuple(slice(a, b + 1) for a, b in box)])
+    origin = tuple(o - a for o, (a, _b) in zip(origin, box))
     mask.flags.writeable = False
-    return _Member(mask, origin, (hs, ks, nu0, rho, shape))
+    return _Member(mask, origin, _cell_key(mask, origin))
 
 
 def _correlate(values, member, forward=None):
@@ -386,17 +400,19 @@ class _CountTable:
     call.  A count of at most `entry_bytes` is stored whole; a larger one is
     stored compressed (_compressed_count) and expanded on every read, unless
     even that exceeds `total_bytes`.  Past `total_bytes` the least recently
-    used go first.  Stored counts are read-only.
+    used go first.  Stored counts are read-only.  A read returns the count
+    on `box`, a tuple of slices of the grid (() is all of it), and expands
+    only the cells that box holds.
     """
 
     def __init__(self, entry_bytes, total_bytes):
         self.entry_bytes, self.total_bytes, self.nbytes = entry_bytes, total_bytes, 0
         self.counts = {}  # key -> count, least recently used first
 
-    def get(self, member, cells):
+    def get(self, member, cells, box=()):
         cells = tuple(cells)
         if member.key is None:
-            return _stencil_count(member.mask, member.origin, cells)
+            return _stencil_count(member.mask, member.origin, cells)[box]
         key = (member.key, cells)
         count = self.counts.pop(key, None)
         if count is None:
@@ -405,13 +421,13 @@ class _CountTable:
             else:
                 count = _compressed_count(member, cells)
             if count.nbytes > self.total_bytes:
-                return _expand_count(count, member.origin, cells)
+                return _expand_count(count, member.origin, cells, box)
             count.flags.writeable = False
             self.nbytes += count.nbytes
         self.counts[key] = count
         while self.nbytes > self.total_bytes:
             self.nbytes -= self.counts.pop(next(iter(self.counts))).nbytes
-        return _expand_count(count, member.origin, cells)
+        return _expand_count(count, member.origin, cells, box)
 
 
 # Bounds of the count table: whole counts up to 64 KB (8,192 cells), and
@@ -433,16 +449,23 @@ def _compressed_count(member, cells):
     return _stencil_count(member.mask, member.origin, small).astype(np.int32)
 
 
-def _expand_count(count, origin, cells):
-    """The count on the full grid of shape `cells` from a _compressed_count
-    (or a whole count, returned as it is): n_i - m_i + 1 copies of index
-    origin_i along each axis i that the compression shortened to m_i."""
-    for ax, (o, n) in enumerate(zip(origin, cells)):
+def _expand_count(count, origin, cells, box=()):
+    """The count on `box` (a tuple of slices; () is the whole grid) of the
+    grid of shape `cells`, from a _compressed_count (or a whole count,
+    sliced to the box).  Along each axis i that the compression shortened
+    to m_i cells, grid index j reads compressed index min(j, o_i) +
+    max(j - (n_i - m_i), o_i) - o_i: the n_i - m_i + 1 anchors from origin_i
+    on all read index origin_i.  Only the box's cells are gathered."""
+    if count.shape == cells:
+        return count[box] if box else count
+    box = tuple(box) + (slice(None),) * (len(cells) - len(box))
+    for ax, (o, n, sl) in enumerate(zip(origin, cells, box)):
         m = count.shape[ax]
         if m < n:
-            reps = np.ones(m, dtype=np.intp)
-            reps[o] = n - m + 1
-            count = np.repeat(count, reps, axis=ax)
+            j = np.arange(n)[sl]
+            count = np.take(count, np.minimum(j, o) + np.maximum(j - (n - m), o) - o, axis=ax)
+        else:
+            count = count[(slice(None),) * ax + (sl,)]
     return count
 
 
@@ -474,13 +497,13 @@ def _member_means(weighted, dens, member, forward=None, dens_forward=None, windo
     On dx, `window` = (cells, box) says that weighted is the box (a tuple of
     slices) of a grid of shape `cells` that is zero outside it: the means
     are those of the anchors in the box, over members clipped to the whole
-    grid, so the count is the grid's, sliced to the box."""
+    grid, so the count is the grid's, read on the box alone."""
     num = _correlate(weighted, member, forward)
     if dens is not None:
         den = _correlate(dens, member, dens_forward)
     else:
         cells, box = window or (weighted.shape[weighted.ndim - member.mask.ndim:], ())
-        den = _COUNTS.get(member, cells)[box]
+        den = _COUNTS.get(member, cells, box)
         if member.mask[member.origin]:  # every member holds its anchor cell: den >= 1
             return num / den, den
     with np.errstate(invalid="ignore", divide="ignore"):
@@ -529,7 +552,7 @@ def _mean_oscillation(values, member, strides):
     steps = [s * b for s, b in zip(strides, padded.strides)]
     gw = as_strided(padded, out.shape + (int(flat[-1]) + 1,), steps + [padded.itemsize],
                     writeable=False)
-    count = _COUNTS.get(member, cells)[lattice]
+    count = _COUNTS.get(member, cells, lattice)
     # A block is a run of lattice points along axis k, with the axes before k
     # fixed and those after it whole: k is the first axis whose trailing
     # slab fits the bound, and the runs along it are cut to equal lengths.
@@ -627,9 +650,13 @@ def classical_sharp(field, structure, family=None):
     if family is None:
         family = BallFamily.for_structure(structure, grid)
     out = np.zeros(grid.cells)
+    last = None
     for rho in family.radii:
         member = member_offsets(grid, structure, rho, family.shape)
         stride = _anchor_stride(grid, rho, family.density)
+        if (member, stride) == last:  # an equal member on an equal lattice adds nothing
+            continue
+        last = member, stride
         osc = _mean_oscillation(field.values, member, (stride,) * grid.dim)
         _scatter_max(osc, member, stride, out)
     return Field(grid, out)
@@ -652,15 +679,21 @@ def _sup_of_means(field, dens, structure, family, beta=0.0):
     """sup over family members E containing x of rho(E)^beta times the
     dens dx-average of |f| over E; dens None is dx itself.  Each
     radius scatters the means on its anchor lattice; a cell no member holds
-    reads 0."""
+    reads 0.  A radius whose member equals the last radius's reuses its
+    means, and at beta 0 and an equal stride scatters nothing new."""
     grid = field.grid
     weighted = np.abs(field.values) if dens is None else np.abs(field.values) * dens
     forward, dens_forward = _Forward(), _Forward()
     out = np.full(grid.cells, -np.inf)
+    last = last_stride = None
     for rho in family.radii:
         member = member_offsets(grid, structure, rho, family.shape)
-        avg, _den = _member_means(weighted, dens, member, forward, dens_forward)
         stride = _anchor_stride(grid, rho, family.density)
+        if member == last and stride == last_stride and beta == 0:
+            continue
+        if member != last:
+            avg, _den = _member_means(weighted, dens, member, forward, dens_forward)
+        last, last_stride = member, stride
         lattice = rho ** beta * avg[(slice(None, None, stride),) * grid.dim]
         _scatter_max(lattice, member, stride, out)
     out[out == -np.inf] = 0.0

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import Field, lp_norm, power_integrand
-from .maximal import (BallFamily, _bounding_box, _box_sum, _Forward, _Member,
+from .maximal import (BallFamily, _bounding_box, _box_sum, _cell_key, _Forward, _Member,
                       _mean_oscillation, _member_means, _member_shape, _spectrum_bytes,
                       member_offsets)
 
@@ -106,7 +106,8 @@ def _morrey_sup(fields, p, beta, structure, radii):
     the anchors in [a_i - (s_i - 1 - o_i), b_i + o_i].  The window holds the
     support, so its correlation is exact; an anchor outside it has mean 0,
     which the clamp at 0 covers.  So fields whose supports differ widely are
-    best not stacked."""
+    best not stacked.  A radius whose member equals the last radius's
+    reuses its largest means; the profile still lists every radius."""
     grid = fields[0].grid
     shape = _member_shape(structure)
     members = [member_offsets(grid, structure, rho, shape) for rho in radii]
@@ -122,17 +123,20 @@ def _morrey_sup(fields, p, beta, structure, radii):
         # an all-zero stack takes any one cell as its support
         support = _bounding_box(stack.any(axis=0)) or ((0, 0),) * grid.dim
         fwd = _Forward()  # one forward spectrum per window, shared by radii that pad alike
-        box = view = None
+        box = view = last = None
         profiles = [[] for _ in index]
         for rho, member in zip(radii, members):
-            reach = tuple(slice(max(0, a - (s - 1 - o)), min(n, b + o + 1)) for (a, b), s, o, n
-                          in zip(support, member.mask.shape, member.origin, grid.cells))
-            if reach != box:  # one view per window: the holder keys on the array
-                box, view = reach, stack[(slice(None),) + reach]
-            # the scale is monotone, so the largest mean gives the largest
-            # value; the means are dropped before the next radius correlates
-            top = np.maximum(_member_means(view, None, member, fwd, window=(grid.cells, box))[0]
-                             .reshape(len(index), -1).max(axis=1), 0.0)
+            if member != last:
+                reach = tuple(slice(max(0, a - (s - 1 - o)), min(n, b + o + 1)) for (a, b), s, o, n
+                              in zip(support, member.mask.shape, member.origin, grid.cells))
+                if reach != box:  # one view per window: the holder keys on the array
+                    box, view = reach, stack[(slice(None),) + reach]
+                # the scale is monotone, so the largest mean gives the largest
+                # value; the means are dropped before the next radius correlates
+                top = np.maximum(_member_means(view, None, member, fwd,
+                                               window=(grid.cells, box))[0]
+                                 .reshape(len(index), -1).max(axis=1), 0.0)
+                last = member
             for profile, m in zip(profiles, rho ** beta * top ** (1.0 / p)):
                 profile.append((rho, m.item()))
         for i, profile in zip(index, profiles):
@@ -171,7 +175,9 @@ def _mixed_morrey_sup(field, p, q, beta, structure, radii, reversed_order=False)
     Standard order: inner x with exponent p, outer t with exponent q.
     Reversed: inner t with exponent q, outer x with exponent p.  Every
     cylinder holds its anchor cell, so a divergent cell of |f|^(inner
-    exponent) makes every kept radius inf.
+    exponent) makes every kept radius inf.  A radius whose x-ball (and, in
+    the reversed order, t-window) equals the last radius's reuses its ball
+    means.
     """
     grid = field.grid
     ht = grid.h[0]
@@ -180,6 +186,7 @@ def _mixed_morrey_sup(field, p, q, beta, structure, radii, reversed_order=False)
     arr, inf_mask = power_integrand(field, q if reversed_order else p)
     diverges = inf_mask.any()
     arr_fwd = _Forward()
+    last = None
     for rho in radii:
         wlen = max(1, int(round(rho ** 2 / ht)))
         if wlen > grid.cells[0]:
@@ -188,15 +195,19 @@ def _mixed_morrey_sup(field, p, q, beta, structure, radii, reversed_order=False)
         if diverges:
             m = np.inf
         elif not reversed_order:
-            # X(t,c) = slashed L_p over the ball at (t, c)
-            X, _ = _member_means(arr, None, member, arr_fwd)
-            Y = _window_sums(np.maximum(X, 0.0) ** (q / p), wlen) / wlen
+            if member != last:
+                # X(t,c) = (slashed L_p over the ball at (t, c))^(q/p)
+                X = np.maximum(_member_means(arr, None, member, arr_fwd)[0], 0.0) ** (q / p)
+                last = member
+            Y = _window_sums(X, wlen) / wlen
             m = float((rho ** beta * np.maximum(Y, 0.0) ** (1.0 / q)).max())
         else:
-            # U(tau, x) = slashed t-window average of |f|^q
-            U = np.maximum(_window_sums(arr, wlen) / wlen, 0.0)
-            V, _ = _member_means(U ** (p / q), None, member)
-            m = float((rho ** beta * np.maximum(V, 0.0) ** (1.0 / p)).max())
+            if (member, wlen) != last:
+                # U(tau, x) = slashed t-window average of |f|^q
+                U = np.maximum(_window_sums(arr, wlen) / wlen, 0.0)
+                V = np.maximum(_member_means(U ** (p / q), None, member)[0], 0.0)
+                last = member, wlen
+            m = float((rho ** beta * V ** (1.0 / p)).max())
         profile.append((rho, m))
         best = max(best, m)
     return best, profile
@@ -288,9 +299,12 @@ def bmo_seminorms(a_entries, rho, structure):
     shape = "ball" if all(k == 1 for k in structure.anisotropy) else "ellipsoid"
     strides = (4,) * grid.dim
     for a in a_entries:
+        last = None
         for r in radii:
-            osc = _mean_oscillation(a.values, member_offsets(grid, structure, r, shape), strides)
-            sharp = max(sharp, float(osc.max()))
+            member = member_offsets(grid, structure, r, shape)
+            if member != last:  # an equal member has an equal oscillation
+                sharp = max(sharp, float(_mean_oscillation(a.values, member, strides).max()))
+                last = member
     sharpsharp = 0.0
     if structure.parabolic:
         ht = grid.h[0]
@@ -298,14 +312,18 @@ def bmo_seminorms(a_entries, rho, structure):
         # mean deviation from the x-average profile, then averaged over t
         strides = (1,) + strides[1:]
         for a in a_entries:
+            last = None
             for r in radii:
                 wlen = max(1, int(round(r ** 2 / ht)))
                 if wlen > grid.cells[0]:
                     continue
                 ball = member_offsets(grid, structure, r, "ball_x")
-                # the x-ball as a one-row cylinder, keyed by the ball's key
-                cylinder = _Member(ball.mask[None], (0,) + ball.origin, ("row", ball.key))
-                dev = _mean_oscillation(a.values, cylinder, strides)
+                if ball != last:
+                    # the x-ball as a one-row cylinder, keyed by its cells
+                    row, origin = ball.mask[None], (0,) + ball.origin
+                    dev = _mean_oscillation(a.values, _Member(row, origin, _cell_key(row, origin)),
+                                            strides)
+                    last = ball
                 sharpsharp = max(sharpsharp, float((_window_sums(dev, wlen) / wlen).max()))
     return sharp, sharpsharp
 

@@ -139,18 +139,13 @@ def _kappa_ridge(grid, kappa, beta, h_deriv=1e-5):
     def f(t):
         return t ** (2.0 - beta) * _smooth_window(t, 1.0, 2.0, 3.0, 4.0)
 
-    def fp(t):
-        return (f(t + h_deriv) - f(t - h_deriv)) / (2 * h_deriv)
-
-    def fpp(t):
-        return (f(t + h_deriv) - 2 * f(t) + f(t - h_deriv)) / h_deriv ** 2
-
     d = grid.dim
     r = grid.radius()
     t = r / kappa
-    u = f(t)
-    fpv = fp(t)
-    fppv = fpp(t)
+    # f at the three points of the differences, each evaluated once
+    u, up, um = f(t), f(t + h_deriv), f(t - h_deriv)
+    fpv = (up - um) / (2 * h_deriv)
+    fppv = (up - 2 * u + um) / h_deriv ** 2
     with np.errstate(divide="ignore", invalid="ignore"):
         b_du = np.where(r > 0, np.abs(fpv) / (kappa * r), 0.0)
         radial = np.where(r > 0, fpv / (kappa * r), 0.0)

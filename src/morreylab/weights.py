@@ -168,9 +168,12 @@ def ap_constant(weight, p, structure, family=None, return_argmax=False):
     else:
         capped = np.where(np.isfinite(wv), wv, np.finfo(float).max)
     best = 1.0
-    arg = None
+    arg = last = None
     for rho in family.radii:
         box = member_offsets(grid, structure, rho, "box")
+        if box == last:  # an equal box gives an equal sup
+            continue
+        last = box
         w_q = _cube_means(w_cube, box)
         if p == 1:
             ess = _running_min(capped, box.mask.shape)
@@ -263,7 +266,7 @@ def reverse_holder(weight, p, structure, family=None, eps_grid=None):
         eps_grid = [0.05 * 2 ** j for j in range(7)]  # 0.05 .. 3.2
     cf = weight.field.meta.get("closed_form")
     w_cube = _cube_field(weight.field.values)
-    w_q = {}  # cube means of w, by radius: the same for every eps
+    w_q = {}  # cube means of w, by box: the same for every eps
     best = (0.0, 1.0)
     for eps in eps_grid:
         if cf is not None and cf[0] == "radial_power":
@@ -276,12 +279,16 @@ def reverse_holder(weight, p, structure, family=None, eps_grid=None):
         wpow_cube = _cube_field(wpow.values)
         sup = 1.0
         finite = True
+        last = None
         for rho in family.radii:
             box = member_offsets(grid, structure, rho, "box")
+            if box == last:  # an equal box gives an equal ratio
+                continue
+            last = box
             lhs = _cube_means(wpow_cube, box)
-            if rho not in w_q:
-                w_q[rho] = _cube_means(w_cube, box)
-            rhs = w_q[rho] ** (1 + eps)
+            if box not in w_q:
+                w_q[box] = _cube_means(w_cube, box)
+            rhs = w_q[box] ** (1 + eps)
             with np.errstate(invalid="ignore", divide="ignore"):
                 ratio = np.where(rhs > 0, lhs / rhs, np.inf)
             m = float(np.nanmax(ratio))

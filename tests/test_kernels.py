@@ -2,9 +2,10 @@
 member-sum correlation (box prefix sums or FFT, chosen from the stencil), the
 one FFT correlation behind it and behind every convolution of potentials,
 its fast transform lengths, the exact uniform member measure,
-the value-keyed member table and its bounded count table, the chunked
-mean-oscillation gather, and the max filter and block footprint behind the
-scatter of member values."""
+the member table of trimmed, cell-keyed records and its bounded count
+table, the chunked mean-oscillation gather, the max filter and block
+footprint behind the scatter of member values, and the radius loops' one
+member sum per distinct member."""
 
 import warnings
 
@@ -34,7 +35,8 @@ from morreylab.maximal import (
     classical_sharp,
     member_offsets,
 )
-from morreylab.norms import NormSpec, evaluate_norm
+from morreylab.norms import (NormSpec, _family_radii, _mixed_morrey_sup, _morrey_sup,
+                             bmo_seminorms, evaluate_norm)
 from morreylab.potentials import (KernelSpec, apply_kernel, apply_parabolic,
                                   elliptic_resolvent_kernel, parabolic_kernel_array,
                                   riesz_kernel_array)
@@ -265,17 +267,24 @@ def test_stencil_count_is_the_exact_uniform_measure(case):
     assert np.allclose(count, _correlate(np.ones(cells), member), rtol=0, atol=1e-9)
 
 
-def test_stencil_table_is_read_only_and_keyed_by_value():
+def test_stencil_table_is_read_only_and_records_are_keyed_by_their_cells():
     s = make_structure(2, (1, 1))
     a = member_offsets(make_grid(2, 1.0, 32), s, 0.3, "ball")
     assert not a.mask.flags.writeable
     with pytest.raises(ValueError):
         a.mask[0, 0] = True
+    assert a.key == (a.mask.shape, np.packbits(a.mask).tobytes(), a.origin)
     # two distinct but equal grids share one entry ...
     b = member_offsets(make_grid(2, 1.0, 32), s, 0.3, "ball")
     assert b is a and b.origin == a.origin
-    # ... while another radius or cell width is another entry
-    for other in (member_offsets(make_grid(2, 1.0, 32), s, 0.31, "ball"),
+    # ... another radius with the same cells is another entry but an equal
+    # record ...
+    same = member_offsets(make_grid(2, 1.0, 32), s, 0.31, "ball")
+    assert same is not a and same == a and hash(same) == hash(a)
+    assert np.array_equal(same.mask, a.mask) and same.origin == a.origin
+    # ... while other cells, from another radius or cell width, are another
+    # record
+    for other in (member_offsets(make_grid(2, 1.0, 32), s, 0.33, "ball"),
                   member_offsets(make_grid(2, 1.0, 64), s, 0.3, "ball")):
         assert other is not a and other != a and other.key != a.key
 
@@ -536,7 +545,8 @@ def test_ap_boxes_are_table_records_whose_spans_are_the_box(monkeypatch):
     assert box.origin == (2, 2) and box.mask.shape == (5, 5)
     assert not box.mask.flags.writeable and box.mask.all()
     assert box.spans == ((0, 4), (0, 4))
-    # every cube mean of weights reads a table box
+    # every cube mean of weights reads a table box, one mean of w and one of
+    # its dual per distinct box of the radius family
     seen = []
 
     def spying(weighted, dens, member, forward=None):
@@ -546,9 +556,14 @@ def test_ap_boxes_are_table_records_whose_spans_are_the_box(monkeypatch):
     monkeypatch.setattr(weights, "_member_means", spying)
     w = weights.power_weight(g, 0.5)
     weights.ap_constant(w, 2.0, s)
-    assert seen
+    radii = BallFamily.for_structure(s, g, shape="cube", rho_max=2.0 * min(g.half_extent)).radii
+    boxes = [member_offsets(g, s, rho, "box") for rho in radii]
+    distinct = [b for i, b in enumerate(boxes) if i == 0 or b != boxes[i - 1]]
+    assert len(distinct) < len(boxes)  # the family repeats a box
+    assert seen == [b for b in distinct for _ in range(2)]
     for member in seen:
-        assert member.key is not None and member.key[-1] == "box"
+        assert any(member is b for b in boxes)
+        assert member.key == (member.mask.shape, np.packbits(member.mask).tobytes(), member.origin)
         assert member.spans == tuple((0, n - 1) for n in member.mask.shape)
 
 
@@ -876,3 +891,234 @@ def test_fast_len_is_the_smallest_5_smooth_length():
     ordered = sorted(smooth)
     for n in range(1, 4097):
         assert _fast_len(n) == next(m for m in ordered if m >= n), n
+
+
+@settings(max_examples=300, deadline=None)
+@given(member_stencils())
+def test_table_stencils_have_no_empty_face(case):
+    # a table stencil is cut to the bounding box of its cells: along every
+    # axis its first and its last layer each hold a cell
+    member, _cells = case
+    mask = member.mask
+    for ax in range(mask.ndim):
+        assert np.take(mask, 0, axis=ax).any() and np.take(mask, -1, axis=ax).any()
+    assert mask[member.origin]
+
+
+def test_equal_cell_sets_give_equal_records_that_share_one_count():
+    # a ball of radius 2h, a cube of side 3h and the smallest box are the
+    # same 3 x 3 cells: equal records, one stored count and one footprint
+    g, s = make_grid(2, 1.0, 32), make_structure(2, (1, 1))
+    h = g.h[0]
+    records = [member_offsets(g, s, 2 * h, "ball"), member_offsets(g, s, 3 * h, "cube"),
+               member_offsets(g, s, h, "box")]
+    assert len({id(r) for r in records}) == 3
+    assert all(r == records[0] and hash(r) == hash(records[0]) for r in records)
+    assert records[0].mask.shape == (3, 3) and records[0].mask.all()
+    count = maximal._COUNTS.get(records[0], (20, 24))
+    stored = len(maximal._COUNTS.counts)
+    assert all(maximal._COUNTS.get(r, (20, 24)) is count for r in records)
+    assert len(maximal._COUNTS.counts) == stored
+    footprint = maximal._block_footprint(records[0], 2)
+    assert all(maximal._block_footprint(r, 2) is footprint for r in records)
+    # other cell sets are other records, with their own counts
+    for other in (member_offsets(g, s, 2.5 * h, "ball"), member_offsets(g, s, 5 * h, "cube"),
+                  member_offsets(g, s, 2.5 * h, "box")):
+        assert other != records[0] and other.key != records[0].key
+        assert maximal._COUNTS.get(other, (20, 24)) is not count
+
+
+def _distinct(keys):
+    """The keys that differ from the key before them: the member sums a
+    radius loop makes."""
+    return [k for i, k in enumerate(keys) if i == 0 or k != keys[i - 1]]
+
+
+def _recording(monkeypatch, module, name, pick):
+    """Replace module.name by a wrapper that records pick(args) of each call."""
+    calls, fn = [], getattr(module, name)
+
+    def wrapped(*args, **kwargs):
+        calls.append(pick(args))
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapped)
+    return calls
+
+
+# (dim, cells, anisotropy, shape) of the radius-loop cases: every one has
+# radii with equal members
+LOOP_CASES = [(1, 64, (1,), "ball"), (2, 24, (1, 1), "ball"), (2, 24, (2, 1), "cylinder"),
+              (2, 20, (1, 1), "cube"), (3, 10, (1, 1, 1), "cube")]
+
+
+def _loop_case(dim, cells, ks, shape, seed=0):
+    g, s = make_grid(dim, 1.0, cells), make_structure(dim, ks)
+    family = BallFamily.for_structure(s, g, shape=shape)
+    rng = np.random.default_rng([dim, seed])
+    f = Field(g, rng.standard_normal(g.cells) * rng.random(g.cells) ** 3)
+    members = [member_offsets(g, s, rho, shape) for rho in family.radii]
+    strides = [maximal._anchor_stride(g, rho, family.density) for rho in family.radii]
+    assert len(_distinct(members)) < len(members)
+    return g, s, family, f, members, strides
+
+
+@pytest.mark.parametrize("dim, cells, ks, shape", LOOP_CASES)
+@pytest.mark.parametrize("beta", [0.0, 0.5])
+def test_sup_of_means_sums_each_distinct_member_once(dim, cells, ks, shape, beta, monkeypatch):
+    # one member sum per distinct member; at beta 0 one scatter per distinct
+    # (member, stride), since an equal lattice adds nothing, else one per
+    # radius; M_w sums its density once per distinct member too
+    g, s, family, f, members, strides = _loop_case(dim, cells, ks, shape)
+    sums = _recording(monkeypatch, maximal, "_member_means", lambda a: a[2])
+    scatters = _recording(monkeypatch, maximal, "_scatter_max", lambda a: (a[1], a[2]))
+    classical_maximal(f, s, beta, family)
+    assert sums == _distinct(members)
+    pairs = list(zip(members, strides))
+    assert scatters == (_distinct(pairs) if beta == 0 else pairs)
+    sums.clear()
+    corr = _recording(monkeypatch, maximal, "_correlate", lambda a: a[1])
+    maximal.weighted_maximal(f, Field(g, 0.5 + np.abs(f.values)), s, family)
+    assert sums == _distinct(members)
+    assert corr == [m for m in _distinct(members) for _ in range(2)]
+
+
+@pytest.mark.parametrize("dim, cells, ks, shape", LOOP_CASES)
+def test_classical_sharp_oscillates_each_distinct_member_and_stride_once(dim, cells, ks, shape,
+                                                                        monkeypatch):
+    g, s, family, f, members, strides = _loop_case(dim, cells, ks, shape)
+    oscs = _recording(monkeypatch, maximal, "_mean_oscillation", lambda a: (a[1], a[2][0]))
+    classical_sharp(f, s, family)
+    assert oscs == _distinct(list(zip(members, strides)))
+
+
+@pytest.mark.parametrize("dim, cells, ks, shape", [c for c in LOOP_CASES if c[3] != "cube"])
+def test_morrey_sup_sums_each_distinct_member_once(dim, cells, ks, shape, monkeypatch):
+    # a Morrey sup takes the structure's own shape, so no cube case
+    from morreylab import norms
+
+    g, s, family, f, members, _strides = _loop_case(dim, cells, ks, shape)
+    sums = _recording(monkeypatch, norms, "_member_means", lambda a: a[2])
+    norms._morrey_sup([f], 2.0, 0.5, s, family.radii)
+    assert sums == _distinct(members)
+
+
+@pytest.mark.parametrize("reversed_order", [False, True])
+def test_mixed_morrey_sup_sums_each_distinct_ball_once(reversed_order, monkeypatch):
+    # the standard order sums each distinct x-ball once; the reversed order
+    # averages over t first, so it sums each distinct (x-ball, t-window)
+    from morreylab import norms
+
+    g, s = make_grid(2, 1.0, (48, 40)), make_structure(2, (2, 1))
+    f = Field(g, np.random.default_rng(2).standard_normal(g.cells))
+    radii = _family_radii(g, s)
+    kept = [(r, max(1, int(round(r ** 2 / g.h[0])))) for r in radii]
+    kept = [(member_offsets(g, s, r, "ball_x"), w) for r, w in kept if w <= g.cells[0]]
+    want = _distinct(kept) if reversed_order else _distinct([m for m, _w in kept])
+    assert len(want) < len(kept)
+    sums = _recording(monkeypatch, norms, "_member_means", lambda a: a[2])
+    _mixed_morrey_sup(f, 1.5, 3.0, 0.5, s, radii, reversed_order=reversed_order)
+    assert sums == ([m for m, _w in want] if reversed_order else want)
+
+
+@pytest.mark.parametrize("ks", [(1, 1), (2, 1)])
+def test_bmo_seminorms_oscillate_each_distinct_member_once(ks, monkeypatch):
+    from morreylab import norms
+
+    # a# oscillates over each distinct ball (or ellipsoid) of each entry
+    # once, and a## over each distinct x-ball, as a one-row cylinder
+    g, s = make_grid(2, 1.0, 32), make_structure(2, ks)
+    a = Field(g, 1.0 + np.random.default_rng(4).random(g.cells))
+    radii = _family_radii(g, s, 0.6)
+    shape = "ball" if ks == (1, 1) else "ellipsoid"
+    balls = _distinct([member_offsets(g, s, r, shape) for r in radii])
+    rows = _distinct([member_offsets(g, s, r, "ball_x") for r in radii
+                      if max(1, int(round(r ** 2 / g.h[0]))) <= g.cells[0]]
+                     if s.parabolic else [])
+    assert len(balls) < len(radii)
+    oscs = _recording(monkeypatch, norms, "_mean_oscillation", lambda a: a[1])
+    bmo_seminorms([a, a], 0.6, s)
+    assert oscs[:2 * len(balls)] == 2 * balls
+    cylinders = oscs[2 * len(balls):]
+    assert len(cylinders) == 2 * len(rows)
+    for cylinder, ball in zip(cylinders, 2 * rows):
+        assert cylinder.mask.shape == (1,) + ball.mask.shape
+        assert np.array_equal(cylinder.mask[0], ball.mask)
+        assert cylinder.origin == (0,) + ball.origin
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0])
+def test_ap_loops_sum_each_distinct_box_once(p, monkeypatch):
+    from morreylab import weights
+
+    g, s = make_grid(2, 1.0, 24), make_structure(2, (1, 1))
+    w = weights.Weight(Field(g, 0.2 + np.random.default_rng(6).random(g.cells) ** 3))
+    family = BallFamily.for_structure(s, g, shape="cube", rho_max=2.0 * min(g.half_extent))
+    boxes = _distinct([member_offsets(g, s, rho, "box") for rho in family.radii])
+    assert len(boxes) < len(family.radii)
+    sums = _recording(monkeypatch, weights, "_member_means", lambda a: a[2])
+    mins = _recording(monkeypatch, weights, "_running_min", lambda a: a[1])
+    weights.ap_constant(w, p, s)
+    assert sums == [b for b in boxes for _ in range(1 if p == 1 else 2)]
+    assert mins == ([b.mask.shape for b in boxes] if p == 1 else [])
+    # reverse Holder: one mean of w^(1+eps) per distinct box and eps, and one
+    # of w per distinct box for every eps
+    means = _recording(monkeypatch, weights, "_cube_means", lambda a: a[1])
+    weights.reverse_holder(w, p, s, eps_grid=[0.1, 0.2])
+    assert means == [b for b in boxes for _ in range(2)] + boxes
+
+
+def _per_radius_max(fn, radii):
+    """np.maximum over one evaluation per radius, each with no radius to
+    reuse: the reference of a radius loop's sup."""
+    return np.maximum.reduce([fn(rho) for rho in radii])
+
+
+@pytest.mark.parametrize("dim, cells, ks, shape", LOOP_CASES)
+def test_radius_loops_are_bit_identical_to_one_radius_at_a_time(dim, cells, ks, shape):
+    g, s, family, f, _members, _strides = _loop_case(dim, cells, ks, shape, seed=1)
+
+    def alone(rho):
+        return BallFamily((rho,), family.shape, family.density)
+
+    for beta in (0.0, 0.5):
+        want = _per_radius_max(lambda r: classical_maximal(f, s, beta, alone(r)).values,
+                               family.radii)
+        assert np.array_equal(classical_maximal(f, s, beta, family).values, want)
+    want = _per_radius_max(lambda r: classical_sharp(f, s, alone(r)).values, family.radii)
+    assert np.array_equal(classical_sharp(f, s, family).values, want)
+    w = Field(g, 0.5 + np.abs(f.values))
+    want = _per_radius_max(lambda r: maximal.weighted_maximal(f, w, s, alone(r)).values,
+                           family.radii)
+    assert np.array_equal(maximal.weighted_maximal(f, w, s, family).values, want)
+    if shape == maximal._member_shape(s):
+        (best, profile), = _morrey_sup([f], 2.0, 0.5, s, family.radii)
+        assert profile == [_morrey_sup([f], 2.0, 0.5, s, (r,))[0][1][0] for r in family.radii]
+        assert best == max(m for _r, m in profile)
+
+
+@pytest.mark.parametrize("reversed_order", [False, True])
+def test_mixed_morrey_profile_is_bit_identical_to_one_radius_at_a_time(reversed_order):
+    g, s = make_grid(2, 1.0, (48, 40)), make_structure(2, (2, 1))
+    f = Field(g, np.random.default_rng(3).standard_normal(g.cells))
+    radii = _family_radii(g, s)
+    best, profile = _mixed_morrey_sup(f, 1.5, 3.0, 0.5, s, radii, reversed_order)
+    want = [m for r in radii for m in _mixed_morrey_sup(f, 1.5, 3.0, 0.5, s, (r,),
+                                                        reversed_order)[1]]
+    assert profile == want and best == max(m for _r, m in want)
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
+def test_ap_constant_is_bit_identical_to_one_radius_at_a_time(p):
+    from morreylab import weights
+
+    g, s = make_grid(2, 1.0, 24), make_structure(2, (1, 1))
+    w = weights.Weight(Field(g, 0.2 + np.random.default_rng(7).random(g.cells) ** 3))
+    family = BallFamily.for_structure(s, g, shape="cube", rho_max=2.0 * min(g.half_extent))
+    best, arg = 1.0, None
+    for rho in family.radii:
+        m, at = weights.ap_constant(w, p, s, BallFamily((rho,), "cube", family.density),
+                                    return_argmax=True)
+        if m > best:
+            best, arg = m, at
+    assert weights.ap_constant(w, p, s, family, return_argmax=True) == (best, arg)

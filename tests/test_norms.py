@@ -463,8 +463,9 @@ def _batch_fields(g, p):
 @pytest.mark.parametrize("stack_bytes", [None, "two"])
 def test_stacked_morrey_sup_is_one_call_per_field(case, stack_bytes, monkeypatch):
     # a stack's (best, profile) is bit-identical to one call per field; a
-    # divergent field reads inf at every radius and joins no stack, and the
-    # byte cap splits the others into stacks
+    # divergent field reads inf at every radius and joins no stack, the
+    # byte cap splits the others into stacks, and each stack correlates
+    # once per distinct member of the radii
     from morreylab import maximal, norms
     from morreylab.maximal import _spectrum_bytes
     from morreylab.norms import _morrey_sup
@@ -474,10 +475,11 @@ def test_stacked_morrey_sup_is_one_call_per_field(case, stack_bytes, monkeypatch
                "cylinder": (make_grid(2, (1.0, 1.0), (24, 20)), SP, 3.0)}[case]
     fields = _batch_fields(g, p)
     radii = BallFamily.for_structure(s, g).radii
+    members = [member_offsets(g, s, rho, maximal._member_shape(s)) for rho in radii]
+    distinct = [m for i, m in enumerate(members) if i == 0 or m != members[i - 1]]
     alone = [_morrey_sup([f], p, 0.7, s, radii)[0] for f in fields]
     assert alone[2] == (math.inf, [(rho, math.inf) for rho in radii])
     if stack_bytes == "two":  # room for the spectra of two fields
-        members = [member_offsets(g, s, rho, maximal._member_shape(s)) for rho in radii]
         monkeypatch.setattr(norms, "_STACK_BYTES",
                             2 * max(_spectrum_bytes(g.cells, m) for m in members))
     stacks = []
@@ -492,9 +494,10 @@ def test_stacked_morrey_sup_is_one_call_per_field(case, stack_bytes, monkeypatch
     monkeypatch.setattr(maximal, "_fft_correlate", counting(maximal._fft_correlate))
     monkeypatch.setattr(maximal, "_box_sum", counting(maximal._box_sum))
     assert _morrey_sup(fields, p, 0.7, s, radii) == alone
-    # one correlation per radius and stack, none for the divergent field
+    # one correlation per distinct member and stack, none for the divergent
+    # field
     sizes = [5] if stack_bytes is None else [2, 2, 1]
-    assert stacks == [n for n in sizes for _ in radii]
+    assert stacks == [n for n in sizes for _ in distinct]
 
 
 def _direct_profile(f, p, beta, structure, radii):

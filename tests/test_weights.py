@@ -90,14 +90,18 @@ def test_ap_constant_with_a_density_matches_brute_force(p):
 def test_ap_constant_keeps_one_table_per_field_across_radii(monkeypatch):
     # one ap_constant call masks each field once and keeps one holder per
     # array across radii: one summed-area table per array (w with its
-    # non-finite values zeroed, their mask, the dual) and summed axis, and
-    # every cube mean bit for bit the one made without holders
+    # non-finite values zeroed, their mask, the dual) and summed axis, one
+    # cube mean of w and of the dual per distinct box, and every cube mean
+    # bit for bit the one made without holders
     from morreylab import maximal, weights
 
     g, s = make_grid(2, 1.0, 32), make_structure(2, (1, 1))
     w = power_weight(g, -2.5)  # its singular cell is not integrable: +inf
     assert np.isinf(w.field.values).sum() == 1
     radii = BallFamily.for_structure(s, g, shape="cube", rho_max=2.0).radii
+    boxes = [member_offsets(g, s, rho, "box") for rho in radii]
+    distinct = [b for i, b in enumerate(boxes) if i == 0 or b != boxes[i - 1]]
+    assert len(distinct) < len(radii)  # the family repeats a box
     table, cube_means = maximal._Forward.table, weights._cube_means
 
     def run():
@@ -119,13 +123,13 @@ def test_ap_constant_keeps_one_table_per_field_across_radii(monkeypatch):
     monkeypatch.setattr(maximal._Forward, "table", asking)
     held, held_means = run()
     arrays = {(id(values), ax) for values, ax, _ in asks}
-    assert len(arrays) == 3 and len(asks) == 3 * len(radii)
+    assert len(arrays) == 3 and len(asks) == 3 * len(distinct)
     assert len({id(c) for _, _, c in asks}) == len(arrays)
     monkeypatch.setattr(weights, "_Forward", lambda: None)
     asks.clear()
     alone, alone_means = run()
     assert not asks and held == alone
-    assert len(held_means) == 2 * len(radii)
+    assert len(held_means) == 2 * len(distinct)
     assert all(np.array_equal(a, b) for a, b in zip(held_means, alone_means))
 
 
