@@ -267,12 +267,13 @@ def test_stencil_count_is_the_exact_uniform_measure(case):
     assert np.allclose(count, _correlate(np.ones(cells), member), rtol=0, atol=1e-9)
 
 
-def test_stencil_table_is_read_only_and_records_are_keyed_by_their_cells():
+def test_stencil_table_is_read_only_and_keyed_by_value():
     s = make_structure(2, (1, 1))
     a = member_offsets(make_grid(2, 1.0, 32), s, 0.3, "ball")
     assert not a.mask.flags.writeable
     with pytest.raises(ValueError):
         a.mask[0, 0] = True
+    # the value a record is keyed by is its cell set
     assert a.key == (a.mask.shape, np.packbits(a.mask).tobytes(), a.origin)
     # two distinct but equal grids share one entry ...
     b = member_offsets(make_grid(2, 1.0, 32), s, 0.3, "ball")
@@ -465,13 +466,20 @@ def test_equal_grids_give_one_record_and_one_stored_count():
 
 
 def test_a_stored_count_survives_the_member_table_eviction():
+    # the count is keyed by the record's cells, not by the record: a record
+    # rebuilt after the eviction, and one of another radius with the same
+    # cells, read the stored count
     s = make_structure(2, (1, 1))
     member = member_offsets(make_grid(2, 1.0, 32), s, 0.35, "cylinder")
     count = maximal._COUNTS.get(member, (16, 18))
     maximal._member.cache_clear()
     rebuilt = member_offsets(make_grid(2, 1.0, 32), s, 0.35, "cylinder")
     assert rebuilt is not member and rebuilt == member
+    assert rebuilt.key == (member.mask.shape, np.packbits(member.mask).tobytes(), member.origin)
     assert maximal._COUNTS.get(rebuilt, (16, 18)) is count
+    nearby = member_offsets(make_grid(2, 1.0, 32), s, 0.34, "cylinder")
+    assert nearby is not rebuilt and nearby == rebuilt
+    assert maximal._COUNTS.get(nearby, (16, 18)) is count
 
 
 def test_a_keyless_record_is_counted_but_never_stored():
