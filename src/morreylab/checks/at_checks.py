@@ -30,12 +30,12 @@ def _random_path(rng, nt, d, delta):
 
 
 def _sdelta_pairs(rng, n, delta):
-    """n stacked pairs (a, u): a as random_sdelta(rng, 3, delta) builds it,
-    u a symmetrised normal 3x3.  Each pair is drawn in the order a loop over
-    random_sdelta and rng.normal draws it, so the stream is the same."""
-    draws = [(rng.normal(size=(3, 3)), rng.uniform(delta, 1.0 / delta, size=3),
-              rng.normal(size=(3, 3))) for _ in range(n)]
-    g, ev, u = (np.array(x) for x in zip(*draws))
+    """n stacked pairs (a, u): a built from its draws as random_sdelta builds
+    it, u a symmetrised normal 3x3.  The draws are three stacked calls: the
+    n normal 3x3 of a, its n eigenvalue triples, then the n normal 3x3 of u."""
+    g = rng.normal(size=(n, 3, 3))
+    ev = rng.uniform(delta, 1.0 / delta, size=(n, 3))
+    u = rng.normal(size=(n, 3, 3))
     return _sdelta_from_draws(g, ev), 0.5 * (u + np.swapaxes(u, 1, 2))
 
 

@@ -179,7 +179,7 @@ def _member(hs, ks, nu0, rho, shape):
     return _Member(mask, origin, _cell_key(mask, origin))
 
 
-def _correlate(values, member, forward=None):
+def _correlate(values, member, forward=None, span=None):
     """corr(c) = sum_{o in stencil} values(c + o), zero outside the domain,
     over the trailing stencil.ndim axes of values for the stencil of a
     _Member; leading axes are a batch.
@@ -187,14 +187,17 @@ def _correlate(values, member, forward=None):
     A stencil that fills its bounding box (cubes, boxes, intervals, 1+1-D
     cylinders, the smallest balls) is summed exactly by _box_sum from the
     record's fill spans; any other shape goes through _fft_correlate.  Both
-    take `forward`.
+    take `forward`, and `span`, the anchors kept along each stencil axis
+    (as in _fft_correlate).
     """
     if member.spans is None:
-        return _fft_correlate(values, member.mask, member.origin, forward)
-    batch = [(0, 0)] * (values.ndim - member.mask.ndim)
-    return _box_sum(values, batch + [(a - o, b - o) for (a, b), o in zip(member.spans,
-                                                                          member.origin)],
-                    forward)
+        return _fft_correlate(values, member.mask, member.origin, forward, span)
+    batch = values.shape[:values.ndim - member.mask.ndim]
+    bounds = [(0, 0)] * len(batch) + [(a - o, b - o) for (a, b), o in zip(member.spans,
+                                                                          member.origin)]
+    if span is not None:
+        span = [(0, n) for n in batch] + list(span)
+    return _box_sum(values, bounds, forward, span)
 
 
 class _Forward:
@@ -223,11 +226,18 @@ class _Forward:
     def rfftn(self, values, lens, axes):
         return self._keep(values, lens, lambda: np.fft.rfftn(values, s=lens, axes=axes))
 
-    def table(self, values, ax):
+    def table(self, values, ax, pre, post):
         """(pre, c) of _summed_table along ax, extended by the axis length
-        m past each end: it serves every window of a box sum of values."""
+        m past each end, which serves every window of a box sum of values
+        over its own anchors, or by as far as a call's span reaches, if
+        that is further; a span that reaches past the held table remakes it."""
         m = values.shape[ax]
-        return self._keep(values, ("table", ax), lambda: _summed_table(values, ax, m, m))
+        if values is self.values and self.key == ("table", ax):
+            held, c = self.array
+            if held < pre or c.shape[ax] - held - m - 1 < post:
+                self.key = None
+        ext = max(m, pre, post)
+        return self._keep(values, ("table", ax), lambda: _summed_table(values, ax, ext, ext))
 
 
 @functools.lru_cache(maxsize=1024)
@@ -245,11 +255,15 @@ def _fast_len(n):
     return best
 
 
-def _transform_lens(cells, shape, origin):
+def _transform_lens(cells, shape, origin, span=None):
     """Per-axis transform lengths of _fft_correlate for a kernel of the given
-    shape and origin: n + max(origin, s - 1 - origin), rounded up to
-    _fast_len."""
-    return tuple(_fast_len(n + max(o, s - 1 - o)) for n, s, o in zip(cells, shape, origin))
+    shape and origin, keeping the anchors [lo, hi) of `span` (None: the
+    cells): max(hi - 1 + s - 1 - origin, n - 1 + origin - lo) + 1, rounded
+    up to _fast_len.  At that length no nonzero output of the linear
+    correlation wraps onto a kept one; with no span it is
+    n + max(origin, s - 1 - origin)."""
+    return tuple(_fast_len(max(hi - 1 + s - 1 - o, n - 1 + o - lo) + 1) for n, s, o, (lo, hi)
+                 in zip(cells, shape, origin, span or [(0, n) for n in cells]))
 
 
 def _spectrum_bytes(cells, member):
@@ -259,26 +273,28 @@ def _spectrum_bytes(cells, member):
     return 16 * math.prod(lens[:-1]) * (lens[-1] // 2 + 1)
 
 
-def _fft_correlate(values, kernel, origin, forward=None):
+def _fft_correlate(values, kernel, origin, forward=None, span=None):
     """corr(c) = sum_k kernel[k] values(c + k - origin) over the trailing
     kernel.ndim axes of values, zero outside the domain; leading axes are a
-    batch.  Any real kernel.
+    batch.  Any real kernel.  The anchors c kept are those of `span`, one
+    (lo, hi) pair per kernel axis relative to index 0 of values, which may
+    reach past either end; None keeps the cells of values.
 
-    One linear correlation by numpy.fft.  Each axis is padded only as far as
-    the longer side of the kernel reaches, n + max(origin, s - 1 - origin),
-    rounded up to _fast_len, and the kernel spectrum is pruned: one axis at
-    a time, last to first, so each pass transforms only the lines the kernel
-    (or its partial transform) occupies.  Kernel entries past the transform
-    length meet only padding.  A _Forward holder passed as `forward` keeps
-    the forward spectrum of values for the next call at the same shape.
-    The product overwrites the kernel spectrum, which is this call's own,
-    unless batch axes broadcast it, and every complex inverse pass runs in
-    place; each crops its axis to the cells kept, so the next pass
-    transforms only their lines.
+    One linear correlation by numpy.fft.  Each axis is transformed at the
+    shortest length at which no nonzero output wraps onto a kept anchor
+    (_transform_lens), and the kernel spectrum is pruned: one axis at a
+    time, last to first, so each pass transforms only the lines the kernel
+    (or its partial transform) occupies.  Kernel entries or values past the
+    transform length reach no kept anchor.  A _Forward holder passed as
+    `forward` keeps the forward spectrum of values for the next call at the
+    same lengths.  The product overwrites the kernel spectrum, which is this
+    call's own, unless batch axes broadcast it, and every complex inverse
+    pass runs in place; each crops its axis to the anchors kept, so the next
+    pass transforms only their lines.
     """
     axes = tuple(range(values.ndim - kernel.ndim, values.ndim))
     cells = values.shape[axes[0]:]
-    lens = _transform_lens(cells, kernel.shape, origin)
+    lens = _transform_lens(cells, kernel.shape, origin, span)
     spec = np.fft.rfft(np.flip(kernel), n=lens[-1], axis=-1)
     for ax in range(kernel.ndim - 2, -1, -1):
         spec = np.fft.fft(spec, n=lens[ax], axis=ax)
@@ -288,8 +304,12 @@ def _fft_correlate(values, kernel, origin, forward=None):
     # dtype: a batch of more than one broadcasts it
     same = fwd.shape == spec.shape and fwd.dtype == spec.dtype
     spec = np.multiply(fwd, spec, out=spec if same else None)
-    # corr(c) sits at index c + (s - 1 - origin) of the linear convolution
-    keep = [slice(s - 1 - o, s - 1 - o + n) for s, o, n in zip(kernel.shape, origin, cells)]
+    # corr(c) sits at index c + (s - 1 - origin) of the linear correlation,
+    # modulo the length: an anchor before that index's 0 reads it wrapped
+    keep = []
+    for s, o, (lo, hi), m in zip(kernel.shape, origin, span or [(0, n) for n in cells], lens):
+        first, end = lo + s - 1 - o, hi + s - 1 - o
+        keep.append(slice(first, end) if first >= 0 else np.arange(first, end) % m)
     for ax, m, k in zip(axes[:-1], lens, keep):
         spec = np.fft.ifft(spec, n=m, axis=ax, out=spec)[(slice(None),) * ax + (k,)]
     return np.fft.irfft(spec, n=lens[-1], axis=-1)[..., keep[-1]]
@@ -356,39 +376,44 @@ def _summed_table(arr, ax, pre, post):
     return pre, c
 
 
-def _prefix_diff(arr, ax, lo, w, n, step=1, table=None):
+def _prefix_diff(arr, ax, lo, w, n, step=1, table=_summed_table):
     """d[i] = sum of arr[j:j + w] along axis ax, j = lo + step * i for i < n
     (step 1 or -1), each range clipped to [0, m], from one summed-area table
-    (_summed_table) of arr along ax.
+    of arr along ax.
 
     The table reaches past each end as far as the windows do, so both ends
     of every window are plain slices of it, read backwards when step is -1.
-    It is `table`, a _Forward holder's, when one is given, else one only as
-    long as the windows need.
+    `table(arr, ax, pre, post)` gives it, with at least pre and post cells
+    of extension: _summed_table makes one only as long as the windows need,
+    and a _Forward holder's table keeps one across calls.
     """
     m, lead = arr.shape[ax], (slice(None),) * ax
     first = lo if step > 0 else lo - n + 1  # the smallest window start
     # a start below -n or past m reads the same ends as one at -n or m
     a, b = (min(max(j, -n), m) for j in (first, first + w))
-    pre, c = table or _summed_table(arr, ax, max(0, -a), max(0, b + n - 1 - m))
+    pre, c = table(arr, ax, max(0, -a), max(0, b + n - 1 - m))
     ends, starts = (c[lead + (slice(pre + j, pre + j + n),)] for j in (b, a))
     if step < 0:
         ends, starts = np.flip(ends, ax), np.flip(starts, ax)
     return ends - starts
 
 
-def _box_sum(values, bounds, forward=None):
+def _box_sum(values, bounds, forward=None, span=None):
     """box(c) = sum of values(c + o) over lo_i <= o_i <= hi_i, zero outside
     the domain, by separable prefix sums (summed-area tables).  bounds holds
-    one (lo, hi) pair per axis; an axis with lo == hi == 0 is skipped.  In
-    a radius loop `forward` is the _Forward holder of values, whose table
-    serves the first summed axis."""
+    one (lo, hi) pair per axis; an axis with lo == hi == 0 is skipped unless
+    `span` cuts it.  The anchors c kept are those of `span`, one (first,
+    end) pair per axis relative to index 0 of values, which may reach past
+    either end; None keeps the cells of values.  In a radius loop `forward`
+    is the _Forward holder of values, whose table serves the first summed
+    axis."""
     out = values
     for ax, (lo, hi) in enumerate(bounds):
-        if lo == hi == 0:
+        first, end = span[ax] if span else (0, values.shape[ax])
+        if lo == hi == 0 and (first, end) == (0, values.shape[ax]):
             continue
-        table = forward.table(values, ax) if forward is not None and out is values else None
-        out = _prefix_diff(out, ax, lo, hi - lo + 1, out.shape[ax], table=table)
+        table = forward.table if forward is not None and out is values else _summed_table
+        out = _prefix_diff(out, ax, first + lo, hi - lo + 1, end - first, table=table)
     return out
 
 
@@ -494,15 +519,17 @@ def _member_means(weighted, dens, member, forward=None, dens_forward=None, windo
     count carries none and broadcasts over them.  An empty member has mean
     0.
 
-    On dx, `window` = (cells, box) says that weighted is the box (a tuple of
-    slices) of a grid of shape `cells` that is zero outside it: the means
-    are those of the anchors in the box, over members clipped to the whole
-    grid, so the count is the grid's, read on the box alone."""
-    num = _correlate(weighted, member, forward)
+    On dx, `window` = (cells, start, span) says that weighted is the part of
+    a grid of shape `cells` from index `start` on, and that the grid is zero
+    outside it: the means are those of the anchors start + span (as in
+    _correlate; the span stays in the grid), over members clipped to the
+    whole grid, so the count is the grid's, read on those anchors alone."""
+    cells, start, span = window or (weighted.shape[weighted.ndim - member.mask.ndim:], (), None)
+    num = _correlate(weighted, member, forward, span)
     if dens is not None:
         den = _correlate(dens, member, dens_forward)
     else:
-        cells, box = window or (weighted.shape[weighted.ndim - member.mask.ndim:], ())
+        box = tuple(slice(a + lo, a + hi) for a, (lo, hi) in zip(start, span or ()))
         den = _COUNTS.get(member, cells, box)
         if member.mask[member.origin]:  # every member holds its anchor cell: den >= 1
             return num / den, den

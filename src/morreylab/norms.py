@@ -100,14 +100,18 @@ def _morrey_sup(fields, p, beta, structure, radii):
     holds its anchor cell, so a field with a divergent cell reads inf at
     every radius and joins no stack.
 
-    A stack is correlated only over the window of anchors whose members
-    reach its support, the bounding box [a_i, b_i] of its nonzero cells:
-    along axis i, a stencil of extent s_i and origin o_i reaches it from
-    the anchors in [a_i - (s_i - 1 - o_i), b_i + o_i].  The window holds the
-    support, so its correlation is exact; an anchor outside it has mean 0,
-    which the clamp at 0 covers.  So fields whose supports differ widely are
-    best not stacked.  A radius whose member equals the last radius's
-    reuses its largest means; the profile still lists every radius."""
+    A stack is cut once to its support, the bounding box [a_i, b_i] of its
+    nonzero cells, and each radius keeps only the window of anchors whose
+    members reach it: along axis i, a stencil of extent s_i and origin o_i
+    reaches it from the anchors in [a_i - (s_i - 1 - o_i), b_i + o_i], cut
+    to the grid.  That window is the correlation's span, so its transforms
+    are as long as the support and the window need (_transform_lens), and
+    one forward spectrum of the support serves every radius of equal
+    lengths.  An anchor outside the window has mean 0, which the clamp at 0
+    covers.  So fields whose supports differ widely are best not stacked.
+    A stack whose support is the grid keeps every anchor.  A radius whose
+    member equals the last radius's reuses its largest means; the profile
+    still lists every radius."""
     grid = fields[0].grid
     shape = _member_shape(structure)
     members = [member_offsets(grid, structure, rho, shape) for rho in radii]
@@ -122,19 +126,20 @@ def _morrey_sup(fields, p, beta, structure, radii):
         del chunk, arrs
         # an all-zero stack takes any one cell as its support
         support = _bounding_box(stack.any(axis=0)) or ((0, 0),) * grid.dim
-        fwd = _Forward()  # one forward spectrum per window, shared by radii that pad alike
-        box = view = last = None
+        start = tuple(a for a, _b in support)
+        values = stack[(slice(None),) + tuple(slice(a, b + 1) for a, b in support)]
+        fwd = _Forward()  # one forward spectrum of values, shared by radii of equal lengths
+        last = None
         profiles = [[] for _ in index]
         for rho, member in zip(radii, members):
             if member != last:
-                reach = tuple(slice(max(0, a - (s - 1 - o)), min(n, b + o + 1)) for (a, b), s, o, n
-                              in zip(support, member.mask.shape, member.origin, grid.cells))
-                if reach != box:  # one view per window: the holder keys on the array
-                    box, view = reach, stack[(slice(None),) + reach]
+                # the window's anchors, relative to the support's first cell
+                span = tuple((max(-a, -(s - 1 - o)), min(n - a, b - a + o + 1)) for (a, b), s, o, n
+                             in zip(support, member.mask.shape, member.origin, grid.cells))
                 # the scale is monotone, so the largest mean gives the largest
                 # value; the means are dropped before the next radius correlates
-                top = np.maximum(_member_means(view, None, member, fwd,
-                                               window=(grid.cells, box))[0]
+                top = np.maximum(_member_means(values, None, member, fwd,
+                                               window=(grid.cells, start, span))[0]
                                  .reshape(len(index), -1).max(axis=1), 0.0)
                 last = member
             for profile, m in zip(profiles, rho ** beta * top ** (1.0 / p)):

@@ -109,22 +109,18 @@ def solve_heat(f, lam, a_of_t=None, delta=None):
     return heat_resolvent_modewise(f, lam, a_of_t=a_of_t, delta=delta)
 
 
-def spectral_derivative_fields(u, structure):
-    """(Du list, D2 matrix, lap, ut or None), spectral on the periodic grid.
-
-    One rfftn and one irfftn per output; d2[j][i] is the array d2[i][j].
-    Each output is the real part of the complex-transform derivative: a
-    first-order factor is 0 at the Nyquist index, and so is an off-diagonal
-    D2 factor where exactly one of its two axes is there.
-    """
+def _spectral_pass(u, structure):
+    """(xaxes, ks, odd, back) of one spectral derivative pass of u: the
+    space axes, the wavenumbers on the half spectrum of rfftn, each with its
+    Nyquist entry (cells are even) set to 0 in odd, and back(factor), the
+    irfftn of the spectrum of u times factor."""
     grid = u.grid
     if not grid.periodic:
         raise ValueError("spectral_derivative_fields needs a periodic grid")
-    parab = structure is not None and structure.parabolic
-    xaxes = _xaxes(grid, parab)
+    xaxes = _xaxes(grid, structure is not None and structure.parabolic)
     ks = _wavenumbers(grid, range(grid.dim))
     ks[-1] = ks[-1][..., : grid.cells[-1] // 2 + 1]  # the half spectrum of rfftn
-    odd = []  # each k with its Nyquist entry (cells are even) set to 0
+    odd = []
     for k, n in zip(ks, grid.cells):
         k = k.copy()
         k.flat[n // 2] = 0.0
@@ -134,6 +130,18 @@ def spectral_derivative_fields(u, structure):
     def back(factor):
         return np.fft.irfftn(uh * factor, s=grid.cells, axes=range(grid.dim))
 
+    return xaxes, ks, odd, back
+
+
+def spectral_derivative_fields(u, structure):
+    """(Du list, D2 matrix, lap, ut or None), spectral on the periodic grid.
+
+    One rfftn and one irfftn per output; d2[j][i] is the array d2[i][j].
+    Each output is the real part of the complex-transform derivative: a
+    first-order factor is 0 at the Nyquist index, and so is an off-diagonal
+    D2 factor where exactly one of its two axes is there.
+    """
+    xaxes, ks, odd, back = _spectral_pass(u, structure)
     du = [back(1j * odd[a]) for a in xaxes]
     d2 = [[None] * len(xaxes) for _ in xaxes]
     for i, a in enumerate(xaxes):
@@ -143,8 +151,14 @@ def spectral_derivative_fields(u, structure):
             both_nyquist = (ks[a] - odd[a]) * (ks[b] - odd[b])
             d2[i][j] = d2[j][i] = back(-(odd[a] * odd[b] + both_nyquist))
     lap = sum(d2[i][i] for i in range(len(xaxes)))
-    ut = back(1j * odd[0]) if parab else None
+    ut = back(1j * odd[0]) if structure is not None and structure.parabolic else None
     return du, d2, lap, ut
+
+
+def _spectral_gradient(u, structure):
+    """The Du list of spectral_derivative_fields alone, by the same pass."""
+    xaxes, _ks, odd, back = _spectral_pass(u, structure)
+    return [back(1j * odd[a]) for a in xaxes]
 
 
 def apply_operator(u, op, structure):
@@ -198,7 +212,7 @@ def solve_drift(f, lam, b, structure, max_iter=40):
         return solve_laplace(src, lam)
 
     def bdotgrad(u):
-        du, _, _, _ = spectral_derivative_fields(u, structure)
+        du = _spectral_gradient(u, structure)
         acc = np.zeros(grid.cells)
         for bi, di in zip(b, du):
             acc += bi.values * di

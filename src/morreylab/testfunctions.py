@@ -55,7 +55,7 @@ def _random_band(grid, kmax=4, seed=0, mean_zero=True):
     rng = np.random.default_rng(seed)
     spec = np.zeros(grid.cells, dtype=complex)
     freqs = [np.fft.fftfreq(n, d=1.0 / n) for n in grid.cells]
-    mesh = np.meshgrid(*freqs, indexing="ij")
+    mesh = np.meshgrid(*freqs, indexing="ij", sparse=True)
     band = np.ones(grid.cells, dtype=bool)
     for m in mesh:
         band &= np.abs(m) <= kmax

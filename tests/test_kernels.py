@@ -31,6 +31,7 @@ from morreylab.maximal import (
     _mean_oscillation,
     _member_means,
     _stencil_count,
+    _transform_lens,
     classical_maximal,
     classical_sharp,
     member_offsets,
@@ -154,6 +155,106 @@ def test_fft_correlate_origin_at_either_end(end):
     origin = (0, 0) if end == "first" else (4, 10)
     want = brute_correlate(values, kernel, origin)
     assert np.allclose(_fft_correlate(values, kernel, origin), want, rtol=0, atol=1e-12)
+
+
+def brute_span_correlate(values, kernel, origin, span):
+    """sum_k kernel[k] values(c + k - origin) over the trailing kernel.ndim
+    axes at the anchors c of span, zero outside the domain: one kernel
+    offset at a time, on values zero-padded as far as the anchors read."""
+    nd = kernel.ndim
+    cells = values.shape[values.ndim - nd:]
+    pad = [(max(0, o - lo), max(0, hi + s - 1 - o - n))
+           for n, s, o, (lo, hi) in zip(cells, kernel.shape, origin, span)]
+    padded = np.pad(values, [(0, 0)] * (values.ndim - nd) + pad)
+    out = np.zeros(values.shape[:values.ndim - nd] + tuple(hi - lo for lo, hi in span))
+    for k in np.ndindex(kernel.shape):
+        at = tuple(slice(lo + i - o + b, hi + i - o + b)
+                   for i, o, (lo, hi), (b, _a) in zip(k, origin, span, pad))
+        out += kernel[k] * padded[(...,) + at]
+    return out
+
+
+@st.composite
+def spanned_kernels(draw):
+    """(values, kernel, origin, span): a real kernel in 1-3 D, often larger
+    than the values, its origin anywhere in it, values with or without a
+    batch axis, and per axis a span of anchors that may start before the
+    values and end past them, beyond every anchor the kernel reaches."""
+    values, kernel, origin = draw(real_kernels())
+    if draw(st.booleans()):
+        values = np.stack([values, draw(arrays(float, values.shape,
+                                               elements=st.floats(-10, 10)))])
+    span = []
+    for n, s in zip(values.shape[values.ndim - kernel.ndim:], kernel.shape):
+        lo = draw(st.integers(-s - 3, n + 2))
+        span.append((lo, draw(st.integers(lo + 1, lo + n + s + 4))))
+    return values, kernel, origin, span
+
+
+@settings(max_examples=200, deadline=None)
+@given(spanned_kernels())
+def test_spanned_correlations_match_direct_summation(case):
+    # the FFT correlation and the box sum at the anchors of a span, against
+    # direct summation; the box sum also through a holder's table, twice
+    values, kernel, origin, span = case
+    scale = 1.0 + np.abs(values).sum() * np.abs(kernel).max()
+    want = brute_span_correlate(values, kernel, origin, span)
+    got = _fft_correlate(values, kernel, origin, span=span)
+    assert got.shape == want.shape
+    assert np.allclose(got, want, rtol=0, atol=1e-12 * scale)
+    batch = values.shape[:values.ndim - kernel.ndim]
+    # the box lo <= o <= hi is the all-ones kernel of origin -lo
+    box = [(-o, s - 1 - o) for s, o in zip(kernel.shape, origin)]
+    want = brute_span_correlate(values, np.ones(kernel.shape), origin, span)
+    scale = 1.0 + np.abs(values).sum()
+    fwd = _Forward()
+    for forward in (None, fwd, fwd):
+        got = _box_sum(values, [(0, 0)] * len(batch) + box, forward,
+                       [(0, n) for n in batch] + span)
+        assert got.shape == want.shape
+        assert np.allclose(got, want, rtol=0, atol=1e-12 * scale)
+
+
+@pytest.mark.parametrize("case", ["1d", "2d-past-both-ends", "3d-kernel-larger", "batch"])
+def test_spanned_correlation_cases(case):
+    # the listed cases by name: 1-D, spans past both ends of the anchors the
+    # kernel reaches, a kernel larger than the values, a batch axis
+    rng = np.random.default_rng(21)
+    values, kernel, origin, span = {
+        "1d": (rng.standard_normal(9), rng.standard_normal(4), (1,), [(-2, 8)]),
+        "2d-past-both-ends": (rng.standard_normal((5, 6)), rng.standard_normal((3, 4)),
+                              (1, 3), [(-9, 14), (-4, 12)]),
+        "3d-kernel-larger": (rng.standard_normal((3, 2, 4)), rng.standard_normal((7, 9, 5)),
+                             (3, 0, 4), [(-3, 5), (-8, 2), (0, 8)]),
+        "batch": (rng.standard_normal((2, 6, 5)), rng.standard_normal((3, 3)), (1, 2),
+                  [(-2, 7), (1, 4)]),
+    }[case]
+    want = brute_span_correlate(values, kernel, origin, span)
+    got = _fft_correlate(values, kernel, origin, span=span)
+    assert np.allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
+    batch = values.shape[:values.ndim - kernel.ndim]
+    box = [(-o, s - 1 - o) for s, o in zip(kernel.shape, origin)]
+    want = brute_span_correlate(values, np.ones(kernel.shape), origin, span)
+    got = _box_sum(values, [(0, 0)] * len(batch) + box, _Forward(),
+                   [(0, n) for n in batch] + span)
+    assert np.allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
+
+
+@settings(max_examples=100, deadline=None)
+@given(real_kernels())
+def test_no_span_keeps_the_dense_lengths_and_bits(case):
+    # span None is the span of the values' own cells: n + max(o, s - 1 - o)
+    # rounded up, and the same correlation bit for bit, from the same spectrum
+    values, kernel, origin = case
+    dense = tuple(_fast_len(n + max(o, s - 1 - o))
+                  for n, s, o in zip(values.shape, kernel.shape, origin))
+    own = [(0, n) for n in values.shape]
+    assert _transform_lens(values.shape, kernel.shape, origin) == dense
+    assert _transform_lens(values.shape, kernel.shape, origin, own) == dense
+    fwd = _Forward()
+    got = _fft_correlate(values, kernel, origin, fwd)
+    assert fwd.key == dense
+    assert np.array_equal(got, _fft_correlate(values, kernel, origin, span=own))
 
 
 @pytest.mark.parametrize("batch", [(), (2,)])

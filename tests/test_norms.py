@@ -565,8 +565,11 @@ def test_windowed_morrey_sup_matches_direct_summation(case):
 
 
 def test_windowed_morrey_sup_correlates_no_more_than_the_window(monkeypatch):
-    # each correlation reads only the anchors whose members reach the
-    # bump's support, and the window shrinks below the grid
+    # every correlation reads the stack's support box and keeps exactly the
+    # radius's window of anchors whose members reach it, at the lengths of
+    # the one rule, which are shorter than padding the window itself
+    from scipy.fft import next_fast_len
+
     from morreylab import maximal
     from morreylab.maximal import _bounding_box
     from morreylab.norms import _morrey_sup
@@ -575,20 +578,34 @@ def test_windowed_morrey_sup_correlates_no_more_than_the_window(monkeypatch):
     f = _bump(g, (0.3, -0.2), 0.2)
     radii = BallFamily.for_structure(S2, g, rho_max=0.5).radii
     support = _bounding_box(f.values != 0)
-    shapes = []
+    box = tuple(slice(a, b + 1) for a, b in support)
+    calls = []
     correlate = maximal._fft_correlate
 
-    def recording(values, kernel, origin, forward=None):
-        window = tuple(min(n, b + o + 1) - max(0, a - (s - 1 - o)) for (a, b), s, o, n
-                       in zip(support, kernel.shape, origin, g.cells))
-        shapes.append((values.shape[1:], window))
-        return correlate(values, kernel, origin, forward)
+    def recording(values, kernel, origin, forward=None, span=None):
+        out = correlate(values, kernel, origin, forward, span)
+        calls.append((values, kernel.shape, origin, span, forward.key))
+        return out
 
     monkeypatch.setattr(maximal, "_fft_correlate", recording)
     _morrey_sup([f], 2.0, 1.0, S2, radii)
-    assert shapes  # the case holds FFT members
-    assert all(got == window for got, window in shapes)
-    assert all(n < m for got, _ in shapes for n, m in zip(got, g.cells))
+    assert calls  # the case holds FFT members
+    shorter = False
+    for values, shape, origin, span, lens in calls:
+        assert values.shape[1:] == tuple(b + 1 - a for a, b in support)
+        assert np.array_equal(values[0], f.values[box] ** 2)
+        window = [(max(0, a - (s - 1 - o)) - a, min(n, b + o + 1) - a) for (a, b), s, o, n
+                  in zip(support, shape, origin, g.cells)]
+        assert list(span) == window
+        m = values.shape[1:]
+        assert lens == tuple(next_fast_len(max(hi - 1 + s - 1 - o, n - 1 + o - lo) + 1, real=True)
+                             for n, s, o, (lo, hi) in zip(m, shape, origin, span))
+        # the window padded as if it were dense, before rounding up
+        padded = [hi - lo + max(o, s - 1 - o) for s, o, (lo, hi) in zip(shape, origin, span)]
+        assert all(k <= next_fast_len(w, real=True) for k, w in zip(lens, padded))
+        shorter |= any(k < w for k, w in zip(lens, padded))
+        assert all(hi - lo < n for (lo, hi), n in zip(span, g.cells))
+    assert shorter
 
 
 @pytest.mark.parametrize("spec", [NormSpec("Lp", p=3.0), NormSpec("Epbr", p=2.0, beta=0.8),

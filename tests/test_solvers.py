@@ -403,23 +403,74 @@ def test_matrix_bracket_inequalities_bulk():
             assert -1e-12 <= shifted <= (1 - delta ** 2) ** 2 * br + 1e-10
 
 
+class _Replay:
+    """An rng stand-in that hands random_sdelta one pair's stacked draws."""
+
+    def __init__(self, g, ev):
+        self.g, self.ev = g, ev
+
+    def normal(self, size):
+        assert size == self.g.shape
+        return self.g
+
+    def uniform(self, low, high, size):
+        assert (size,) == self.ev.shape and ((low <= self.ev) & (self.ev <= high)).all()
+        return self.ev
+
+
 def test_stacked_brackets_match_pair_by_pair():
-    # at-matrix's stacked pairs against the per-pair loop, on equal streams
+    # at-matrix's stacked pairs against pairs made one at a time from the
+    # same three stacked draws (the normal 3x3 of every a, its eigenvalues,
+    # the normal 3x3 of every u): each a is what random_sdelta builds from
+    # its draws, in S_delta, and each stacked bracket is the pair's own
+    n = 300
     for delta in (0.2, 0.5, 0.9):
-        loop = np.random.default_rng(11)
-        a, u = _sdelta_pairs(np.random.default_rng(11), 300, delta)
+        a, u = _sdelta_pairs(np.random.default_rng(11), n, delta)
+        rng = np.random.default_rng(11)
+        g = rng.normal(size=(n, 3, 3))
+        ev = rng.uniform(delta, 1.0 / delta, size=(n, 3))
+        un = rng.normal(size=(n, 3, 3))
         stacked = sdelta_brackets(a, u)
         shifted = sdelta_brackets(a - delta * np.eye(3), u)
-        for k in range(len(u)):
-            ak = random_sdelta(loop, 3, delta)
-            uk = loop.normal(size=(3, 3))
-            uk = 0.5 * (uk + uk.T)
+        for k in range(n):
+            ak = random_sdelta(_Replay(g[k], ev[k]), 3, delta)
+            uk = 0.5 * (un[k] + un[k].T)
             assert np.allclose(a[k], ak, rtol=0, atol=1e-12)
+            assert np.allclose(np.linalg.eigvalsh(ak), np.sort(ev[k]), rtol=0, atol=1e-12)
             assert np.array_equal(u[k], uk)
             assert isinstance(sdelta_brackets(ak, uk), float)
             assert stacked[k] == pytest.approx(sdelta_brackets(ak, uk), rel=1e-12, abs=1e-12)
             assert shifted[k] == pytest.approx(sdelta_brackets(ak - delta * np.eye(3), uk),
                                                rel=1e-12, abs=1e-12)
+
+
+@pytest.mark.parametrize("case", ["elliptic-2d", "elliptic-3d", "parabolic"])
+def test_gradient_pass_is_the_full_pass_gradient(case):
+    # the drift iteration's gradient-only pass gives, bit for bit, the Du
+    # list of the full derivative pass
+    g, s = {"elliptic-2d": (make_grid(2, math.pi, 32, periodic=True), S2),
+            "elliptic-3d": (make_grid(3, math.pi, 16, periodic=True), make_structure(3, (1, 1, 1))),
+            "parabolic": (make_grid(2, (1.0, math.pi), (16, 32), periodic=True), SP)}[case]
+    u = tf("random_band", g, kmax=4, seed=9)
+    got = solvers._spectral_gradient(u, s)
+    want = spectral_derivative_fields(u, s)[0]
+    assert len(got) == len(want) == (g.dim - 1 if s.parabolic else g.dim)
+    assert all(np.array_equal(x, y) for x, y in zip(got, want))
+
+
+def test_drift_iteration_takes_no_full_derivative_pass(monkeypatch):
+    # b . Du needs Du alone: the drift solve never builds D2 u
+    g = make_grid(2, math.pi, 32, periodic=True)
+    f = tf("random_band", g, kmax=4, seed=6)
+    b = [Field(g, 0.4 * np.sin(x)) for x in g.mesh()]
+    want = solve_drift(f, 2.0, b, S2)
+
+    def refused(*args, **kwargs):
+        raise AssertionError("a full derivative pass")
+
+    monkeypatch.setattr(solvers, "spectral_derivative_fields", refused)
+    u, trace = solve_drift(f, 2.0, b, S2)
+    assert np.array_equal(u.values, want[0].values) and trace == want[1]
 
 
 def test_interpolation_gradient_family():

@@ -116,9 +116,9 @@ def test_ap_constant_keeps_one_table_per_field_across_radii(monkeypatch):
 
     asks = []
 
-    def asking(holder, values, ax):
-        asks.append((values, ax, table(holder, values, ax)[1]))
-        return table(holder, values, ax)
+    def asking(holder, values, ax, pre, post):
+        asks.append((values, ax, table(holder, values, ax, pre, post)[1]))
+        return table(holder, values, ax, pre, post)
 
     monkeypatch.setattr(maximal._Forward, "table", asking)
     held, held_means = run()
