@@ -62,16 +62,14 @@ def _load_field(path):
 
 
 def _save_field(field, path, anisotropy=None):
-    """Write a field; the JSON sidecar records anisotropy (None: the field's
-    own, else isotropic), so a later command runs on the same structure."""
+    """Write a field; the JSON sidecar or CSV header records anisotropy
+    (None: the field's own, else isotropic), so a later command runs on the
+    same structure."""
     from .grid import save_field, save_field_csv
 
     p = Path(path)
     with _user_input(f"cannot write field {path}"):
-        if p.suffix == ".csv":
-            save_field_csv(field, p)
-        else:
-            save_field(field, p, anisotropy)
+        (save_field_csv if p.suffix == ".csv" else save_field)(field, p, anisotropy)
 
 
 def _structure_for(field, anisotropy=None):

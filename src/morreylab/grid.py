@@ -586,12 +586,11 @@ def _feature_record(feat):
         "callable, and dropping it would make a singular field finite")
 
 
-def save_field(field, path, anisotropy=None):
-    """Raw values plus a JSON sidecar with the grid, the anisotropy (the
-    argument, else the field's meta, else isotropic), the singular features
-    and any meta["closed_form"], so that exact singular masses and the
-    closed forms of weights survive a round trip."""
-    path = Path(path)
+def _field_meta(field, anisotropy=None):
+    """The JSON record of a field's grid, anisotropy (the argument, else the
+    field's meta, else isotropic), singular features and any
+    meta["closed_form"]: the sidecar of save_field and the header of
+    save_field_csv."""
     if anisotropy is None:
         anisotropy = field.meta.get("anisotropy") or (1,) * field.grid.dim
     meta = {
@@ -604,44 +603,54 @@ def save_field(field, path, anisotropy=None):
     }
     if "closed_form" in field.meta:
         meta["closed_form"] = list(field.meta["closed_form"])
+    return meta
+
+
+def _field_from_meta(meta, values):
+    """Inverse of _field_meta: the Field of `values` (reshaped to the grid);
+    the anisotropy goes to meta["anisotropy"] and a closed form to
+    meta["closed_form"], as a tuple.  Records written before features or
+    anisotropies were saved lack them: no features, and no anisotropy."""
+    grid = GridSpec(tuple(meta["half_extent"]), tuple(meta["shape"]), meta["periodic"])
+    singular = []
+    for rec in meta.get("singular", []):
+        cls, args = _SAVED_FEATURES[rec["kind"]]
+        singular.append(cls(*(rec[a] for a in args)))
+    out = {}
+    if "anisotropy" in meta:
+        out["anisotropy"] = tuple(meta["anisotropy"])
+    if "closed_form" in meta:
+        out["closed_form"] = tuple(meta["closed_form"])
+    return Field(grid, values.reshape(meta["shape"]), singular, out)
+
+
+def save_field(field, path, anisotropy=None):
+    """Raw values plus a JSON sidecar (_field_meta), so that exact singular
+    masses and the closed forms of weights survive a round trip."""
+    path = Path(path)
+    meta = _field_meta(field, anisotropy)
     path.with_suffix(".json").write_text(json.dumps(meta, indent=2))
     field.values.astype("<f8").tofile(path.with_suffix(".f64"))
 
 
 def load_field(path):
-    """Inverse of save_field; the anisotropy goes to meta["anisotropy"] and
-    a closed form to meta["closed_form"], as a tuple."""
+    """Inverse of save_field."""
     path = Path(path)
     meta = json.loads(path.with_suffix(".json").read_text())
-    grid = GridSpec(tuple(meta["half_extent"]), tuple(meta["shape"]), meta["periodic"])
-    raw = np.fromfile(path.with_suffix(".f64"), dtype="<f8").reshape(meta["shape"])
-    singular = []
-    for rec in meta.get("singular", []):  # sidecars written before features were saved lack it
-        cls, args = _SAVED_FEATURES[rec["kind"]]
-        singular.append(cls(*(rec[a] for a in args)))
-    out = {"anisotropy": tuple(meta["anisotropy"])}
-    if "closed_form" in meta:
-        out["closed_form"] = tuple(meta["closed_form"])
-    return Field(grid, raw, singular, out)
+    return _field_from_meta(meta, np.fromfile(path.with_suffix(".f64"), dtype="<f8"))
 
 
-def save_field_csv(field, path):
+def save_field_csv(field, path, anisotropy=None):
+    """The values as CSV rows (d <= 2) under a one-line JSON header, the
+    record of save_field's sidecar."""
     if field.grid.dim > 2:
         raise ValueError("CSV export supported for d <= 2 only")
-    header = json.dumps(
-        {
-            "shape": list(field.grid.cells),
-            "half_extent": list(field.grid.half_extent),
-            "periodic": field.grid.periodic,
-        }
-    )
+    header = json.dumps(_field_meta(field, anisotropy))
     np.savetxt(path, np.atleast_2d(field.values), delimiter=",", header=header)
 
 
 def load_field_csv(path):
+    """Inverse of save_field_csv."""
     with open(path) as fh:
         header = fh.readline().lstrip("# ").strip()
-    meta = json.loads(header)
-    vals = np.loadtxt(path, delimiter=",", skiprows=1).reshape(meta["shape"])
-    grid = GridSpec(tuple(meta["half_extent"]), tuple(meta["shape"]), meta["periodic"])
-    return Field(grid, vals)
+    return _field_from_meta(json.loads(header), np.loadtxt(path, delimiter=",", skiprows=1))

@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass, field as _field
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from .grid import Field
 
@@ -344,8 +343,8 @@ def _max_filter(values, footprint, origin, runs, out=None):
 
     The running max of each run width is built once, from power-of-two
     windows by doubling, and each run then costs one np.maximum over the
-    grid.  A max is exact, so the result does not depend on how the
-    windows are combined.
+    grid, read through its window (_run_windows).  A max is exact, so the
+    result does not depend on how the windows are combined.
     """
     cells, shape = values.shape, footprint.shape
     padded = np.full([n + s - 1 for n, s in zip(cells, shape)], -np.inf)
@@ -353,14 +352,23 @@ def _max_filter(values, footprint, origin, runs, out=None):
     if out is None:
         out = np.full(cells, -np.inf)
     win, width = padded, 1  # win[..., j] = max of padded[..., j:j + width]
-    for w, starts in runs:
+    for w, windows in _run_windows(runs, cells):
         while 2 * width <= w:
             win = np.maximum(win[..., :-width], win[..., width:])
             width *= 2
         run = win if w == width else np.maximum(win[..., :width - w], win[..., w - width:])
-        for start in starts:
-            np.maximum(out, run[tuple(slice(i, i + n) for i, n in zip(start, cells))], out=out)
+        for window in windows:
+            np.maximum(out, run[window], out=out)
     return out
+
+
+@functools.lru_cache(maxsize=_STENCIL_TABLE_SIZE)
+def _run_windows(runs, cells):
+    """The runs of _footprint_runs with each start made the window of a grid
+    of shape `cells` that it reads: ((width, (slices, ...)), ...).  Shared
+    from a bounded table keyed by the runs and the grid shape."""
+    return tuple((w, tuple(tuple(slice(i, i + n) for i, n in zip(start, cells))
+                           for start in starts)) for w, starts in runs)
 
 
 def _summed_table(arr, ax, pre, post):
@@ -551,34 +559,34 @@ def _mean_oscillation(values, member, strides):
 
     Returns an array shaped like the lattice.  Every member holds its own
     anchor cell (the stencil contains its origin), so its cell count is
-    positive.  Members are read through one strided view of the zero-padded
-    grid, a block of lattice rows at a time: each lattice point
+    positive.  Members are read through one read-only strided view of the
+    zero-padded grid, a block of lattice rows at a time: each lattice point
     sees the run of the flat padded grid from the first cell of its
     stencil's box to its member's last cell, and the K = count_nonzero(stencil)
     values g of the member are gathered from it once, by one flat index per
-    stencil cell.
+    stencil cell (_flat_offsets).
 
-    Within a member sum (g - m) = 0, and max(g, m) + min(g, m) = g + m, so
-    sum |g - m| = 2 (sum max(g, m) - sum g) = 2 (sum g - sum min(g, m)):
-    one in-place max or min with the mean and one sum after the mean, with
-    no subtraction, abs or mask product per value.  A clipped member takes
-    the max when m <= 0 and the min when m > 0, so a padded zero adds
-    max(0, m) = 0 or min(0, m) = 0 and no mask is gathered (the mass is the
-    exact count).  The values are not shifted, so each member's rounding
-    depends on its own values only.
+    Within a member sum (g - m) = 0 and |g - m| = 2 max(g, m) - g - m, so
+    sum |g - m| = 2 (sum max(g, m) - sum g): one in-place max with the mean
+    and one sum after it, with no subtraction, abs or mask product per
+    value.  The K - mass padded zeros that a clipped member gathers each add
+    max(0, m) to its sum of maxima, and that is taken off the row's sum, so
+    no mask is gathered (the mass is the exact count) and every value takes
+    one max whatever the clipping and the sign of the mean.  The values are
+    not shifted, so each member's rounding depends on its own values and
+    its pad count only.
     """
     stencil, origin = member.mask, member.origin
     cells, lattice = values.shape, tuple(slice(None, None, s) for s in strides)
     inside = tuple(slice(o, o + n) for o, n in zip(origin, cells))
-    padded_shape = [n + s - 1 for n, s in zip(cells, stencil.shape)]
-    # flat offset of each stencil cell in the padded grid, in cells
-    flat = np.ravel_multi_index(np.nonzero(stencil), padded_shape)
+    padded_shape = tuple(n + s - 1 for n, s in zip(cells, stencil.shape))
+    flat = _flat_offsets(member, padded_shape)
     out = np.empty([-(-n // s) for n, s in zip(cells, strides)])
     padded = np.zeros(padded_shape)
     padded[inside] = values
-    steps = [s * b for s, b in zip(strides, padded.strides)]
-    gw = as_strided(padded, out.shape + (int(flat[-1]) + 1,), steps + [padded.itemsize],
-                    writeable=False)
+    steps = tuple(s * b for s, b in zip(strides, padded.strides)) + (padded.itemsize,)
+    gw = np.ndarray(out.shape + (int(flat[-1]) + 1,), padded.dtype, padded, 0, steps)
+    gw.flags.writeable = False
     count = _COUNTS.get(member, cells, lattice)
     # A block is a run of lattice points along axis k, with the axes before k
     # fixed and those after it whole: k is the first axis whose trailing
@@ -596,25 +604,28 @@ def _mean_oscillation(values, member, strides):
             blk = lead + (slice(s, s + step),)
             gv, mass = gw[blk][sel], count[blk]
             total = gv.sum(axis=-1)
-            _clip_at_mean(gv, total / mass, mass < row)
-            out[blk] = 2.0 * np.abs(gv.sum(axis=-1) - total) / mass
+            mean = total / mass
+            np.maximum(gv, mean[..., None], out=gv)
+            pads = (row - mass) * np.maximum(mean, 0.0)
+            out[blk] = 2.0 * np.abs(gv.sum(axis=-1) - pads - total) / mass
     return out
 
 
-def _clip_at_mean(gv, mean, clipped):
-    """gv <- max(gv, m) or min(gv, m) along the last axis, in place, with m
-    the member mean: the min on a clipped member whose m > 0, the max on a
-    clipped one whose m <= 0 (or NaN), either on a whole one, which reads no
-    padded cell.  One pass when the block's clipped members agree, two when
-    they do not."""
-    up = (mean > 0) & clipped
-    if not up.any():
-        np.maximum(gv, mean[..., None], out=gv)
-    elif not (clipped & ~up).any():
-        np.minimum(gv, mean[..., None], out=gv)
-    else:
-        np.maximum(gv, np.where(up, -np.inf, mean)[..., None], out=gv)
-        np.minimum(gv, np.where(up, mean, np.inf)[..., None], out=gv)
+@functools.lru_cache(maxsize=_STENCIL_TABLE_SIZE)
+def _table_offsets(member, padded_shape):
+    flat = np.ravel_multi_index(np.nonzero(member.mask), padded_shape)
+    flat.flags.writeable = False
+    return flat
+
+
+def _flat_offsets(member, padded_shape):
+    """Flat offset of each stencil cell of a _Member in a C-order grid of
+    padded_shape, in cells, ascending.  Read-only and shared from a bounded
+    table keyed by the record's key and the shape; a keyless record's are
+    made at every call, as its counts are."""
+    if member.key is None:
+        return _table_offsets.__wrapped__(member, padded_shape)
+    return _table_offsets(member, padded_shape)
 
 
 def _anchor_stride(grid, rho, density):
@@ -649,7 +660,8 @@ def _block_footprint(member, stride):
     stencil, origin = member.mask, member.origin
     # pad with False so that the origin starts a block and every block is whole
     pad = [(-o % stride, (o - s) % stride) for o, s in zip(origin, stencil.shape)]
-    padded = np.pad(stencil, pad)
+    padded = np.zeros([a + s + b for (a, b), s in zip(pad, stencil.shape)], dtype=bool)
+    padded[tuple(slice(a, a + s) for (a, _b), s in zip(pad, stencil.shape))] = stencil
     blocks = padded.reshape([x for n in padded.shape for x in (n // stride, stride)])
     inside = blocks.all(axis=tuple(range(1, 2 * padded.ndim, 2)))
     footprint = np.flip(inside)

@@ -7,6 +7,7 @@ from morreylab.dyadic import box_doubling_constant
 from morreylab.grid import (
     Field,
     RadialPower,
+    ShellPower,
     integrate,
     lp_norm,
     load_field,
@@ -246,6 +247,35 @@ def test_field_csv_roundtrip(tmp_path):
     with pytest.raises(ValueError):
         save_field_csv(Field(g3, np.zeros(g3.cells)), tmp_path / "g.csv")
 
+
+
+@pytest.mark.parametrize("gamma, want", [(1.5, math.inf), (0.5, 2.3782)])
+def test_field_csv_keeps_singular_features(tmp_path, gamma, want):
+    from morreylab.testfunctions import test_function
+
+    # the CSV header is the sidecar's record: |x|^-1.5 stays outside L^3 on
+    # 64^2, and |x|^-0.5 keeps the exact mass of its singular cell
+    g = make_grid(2, 1.0, 64)
+    f = test_function("power", g, gamma=gamma)
+    save_field_csv(f, tmp_path / "f.csv", anisotropy=(2, 1))
+    back = load_field_csv(tmp_path / "f.csv")
+    assert [type(x) for x in back.singular] == [type(x) for x in f.singular]
+    assert back.meta["anisotropy"] == (2, 1)
+    assert lp_norm(back, 3) == lp_norm(f, 3)
+    assert lp_norm(back, 3) == pytest.approx(want, rel=1e-4)
+
+
+def test_field_csv_keeps_the_closed_form_and_refuses_callable_features(tmp_path):
+    from morreylab.weights import power_weight
+
+    g = make_grid(1, 1.0, 64)
+    save_field_csv(power_weight(g, -0.9).field, tmp_path / "w.csv")
+    assert load_field_csv(tmp_path / "w.csv").meta["closed_form"] == ("radial_power", -0.9)
+    # a shell feature holds a callable: refused, not silently dropped
+    g2 = make_grid(2, 1.0, 8)
+    shell = Field(g2, np.ones(g2.cells), [ShellPower(lambda grid: np.eye(8, dtype=bool), 0.5)])
+    with pytest.raises(ValueError, match="ShellPower"):
+        save_field_csv(shell, tmp_path / "s.csv")
 
 def test_nonfinite_needs_singular_flag():
     g = make_grid(1, 1.0, 16)

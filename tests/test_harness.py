@@ -247,6 +247,29 @@ def test_cli_weight_and_norm(tmp_path):
     assert math.isfinite(data["value"]) and data["value"] > 0
 
 
+
+@pytest.mark.parametrize("gamma, want", [(1.5, math.inf), (0.5, 2.3782)])
+def test_cli_norm_of_a_csv_field_keeps_its_singularity(tmp_path, gamma, want):
+    # the L^3 norm of |x|^-gamma on 64^2 read back from CSV: |x|^-1.5 stays
+    # infinite, and |x|^-0.5 keeps the exact mass of its singular cell
+    from morreylab.grid import make_grid, save_field_csv
+    from morreylab.testfunctions import test_function as tf
+
+    save_field_csv(tf("power", make_grid(2, 1.0, 64), gamma=gamma), tmp_path / "f.csv")
+    out = subprocess.run(
+        [sys.executable, "-m", "morreylab", "norm",
+         "--spec", json.dumps({"kind": "Lp", "p": 3.0}), "--field", str(tmp_path / "f.csv")],
+        capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stdout)["value"] == pytest.approx(want, rel=1e-4)
+
+
+def test_python_m_morreylab_runs_the_cli():
+    out = subprocess.run([sys.executable, "-m", "morreylab", "list-checks"],
+                         capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split()[0] == sorted(EXPECTED_IDS)[0]
+
 @pytest.mark.parametrize("alpha, action, p", [(1.5, "ap", 2.0), (-0.9, "rh", 1.5)])
 def test_cli_weight_on_a_saved_weight_matches_the_library(tmp_path, alpha, action, p):
     # the CLI sees the closed form of a saved power weight, as the library does:

@@ -788,6 +788,67 @@ def test_mean_oscillation_affine_invariance(case, lam, c):
     assert np.allclose(moved, abs(lam) * base, rtol=1e-9, atol=tol)
 
 
+
+@st.composite
+def clipped_oscillation_cases(draw):
+    """(values, stencil, origin, strides) in 1-3 D with strides of 1 or 3, and
+    stencils that may be wider than the grid, so that most members are
+    clipped.  Values of either sign about a shift near 0 give clipped
+    members whose means take both signs in one block; at times one value is
+    inf, -inf or NaN."""
+    dim = draw(st.integers(1, 3))
+    strides = tuple(draw(st.sampled_from((1, 3))) for _ in range(dim))
+    cells = tuple(draw(st.lists(st.integers(1, 7 if dim < 3 else 5), min_size=dim,
+                                max_size=dim)))
+    shape = tuple(draw(st.lists(st.integers(1, 9 if dim < 3 else 6), min_size=dim,
+                                max_size=dim)))
+    stencil = draw(arrays(bool, shape))
+    origin = tuple(draw(st.integers(0, s - 1)) for s in shape)
+    stencil[origin] = True
+    values = draw(arrays(float, cells, elements=st.floats(-10, 10))) + draw(st.floats(-2, 2))
+    if draw(st.booleans()):
+        bad = draw(st.sampled_from((np.inf, -np.inf, np.nan)))
+        values.flat[draw(st.integers(0, values.size - 1))] = bad
+    return values, stencil, origin, strides
+
+
+@settings(max_examples=200, deadline=None)
+@given(clipped_oscillation_cases())
+def test_one_pass_oscillation_matches_anchor_loop_on_clipped_members(case):
+    # one max with the mean per gathered value, the padded zeros' max(0, m)
+    # taken off each row: members clipped on any side, means of either sign,
+    # and a non-finite value spoiling (NaN) exactly the members that hold it.
+    # The floor is the rounding of a row's sum of K values of size |g|, the
+    # whole residue of a member whose values are all equal
+    values, stencil = case[0], case[1]
+    with np.errstate(invalid="ignore"):
+        got = mean_oscillation(*case)
+        want = loop_mean_oscillation(*case)
+    finite = values[np.isfinite(values)]
+    scale = 1.0 + (np.abs(finite).max() if finite.size else 0.0)
+    assert np.array_equal(np.isnan(got), np.isnan(want))
+    assert np.allclose(got, want, rtol=1e-12, atol=1e-14 * stencil.sum() * scale,
+                       equal_nan=True)
+
+
+def test_keyless_records_get_their_own_flat_offsets():
+    # the gather's offsets are kept per record key: a keyless record after a
+    # table record of the same stencil shape, and after another keyless
+    # record, gathers its own cells
+    rng = np.random.default_rng(12)
+    values = rng.normal(size=(9, 8))
+    masks = [rng.random((3, 4)) < 0.5 for _ in range(3)]
+    for m in masks:
+        m[1, 2] = True
+    records = [_Member(masks[0], (1, 2), maximal._cell_key(masks[0], (1, 2))),
+               _Member(masks[1], (1, 2)), _Member(masks[2], (1, 2))]
+    for record in records:
+        want = np.ravel_multi_index(np.nonzero(record.mask), (11, 11))
+        assert np.array_equal(maximal._flat_offsets(record, (11, 11)), want)
+        assert np.allclose(_mean_oscillation(values, record, (1, 2)),
+                           loop_mean_oscillation(values, record.mask, (1, 2), (1, 2)),
+                           rtol=1e-12, atol=1e-12)
+
 DENSITIES = (1.0, 2.0, 4.0, 8.0, 16.0)
 
 
@@ -855,6 +916,20 @@ def test_max_filter_lines_with_several_runs_or_none():
     out = _max_filter(values, far, (0, 0), _footprint_runs(far))
     assert np.isneginf(out[:, -2:]).all() and np.isfinite(out[:, :-14]).all()
 
+
+
+def test_max_filter_windows_are_kept_per_grid_shape():
+    # one footprint over two grid shapes, called in turn: each call reads the
+    # windows of its own grid shape
+    rng = np.random.default_rng(13)
+    footprint = rng.random((4, 5)) < 0.6
+    footprint[0, 0] = True
+    runs = _footprint_runs(footprint)
+    for _ in range(2):
+        for cells in ((6, 10), (10, 3)):
+            values = rng.normal(size=cells)
+            assert np.array_equal(_max_filter(values, footprint, (1, 3), runs),
+                                  brute_max_filter(values, footprint, (1, 3)))
 
 def test_scatter_placement_is_grey_dilations():
     # the max filter at the centre (s - 1) // 2 of its footprint is
@@ -1035,6 +1110,7 @@ def test_equal_cell_sets_give_equal_records_that_share_one_count():
                   member_offsets(g, s, 2.5 * h, "box")):
         assert other != records[0] and other.key != records[0].key
         assert maximal._COUNTS.get(other, (20, 24)) is not count
+
 
 
 def _distinct(keys):
