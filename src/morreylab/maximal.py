@@ -608,6 +608,7 @@ def _mean_oscillation(values, member, strides):
             np.maximum(gv, mean[..., None], out=gv)
             pads = (row - mass) * np.maximum(mean, 0.0)
             out[blk] = 2.0 * np.abs(gv.sum(axis=-1) - pads - total) / mass
+            del gv  # free this block's gather before the next one is made
     return out
 
 
