@@ -271,7 +271,8 @@ class ParabolicPower(_CellFeature):
 
     @staticmethod
     def _quadrant_mass(ht, hx, g):
-        """integral_0^ht integral_0^hx (x + sqrt t)^{-g} dx dt, g != 1,2,3."""
+        """integral_0^ht integral_0^hx (x + sqrt t)^{-g} dx dt: inf for g >= 3,
+        and log terms in place of the powers at g = 1 and g = 2."""
         # substitute t = s^2: dt = 2 s ds
         # I = int_0^X int_0^S (x+s)^(-g) 2 s ds dx with X=hx, S=sqrt(ht)
         if g >= 3.0:
@@ -293,7 +294,7 @@ class ParabolicPower(_CellFeature):
             return 2.0 * (a - x * b)
 
         # integrate the s-antiderivative over x numerically (smooth in x);
-        # 64-point midpoint is plenty since the x-dependence is mild
+        # a 256-point midpoint rule is plenty since the x-dependence is mild
         n = 256
         xs = (np.arange(n) + 0.5) * (X / n)
         tot = 0.0

@@ -634,6 +634,21 @@ def _anchor_stride(grid, rho, density):
     return max(1, int(min(rho / (density * h) for h in grid.h)))
 
 
+def _sweep(grid, structure, radii, shape, density=None):
+    """The radius loop of every family sup: (rho, member, stride, new) for
+    each rho in radii, with the member_offsets record of the rho-member, its
+    anchor stride (_anchor_stride; 1 when density is None, so every cell is
+    an anchor), and whether (member, stride) differs from the previous
+    radius's.  A radius that is not new may reuse what the last new one
+    made: its member and lattice are the same."""
+    last = None
+    for rho in radii:
+        member = member_offsets(grid, structure, rho, shape)
+        stride = 1 if density is None else _anchor_stride(grid, rho, density)
+        yield rho, member, stride, (member, stride) != last
+        last = member, stride
+
+
 def _scatter_max(lattice, member, stride, out):
     """out(z) <- max of out(z) and of the values on the stride lattice over
     the anchors whose member (a table record) holds the whole stride block of
@@ -690,13 +705,10 @@ def classical_sharp(field, structure, family=None):
     if family is None:
         family = BallFamily.for_structure(structure, grid)
     out = np.zeros(grid.cells)
-    last = None
-    for rho in family.radii:
-        member = member_offsets(grid, structure, rho, family.shape)
-        stride = _anchor_stride(grid, rho, family.density)
-        if (member, stride) == last:  # an equal member on an equal lattice adds nothing
+    for _rho, member, stride, new in _sweep(grid, structure, family.radii, family.shape,
+                                            family.density):
+        if not new:  # an equal member on an equal lattice adds nothing
             continue
-        last = member, stride
         osc = _mean_oscillation(field.values, member, (stride,) * grid.dim)
         _scatter_max(osc, member, stride, out)
     return Field(grid, out)
@@ -719,21 +731,18 @@ def _sup_of_means(field, dens, structure, family, beta=0.0):
     """sup over family members E containing x of rho(E)^beta times the
     dens dx-average of |f| over E; dens None is dx itself.  Each
     radius scatters the means on its anchor lattice; a cell no member holds
-    reads 0.  A radius whose member equals the last radius's reuses its
-    means, and at beta 0 and an equal stride scatters nothing new."""
+    reads 0.  A radius whose member and stride equal the last radius's
+    reuses its means, and at beta 0 scatters nothing new."""
     grid = field.grid
     weighted = np.abs(field.values) if dens is None else np.abs(field.values) * dens
     forward, dens_forward = _Forward(), _Forward()
     out = np.full(grid.cells, -np.inf)
-    last = last_stride = None
-    for rho in family.radii:
-        member = member_offsets(grid, structure, rho, family.shape)
-        stride = _anchor_stride(grid, rho, family.density)
-        if member == last and stride == last_stride and beta == 0:
-            continue
-        if member != last:
+    for rho, member, stride, new in _sweep(grid, structure, family.radii, family.shape,
+                                           family.density):
+        if new:
             avg, _den = _member_means(weighted, dens, member, forward, dens_forward)
-        last, last_stride = member, stride
+        elif beta == 0:
+            continue
         lattice = rho ** beta * avg[(slice(None, None, stride),) * grid.dim]
         _scatter_max(lattice, member, stride, out)
     out[out == -np.inf] = 0.0

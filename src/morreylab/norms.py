@@ -19,8 +19,7 @@ import numpy as np
 
 from .grid import Field, lp_norm, power_integrand
 from .maximal import (BallFamily, _bounding_box, _box_sum, _cell_key, _Forward, _Member,
-                      _mean_oscillation, _member_means, _member_shape, _spectrum_bytes,
-                      member_offsets)
+                      _mean_oscillation, _member_means, _member_shape, _spectrum_bytes, _sweep)
 
 __all__ = [
     "NormSpec",
@@ -113,9 +112,8 @@ def _morrey_sup(fields, p, beta, structure, radii):
     member equals the last radius's reuses its largest means; the profile
     still lists every radius."""
     grid = fields[0].grid
-    shape = _member_shape(structure)
-    members = [member_offsets(grid, structure, rho, shape) for rho in radii]
-    size = max(1, _STACK_BYTES // max((_spectrum_bytes(grid.cells, m) for m in members),
+    sweep = list(_sweep(grid, structure, radii, _member_shape(structure)))
+    size = max(1, _STACK_BYTES // max((_spectrum_bytes(grid.cells, m) for _r, m, _s, _n in sweep),
                                       default=1))
     out = [[(rho, math.inf) for rho in radii] for _ in fields]  # the profiles
     finite = ((i, arr) for i, (arr, inf_mask) in
@@ -129,10 +127,9 @@ def _morrey_sup(fields, p, beta, structure, radii):
         start = tuple(a for a, _b in support)
         values = stack[(slice(None),) + tuple(slice(a, b + 1) for a, b in support)]
         fwd = _Forward()  # one forward spectrum of values, shared by radii of equal lengths
-        last = None
         profiles = [[] for _ in index]
-        for rho, member in zip(radii, members):
-            if member != last:
+        for rho, member, _stride, new in sweep:
+            if new:
                 # the window's anchors, relative to the support's first cell
                 span = tuple((max(-a, -(s - 1 - o)), min(n - a, b - a + o + 1)) for (a, b), s, o, n
                              in zip(support, member.mask.shape, member.origin, grid.cells))
@@ -141,7 +138,6 @@ def _morrey_sup(fields, p, beta, structure, radii):
                 top = np.maximum(_member_means(values, None, member, fwd,
                                                window=(grid.cells, start, span))[0]
                                  .reshape(len(index), -1).max(axis=1), 0.0)
-                last = member
             for profile, m in zip(profiles, rho ** beta * top ** (1.0 / p)):
                 profile.append((rho, m.item()))
         for i, profile in zip(index, profiles):
@@ -173,9 +169,17 @@ def _window_sums(arr, wlen):
     return sums[: arr.shape[0] - wlen + 1]
 
 
+def _t_windows(grid, radii):
+    """[(rho, wlen)] for the radii whose t-window, wlen = max(1, round(rho^2
+    / h_t)) cells of axis 0, fits the grid: the cylinders of the mixed sups."""
+    windows = ((rho, max(1, int(round(rho ** 2 / grid.h[0])))) for rho in radii)
+    return [(rho, wlen) for rho, wlen in windows if wlen <= grid.cells[0]]
+
+
 def _mixed_morrey_sup(field, p, q, beta, structure, radii, reversed_order=False):
     """(best, profile): the sup over cylinders C_rho of rho^beta * slashed
-    mixed norm, and its (rho, value) profile over the kept radii.
+    mixed norm, and its (rho, value) profile over the radii whose t-window
+    fits the grid (_t_windows).
 
     Standard order: inner x with exponent p, outer t with exponent q.
     Reversed: inner t with exponent q, outer x with exponent p.  Every
@@ -185,33 +189,29 @@ def _mixed_morrey_sup(field, p, q, beta, structure, radii, reversed_order=False)
     means.
     """
     grid = field.grid
-    ht = grid.h[0]
     best = 0.0
     profile = []
     arr, inf_mask = power_integrand(field, q if reversed_order else p)
     diverges = inf_mask.any()
     arr_fwd = _Forward()
-    last = None
-    for rho in radii:
-        wlen = max(1, int(round(rho ** 2 / ht)))
-        if wlen > grid.cells[0]:
-            continue
-        member = member_offsets(grid, structure, rho, "ball_x")
+    windows = _t_windows(grid, radii)
+    sweep = _sweep(grid, structure, [rho for rho, _wlen in windows], "ball_x")
+    held = None  # the t-window of the reversed order's ball means
+    for (rho, wlen), (_rho, member, _stride, new) in zip(windows, sweep):
         if diverges:
             m = np.inf
         elif not reversed_order:
-            if member != last:
+            if new:
                 # X(t,c) = (slashed L_p over the ball at (t, c))^(q/p)
                 X = np.maximum(_member_means(arr, None, member, arr_fwd)[0], 0.0) ** (q / p)
-                last = member
             Y = _window_sums(X, wlen) / wlen
             m = float((rho ** beta * np.maximum(Y, 0.0) ** (1.0 / q)).max())
         else:
-            if (member, wlen) != last:
+            if new or wlen != held:
                 # U(tau, x) = slashed t-window average of |f|^q
                 U = np.maximum(_window_sums(arr, wlen) / wlen, 0.0)
                 V = np.maximum(_member_means(U ** (p / q), None, member)[0], 0.0)
-                last = member, wlen
+                held = wlen
             m = float((rho ** beta * V ** (1.0 / p)).max())
         profile.append((rho, m))
         best = max(best, m)
@@ -268,23 +268,16 @@ def evaluate_norms(fields, spec, structure, radii=None, return_profile=False):
     return sups if return_profile else [best for best, _profile in sups]
 
 
-def drift_seminorm(b, p_b, rho_b, structure, q_b=None, reversed_order=False,
-                   radii=None, return_profile=False):
+def drift_seminorm(b, p_b, rho_b, structure, q_b=None, reversed_order=False):
     """sup_{rho <= rho_b} rho * sup over rho-members of the slashed norm of b.
 
     Elliptic: slashed L_{p_b} over balls.  Parabolic/mixed (set q_b): the
     slashed mixed norm over cylinders, standard or reversed order.
     """
-    grid = b.grid
-    if radii is None:
-        radii = _family_radii(grid, structure, rho_b)
-    radii = tuple(r for r in radii if r <= rho_b * (1 + 1e-12)) or radii[:1]
+    radii = _family_radii(b.grid, structure, rho_b)
     if q_b is None:
-        best, profile = _morrey_sup([b], p_b, 1.0, structure, radii)[0]
-    else:
-        best, profile = _mixed_morrey_sup(b, p_b, q_b, 1.0, structure, radii,
-                                          reversed_order=reversed_order)
-    return (best, profile) if return_profile else best
+        return _morrey_sup([b], p_b, 1.0, structure, radii)[0][0]
+    return _mixed_morrey_sup(b, p_b, q_b, 1.0, structure, radii, reversed_order=reversed_order)[0]
 
 
 def bmo_seminorms(a_entries, rho, structure):
@@ -304,31 +297,23 @@ def bmo_seminorms(a_entries, rho, structure):
     shape = "ball" if all(k == 1 for k in structure.anisotropy) else "ellipsoid"
     strides = (4,) * grid.dim
     for a in a_entries:
-        last = None
-        for r in radii:
-            member = member_offsets(grid, structure, r, shape)
-            if member != last:  # an equal member has an equal oscillation
+        for _r, member, _stride, new in _sweep(grid, structure, radii, shape):
+            if new:  # an equal member has an equal oscillation
                 sharp = max(sharp, float(_mean_oscillation(a.values, member, strides).max()))
-                last = member
     sharpsharp = 0.0
     if structure.parabolic:
-        ht = grid.h[0]
         # members: the x-ball at every (t, c), c on the decimated lattice;
         # mean deviation from the x-average profile, then averaged over t
         strides = (1,) + strides[1:]
+        windows = _t_windows(grid, radii)
         for a in a_entries:
-            last = None
-            for r in radii:
-                wlen = max(1, int(round(r ** 2 / ht)))
-                if wlen > grid.cells[0]:
-                    continue
-                ball = member_offsets(grid, structure, r, "ball_x")
-                if ball != last:
+            sweep = _sweep(grid, structure, [r for r, _wlen in windows], "ball_x")
+            for (_r, wlen), (_rho, ball, _stride, new) in zip(windows, sweep):
+                if new:
                     # the x-ball as a one-row cylinder, keyed by its cells
                     row, origin = ball.mask[None], (0,) + ball.origin
                     dev = _mean_oscillation(a.values, _Member(row, origin, _cell_key(row, origin)),
                                             strides)
-                    last = ball
                 sharpsharp = max(sharpsharp, float((_window_sums(dev, wlen) / wlen).max()))
     return sharp, sharpsharp
 

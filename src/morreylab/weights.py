@@ -16,8 +16,7 @@ import math
 import numpy as np
 
 from .grid import Field, ParabolicPower, RadialPower, lp_norm, singular_field
-from .maximal import (BallFamily, _correlate, _Forward, _member_means, classical_maximal,
-                      member_offsets)
+from .maximal import BallFamily, _correlate, _Forward, _member_means, _sweep, classical_maximal
 
 __all__ = [
     "Weight",
@@ -168,12 +167,10 @@ def ap_constant(weight, p, structure, family=None, return_argmax=False):
     else:
         capped = np.where(np.isfinite(wv), wv, np.finfo(float).max)
     best = 1.0
-    arg = last = None
-    for rho in family.radii:
-        box = member_offsets(grid, structure, rho, "box")
-        if box == last:  # an equal box gives an equal sup
+    arg = None
+    for rho, box, _stride, new in _sweep(grid, structure, family.radii, "box"):
+        if not new:  # an equal box gives an equal sup
             continue
-        last = box
         w_q = _cube_means(w_cube, box)
         if p == 1:
             ess = _running_min(capped, box.mask.shape)
@@ -279,12 +276,9 @@ def reverse_holder(weight, p, structure, family=None, eps_grid=None):
         wpow_cube = _cube_field(wpow.values)
         sup = 1.0
         finite = True
-        last = None
-        for rho in family.radii:
-            box = member_offsets(grid, structure, rho, "box")
-            if box == last:  # an equal box gives an equal ratio
+        for _rho, box, _stride, new in _sweep(grid, structure, family.radii, "box"):
+            if not new:  # an equal box gives an equal ratio
                 continue
-            last = box
             lhs = _cube_means(wpow_cube, box)
             if box not in w_q:
                 w_q[box] = _cube_means(w_cube, box)

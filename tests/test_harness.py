@@ -407,8 +407,12 @@ DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[p.stem for p in DEMOS])
-def test_demo_runs(demo, tmp_path, monkeypatch):
-    # the demos call the public API: one that breaks on an API change fails here
+def test_demo_runs(demo, tmp_path, monkeypatch, capsys):
+    # the demos call the public API: one that breaks on an API change fails
+    # here, and one whose printed numbers move by a bit fails against its
+    # golden output, tests/golden/demos/<stem>.txt
     monkeypatch.chdir(tmp_path)
     runpy.run_path(str(demo), run_name="__main__")
     assert list(tmp_path.iterdir()) == []  # a demo writes no file
+    golden = Path(__file__).resolve().parent / "golden" / "demos" / f"{demo.stem}.txt"
+    assert capsys.readouterr().out == golden.read_text()

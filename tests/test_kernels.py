@@ -4,8 +4,8 @@ one FFT correlation behind it and behind every convolution of potentials,
 its fast transform lengths, the exact uniform member measure,
 the member table of trimmed, cell-keyed records and its bounded count
 table, the chunked mean-oscillation gather, the max filter and block
-footprint behind the scatter of member values, and the radius loops' one
-member sum per distinct member."""
+footprint behind the scatter of member values, the one radius sweep, and the
+radius loops' one member sum per distinct member."""
 
 import warnings
 
@@ -1146,6 +1146,27 @@ def _loop_case(dim, cells, ks, shape, seed=0):
     strides = [maximal._anchor_stride(g, rho, family.density) for rho in family.radii]
     assert len(_distinct(members)) < len(members)
     return g, s, family, f, members, strides
+
+
+@pytest.mark.parametrize("dim, cells, ks, shape", LOOP_CASES)
+@pytest.mark.parametrize("dense", [False, True])
+def test_sweep_yields_each_radius_member_and_stride_and_the_first_of_each_run(dim, cells, ks,
+                                                                             shape, dense):
+    # with a density the strides are _anchor_stride's, without one every
+    # cell is an anchor; new holds exactly at the first radius of each run
+    # of equal (member, stride)
+    g, s, family, _f, members, strides = _loop_case(dim, cells, ks, shape)
+    density = family.density if dense else None
+    if not dense:
+        strides = [1] * len(members)
+    got = list(maximal._sweep(g, s, family.radii, shape, density))
+    assert [rho for rho, _m, _s, _n in got] == list(family.radii)
+    assert all(m is want for (_r, m, _s, _n), want in zip(got, members))
+    assert [stride for _r, _m, stride, _n in got] == strides
+    pairs = list(zip(members, strides))
+    assert [new for _r, _m, _s, new in got] == [i == 0 or pairs[i] != pairs[i - 1]
+                                                for i in range(len(pairs))]
+    assert not all(new for _r, _m, _s, new in got)
 
 
 @pytest.mark.parametrize("dim, cells, ks, shape", LOOP_CASES)
