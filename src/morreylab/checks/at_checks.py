@@ -21,7 +21,8 @@ from ..solvers import (
     solve_heat,
     spectral_derivative_fields,
 )
-from .common import bump_mix, parabolic_grid, parabolic_structure, random_signed, stability
+from .common import (bump_mix, grid_label, parabolic_grid, parabolic_structure, random_signed,
+                     refinement_report)
 from .report import register
 
 
@@ -53,7 +54,7 @@ def check_at_matrix(cfg):
                     float((br_shift - (1 - delta ** 2) ** 2 * br).max()))
     return {
         "lhs": worst, "rhs": 1.0, "bound": 1e-12, "bound_class": "paper",
-        "slack": 0.0, "grid": "-", "params": {"pairs": 3 * n_pairs},
+        "slack": 0.0, "params": {"pairs": 3 * n_pairs},
     }
 
 
@@ -77,7 +78,7 @@ def check_at_energy(cfg):
         worst = max(worst, lhs / rhs)
     return {
         "lhs": worst, "rhs": 1.0, "bound": 1.0, "bound_class": "paper",
-        "slack": 0.01, "grid": f"(1+1)/{g.cells[0]}", "params": {"delta": delta},
+        "slack": 0.01, "grid": grid_label(s, g), "params": {"delta": delta},
     }
 
 
@@ -121,7 +122,7 @@ def check_at_kernel(cfg):
     worst = max(worst_mass / 1e-8, worst_sg / 1e-12, worst_symbol / 1e-12)
     return {
         "lhs": worst, "rhs": 1.0, "bound": 1.0, "bound_class": "paper",
-        "slack": 0.0, "grid": "2d/96",
+        "slack": 0.0, "grid": grid_label(None, gx),
         "params": {"mass_err": worst_mass, "sigma_margin": worst_sg,
                    "symbol_err": worst_symbol},
     }
@@ -181,7 +182,7 @@ def check_at_solve(cfg):
     worst = max(caus / 1e-13, worst_quad / 1e-8, red / 1e-13)
     return {
         "lhs": worst, "rhs": 1.0, "bound": 1.0, "bound_class": "paper",
-        "slack": 0.0, "grid": f"(1+1)/{g.cells[0]}",
+        "slack": 0.0, "grid": grid_label(s, g),
         "params": {"causality": caus, "quad_err": worst_quad, "reduction": red},
     }
 
@@ -190,9 +191,9 @@ def check_at_solve(cfg):
 def check_at_osc(cfg):
     s = parabolic_structure(1)
     delta = 0.5
+    grids = [parabolic_grid(cfg, n, n) for n in (48, 96)]
     fits = []
-    for n in (48, 96):
-        g = parabolic_grid(cfg, n, n)
+    for g in grids:
         rng = np.random.default_rng(cfg.seed)
         a_path = _random_path(rng, g.cells[0], 1, delta)
         f = bump_mix(g, cfg.seed, nonneg=False)
@@ -210,11 +211,7 @@ def check_at_osc(cfg):
             if den > 0:
                 worst = max(worst, data["osc"] / den)
         fits.append(worst)
-    return {
-        "lhs": stability(fits), "rhs": 1.0, "bound": 1.15,
-        "bound_class": "existential", "grid": "(1+1)/48-96",
-        "params": {"fitted_N": fits},
-    }
+    return refinement_report(s, grids, fits, params={"fitted_N": fits}, bound=1.15)
 
 
 @register("at-mixed", "lambda-scaled reversed-order mixed bound for time-dependent coefficients")
@@ -222,9 +219,9 @@ def check_at_mixed(cfg):
     s = parabolic_structure(1)
     delta = 0.5
     p, q = 2.0, 3.0
+    grids = [parabolic_grid(cfg, n, n) for n in (48, 96)]
     vals = []
-    for n in (48, 96):
-        g = parabolic_grid(cfg, n, n)
+    for g in grids:
         rng = np.random.default_rng(cfg.seed)
         a_path = _random_path(rng, g.cells[0], 1, delta)
         worst = 0.0
@@ -235,8 +232,4 @@ def check_at_mixed(cfg):
             for r in apriori_ratios(u, ops, NormSpec("Lqp_reversed", p=p, q=q), s):
                 worst = max(worst, r["ratio"])
         vals.append(worst)
-    return {
-        "lhs": stability(vals), "rhs": 1.0, "bound": 1.10,
-        "bound_class": "existential", "grid": "(1+1)/48-96",
-        "params": {"ratios": vals},
-    }
+    return refinement_report(s, grids, vals, params={"ratios": vals})

@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 
-from ..grid import Field, make_grid, make_structure
+from ..grid import Field, GridSpec, make_grid, make_structure
 from ..testfunctions import test_function
 
 __all__ = [
@@ -18,6 +18,8 @@ __all__ = [
     "bump_mix",
     "stability",
     "growth_verdict",
+    "grid_label",
+    "refinement_report",
 ]
 
 
@@ -77,3 +79,26 @@ def growth_verdict(values, grow_factor=1.25):
         return False
     monotone = all(b >= a * 0.999 for a, b in zip(values, values[1:]))
     return monotone and values[-1] / values[0] >= grow_factor
+
+
+def grid_label(structure, grids):
+    """The report's `grid` column, read off the grids a check ran: '(1+k)'
+    for a parabolic structure (None is not one), else '<d>d', then the
+    first-axis cells of the one grid, or 'first-last' over the levels of a
+    refinement, in the order they ran."""
+    if isinstance(grids, GridSpec):
+        grids = [grids]
+    first, last = grids[0], grids[-1]
+    dim = first.dim
+    head = f"(1+{dim - 1})" if structure is not None and structure.parabolic else f"{dim}d"
+    cells = f"{first.cells[0]}" if len(grids) == 1 else f"{first.cells[0]}-{last.cells[0]}"
+    return f"{head}/{cells}"
+
+
+def refinement_report(structure, grids, *levels, params, bound=1.10):
+    """The existential report of a check that is stable under refinement:
+    lhs the worst growth factor (stability) of its level sequences, one
+    value per grid of `grids`, against rhs 1 and `bound`."""
+    return {"lhs": max(stability(v) for v in levels), "rhs": 1.0, "bound": bound,
+            "bound_class": "existential", "grid": grid_label(structure, grids),
+            "params": params}

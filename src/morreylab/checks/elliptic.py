@@ -25,8 +25,10 @@ from ..testfunctions import test_function
 from .common import (
     bump_mix,
     elliptic_structure,
+    grid_label,
     growth_verdict,
     random_signed,
+    refinement_report,
     stability,
 )
 from .report import register
@@ -45,16 +47,16 @@ def check_energy_laplace(cfg):
         worst = max(worst, abs(num / den - 1.0))
     return {
         "lhs": worst, "rhs": 1.0, "bound": 1e-10, "bound_class": "paper",
-        "slack": 0.0, "grid": f"2d/{g.cells[0]}", "params": {"p": 2, "lam": 0},
+        "slack": 0.0, "grid": grid_label(s, g), "params": {"p": 2, "lam": 0},
     }
 
 
 @register("cz-lp", "Hessian controlled by the Laplacian in L_p, refinement-stable")
 def check_cz_lp(cfg):
     s = elliptic_structure(2)
+    grids = [make_grid(2, math.pi, cfg.cells(n), periodic=True) for n in (32, 64, 128)]
     fits = {p: [] for p in (1.5, 3.0)}
-    for n in (32, 64, 128):
-        g = make_grid(2, math.pi, cfg.cells(n), periodic=True)
+    for g in grids:
         for p in fits:
             worst = 0.0
             for k in range(4):
@@ -63,20 +65,17 @@ def check_cz_lp(cfg):
                 mag = np.sqrt(sum(d2[i][j] ** 2 for i in range(2) for j in range(2)))
                 worst = max(worst, lp_norm(Field(g, mag), p) / lp_norm(Field(g, lap), p))
             fits[p].append(worst)
-    growth = max(stability(v) for v in fits.values())
-    return {
-        "lhs": growth, "rhs": 1.0, "bound": 1.10, "bound_class": "existential",
-        "grid": "2d/32-128", "params": {str(p): v for p, v in fits.items()},
-    }
+    return refinement_report(s, grids, *fits.values(),
+                             params={str(p): v for p, v in fits.items()})
 
 
 @register("sharp-d2u", "sharp function of the Hessian bounded by the maximal p-mean of the source")
 def check_sharp_d2u(cfg):
     s = elliptic_structure(2)
     p = 1.5
+    grids = [make_grid(2, math.pi, cfg.cells(n), periodic=True) for n in (48, 96)]
     fits = []
-    for n in (48, 96):
-        g = make_grid(2, math.pi, cfg.cells(n), periodic=True)
+    for g in grids:
         f = bump_mix(g, cfg.seed, nonneg=False)
         f = Field(g, f.values - f.values.mean())
         u = solve_laplace(f, 0.0)
@@ -87,11 +86,7 @@ def check_sharp_d2u(cfg):
         mp = classical_maximal(Field(g, np.abs(f.values) ** p), s, family=fam)
         rhs = np.maximum(mp.values, 1e-300) ** (1.0 / p)
         fits.append(float(np.max(sharp.values / rhs)))
-    return {
-        "lhs": stability(fits), "rhs": 1.0, "bound": 1.10,
-        "bound_class": "existential", "grid": "2d/48-96",
-        "params": {"p": p, "fitted_N": fits},
-    }
+    return refinement_report(s, grids, fits, params={"p": p, "fitted_N": fits})
 
 
 @register("interp-grad", "gradient interpolation between the function and its Hessian")
@@ -130,7 +125,7 @@ def check_interp_grad(cfg):
     return {
         "lhs": 1.0 if ok else math.inf, "rhs": 1.0, "bound": 1.0,
         "bound_class": "existential", "slack": 0.0,
-        "grid": f"2d/{g.cells[0]}", "params": fits,
+        "grid": grid_label(s, g), "params": fits,
     }
 
 
@@ -138,9 +133,9 @@ def check_interp_grad(cfg):
 def check_resolvent_apriori(cfg):
     s = elliptic_structure(2)
     spec = NormSpec("Lp", p=3.0)
+    grids = [make_grid(2, math.pi, cfg.cells(n), periodic=True) for n in (32, 64, 128)]
     vals = []  # the worst L_3 ratio at each refinement level
-    for n in (32, 64, 128):
-        g = make_grid(2, math.pi, cfg.cells(n), periodic=True)
+    for g in grids:
         worst = 0.0
         for k in range(8):
             u = random_signed(g, cfg.seed + 7 * k)
@@ -148,20 +143,16 @@ def check_resolvent_apriori(cfg):
             for r in apriori_ratios(u, ops, spec, s):
                 worst = max(worst, r["ratio"])
         vals.append(worst)
-    return {
-        "lhs": stability(vals), "rhs": 1.0, "bound": 1.10,
-        "bound_class": "existential", "grid": "2d/32-128",
-        "params": {"ratios": vals, "p": 3.0},
-    }
+    return refinement_report(s, grids, vals, params={"ratios": vals, "p": 3.0})
 
 
 @register("osc-kappa", "two-scale oscillation bound for the Hessian with local and tail terms")
 def check_osc_kappa(cfg):
     s = elliptic_structure(2)
     p = 2.0
+    grids = [make_grid(2, math.pi, cfg.cells(n), periodic=True) for n in (64, 128)]
     fits = []
-    for n in (64, 128):
-        g = make_grid(2, math.pi, cfg.cells(n), periodic=True)
+    for g in grids:
         f = bump_mix(g, cfg.seed, nonneg=False)
         f = Field(g, f.values - f.values.mean())
         u = solve_laplace(f, 0.0)
@@ -172,11 +163,7 @@ def check_osc_kappa(cfg):
             if denom > 0:
                 worst = max(worst, data["osc"] / denom)
         fits.append(worst)
-    return {
-        "lhs": stability(fits), "rhs": 1.0, "bound": 1.15,
-        "bound_class": "existential", "grid": "2d/64-128",
-        "params": {"fitted_N": fits, "p": p},
-    }
+    return refinement_report(s, grids, fits, params={"fitted_N": fits, "p": p}, bound=1.15)
 
 
 def _radial_profiles(g, d):
@@ -257,8 +244,7 @@ def check_hardy_grad(cfg):
     ok_gauss = gauss_err <= 0.02
     return {
         "lhs": worst if ok_gauss else math.inf, "rhs": sharp, "bound": 1.0,
-        "bound_class": "paper", "slack": 0.05,
-        "grid": f"3d/{g.cells[0]}",
+        "bound_class": "paper", "slack": 0.05, "grid": grid_label(None, g),
         "params": {"gaussian_ratio": gauss_ratio, "sharp_const": sharp},
     }
 
@@ -267,9 +253,9 @@ def check_hardy_grad(cfg):
 def check_hardy_lap(cfg):
     d = 3
     r_exp = 1.25  # needs 1 < r < d/2
+    grids = [make_grid(d, 4.0, cfg.cells(n)) for n in (48, 64)]
     fits = []
-    for n in (48, 64):
-        g = make_grid(d, 4.0, cfg.cells(n))
+    for g in grids:
         w = test_function("power", g, gamma=2.0 * r_exp)
         worst = 0.0
         for name, parm, u, _du2, lap in _radial_profiles(g, d):
@@ -278,11 +264,7 @@ def check_hardy_lap(cfg):
             if den > 0:
                 worst = max(worst, num / den)
         fits.append(worst ** (1.0 / r_exp))
-    return {
-        "lhs": stability(fits), "rhs": 1.0, "bound": 1.10,
-        "bound_class": "existential", "grid": "3d/48-64",
-        "params": {"fitted_N": fits, "r": r_exp},
-    }
+    return refinement_report(None, grids, fits, params={"fitted_N": fits, "r": r_exp})
 
 
 def _profile_slope(profile):
@@ -298,10 +280,10 @@ def check_adams(cfg):
     d = 3
     s = elliptic_structure(d)
     r_exp, p0 = 1.5, 2.0
+    grids = [make_grid(d, 1.5, cfg.cells(n)) for n in (40, 56, 80)]
     ratios = []
     seminorms_bad = []
-    for n in (40, 56, 80):
-        g = make_grid(d, 1.5, cfg.cells(n))
+    for g in grids:
         # the in-class and the escalated power share p, beta and the radii
         (a_norm, _), (bad, bad_prof) = evaluate_norms(
             [test_function("power", g, gamma=1.0), test_function("power", g, gamma=1.2)],
@@ -323,7 +305,7 @@ def check_adams(cfg):
     verdict = "pass" if (stable and diverged) else "fail"
     return {
         "lhs": ratios[-1], "rhs": 1.0, "bound": math.inf, "verdict": verdict,
-        "bound_class": "existential", "grid": "3d/40-80",
+        "bound_class": "existential", "grid": grid_label(s, grids),
         "params": {"ratios": ratios, "bad_slope": slope,
                    "bad_seminorms": [v for v, _ in seminorms_bad]},
     }
@@ -334,9 +316,9 @@ def check_adams_cf(cfg):
     d = 3
     s = elliptic_structure(d)
     r_exp = 1.5
+    grids = [make_grid(d, math.pi, cfg.cells(n), periodic=True) for n in (48, 64)]
     fits = []
-    for n in (48, 64):
-        g = make_grid(d, math.pi, cfg.cells(n), periodic=True)
+    for g in grids:
         b_r = test_function("power", g, gamma=r_exp)
         worst = 0.0
         for k in range(3):
@@ -348,20 +330,16 @@ def check_adams_cf(cfg):
             den = float((d2_mag ** r_exp).sum()) * g.cell_volume
             worst = max(worst, num / den)
         fits.append(worst)
-    return {
-        "lhs": stability(fits), "rhs": 1.0, "bound": 1.10,
-        "bound_class": "existential", "grid": "3d/48-64",
-        "params": {"fitted": fits},
-    }
+    return refinement_report(s, grids, fits, params={"fitted": fits})
 
 
 @register("morrey-b-ex", "disjoint-bump field: Morrey-bounded but not in any better Lebesgue class")
 def check_morrey_b_ex(cfg):
     d, p, q = 2, 1.0, 1.3
     s = elliptic_structure(d)
+    grids = [make_grid(d, 1.25, cfg.cells(n)) for n in (128, 256, 512)]
     semis, lqs = [], []
-    for n in (128, 256, 512):
-        g = make_grid(d, 1.25, cfg.cells(n))
+    for g in grids:
         b, radii = test_function("cz_bump", g, p=p)
         semis.append(evaluate_norm(b, NormSpec("EpbDot", p=p, beta=1.0), s))
         lqs.append(lp_norm(b, q, region=([0.0, -0.6], [1.05, 0.6])))
@@ -370,7 +348,7 @@ def check_morrey_b_ex(cfg):
     verdict = "pass" if (stable and diverged) else "fail"
     return {
         "lhs": semis[-1], "rhs": 1.0, "bound": math.inf, "verdict": verdict,
-        "bound_class": "counterexample", "grid": "2d/128-512",
+        "bound_class": "counterexample", "grid": grid_label(s, grids),
         "params": {"seminorms": semis, "Lq_norms": lqs, "q": q},
     }
 
@@ -379,9 +357,9 @@ def check_morrey_b_ex(cfg):
 def check_morrey_interp(cfg):
     s = elliptic_structure(2)
     p, beta = 2.0, 0.8
+    grids = [make_grid(2, math.pi, cfg.cells(n), periodic=True) for n in (64, 128)]
     fits = []
-    for n in (64, 128):
-        g = make_grid(2, math.pi, cfg.cells(n), periodic=True)
+    for g in grids:
         worst = 0.0
         for k in range(3):
             u = random_signed(g, cfg.seed + 11 * k)
@@ -393,11 +371,7 @@ def check_morrey_interp(cfg):
             for eps in (0.25, 0.5, 1.0):
                 worst = max(worst, ndu / (eps * nd2 + nu / eps))
         fits.append(worst)
-    return {
-        "lhs": stability(fits), "rhs": 1.0, "bound": 1.10,
-        "bound_class": "existential", "grid": "2d/64-128",
-        "params": {"fitted_N": fits},
-    }
+    return refinement_report(s, grids, fits, params={"fitted_N": fits})
 
 
 @register("riesz-morrey", "Riesz potential maps between homogeneous Morrey spaces")
@@ -405,28 +379,24 @@ def check_riesz_morrey(cfg):
     d, alpha, beta, p = 2, 1.0, 1.5, 1.2
     r_t = p * beta / (beta - alpha)
     s = elliptic_structure(d)
+    grids = [make_grid(d, 2.0, cfg.cells(n)) for n in (64, 128)]
     fits = []
-    for n in (64, 128):
-        g = make_grid(d, 2.0, cfg.cells(n))
+    for g in grids:
         f = bump_mix(g, cfg.seed)
         rf = apply_kernel(f, KernelSpec("riesz", alpha=alpha))
         num = evaluate_norm(rf, NormSpec("EpbDot", p=r_t, beta=beta - alpha), s)
         den = evaluate_norm(f, NormSpec("EpbDot", p=p, beta=beta), s)
         fits.append(num / den)
-    return {
-        "lhs": stability(fits), "rhs": 1.0, "bound": 1.10,
-        "bound_class": "existential", "grid": "2d/64-128",
-        "params": {"fitted": fits, "r": r_t},
-    }
+    return refinement_report(s, grids, fits, params={"fitted": fits, "r": r_t})
 
 
 @register("morrey-embed", "sup bound and Holder modulus from Morrey-Sobolev control")
 def check_morrey_embed(cfg):
     s = elliptic_structure(2)
     p, beta = 2.0, 0.8
+    grids = [make_grid(2, math.pi, cfg.cells(n), periodic=True) for n in (64, 128)]
     fits = {"sup": [], "holder": []}
-    for n in (64, 128):
-        g = make_grid(2, math.pi, cfg.cells(n), periodic=True)
+    for g in grids:
         worst_sup, worst_h = 0.0, 0.0
         for k in range(3):
             u = random_signed(g, cfg.seed + 23 * k)
@@ -451,11 +421,7 @@ def check_morrey_embed(cfg):
                 worst_h = max(worst_h, diff / (dx ** (1 - beta) * (ndu + nu)))
         fits["sup"].append(worst_sup)
         fits["holder"].append(worst_h)
-    growth = max(stability(fits["sup"]), stability(fits["holder"]))
-    return {
-        "lhs": growth, "rhs": 1.0, "bound": 1.10, "bound_class": "existential",
-        "grid": "2d/64-128", "params": fits,
-    }
+    return refinement_report(s, grids, fits["sup"], fits["holder"], params=fits)
 
 
 @register("fail-1.17.4", "ridge profile: drift term not absorbable into the Hessian at any small eps")
@@ -478,7 +444,7 @@ def check_fail_1174(cfg):
     return {
         "lhs": lo, "rhs": 1.0, "bound": math.inf,
         "verdict": "diverged_as_expected" if no_decay else "fail",
-        "bound_class": "counterexample", "grid": f"3d/{g.cells[0]}",
+        "bound_class": "counterexample", "grid": grid_label(s, g),
         "params": {"ratios": {str(k): v for k, v in ratios.items()},
                    "beta": beta, "p": p},
     }
@@ -501,7 +467,7 @@ def check_fail_1171(cfg):
     return {
         "lhs": res_out / scale, "rhs": 1.0, "bound": 1e-8,
         "verdict": "diverged_as_expected" if diverged else "fail",
-        "bound_class": "counterexample", "grid": f"3d/{g.cells[0]}",
+        "bound_class": "counterexample", "grid": grid_label(s, g),
         "params": {"drift_seminorm": seminorm, "denominator": den,
                    "u_norm": u_norm},
     }
@@ -511,9 +477,9 @@ def check_fail_1171(cfg):
 def check_laplace_morrey(cfg):
     s = elliptic_structure(2)
     p, beta = 2.0, 0.8
+    grids = [make_grid(2, math.pi, cfg.cells(n), periodic=True) for n in (48, 96)]
     vals = []
-    for n in (48, 96):
-        g = make_grid(2, math.pi, cfg.cells(n), periodic=True)
+    for g in grids:
         worst = 0.0
         for k in range(4):
             u = random_signed(g, cfg.seed + 3 * k)
@@ -521,11 +487,7 @@ def check_laplace_morrey(cfg):
             for op, r in zip(ops, apriori_ratios(u, ops, NormSpec("Epbr", p=p, beta=beta), s)):
                 worst = max(worst, r["ratio"] / (1.0 + 1.0 / op.lam))
         vals.append(worst)
-    return {
-        "lhs": stability(vals), "rhs": 1.0, "bound": 1.10,
-        "bound_class": "existential", "grid": "2d/48-96",
-        "params": {"ratios": vals},
-    }
+    return refinement_report(s, grids, vals, params={"ratios": vals})
 
 
 def _drift_critical_scale(f, lam, b_unit, s):
@@ -569,6 +531,6 @@ def check_drift_morrey(cfg):
     verdict = "pass" if (ok_small and diverged_large) else "fail"
     return {
         "lhs": crit, "rhs": 1.0, "bound": math.inf, "verdict": verdict,
-        "bound_class": "existential", "grid": f"2d/{g.cells[0]}",
+        "bound_class": "existential", "grid": grid_label(s, g),
         "params": {"critical_scale": crit, "iters_small": len(trace)},
     }

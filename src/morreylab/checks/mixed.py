@@ -15,8 +15,8 @@ from ..norms import NormSpec, drift_seminorm, evaluate_norm, mixed_norm
 from ..solvers import OperatorSpec, apriori_ratios, spectral_derivative_fields
 from ..testfunctions import test_function
 from ..weights import power_weight
-from .common import (bump_mix, elliptic_structure, parabolic_grid, parabolic_structure,
-                     random_signed, stability)
+from .common import (bump_mix, elliptic_structure, grid_label, parabolic_grid,
+                     parabolic_structure, random_signed, refinement_report, stability)
 from .report import register
 
 
@@ -45,7 +45,7 @@ def check_mixed_transfer(cfg):
     alpha = 2.0 + 1.0 / p1 + 1.0 / p2
     return {
         "lhs": worst, "rhs": 2.0 ** alpha, "bound": 1.0, "bound_class": "paper",
-        "grid": f"2d/{g.cells[0]}", "params": {"alpha": alpha, "worst": worst},
+        "grid": grid_label(s, g), "params": {"alpha": alpha, "worst": worst},
     }
 
 
@@ -53,9 +53,9 @@ def check_mixed_transfer(cfg):
 def check_hl_mixed(cfg):
     s = parabolic_structure(1)
     p, q = 2.0, 3.0
+    grids = [parabolic_grid(cfg, n, n, 1.0, 1.0, periodic=False) for n in (48, 96)]
     fits = {"std": [], "rev": []}
-    for n in (48, 96):
-        g = parabolic_grid(cfg, n, n, 1.0, 1.0, periodic=False)
+    for g in grids:
         w_s, w_r = 0.0, 0.0
         for k in range(3):
             f = bump_mix(g, cfg.seed + k)
@@ -66,20 +66,16 @@ def check_hl_mixed(cfg):
                       / mixed_norm(f, p, q, reversed_order=True))
         fits["std"].append(w_s)
         fits["rev"].append(w_r)
-    growth = max(stability(fits["std"]), stability(fits["rev"]))
-    return {
-        "lhs": growth, "rhs": 1.0, "bound": 1.10, "bound_class": "existential",
-        "grid": "(1+1)/48-96", "params": fits,
-    }
+    return refinement_report(s, grids, fits["std"], fits["rev"], params=fits)
 
 
 @register("fs-mixed", "sharp function controls the iterated norm")
 def check_fs_mixed(cfg):
     s = parabolic_structure(1)
     p, q = 2.0, 3.0
+    grids = [parabolic_grid(cfg, n, n, 1.0, 1.0, periodic=False) for n in (64, 128)]
     fits = []
-    for n in (64, 128):
-        g = parabolic_grid(cfg, n, n, 1.0, 1.0, periodic=False)
+    for g in grids:
         worst = 0.0
         for k in range(4):
             f = random_signed(g, cfg.seed + 3 * k, kmax=20)
@@ -89,20 +85,16 @@ def check_fs_mixed(cfg):
             if den > 0:
                 worst = max(worst, mixed_norm(f, p, q) / den)
         fits.append(worst)
-    return {
-        "lhs": stability(fits), "rhs": 1.0, "bound": 1.10,
-        "bound_class": "existential", "grid": "(1+1)/64-128",
-        "params": {"fitted_N": fits},
-    }
+    return refinement_report(s, grids, fits, params={"fitted_N": fits})
 
 
 @register("heat-mixed", "lambda-scaled heat resolvent bound in the iterated norm")
 def check_heat_mixed(cfg):
     s = parabolic_structure(1)
     p, q = 2.0, 3.0
+    grids = [parabolic_grid(cfg, n, n) for n in (48, 96)]
     vals = []
-    for n in (48, 96):
-        g = parabolic_grid(cfg, n, n)
+    for g in grids:
         worst = 0.0
         for k in range(4):
             u = random_signed(g, cfg.seed + 7 * k)
@@ -110,19 +102,15 @@ def check_heat_mixed(cfg):
             for r in apriori_ratios(u, ops, NormSpec("Lpq", p=p, q=q), s):
                 worst = max(worst, r["ratio"])
         vals.append(worst)
-    return {
-        "lhs": stability(vals), "rhs": 1.0, "bound": 1.10,
-        "bound_class": "existential", "grid": "(1+1)/48-96",
-        "params": {"ratios": vals},
-    }
+    return refinement_report(s, grids, vals, params={"ratios": vals})
 
 
 @register("poincare", "cylinder Poincare inequality for the gradient around its mean")
 def check_poincare(cfg):
     s = parabolic_structure(1)
+    grids = [parabolic_grid(cfg, n, n) for n in (64, 96)]
     fits = []
-    for n in (64, 96):
-        g = parabolic_grid(cfg, n, n)
+    for g in grids:
         worst = 0.0
         for k in range(3):
             u = random_signed(g, cfg.seed + 5 * k)
@@ -138,11 +126,7 @@ def check_poincare(cfg):
                 if rhs > 0:
                     worst = max(worst, dev / rhs)
         fits.append(worst)
-    return {
-        "lhs": stability(fits), "rhs": 1.0, "bound": 1.15,
-        "bound_class": "existential", "grid": "(1+1)/64-96",
-        "params": {"fitted_N": fits},
-    }
+    return refinement_report(s, grids, fits, params={"fitted_N": fits}, bound=1.15)
 
 
 @register("trace-lr", "time-slice trace of the gradient bounded by the mixed-norm operator part")
@@ -150,9 +134,9 @@ def check_trace_lr(cfg):
     s = parabolic_structure(1)
     p, q, r = 1.5, 3.0, 2.0
     gamma = 1.0 / p + 2.0 / q - 1.0 / r
+    grids = [parabolic_grid(cfg, n, n) for n in (48, 96)]
     fits = []
-    for n in (48, 96):
-        g = parabolic_grid(cfg, n, n)
+    for g in grids:
         worst = 0.0
         for k in range(4):
             u = random_signed(g, cfg.seed + 11 * k)
@@ -166,11 +150,7 @@ def check_trace_lr(cfg):
                 den = eps * op_part + eps ** (-(1 + gamma) / (1 - gamma)) * nu
                 worst = max(worst, num / den)
         fits.append(worst)
-    return {
-        "lhs": stability(fits), "rhs": 1.0, "bound": 1.10,
-        "bound_class": "existential", "grid": "(1+1)/48-96",
-        "params": {"fitted_N": fits, "gamma": gamma},
-    }
+    return refinement_report(s, grids, fits, params={"fitted_N": fits, "gamma": gamma})
 
 
 @register("trace-morrey", "time-slice trace lands in the matching Morrey space")
@@ -178,9 +158,9 @@ def check_trace_morrey(cfg):
     s = parabolic_structure(1)
     p, q, r, beta = 1.8, 2.2, 2.0, 1.3
     s1 = elliptic_structure(1)
+    grids = [parabolic_grid(cfg, n, n) for n in (48, 96)]
     fits = []
-    for n in (48, 96):
-        g = parabolic_grid(cfg, n, n)
+    for g in grids:
         gx = make_grid(1, g.half_extent[1], g.cells[1], periodic=True)
         worst = 0.0
         for k in range(4):
@@ -194,20 +174,16 @@ def check_trace_morrey(cfg):
             if den > 0:
                 worst = max(worst, num / den)
         fits.append(worst)
-    return {
-        "lhs": stability(fits), "rhs": 1.0, "bound": 1.10,
-        "bound_class": "existential", "grid": "(1+1)/48-96",
-        "params": {"fitted_N": fits},
-    }
+    return refinement_report(s, grids, fits, params={"fitted_N": fits})
 
 
 @register("mixed-morrey-max", "maximal operator bounded on the mixed-norm Morrey scale")
 def check_mixed_morrey_max(cfg):
     s = parabolic_structure(1)
     p, q, beta = 2.0, 3.0, 1.0
+    grids = [parabolic_grid(cfg, n, n, 1.0, 1.0, periodic=False) for n in (48, 96)]
     fits = []
-    for n in (48, 96):
-        g = parabolic_grid(cfg, n, n, 1.0, 1.0, periodic=False)
+    for g in grids:
         worst = 0.0
         for k in range(3):
             f = bump_mix(g, cfg.seed + k)
@@ -217,11 +193,7 @@ def check_mixed_morrey_max(cfg):
             den = evaluate_norm(f, NormSpec("EpqbDot", p=p, q=q, beta=beta), s)
             worst = max(worst, num / den)
         fits.append(worst)
-    return {
-        "lhs": stability(fits), "rhs": 1.0, "bound": 1.10,
-        "bound_class": "existential", "grid": "(1+1)/48-96",
-        "params": {"fitted_N": fits},
-    }
+    return refinement_report(s, grids, fits, params={"fitted_N": fits})
 
 
 @register("mixed-embed", "gradient embedding between iterated norms at the matched exponents")
@@ -230,9 +202,9 @@ def check_mixed_embed(cfg):
     q1, q2 = 1.5, 1.5
     beta = 1.0 / q1 + 2.0 / q2
     r1, r2 = q1 * beta / (beta - 1.0), q2 * beta / (beta - 1.0)
+    grids = [parabolic_grid(cfg, n, n) for n in (48, 96)]
     fits = []
-    for n in (48, 96):
-        g = parabolic_grid(cfg, n, n)
+    for g in grids:
         worst = 0.0
         for k in range(3):
             u = random_signed(g, cfg.seed + 17 * k)
@@ -241,11 +213,7 @@ def check_mixed_embed(cfg):
             den = mixed_norm(Field(g, np.abs(ut + lap)), q1, q2)
             worst = max(worst, num / den)
         fits.append(worst)
-    return {
-        "lhs": stability(fits), "rhs": 1.0, "bound": 1.10,
-        "bound_class": "existential", "grid": "(1+1)/48-96",
-        "params": {"fitted_N": fits, "r": (r1, r2)},
-    }
+    return refinement_report(s, grids, fits, params={"fitted_N": fits, "r": (r1, r2)})
 
 
 @register("lps-drift", "critical-class drift term absorbed by the heat operator in mixed Morrey norms")
@@ -253,9 +221,10 @@ def check_lps_drift(cfg):
     s = parabolic_structure(1)
     q1, q2, beta = 1.3, 1.3, 1.4
     s1, s2 = beta * q1, beta * q2
+    grids = [make_grid(2, (1.5, 1.5), (cfg.cells(n), cfg.cells(n)), periodic=True)
+             for n in (48, 96)]
     fits = []
-    for n in (48, 96):
-        g = make_grid(2, (1.5, 1.5), (cfg.cells(n), cfg.cells(n)), periodic=True)
+    for g in grids:
         b = test_function("parab_sing", g)
         nb = evaluate_norm(b, NormSpec("EpqbDot", p=s1, q=s2, beta=1.0), s)
         worst = 0.0
@@ -268,11 +237,7 @@ def check_lps_drift(cfg):
                                      NormSpec("EpqbDot", p=q1, q=q2, beta=beta), s)
             worst = max(worst, num / den)
         fits.append(worst)
-    return {
-        "lhs": stability(fits), "rhs": 1.0, "bound": 1.10,
-        "bound_class": "existential", "grid": "(1+1)/48-96",
-        "params": {"fitted_N": fits},
-    }
+    return refinement_report(s, grids, fits, params={"fitted_N": fits})
 
 
 @register("drift-seminorm", "scaled drift seminorm controls the drift term against the Hessian and mass")
@@ -282,9 +247,9 @@ def check_drift_seminorm(cfg):
     p_b, beta = 2.0, 1.4
     p = p_b / beta
     rho_b = 1.0
+    grids = [make_grid(d, math.pi, cfg.cells(n), periodic=True) for n in (32, 48)]
     fits = []
-    for n in (32, 48):
-        g = make_grid(d, math.pi, cfg.cells(n), periodic=True)
+    for g in grids:
         b = test_function("power", g, gamma=1.0)
         bbar = drift_seminorm(b, p_b, rho_b, s)
         worst = 0.0
@@ -301,20 +266,17 @@ def check_drift_seminorm(cfg):
             )
             worst = max(worst, num / den)
         fits.append(worst)
-    return {
-        "lhs": stability(fits), "rhs": 1.0, "bound": 1.15,
-        "bound_class": "existential", "grid": "3d/32-48",
-        "params": {"fitted_N": fits, "seminorm": None},
-    }
+    return refinement_report(s, grids, fits, params={"fitted_N": fits, "seminorm": None},
+                             bound=1.15)
 
 
 @register("mixed-morrey-heat", "lambda-scaled heat resolvent bound on the mixed Morrey scale")
 def check_mixed_morrey_heat(cfg):
     s = parabolic_structure(1)
     p, q, beta = 2.0, 3.0, 1.1
+    grids = [parabolic_grid(cfg, n, n) for n in (48, 96)]
     vals = []
-    for n in (48, 96):
-        g = parabolic_grid(cfg, n, n)
+    for g in grids:
         worst = 0.0
         for k in range(3):
             u = random_signed(g, cfg.seed + 29 * k)
@@ -322,20 +284,16 @@ def check_mixed_morrey_heat(cfg):
                                     NormSpec("EpqbDot", p=p, q=q, beta=beta), s):
                 worst = max(worst, r["ratio"])
         vals.append(worst)
-    return {
-        "lhs": stability(vals), "rhs": 1.0, "bound": 1.10,
-        "bound_class": "existential", "grid": "(1+1)/48-96",
-        "params": {"ratios": vals},
-    }
+    return refinement_report(s, grids, vals, params={"ratios": vals})
 
 
 @register("mixed-interp", "gradient interpolation on the mixed Morrey scale")
 def check_mixed_interp(cfg):
     s = parabolic_structure(1)
     p, q, beta = 2.0, 3.0, 1.1
+    grids = [parabolic_grid(cfg, n, n) for n in (48, 96)]
     fits = []
-    for n in (48, 96):
-        g = parabolic_grid(cfg, n, n)
+    for g in grids:
         worst = 0.0
         for k in range(3):
             u = random_signed(g, cfg.seed + 31 * k)
@@ -348,11 +306,7 @@ def check_mixed_interp(cfg):
             for eps in (0.25, 0.5, 1.0):
                 worst = max(worst, ndu / (eps * nop + nu / eps))
         fits.append(worst)
-    return {
-        "lhs": stability(fits), "rhs": 1.0, "bound": 1.10,
-        "bound_class": "existential", "grid": "(1+1)/48-96",
-        "params": {"fitted_N": fits},
-    }
+    return refinement_report(s, grids, fits, params={"fitted_N": fits})
 
 
 @register("lqp-asym", "moving-sphere profile: reversed-order seminorm finite, standard order divergent")
@@ -362,9 +316,10 @@ def check_lqp_asym(cfg):
     p0, q0 = p * beta, q * beta
     rev_vals = []
     std_vals = []
-    for n in (32, 48):
-        g = make_grid(3, (1.0, 1.2, 1.2),
-                      (cfg.cells(n), cfg.cells(int(1.5 * n)), cfg.cells(int(1.5 * n))))
+    grids = [make_grid(3, (1.0, 1.2, 1.2),
+                       (cfg.cells(n), cfg.cells(int(1.5 * n)), cfg.cells(int(1.5 * n))))
+             for n in (32, 48)]
+    for g in grids:
         b = test_function("lqp_vs_lpq", g, p0=p0)
         rev_vals.append(drift_seminorm(b, p0, 1.0, s, q_b=q0, reversed_order=True))
         std_vals.append(drift_seminorm(b, p0, 1.0, s, q_b=q0, reversed_order=False))
@@ -375,7 +330,7 @@ def check_lqp_asym(cfg):
     verdict = "diverged_as_expected" if (finite_rev and diverged_std) else "fail"
     return {
         "lhs": rev_vals[-1], "rhs": 1.0, "bound": math.inf, "verdict": verdict,
-        "bound_class": "counterexample", "grid": "(1+2)/32-48",
+        "bound_class": "counterexample", "grid": grid_label(s, grids),
         "params": {"reversed": rev_vals, "standard": [str(v) for v in std_vals],
                    "p0": p0, "q0": q0},
     }
@@ -387,8 +342,8 @@ def check_cyl_slab(cfg):
     s = elliptic_structure(d)
     semis = []
     l2s = []
-    for n in (32, 48):
-        g = make_grid(d, 1.2, cfg.cells(n))
+    grids = [make_grid(d, 1.2, cfg.cells(n)) for n in (32, 48)]
+    for g in grids:
         b = test_function("cylinder_slab", g, d_prime=d_prime)
         semis.append(evaluate_norm(b, NormSpec("Epbr", p=p, beta=1.0, r=1.0), s))
         l2s.append(lp_norm(b, float(d_prime), region=([-1.0] * d, [1.0] * d)))
@@ -397,6 +352,6 @@ def check_cyl_slab(cfg):
     verdict = "diverged_as_expected" if (finite and diverged) else "fail"
     return {
         "lhs": semis[-1], "rhs": 1.0, "bound": math.inf, "verdict": verdict,
-        "bound_class": "counterexample", "grid": "3d/32-48",
+        "bound_class": "counterexample", "grid": grid_label(s, grids),
         "params": {"seminorms": semis, "L_dprime": [str(v) for v in l2s]},
     }

@@ -21,7 +21,8 @@ from ..solvers import (
     spectral_derivative_fields,
 )
 from ..weights import ap_constant, parabolic_power_weight
-from .common import bump_mix, parabolic_grid, parabolic_structure, random_signed, stability
+from .common import (bump_mix, grid_label, parabolic_grid, parabolic_structure, random_signed,
+                     refinement_report, stability)
 from .report import register
 
 
@@ -39,16 +40,16 @@ def check_heat_energy(cfg):
         worst = max(worst, abs(lhs / rhs - 1.0))
     return {
         "lhs": worst, "rhs": 1.0, "bound": 1e-8, "bound_class": "paper",
-        "slack": 0.0, "grid": f"(1+1)/{g.cells[0]}", "params": {},
+        "slack": 0.0, "grid": grid_label(s, g), "params": {},
     }
 
 
 @register("heat-cz", "time derivative and Hessian controlled by the heat operator in L_p")
 def check_heat_cz(cfg):
     s = parabolic_structure(1)
+    grids = [parabolic_grid(cfg, n, n) for n in (32, 64, 128)]
     fits = []
-    for n in (32, 64, 128):
-        g = parabolic_grid(cfg, n, n)
+    for g in grids:
         worst = 0.0
         for k in range(4):
             u = random_signed(g, cfg.seed + 9 * k)
@@ -57,20 +58,16 @@ def check_heat_cz(cfg):
             num = lp_norm(Field(g, np.abs(ut)), 3.0) + lp_norm(Field(g, np.abs(d2[0][0])), 3.0)
             worst = max(worst, num / lp_norm(f, 3.0))
         fits.append(worst)
-    return {
-        "lhs": stability(fits), "rhs": 1.0, "bound": 1.10,
-        "bound_class": "existential", "grid": "(1+1)/32-128",
-        "params": {"fitted_N": fits},
-    }
+    return refinement_report(s, grids, fits, params={"fitted_N": fits})
 
 
 @register("heat-sharp", "sharp function of the Hessian bounded by the maximal p-mean of the heat source")
 def check_heat_sharp(cfg):
     s = parabolic_structure(1)
     p = 1.5
+    grids = [parabolic_grid(cfg, n, n) for n in (48, 96)]
     fits = []
-    for n in (48, 96):
-        g = parabolic_grid(cfg, n, n)
+    for g in grids:
         f = bump_mix(g, cfg.seed, nonneg=False)
         f = Field(g, f.values - f.values.mean())
         u, _ = solve_heat(f, 1.0)
@@ -80,11 +77,7 @@ def check_heat_sharp(cfg):
         mp = classical_maximal(Field(g, np.abs(f.values) ** p), s, family=fam)
         rhs = np.maximum(mp.values, 1e-300) ** (1.0 / p)
         fits.append(float((sharp.values / rhs).max()))
-    return {
-        "lhs": stability(fits), "rhs": 1.0, "bound": 1.10,
-        "bound_class": "existential", "grid": "(1+1)/48-96",
-        "params": {"fitted_N": fits, "p": p},
-    }
+    return refinement_report(s, grids, fits, params={"fitted_N": fits, "p": p})
 
 
 @register("parab-adams", "parabolic Adams inequality for the cylinder-Morrey drift class")
@@ -95,8 +88,9 @@ def check_parab_adams(cfg):
     from ..testfunctions import test_function
     from .elliptic import _profile_slope
 
-    for n in (48, 64, 96):
-        g = make_grid(2, (1.5, 1.5), (cfg.cells(n), cfg.cells(n)), periodic=True)
+    grids = [make_grid(2, (1.5, 1.5), (cfg.cells(n), cfg.cells(n)), periodic=True)
+             for n in (48, 64, 96)]
+    for g in grids:
         b = test_function("parab_sing", g)
         bn = evaluate_norm(b, NormSpec("EpbDot", p=q, beta=1.0), s)
         worst = 0.0
@@ -121,7 +115,7 @@ def check_parab_adams(cfg):
     verdict = "pass" if (stable and diverged) else "fail"
     return {
         "lhs": ratios[-1], "rhs": 1.0, "bound": math.inf, "verdict": verdict,
-        "bound_class": "existential", "grid": "(1+1)/48-96",
+        "bound_class": "existential", "grid": grid_label(s, grids),
         "params": {"ratios": ratios, "bad_slope": slope},
     }
 
@@ -131,19 +125,18 @@ def check_w_alpha_a1(cfg):
     s = parabolic_structure(1)
     finite_alphas = (0.0, 1.0, 2.0)  # d + 1 = 2
     divergent_alpha = 3.0  # d + 2
+    grids = [make_grid(2, (1.0, 1.0), (cfg.cells(n), cfg.cells(n))) for n in (64, 128)]
     estimates = {}
     worst = 0.0
     for alpha in finite_alphas:
         vals = []
-        for n in (64, 128):
-            g = make_grid(2, (1.0, 1.0), (cfg.cells(n), cfg.cells(n)))
+        for g in grids:
             w = parabolic_power_weight(g, alpha)
             vals.append(ap_constant(w, 1.0, s))
         estimates[str(alpha)] = vals
         worst = max(worst, stability(vals) if all(map(math.isfinite, vals)) else math.inf)
     vals = []
-    for n in (64, 128):
-        g = make_grid(2, (1.0, 1.0), (cfg.cells(n), cfg.cells(n)))
+    for g in grids:
         w = parabolic_power_weight(g, divergent_alpha)
         vals.append(ap_constant(w, 1.0, s))
     estimates[str(divergent_alpha)] = vals
@@ -151,7 +144,7 @@ def check_w_alpha_a1(cfg):
         worst = math.inf
     return {
         "lhs": worst, "rhs": 1.0, "bound": 1.15, "bound_class": "paper",
-        "grid": "(1+1)/64-128", "params": estimates,
+        "grid": grid_label(s, grids), "params": estimates,
     }
 
 
@@ -159,9 +152,9 @@ def check_w_alpha_a1(cfg):
 def check_parab_weight_int(cfg):
     s = parabolic_structure(1)
     alpha, beta = 2.0, 1.5  # alpha + beta > d + 2 = 3
+    grids = [make_grid(2, (1.0, 1.0), (cfg.cells(n), cfg.cells(n))) for n in (64, 128)]
     fits = []
-    for n in (64, 128):
-        g = make_grid(2, (1.0, 1.0), (cfg.cells(n), cfg.cells(n)))
+    for g in grids:
         w = parabolic_power_weight(g, alpha).field
         wcap = Field(g, np.minimum(w.values, 1.0))
         worst = 0.0
@@ -175,20 +168,16 @@ def check_parab_weight_int(cfg):
             if den > 0:
                 worst = max(worst, num / den)
         fits.append(worst)
-    return {
-        "lhs": stability(fits), "rhs": 1.0, "bound": 1.10,
-        "bound_class": "existential", "grid": "(1+1)/64-128",
-        "params": {"fitted_N": fits},
-    }
+    return refinement_report(s, grids, fits, params={"fitted_N": fits})
 
 
 @register("hl-parab-morrey", "maximal operator bounded on the homogeneous parabolic Morrey scale")
 def check_hl_parab_morrey(cfg):
     s = parabolic_structure(1)
     p, beta = 2.0, 1.0
+    grids = [parabolic_grid(cfg, n, n, 1.0, 1.0, periodic=False) for n in (48, 96)]
     fits = []
-    for n in (48, 96):
-        g = parabolic_grid(cfg, n, n, 1.0, 1.0, periodic=False)
+    for g in grids:
         worst = 0.0
         for k in range(3):
             f = bump_mix(g, cfg.seed + k)
@@ -198,20 +187,16 @@ def check_hl_parab_morrey(cfg):
             den = evaluate_norm(f, NormSpec("EpbDot", p=p, beta=beta), s)
             worst = max(worst, num / den)
         fits.append(worst)
-    return {
-        "lhs": stability(fits), "rhs": 1.0, "bound": 1.10,
-        "bound_class": "existential", "grid": "(1+1)/48-96",
-        "params": {"fitted_N": fits},
-    }
+    return refinement_report(s, grids, fits, params={"fitted_N": fits})
 
 
 @register("fs-parab-morrey", "sharp function controls the parabolic Morrey norm")
 def check_fs_parab_morrey(cfg):
     s = parabolic_structure(1)
     p, beta = 2.0, 1.0
+    grids = [parabolic_grid(cfg, n, n, 1.0, 1.0, periodic=False) for n in (64, 128)]
     fits = []
-    for n in (64, 128):
-        g = parabolic_grid(cfg, n, n, 1.0, 1.0, periodic=False)
+    for g in grids:
         worst = 0.0
         for k in range(3):
             f = random_signed(g, cfg.seed + 3 * k, kmax=20)
@@ -222,20 +207,16 @@ def check_fs_parab_morrey(cfg):
             if den > 0:
                 worst = max(worst, num / den)
         fits.append(worst)
-    return {
-        "lhs": stability(fits), "rhs": 1.0, "bound": 1.10,
-        "bound_class": "existential", "grid": "(1+1)/64-128",
-        "params": {"fitted_N": fits},
-    }
+    return refinement_report(s, grids, fits, params={"fitted_N": fits})
 
 
 @register("heat-morrey", "lambda-scaled heat resolvent bound on the parabolic Morrey scale")
 def check_heat_morrey(cfg):
     s = parabolic_structure(1)
     p, beta = 2.0, 1.2
+    grids = [parabolic_grid(cfg, n, n) for n in (48, 96)]
     vals = []
-    for n in (48, 96):
-        g = parabolic_grid(cfg, n, n)
+    for g in grids:
         worst = 0.0
         for k in range(3):
             u = random_signed(g, cfg.seed + 7 * k)
@@ -243,20 +224,16 @@ def check_heat_morrey(cfg):
                                     NormSpec("EpbDot", p=p, beta=beta), s):
                 worst = max(worst, r["ratio"])
         vals.append(worst)
-    return {
-        "lhs": stability(vals), "rhs": 1.0, "bound": 1.10,
-        "bound_class": "existential", "grid": "(1+1)/48-96",
-        "params": {"ratios": vals},
-    }
+    return refinement_report(s, grids, vals, params={"ratios": vals})
 
 
 @register("parab-embed", "sup bound from parabolic Morrey-Sobolev control, two forms")
 def check_parab_embed(cfg):
     s = parabolic_structure(1)
     p, gamma = 2.0, 1.5
+    grids = [parabolic_grid(cfg, n, n) for n in (48, 96)]
     fits = {"plain": [], "eps": []}
-    for n in (48, 96):
-        g = parabolic_grid(cfg, n, n)
+    for g in grids:
         w_plain, w_eps = 0.0, 0.0
         for k in range(3):
             u = random_signed(g, cfg.seed + 13 * k)
@@ -271,11 +248,7 @@ def check_parab_embed(cfg):
                 w_eps = max(w_eps, sup_u / (eps ** (2 - gamma) * n2 + eps ** -gamma * nu))
         fits["plain"].append(w_plain)
         fits["eps"].append(w_eps)
-    growth = max(stability(fits["plain"]), stability(fits["eps"]))
-    return {
-        "lhs": growth, "rhs": 1.0, "bound": 1.10, "bound_class": "existential",
-        "grid": "(1+1)/48-96", "params": fits,
-    }
+    return refinement_report(s, grids, fits["plain"], fits["eps"], params=fits)
 
 
 @register("parab-morrey-potential", "parabolic kernel maps between homogeneous cylinder-Morrey spaces")
@@ -283,19 +256,15 @@ def check_parab_morrey_potential(cfg):
     s = parabolic_structure(1)
     alpha, k_par, beta, q = 1.0, 4.0, 1.5, 1.2
     r_t = q * beta / (beta - alpha)
+    grids = [make_grid(2, (1.5, 1.5), (cfg.cells(n), cfg.cells(n))) for n in (48, 96)]
     fits = []
-    for n in (48, 96):
-        g = make_grid(2, (1.5, 1.5), (cfg.cells(n), cfg.cells(n)))
+    for g in grids:
         f = bump_mix(g, cfg.seed)
         pf = apply_parabolic(f, alpha, k_par)
         num = evaluate_norm(pf, NormSpec("EpbDot", p=r_t, beta=beta - alpha), s)
         den = evaluate_norm(f, NormSpec("EpbDot", p=q, beta=beta), s)
         fits.append(num / den)
-    return {
-        "lhs": stability(fits), "rhs": 1.0, "bound": 1.10,
-        "bound_class": "existential", "grid": "(1+1)/48-96",
-        "params": {"fitted": fits, "r": r_t},
-    }
+    return refinement_report(s, grids, fits, params={"fitted": fits, "r": r_t})
 
 
 @register("parab-grad-embed", "gradient Morrey embedding under the matched exponent relation")
@@ -303,9 +272,9 @@ def check_parab_grad_embed(cfg):
     s = parabolic_structure(1)
     p, beta = 1.2, 1.5
     r_t = p * beta / (beta - 1.0)
+    grids = [parabolic_grid(cfg, n, n) for n in (48, 96)]
     fits = []
-    for n in (48, 96):
-        g = parabolic_grid(cfg, n, n)
+    for g in grids:
         worst = 0.0
         for k in range(3):
             u = random_signed(g, cfg.seed + 17 * k)
@@ -314,11 +283,7 @@ def check_parab_grad_embed(cfg):
             den = evaluate_norm(Field(g, np.abs(ut + lap)), NormSpec("EpbDot", p=p, beta=beta), s)
             worst = max(worst, num / den)
         fits.append(worst)
-    return {
-        "lhs": stability(fits), "rhs": 1.0, "bound": 1.10,
-        "bound_class": "existential", "grid": "(1+1)/48-96",
-        "params": {"fitted_N": fits, "r": r_t},
-    }
+    return refinement_report(s, grids, fits, params={"fitted_N": fits, "r": r_t})
 
 
 @register("parab-holder", "parabolic Holder modulus from Morrey control of the full operator part")
@@ -326,9 +291,9 @@ def check_parab_holder(cfg):
     s = parabolic_structure(1)
     p, beta = 2.0, 1.5
     alpha = 2.0 - beta
+    grids = [parabolic_grid(cfg, n, n) for n in (48, 96)]
     fits = []
-    for n in (48, 96):
-        g = parabolic_grid(cfg, n, n)
+    for g in grids:
         worst = 0.0
         rng = np.random.default_rng(cfg.seed)
         for k in range(3):
@@ -347,11 +312,7 @@ def check_parab_holder(cfg):
                 diff = abs(float(u.values[i1]) - float(u.values[i2]))
                 worst = max(worst, diff / (rho ** alpha * U))
         fits.append(worst)
-    return {
-        "lhs": stability(fits), "rhs": 1.0, "bound": 1.10,
-        "bound_class": "existential", "grid": "(1+1)/48-96",
-        "params": {"fitted_N": fits},
-    }
+    return refinement_report(s, grids, fits, params={"fitted_N": fits})
 
 
 @register("heat-drift-morrey", "heat resolvent with mixed-class drift keeps the Morrey ratio finite")
@@ -377,7 +338,7 @@ def check_heat_drift_morrey(cfg):
     return {
         "lhs": ratio, "rhs": 1.0, "bound": math.inf,
         "verdict": "pass" if ok else "fail",
-        "bound_class": "existential", "grid": f"(1+1)/{g.cells[0]}",
+        "bound_class": "existential", "grid": grid_label(s, g),
         "params": {"drift_scale": scale, "ratio": ratio},
     }
 
@@ -387,27 +348,22 @@ def check_parab_sharp_pot(cfg):
     from ..potentials import potential_sharp_check
 
     s = parabolic_structure(1)
+    grids = [make_grid(2, (1.5, 1.5), (cfg.cells(n), cfg.cells(n))) for n in (48, 96)]
     fits = []
-    for n in (48, 96):
-        g = make_grid(2, (1.5, 1.5), (cfg.cells(n), cfg.cells(n)))
+    for g in grids:
         f = bump_mix(g, cfg.seed)
         fam = BallFamily.for_structure(s, g, density=cfg.density)
-        n_fit, _ = potential_sharp_check(f, s, alpha=1.0, k=4.0, family=fam)
-        fits.append(n_fit)
-    return {
-        "lhs": stability(fits), "rhs": 1.0, "bound": 1.15,
-        "bound_class": "existential", "grid": "(1+1)/48-96",
-        "params": {"fitted_N": fits},
-    }
+        fits.append(potential_sharp_check(f, s, alpha=1.0, family=fam))
+    return refinement_report(s, grids, fits, params={"fitted_N": fits}, bound=1.15)
 
 
 @register("mw-parab", "norm comparison between the parabolic potential and the fractional maximal")
 def check_mw_parab(cfg):
     s = parabolic_structure(1)
     r = 2.0
+    grids = [make_grid(2, (1.5, 1.5), (cfg.cells(n), cfg.cells(n))) for n in (48, 96)]
     fits = []
-    for n in (48, 96):
-        g = make_grid(2, (1.5, 1.5), (cfg.cells(n), cfg.cells(n)))
+    for g in grids:
         worst = 0.0
         for k in range(3):
             f = bump_mix(g, cfg.seed + k)
@@ -424,11 +380,8 @@ def check_mw_parab(cfg):
     rhs = integrate(Field(g, f1.values * apply_parabolic_conjugate(g1, 1.0, 4.0).values))
     dual_err = abs(lhs - rhs) / max(abs(lhs), 1e-300)
     decay_n = kernel_decay_check(g, 1.0, 8.0, seed=cfg.seed)
-    ok = stability(fits) <= 1.15 and dual_err <= 1e-10 and math.isfinite(decay_n)
-    return {
-        "lhs": stability(fits), "rhs": 1.0, "bound": 1.15,
-        "verdict": "pass" if ok else "fail",
-        "bound_class": "existential", "grid": "(1+1)/48-96",
-        "params": {"fitted_N": fits, "conjugation_err": dual_err,
-                   "decay_envelope": decay_n},
-    }
+    report = refinement_report(s, grids, fits, bound=1.15,
+                               params={"fitted_N": fits, "conjugation_err": dual_err,
+                                       "decay_envelope": decay_n})
+    ok = report["lhs"] <= 1.15 and dual_err <= 1e-10 and math.isfinite(decay_n)
+    return {**report, "verdict": "pass" if ok else "fail"}

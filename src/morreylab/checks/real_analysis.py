@@ -16,7 +16,8 @@ from ..dyadic import (
 )
 from ..grid import Field, integrate, lp_norm, make_grid
 from ..maximal import BallFamily, classical_maximal, classical_sharp
-from .common import elliptic_structure, random_nonneg, random_signed
+from .common import (elliptic_structure, grid_label, random_nonneg, random_signed,
+                     refinement_report)
 from .report import register
 
 
@@ -48,7 +49,7 @@ def check_dyadic_mean(cfg):
     return {
         "lhs": worst, "rhs": max(scale, 1e-300), "bound": 1e-12,
         "bound_class": "paper", "slack": 0.0,
-        "grid": f"1d/{g.cells[0]}", "params": {"trials": 6},
+        "grid": grid_label(s, g), "params": {"trials": 6},
     }
 
 
@@ -74,7 +75,7 @@ def check_cz_sandwich(cfg):
             worst = max(worst, lo / mu_bad, mu_bad / hi)
     return {
         "lhs": worst, "rhs": 1.0, "bound": 1.0, "bound_class": "paper",
-        "grid": f"1d/{g.cells[0]}", "params": {"N0": n0},
+        "grid": grid_label(s, g), "params": {"N0": n0},
     }
 
 
@@ -99,7 +100,7 @@ def check_maximal_weak(cfg):
         worst = max(worst, lo / mu, mu / hi)
     return {
         "lhs": worst, "rhs": 1.0, "bound": 1.0, "bound_class": "paper",
-        "grid": f"1d/{g.cells[0]}", "params": {"N0": n0},
+        "grid": grid_label(s, g), "params": {"N0": n0},
     }
 
 
@@ -107,8 +108,7 @@ def check_maximal_weak(cfg):
 def check_dyadic_strong(cfg):
     p, d, n_seeds = 2.0, 1, 20
     s = elliptic_structure(d)
-    n = cfg.cells(1024)
-    g = make_grid(d, 1.0, n)
+    g = make_grid(d, 1.0, cfg.cells(1024))
     worst = 0.0
     q = p / (p - 1.0)
     for k in range(n_seeds):
@@ -117,7 +117,7 @@ def check_dyadic_strong(cfg):
         worst = max(worst, lp_norm(m, p) / lp_norm(f, p))
     return {
         "lhs": worst, "rhs": q, "bound": 1.0, "bound_class": "paper",
-        "grid": f"{d}d/{n}", "params": {"p": p, "d": d, "seeds": n_seeds},
+        "grid": grid_label(s, g), "params": {"p": p, "d": d, "seeds": n_seeds},
     }
 
 
@@ -136,7 +136,7 @@ def check_lebesgue_diff(cfg):
         err = max(err, float(np.abs(avg.values - f.values).max()))
     return {
         "lhs": err, "rhs": 1.0, "bound": 1e-14, "bound_class": "paper",
-        "slack": 0.0, "grid": f"1d/{g.cells[0]}", "params": {"pieces": 16},
+        "slack": 0.0, "grid": grid_label(s, g), "params": {"pieces": 16},
     }
 
 
@@ -162,17 +162,16 @@ def check_fs_dyadic(cfg):
         worst_margin = max(worst_margin, ratio / bound)
     return {
         "lhs": worst_margin, "rhs": 1.0, "bound": 1.0, "bound_class": "paper",
-        "grid": f"1d/{g.cells[0]}", "params": params,
+        "grid": grid_label(s, g), "params": params,
     }
 
 
 @register("sharp-compare", "dyadic sharp dominated by the Euclidean sharp; modulus bound exact")
 def check_sharp_compare(cfg):
     s = elliptic_structure(1)
+    grids = [make_grid(1, 2.0, cfg.cells(n)) for n in (512, 1024)]
     fitted = []
-    levels = (512, 1024)
-    for n in levels:
-        g = make_grid(1, 2.0, cfg.cells(n))
+    for g in grids:
         worst = 0.0
         for k in range(4):
             f = random_signed(g, cfg.seed + k, kmax=20)
@@ -186,21 +185,17 @@ def check_sharp_compare(cfg):
             sharp_abs = dyadic_sharp(Field(g, np.abs(f.values)), s)
             if np.any(sharp_abs.values > 2.0 * sharp_d.values + 1e-12):
                 return {"lhs": math.inf, "rhs": 1.0, "bound": 1.1,
-                        "bound_class": "paper", "grid": f"1d/{n}", "params": {}}
+                        "bound_class": "paper", "grid": grid_label(s, g), "params": {}}
         fitted.append(worst)
-    growth = fitted[-1] / fitted[0] if fitted[0] > 0 else math.inf
-    return {
-        "lhs": growth, "rhs": 1.0, "bound": 1.10, "bound_class": "existential",
-        "grid": "1d/512-1024", "params": {"fitted_N": fitted},
-    }
+    return refinement_report(s, grids, fitted, params={"fitted_N": fitted})
 
 
 @register("hl-classical", "classical maximal operator bounded on L_p, stable under refinement")
 def check_hl_classical(cfg):
     s = elliptic_structure(2)
+    grids = [make_grid(2, 1.0, cfg.cells(n)) for n in (64, 128, 256)]
     ratios = []
-    for n in (64, 128, 256):
-        g = make_grid(2, 1.0, cfg.cells(n))
+    for g in grids:
         worst = 0.0
         for k in range(3):
             f = random_nonneg(g, cfg.seed + 5 * k)
@@ -208,8 +203,4 @@ def check_hl_classical(cfg):
                 s, g, density=cfg.density))
             worst = max(worst, lp_norm(m, 2) / lp_norm(f, 2))
         ratios.append(worst)
-    growth = ratios[-1] / ratios[-2]
-    return {
-        "lhs": growth, "rhs": 1.0, "bound": 1.10, "bound_class": "existential",
-        "grid": "2d/64-256", "params": {"ratios": ratios},
-    }
+    return refinement_report(s, grids, ratios, params={"ratios": ratios})

@@ -25,6 +25,7 @@ __all__ = ["CheckConfig", "CheckReport", "register", "REGISTRY", "run_check",
            "run_suite", "list_checks", "load_all_checks"]
 
 DEFAULT_SEED = 0x5EED
+DEFAULT_SLACK = 0.05  # the slack of a check that names none
 
 REGISTRY = {}  # id -> (fn, description, tags)
 
@@ -34,7 +35,6 @@ class CheckConfig:
     seed: int = DEFAULT_SEED
     grid: float = 1.0  # global resolution multiplier
     density: float = 4.0  # family density knob
-    slack: float = 0.05
 
     def cells(self, base):
         """Scale a base cell count, keeping it an even power-of-two-friendly size."""
@@ -127,14 +127,14 @@ def run_check(check_id, cfg=None):
     else:
         ratio = lhs / rhs if rhs > 0 else (0.0 if lhs == 0 else math.inf)
     bound = float(out.get("bound", math.inf))
-    slack = float(out.get("slack", cfg.slack))
+    slack = float(out.get("slack", DEFAULT_SLACK))
     verdict = out.get("verdict")
     if verdict is None:
         verdict = "pass" if ratio <= bound * (1.0 + slack) else "fail"
     return CheckReport(
         check_id=check_id,
         seed=cfg.seed,
-        grid=out.get("grid", ""),
+        grid=out.get("grid", "-"),  # "-": the check built no grid
         params=out.get("params", {}),
         lhs=lhs,
         rhs=rhs,
@@ -169,7 +169,7 @@ def run_suite(pattern="*", cfg=None, progress=None):
             traceback.print_exc()
             nan = math.nan
             reports.append(CheckReport(cid, cfg.seed, "", {"error": f"{type(exc).__name__}: {exc}"},
-                                       nan, nan, nan, nan, "", "error", 0.0, cfg.slack))
+                                       nan, nan, nan, nan, "", "error", 0.0, DEFAULT_SLACK))
     return reports
 
 

@@ -24,7 +24,8 @@ from ..weights import (
     reverse_holder,
     self_improve,
 )
-from .common import bump_mix, elliptic_structure, random_signed, stability
+from .common import (bump_mix, elliptic_structure, grid_label, random_signed, refinement_report,
+                     stability)
 from .report import register
 
 
@@ -34,12 +35,12 @@ def check_ap_range(cfg):
     p = 2.0
     inside = (-0.9, 0.0, 0.5, 0.9)
     outside = (-1.5, 1.0, 1.5)
+    grids = [make_grid(1, 1.0, cfg.cells(n)) for n in (256, 512, 1024)]
     worst_growth = 0.0
     estimates = {}
     for alpha in inside + outside:
         vals = []
-        for n in (256, 512, 1024):
-            g = make_grid(1, 1.0, cfg.cells(n))
+        for g in grids:
             vals.append(ap_constant(power_weight(g, alpha), p, s))
         estimates[str(alpha)] = vals
         if alpha in inside:
@@ -55,32 +56,29 @@ def check_ap_range(cfg):
                 worst_growth = math.inf
     return {
         "lhs": worst_growth, "rhs": 1.0, "bound": 1.10,
-        "bound_class": "paper", "grid": "1d/256-1024", "params": estimates,
+        "bound_class": "paper", "grid": grid_label(s, grids), "params": estimates,
     }
 
 
 @register("rh", "reverse Holder exponent and constant for the square-root power weight")
 def check_rh(cfg):
     s = elliptic_structure(1)
+    grids = [make_grid(1, 1.0, cfg.cells(n)) for n in (512, 1024)]
     vals = []
-    for n in (512, 1024):
-        g = make_grid(1, 1.0, cfg.cells(n))
-        w = power_weight(g, 0.5)
-        eps, n_const = reverse_holder(w, 2.0, s)
+    for g in grids:
+        eps, n_const = reverse_holder(power_weight(g, 0.5), 2.0, s)
         vals.append(n_const)
         if eps <= 0:
             return {"lhs": math.inf, "rhs": 1.0, "bound": 1.10,
-                    "bound_class": "existential", "grid": f"1d/{n}", "params": {}}
+                    "bound_class": "existential", "grid": grid_label(s, g), "params": {}}
     # integrability threshold: |x|^{-1/2} caps the search below eps = 1
     g = make_grid(1, 1.0, cfg.cells(512))
     wneg = power_weight(g, -0.5)
     eps_neg, _ = reverse_holder(wneg, 2.0, s)
-    ok_threshold = eps_neg < 1.0
-    return {
-        "lhs": stability(vals) if ok_threshold else math.inf, "rhs": 1.0,
-        "bound": 1.10, "bound_class": "existential", "grid": "1d/512-1024",
-        "params": {"N": vals, "eps_capped_below_1": eps_neg},
-    }
+    report = refinement_report(s, grids, vals, params={"N": vals, "eps_capped_below_1": eps_neg})
+    if eps_neg >= 1.0:  # the threshold did not cap the search
+        report["lhs"] = math.inf
+    return report
 
 
 @register("ainf", "measure-ratio profile of a weight against its A_p lower bound")
@@ -95,7 +93,7 @@ def check_ainf(cfg):
         and lower_margin >= 1.0 - 1e-9 and beta1 >= 0.99 and abs(n1 - 1.0) < 1e-9
     return {
         "lhs": 1.0 if ok else math.inf, "rhs": 1.0, "bound": 1.0,
-        "bound_class": "paper", "slack": 0.0, "grid": f"1d/{g.cells[0]}",
+        "bound_class": "paper", "slack": 0.0, "grid": grid_label(s, g),
         "params": {"beta": beta, "N": n_fit, "lower_margin": lower_margin,
                    "beta_const_weight": beta1},
     }
@@ -114,7 +112,7 @@ def check_self_improve(cfg):
     ok = q < p and math.isfinite(a_q) and consistent
     return {
         "lhs": 1.0 if ok else math.inf, "rhs": 1.0, "bound": 1.0,
-        "bound_class": "paper", "slack": 0.0, "grid": f"1d/{g.cells[0]}",
+        "bound_class": "paper", "slack": 0.0, "grid": grid_label(s, g),
         "params": {"q": q, "A_q": a_q, "eps": eps},
     }
 
@@ -123,9 +121,9 @@ def check_self_improve(cfg):
 def check_muck_max(cfg):
     s = elliptic_structure(1)
     p = 2.0
+    grids = [make_grid(1, 1.0, cfg.cells(n)) for n in (512, 1024)]
     fits = []
-    for n in (512, 1024):
-        g = make_grid(1, 1.0, cfg.cells(n))
+    for g in grids:
         w = power_weight(g, 0.5)
         worst = 0.0
         for k in range(4):
@@ -134,20 +132,16 @@ def check_muck_max(cfg):
                 s, g, shape="cube", density=cfg.density))
             worst = max(worst, lp_norm(m, p, weight=w.field) / lp_norm(f, p, weight=w.field))
         fits.append(worst)
-    return {
-        "lhs": stability(fits), "rhs": 1.0, "bound": 1.10,
-        "bound_class": "existential", "grid": "1d/512-1024",
-        "params": {"fitted_N": fits},
-    }
+    return refinement_report(s, grids, fits, params={"fitted_N": fits})
 
 
 @register("fs-weighted", "sharp function controls the weighted p-norm")
 def check_fs_weighted(cfg):
     s = elliptic_structure(1)
     p = 2.0
+    grids = [make_grid(1, 1.0, cfg.cells(n)) for n in (512, 1024)]
     fits = []
-    for n in (512, 1024):
-        g = make_grid(1, 1.0, cfg.cells(n))
+    for g in grids:
         w = power_weight(g, 0.5)
         worst = 0.0
         for k in range(5):
@@ -158,20 +152,16 @@ def check_fs_weighted(cfg):
             if ns > 0:
                 worst = max(worst, lp_norm(f, p, weight=w.field) / ns)
         fits.append(worst)
-    return {
-        "lhs": stability(fits), "rhs": 1.0, "bound": 1.10,
-        "bound_class": "existential", "grid": "1d/512-1024",
-        "params": {"fitted_N": fits},
-    }
+    return refinement_report(s, grids, fits, params={"fitted_N": fits})
 
 
 @register("fs-morrey", "sharp function controls the homogeneous Morrey norm")
 def check_fs_morrey(cfg):
     s = elliptic_structure(1)
     p, beta = 2.0, 0.4
+    grids = [make_grid(1, 1.0, cfg.cells(n)) for n in (512, 1024)]
     fits = []
-    for n in (512, 1024):
-        g = make_grid(1, 1.0, cfg.cells(n))
+    for g in grids:
         worst = 0.0
         for k in range(4):
             f = random_signed(g, cfg.seed + 3 * k, kmax=40)
@@ -181,11 +171,7 @@ def check_fs_morrey(cfg):
             if ns > 0:
                 worst = max(worst, evaluate_norm(f, NormSpec("EpbDot", p=p, beta=beta), s) / ns)
         fits.append(worst)
-    return {
-        "lhs": stability(fits), "rhs": 1.0, "bound": 1.10,
-        "bound_class": "existential", "grid": "1d/512-1024",
-        "params": {"fitted_N": fits},
-    }
+    return refinement_report(s, grids, fits, params={"fitted_N": fits})
 
 
 @register("jones", "factorization into two A_1 pieces that reconstructs the weight exactly")
@@ -207,7 +193,7 @@ def check_jones(cfg):
     return {
         "lhs": rec_err, "rhs": 1.0, "bound": 1e-10, "slack": 0.0,
         "verdict": "pass" if ok else "fail",
-        "bound_class": "paper", "grid": f"1d/{g.cells[0]}",
+        "bound_class": "paper", "grid": grid_label(s, g),
         "params": {"a1_w1": a1_1, "a1_w2": a1_2, "S_norm": s_norm,
                    "ap_product": ap_prod},
     }
@@ -232,7 +218,7 @@ def check_rdf(cfg):
     return {
         "lhs": nv / nf if dom else math.inf, "rhs": 2.0, "bound": 1.0,
         "verdict": "pass" if ok else "fail",
-        "bound_class": "paper", "grid": f"1d/{g.cells[0]}",
+        "bound_class": "paper", "grid": grid_label(s, g),
         "params": {"T_norm": t_norm, "pointwise_ratio": ptwise,
                    "bound_pointwise": 2.0 * t_norm},
     }
@@ -243,9 +229,9 @@ def check_adams_weighted(cfg):
     d, p, q = 3, 1.5, 2.0
     s = elliptic_structure(d)
     beta_w = 0.5  # in (-(p-1)d, (q-p)d/q) = (-3, 0.75)
+    grids = [make_grid(d, math.pi, cfg.cells(n), periodic=True) for n in (48, 64)]
     fits = []
-    for n in (48, 64):
-        g = make_grid(d, math.pi, cfg.cells(n), periodic=True)
+    for g in grids:
         w = power_weight(g, -beta_w).field
         b_p = Field(g, np.minimum(g.radius() ** -p, (min(g.h)) ** -p))
         worst = 0.0
@@ -259,11 +245,7 @@ def check_adams_weighted(cfg):
             den = float((du2 ** p * w.values).sum())
             worst = max(worst, num / den)
         fits.append(worst)
-    return {
-        "lhs": stability(fits), "rhs": 1.0, "bound": 1.10,
-        "bound_class": "existential", "grid": "3d/48-64",
-        "params": {"fitted": fits, "beta": beta_w},
-    }
+    return refinement_report(s, grids, fits, params={"fitted": fits, "beta": beta_w})
 
 
 @register("adams-weighted-model", "model case: weighted Hardy with the drift and weight both powers")
@@ -288,7 +270,7 @@ def check_adams_weighted_model(cfg):
     return {
         "lhs": max(fits), "rhs": 1.0, "bound": math.inf,
         "verdict": "pass" if ok else "fail",
-        "bound_class": "existential", "grid": f"3d/{g.cells[0]}",
+        "bound_class": "existential", "grid": grid_label(s, g),
         "params": {"fits": fits, "p_plus_beta_lt_d": cond},
     }
 
@@ -297,9 +279,9 @@ def check_adams_weighted_model(cfg):
 def check_laplace_weighted(cfg):
     s = elliptic_structure(2)
     p = 2.0
+    grids = [make_grid(2, math.pi, cfg.cells(n), periodic=True) for n in (48, 96)]
     vals = []
-    for n in (48, 96):
-        g = make_grid(2, math.pi, cfg.cells(n), periodic=True)
+    for g in grids:
         w = power_weight(g, 0.5).field
         worst = 0.0
         for k in range(4):
@@ -308,11 +290,7 @@ def check_laplace_weighted(cfg):
             for rr in apriori_ratios(u, ops, NormSpec("LpW", p=p, weight=w), s):
                 worst = max(worst, rr["ratio"])
         vals.append(worst)
-    return {
-        "lhs": stability(vals), "rhs": 1.0, "bound": 1.10,
-        "bound_class": "existential", "grid": "2d/48-96",
-        "params": {"ratios": vals},
-    }
+    return refinement_report(s, grids, vals, params={"ratios": vals})
 
 
 @register("drift-weighted", "weighted resolvent with inverse-distance drift: small drift keeps the ratio finite")
@@ -348,6 +326,6 @@ def check_drift_weighted(cfg):
     return {
         "lhs": ratio, "rhs": 1.0, "bound": math.inf,
         "verdict": "pass" if ok else "fail",
-        "bound_class": "existential", "grid": f"2d/{g.cells[0]}",
+        "bound_class": "existential", "grid": grid_label(s, g),
         "params": {"critical_scale": crit, "weighted_ratio": ratio},
     }

@@ -91,18 +91,19 @@ def member_offsets(grid, structure, rho, shape):
 @dataclass(frozen=True)
 class _Member:
     """One family member: its boolean stencil `mask`, the `origin` index of
-    the anchor cell in it, and its `key`.
+    the anchor cell in it, and its `key`, the exact cell set (_cell_key).
 
-    Records compare and hash by key alone.  A table record's key is its
-    exact cell set (_cell_key), so records of equal cell sets are equal,
-    whatever radius, shape or grid made them, and share their entries in
-    the count and footprint tables.  A record made from a bare stencil has
-    no key (None): its counts are made at every call and never stored.
+    Records compare and hash by key alone, so records of equal cell sets
+    are equal, whatever radius, shape or grid made them, or none, and share
+    their entries in the count, offset and footprint tables.
     """
 
     mask: np.ndarray = _field(compare=False)
     origin: tuple = _field(compare=False)
-    key: tuple = None
+    key: tuple = _field(init=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "key", _cell_key(self.mask, self.origin))
 
     @functools.cached_property
     def spans(self):
@@ -175,7 +176,7 @@ def _member(hs, ks, nu0, rho, shape):
     mask = np.ascontiguousarray(mask[tuple(slice(a, b + 1) for a, b in box)])
     origin = tuple(o - a for o, (a, _b) in zip(origin, box))
     mask.flags.writeable = False
-    return _Member(mask, origin, _cell_key(mask, origin))
+    return _Member(mask, origin)
 
 
 def _correlate(values, member, forward=None, span=None):
@@ -284,7 +285,9 @@ def _fft_correlate(values, kernel, origin, forward=None, span=None):
     (_transform_lens), and the kernel spectrum is pruned: one axis at a
     time, last to first, so each pass transforms only the lines the kernel
     (or its partial transform) occupies.  Kernel entries or values past the
-    transform length reach no kept anchor.  A _Forward holder passed as
+    transform length reach no kept anchor.  A span that starts before the
+    first output, lo < origin - (s - 1), keeps anchors that no kernel cell
+    reaches from the values, and is refused.  A _Forward holder passed as
     `forward` keeps the forward spectrum of values for the next call at the
     same lengths.  The product overwrites the kernel spectrum, which is this
     call's own, unless batch axes broadcast it, and every complex inverse
@@ -303,12 +306,12 @@ def _fft_correlate(values, kernel, origin, forward=None, span=None):
     # dtype: a batch of more than one broadcasts it
     same = fwd.shape == spec.shape and fwd.dtype == spec.dtype
     spec = np.multiply(fwd, spec, out=spec if same else None)
-    # corr(c) sits at index c + (s - 1 - origin) of the linear correlation,
-    # modulo the length: an anchor before that index's 0 reads it wrapped
-    keep = []
-    for s, o, (lo, hi), m in zip(kernel.shape, origin, span or [(0, n) for n in cells], lens):
-        first, end = lo + s - 1 - o, hi + s - 1 - o
-        keep.append(slice(first, end) if first >= 0 else np.arange(first, end) % m)
+    # corr(c) sits at index c + (s - 1 - origin) of the linear correlation
+    keep = [slice(lo + s - 1 - o, hi + s - 1 - o) for s, o, (lo, hi)
+            in zip(kernel.shape, origin, span or [(0, n) for n in cells])]
+    if any(k.start < 0 for k in keep):
+        raise ValueError(f"span {span} starts before the first output of a kernel "
+                         f"of shape {kernel.shape} and origin {origin}")
     for ax, m, k in zip(axes[:-1], lens, keep):
         spec = np.fft.ifft(spec, n=m, axis=ax, out=spec)[(slice(None),) * ax + (k,)]
     return np.fft.irfft(spec, n=lens[-1], axis=-1)[..., keep[-1]]
@@ -426,16 +429,15 @@ def _box_sum(values, bounds, forward=None, span=None):
 
 
 class _CountTable:
-    """Bounded table of the uniform member counts of table records.
+    """Bounded table of the uniform member counts of records.
 
     Keyed by (member.key, cells), so a count outlives the record it was made
-    for and serves every equal one.  A keyless record is counted at every
-    call.  A count of at most `entry_bytes` is stored whole; a larger one is
-    stored compressed (_compressed_count) and expanded on every read, unless
-    even that exceeds `total_bytes`.  Past `total_bytes` the least recently
-    used go first.  Stored counts are read-only.  A read returns the count
-    on `box`, a tuple of slices of the grid (() is all of it), and expands
-    only the cells that box holds.
+    for and serves every equal one.  A count of at most `entry_bytes` is
+    stored whole; a larger one is stored compressed (_compressed_count) and
+    expanded on every read, unless even that exceeds `total_bytes`.  Past
+    `total_bytes` the least recently used go first.  Stored counts are
+    read-only.  A read returns the count on `box`, a tuple of slices of the
+    grid (() is all of it), and expands only the cells that box holds.
     """
 
     def __init__(self, entry_bytes, total_bytes):
@@ -444,8 +446,6 @@ class _CountTable:
 
     def get(self, member, cells, box=()):
         cells = tuple(cells)
-        if member.key is None:
-            return _stencil_count(member.mask, member.origin, cells)[box]
         key = (member.key, cells)
         count = self.counts.pop(key, None)
         if count is None:
@@ -613,20 +613,13 @@ def _mean_oscillation(values, member, strides):
 
 
 @functools.lru_cache(maxsize=_STENCIL_TABLE_SIZE)
-def _table_offsets(member, padded_shape):
-    flat = np.ravel_multi_index(np.nonzero(member.mask), padded_shape)
-    flat.flags.writeable = False
-    return flat
-
-
 def _flat_offsets(member, padded_shape):
     """Flat offset of each stencil cell of a _Member in a C-order grid of
     padded_shape, in cells, ascending.  Read-only and shared from a bounded
-    table keyed by the record's key and the shape; a keyless record's are
-    made at every call, as its counts are."""
-    if member.key is None:
-        return _table_offsets.__wrapped__(member, padded_shape)
-    return _table_offsets(member, padded_shape)
+    table keyed by the record's key and the shape."""
+    flat = np.ravel_multi_index(np.nonzero(member.mask), padded_shape)
+    flat.flags.writeable = False
+    return flat
 
 
 def _anchor_stride(grid, rho, density):
@@ -651,7 +644,7 @@ def _sweep(grid, structure, radii, shape, density=None):
 
 def _scatter_max(lattice, member, stride, out):
     """out(z) <- max of out(z) and of the values on the stride lattice over
-    the anchors whose member (a table record) holds the whole stride block of
+    the anchors whose member holds the whole stride block of
     z (cells stride * (z // stride) + [0, stride)^dim); a lower bound of the
     max over the anchors whose member holds z, and equal to it at stride 1,
     where the lattice is the grid and the runs max straight into out.

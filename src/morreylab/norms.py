@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import Field, lp_norm, power_integrand
-from .maximal import (BallFamily, _bounding_box, _box_sum, _cell_key, _Forward, _Member,
+from .maximal import (BallFamily, _bounding_box, _box_sum, _Forward, _Member,
                       _mean_oscillation, _member_means, _member_shape, _spectrum_bytes, _sweep)
 
 __all__ = [
@@ -312,7 +312,7 @@ def bmo_seminorms(a_entries, rho, structure):
                 if new:
                     # the x-ball as a one-row cylinder, keyed by its cells
                     row, origin = ball.mask[None], (0,) + ball.origin
-                    dev = _mean_oscillation(a.values, _Member(row, origin, _cell_key(row, origin)),
+                    dev = _mean_oscillation(a.values, _Member(row, origin),
                                             strides)
                 sharpsharp = max(sharpsharp, float((_window_sums(dev, wlen) / wlen).max()))
     return sharp, sharpsharp

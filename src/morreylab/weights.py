@@ -188,11 +188,11 @@ def ap_constant(weight, p, structure, family=None, return_argmax=False):
     return best
 
 
-def a1_constant(field, structure, family=None):
-    return ap_constant(Weight(field), 1.0, structure, family)
+def a1_constant(field, structure):
+    return ap_constant(Weight(field), 1.0, structure)
 
 
-def ainf_profile(weight, p, structure, family=None, seed=0):
+def ainf_profile(weight, p, structure, seed=0):
     """Fit (beta, N) with w(S)/w(Q) <= N (|S|/|Q|)^beta over 400 random
     S inside Q pairs; all sampled pairs satisfy the returned bound.
     Also returns the worst violation margin of the lower-bound direction
@@ -203,7 +203,7 @@ def ainf_profile(weight, p, structure, family=None, seed=0):
     wv = weight.field.values
     wfin = np.where(np.isfinite(wv), wv, 0.0)
     ratios = []
-    apw = ap_constant(weight, p, structure, family)
+    apw = ap_constant(weight, p, structure)
     lower_margin = math.inf
     for _ in range(400):
         # random cube Q and random sub-box S
@@ -297,21 +297,21 @@ def reverse_holder(weight, p, structure, family=None, eps_grid=None):
     return best
 
 
-def self_improve(weight, p, structure, family=None):
+def self_improve(weight, p, structure):
     """q < p with finite A_q estimate, via reverse Holder applied to
     w^{-1/(p-1)} exactly as in the self-improvement proof:
     (1 + eps)/(p - 1) = 1/(q - 1)."""
     if p <= 1:
         raise ValueError("self improvement needs p > 1")
     dual = Weight(_dual_field(weight, p))
-    eps, _ = reverse_holder(dual, p / (p - 1.0), structure, family)
+    eps, _ = reverse_holder(dual, p / (p - 1.0), structure)
     if eps == 0.0:
         import warnings
 
         warnings.warn("no reverse-Holder gain found; returning q = p")
-        return p, ap_constant(weight, p, structure, family)
+        return p, ap_constant(weight, p, structure)
     q = 1.0 + (p - 1.0) / (1.0 + eps)
-    return q, ap_constant(weight, q, structure, family)
+    return q, ap_constant(weight, q, structure)
 
 
 def _estimate_op_norm(op, shape, norm, seed):

@@ -419,9 +419,9 @@ def _same_params(got, want):
 
 def test_criterion_13_full_suite():
     """The full registry passes at the default seed, and its report matches
-    the golden file row by row: the same ids and verdicts, lhs/rhs/ratio
-    and every number in params within 1e-9 relative, every inf still inf,
-    the rest of params exactly.
+    the golden file row by row: the same ids, verdicts and grid, bound,
+    bound_class and slack cells, lhs/rhs/ratio and every number in params
+    within 1e-9 relative, every inf still inf, the rest of params exactly.
 
     A change that moves a number on purpose regenerates the golden file from
     the repository root with
@@ -461,6 +461,9 @@ def _assert_matches_golden(reports, path):
     assert [r.check_id for r in reports] == [row["check_id"] for row in rows]
     for r, row in zip(reports, rows):
         assert r.verdict == row["verdict"], r.check_id
+        cells = dict(zip(r.CSV_HEADER, r.csv_row()))
+        for key in ("grid", "bound", "bound_class", "slack"):
+            assert cells[key] == row[key], (r.check_id, key, cells[key], row[key])
         for key in ("lhs", "rhs", "ratio"):
             got, want = getattr(r, key), row[key]
             if want == "":

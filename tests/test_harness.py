@@ -176,6 +176,39 @@ def test_report_schema_keys():
         assert key in payload
 
 
+def test_grid_label_reads_the_grids_that_ran():
+    from morreylab.checks.common import elliptic_structure, grid_label, parabolic_structure
+    from morreylab.grid import make_grid
+
+    # one level: '<d>d/<cells>', from a grid or a list of one
+    one = make_grid(2, 1.0, 64)
+    assert grid_label(elliptic_structure(2), one) == "2d/64"
+    assert grid_label(elliptic_structure(2), [one]) == "2d/64"
+    assert grid_label(None, one) == "2d/64"
+    # several levels: first-last, whatever the levels between them
+    levels = [make_grid(3, 1.0, n) for n in (20, 28, 40)]
+    assert grid_label(elliptic_structure(3), levels) == "3d/20-40"
+    # a parabolic structure: '(1+k)', and the cells of the time axis
+    cylinders = [make_grid(3, (1.0, 1.2, 1.2), (n, 3 * n // 2, 3 * n // 2)) for n in (16, 24)]
+    assert grid_label(parabolic_structure(2), cylinders) == "(1+2)/16-24"
+    assert grid_label(parabolic_structure(1), make_grid(2, 1.0, 32)) == "(1+1)/32"
+
+
+def test_refinement_report_is_the_worst_growth_of_its_levels():
+    from morreylab.checks.common import elliptic_structure, refinement_report, stability
+    from morreylab.grid import make_grid
+
+    grids = [make_grid(1, 1.0, n) for n in (128, 256, 512)]
+    a, b = [1.0, 1.05, 1.02], [2.0, 1.9, 2.1]
+    params = {"a": a, "b": b}
+    report = refinement_report(elliptic_structure(1), grids, a, b, params=params)
+    assert report == {"lhs": max(stability(a), stability(b)), "rhs": 1.0, "bound": 1.10,
+                      "bound_class": "existential", "grid": "1d/128-512", "params": params}
+    assert report["params"] is params
+    assert refinement_report(None, grids, a, params={}, bound=1.15)["bound"] == 1.15
+    assert refinement_report(None, grids, [1.0, math.inf, 1.0], params={})["lhs"] == math.inf
+
+
 def test_cli_field_pipeline(tmp_path):
     from morreylab.grid import Field, make_grid, save_field
 

@@ -60,7 +60,7 @@ def brute_correlate(values, stencil, origin):
 
 
 def mean_oscillation(values, stencil, origin, strides):
-    """_mean_oscillation over the keyless record of a bare stencil."""
+    """_mean_oscillation over the record of a bare stencil."""
     return _mean_oscillation(values, _Member(stencil, origin), strides)
 
 
@@ -196,10 +196,17 @@ def spanned_kernels(draw):
 def test_spanned_correlations_match_direct_summation(case):
     # the FFT correlation and the box sum at the anchors of a span, against
     # direct summation; the box sum also through a holder's table, twice
+    # a span that starts before the correlation's first output, anchor
+    # o + 1 - s, is refused by the FFT; its part from there on is correlated
     values, kernel, origin, span = case
+    first = [o + 1 - s for s, o in zip(kernel.shape, origin)]
+    fft_span = [(max(lo, f), max(hi, f + 1)) for (lo, hi), f in zip(span, first)]
+    if fft_span != span:
+        with pytest.raises(ValueError, match="before the first output"):
+            _fft_correlate(values, kernel, origin, span=span)
     scale = 1.0 + np.abs(values).sum() * np.abs(kernel).max()
-    want = brute_span_correlate(values, kernel, origin, span)
-    got = _fft_correlate(values, kernel, origin, span=span)
+    want = brute_span_correlate(values, kernel, origin, fft_span)
+    got = _fft_correlate(values, kernel, origin, span=fft_span)
     assert got.shape == want.shape
     assert np.allclose(got, want, rtol=0, atol=1e-12 * scale)
     batch = values.shape[:values.ndim - kernel.ndim]
@@ -217,17 +224,17 @@ def test_spanned_correlations_match_direct_summation(case):
 
 @pytest.mark.parametrize("case", ["1d", "2d-past-both-ends", "3d-kernel-larger", "batch"])
 def test_spanned_correlation_cases(case):
-    # the listed cases by name: 1-D, spans past both ends of the anchors the
-    # kernel reaches, a kernel larger than the values, a batch axis
+    # the listed cases by name: 1-D, spans past both ends of the values, from
+    # the first output on, a kernel larger than the values, a batch axis
     rng = np.random.default_rng(21)
     values, kernel, origin, span = {
         "1d": (rng.standard_normal(9), rng.standard_normal(4), (1,), [(-2, 8)]),
         "2d-past-both-ends": (rng.standard_normal((5, 6)), rng.standard_normal((3, 4)),
-                              (1, 3), [(-9, 14), (-4, 12)]),
+                              (1, 3), [(-1, 14), (0, 12)]),
         "3d-kernel-larger": (rng.standard_normal((3, 2, 4)), rng.standard_normal((7, 9, 5)),
                              (3, 0, 4), [(-3, 5), (-8, 2), (0, 8)]),
         "batch": (rng.standard_normal((2, 6, 5)), rng.standard_normal((3, 3)), (1, 2),
-                  [(-2, 7), (1, 4)]),
+                  [(-1, 7), (1, 4)]),
     }[case]
     want = brute_span_correlate(values, kernel, origin, span)
     got = _fft_correlate(values, kernel, origin, span=span)
@@ -238,6 +245,16 @@ def test_spanned_correlation_cases(case):
     got = _box_sum(values, [(0, 0)] * len(batch) + box, _Forward(),
                    [(0, n) for n in batch] + span)
     assert np.allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
+
+
+def test_a_span_before_the_first_output_is_refused():
+    # anchor o + 1 - s is the first that a kernel cell reaches from the values
+    values, kernel, origin = np.ones((5, 6)), np.ones((3, 4)), (1, 3)
+    with pytest.raises(ValueError, match="before the first output"):
+        _fft_correlate(values, kernel, origin, span=[(-2, 5), (0, 6)])
+    got = _fft_correlate(values, kernel, origin, span=[(-1, 5), (0, 6)])
+    assert np.allclose(got, brute_span_correlate(values, kernel, origin, [(-1, 5), (0, 6)]),
+                       rtol=0, atol=1e-12)
 
 
 @settings(max_examples=100, deadline=None)
@@ -504,7 +521,7 @@ def test_box_sums_of_one_field_read_one_holder_table():
 
 @st.composite
 def any_stencils(draw):
-    """(member, cells): a keyless record of a random boolean stencil in 1-3 D
+    """(member, cells): the record of a random boolean stencil in 1-3 D
     with its origin anywhere in it (a cylinder's origin is its first t row),
     on grids smaller and larger than the stencil."""
     dim = draw(st.integers(1, 3))
@@ -583,20 +600,23 @@ def test_a_stored_count_survives_the_member_table_eviction():
     assert maximal._COUNTS.get(nearby, (16, 18)) is count
 
 
-def test_a_keyless_record_is_counted_but_never_stored():
-    loose = _Member(np.ones((3, 3), dtype=bool), (1, 1))
-    assert loose.key is None
-    stored = dict(maximal._COUNTS.counts)
-    count = maximal._COUNTS.get(loose, (4, 4))
-    assert count.flags.writeable
-    assert np.array_equal(count, pad_clip_stencil_count(loose.mask, loose.origin, (4, 4)))
-    assert maximal._COUNTS.get(loose, (4, 4)) is not count
-    assert maximal._COUNTS.counts.keys() == stored.keys()
+def test_a_bare_stencil_record_shares_the_entries_of_an_equal_table_record():
+    # a record made from a bare stencil is keyed by its cell set, as a table
+    # record is: it equals the table record of the same cells and reads the
+    # count and the gather offsets stored for it
+    table = member_offsets(make_grid(2, 1.0, 32), make_structure(2, (1, 1)), 0.3, "ball")
+    bare = _Member(table.mask.copy(), table.origin)
+    assert bare is not table and bare == table and hash(bare) == hash(table)
+    cells = (20, 24)
+    count = maximal._COUNTS.get(table, cells)
+    assert maximal._COUNTS.get(bare, cells) is count
+    padded = tuple(n + s - 1 for n, s in zip(cells, table.mask.shape))
+    assert maximal._flat_offsets(bare, padded) is maximal._flat_offsets(table, padded)
 
 
 @st.composite
 def counts_past_the_stencil(draw):
-    """(member, cells): a keyed record of a random boolean stencil in 1-3 D
+    """(member, cells): the record of a random boolean stencil in 1-3 D
     that holds its origin, on a grid shorter than, as long as or longer than
     the stencil on each axis."""
     dim = draw(st.integers(1, 3))
@@ -606,7 +626,7 @@ def counts_past_the_stencil(draw):
     stencil[origin] = True
     cells = tuple(draw(st.sampled_from([n for n in (s - 2, s - 1, s, s + 1, s + 5) if n > 0]))
                   for s in shape)
-    return _Member(stencil, origin, ("random", stencil.tobytes(), shape, origin)), cells
+    return _Member(stencil, origin), cells
 
 
 @settings(max_examples=300, deadline=None)
@@ -831,17 +851,16 @@ def test_one_pass_oscillation_matches_anchor_loop_on_clipped_members(case):
                        equal_nan=True)
 
 
-def test_keyless_records_get_their_own_flat_offsets():
-    # the gather's offsets are kept per record key: a keyless record after a
-    # table record of the same stencil shape, and after another keyless
-    # record, gathers its own cells
+def test_records_of_one_stencil_shape_get_their_own_flat_offsets():
+    # the gather's offsets are kept per record key, the cell set: records of
+    # one stencil shape and origin and other cells each gather their own
     rng = np.random.default_rng(12)
     values = rng.normal(size=(9, 8))
     masks = [rng.random((3, 4)) < 0.5 for _ in range(3)]
     for m in masks:
         m[1, 2] = True
-    records = [_Member(masks[0], (1, 2), maximal._cell_key(masks[0], (1, 2))),
-               _Member(masks[1], (1, 2)), _Member(masks[2], (1, 2))]
+    records = [_Member(m, (1, 2)) for m in masks]
+    assert len(set(records)) == 3
     for record in records:
         want = np.ravel_multi_index(np.nonzero(record.mask), (11, 11))
         assert np.array_equal(maximal._flat_offsets(record, (11, 11)), want)
