@@ -21,8 +21,8 @@ from ..solvers import (
     solve_heat,
     spectral_derivative_fields,
 )
-from .common import (bump_mix, grid_label, parabolic_grid, parabolic_structure, random_signed,
-                     refinement_report)
+from .common import (grid_label, mean_zero_source, parabolic_grid, parabolic_structure,
+                     random_signed, refinement_report)
 from .report import register
 
 
@@ -196,8 +196,7 @@ def check_at_osc(cfg):
     for g in grids:
         rng = np.random.default_rng(cfg.seed)
         a_path = _random_path(rng, g.cells[0], 1, delta)
-        f = bump_mix(g, cfg.seed, nonneg=False)
-        f = Field(g, f.values - f.values.mean())
+        f = mean_zero_source(g, cfg.seed)
         u, _ = solve_heat(f, 0.5, a_of_t=a_path, delta=delta)
         # anchor the two-scale bound where the source actually acts
         imax = np.unravel_index(int(np.argmax(np.abs(f.values))), g.cells)

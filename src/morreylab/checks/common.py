@@ -16,6 +16,7 @@ __all__ = [
     "random_nonneg",
     "random_signed",
     "bump_mix",
+    "mean_zero_source",
     "stability",
     "growth_verdict",
     "grid_label",
@@ -41,21 +42,27 @@ def random_nonneg(grid, seed):
     return Field(grid, np.random.default_rng(seed).random(grid.cells) ** 3)
 
 
-def random_signed(grid, seed, kmax=5, mean_zero=True):
-    return test_function("random_band", grid, kmax=kmax, seed=seed, mean_zero=mean_zero)
+def random_signed(grid, seed, kmax=5):
+    return test_function("random_band", grid, kmax=kmax, seed=seed)
 
 
-def bump_mix(grid, seed, n=3, nonneg=True):
-    """Sum of a few randomly placed smooth bumps, compactly supported."""
+def bump_mix(grid, seed, nonneg=True):
+    """Sum of three randomly placed smooth bumps, compactly supported."""
     rng = np.random.default_rng(seed)
     vals = np.zeros(grid.cells)
-    for _ in range(n):
+    for _ in range(3):
         center = [rng.uniform(-0.4 * L, 0.4 * L) for L in grid.half_extent]
         radius = rng.uniform(0.15, 0.4) * min(grid.half_extent)
         amp = rng.uniform(0.5, 1.5) * (1.0 if nonneg else rng.choice([-1.0, 1.0]))
         b = test_function("bump", grid, radius=radius, center=center, amp=amp)
         vals += b.values
     return Field(grid, vals)
+
+
+def mean_zero_source(grid, seed):
+    """bump_mix with random signs, less its mean."""
+    f = bump_mix(grid, seed, nonneg=False)
+    return Field(grid, f.values - f.values.mean())
 
 
 def stability(values):

@@ -9,13 +9,15 @@ import math
 import numpy as np
 
 from ..grid import Field, integrate, lp_norm, make_grid
-from ..maximal import BallFamily, classical_maximal, classical_sharp
+from ..maximal import classical_maximal, classical_sharp
 from ..norms import NormSpec, drift_seminorm, evaluate_norm, evaluate_norms
 from ..potentials import KernelSpec, apply_kernel
 from ..solvers import (
     DriftDivergence,
     OperatorSpec,
     apriori_ratios,
+    gradient_magnitude,
+    hessian_magnitude,
     oscillation_estimate,
     solve_drift,
     solve_laplace,
@@ -27,6 +29,7 @@ from .common import (
     elliptic_structure,
     grid_label,
     growth_verdict,
+    mean_zero_source,
     random_signed,
     refinement_report,
     stability,
@@ -62,7 +65,7 @@ def check_cz_lp(cfg):
             for k in range(4):
                 u = random_signed(g, cfg.seed + 13 * k)
                 _, d2, lap, _ = spectral_derivative_fields(u, s)
-                mag = np.sqrt(sum(d2[i][j] ** 2 for i in range(2) for j in range(2)))
+                mag = hessian_magnitude(d2)
                 worst = max(worst, lp_norm(Field(g, mag), p) / lp_norm(Field(g, lap), p))
             fits[p].append(worst)
     return refinement_report(s, grids, *fits.values(),
@@ -76,14 +79,11 @@ def check_sharp_d2u(cfg):
     grids = [make_grid(2, math.pi, cfg.cells(n), periodic=True) for n in (48, 96)]
     fits = []
     for g in grids:
-        f = bump_mix(g, cfg.seed, nonneg=False)
-        f = Field(g, f.values - f.values.mean())
+        f = mean_zero_source(g, cfg.seed)
         u = solve_laplace(f, 0.0)
         _, d2, _, _ = spectral_derivative_fields(u, s)
-        mag = np.sqrt(sum(d2[i][j] ** 2 for i in range(2) for j in range(2)))
-        fam = BallFamily.for_structure(s, g, density=cfg.density)
-        sharp = classical_sharp(Field(g, mag), s, family=fam)
-        mp = classical_maximal(Field(g, np.abs(f.values) ** p), s, family=fam)
+        sharp = classical_sharp(Field(g, hessian_magnitude(d2)), s)
+        mp = classical_maximal(Field(g, np.abs(f.values) ** p), s)
         rhs = np.maximum(mp.values, 1e-300) ** (1.0 / p)
         fits.append(float(np.max(sharp.values / rhs)))
     return refinement_report(s, grids, fits, params={"p": p, "fitted_N": fits})
@@ -98,8 +98,8 @@ def check_interp_grad(cfg):
     for k in range(5):
         u = random_signed(g, cfg.seed + 3 * k)
         du, d2, _, _ = spectral_derivative_fields(u, s)
-        du_mag = np.sqrt(sum(d ** 2 for d in du))
-        d2_mag = np.sqrt(sum(d2[i][j] ** 2 for i in range(2) for j in range(2)))
+        du_mag = gradient_magnitude(du)
+        d2_mag = hessian_magnitude(d2)
         xs = g.mesh()
         for r in (1.0, 2.0):
             ball = sum(x ** 2 for x in xs) < r ** 2
@@ -109,12 +109,11 @@ def check_interp_grad(cfg):
             for eps in (r / 4, r / 2, r):
                 fits["local"] = max(fits["local"],
                                     idu / (eps ** p * id2 + eps ** -p * iu))
-        fam = BallFamily.for_structure(s, g, density=cfg.density)
-        m2 = classical_maximal(Field(g, d2_mag), s, family=fam)
-        m0 = classical_maximal(u, s, family=fam)
+        m2 = classical_maximal(Field(g, d2_mag), s)
+        m0 = classical_maximal(u, s)
         rhs = np.sqrt(np.maximum(m2.values * m0.values, 1e-300))
         for i in range(2):
-            sharp_du = classical_sharp(Field(g, du[i]), s, family=fam)
+            sharp_du = classical_sharp(Field(g, du[i]), s)
             fits["sharp"] = max(fits["sharp"], float((sharp_du.values / rhs).max()))
         fits["global"] = max(
             fits["global"],
@@ -153,8 +152,7 @@ def check_osc_kappa(cfg):
     grids = [make_grid(2, math.pi, cfg.cells(n), periodic=True) for n in (64, 128)]
     fits = []
     for g in grids:
-        f = bump_mix(g, cfg.seed, nonneg=False)
-        f = Field(g, f.values - f.values.mean())
+        f = mean_zero_source(g, cfg.seed)
         u = solve_laplace(f, 0.0)
         worst = 0.0
         for kappa in (2.0, 4.0, 8.0):
@@ -324,10 +322,8 @@ def check_adams_cf(cfg):
         for k in range(3):
             u = random_signed(g, cfg.seed + k, kmax=4)
             du, d2, _, _ = spectral_derivative_fields(u, s)
-            du_mag = Field(g, np.sqrt(sum(x ** 2 for x in du)) ** r_exp)
-            num = integrate(du_mag, weight=b_r.copy())
-            d2_mag = np.sqrt(sum(d2[i][j] ** 2 for i in range(d) for j in range(d)))
-            den = float((d2_mag ** r_exp).sum()) * g.cell_volume
+            num = integrate(Field(g, gradient_magnitude(du) ** r_exp), weight=b_r.copy())
+            den = float((hessian_magnitude(d2) ** r_exp).sum()) * g.cell_volume
             worst = max(worst, num / den)
         fits.append(worst)
     return refinement_report(s, grids, fits, params={"fitted": fits})
@@ -365,8 +361,7 @@ def check_morrey_interp(cfg):
             u = random_signed(g, cfg.seed + 11 * k)
             du, d2, _, _ = spectral_derivative_fields(u, s)
             ndu, nd2, nu = evaluate_norms(
-                [Field(g, np.sqrt(sum(x ** 2 for x in du))),
-                 Field(g, np.sqrt(sum(d2[i][j] ** 2 for i in range(2) for j in range(2)))), u],
+                [Field(g, gradient_magnitude(du)), Field(g, hessian_magnitude(d2)), u],
                 NormSpec("Epbr", p=p, beta=beta), s)
             for eps in (0.25, 0.5, 1.0):
                 worst = max(worst, ndu / (eps * nd2 + nu / eps))
@@ -402,8 +397,7 @@ def check_morrey_embed(cfg):
             u = random_signed(g, cfg.seed + 23 * k)
             du, d2, _, _ = spectral_derivative_fields(u, s)
             nd2, nu, ndu = evaluate_norms(
-                [Field(g, np.sqrt(sum(d2[i][j] ** 2 for i in range(2) for j in range(2)))), u,
-                 Field(g, np.sqrt(sum(x ** 2 for x in du)))],
+                [Field(g, hessian_magnitude(d2)), u, Field(g, gradient_magnitude(du))],
                 NormSpec("Epbr", p=p, beta=beta), s)
             for eps in (0.25, 0.5, 1.0):
                 bound = eps ** (2 - beta) * nd2 + eps ** (-beta) * nu
@@ -503,31 +497,36 @@ def _drift_critical_scale(f, lam, b_unit, s):
     return scale
 
 
-@register("drift-morrey", "inverse-distance drift: converges well below the critical size, diverges above")
-def check_drift_morrey(cfg):
-    d = 2
-    s = elliptic_structure(d)
-    g = make_grid(d, math.pi, cfg.cells(64), periodic=True)
-    f = bump_mix(g, cfg.seed, nonneg=False)
-    f = Field(g, f.values - f.values.mean())
+def _inverse_distance_drift(cfg):
+    """The set-up of the inverse-distance drift checks at lam = 4 on the
+    64^2 torus: (s, g, f, b, crit, diverged_large), f a mean-zero source,
+    crit the critical scale of the drift -x/|x|^2 (|x|^2 floored at
+    (h/2)^2), b that drift at 0.1 crit, and whether the iteration diverges
+    at 10 crit."""
+    s = elliptic_structure(2)
+    g = make_grid(2, math.pi, cfg.cells(64), periodic=True)
+    f = mean_zero_source(g, cfg.seed)
     xs = g.mesh()
-    r2 = sum(x ** 2 for x in xs)
-    r2 = np.maximum(r2, (min(g.h) / 2) ** 2)
+    r2 = np.maximum(sum(x ** 2 for x in xs), (min(g.h) / 2) ** 2)
     b_unit = [Field(g, -x / r2) for x in xs]
     crit = _drift_critical_scale(f, 4.0, b_unit, s)
+    try:
+        solve_drift(f, 4.0, [Field(g, 10.0 * crit * bi.values) for bi in b_unit], s, max_iter=25)
+        diverged_large = False
+    except DriftDivergence:
+        diverged_large = True
+    return s, g, f, [Field(g, 0.1 * crit * bi.values) for bi in b_unit], crit, diverged_large
+
+
+@register("drift-morrey", "inverse-distance drift: converges well below the critical size, diverges above")
+def check_drift_morrey(cfg):
+    s, g, f, b, crit, diverged_large = _inverse_distance_drift(cfg)
     ok_small = True
     try:
-        b = [Field(g, 0.1 * crit * bi.values) for bi in b_unit]
         u, trace = solve_drift(f, 4.0, b, s)
     except DriftDivergence:
         ok_small = False
         trace = []
-    diverged_large = False
-    try:
-        b = [Field(g, 10.0 * crit * bi.values) for bi in b_unit]
-        solve_drift(f, 4.0, b, s, max_iter=25)
-    except DriftDivergence:
-        diverged_large = True
     verdict = "pass" if (ok_small and diverged_large) else "fail"
     return {
         "lhs": crit, "rhs": 1.0, "bound": math.inf, "verdict": verdict,

@@ -12,7 +12,8 @@ from ..dyadic import dyadic_sharp
 from ..grid import Field, lp_norm, make_grid, make_structure
 from ..maximal import BallFamily, classical_maximal
 from ..norms import NormSpec, drift_seminorm, evaluate_norm, mixed_norm
-from ..solvers import OperatorSpec, apriori_ratios, spectral_derivative_fields
+from ..solvers import (OperatorSpec, apriori_ratios, gradient_magnitude, hessian_magnitude,
+                       spectral_derivative_fields)
 from ..testfunctions import test_function
 from ..weights import power_weight
 from .common import (bump_mix, elliptic_structure, grid_label, parabolic_grid,
@@ -27,7 +28,7 @@ def check_mixed_transfer(cfg):
     g = make_grid(2, (1.0, 1.0), (cfg.cells(128), cfg.cells(128)))
     p, p1, p2 = 2.0, 2.0, 3.0
     rng = np.random.default_rng(cfg.seed)
-    fam = BallFamily.for_structure(s, g, shape="cube", density=cfg.density)
+    fam = BallFamily.for_structure(s, g, shape="cube")
     probes = [power_weight(g, 0.0), power_weight(g, 0.5), power_weight(g, -0.5)]
     worst = 0.0
     for k in range(3):
@@ -59,8 +60,7 @@ def check_hl_mixed(cfg):
         w_s, w_r = 0.0, 0.0
         for k in range(3):
             f = bump_mix(g, cfg.seed + k)
-            m = classical_maximal(f, s, family=BallFamily.for_structure(
-                s, g, density=cfg.density))
+            m = classical_maximal(f, s)
             w_s = max(w_s, mixed_norm(m, p, q) / mixed_norm(f, p, q))
             w_r = max(w_r, mixed_norm(m, p, q, reversed_order=True)
                       / mixed_norm(f, p, q, reversed_order=True))
@@ -187,8 +187,7 @@ def check_mixed_morrey_max(cfg):
         worst = 0.0
         for k in range(3):
             f = bump_mix(g, cfg.seed + k)
-            m = classical_maximal(f, s, family=BallFamily.for_structure(
-                s, g, density=cfg.density))
+            m = classical_maximal(f, s)
             num = evaluate_norm(m, NormSpec("EpqbDot", p=p, q=q, beta=beta), s)
             den = evaluate_norm(f, NormSpec("EpqbDot", p=p, q=q, beta=beta), s)
             worst = max(worst, num / den)
@@ -256,14 +255,10 @@ def check_drift_seminorm(cfg):
         for k in range(2):
             u = random_signed(g, cfg.seed + 23 * k, kmax=3)
             du, d2, _, _ = spectral_derivative_fields(u, s)
-            du_mag = np.sqrt(sum(x ** 2 for x in du))
-            d2_mag = np.sqrt(sum(d2[i][j] ** 2 for i in range(d) for j in range(d)))
-            num = evaluate_norm(Field(g, b.values * du_mag),
-                                NormSpec("Epbr", p=p, beta=beta, r=rho_b), s)
-            den = bbar * (
-                evaluate_norm(Field(g, d2_mag), NormSpec("Epbr", p=p, beta=beta, r=rho_b), s)
-                + rho_b ** -2 * evaluate_norm(u, NormSpec("Epbr", p=p, beta=beta, r=rho_b), s)
-            )
+            spec = NormSpec("Epbr", p=p, beta=beta, r=rho_b)
+            num = evaluate_norm(Field(g, b.values * gradient_magnitude(du)), spec, s)
+            den = bbar * (evaluate_norm(Field(g, hessian_magnitude(d2)), spec, s)
+                          + rho_b ** -2 * evaluate_norm(u, spec, s))
             worst = max(worst, num / den)
         fits.append(worst)
     return refinement_report(s, grids, fits, params={"fitted_N": fits, "seminorm": None},

@@ -15,7 +15,7 @@ from ..dyadic import (
     stopping_time,
 )
 from ..grid import Field, integrate, lp_norm, make_grid
-from ..maximal import BallFamily, classical_maximal, classical_sharp
+from ..maximal import classical_maximal, classical_sharp
 from .common import (elliptic_structure, grid_label, random_nonneg, random_signed,
                      refinement_report)
 from .report import register
@@ -176,8 +176,7 @@ def check_sharp_compare(cfg):
         for k in range(4):
             f = random_signed(g, cfg.seed + k, kmax=20)
             sharp_d = dyadic_sharp(f, s)
-            sharp_e = classical_sharp(f, s, family=BallFamily.for_structure(
-                s, g, density=cfg.density))
+            sharp_e = classical_sharp(f, s)
             with np.errstate(invalid="ignore", divide="ignore"):
                 r = np.where(sharp_e.values > 1e-12, sharp_d.values / sharp_e.values, 0.0)
             worst = max(worst, float(r.max()))
@@ -199,8 +198,7 @@ def check_hl_classical(cfg):
         worst = 0.0
         for k in range(3):
             f = random_nonneg(g, cfg.seed + 5 * k)
-            m = classical_maximal(f, s, family=BallFamily.for_structure(
-                s, g, density=cfg.density))
+            m = classical_maximal(f, s)
             worst = max(worst, lp_norm(m, 2) / lp_norm(f, 2))
         ratios.append(worst)
     return refinement_report(s, grids, ratios, params={"ratios": ratios})

@@ -34,7 +34,6 @@ REGISTRY = {}  # id -> (fn, description, tags)
 class CheckConfig:
     seed: int = DEFAULT_SEED
     grid: float = 1.0  # global resolution multiplier
-    density: float = 4.0  # family density knob
 
     def cells(self, base):
         """Scale a base cell count, keeping it an even power-of-two-friendly size."""

@@ -12,7 +12,8 @@ from ..dyadic import dyadic_sharp
 from ..grid import Field, lp_norm, make_grid
 from ..maximal import BallFamily, classical_maximal
 from ..norms import NormSpec, evaluate_norm
-from ..solvers import OperatorSpec, apriori_ratio, apriori_ratios
+from ..solvers import (DriftDivergence, OperatorSpec, apriori_ratio, apriori_ratios,
+                       gradient_magnitude, solve_drift, spectral_derivative_fields)
 from ..weights import (
     Weight,
     a1_constant,
@@ -128,8 +129,7 @@ def check_muck_max(cfg):
         worst = 0.0
         for k in range(4):
             f = bump_mix(g, cfg.seed + k)
-            m = classical_maximal(f, s, family=BallFamily.for_structure(
-                s, g, shape="cube", density=cfg.density))
+            m = classical_maximal(f, s, family=BallFamily.for_structure(s, g, shape="cube"))
             worst = max(worst, lp_norm(m, p, weight=w.field) / lp_norm(f, p, weight=w.field))
         fits.append(worst)
     return refinement_report(s, grids, fits, params={"fitted_N": fits})
@@ -237,10 +237,7 @@ def check_adams_weighted(cfg):
         worst = 0.0
         for k in range(3):
             u = random_signed(g, cfg.seed + 5 * k, kmax=4)
-            from ..solvers import spectral_derivative_fields
-
-            du, _, _, _ = spectral_derivative_fields(u, s)
-            du2 = np.sqrt(sum(x ** 2 for x in du))
+            du2 = gradient_magnitude(spectral_derivative_fields(u, s)[0])
             num = float((np.abs(u.values) ** p * b_p.values * w.values).sum())
             den = float((du2 ** p * w.values).sum())
             worst = max(worst, num / den)
@@ -295,33 +292,17 @@ def check_laplace_weighted(cfg):
 
 @register("drift-weighted", "weighted resolvent with inverse-distance drift: small drift keeps the ratio finite")
 def check_drift_weighted(cfg):
-    from ..solvers import DriftDivergence, solve_drift
-    from .elliptic import _drift_critical_scale
+    from .elliptic import _inverse_distance_drift
 
-    d = 2
-    s = elliptic_structure(d)
-    g = make_grid(d, math.pi, cfg.cells(64), periodic=True)
+    s, g, f, b, crit, diverged_large = _inverse_distance_drift(cfg)
     w = power_weight(g, 0.5).field
-    f = bump_mix(g, cfg.seed, nonneg=False)
-    f = Field(g, f.values - f.values.mean())
-    xs = g.mesh()
-    r2 = np.maximum(sum(x ** 2 for x in xs), (min(g.h) / 2) ** 2)
-    b_unit = [Field(g, -x / r2) for x in xs]
-    crit = _drift_critical_scale(f, 4.0, b_unit, s)
     ratio = math.inf
     try:
-        b = [Field(g, 0.1 * crit * bi.values) for bi in b_unit]
         u, _ = solve_drift(f, 4.0, b, s)
         op = OperatorSpec("laplace", lam=4.0, b=b)
         ratio = apriori_ratio(u, op, NormSpec("LpW", p=2.0, weight=w), s)["ratio"]
     except DriftDivergence:
         pass
-    diverged_large = False
-    try:
-        b = [Field(g, 10.0 * crit * bi.values) for bi in b_unit]
-        solve_drift(f, 4.0, b, s, max_iter=25)
-    except DriftDivergence:
-        diverged_large = True
     ok = math.isfinite(ratio) and diverged_large
     return {
         "lhs": ratio, "rhs": 1.0, "bound": math.inf,

@@ -95,7 +95,7 @@ def cmd_check(args):
     from .checks import CheckConfig, run_suite
     from .checks.report import OK_VERDICTS, CheckReport
 
-    cfg = CheckConfig(seed=args.seed, grid=args.grid, density=args.family_density)
+    cfg = CheckConfig(seed=args.seed, grid=args.grid)
     reports = run_suite(args.pattern, cfg,
                         progress=(lambda cid: print(f"running {cid} ...", flush=True))
                         if args.verbose else None)
@@ -188,7 +188,9 @@ def cmd_weight(args):
     w = _weight(args.field)
     s = _structure_for(w.field, args.anisotropy)
     fam = BallFamily.for_structure(s, w.grid, shape="cube", density=args.family_density)
-    result = {"p": args.p, "family": {"radii": list(fam.radii), "density": fam.density}}
+    result = {"p": args.p, "family": {"radii": list(fam.radii)}}
+    if args.action in ("jones", "rdf"):  # ap and rh anchor a cube at every cell
+        result["family"]["density"] = fam.density
     if args.action == "ap":
         c = ap_constant(w, args.p, s, fam)
         result.update({"constant": c, "stabilized": math.isfinite(c)})
@@ -308,7 +310,6 @@ def main(argv=None):
     c.add_argument("pattern", help="check id or glob")
     c.add_argument("--seed", type=int, default=0x5EED)
     c.add_argument("--grid", type=_positive, default=1.0, help="resolution multiplier")
-    c.add_argument("--family-density", type=_positive, default=4.0)
     c.add_argument("--out", help="JSON report path")
     c.add_argument("--csv", help="CSV report path")
     c.add_argument("--plot-data", help="directory for sweep data files")

@@ -387,25 +387,21 @@ def _summed_table(arr, ax, pre, post):
     return pre, c
 
 
-def _prefix_diff(arr, ax, lo, w, n, step=1, table=_summed_table):
-    """d[i] = sum of arr[j:j + w] along axis ax, j = lo + step * i for i < n
-    (step 1 or -1), each range clipped to [0, m], from one summed-area table
-    of arr along ax.
+def _prefix_diff(arr, ax, lo, w, n, table=_summed_table):
+    """d[i] = sum of arr[j:j + w] along axis ax, j = lo + i for i < n, each
+    range clipped to [0, m], from one summed-area table of arr along ax.
 
     The table reaches past each end as far as the windows do, so both ends
-    of every window are plain slices of it, read backwards when step is -1.
-    `table(arr, ax, pre, post)` gives it, with at least pre and post cells
-    of extension: _summed_table makes one only as long as the windows need,
-    and a _Forward holder's table keeps one across calls.
+    of every window are plain slices of it.  `table(arr, ax, pre, post)`
+    gives it, with at least pre and post cells of extension: _summed_table
+    makes one only as long as the windows need, and a _Forward holder's
+    table keeps one across calls.
     """
     m, lead = arr.shape[ax], (slice(None),) * ax
-    first = lo if step > 0 else lo - n + 1  # the smallest window start
     # a start below -n or past m reads the same ends as one at -n or m
-    a, b = (min(max(j, -n), m) for j in (first, first + w))
+    a, b = (min(max(j, -n), m) for j in (lo, lo + w))
     pre, c = table(arr, ax, max(0, -a), max(0, b + n - 1 - m))
     ends, starts = (c[lead + (slice(pre + j, pre + j + n),)] for j in (b, a))
-    if step < 0:
-        ends, starts = np.flip(ends, ax), np.flip(starts, ax)
     return ends - starts
 
 
@@ -508,11 +504,13 @@ def _stencil_count(stencil, origin, cells):
 
     Along each axis the offsets that stay inside form one interval, so the
     count is a box sum of the stencil itself, read off its summed-area
-    table axis by axis.  No FFT, and integers stay exact.
+    table axis by axis (the windows of anchors 0..n - 1 start at o down to
+    o - n + 1, so they are the forward windows from o - n + 1, flipped).  No
+    FFT, and integers stay exact.
     """
     out = stencil.astype(float)
     for ax, (o, n) in enumerate(zip(origin, cells)):
-        out = _prefix_diff(out, ax, o, n, n, step=-1)
+        out = np.flip(_prefix_diff(out, ax, o - n + 1, n, n), ax)
     return out
 
 

@@ -32,7 +32,6 @@ __all__ = [
     "sigma",
     "at_kernel_array",
     "kernel_decay_check",
-    "potential_sharp_check",
 ]
 
 
@@ -354,20 +353,3 @@ def kernel_decay_check(grid, alpha, k, seed=0):
     env = rho ** (-(d + 2 - alpha))
     ratio = p / env
     return float(ratio.max())
-
-
-def potential_sharp_check(field, structure, alpha, family=None):
-    """Fitted N in (P_{alpha,4} f)^sharp <= N M_alpha f, evaluated on every
-    fourth cell along each axis."""
-    from .maximal import classical_maximal, classical_sharp
-
-    grid = field.grid
-    pot = apply_parabolic(field, alpha, 4.0)
-    m_a = classical_maximal(field, structure, beta=alpha, family=family)
-    sharp = classical_sharp(pot, structure, family=family)
-    sub = tuple(slice(None, None, 4) for _ in grid.cells)
-    num = sharp.values[sub]
-    den = m_a.values[sub]
-    with np.errstate(invalid="ignore", divide="ignore"):
-        ratio = np.where(den > 0, num / den, 0.0)
-    return float(np.nanmax(ratio))

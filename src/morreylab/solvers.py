@@ -30,6 +30,8 @@ __all__ = [
     "random_sdelta",
     "sdelta_brackets",
     "spectral_derivative_fields",
+    "gradient_magnitude",
+    "hessian_magnitude",
     "denominator_floor",
 ]
 
@@ -155,6 +157,16 @@ def spectral_derivative_fields(u, structure):
     return du, d2, lap, ut
 
 
+def gradient_magnitude(du):
+    """|Du| from the Du list of spectral_derivative_fields."""
+    return np.sqrt(sum(x ** 2 for x in du))
+
+
+def hessian_magnitude(d2):
+    """|D^2 u|, the Frobenius norm of its D2 matrix, summed row by row."""
+    return np.sqrt(sum(x ** 2 for row in d2 for x in row))
+
+
 def _spectral_gradient(u, structure):
     """The Du list of spectral_derivative_fields alone, by the same pass."""
     xaxes, _ks, odd, back = _spectral_pass(u, structure)
@@ -270,9 +282,7 @@ def apriori_ratios(u, ops, norm_spec, structure, norm_eval=None):
     grid = u.grid
     derivatives = spectral_derivative_fields(u, structure)
     du, d2, lap, ut = derivatives
-    d2_mag = np.sqrt(sum(d2[i][j] ** 2 for i in range(len(du)) for j in range(len(du))))
-    du_mag = np.sqrt(sum(di ** 2 for di in du))
-    fields = [u, Field(grid, d2_mag), Field(grid, du_mag)]
+    fields = [u, Field(grid, hessian_magnitude(d2)), Field(grid, gradient_magnitude(du))]
     if ut is not None:
         fields.append(Field(grid, ut))
     fields += [_operator_from_derivatives(u, op, derivatives) for op in ops]
@@ -315,8 +325,7 @@ def oscillation_estimate(u, f_rhs, structure, kappa, rho, p, center=None):
     grid = u.grid
     parab = structure.parabolic
     d_eff = (grid.dim - 1) + 2 if parab else grid.dim
-    du, d2, lap, ut = spectral_derivative_fields(u, structure)
-    d2_mag = np.sqrt(sum(d2[i][j] ** 2 for i in range(len(du)) for j in range(len(du))))
+    d2_mag = hessian_magnitude(spectral_derivative_fields(u, structure)[1])
     xs = grid.mesh()
     if center is None:
         center = [0.0] * grid.dim

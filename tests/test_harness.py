@@ -257,6 +257,40 @@ def test_cli_weighted_maximal_honours_family_density(tmp_path):
     assert np.array_equal(load_field(tmp_path / "m.field").values, want)
 
 
+@pytest.mark.parametrize("action", ["ap", "rh", "jones", "rdf"])
+def test_cli_weight_records_the_density_only_where_it_acts(tmp_path, action):
+    # ap and rh anchor a cube at every cell, so the density changes nothing
+    # and their family holds the radii alone; jones and rdf read it
+    from morreylab.cli import main
+    from morreylab.grid import make_grid, save_field
+    from morreylab.weights import power_weight
+
+    save_field(power_weight(make_grid(1, 1.0, 128), 0.5).field, tmp_path / "w.field")
+    reports = []
+    for density in ("1", "8"):
+        out = tmp_path / f"{density}.json"
+        main(["weight", action, "--field", str(tmp_path / "w.field"), "--p", "2",
+              "--family-density", density, "--out", str(out)])
+        reports.append(json.loads(out.read_text()))
+    if action in ("ap", "rh"):
+        assert reports[0] == reports[1]
+        assert set(reports[0]["family"]) == {"radii"}
+    else:
+        assert [r["family"]["density"] for r in reports] == [1.0, 8.0]
+
+
+def test_check_runs_the_library_families():
+    # a check's families are the library's own: no density is configured
+    import dataclasses
+
+    from morreylab.cli import main
+
+    assert [f.name for f in dataclasses.fields(CheckConfig)] == ["seed", "grid"]
+    with pytest.raises(SystemExit) as info:
+        main(["check", "hl-classical", "--family-density", "2"])
+    assert info.value.code == 2
+
+
 def test_cli_weight_and_norm(tmp_path):
     from morreylab.grid import save_field
     from morreylab.weights import power_weight

@@ -318,6 +318,23 @@ def test_lqp_asym_field_masses():
     assert math.isfinite(rev)
 
 
+def test_mixed_morrey_kinds_on_a_smooth_field():
+    # Lqpb_reversed_morrey at beta 1 sups over the radii up to L, the least
+    # half extent, as the reversed drift seminorm at rho_b = L does; Epqb
+    # with r >= L keeps all of the radii of EpqbDot
+    g = make_grid(2, (1.0, 1.2), (32, 40))
+    t, x = g.mesh()
+    f = Field(g, np.exp(-2.0 * (t ** 2 + x ** 2)) + 0.5 * np.cos(x))
+    p, q = 2.0, 3.0
+    L = min(g.half_extent)
+    rev = evaluate_norm(f, NormSpec("Lqpb_reversed_morrey", p=p, q=q, beta=1.0), SP)
+    assert rev == drift_seminorm(f, p, L, SP, q_b=q, reversed_order=True)
+    assert math.isfinite(rev) and rev != drift_seminorm(f, p, L, SP, q_b=q)
+    dot = evaluate_norm(f, NormSpec("EpqbDot", p=p, q=q, beta=1.0), SP)
+    for r in (L, 2.0 * L):
+        assert evaluate_norm(f, NormSpec("Epqb", p=p, q=q, beta=1.0, r=r), SP) == dot
+
+
 def brute_members_holding(mask, stencil, origin):
     """Anchor by anchor: does some in-domain cell c + o - origin of the
     member anchored at c lie in mask?"""

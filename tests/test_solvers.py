@@ -13,6 +13,8 @@ from morreylab.solvers import (
     apply_operator,
     apriori_ratio,
     apriori_ratios,
+    gradient_magnitude,
+    hessian_magnitude,
     oscillation_estimate,
     random_sdelta,
     sdelta_brackets,
@@ -499,3 +501,14 @@ def test_whole_space_insensitivity_to_box_doubling():
         i0 = tuple(c // 2 for c in g.cells)
         vals.append(u.values[i0])
     assert vals[0] == pytest.approx(vals[1], rel=1e-3)
+
+
+def test_derivative_magnitudes_sum_their_entries_in_index_order():
+    # |Du| and |D^2 u| are bit-identical to the sums written out entry by
+    # entry, row by row for the Hessian
+    g = make_grid(3, math.pi, 16, periodic=True)
+    du, d2, _, _ = spectral_derivative_fields(tf("random_band", g, kmax=3, seed=2),
+                                              make_structure(3, (1, 1, 1)))
+    assert np.array_equal(gradient_magnitude(du), np.sqrt(du[0] ** 2 + du[1] ** 2 + du[2] ** 2))
+    want = np.sqrt(sum(d2[i][j] ** 2 for i in range(3) for j in range(3)))
+    assert np.array_equal(hessian_magnitude(d2), want)
