@@ -89,7 +89,7 @@ def check_at_kernel(cfg):
     nt, ht = 64, 1.0 / 64
     d = 2
     a_path = _random_path(rng, nt, d, delta)
-    gx = make_grid(d, 10.0, 128)
+    gx = make_grid(d, 10.0, cfg.cells(128))
     worst_mass = 0.0
     worst_sg = 0.0
     worst_symbol = 0.0

@@ -21,6 +21,7 @@ from ..weights import (
     ap_constant,
     jones_factorize,
     power_weight,
+    rdf_family,
     rdf_iterate,
     reverse_holder,
     self_improve,
@@ -210,9 +211,8 @@ def check_rdf(cfg):
     dom = bool(np.all(f.values <= v.values * (1 + 1e-12)))
     nv = lp_norm(v, 2.0, weight=w.field)
     nf = lp_norm(f, 2.0, weight=w.field)
-    fam = BallFamily.for_structure(s, g, shape="cube", density=6.0)
     vw = Field(g, v.values * w.field.values)
-    mvw = classical_maximal(vw, s, family=fam)
+    mvw = classical_maximal(vw, s, family=rdf_family(s, g))
     ptwise = float((mvw.values / vw.values).max())
     ok = dom and nv <= 2.0 * nf and ptwise <= 2.0 * t_norm * 1.05
     return {

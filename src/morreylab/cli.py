@@ -1,13 +1,15 @@
 """Command-line interface.
 
     morreylab check '<id|glob>' [--seed N] [--grid X] [--out report.json]
-              [--csv report.csv] [--plot-data dir]
+              [--csv report.csv] [--plot-data dir] [--verbose]
     morreylab list-checks [--format plain|json|md]
-    morreylab czd --field F --level L [--out boxes.json]
-    morreylab maximal --field F --out G [--beta B] [--family-density D]
-              [--weight W]
-    morreylab weight {ap|rh|jones|rdf} --field W --p P [--out out.json]
-    morreylab norm --spec JSON (--field F | --function id[:k=v,...]) [--grid-cells N]
+    morreylab czd --field F --level L [--anisotropy K ...] [--out boxes.json]
+    morreylab maximal --field F --out G [--beta B] [--weight W]
+              [--anisotropy K ...]
+    morreylab weight {ap|rh|jones|rdf} --field W [--p P] [--seed N]
+              [--anisotropy K ...] [--out out.json] [--out-factors PREFIX]
+    morreylab norm --spec JSON (--field F | --function id[:k=v,...]) [--dim D]
+              [--half-extent L] [--grid-cells N]
     morreylab potential --kernel JSON --field F --out G
     morreylab solve --op JSON --rhs F --out G [--norm JSON]
 
@@ -46,7 +48,7 @@ def _require(ok, msg):
 
 
 def _positive(text):
-    """argparse type of the scale knobs (--grid, --family-density)."""
+    """argparse type of --grid."""
     val = float(text)
     if not val > 0:
         raise argparse.ArgumentTypeError(f"must be positive, got {text}")
@@ -160,22 +162,18 @@ def cmd_czd(args):
 
 
 def cmd_maximal(args):
-    from .maximal import BallFamily, classical_maximal, weighted_maximal
+    from .maximal import classical_maximal, weighted_maximal
 
     f = _load_field(args.field)
     s = _structure_for(f, args.anisotropy)
     if args.weight:
-        w = _weight(args.weight)
-        fam = BallFamily.for_structure(s, f.grid, shape="cube", density=args.family_density)
-        out = weighted_maximal(f, w, s, family=fam)
+        out = weighted_maximal(f, _weight(args.weight), s)
     else:
-        fam = BallFamily.for_structure(s, f.grid, density=args.family_density)
-        out = classical_maximal(f, s, beta=args.beta, family=fam)
+        out = classical_maximal(f, s, beta=args.beta)
     _save_field(out, args.out, s.anisotropy)
 
 
 def cmd_weight(args):
-    from .maximal import BallFamily
     from .weights import ap_constant, jones_factorize, rdf_iterate, reverse_holder
     from .grid import Field
 
@@ -187,18 +185,15 @@ def cmd_weight(args):
         _require(args.p > 1, "weight rdf needs p > 1")
     w = _weight(args.field)
     s = _structure_for(w.field, args.anisotropy)
-    fam = BallFamily.for_structure(s, w.grid, shape="cube", density=args.family_density)
-    result = {"p": args.p, "family": {"radii": list(fam.radii)}}
-    if args.action in ("jones", "rdf"):  # ap and rh anchor a cube at every cell
-        result["family"]["density"] = fam.density
+    result = {"p": args.p}
     if args.action == "ap":
-        c = ap_constant(w, args.p, s, fam)
+        c = ap_constant(w, args.p, s)
         result.update({"constant": c, "stabilized": math.isfinite(c)})
     elif args.action == "rh":
-        eps, n = reverse_holder(w, args.p, s, fam)
+        eps, n = reverse_holder(w, args.p, s)
         result.update({"constant": n, "eps": eps, "stabilized": eps > 0})
     elif args.action == "jones":
-        w1, w2, sn = jones_factorize(w, args.p, s, family=fam)
+        w1, w2, sn = jones_factorize(w, args.p, s)
         result.update({"constant": sn, "stabilized": True})
         if args.out_factors:
             # the explicit suffix keeps a dotted prefix from naming one file twice
@@ -207,7 +202,7 @@ def cmd_weight(args):
     elif args.action == "rdf":
         rng = np.random.default_rng(args.seed)
         f = Field(w.grid, rng.random(w.grid.cells) + 0.1)
-        v, tn = rdf_iterate(f, w, args.p / (args.p - 1.0), s, family=fam)
+        v, tn = rdf_iterate(f, w, args.p / (args.p - 1.0), s)
         result.update({"constant": tn, "stabilized": True})
     text = json.dumps(result, indent=2)
     if args.out:
@@ -301,7 +296,7 @@ def cmd_solve(args):
                          | {"parts": {k: float(v) for k, v in r["parts"].items()}}))
 
 
-def main(argv=None):
+def _parser():
     ap = argparse.ArgumentParser(prog="morreylab",
                                  description="desk-scale harmonic-analysis checks")
     sub = ap.add_subparsers(dest="cmd", required=True)
@@ -331,7 +326,6 @@ def main(argv=None):
     m.add_argument("--field", required=True)
     m.add_argument("--out", required=True)
     m.add_argument("--beta", type=float, default=0.0)
-    m.add_argument("--family-density", type=_positive, default=4.0)
     m.add_argument("--weight")
     m.add_argument("--anisotropy", type=int, nargs="+")
     m.set_defaults(fn=cmd_maximal)
@@ -341,7 +335,6 @@ def main(argv=None):
     w.add_argument("--field", required=True)
     w.add_argument("--p", type=float, default=2.0)
     w.add_argument("--seed", type=int, default=0x5EED)
-    w.add_argument("--family-density", type=_positive, default=4.0)
     w.add_argument("--anisotropy", type=int, nargs="+")
     w.add_argument("--out")
     w.add_argument("--out-factors")
@@ -368,8 +361,11 @@ def main(argv=None):
     so.add_argument("--out", required=True)
     so.add_argument("--norm", help="NormSpec as JSON for the a-priori ratio")
     so.set_defaults(fn=cmd_solve)
+    return ap
 
-    args = ap.parse_args(argv)
+
+def main(argv=None):
+    args = _parser().parse_args(argv)
     try:
         args.fn(args)
     except ConfigError as exc:

@@ -61,7 +61,6 @@ class OperatorSpec:
     b: list = None
     a_of_t: np.ndarray = None
     delta: float = None
-    c: object = None  # scalar zeroth-order Field
 
     def __post_init__(self):
         if self.kind not in ("laplace", "heat", "heat_at"):
@@ -199,8 +198,6 @@ def _operator_from_derivatives(u, op, derivatives):
     if op.b is not None:
         for i, bi in enumerate(op.b):
             out = out + bi.values * du[i]
-    if op.c is not None:
-        out = out + op.c.values * u.values
     return Field(grid, out)
 
 

@@ -27,6 +27,7 @@ __all__ = [
     "ainf_profile",
     "reverse_holder",
     "self_improve",
+    "rdf_family",
     "rdf_iterate",
     "jones_factorize",
     "RdfDivergence",
@@ -101,11 +102,14 @@ def _dual_field(weight, p):
     return Field(grid, np.where(np.isfinite(vals), vals, np.inf), weight.field.singular)
 
 
-def _cube_family(structure, grid, family):
-    if family is None:
-        family = BallFamily.for_structure(structure, grid, shape="cube",
-                                          rho_max=2.0 * min(grid.half_extent))
-    return family
+def _cube_radii(structure, grid):
+    """Radii of the A_p and reverse-Holder sups: up to 2 min(half extent)."""
+    return BallFamily.for_structure(structure, grid, rho_max=2.0 * min(grid.half_extent)).radii
+
+
+def rdf_family(structure, grid):
+    """Cubes at anchor density 6: the family of rdf_iterate and jones_factorize."""
+    return BallFamily.for_structure(structure, grid, shape="cube", density=6.0)
 
 
 def _cube_field(values):
@@ -152,14 +156,15 @@ def _running_min(values, size):
     return out
 
 
-def ap_constant(weight, p, structure, family=None, return_argmax=False):
-    """sup over family cubes of w_Q ((w^{-1/(p-1)})_Q)^{p-1} (p > 1), or of
-    w_Q / essinf_Q w (p = 1).  A certified lower bound of [w]_{A_p}.
-    """
+def ap_constant(weight, p, structure, radii=None, return_argmax=False):
+    """sup over cubes of the radii (default _cube_radii) at every cell of
+    w_Q ((w^{-1/(p-1)})_Q)^{p-1} (p > 1), or of w_Q / essinf_Q w (p = 1).
+    A certified lower bound of [w]_{A_p}."""
     grid = weight.grid
     if p < 1:
         raise ValueError("p must be >= 1")
-    family = _cube_family(structure, grid, family)
+    if radii is None:
+        radii = _cube_radii(structure, grid)
     wv = weight.field.values
     w_cube = _cube_field(wv)
     if p > 1:
@@ -168,7 +173,7 @@ def ap_constant(weight, p, structure, family=None, return_argmax=False):
         capped = np.where(np.isfinite(wv), wv, np.finfo(float).max)
     best = 1.0
     arg = None
-    for rho, box, _stride, new in _sweep(grid, structure, family.radii, "box"):
+    for rho, box, _stride, new in _sweep(grid, structure, radii, "box"):
         if not new:  # an equal box gives an equal sup
             continue
         w_q = _cube_means(w_cube, box)
@@ -254,11 +259,13 @@ def ainf_profile(weight, p, structure, seed=0):
     return float(beta), float(n_fit), float(lower_margin)
 
 
-def reverse_holder(weight, p, structure, family=None, eps_grid=None):
+def reverse_holder(weight, p, structure, radii=None, eps_grid=None):
     """Largest eps on a search grid with a finite uniform constant N in
-    (w^{1+eps})_Q <= N (w_Q)^{1+eps} over the family; returns (eps, N)."""
+    (w^{1+eps})_Q <= N (w_Q)^{1+eps} over cubes of the radii (default
+    _cube_radii) at every cell; returns (eps, N)."""
     grid = weight.grid
-    family = _cube_family(structure, grid, family)
+    if radii is None:
+        radii = _cube_radii(structure, grid)
     if eps_grid is None:
         eps_grid = [0.05 * 2 ** j for j in range(7)]  # 0.05 .. 3.2
     cf = weight.field.meta.get("closed_form")
@@ -276,7 +283,7 @@ def reverse_holder(weight, p, structure, family=None, eps_grid=None):
         wpow_cube = _cube_field(wpow.values)
         sup = 1.0
         finite = True
-        for _rho, box, _stride, new in _sweep(grid, structure, family.radii, "box"):
+        for _rho, box, _stride, new in _sweep(grid, structure, radii, "box"):
             if not new:  # an equal box gives an equal ratio
                 continue
             lhs = _cube_means(wpow_cube, box)
@@ -353,17 +360,16 @@ def _rdf_series(op, start, exponent, weight, seed):
     return v, op_norm
 
 
-def rdf_iterate(f, weight, p_prime, structure, family=None, seed=0):
+def rdf_iterate(f, weight, p_prime, structure, seed=0):
     """Rubio de Francia majorant v = sum_n T^n f / (2^n ||T||^n) with
     T u = w^{-1} M(u w); guarantees f <= v, ||v|| <= 2 ||f||, and
-    M(v w) <= 2 ||T|| v w pointwise up to family slack.
+    M(v w) <= 2 ||T|| v w pointwise up to family slack (M over rdf_family).
 
     Returns (v, op_norm_estimate).
     """
     grid = f.grid
     wv = weight.field.values
-    if family is None:
-        family = BallFamily.for_structure(structure, grid, shape="cube", density=6.0)
+    family = rdf_family(structure, grid)
 
     def T(u):
         return classical_maximal(Field(grid, np.abs(u) * wv), structure, 0.0, family).values / wv
@@ -372,18 +378,17 @@ def rdf_iterate(f, weight, p_prime, structure, family=None, seed=0):
     return Field(grid, v), t_norm
 
 
-def jones_factorize(weight, p, structure, family=None, seed=0):
+def jones_factorize(weight, p, structure, seed=0):
     """Jones factorization w = w1^{1-p} w2 with both factors A_1.
 
     Runs the fixed-point construction with S the sum of the two sublinear
-    pieces; returns (w1, w2, S_norm_estimate).
+    pieces (M over rdf_family); returns (w1, w2, S_norm_estimate).
     """
     if not 1.0 < p <= 2.0:
         raise ValueError("factorization implemented for p in (1, 2]")
     grid = weight.grid
     wv = weight.field.values
-    if family is None:
-        family = BallFamily.for_structure(structure, grid, shape="cube", density=6.0)
+    family = rdf_family(structure, grid)
 
     def S(u):
         t1 = classical_maximal(Field(grid, np.abs(u) * wv), structure, 0.0, family).values / wv

@@ -232,51 +232,57 @@ def test_cli_field_pipeline(tmp_path):
     assert m.values.max() <= 4.0 + 1e-9
 
 
-def test_cli_weighted_maximal_honours_family_density(tmp_path):
+def _saved_fields(tmp_path):
+    """A random field and the weight |x|^0.5 on 128 cells, saved to
+    tmp_path, with the structure of their grid."""
     import numpy as np
 
-    from morreylab.grid import Field, load_field, make_grid, make_structure, save_field
-    from morreylab.maximal import BallFamily, weighted_maximal
+    from morreylab.grid import Field, make_grid, make_structure, save_field
     from morreylab.weights import power_weight
 
     g = make_grid(1, 1.0, 128)
-    s = make_structure(1, (1,))
     f = Field(g, np.random.default_rng(0).random(128) ** 4)
     w = power_weight(g, 0.5)
     save_field(f, tmp_path / "f.field")
     save_field(w.field, tmp_path / "w.field")
-    out = subprocess.run(
-        [sys.executable, "-m", "morreylab.cli", "maximal",
-         "--field", str(tmp_path / "f.field"), "--weight", str(tmp_path / "w.field"),
-         "--family-density", "1", "--out", str(tmp_path / "m.field")],
-        capture_output=True, text=True)
-    assert out.returncode == 0, out.stderr
-    fam = BallFamily.for_structure(s, g, shape="cube", density=1.0)
-    want = weighted_maximal(f, w, s, family=fam).values
-    assert not np.allclose(want, weighted_maximal(f, w, s).values)  # the flag matters here
-    assert np.array_equal(load_field(tmp_path / "m.field").values, want)
+    return f, w, make_structure(1, (1,))
 
 
-@pytest.mark.parametrize("action", ["ap", "rh", "jones", "rdf"])
-def test_cli_weight_records_the_density_only_where_it_acts(tmp_path, action):
-    # ap and rh anchor a cube at every cell, so the density changes nothing
-    # and their family holds the radii alone; jones and rdf read it
+@pytest.mark.parametrize("command", ["ap", "rh", "jones", "rdf", "maximal", "weighted-maximal"])
+def test_cli_reports_the_library_numbers(tmp_path, command):
+    # the CLI builds no family: each command prints or writes exactly what
+    # the library call gives with its own families
+    import numpy as np
+
     from morreylab.cli import main
-    from morreylab.grid import make_grid, save_field
-    from morreylab.weights import power_weight
+    from morreylab.grid import Field, load_field
+    from morreylab.maximal import classical_maximal, weighted_maximal
+    from morreylab.weights import ap_constant, jones_factorize, rdf_iterate, reverse_holder
 
-    save_field(power_weight(make_grid(1, 1.0, 128), 0.5).field, tmp_path / "w.field")
-    reports = []
-    for density in ("1", "8"):
-        out = tmp_path / f"{density}.json"
-        main(["weight", action, "--field", str(tmp_path / "w.field"), "--p", "2",
-              "--family-density", density, "--out", str(out)])
-        reports.append(json.loads(out.read_text()))
-    if action in ("ap", "rh"):
-        assert reports[0] == reports[1]
-        assert set(reports[0]["family"]) == {"radii"}
+    f, w, s = _saved_fields(tmp_path)
+    src, wsrc, out = str(tmp_path / "f.field"), str(tmp_path / "w.field"), tmp_path / "o"
+    if command.endswith("maximal"):
+        if command == "maximal":
+            main(["maximal", "--field", src, "--beta", "0.5", "--out", str(out)])
+            want = classical_maximal(f, s, beta=0.5)
+        else:
+            main(["maximal", "--field", src, "--weight", wsrc, "--out", str(out)])
+            want = weighted_maximal(f, w, s)
+        assert np.array_equal(load_field(out).values, want.values)
+        return
+    main(["weight", command, "--field", wsrc, "--p", "2", "--seed", "24301", "--out", str(out)])
+    data = json.loads(out.read_text())
+    if command == "ap":
+        assert data == {"p": 2.0, "constant": ap_constant(w, 2.0, s), "stabilized": True}
+    elif command == "rh":
+        eps, n = reverse_holder(w, 2.0, s)
+        assert data == {"p": 2.0, "constant": n, "eps": eps, "stabilized": eps > 0}
+    elif command == "jones":
+        assert data == {"p": 2.0, "constant": jones_factorize(w, 2.0, s)[2], "stabilized": True}
     else:
-        assert [r["family"]["density"] for r in reports] == [1.0, 8.0]
+        rdf_f = Field(w.grid, np.random.default_rng(24301).random(w.grid.cells) + 0.1)
+        assert data == {"p": 2.0, "constant": rdf_iterate(rdf_f, w, 2.0, s)[1],
+                        "stabilized": True}
 
 
 def test_check_runs_the_library_families():
@@ -289,6 +295,30 @@ def test_check_runs_the_library_families():
     with pytest.raises(SystemExit) as info:
         main(["check", "hl-classical", "--family-density", "2"])
     assert info.value.code == 2
+
+
+def test_cli_usage_block_names_the_options_of_each_command():
+    # each usage line of the cli docstring (with its indented continuations)
+    # names every option of its subcommand, by one of its spellings, and no other
+    import argparse
+    import re
+
+    from morreylab import cli
+
+    usage = cli.__doc__.split("\n\n")[1]
+    named = {}
+    for line in usage.splitlines():
+        head = re.match(r"\s*morreylab (\S+)", line)
+        if head:
+            cmd = head.group(1)
+        named.setdefault(cmd, set()).update(re.findall(r"--[a-z-]+", line))
+    sub, = [a for a in cli._parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    assert set(named) == set(sub.choices)
+    for cmd, parser in sub.choices.items():
+        spellings = [set(a.option_strings) for a in parser._actions
+                     if a.option_strings and a.dest != "help"]
+        missing = [sorted(s) for s in spellings if not s & named[cmd]]
+        assert (cmd, missing, named[cmd] - set().union(*spellings)) == (cmd, [], set())
 
 
 def test_cli_weight_and_norm(tmp_path):
@@ -343,7 +373,6 @@ def test_cli_weight_on_a_saved_weight_matches_the_library(tmp_path, alpha, actio
     # |x|^1.5 is outside A_2, and |x|^-0.9 has reverse Holder exponent 0.1 on [0, 3.2]
     from morreylab.cli import main
     from morreylab.grid import make_grid, make_structure, save_field
-    from morreylab.maximal import BallFamily
     from morreylab.weights import ap_constant, power_weight, reverse_holder
 
     g = make_grid(1, 1.0, 256)
@@ -353,11 +382,10 @@ def test_cli_weight_on_a_saved_weight_matches_the_library(tmp_path, alpha, actio
           "--out", str(tmp_path / "r.json")])
     data = json.loads((tmp_path / "r.json").read_text())
     s = make_structure(1)
-    fam = BallFamily.for_structure(s, g, shape="cube", density=4.0)
     if action == "ap":
-        assert data["constant"] == ap_constant(w, p, s, fam) == math.inf
+        assert data["constant"] == ap_constant(w, p, s) == math.inf
     else:
-        eps, n = reverse_holder(w, p, s, fam)
+        eps, n = reverse_holder(w, p, s)
         assert (data["eps"], data["constant"]) == (eps, n)
         assert eps == 0.1
 
@@ -439,7 +467,7 @@ def test_cli_config_errors_exit_2(tmp_path):
     bad = [
         ["maximal", "--field", str(tmp_path / "missing.field"), "--out", f],
         ["maximal", "--field", f, "--out", f, "--anisotropy", "1", "1"],
-        ["maximal", "--field", f, "--out", f, "--family-density", "0"],
+        ["check", "hl-classical", "--grid", "0"],
         ["czd", "--field", f, "--level", "1"],  # 24 cells: no dyadic boxes
         ["weight", "ap", "--field", f],
         ["weight", "jones", "--field", f, "--p", "3"],

@@ -1342,8 +1342,7 @@ def test_ap_constant_is_bit_identical_to_one_radius_at_a_time(p):
     family = BallFamily.for_structure(s, g, shape="cube", rho_max=2.0 * min(g.half_extent))
     best, arg = 1.0, None
     for rho in family.radii:
-        m, at = weights.ap_constant(w, p, s, BallFamily((rho,), "cube", family.density),
-                                    return_argmax=True)
+        m, at = weights.ap_constant(w, p, s, radii=(rho,), return_argmax=True)
         if m > best:
             best, arg = m, at
-    assert weights.ap_constant(w, p, s, family, return_argmax=True) == (best, arg)
+    assert weights.ap_constant(w, p, s, return_argmax=True) == (best, arg)
