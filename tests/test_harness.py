@@ -232,22 +232,6 @@ def test_cli_field_pipeline(tmp_path):
     assert m.values.max() <= 4.0 + 1e-9
 
 
-def _saved_fields(tmp_path):
-    """A random field and the weight |x|^0.5 on 128 cells, saved to
-    tmp_path, with the structure of their grid."""
-    import numpy as np
-
-    from morreylab.grid import Field, make_grid, make_structure, save_field
-    from morreylab.weights import power_weight
-
-    g = make_grid(1, 1.0, 128)
-    f = Field(g, np.random.default_rng(0).random(128) ** 4)
-    w = power_weight(g, 0.5)
-    save_field(f, tmp_path / "f.field")
-    save_field(w.field, tmp_path / "w.field")
-    return f, w, make_structure(1, (1,))
-
-
 @pytest.mark.parametrize("command", ["ap", "rh", "jones", "rdf", "maximal", "weighted-maximal"])
 def test_cli_reports_the_library_numbers(tmp_path, command):
     # the CLI builds no family: each command prints or writes exactly what
@@ -255,11 +239,16 @@ def test_cli_reports_the_library_numbers(tmp_path, command):
     import numpy as np
 
     from morreylab.cli import main
-    from morreylab.grid import Field, load_field
+    from morreylab.grid import Field, load_field, make_grid, make_structure, save_field
     from morreylab.maximal import classical_maximal, weighted_maximal
-    from morreylab.weights import ap_constant, jones_factorize, rdf_iterate, reverse_holder
+    from morreylab.weights import (ap_constant, jones_factorize, power_weight, rdf_iterate,
+                                   reverse_holder)
 
-    f, w, s = _saved_fields(tmp_path)
+    g, s = make_grid(1, 1.0, 128), make_structure(1)
+    f = Field(g, np.random.default_rng(0).random(128) ** 4)
+    w = power_weight(g, 0.5)
+    save_field(f, tmp_path / "f.field")
+    save_field(w.field, tmp_path / "w.field")
     src, wsrc, out = str(tmp_path / "f.field"), str(tmp_path / "w.field"), tmp_path / "o"
     if command.endswith("maximal"):
         if command == "maximal":
