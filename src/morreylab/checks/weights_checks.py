@@ -16,12 +16,12 @@ from ..solvers import (DriftDivergence, OperatorSpec, apriori_ratio, apriori_rat
                        gradient_magnitude, solve_drift, spectral_derivative_fields)
 from ..weights import (
     Weight,
+    _rdf_family,
     a1_constant,
     ainf_profile,
     ap_constant,
     jones_factorize,
     power_weight,
-    rdf_family,
     rdf_iterate,
     reverse_holder,
     self_improve,
@@ -212,7 +212,7 @@ def check_rdf(cfg):
     nv = lp_norm(v, 2.0, weight=w.field)
     nf = lp_norm(f, 2.0, weight=w.field)
     vw = Field(g, v.values * w.field.values)
-    mvw = classical_maximal(vw, s, family=rdf_family(s, g))
+    mvw = classical_maximal(vw, s, family=_rdf_family(s, g))
     ptwise = float((mvw.values / vw.values).max())
     ok = dom and nv <= 2.0 * nf and ptwise <= 2.0 * t_norm * 1.05
     return {

@@ -27,7 +27,6 @@ __all__ = [
     "ainf_profile",
     "reverse_holder",
     "self_improve",
-    "rdf_family",
     "rdf_iterate",
     "jones_factorize",
     "RdfDivergence",
@@ -107,7 +106,7 @@ def _cube_radii(structure, grid):
     return BallFamily.for_structure(structure, grid, rho_max=2.0 * min(grid.half_extent)).radii
 
 
-def rdf_family(structure, grid):
+def _rdf_family(structure, grid):
     """Cubes at anchor density 6: the family of rdf_iterate and jones_factorize."""
     return BallFamily.for_structure(structure, grid, shape="cube", density=6.0)
 
@@ -156,15 +155,14 @@ def _running_min(values, size):
     return out
 
 
-def ap_constant(weight, p, structure, radii=None, return_argmax=False):
-    """sup over cubes of the radii (default _cube_radii) at every cell of
+def ap_constant(weight, p, structure, return_argmax=False):
+    """sup over cubes of the _cube_radii at every cell of
     w_Q ((w^{-1/(p-1)})_Q)^{p-1} (p > 1), or of w_Q / essinf_Q w (p = 1).
     A certified lower bound of [w]_{A_p}."""
     grid = weight.grid
     if p < 1:
         raise ValueError("p must be >= 1")
-    if radii is None:
-        radii = _cube_radii(structure, grid)
+    radii = _cube_radii(structure, grid)
     wv = weight.field.values
     w_cube = _cube_field(wv)
     if p > 1:
@@ -259,13 +257,12 @@ def ainf_profile(weight, p, structure, seed=0):
     return float(beta), float(n_fit), float(lower_margin)
 
 
-def reverse_holder(weight, p, structure, radii=None, eps_grid=None):
+def reverse_holder(weight, p, structure, eps_grid=None):
     """Largest eps on a search grid with a finite uniform constant N in
-    (w^{1+eps})_Q <= N (w_Q)^{1+eps} over cubes of the radii (default
-    _cube_radii) at every cell; returns (eps, N)."""
+    (w^{1+eps})_Q <= N (w_Q)^{1+eps} over cubes of the _cube_radii at every
+    cell; returns (eps, N)."""
     grid = weight.grid
-    if radii is None:
-        radii = _cube_radii(structure, grid)
+    radii = _cube_radii(structure, grid)
     if eps_grid is None:
         eps_grid = [0.05 * 2 ** j for j in range(7)]  # 0.05 .. 3.2
     cf = weight.field.meta.get("closed_form")
@@ -363,13 +360,13 @@ def _rdf_series(op, start, exponent, weight, seed):
 def rdf_iterate(f, weight, p_prime, structure, seed=0):
     """Rubio de Francia majorant v = sum_n T^n f / (2^n ||T||^n) with
     T u = w^{-1} M(u w); guarantees f <= v, ||v|| <= 2 ||f||, and
-    M(v w) <= 2 ||T|| v w pointwise up to family slack (M over rdf_family).
+    M(v w) <= 2 ||T|| v w pointwise up to family slack (M over _rdf_family).
 
     Returns (v, op_norm_estimate).
     """
     grid = f.grid
     wv = weight.field.values
-    family = rdf_family(structure, grid)
+    family = _rdf_family(structure, grid)
 
     def T(u):
         return classical_maximal(Field(grid, np.abs(u) * wv), structure, 0.0, family).values / wv
@@ -382,13 +379,13 @@ def jones_factorize(weight, p, structure, seed=0):
     """Jones factorization w = w1^{1-p} w2 with both factors A_1.
 
     Runs the fixed-point construction with S the sum of the two sublinear
-    pieces (M over rdf_family); returns (w1, w2, S_norm_estimate).
+    pieces (M over _rdf_family); returns (w1, w2, S_norm_estimate).
     """
     if not 1.0 < p <= 2.0:
         raise ValueError("factorization implemented for p in (1, 2]")
     grid = weight.grid
     wv = weight.field.values
-    family = rdf_family(structure, grid)
+    family = _rdf_family(structure, grid)
 
     def S(u):
         t1 = classical_maximal(Field(grid, np.abs(u) * wv), structure, 0.0, family).values / wv
