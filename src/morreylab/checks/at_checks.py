@@ -14,6 +14,7 @@ from ..potentials import at_kernel_array, sigma
 from ..solvers import (
     OperatorSpec,
     _sdelta_from_draws,
+    apply_operator,
     apriori_ratios,
     oscillation_estimate,
     random_sdelta,
@@ -22,7 +23,7 @@ from ..solvers import (
     spectral_derivative_fields,
 )
 from .common import (grid_label, mean_zero_source, parabolic_grid, parabolic_structure,
-                     random_signed, refinement_report)
+                     random_signed, refine, worst)
 from .report import register
 
 
@@ -43,17 +44,20 @@ def _sdelta_pairs(rng, n, delta):
 @register("at-matrix", "ellipticity bracket inequalities for matrices with pinched spectra")
 def check_at_matrix(cfg):
     rng = np.random.default_rng(cfg.seed)
-    worst = 0.0
     n_pairs = 3000
-    for delta in (0.2, 0.5, 0.9):
-        a, u = _sdelta_pairs(rng, n_pairs, delta)
-        br = sdelta_brackets(a, u)
-        lower = delta ** 2 * (u ** 2).sum(axis=(1, 2))
-        br_shift = sdelta_brackets(a - delta * np.eye(3), u)
-        worst = max(worst, float((lower - br).max()), float((-br_shift).max()),
-                    float((br_shift - (1 - delta ** 2) ** 2 * br).max()))
+
+    def excesses():
+        for delta in (0.2, 0.5, 0.9):
+            a, u = _sdelta_pairs(rng, n_pairs, delta)
+            br = sdelta_brackets(a, u)
+            lower = delta ** 2 * (u ** 2).sum(axis=(1, 2))
+            br_shift = sdelta_brackets(a - delta * np.eye(3), u)
+            yield float((lower - br).max())
+            yield float((-br_shift).max())
+            yield float((br_shift - (1 - delta ** 2) ** 2 * br).max())
+
     return {
-        "lhs": worst, "rhs": 1.0, "bound": 1e-12, "bound_class": "paper",
+        "lhs": worst(excesses()), "rhs": 1.0, "bound": 1e-12, "bound_class": "paper",
         "slack": 0.0, "params": {"pairs": 3 * n_pairs},
     }
 
@@ -64,20 +68,18 @@ def check_at_energy(cfg):
     delta = 0.5
     g = parabolic_grid(cfg)
     rng = np.random.default_rng(cfg.seed)
-    worst = 0.0
-    for k in range(5):
-        a_path = _random_path(rng, g.cells[0], 1, delta)
-        u = random_signed(g, cfg.seed + k)
-        _, d2, _, ut = spectral_derivative_fields(u, s)
-        op = OperatorSpec("heat_at", lam=0.0, a_of_t=a_path, delta=delta)
-        from ..solvers import apply_operator
 
-        f = apply_operator(u, op, s)
-        lhs = float((ut ** 2).sum()) + delta ** 2 * float((d2[0][0] ** 2).sum())
-        rhs = float((f.values ** 2).sum()) / delta ** 2
-        worst = max(worst, lhs / rhs)
+    def ratios():
+        for k in range(5):
+            a_path = _random_path(rng, g.cells[0], 1, delta)
+            u = random_signed(g, cfg.seed + k)
+            _, d2, _, ut = spectral_derivative_fields(u, s)
+            f = apply_operator(u, OperatorSpec("heat_at", lam=0.0, a_of_t=a_path, delta=delta), s)
+            lhs = float((ut ** 2).sum()) + delta ** 2 * float((d2[0][0] ** 2).sum())
+            yield lhs / (float((f.values ** 2).sum()) / delta ** 2)
+
     return {
-        "lhs": worst, "rhs": 1.0, "bound": 1.0, "bound_class": "paper",
+        "lhs": worst(ratios()), "rhs": 1.0, "bound": 1.0, "bound_class": "paper",
         "slack": 0.01, "grid": grid_label(s, g), "params": {"delta": delta},
     }
 
@@ -90,16 +92,12 @@ def check_at_kernel(cfg):
     d = 2
     a_path = _random_path(rng, nt, d, delta)
     gx = make_grid(d, 10.0, cfg.cells(128))
-    worst_mass = 0.0
-    worst_sg = 0.0
-    worst_symbol = 0.0
+    mass_errs, sg_margins, symbol_errs = [], [], []
     for (t, s_t) in ((0.1, 0.5), (0.2, 0.9), (0.0, 0.3)):
         ker = at_kernel_array(gx, a_path, t, s_t, ht, delta=delta)
-        mass = float(ker.sum()) * gx.cell_volume
-        worst_mass = max(worst_mass, abs(mass - 1.0))
-        sg = sigma(a_path, t, s_t, ht, delta=delta)
-        ev = np.linalg.eigvalsh(sg)
-        worst_sg = max(worst_sg, float(max(0.0, math.sqrt(delta) - ev.min())))
+        mass_errs.append(abs(float(ker.sum()) * gx.cell_volume - 1.0))
+        ev = np.linalg.eigvalsh(sigma(a_path, t, s_t, ht, delta=delta))
+        sg_margins.append(float(max(0.0, math.sqrt(delta) - ev.min())))
         # symbol derivative: d/ds exp(-(A_{t,s} xi, xi)) = -(a(s) xi, xi) *
         # the symbol; exact within a slab where a is constant
         xi = rng.normal(size=d)
@@ -117,11 +115,11 @@ def check_at_kernel(cfg):
         sym_hi = math.exp(-float(xi @ a_quad(t, s_hi) @ xi))
         q_mid = float(xi @ a_path[i_mid] @ xi)
         # exact relation for piecewise-constant coefficients
-        worst_symbol = max(worst_symbol,
-                           abs(sym_hi - sym_lo * math.exp(-q_mid * ht)) / max(sym_hi, 1e-300))
-    worst = max(worst_mass / 1e-8, worst_sg / 1e-12, worst_symbol / 1e-12)
+        symbol_errs.append(abs(sym_hi - sym_lo * math.exp(-q_mid * ht)) / max(sym_hi, 1e-300))
+    worst_mass, worst_sg, worst_symbol = worst(mass_errs), worst(sg_margins), worst(symbol_errs)
     return {
-        "lhs": worst, "rhs": 1.0, "bound": 1.0, "bound_class": "paper",
+        "lhs": max(worst_mass / 1e-8, worst_sg / 1e-12, worst_symbol / 1e-12),
+        "rhs": 1.0, "bound": 1.0, "bound_class": "paper",
         "slack": 0.0, "grid": grid_label(None, gx),
         "params": {"mass_err": worst_mass, "sigma_margin": worst_sg,
                    "symbol_err": worst_symbol},
@@ -148,7 +146,7 @@ def check_at_solve(cfg):
     fh = np.fft.fft(f.values, axis=1)
     (ks,) = _wavenumbers(g, (1,))
     t0_axis = g.axis(0)
-    worst_quad = 0.0
+    quad_errs = []
     a_scalar = a_path[:, 0, 0]
     nodes, weights = np.polynomial.legendre.leggauss(20)
 
@@ -172,16 +170,16 @@ def check_at_solve(cfg):
                                                            + a_scalar[j] * (tt - lo))
             val += (hi - lo) / 2 * float(weights @ (fh[j, i_k] * np.exp(expo)).real)
         uh = np.fft.fft(u.values, axis=1)
-        worst_quad = max(worst_quad, float(abs(val - uh[i_t, i_k].real)
-                                           / max(abs(uh[i_t, i_k]), 1e-300)))
+        quad_errs.append(float(abs(val - uh[i_t, i_k].real) / max(abs(uh[i_t, i_k]), 1e-300)))
+    worst_quad = worst(quad_errs)
     # identity coefficients reduce to the plain heat resolvent exactly
     a_id = np.repeat(np.eye(1)[None], nt, axis=0)
     u_id, _ = solve_heat(f, lam, a_of_t=a_id)
     u_heat, _ = solve_heat(f, lam)
     red = float(np.abs(u_id.values - u_heat.values).max())
-    worst = max(caus / 1e-13, worst_quad / 1e-8, red / 1e-13)
     return {
-        "lhs": worst, "rhs": 1.0, "bound": 1.0, "bound_class": "paper",
+        "lhs": max(caus / 1e-13, worst_quad / 1e-8, red / 1e-13),
+        "rhs": 1.0, "bound": 1.0, "bound_class": "paper",
         "slack": 0.0, "grid": grid_label(s, g),
         "params": {"causality": caus, "quad_err": worst_quad, "reduction": red},
     }
@@ -192,25 +190,23 @@ def check_at_osc(cfg):
     s = parabolic_structure(1)
     delta = 0.5
     grids = [parabolic_grid(cfg, n, n) for n in (48, 96)]
-    fits = []
-    for g in grids:
-        rng = np.random.default_rng(cfg.seed)
-        a_path = _random_path(rng, g.cells[0], 1, delta)
+
+    def ratios(g):
+        a_path = _random_path(np.random.default_rng(cfg.seed), g.cells[0], 1, delta)
         f = mean_zero_source(g, cfg.seed)
         u, _ = solve_heat(f, 0.5, a_of_t=a_path, delta=delta)
         # anchor the two-scale bound where the source actually acts
         imax = np.unravel_index(int(np.argmax(np.abs(f.values))), g.cells)
         center = [float(g.axis(a)[imax[a]]) for a in range(2)]
         center[0] = max(min(center[0], 0.0), -0.5)
-        worst = 0.0
         for kappa in (2.0, 3.0, 4.0):
             data = oscillation_estimate(u, Field(g, np.abs(f.values)), s, kappa,
                                         0.3, 2.0, center=center)
             den = data["term_local"] + data["term_tail"]
             if den > 0:
-                worst = max(worst, data["osc"] / den)
-        fits.append(worst)
-    return refinement_report(s, grids, fits, params={"fitted_N": fits}, bound=1.15)
+                yield data["osc"] / den
+
+    return refine(s, grids, lambda g: {"fitted_N": worst(ratios(g))}, bound=1.15)
 
 
 @register("at-mixed", "lambda-scaled reversed-order mixed bound for time-dependent coefficients")
@@ -219,16 +215,14 @@ def check_at_mixed(cfg):
     delta = 0.5
     p, q = 2.0, 3.0
     grids = [parabolic_grid(cfg, n, n) for n in (48, 96)]
-    vals = []
-    for g in grids:
-        rng = np.random.default_rng(cfg.seed)
-        a_path = _random_path(rng, g.cells[0], 1, delta)
-        worst = 0.0
-        for k in range(4):
-            u = random_signed(g, cfg.seed + 37 * k)
-            ops = [OperatorSpec("heat_at", lam=lam, a_of_t=a_path, delta=delta)
-                   for lam in (1.0, 10.0, 100.0)]
-            for r in apriori_ratios(u, ops, NormSpec("Lqp_reversed", p=p, q=q), s):
-                worst = max(worst, r["ratio"])
-        vals.append(worst)
-    return refinement_report(s, grids, vals, params={"ratios": vals})
+    spec = NormSpec("Lqp_reversed", p=p, q=q)
+
+    def level(g):
+        a_path = _random_path(np.random.default_rng(cfg.seed), g.cells[0], 1, delta)
+        ops = [OperatorSpec("heat_at", lam=lam, a_of_t=a_path, delta=delta)
+               for lam in (1.0, 10.0, 100.0)]
+        return {"ratios": worst(
+            r["ratio"] for k in range(4)
+            for r in apriori_ratios(random_signed(g, cfg.seed + 37 * k), ops, spec, s))}
+
+    return refine(s, grids, level)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -17,10 +18,13 @@ __all__ = [
     "random_signed",
     "bump_mix",
     "mean_zero_source",
+    "centred",
     "stability",
     "growth_verdict",
     "grid_label",
-    "refinement_report",
+    "worst",
+    "run_levels",
+    "refine",
 ]
 
 
@@ -59,10 +63,14 @@ def bump_mix(grid, seed, nonneg=True):
     return Field(grid, vals)
 
 
+def centred(f):
+    """f less its mean."""
+    return Field(f.grid, f.values - f.values.mean())
+
+
 def mean_zero_source(grid, seed):
     """bump_mix with random signs, less its mean."""
-    f = bump_mix(grid, seed, nonneg=False)
-    return Field(grid, f.values - f.values.mean())
+    return centred(bump_mix(grid, seed, nonneg=False))
 
 
 def stability(values):
@@ -102,10 +110,38 @@ def grid_label(structure, grids):
     return f"{head}/{cells}"
 
 
+def worst(values):
+    """The trials' running max from 0.0: an empty or all-negative fold is
+    0.0, and a NaN never replaces the value held (max keeps its first
+    argument unless the second is larger)."""
+    return functools.reduce(max, values, 0.0)
+
+
 def refinement_report(structure, grids, *levels, params, bound=1.10):
     """The existential report of a check that is stable under refinement:
     lhs the worst growth factor (stability) of its level sequences, one
-    value per grid of `grids`, against rhs 1 and `bound`."""
+    value per grid of `grids`, against rhs 1 and `bound`.  Checks build it
+    through `refine`; only the two whose level loop may return early
+    (sharp-compare, rh) call it themselves."""
     return {"lhs": max(stability(v) for v in levels), "rhs": 1.0, "bound": bound,
             "bound_class": "existential", "grid": grid_label(structure, grids),
             "params": params}
+
+
+def run_levels(grids, level):
+    """The one refinement loop: `level(g)` once per grid, in order, each
+    call a dict of named quantities; returns one list per name."""
+    seqs = {}
+    for g in grids:
+        for name, value in level(g).items():
+            seqs.setdefault(name, []).append(value)
+    return seqs
+
+
+def refine(structure, grids, level, params=None, bound=1.10):
+    """The existential report of `level`'s named quantities over `grids`:
+    every named sequence is a level sequence of `refinement_report`, and
+    params are the sequences plus the check's extra `params`."""
+    seqs = run_levels(grids, level)
+    return refinement_report(structure, grids, *seqs.values(),
+                             params={**seqs, **(params or {})}, bound=bound)

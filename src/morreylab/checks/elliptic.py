@@ -31,8 +31,10 @@ from .common import (
     growth_verdict,
     mean_zero_source,
     random_signed,
-    refinement_report,
+    refine,
+    run_levels,
     stability,
+    worst,
 )
 from .report import register
 
@@ -41,15 +43,15 @@ from .report import register
 def check_energy_laplace(cfg):
     s = elliptic_structure(2)
     g = make_grid(2, math.pi, cfg.cells(64), periodic=True)
-    worst = 0.0
-    for k in range(5):
-        u = random_signed(g, cfg.seed + k)
-        _, d2, lap, _ = spectral_derivative_fields(u, s)
-        num = math.sqrt(sum(float((d2[i][j] ** 2).sum()) for i in range(2) for j in range(2)))
-        den = math.sqrt(float((lap ** 2).sum()))
-        worst = max(worst, abs(num / den - 1.0))
+
+    def errors():
+        for k in range(5):
+            _, d2, lap, _ = spectral_derivative_fields(random_signed(g, cfg.seed + k), s)
+            num = math.sqrt(sum(float((d2[i][j] ** 2).sum()) for i in range(2) for j in range(2)))
+            yield abs(num / math.sqrt(float((lap ** 2).sum())) - 1.0)
+
     return {
-        "lhs": worst, "rhs": 1.0, "bound": 1e-10, "bound_class": "paper",
+        "lhs": worst(errors()), "rhs": 1.0, "bound": 1e-10, "bound_class": "paper",
         "slack": 0.0, "grid": grid_label(s, g), "params": {"p": 2, "lam": 0},
     }
 
@@ -58,18 +60,15 @@ def check_energy_laplace(cfg):
 def check_cz_lp(cfg):
     s = elliptic_structure(2)
     grids = [make_grid(2, math.pi, cfg.cells(n), periodic=True) for n in (32, 64, 128)]
-    fits = {p: [] for p in (1.5, 3.0)}
-    for g in grids:
-        for p in fits:
-            worst = 0.0
-            for k in range(4):
-                u = random_signed(g, cfg.seed + 13 * k)
-                _, d2, lap, _ = spectral_derivative_fields(u, s)
-                mag = hessian_magnitude(d2)
-                worst = max(worst, lp_norm(Field(g, mag), p) / lp_norm(Field(g, lap), p))
-            fits[p].append(worst)
-    return refinement_report(s, grids, *fits.values(),
-                             params={str(p): v for p, v in fits.items()})
+
+    def level(g):
+        fields = [spectral_derivative_fields(random_signed(g, cfg.seed + 13 * k), s)[1:3]
+                  for k in range(4)]
+        return {str(p): worst(lp_norm(Field(g, hessian_magnitude(d2)), p)
+                              / lp_norm(Field(g, lap), p) for d2, lap in fields)
+                for p in (1.5, 3.0)}
+
+    return refine(s, grids, level)
 
 
 @register("sharp-d2u", "sharp function of the Hessian bounded by the maximal p-mean of the source")
@@ -77,16 +76,16 @@ def check_sharp_d2u(cfg):
     s = elliptic_structure(2)
     p = 1.5
     grids = [make_grid(2, math.pi, cfg.cells(n), periodic=True) for n in (48, 96)]
-    fits = []
-    for g in grids:
+
+    def level(g):
         f = mean_zero_source(g, cfg.seed)
-        u = solve_laplace(f, 0.0)
-        _, d2, _, _ = spectral_derivative_fields(u, s)
+        _, d2, _, _ = spectral_derivative_fields(solve_laplace(f, 0.0), s)
         sharp = classical_sharp(Field(g, hessian_magnitude(d2)), s)
         mp = classical_maximal(Field(g, np.abs(f.values) ** p), s)
         rhs = np.maximum(mp.values, 1e-300) ** (1.0 / p)
-        fits.append(float(np.max(sharp.values / rhs)))
-    return refinement_report(s, grids, fits, params={"p": p, "fitted_N": fits})
+        return {"fitted_N": float(np.max(sharp.values / rhs))}
+
+    return refine(s, grids, level, {"p": p})
 
 
 @register("interp-grad", "gradient interpolation between the function and its Hessian")
@@ -94,7 +93,7 @@ def check_interp_grad(cfg):
     s = elliptic_structure(2)
     g = make_grid(2, math.pi, cfg.cells(64), periodic=True)
     p = 2.0
-    fits = {"local": 0.0, "sharp": 0.0, "global": 0.0}
+    trials = {"local": [], "sharp": [], "global": []}
     for k in range(5):
         u = random_signed(g, cfg.seed + 3 * k)
         du, d2, _, _ = spectral_derivative_fields(u, s)
@@ -106,20 +105,16 @@ def check_interp_grad(cfg):
             iu = float((np.abs(u.values[ball]) ** p).sum())
             idu = float((du_mag[ball] ** p).sum())
             id2 = float((d2_mag[ball] ** p).sum())
-            for eps in (r / 4, r / 2, r):
-                fits["local"] = max(fits["local"],
-                                    idu / (eps ** p * id2 + eps ** -p * iu))
+            trials["local"] += [idu / (eps ** p * id2 + eps ** -p * iu)
+                                for eps in (r / 4, r / 2, r)]
         m2 = classical_maximal(Field(g, d2_mag), s)
         m0 = classical_maximal(u, s)
         rhs = np.sqrt(np.maximum(m2.values * m0.values, 1e-300))
-        for i in range(2):
-            sharp_du = classical_sharp(Field(g, du[i]), s)
-            fits["sharp"] = max(fits["sharp"], float((sharp_du.values / rhs).max()))
-        fits["global"] = max(
-            fits["global"],
-            lp_norm(Field(g, du_mag), p) ** 2
-            / (lp_norm(Field(g, d2_mag), p) * lp_norm(u, p)),
-        )
+        trials["sharp"] += [float((classical_sharp(Field(g, du[i]), s).values / rhs).max())
+                            for i in range(2)]
+        trials["global"].append(lp_norm(Field(g, du_mag), p) ** 2
+                                / (lp_norm(Field(g, d2_mag), p) * lp_norm(u, p)))
+    fits = {name: worst(vals) for name, vals in trials.items()}
     ok = all(math.isfinite(v) for v in fits.values())
     return {
         "lhs": 1.0 if ok else math.inf, "rhs": 1.0, "bound": 1.0,
@@ -133,16 +128,11 @@ def check_resolvent_apriori(cfg):
     s = elliptic_structure(2)
     spec = NormSpec("Lp", p=3.0)
     grids = [make_grid(2, math.pi, cfg.cells(n), periodic=True) for n in (32, 64, 128)]
-    vals = []  # the worst L_3 ratio at each refinement level
-    for g in grids:
-        worst = 0.0
-        for k in range(8):
-            u = random_signed(g, cfg.seed + 7 * k)
-            ops = [OperatorSpec("laplace", lam=lam) for lam in (1.0, 10.0, 100.0)]
-            for r in apriori_ratios(u, ops, spec, s):
-                worst = max(worst, r["ratio"])
-        vals.append(worst)
-    return refinement_report(s, grids, vals, params={"ratios": vals, "p": 3.0})
+    ops = [OperatorSpec("laplace", lam=lam) for lam in (1.0, 10.0, 100.0)]
+    # the worst L_3 ratio at each refinement level
+    return refine(s, grids, lambda g: {"ratios": worst(
+        r["ratio"] for k in range(8)
+        for r in apriori_ratios(random_signed(g, cfg.seed + 7 * k), ops, spec, s))}, {"p": 3.0})
 
 
 @register("osc-kappa", "two-scale oscillation bound for the Hessian with local and tail terms")
@@ -150,18 +140,17 @@ def check_osc_kappa(cfg):
     s = elliptic_structure(2)
     p = 2.0
     grids = [make_grid(2, math.pi, cfg.cells(n), periodic=True) for n in (64, 128)]
-    fits = []
-    for g in grids:
+
+    def ratios(g):
         f = mean_zero_source(g, cfg.seed)
         u = solve_laplace(f, 0.0)
-        worst = 0.0
         for kappa in (2.0, 4.0, 8.0):
             data = oscillation_estimate(u, Field(g, np.abs(f.values)), s, kappa, 0.1, p)
             denom = data["term_local"] + data["term_tail"]
             if denom > 0:
-                worst = max(worst, data["osc"] / denom)
-        fits.append(worst)
-    return refinement_report(s, grids, fits, params={"fitted_N": fits, "p": p}, bound=1.15)
+                yield data["osc"] / denom
+
+    return refine(s, grids, lambda g: {"fitted_N": worst(ratios(g))}, {"p": p}, bound=1.15)
 
 
 def _radial_profiles(g, d):
@@ -228,20 +217,15 @@ def check_hardy_grad(cfg):
     d = 3
     g = make_grid(d, 4.0, cfg.cells(64))
     w2 = test_function("power", g, gamma=2.0)
-    worst = 0.0
-    gauss_ratio = None
-    for name, parm, u, du2, _lap in _radial_profiles(g, d):
-        num = integrate(Field(g, u ** 2), weight=w2)
-        den = float(du2.sum()) * g.cell_volume
-        ratio = num / den
-        worst = max(worst, ratio)
-        if name == "gaussian" and gauss_ratio is None:
-            gauss_ratio = ratio
+    ratios = [(name, integrate(Field(g, u ** 2), weight=w2) / (float(du2.sum()) * g.cell_volume))
+              for name, parm, u, du2, _lap in _radial_profiles(g, d)]
+    gauss_ratio = next(ratio for name, ratio in ratios if name == "gaussian")
     sharp = (2.0 / (d - 2.0)) ** 2
     gauss_err = abs(gauss_ratio - 4.0 / 3.0) / (4.0 / 3.0)
     ok_gauss = gauss_err <= 0.02
     return {
-        "lhs": worst if ok_gauss else math.inf, "rhs": sharp, "bound": 1.0,
+        "lhs": worst(ratio for _, ratio in ratios) if ok_gauss else math.inf,
+        "rhs": sharp, "bound": 1.0,
         "bound_class": "paper", "slack": 0.05, "grid": grid_label(None, g),
         "params": {"gaussian_ratio": gauss_ratio, "sharp_const": sharp},
     }
@@ -252,17 +236,17 @@ def check_hardy_lap(cfg):
     d = 3
     r_exp = 1.25  # needs 1 < r < d/2
     grids = [make_grid(d, 4.0, cfg.cells(n)) for n in (48, 64)]
-    fits = []
-    for g in grids:
+
+    def ratios(g):
         w = test_function("power", g, gamma=2.0 * r_exp)
-        worst = 0.0
         for name, parm, u, _du2, lap in _radial_profiles(g, d):
             num = integrate(Field(g, np.abs(u) ** r_exp), weight=w)
             den = float((lap ** r_exp).sum()) * g.cell_volume
             if den > 0:
-                worst = max(worst, num / den)
-        fits.append(worst ** (1.0 / r_exp))
-    return refinement_report(None, grids, fits, params={"fitted_N": fits, "r": r_exp})
+                yield num / den
+
+    return refine(None, grids, lambda g: {"fitted_N": worst(ratios(g)) ** (1.0 / r_exp)},
+                  {"r": r_exp})
 
 
 def _profile_slope(profile):
@@ -279,33 +263,32 @@ def check_adams(cfg):
     s = elliptic_structure(d)
     r_exp, p0 = 1.5, 2.0
     grids = [make_grid(d, 1.5, cfg.cells(n)) for n in (40, 56, 80)]
-    ratios = []
-    seminorms_bad = []
-    for g in grids:
+
+    def level(g):
         # the in-class and the escalated power share p, beta and the radii
         (a_norm, _), (bad, bad_prof) = evaluate_norms(
             [test_function("power", g, gamma=1.0), test_function("power", g, gamma=1.2)],
             NormSpec("EpbDot", p=p0, beta=1.0), s, return_profile=True)
-        seminorms_bad.append((bad, bad_prof))
         f = bump_mix(g, cfg.seed)
         rf = apply_kernel(f, KernelSpec("riesz", alpha=1.0))
         w_r = test_function("power", g, gamma=r_exp)  # |x|^{-r}
         num = integrate(Field(g, np.abs(rf.values) ** r_exp), weight=w_r.copy())
         den = a_norm ** r_exp * float((np.abs(f.values) ** r_exp).sum()) * g.cell_volume
-        ratios.append(num / den)
+        return {"ratios": num / den, "bad_seminorms": bad, "bad_profile": bad_prof}
+
+    seqs = run_levels(grids, level)
+    ratios = seqs["ratios"]
     # divergence of the escalated seminorm: the sup rides the smallest scales
     # with a genuinely negative power-law exponent, so it is unbounded as the
     # family refines; the in-class exponent is scale-invariant (slope ~ 0)
-    slope = _profile_slope(seminorms_bad[-1][1])
-    grow = growth_verdict([v for v, _ in seminorms_bad], grow_factor=1.10)
-    diverged = slope <= -0.10 and grow
+    slope = _profile_slope(seqs["bad_profile"][-1])
+    diverged = slope <= -0.10 and growth_verdict(seqs["bad_seminorms"], grow_factor=1.10)
     stable = stability(ratios) <= 1.10
     verdict = "pass" if (stable and diverged) else "fail"
     return {
         "lhs": ratios[-1], "rhs": 1.0, "bound": math.inf, "verdict": verdict,
         "bound_class": "existential", "grid": grid_label(s, grids),
-        "params": {"ratios": ratios, "bad_slope": slope,
-                   "bad_seminorms": [v for v, _ in seminorms_bad]},
+        "params": {"ratios": ratios, "bad_slope": slope, "bad_seminorms": seqs["bad_seminorms"]},
     }
 
 
@@ -315,18 +298,15 @@ def check_adams_cf(cfg):
     s = elliptic_structure(d)
     r_exp = 1.5
     grids = [make_grid(d, math.pi, cfg.cells(n), periodic=True) for n in (48, 64)]
-    fits = []
-    for g in grids:
+
+    def ratios(g):
         b_r = test_function("power", g, gamma=r_exp)
-        worst = 0.0
         for k in range(3):
-            u = random_signed(g, cfg.seed + k, kmax=4)
-            du, d2, _, _ = spectral_derivative_fields(u, s)
+            du, d2, _, _ = spectral_derivative_fields(random_signed(g, cfg.seed + k, kmax=4), s)
             num = integrate(Field(g, gradient_magnitude(du) ** r_exp), weight=b_r.copy())
-            den = float((hessian_magnitude(d2) ** r_exp).sum()) * g.cell_volume
-            worst = max(worst, num / den)
-        fits.append(worst)
-    return refinement_report(s, grids, fits, params={"fitted": fits})
+            yield num / (float((hessian_magnitude(d2) ** r_exp).sum()) * g.cell_volume)
+
+    return refine(s, grids, lambda g: {"fitted": worst(ratios(g))})
 
 
 @register("morrey-b-ex", "disjoint-bump field: Morrey-bounded but not in any better Lebesgue class")
@@ -334,18 +314,20 @@ def check_morrey_b_ex(cfg):
     d, p, q = 2, 1.0, 1.3
     s = elliptic_structure(d)
     grids = [make_grid(d, 1.25, cfg.cells(n)) for n in (128, 256, 512)]
-    semis, lqs = [], []
-    for g in grids:
+
+    def level(g):
         b, radii = test_function("cz_bump", g, p=p)
-        semis.append(evaluate_norm(b, NormSpec("EpbDot", p=p, beta=1.0), s))
-        lqs.append(lp_norm(b, q, region=([0.0, -0.6], [1.05, 0.6])))
-    stable = stability(semis) <= 1.12
-    diverged = growth_verdict(lqs, grow_factor=1.15)
+        return {"seminorms": evaluate_norm(b, NormSpec("EpbDot", p=p, beta=1.0), s),
+                "Lq_norms": lp_norm(b, q, region=([0.0, -0.6], [1.05, 0.6]))}
+
+    seqs = run_levels(grids, level)
+    stable = stability(seqs["seminorms"]) <= 1.12
+    diverged = growth_verdict(seqs["Lq_norms"], grow_factor=1.15)
     verdict = "pass" if (stable and diverged) else "fail"
     return {
-        "lhs": semis[-1], "rhs": 1.0, "bound": math.inf, "verdict": verdict,
+        "lhs": seqs["seminorms"][-1], "rhs": 1.0, "bound": math.inf, "verdict": verdict,
         "bound_class": "counterexample", "grid": grid_label(s, grids),
-        "params": {"seminorms": semis, "Lq_norms": lqs, "q": q},
+        "params": {**seqs, "q": q},
     }
 
 
@@ -354,9 +336,8 @@ def check_morrey_interp(cfg):
     s = elliptic_structure(2)
     p, beta = 2.0, 0.8
     grids = [make_grid(2, math.pi, cfg.cells(n), periodic=True) for n in (64, 128)]
-    fits = []
-    for g in grids:
-        worst = 0.0
+
+    def ratios(g):
         for k in range(3):
             u = random_signed(g, cfg.seed + 11 * k)
             du, d2, _, _ = spectral_derivative_fields(u, s)
@@ -364,9 +345,9 @@ def check_morrey_interp(cfg):
                 [Field(g, gradient_magnitude(du)), Field(g, hessian_magnitude(d2)), u],
                 NormSpec("Epbr", p=p, beta=beta), s)
             for eps in (0.25, 0.5, 1.0):
-                worst = max(worst, ndu / (eps * nd2 + nu / eps))
-        fits.append(worst)
-    return refinement_report(s, grids, fits, params={"fitted_N": fits})
+                yield ndu / (eps * nd2 + nu / eps)
+
+    return refine(s, grids, lambda g: {"fitted_N": worst(ratios(g))})
 
 
 @register("riesz-morrey", "Riesz potential maps between homogeneous Morrey spaces")
@@ -375,14 +356,14 @@ def check_riesz_morrey(cfg):
     r_t = p * beta / (beta - alpha)
     s = elliptic_structure(d)
     grids = [make_grid(d, 2.0, cfg.cells(n)) for n in (64, 128)]
-    fits = []
-    for g in grids:
+
+    def level(g):
         f = bump_mix(g, cfg.seed)
         rf = apply_kernel(f, KernelSpec("riesz", alpha=alpha))
         num = evaluate_norm(rf, NormSpec("EpbDot", p=r_t, beta=beta - alpha), s)
-        den = evaluate_norm(f, NormSpec("EpbDot", p=p, beta=beta), s)
-        fits.append(num / den)
-    return refinement_report(s, grids, fits, params={"fitted": fits, "r": r_t})
+        return {"fitted": num / evaluate_norm(f, NormSpec("EpbDot", p=p, beta=beta), s)}
+
+    return refine(s, grids, level, {"r": r_t})
 
 
 @register("morrey-embed", "sup bound and Holder modulus from Morrey-Sobolev control")
@@ -390,18 +371,17 @@ def check_morrey_embed(cfg):
     s = elliptic_structure(2)
     p, beta = 2.0, 0.8
     grids = [make_grid(2, math.pi, cfg.cells(n), periodic=True) for n in (64, 128)]
-    fits = {"sup": [], "holder": []}
-    for g in grids:
-        worst_sup, worst_h = 0.0, 0.0
+
+    def level(g):
+        sups, holders = [], []
         for k in range(3):
             u = random_signed(g, cfg.seed + 23 * k)
             du, d2, _, _ = spectral_derivative_fields(u, s)
             nd2, nu, ndu = evaluate_norms(
                 [Field(g, hessian_magnitude(d2)), u, Field(g, gradient_magnitude(du))],
                 NormSpec("Epbr", p=p, beta=beta), s)
-            for eps in (0.25, 0.5, 1.0):
-                bound = eps ** (2 - beta) * nd2 + eps ** (-beta) * nu
-                worst_sup = max(worst_sup, float(np.abs(u.values).max()) / bound)
+            sups += [float(np.abs(u.values).max()) / (eps ** (2 - beta) * nd2 + eps ** (-beta) * nu)
+                     for eps in (0.25, 0.5, 1.0)]
             # Holder quotient of the gradient components, beta < 1
             rng = np.random.default_rng(cfg.seed + k)
             idx = rng.integers(0, min(g.cells), size=(40, 2, 2))
@@ -412,10 +392,10 @@ def check_morrey_embed(cfg):
                 if dx == 0 or dx > 1.0:
                     continue
                 diff = abs(float(u.values[tuple(a_pt)]) - float(u.values[tuple(b_pt)]))
-                worst_h = max(worst_h, diff / (dx ** (1 - beta) * (ndu + nu)))
-        fits["sup"].append(worst_sup)
-        fits["holder"].append(worst_h)
-    return refinement_report(s, grids, fits["sup"], fits["holder"], params=fits)
+                holders.append(diff / (dx ** (1 - beta) * (ndu + nu)))
+        return {"sup": worst(sups), "holder": worst(holders)}
+
+    return refine(s, grids, level)
 
 
 @register("fail-1.17.4", "ridge profile: drift term not absorbable into the Hessian at any small eps")
@@ -472,16 +452,11 @@ def check_laplace_morrey(cfg):
     s = elliptic_structure(2)
     p, beta = 2.0, 0.8
     grids = [make_grid(2, math.pi, cfg.cells(n), periodic=True) for n in (48, 96)]
-    vals = []
-    for g in grids:
-        worst = 0.0
-        for k in range(4):
-            u = random_signed(g, cfg.seed + 3 * k)
-            ops = [OperatorSpec("laplace", lam=lam) for lam in (1.0, 10.0)]
-            for op, r in zip(ops, apriori_ratios(u, ops, NormSpec("Epbr", p=p, beta=beta), s)):
-                worst = max(worst, r["ratio"] / (1.0 + 1.0 / op.lam))
-        vals.append(worst)
-    return refinement_report(s, grids, vals, params={"ratios": vals})
+    ops = [OperatorSpec("laplace", lam=lam) for lam in (1.0, 10.0)]
+    spec = NormSpec("Epbr", p=p, beta=beta)
+    return refine(s, grids, lambda g: {"ratios": worst(
+        r["ratio"] / (1.0 + 1.0 / op.lam) for k in range(4)
+        for op, r in zip(ops, apriori_ratios(random_signed(g, cfg.seed + 3 * k), ops, spec, s)))})
 
 
 def _drift_critical_scale(f, lam, b_unit, s):

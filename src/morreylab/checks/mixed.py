@@ -16,8 +16,8 @@ from ..solvers import (OperatorSpec, apriori_ratios, gradient_magnitude, hessian
                        spectral_derivative_fields)
 from ..testfunctions import test_function
 from ..weights import power_weight
-from .common import (bump_mix, elliptic_structure, grid_label, parabolic_grid,
-                     parabolic_structure, random_signed, refinement_report, stability)
+from .common import (bump_mix, centred, elliptic_structure, grid_label, parabolic_grid,
+                     parabolic_structure, random_signed, refine, run_levels, stability, worst)
 from .report import register
 
 
@@ -27,26 +27,22 @@ def check_mixed_transfer(cfg):
     s = make_structure(2, (1, 1))
     g = make_grid(2, (1.0, 1.0), (cfg.cells(128), cfg.cells(128)))
     p, p1, p2 = 2.0, 2.0, 3.0
-    rng = np.random.default_rng(cfg.seed)
     fam = BallFamily.for_structure(s, g, shape="cube")
     probes = [power_weight(g, 0.0), power_weight(g, 0.5), power_weight(g, -0.5)]
-    worst = 0.0
-    for k in range(3):
+
+    def transfer(k):
         gfun = bump_mix(g, cfg.seed + k)
         mg = classical_maximal(gfun, s, family=fam)
-        scale = max(
-            lp_norm(mg, p, weight=w.field) / lp_norm(gfun, p, weight=w.field)
-            for w in probes
-        )
-        f = Field(g, mg.values / scale)
+        scale = max(lp_norm(mg, p, weight=w.field) / lp_norm(gfun, p, weight=w.field)
+                    for w in probes)
         # hypothesis now holds on every probe; check the mixed-norm conclusion
-        num = mixed_norm(f, p1, p2)
-        den = mixed_norm(gfun, p1, p2)
-        worst = max(worst, num / den)
+        return mixed_norm(Field(g, mg.values / scale), p1, p2) / mixed_norm(gfun, p1, p2)
+
+    fitted = worst(transfer(k) for k in range(3))
     alpha = 2.0 + 1.0 / p1 + 1.0 / p2
     return {
-        "lhs": worst, "rhs": 2.0 ** alpha, "bound": 1.0, "bound_class": "paper",
-        "grid": grid_label(s, g), "params": {"alpha": alpha, "worst": worst},
+        "lhs": fitted, "rhs": 2.0 ** alpha, "bound": 1.0, "bound_class": "paper",
+        "grid": grid_label(s, g), "params": {"alpha": alpha, "worst": fitted},
     }
 
 
@@ -55,18 +51,14 @@ def check_hl_mixed(cfg):
     s = parabolic_structure(1)
     p, q = 2.0, 3.0
     grids = [parabolic_grid(cfg, n, n, 1.0, 1.0, periodic=False) for n in (48, 96)]
-    fits = {"std": [], "rev": []}
-    for g in grids:
-        w_s, w_r = 0.0, 0.0
-        for k in range(3):
-            f = bump_mix(g, cfg.seed + k)
-            m = classical_maximal(f, s)
-            w_s = max(w_s, mixed_norm(m, p, q) / mixed_norm(f, p, q))
-            w_r = max(w_r, mixed_norm(m, p, q, reversed_order=True)
-                      / mixed_norm(f, p, q, reversed_order=True))
-        fits["std"].append(w_s)
-        fits["rev"].append(w_r)
-    return refinement_report(s, grids, fits["std"], fits["rev"], params=fits)
+
+    def level(g):
+        fms = [(f, classical_maximal(f, s)) for f in (bump_mix(g, cfg.seed + k) for k in range(3))]
+        return {order: worst(mixed_norm(m, p, q, reversed_order=rev)
+                             / mixed_norm(f, p, q, reversed_order=rev) for f, m in fms)
+                for order, rev in (("std", False), ("rev", True))}
+
+    return refine(s, grids, level)
 
 
 @register("fs-mixed", "sharp function controls the iterated norm")
@@ -74,18 +66,13 @@ def check_fs_mixed(cfg):
     s = parabolic_structure(1)
     p, q = 2.0, 3.0
     grids = [parabolic_grid(cfg, n, n, 1.0, 1.0, periodic=False) for n in (64, 128)]
-    fits = []
-    for g in grids:
-        worst = 0.0
-        for k in range(4):
-            f = random_signed(g, cfg.seed + 3 * k, kmax=20)
-            f = Field(g, f.values - f.values.mean())
-            sharp = dyadic_sharp(f, s)
-            den = mixed_norm(sharp, p, q)
-            if den > 0:
-                worst = max(worst, mixed_norm(f, p, q) / den)
-        fits.append(worst)
-    return refinement_report(s, grids, fits, params={"fitted_N": fits})
+
+    def level(g):
+        fs = [centred(random_signed(g, cfg.seed + 3 * k, kmax=20)) for k in range(4)]
+        fds = [(f, mixed_norm(dyadic_sharp(f, s), p, q)) for f in fs]
+        return {"fitted_N": worst(mixed_norm(f, p, q) / den for f, den in fds if den > 0)}
+
+    return refine(s, grids, level)
 
 
 @register("heat-mixed", "lambda-scaled heat resolvent bound in the iterated norm")
@@ -93,29 +80,22 @@ def check_heat_mixed(cfg):
     s = parabolic_structure(1)
     p, q = 2.0, 3.0
     grids = [parabolic_grid(cfg, n, n) for n in (48, 96)]
-    vals = []
-    for g in grids:
-        worst = 0.0
-        for k in range(4):
-            u = random_signed(g, cfg.seed + 7 * k)
-            ops = [OperatorSpec("heat", lam=lam) for lam in (1.0, 10.0, 100.0)]
-            for r in apriori_ratios(u, ops, NormSpec("Lpq", p=p, q=q), s):
-                worst = max(worst, r["ratio"])
-        vals.append(worst)
-    return refinement_report(s, grids, vals, params={"ratios": vals})
+    ops = [OperatorSpec("heat", lam=lam) for lam in (1.0, 10.0, 100.0)]
+    spec = NormSpec("Lpq", p=p, q=q)
+    return refine(s, grids, lambda g: {"ratios": worst(
+        r["ratio"] for k in range(4)
+        for r in apriori_ratios(random_signed(g, cfg.seed + 7 * k), ops, spec, s))})
 
 
 @register("poincare", "cylinder Poincare inequality for the gradient around its mean")
 def check_poincare(cfg):
     s = parabolic_structure(1)
     grids = [parabolic_grid(cfg, n, n) for n in (64, 96)]
-    fits = []
-    for g in grids:
-        worst = 0.0
+
+    def ratios(g):
+        xs = g.mesh()
         for k in range(3):
-            u = random_signed(g, cfg.seed + 5 * k)
-            du, d2, _, ut = spectral_derivative_fields(u, s)
-            xs = g.mesh()
+            du, d2, _, ut = spectral_derivative_fields(random_signed(g, cfg.seed + 5 * k), s)
             for rho in (0.5, 0.8):
                 cyl = (xs[0] >= -0.9) & (xs[0] < -0.9 + rho ** 2) & (np.abs(xs[1]) < rho)
                 if not cyl.any():
@@ -124,9 +104,9 @@ def check_poincare(cfg):
                 dev = float(np.abs(dv - dv.mean()).mean())
                 rhs = rho * float(np.sqrt(ut[cyl] ** 2 + d2[0][0][cyl] ** 2).mean())
                 if rhs > 0:
-                    worst = max(worst, dev / rhs)
-        fits.append(worst)
-    return refinement_report(s, grids, fits, params={"fitted_N": fits}, bound=1.15)
+                    yield dev / rhs
+
+    return refine(s, grids, lambda g: {"fitted_N": worst(ratios(g))}, bound=1.15)
 
 
 @register("trace-lr", "time-slice trace of the gradient bounded by the mixed-norm operator part")
@@ -135,22 +115,19 @@ def check_trace_lr(cfg):
     p, q, r = 1.5, 3.0, 2.0
     gamma = 1.0 / p + 2.0 / q - 1.0 / r
     grids = [parabolic_grid(cfg, n, n) for n in (48, 96)]
-    fits = []
-    for g in grids:
-        worst = 0.0
+
+    def ratios(g):
         for k in range(4):
             u = random_signed(g, cfg.seed + 11 * k)
             du, d2, _, ut = spectral_derivative_fields(u, s)
-            it0 = g.cells[0] // 2
-            trace = np.abs(du[0][it0])
+            trace = np.abs(du[0][g.cells[0] // 2])
             num = float((trace ** r).sum() * g.h[1]) ** (1.0 / r)
             op_part = mixed_norm(Field(g, np.sqrt(ut ** 2 + d2[0][0] ** 2)), p, q)
             nu = mixed_norm(u, p, q)
             for eps in (0.5, 1.0):
-                den = eps * op_part + eps ** (-(1 + gamma) / (1 - gamma)) * nu
-                worst = max(worst, num / den)
-        fits.append(worst)
-    return refinement_report(s, grids, fits, params={"fitted_N": fits, "gamma": gamma})
+                yield num / (eps * op_part + eps ** (-(1 + gamma) / (1 - gamma)) * nu)
+
+    return refine(s, grids, lambda g: {"fitted_N": worst(ratios(g))}, {"gamma": gamma})
 
 
 @register("trace-morrey", "time-slice trace lands in the matching Morrey space")
@@ -159,40 +136,35 @@ def check_trace_morrey(cfg):
     p, q, r, beta = 1.8, 2.2, 2.0, 1.3
     s1 = elliptic_structure(1)
     grids = [parabolic_grid(cfg, n, n) for n in (48, 96)]
-    fits = []
-    for g in grids:
+
+    def ratios(g):
         gx = make_grid(1, g.half_extent[1], g.cells[1], periodic=True)
-        worst = 0.0
         for k in range(4):
             u = random_signed(g, cfg.seed + 13 * k)
             du, d2, _, ut = spectral_derivative_fields(u, s)
-            it0 = g.cells[0] // 2
-            trace = Field(gx, du[0][it0].copy())
+            trace = Field(gx, du[0][g.cells[0] // 2].copy())
             num = evaluate_norm(trace, NormSpec("EpbDot", p=r, beta=beta - 1.0), s1)
             den = evaluate_norm(Field(g, np.sqrt(ut ** 2 + d2[0][0] ** 2)),
                                 NormSpec("EpqbDot", p=p, q=q, beta=beta), s)
             if den > 0:
-                worst = max(worst, num / den)
-        fits.append(worst)
-    return refinement_report(s, grids, fits, params={"fitted_N": fits})
+                yield num / den
+
+    return refine(s, grids, lambda g: {"fitted_N": worst(ratios(g))})
 
 
 @register("mixed-morrey-max", "maximal operator bounded on the mixed-norm Morrey scale")
 def check_mixed_morrey_max(cfg):
     s = parabolic_structure(1)
     p, q, beta = 2.0, 3.0, 1.0
+    spec = NormSpec("EpqbDot", p=p, q=q, beta=beta)
     grids = [parabolic_grid(cfg, n, n, 1.0, 1.0, periodic=False) for n in (48, 96)]
-    fits = []
-    for g in grids:
-        worst = 0.0
+
+    def ratios(g):
         for k in range(3):
             f = bump_mix(g, cfg.seed + k)
-            m = classical_maximal(f, s)
-            num = evaluate_norm(m, NormSpec("EpqbDot", p=p, q=q, beta=beta), s)
-            den = evaluate_norm(f, NormSpec("EpqbDot", p=p, q=q, beta=beta), s)
-            worst = max(worst, num / den)
-        fits.append(worst)
-    return refinement_report(s, grids, fits, params={"fitted_N": fits})
+            yield evaluate_norm(classical_maximal(f, s), spec, s) / evaluate_norm(f, spec, s)
+
+    return refine(s, grids, lambda g: {"fitted_N": worst(ratios(g))})
 
 
 @register("mixed-embed", "gradient embedding between iterated norms at the matched exponents")
@@ -202,17 +174,14 @@ def check_mixed_embed(cfg):
     beta = 1.0 / q1 + 2.0 / q2
     r1, r2 = q1 * beta / (beta - 1.0), q2 * beta / (beta - 1.0)
     grids = [parabolic_grid(cfg, n, n) for n in (48, 96)]
-    fits = []
-    for g in grids:
-        worst = 0.0
+
+    def ratios(g):
         for k in range(3):
-            u = random_signed(g, cfg.seed + 17 * k)
-            du, _, lap, ut = spectral_derivative_fields(u, s)
-            num = mixed_norm(Field(g, np.abs(du[0])), r1, r2)
-            den = mixed_norm(Field(g, np.abs(ut + lap)), q1, q2)
-            worst = max(worst, num / den)
-        fits.append(worst)
-    return refinement_report(s, grids, fits, params={"fitted_N": fits, "r": (r1, r2)})
+            du, _, lap, ut = spectral_derivative_fields(random_signed(g, cfg.seed + 17 * k), s)
+            yield (mixed_norm(Field(g, np.abs(du[0])), r1, r2)
+                   / mixed_norm(Field(g, np.abs(ut + lap)), q1, q2))
+
+    return refine(s, grids, lambda g: {"fitted_N": worst(ratios(g))}, {"r": (r1, r2)})
 
 
 @register("lps-drift", "critical-class drift term absorbed by the heat operator in mixed Morrey norms")
@@ -220,23 +189,20 @@ def check_lps_drift(cfg):
     s = parabolic_structure(1)
     q1, q2, beta = 1.3, 1.3, 1.4
     s1, s2 = beta * q1, beta * q2
+    spec = NormSpec("EpqbDot", p=q1, q=q2, beta=beta)
     grids = [make_grid(2, (1.5, 1.5), (cfg.cells(n), cfg.cells(n)), periodic=True)
              for n in (48, 96)]
-    fits = []
-    for g in grids:
+
+    def ratios(g):
         b = test_function("parab_sing", g)
         nb = evaluate_norm(b, NormSpec("EpqbDot", p=s1, q=s2, beta=1.0), s)
-        worst = 0.0
         for k in range(3):
             u = random_signed(g, cfg.seed + 19 * k, kmax=4)
             du, _, lap, ut = spectral_derivative_fields(u, s)
-            num = evaluate_norm(Field(g, np.abs(b.values * du[0])),
-                                NormSpec("EpqbDot", p=q1, q=q2, beta=beta), s)
-            den = nb * evaluate_norm(Field(g, np.abs(ut + lap)),
-                                     NormSpec("EpqbDot", p=q1, q=q2, beta=beta), s)
-            worst = max(worst, num / den)
-        fits.append(worst)
-    return refinement_report(s, grids, fits, params={"fitted_N": fits})
+            num = evaluate_norm(Field(g, np.abs(b.values * du[0])), spec, s)
+            yield num / (nb * evaluate_norm(Field(g, np.abs(ut + lap)), spec, s))
+
+    return refine(s, grids, lambda g: {"fitted_N": worst(ratios(g))})
 
 
 @register("drift-seminorm", "scaled drift seminorm controls the drift term against the Hessian and mass")
@@ -246,23 +212,21 @@ def check_drift_seminorm(cfg):
     p_b, beta = 2.0, 1.4
     p = p_b / beta
     rho_b = 1.0
+    spec = NormSpec("Epbr", p=p, beta=beta, r=rho_b)
     grids = [make_grid(d, math.pi, cfg.cells(n), periodic=True) for n in (32, 48)]
-    fits = []
-    for g in grids:
+
+    def ratios(g):
         b = test_function("power", g, gamma=1.0)
         bbar = drift_seminorm(b, p_b, rho_b, s)
-        worst = 0.0
         for k in range(2):
             u = random_signed(g, cfg.seed + 23 * k, kmax=3)
             du, d2, _, _ = spectral_derivative_fields(u, s)
-            spec = NormSpec("Epbr", p=p, beta=beta, r=rho_b)
             num = evaluate_norm(Field(g, b.values * gradient_magnitude(du)), spec, s)
-            den = bbar * (evaluate_norm(Field(g, hessian_magnitude(d2)), spec, s)
-                          + rho_b ** -2 * evaluate_norm(u, spec, s))
-            worst = max(worst, num / den)
-        fits.append(worst)
-    return refinement_report(s, grids, fits, params={"fitted_N": fits, "seminorm": None},
-                             bound=1.15)
+            yield num / (bbar * (evaluate_norm(Field(g, hessian_magnitude(d2)), spec, s)
+                                 + rho_b ** -2 * evaluate_norm(u, spec, s)))
+
+    return refine(s, grids, lambda g: {"fitted_N": worst(ratios(g))}, {"seminorm": None},
+                  bound=1.15)
 
 
 @register("mixed-morrey-heat", "lambda-scaled heat resolvent bound on the mixed Morrey scale")
@@ -270,38 +234,31 @@ def check_mixed_morrey_heat(cfg):
     s = parabolic_structure(1)
     p, q, beta = 2.0, 3.0, 1.1
     grids = [parabolic_grid(cfg, n, n) for n in (48, 96)]
-    vals = []
-    for g in grids:
-        worst = 0.0
-        for k in range(3):
-            u = random_signed(g, cfg.seed + 29 * k)
-            for r in apriori_ratios(u, [OperatorSpec("heat", lam=lam) for lam in (1.0, 10.0)],
-                                    NormSpec("EpqbDot", p=p, q=q, beta=beta), s):
-                worst = max(worst, r["ratio"])
-        vals.append(worst)
-    return refinement_report(s, grids, vals, params={"ratios": vals})
+    ops = [OperatorSpec("heat", lam=lam) for lam in (1.0, 10.0)]
+    spec = NormSpec("EpqbDot", p=p, q=q, beta=beta)
+    return refine(s, grids, lambda g: {"ratios": worst(
+        r["ratio"] for k in range(3)
+        for r in apriori_ratios(random_signed(g, cfg.seed + 29 * k), ops, spec, s))})
 
 
 @register("mixed-interp", "gradient interpolation on the mixed Morrey scale")
 def check_mixed_interp(cfg):
     s = parabolic_structure(1)
     p, q, beta = 2.0, 3.0, 1.1
+    spec = NormSpec("EpqbDot", p=p, q=q, beta=beta)
     grids = [parabolic_grid(cfg, n, n) for n in (48, 96)]
-    fits = []
-    for g in grids:
-        worst = 0.0
+
+    def ratios(g):
         for k in range(3):
             u = random_signed(g, cfg.seed + 31 * k)
             du, d2, _, ut = spectral_derivative_fields(u, s)
-            nb = lambda a: evaluate_norm(Field(g, a), NormSpec(
-                "EpqbDot", p=p, q=q, beta=beta), s)
-            ndu = nb(np.abs(du[0]))
-            nop = nb(np.sqrt(ut ** 2 + d2[0][0] ** 2))
-            nu = nb(u.values)
+            ndu = evaluate_norm(Field(g, np.abs(du[0])), spec, s)
+            nop = evaluate_norm(Field(g, np.sqrt(ut ** 2 + d2[0][0] ** 2)), spec, s)
+            nu = evaluate_norm(Field(g, u.values), spec, s)
             for eps in (0.25, 0.5, 1.0):
-                worst = max(worst, ndu / (eps * nop + nu / eps))
-        fits.append(worst)
-    return refinement_report(s, grids, fits, params={"fitted_N": fits})
+                yield ndu / (eps * nop + nu / eps)
+
+    return refine(s, grids, lambda g: {"fitted_N": worst(ratios(g))})
 
 
 @register("lqp-asym", "moving-sphere profile: reversed-order seminorm finite, standard order divergent")
@@ -309,15 +266,17 @@ def check_lqp_asym(cfg):
     s = parabolic_structure(2)
     p, q, beta = 2.0, 1.6, 1.25  # q beta = 2, p beta = 2.5 < d + 1 = 3
     p0, q0 = p * beta, q * beta
-    rev_vals = []
-    std_vals = []
     grids = [make_grid(3, (1.0, 1.2, 1.2),
                        (cfg.cells(n), cfg.cells(int(1.5 * n)), cfg.cells(int(1.5 * n))))
              for n in (32, 48)]
-    for g in grids:
+
+    def level(g):
         b = test_function("lqp_vs_lpq", g, p0=p0)
-        rev_vals.append(drift_seminorm(b, p0, 1.0, s, q_b=q0, reversed_order=True))
-        std_vals.append(drift_seminorm(b, p0, 1.0, s, q_b=q0, reversed_order=False))
+        return {order: drift_seminorm(b, p0, 1.0, s, q_b=q0, reversed_order=rev)
+                for order, rev in (("reversed", True), ("standard", False))}
+
+    seqs = run_levels(grids, level)
+    rev_vals, std_vals = seqs["reversed"], seqs["standard"]
     finite_rev = all(math.isfinite(v) for v in rev_vals) and stability(rev_vals) <= 1.15
     # the standard-order inner integral diverges on every shell cell: the
     # exact transverse masses are infinite at every resolution
@@ -335,13 +294,15 @@ def check_lqp_asym(cfg):
 def check_cyl_slab(cfg):
     d, d_prime, p = 3, 2, 1.5
     s = elliptic_structure(d)
-    semis = []
-    l2s = []
     grids = [make_grid(d, 1.2, cfg.cells(n)) for n in (32, 48)]
-    for g in grids:
+
+    def level(g):
         b = test_function("cylinder_slab", g, d_prime=d_prime)
-        semis.append(evaluate_norm(b, NormSpec("Epbr", p=p, beta=1.0, r=1.0), s))
-        l2s.append(lp_norm(b, float(d_prime), region=([-1.0] * d, [1.0] * d)))
+        return {"semis": evaluate_norm(b, NormSpec("Epbr", p=p, beta=1.0, r=1.0), s),
+                "l2s": lp_norm(b, float(d_prime), region=([-1.0] * d, [1.0] * d))}
+
+    seqs = run_levels(grids, level)
+    semis, l2s = seqs["semis"], seqs["l2s"]
     finite = all(math.isfinite(v) for v in semis) and stability(semis) <= 1.15
     diverged = all(not math.isfinite(v) for v in l2s)
     verdict = "diverged_as_expected" if (finite and diverged) else "fail"

@@ -14,15 +14,19 @@ from ..maximal import classical_maximal, classical_sharp
 from ..norms import NormSpec, evaluate_norm, evaluate_norms
 from ..potentials import apply_parabolic, apply_parabolic_conjugate, kernel_decay_check
 from ..solvers import (
+    DriftDivergence,
     OperatorSpec,
     apriori_ratio,
     apriori_ratios,
+    solve_drift,
     solve_heat,
     spectral_derivative_fields,
 )
+from ..testfunctions import test_function
 from ..weights import ap_constant, parabolic_power_weight
-from .common import (bump_mix, grid_label, mean_zero_source, parabolic_grid, parabolic_structure,
-                     random_signed, refinement_report, stability)
+from .common import (bump_mix, centred, grid_label, mean_zero_source, parabolic_grid,
+                     parabolic_structure, random_signed, refine, run_levels, stability, worst)
+from .elliptic import _profile_slope
 from .report import register
 
 
@@ -30,16 +34,15 @@ from .report import register
 def check_heat_energy(cfg):
     s = parabolic_structure(1)
     g = parabolic_grid(cfg)
-    worst = 0.0
-    for k in range(5):
-        u = random_signed(g, cfg.seed + k)
-        _, d2, lap, ut = spectral_derivative_fields(u, s)
-        f = ut + lap
-        lhs = float((ut ** 2).sum()) + float((d2[0][0] ** 2).sum())
-        rhs = float((f ** 2).sum())
-        worst = max(worst, abs(lhs / rhs - 1.0))
+
+    def errors():
+        for k in range(5):
+            _, d2, lap, ut = spectral_derivative_fields(random_signed(g, cfg.seed + k), s)
+            lhs = float((ut ** 2).sum()) + float((d2[0][0] ** 2).sum())
+            yield abs(lhs / float(((ut + lap) ** 2).sum()) - 1.0)
+
     return {
-        "lhs": worst, "rhs": 1.0, "bound": 1e-8, "bound_class": "paper",
+        "lhs": worst(errors()), "rhs": 1.0, "bound": 1e-8, "bound_class": "paper",
         "slack": 0.0, "grid": grid_label(s, g), "params": {},
     }
 
@@ -48,17 +51,14 @@ def check_heat_energy(cfg):
 def check_heat_cz(cfg):
     s = parabolic_structure(1)
     grids = [parabolic_grid(cfg, n, n) for n in (32, 64, 128)]
-    fits = []
-    for g in grids:
-        worst = 0.0
+
+    def ratios(g):
         for k in range(4):
-            u = random_signed(g, cfg.seed + 9 * k)
-            _, d2, lap, ut = spectral_derivative_fields(u, s)
-            f = Field(g, ut + lap)
+            _, d2, lap, ut = spectral_derivative_fields(random_signed(g, cfg.seed + 9 * k), s)
             num = lp_norm(Field(g, np.abs(ut)), 3.0) + lp_norm(Field(g, np.abs(d2[0][0])), 3.0)
-            worst = max(worst, num / lp_norm(f, 3.0))
-        fits.append(worst)
-    return refinement_report(s, grids, fits, params={"fitted_N": fits})
+            yield num / lp_norm(Field(g, ut + lap), 3.0)
+
+    return refine(s, grids, lambda g: {"fitted_N": worst(ratios(g))})
 
 
 @register("heat-sharp", "sharp function of the Hessian bounded by the maximal p-mean of the heat source")
@@ -66,48 +66,47 @@ def check_heat_sharp(cfg):
     s = parabolic_structure(1)
     p = 1.5
     grids = [parabolic_grid(cfg, n, n) for n in (48, 96)]
-    fits = []
-    for g in grids:
+
+    def level(g):
         f = mean_zero_source(g, cfg.seed)
-        u, _ = solve_heat(f, 1.0)
-        _, d2, _, _ = spectral_derivative_fields(u, s)
+        _, d2, _, _ = spectral_derivative_fields(solve_heat(f, 1.0)[0], s)
         sharp = classical_sharp(Field(g, np.abs(d2[0][0])), s)
         mp = classical_maximal(Field(g, np.abs(f.values) ** p), s)
         rhs = np.maximum(mp.values, 1e-300) ** (1.0 / p)
-        fits.append(float((sharp.values / rhs).max()))
-    return refinement_report(s, grids, fits, params={"fitted_N": fits, "p": p})
+        return {"fitted_N": float((sharp.values / rhs).max())}
+
+    return refine(s, grids, level, {"p": p})
 
 
 @register("parab-adams", "parabolic Adams inequality for the cylinder-Morrey drift class")
 def check_parab_adams(cfg):
     s = parabolic_structure(1)
     p, q = 2.0, 2.5
-    ratios, bad_semis = [], []
-    from ..testfunctions import test_function
-    from .elliptic import _profile_slope
-
     grids = [make_grid(2, (1.5, 1.5), (cfg.cells(n), cfg.cells(n)), periodic=True)
              for n in (48, 64, 96)]
-    for g in grids:
+
+    def drift_ratios(g):
         b = test_function("parab_sing", g)
         bn = evaluate_norm(b, NormSpec("EpbDot", p=q, beta=1.0), s)
-        worst = 0.0
         for k in range(3):
             u = random_signed(g, cfg.seed + 11 * k, kmax=4)
             du, d2, _, ut = spectral_derivative_fields(u, s)
             num = integrate(Field(g, np.abs(b.values * du[0]) ** p))
-            den = bn ** p * float(((d2[0][0] ** 2 + ut ** 2) ** (p / 2.0)).sum()) * g.cell_volume
-            worst = max(worst, num / den)
-        ratios.append(worst)
-        # escalated space-time power: out of the admissible class
-        from ..weights import parabolic_power_weight as ppw
+            yield num / (bn ** p * float(((d2[0][0] ** 2 + ut ** 2) ** (p / 2.0)).sum())
+                         * g.cell_volume)
 
-        bad = ppw(g, 1.35).field
-        v, prof = evaluate_norm(Field(g, np.where(np.isfinite(bad.values), bad.values, 0.0),
+    def level(g):
+        fitted = worst(drift_ratios(g))
+        # escalated space-time power: out of the admissible class
+        bad = parabolic_power_weight(g, 1.35).field
+        _, prof = evaluate_norm(Field(g, np.where(np.isfinite(bad.values), bad.values, 0.0),
                                       bad.singular),
                                 NormSpec("EpbDot", p=q, beta=1.0), s, return_profile=True)
-        bad_semis.append((v, prof))
-    slope = _profile_slope(bad_semis[-1][1])
+        return {"ratios": fitted, "bad_profile": prof}
+
+    seqs = run_levels(grids, level)
+    ratios = seqs["ratios"]
+    slope = _profile_slope(seqs["bad_profile"][-1])
     stable = stability(ratios) <= 1.10
     diverged = slope <= -0.10
     verdict = "pass" if (stable and diverged) else "fail"
@@ -124,24 +123,16 @@ def check_w_alpha_a1(cfg):
     finite_alphas = (0.0, 1.0, 2.0)  # d + 1 = 2
     divergent_alpha = 3.0  # d + 2
     grids = [make_grid(2, (1.0, 1.0), (cfg.cells(n), cfg.cells(n))) for n in (64, 128)]
-    estimates = {}
-    worst = 0.0
-    for alpha in finite_alphas:
-        vals = []
-        for g in grids:
-            w = parabolic_power_weight(g, alpha)
-            vals.append(ap_constant(w, 1.0, s))
-        estimates[str(alpha)] = vals
-        worst = max(worst, stability(vals) if all(map(math.isfinite, vals)) else math.inf)
-    vals = []
-    for g in grids:
-        w = parabolic_power_weight(g, divergent_alpha)
-        vals.append(ap_constant(w, 1.0, s))
-    estimates[str(divergent_alpha)] = vals
+    estimates = run_levels(grids, lambda g: {
+        str(alpha): ap_constant(parabolic_power_weight(g, alpha), 1.0, s)
+        for alpha in finite_alphas + (divergent_alpha,)})
+    growth = worst(stability(vals) if all(map(math.isfinite, vals)) else math.inf
+                   for vals in (estimates[str(alpha)] for alpha in finite_alphas))
+    vals = estimates[str(divergent_alpha)]
     if all(map(math.isfinite, vals)) and stability(vals) < 2.0:
-        worst = math.inf
+        growth = math.inf
     return {
-        "lhs": worst, "rhs": 1.0, "bound": 1.15, "bound_class": "paper",
+        "lhs": growth, "rhs": 1.0, "bound": 1.15, "bound_class": "paper",
         "grid": grid_label(s, grids), "params": estimates,
     }
 
@@ -151,59 +142,52 @@ def check_parab_weight_int(cfg):
     s = parabolic_structure(1)
     alpha, beta = 2.0, 1.5  # alpha + beta > d + 2 = 3
     grids = [make_grid(2, (1.0, 1.0), (cfg.cells(n), cfg.cells(n))) for n in (64, 128)]
-    fits = []
-    for g in grids:
-        w = parabolic_power_weight(g, alpha).field
-        wcap = Field(g, np.minimum(w.values, 1.0))
-        worst = 0.0
+
+    def ratios(g):
+        wcap = np.minimum(parabolic_power_weight(g, alpha).field.values, 1.0)
+        i0 = tuple(n_ // 2 for n_ in g.cells)
         for k in range(4):
             f = bump_mix(g, cfg.seed + k)
-            num = integrate(Field(g, f.values * wcap.values))
-            m = classical_maximal(f, s, beta=beta)
-            i0 = tuple(n_ // 2 for n_ in g.cells)
-            den = float(m.values[i0])
+            num = integrate(Field(g, f.values * wcap))
+            den = float(classical_maximal(f, s, beta=beta).values[i0])
             if den > 0:
-                worst = max(worst, num / den)
-        fits.append(worst)
-    return refinement_report(s, grids, fits, params={"fitted_N": fits})
+                yield num / den
+
+    return refine(s, grids, lambda g: {"fitted_N": worst(ratios(g))})
 
 
 @register("hl-parab-morrey", "maximal operator bounded on the homogeneous parabolic Morrey scale")
 def check_hl_parab_morrey(cfg):
     s = parabolic_structure(1)
     p, beta = 2.0, 1.0
+    spec = NormSpec("EpbDot", p=p, beta=beta)
     grids = [parabolic_grid(cfg, n, n, 1.0, 1.0, periodic=False) for n in (48, 96)]
-    fits = []
-    for g in grids:
-        worst = 0.0
+
+    def ratios(g):
         for k in range(3):
             f = bump_mix(g, cfg.seed + k)
-            m = classical_maximal(f, s)
-            num = evaluate_norm(m, NormSpec("EpbDot", p=p, beta=beta), s)
-            den = evaluate_norm(f, NormSpec("EpbDot", p=p, beta=beta), s)
-            worst = max(worst, num / den)
-        fits.append(worst)
-    return refinement_report(s, grids, fits, params={"fitted_N": fits})
+            yield evaluate_norm(classical_maximal(f, s), spec, s) / evaluate_norm(f, spec, s)
+
+    return refine(s, grids, lambda g: {"fitted_N": worst(ratios(g))})
 
 
 @register("fs-parab-morrey", "sharp function controls the parabolic Morrey norm")
 def check_fs_parab_morrey(cfg):
     s = parabolic_structure(1)
     p, beta = 2.0, 1.0
+    spec = NormSpec("EpbDot", p=p, beta=beta)
     grids = [parabolic_grid(cfg, n, n, 1.0, 1.0, periodic=False) for n in (64, 128)]
-    fits = []
-    for g in grids:
-        worst = 0.0
+
+    def ratios(g):
         for k in range(3):
-            f = random_signed(g, cfg.seed + 3 * k, kmax=20)
-            f = Field(g, f.values - f.values.mean())
+            f = centred(random_signed(g, cfg.seed + 3 * k, kmax=20))
             sharp = dyadic_sharp(f, s)
-            num = evaluate_norm(f, NormSpec("EpbDot", p=p, beta=beta), s)
-            den = evaluate_norm(sharp, NormSpec("EpbDot", p=p, beta=beta), s)
+            num = evaluate_norm(f, spec, s)
+            den = evaluate_norm(sharp, spec, s)
             if den > 0:
-                worst = max(worst, num / den)
-        fits.append(worst)
-    return refinement_report(s, grids, fits, params={"fitted_N": fits})
+                yield num / den
+
+    return refine(s, grids, lambda g: {"fitted_N": worst(ratios(g))})
 
 
 @register("heat-morrey", "lambda-scaled heat resolvent bound on the parabolic Morrey scale")
@@ -211,16 +195,11 @@ def check_heat_morrey(cfg):
     s = parabolic_structure(1)
     p, beta = 2.0, 1.2
     grids = [parabolic_grid(cfg, n, n) for n in (48, 96)]
-    vals = []
-    for g in grids:
-        worst = 0.0
-        for k in range(3):
-            u = random_signed(g, cfg.seed + 7 * k)
-            for r in apriori_ratios(u, [OperatorSpec("heat", lam=lam) for lam in (1.0, 10.0)],
-                                    NormSpec("EpbDot", p=p, beta=beta), s):
-                worst = max(worst, r["ratio"])
-        vals.append(worst)
-    return refinement_report(s, grids, vals, params={"ratios": vals})
+    ops = [OperatorSpec("heat", lam=lam) for lam in (1.0, 10.0)]
+    spec = NormSpec("EpbDot", p=p, beta=beta)
+    return refine(s, grids, lambda g: {"ratios": worst(
+        r["ratio"] for k in range(3)
+        for r in apriori_ratios(random_signed(g, cfg.seed + 7 * k), ops, spec, s))})
 
 
 @register("parab-embed", "sup bound from parabolic Morrey-Sobolev control, two forms")
@@ -228,9 +207,9 @@ def check_parab_embed(cfg):
     s = parabolic_structure(1)
     p, gamma = 2.0, 1.5
     grids = [parabolic_grid(cfg, n, n) for n in (48, 96)]
-    fits = {"plain": [], "eps": []}
-    for g in grids:
-        w_plain, w_eps = 0.0, 0.0
+
+    def level(g):
+        plain, scaled = [], []
         for k in range(3):
             u = random_signed(g, cfg.seed + 13 * k)
             _, d2, _, ut = spectral_derivative_fields(u, s)
@@ -239,12 +218,12 @@ def check_parab_embed(cfg):
                  Field(g, np.sqrt(d2[0][0] ** 2 + ut ** 2))],
                 NormSpec("EpbDot", p=p, beta=gamma), s)
             sup_u = float(np.abs(u.values).max())
-            w_plain = max(w_plain, sup_u / (nu + nd2 + nut))
-            for eps in (0.25, 0.5, 1.0):
-                w_eps = max(w_eps, sup_u / (eps ** (2 - gamma) * n2 + eps ** -gamma * nu))
-        fits["plain"].append(w_plain)
-        fits["eps"].append(w_eps)
-    return refinement_report(s, grids, fits["plain"], fits["eps"], params=fits)
+            plain.append(sup_u / (nu + nd2 + nut))
+            scaled += [sup_u / (eps ** (2 - gamma) * n2 + eps ** -gamma * nu)
+                     for eps in (0.25, 0.5, 1.0)]
+        return {"plain": worst(plain), "eps": worst(scaled)}
+
+    return refine(s, grids, level)
 
 
 @register("parab-morrey-potential", "parabolic kernel maps between homogeneous cylinder-Morrey spaces")
@@ -253,14 +232,14 @@ def check_parab_morrey_potential(cfg):
     alpha, k_par, beta, q = 1.0, 4.0, 1.5, 1.2
     r_t = q * beta / (beta - alpha)
     grids = [make_grid(2, (1.5, 1.5), (cfg.cells(n), cfg.cells(n))) for n in (48, 96)]
-    fits = []
-    for g in grids:
+
+    def level(g):
         f = bump_mix(g, cfg.seed)
         pf = apply_parabolic(f, alpha, k_par)
         num = evaluate_norm(pf, NormSpec("EpbDot", p=r_t, beta=beta - alpha), s)
-        den = evaluate_norm(f, NormSpec("EpbDot", p=q, beta=beta), s)
-        fits.append(num / den)
-    return refinement_report(s, grids, fits, params={"fitted": fits, "r": r_t})
+        return {"fitted": num / evaluate_norm(f, NormSpec("EpbDot", p=q, beta=beta), s)}
+
+    return refine(s, grids, level, {"r": r_t})
 
 
 @register("parab-grad-embed", "gradient Morrey embedding under the matched exponent relation")
@@ -269,17 +248,15 @@ def check_parab_grad_embed(cfg):
     p, beta = 1.2, 1.5
     r_t = p * beta / (beta - 1.0)
     grids = [parabolic_grid(cfg, n, n) for n in (48, 96)]
-    fits = []
-    for g in grids:
-        worst = 0.0
+
+    def ratios(g):
         for k in range(3):
-            u = random_signed(g, cfg.seed + 17 * k)
-            du, _, lap, ut = spectral_derivative_fields(u, s)
+            du, _, lap, ut = spectral_derivative_fields(random_signed(g, cfg.seed + 17 * k), s)
             num = evaluate_norm(Field(g, np.abs(du[0])), NormSpec("EpbDot", p=r_t, beta=beta - 1), s)
             den = evaluate_norm(Field(g, np.abs(ut + lap)), NormSpec("EpbDot", p=p, beta=beta), s)
-            worst = max(worst, num / den)
-        fits.append(worst)
-    return refinement_report(s, grids, fits, params={"fitted_N": fits, "r": r_t})
+            yield num / den
+
+    return refine(s, grids, lambda g: {"fitted_N": worst(ratios(g))}, {"r": r_t})
 
 
 @register("parab-holder", "parabolic Holder modulus from Morrey control of the full operator part")
@@ -288,9 +265,8 @@ def check_parab_holder(cfg):
     p, beta = 2.0, 1.5
     alpha = 2.0 - beta
     grids = [parabolic_grid(cfg, n, n) for n in (48, 96)]
-    fits = []
-    for g in grids:
-        worst = 0.0
+
+    def ratios(g):
         rng = np.random.default_rng(cfg.seed)
         for k in range(3):
             u = random_signed(g, cfg.seed + 19 * k)
@@ -306,16 +282,13 @@ def check_parab_holder(cfg):
                 if rho == 0 or rho > 1.0:
                     continue
                 diff = abs(float(u.values[i1]) - float(u.values[i2]))
-                worst = max(worst, diff / (rho ** alpha * U))
-        fits.append(worst)
-    return refinement_report(s, grids, fits, params={"fitted_N": fits})
+                yield diff / (rho ** alpha * U)
+
+    return refine(s, grids, lambda g: {"fitted_N": worst(ratios(g))})
 
 
 @register("heat-drift-morrey", "heat resolvent with mixed-class drift keeps the Morrey ratio finite")
 def check_heat_drift_morrey(cfg):
-    from ..solvers import DriftDivergence, solve_drift
-    from ..testfunctions import test_function
-
     s = parabolic_structure(1)
     g = make_grid(2, (1.5, 1.5), (cfg.cells(48), cfg.cells(48)), periodic=True)
     f = mean_zero_source(g, cfg.seed)
@@ -343,16 +316,17 @@ def check_parab_sharp_pot(cfg):
     # fitted N in (P_{1,4} f)^sharp <= N M_1 f on every fourth cell along each axis
     s = parabolic_structure(1)
     grids = [make_grid(2, (1.5, 1.5), (cfg.cells(n), cfg.cells(n))) for n in (48, 96)]
-    fits = []
     sub = (slice(None, None, 4),) * 2
-    for g in grids:
+
+    def level(g):
         f = bump_mix(g, cfg.seed)
         pot = apply_parabolic(f, 1.0, 4.0)
         den = classical_maximal(f, s, beta=1.0).values[sub]
         num = classical_sharp(pot, s).values[sub]
         with np.errstate(invalid="ignore", divide="ignore"):
-            fits.append(float(np.nanmax(np.where(den > 0, num / den, 0.0))))
-    return refinement_report(s, grids, fits, params={"fitted_N": fits}, bound=1.15)
+            return {"fitted_N": float(np.nanmax(np.where(den > 0, num / den, 0.0)))}
+
+    return refine(s, grids, level, bound=1.15)
 
 
 @register("mw-parab", "norm comparison between the parabolic potential and the fractional maximal")
@@ -360,15 +334,13 @@ def check_mw_parab(cfg):
     s = parabolic_structure(1)
     r = 2.0
     grids = [make_grid(2, (1.5, 1.5), (cfg.cells(n), cfg.cells(n))) for n in (48, 96)]
-    fits = []
-    for g in grids:
-        worst = 0.0
+
+    def ratios(g):
         for k in range(3):
             f = bump_mix(g, cfg.seed + k)
             pf = apply_parabolic(f, 1.0, 4.0)
-            m = classical_maximal(f, s, beta=1.0)
-            worst = max(worst, lp_norm(pf, r) / lp_norm(m, r))
-        fits.append(worst)
+            yield lp_norm(pf, r) / lp_norm(classical_maximal(f, s, beta=1.0), r)
+
     # conjugation identity on random compact pairs
     g = make_grid(2, (1.5, 1.5), (cfg.cells(48), cfg.cells(48)))
     f1 = bump_mix(g, cfg.seed, nonneg=False)
@@ -377,8 +349,7 @@ def check_mw_parab(cfg):
     rhs = integrate(Field(g, f1.values * apply_parabolic_conjugate(g1, 1.0, 4.0).values))
     dual_err = abs(lhs - rhs) / max(abs(lhs), 1e-300)
     decay_n = kernel_decay_check(g, 1.0, 8.0, seed=cfg.seed)
-    report = refinement_report(s, grids, fits, bound=1.15,
-                               params={"fitted_N": fits, "conjugation_err": dual_err,
-                                       "decay_envelope": decay_n})
+    report = refine(s, grids, lambda g: {"fitted_N": worst(ratios(g))},
+                    {"conjugation_err": dual_err, "decay_envelope": decay_n}, bound=1.15)
     ok = report["lhs"] <= 1.15 and dual_err <= 1e-10 and math.isfinite(decay_n)
     return {**report, "verdict": "pass" if ok else "fail"}

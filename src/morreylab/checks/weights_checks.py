@@ -26,8 +26,9 @@ from ..weights import (
     reverse_holder,
     self_improve,
 )
-from .common import (bump_mix, elliptic_structure, grid_label, random_signed, refinement_report,
-                     stability)
+from .common import (bump_mix, centred, elliptic_structure, grid_label, random_signed, refine,
+                     refinement_report, run_levels, stability, worst)
+from .elliptic import _inverse_distance_drift, _radial_profiles
 from .report import register
 
 
@@ -38,24 +39,16 @@ def check_ap_range(cfg):
     inside = (-0.9, 0.0, 0.5, 0.9)
     outside = (-1.5, 1.0, 1.5)
     grids = [make_grid(1, 1.0, cfg.cells(n)) for n in (256, 512, 1024)]
-    worst_growth = 0.0
-    estimates = {}
-    for alpha in inside + outside:
-        vals = []
-        for g in grids:
-            vals.append(ap_constant(power_weight(g, alpha), p, s))
-        estimates[str(alpha)] = vals
-        if alpha in inside:
-            if any(not math.isfinite(v) for v in vals):
-                worst_growth = math.inf
-            else:
-                worst_growth = max(worst_growth, stability(vals))
-        else:
-            # outside (-d, (p-1)d) the defining integrals are not locally
-            # integrable: the exact singular-cell mass is infinite, which is
-            # growth beyond any factor per refinement octave
-            if all(math.isfinite(v) for v in vals) and stability(vals) < 2.0:
-                worst_growth = math.inf
+    estimates = run_levels(grids, lambda g: {
+        str(alpha): ap_constant(power_weight(g, alpha), p, s) for alpha in inside + outside})
+    worst_growth = worst(stability(vals) if all(map(math.isfinite, vals)) else math.inf
+                         for vals in (estimates[str(alpha)] for alpha in inside))
+    # outside (-d, (p-1)d) the defining integrals are not locally
+    # integrable: the exact singular-cell mass is infinite, which is
+    # growth beyond any factor per refinement octave
+    if any(all(map(math.isfinite, vals)) and stability(vals) < 2.0
+           for vals in (estimates[str(alpha)] for alpha in outside)):
+        worst_growth = math.inf
     return {
         "lhs": worst_growth, "rhs": 1.0, "bound": 1.10,
         "bound_class": "paper", "grid": grid_label(s, grids), "params": estimates,
@@ -67,6 +60,8 @@ def check_rh(cfg):
     s = elliptic_structure(1)
     grids = [make_grid(1, 1.0, cfg.cells(n)) for n in (512, 1024)]
     vals = []
+    # its own level loop, not refine's: a level with no reverse Holder
+    # exponent ends the check there
     for g in grids:
         eps, n_const = reverse_holder(power_weight(g, 0.5), 2.0, s)
         vals.append(n_const)
@@ -124,16 +119,15 @@ def check_muck_max(cfg):
     s = elliptic_structure(1)
     p = 2.0
     grids = [make_grid(1, 1.0, cfg.cells(n)) for n in (512, 1024)]
-    fits = []
-    for g in grids:
+
+    def ratios(g):
         w = power_weight(g, 0.5)
-        worst = 0.0
         for k in range(4):
             f = bump_mix(g, cfg.seed + k)
             m = classical_maximal(f, s, family=BallFamily.for_structure(s, g, shape="cube"))
-            worst = max(worst, lp_norm(m, p, weight=w.field) / lp_norm(f, p, weight=w.field))
-        fits.append(worst)
-    return refinement_report(s, grids, fits, params={"fitted_N": fits})
+            yield lp_norm(m, p, weight=w.field) / lp_norm(f, p, weight=w.field)
+
+    return refine(s, grids, lambda g: {"fitted_N": worst(ratios(g))})
 
 
 @register("fs-weighted", "sharp function controls the weighted p-norm")
@@ -141,38 +135,33 @@ def check_fs_weighted(cfg):
     s = elliptic_structure(1)
     p = 2.0
     grids = [make_grid(1, 1.0, cfg.cells(n)) for n in (512, 1024)]
-    fits = []
-    for g in grids:
+
+    def ratios(g):
         w = power_weight(g, 0.5)
-        worst = 0.0
         for k in range(5):
-            f = random_signed(g, cfg.seed + 7 * k, kmax=40)
-            f = Field(g, f.values - f.values.mean())
-            sharp = dyadic_sharp(f, s)
-            ns = lp_norm(sharp, p, weight=w.field)
+            f = centred(random_signed(g, cfg.seed + 7 * k, kmax=40))
+            ns = lp_norm(dyadic_sharp(f, s), p, weight=w.field)
             if ns > 0:
-                worst = max(worst, lp_norm(f, p, weight=w.field) / ns)
-        fits.append(worst)
-    return refinement_report(s, grids, fits, params={"fitted_N": fits})
+                yield lp_norm(f, p, weight=w.field) / ns
+
+    return refine(s, grids, lambda g: {"fitted_N": worst(ratios(g))})
 
 
 @register("fs-morrey", "sharp function controls the homogeneous Morrey norm")
 def check_fs_morrey(cfg):
     s = elliptic_structure(1)
     p, beta = 2.0, 0.4
+    spec = NormSpec("EpbDot", p=p, beta=beta)
     grids = [make_grid(1, 1.0, cfg.cells(n)) for n in (512, 1024)]
-    fits = []
-    for g in grids:
-        worst = 0.0
+
+    def ratios(g):
         for k in range(4):
-            f = random_signed(g, cfg.seed + 3 * k, kmax=40)
-            f = Field(g, f.values - f.values.mean())
-            sharp = dyadic_sharp(f, s)
-            ns = evaluate_norm(sharp, NormSpec("EpbDot", p=p, beta=beta), s)
+            f = centred(random_signed(g, cfg.seed + 3 * k, kmax=40))
+            ns = evaluate_norm(dyadic_sharp(f, s), spec, s)
             if ns > 0:
-                worst = max(worst, evaluate_norm(f, NormSpec("EpbDot", p=p, beta=beta), s) / ns)
-        fits.append(worst)
-    return refinement_report(s, grids, fits, params={"fitted_N": fits})
+                yield evaluate_norm(f, spec, s) / ns
+
+    return refine(s, grids, lambda g: {"fitted_N": worst(ratios(g))})
 
 
 @register("jones", "factorization into two A_1 pieces that reconstructs the weight exactly")
@@ -230,19 +219,17 @@ def check_adams_weighted(cfg):
     s = elliptic_structure(d)
     beta_w = 0.5  # in (-(p-1)d, (q-p)d/q) = (-3, 0.75)
     grids = [make_grid(d, math.pi, cfg.cells(n), periodic=True) for n in (48, 64)]
-    fits = []
-    for g in grids:
+
+    def ratios(g):
         w = power_weight(g, -beta_w).field
         b_p = Field(g, np.minimum(g.radius() ** -p, (min(g.h)) ** -p))
-        worst = 0.0
         for k in range(3):
             u = random_signed(g, cfg.seed + 5 * k, kmax=4)
             du2 = gradient_magnitude(spectral_derivative_fields(u, s)[0])
             num = float((np.abs(u.values) ** p * b_p.values * w.values).sum())
-            den = float((du2 ** p * w.values).sum())
-            worst = max(worst, num / den)
-        fits.append(worst)
-    return refinement_report(s, grids, fits, params={"fitted": fits, "beta": beta_w})
+            yield num / float((du2 ** p * w.values).sum())
+
+    return refine(s, grids, lambda g: {"fitted": worst(ratios(g))}, {"beta": beta_w})
 
 
 @register("adams-weighted-model", "model case: weighted Hardy with the drift and weight both powers")
@@ -255,8 +242,6 @@ def check_adams_weighted_model(cfg):
     g = make_grid(d, 4.0, cfg.cells(48))
     r = g.radius()
     fits = []
-    from .elliptic import _radial_profiles
-
     for name, parm, u, du2, _lap in _radial_profiles(g, d):
         wvals = np.minimum(r ** (-beta_w), (min(g.h) / 2) ** (-beta_w))
         num = float((np.abs(u) ** p * r ** (-p) * wvals).sum())
@@ -277,23 +262,19 @@ def check_laplace_weighted(cfg):
     s = elliptic_structure(2)
     p = 2.0
     grids = [make_grid(2, math.pi, cfg.cells(n), periodic=True) for n in (48, 96)]
-    vals = []
-    for g in grids:
-        w = power_weight(g, 0.5).field
-        worst = 0.0
-        for k in range(4):
-            u = random_signed(g, cfg.seed + 3 * k)
-            ops = [OperatorSpec("laplace", lam=lam) for lam in (1.0, 10.0, 100.0)]
-            for rr in apriori_ratios(u, ops, NormSpec("LpW", p=p, weight=w), s):
-                worst = max(worst, rr["ratio"])
-        vals.append(worst)
-    return refinement_report(s, grids, vals, params={"ratios": vals})
+    ops = [OperatorSpec("laplace", lam=lam) for lam in (1.0, 10.0, 100.0)]
+
+    def level(g):
+        spec = NormSpec("LpW", p=p, weight=power_weight(g, 0.5).field)
+        return {"ratios": worst(
+            rr["ratio"] for k in range(4)
+            for rr in apriori_ratios(random_signed(g, cfg.seed + 3 * k), ops, spec, s))}
+
+    return refine(s, grids, level)
 
 
 @register("drift-weighted", "weighted resolvent with inverse-distance drift: small drift keeps the ratio finite")
 def check_drift_weighted(cfg):
-    from .elliptic import _inverse_distance_drift
-
     s, g, f, b, crit, diverged_large = _inverse_distance_drift(cfg)
     w = power_weight(g, 0.5).field
     ratio = math.inf

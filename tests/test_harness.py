@@ -34,6 +34,16 @@ EXPECTED_IDS = {
     "mw-parab", "lqp-asym", "cyl-slab",
 }
 
+SRC = Path(morreylab.__file__).resolve().parents[1]  # the src directory of this checkout
+
+
+def run_python(*args, check=False):
+    """`python *args` in a child process that imports morreylab from SRC,
+    whether or not the caller's PYTHONPATH names it."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env,
+                          check=check)
+
 
 def test_registry_complete():
     load_all_checks()
@@ -70,9 +80,7 @@ def test_unknown_check_id():
 
 
 def test_cli_unknown_id_exit_code_2():
-    out = subprocess.run(
-        [sys.executable, "-m", "morreylab.cli", "check", "zzz-no-such"],
-        capture_output=True, text=True)
+    out = run_python("-m", "morreylab.cli", "check", "zzz-no-such")
     assert out.returncode == 2
 
 
@@ -94,12 +102,10 @@ def test_determinism_byte_identical_csv():
 def test_list_checks_formats_identical_content():
     rows = list_checks()
     assert len(rows) == len(EXPECTED_IDS)
-    out = subprocess.run([sys.executable, "-m", "morreylab.cli", "list-checks",
-                          "--format", "json"], capture_output=True, text=True)
+    out = run_python("-m", "morreylab.cli", "list-checks", "--format", "json")
     data = json.loads(out.stdout)
     assert {d["id"] for d in data} == {i for i, _, _ in rows}
-    out_md = subprocess.run([sys.executable, "-m", "morreylab.cli", "list-checks",
-                             "--format", "md"], capture_output=True, text=True)
+    out_md = run_python("-m", "morreylab.cli", "list-checks", "--format", "md")
     md_ids = [line.split("`")[1] for line in out_md.stdout.splitlines()
               if line.startswith("| `")]
     assert set(md_ids) == {i for i, _, _ in rows}
@@ -132,9 +138,6 @@ def test_import_graph_leaves_out_scipy():
     # start-up cost of every CLI call: the package runs on numpy alone, so no
     # scipy module loads with it, nor on the paths that once imported one
     # lazily (the at-solve quadrature, the A_1 running min, the 3-D max filter)
-    import morreylab
-
-    src = Path(morreylab.__file__).resolve().parents[1]
     code = "\n".join([
         "import sys, morreylab",
         "from morreylab.checks.report import load_all_checks, run_check",
@@ -149,19 +152,16 @@ def test_import_graph_leaves_out_scipy():
         "classical_maximal(Field(g, g.radius()), make_structure(3))",
         "print(loaded())",
     ])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
-                         check=True)
+    out = run_python("-c", code, check=True)
     assert out.stdout.split() == ["[]", "[]"]
-    assert [p for p in src.rglob("*.py") if "scipy.signal" in p.read_text()] == []
+    assert [p for p in SRC.rglob("*.py") if "scipy.signal" in p.read_text()] == []
 
 
 def test_empty_member_is_a_config_error_of_the_cli(tmp_path):
     # at half resolution the rho = 0.1 ball of osc-kappa holds no grid cell:
     # a configuration error (exit 2), not a fail verdict
-    out = subprocess.run(
-        [sys.executable, "-m", "morreylab.cli", "check", "osc-kappa", "--grid", "0.5",
-         "--csv", str(tmp_path / "r.csv")], capture_output=True, text=True)
+    out = run_python("-m", "morreylab.cli", "check", "osc-kappa", "--grid", "0.5",
+                     "--csv", str(tmp_path / "r.csv"))
     assert out.returncode == 2
     assert "rho = 0.1" in out.stderr and "32x32" in out.stderr
     assert "Traceback" not in out.stderr
@@ -209,22 +209,55 @@ def test_refinement_report_is_the_worst_growth_of_its_levels():
     assert refinement_report(None, grids, [1.0, math.inf, 1.0], params={})["lhs"] == math.inf
 
 
+def test_refine_calls_the_level_function_once_per_grid_in_order():
+    from morreylab.checks.common import elliptic_structure, refine, refinement_report, run_levels
+    from morreylab.grid import make_grid
+
+    grids = [make_grid(1, 1.0, n) for n in (128, 256, 512)]
+    a = {128: 1.0, 256: 1.05, 512: 1.02}
+    b = {128: 2.0, 256: 1.9, 512: 2.1}
+    calls = []
+
+    def level(g):
+        calls.append(g.cells[0])
+        return {"a": a[g.cells[0]], "b": b[g.cells[0]]}
+
+    seqs = {"a": [1.0, 1.05, 1.02], "b": [2.0, 1.9, 2.1]}
+    assert run_levels(grids, level) == seqs
+    assert calls == [128, 256, 512]
+    calls.clear()
+    # params: the named sequences, then the check's extra keys
+    report = refine(elliptic_structure(1), grids, level, {"p": 2.0}, bound=1.15)
+    assert calls == [128, 256, 512]
+    assert report["params"] == {**seqs, "p": 2.0}
+    assert report == refinement_report(elliptic_structure(1), grids, *seqs.values(),
+                                       params={**seqs, "p": 2.0}, bound=1.15)
+    assert refine(None, grids, level) == refinement_report(None, grids, *seqs.values(),
+                                                           params=seqs)
+
+
+def test_worst_is_the_running_max_from_zero():
+    from morreylab.checks.common import worst
+
+    assert worst([]) == 0.0
+    assert worst([-2.0]) == 0.0
+    assert worst([math.nan, 1.0]) == 1.0
+    assert worst([1.0, math.nan]) == 1.0
+    assert worst(v for v in (0.5, 3.0, 2.0)) == 3.0
+
+
 def test_cli_field_pipeline(tmp_path):
     from morreylab.grid import Field, make_grid, save_field
 
     g = make_grid(1, 2.0, 64)
     x = g.axis(0)
     save_field(Field(g, 4.0 * ((x >= -2) & (x < -1))), tmp_path / "f.field")
-    out = subprocess.run(
-        [sys.executable, "-m", "morreylab.cli", "czd",
-         "--field", str(tmp_path / "f.field"), "--level", "1.0"],
-        capture_output=True, text=True)
+    out = run_python("-m", "morreylab.cli", "czd",
+                     "--field", str(tmp_path / "f.field"), "--level", "1.0")
     boxes = json.loads(out.stdout)
     assert boxes == [{"n": 1, "i": [0], "avg": 2.0}]
-    out = subprocess.run(
-        [sys.executable, "-m", "morreylab.cli", "maximal",
-         "--field", str(tmp_path / "f.field"), "--out", str(tmp_path / "m.field")],
-        capture_output=True, text=True)
+    out = run_python("-m", "morreylab.cli", "maximal",
+                     "--field", str(tmp_path / "f.field"), "--out", str(tmp_path / "m.field"))
     assert out.returncode == 0
     from morreylab.grid import load_field
 
@@ -317,18 +350,14 @@ def test_cli_weight_and_norm(tmp_path):
 
     g = make_grid(1, 1.0, 256)
     save_field(power_weight(g, 0.5).field, tmp_path / "w.field")
-    out = subprocess.run(
-        [sys.executable, "-m", "morreylab.cli", "weight", "ap",
-         "--field", str(tmp_path / "w.field"), "--p", "2"],
-        capture_output=True, text=True)
+    out = run_python("-m", "morreylab.cli", "weight", "ap",
+                     "--field", str(tmp_path / "w.field"), "--p", "2")
     data = json.loads(out.stdout)
     assert data["stabilized"] and data["constant"] > 1.0
-    out = subprocess.run(
-        [sys.executable, "-m", "morreylab.cli", "norm",
-         "--spec", json.dumps({"kind": "Epbr", "p": 2.0, "beta": 1.0, "r": 1.0}),
-         "--function", "power:gamma=1", "--dim", "3", "--grid-cells", "48",
-         "--half-extent", "1.5"],
-        capture_output=True, text=True)
+    out = run_python("-m", "morreylab.cli", "norm",
+                     "--spec", json.dumps({"kind": "Epbr", "p": 2.0, "beta": 1.0, "r": 1.0}),
+                     "--function", "power:gamma=1", "--dim", "3", "--grid-cells", "48",
+                     "--half-extent", "1.5")
     data = json.loads(out.stdout)
     assert math.isfinite(data["value"]) and data["value"] > 0
 
@@ -342,17 +371,15 @@ def test_cli_norm_of_a_csv_field_keeps_its_singularity(tmp_path, gamma, want):
     from morreylab.testfunctions import test_function as tf
 
     save_field_csv(tf("power", make_grid(2, 1.0, 64), gamma=gamma), tmp_path / "f.csv")
-    out = subprocess.run(
-        [sys.executable, "-m", "morreylab", "norm",
-         "--spec", json.dumps({"kind": "Lp", "p": 3.0}), "--field", str(tmp_path / "f.csv")],
-        capture_output=True, text=True)
+    out = run_python("-m", "morreylab", "norm",
+                     "--spec", json.dumps({"kind": "Lp", "p": 3.0}),
+                     "--field", str(tmp_path / "f.csv"))
     assert out.returncode == 0, out.stderr
     assert json.loads(out.stdout)["value"] == pytest.approx(want, rel=1e-4)
 
 
 def test_python_m_morreylab_runs_the_cli():
-    out = subprocess.run([sys.executable, "-m", "morreylab", "list-checks"],
-                         capture_output=True, text=True)
+    out = run_python("-m", "morreylab", "list-checks")
     assert out.returncode == 0, out.stderr
     assert out.stdout.split()[0] == sorted(EXPECTED_IDS)[0]
 
@@ -386,12 +413,10 @@ def test_cli_solve_pipeline(tmp_path):
     g = make_grid(2, math.pi, 32, periodic=True)
     f = tf("random_band", g, kmax=3, seed=0)
     save_field(f, tmp_path / "f.field")
-    out = subprocess.run(
-        [sys.executable, "-m", "morreylab.cli", "solve",
-         "--op", json.dumps({"kind": "laplace", "lam": 2.0}),
-         "--rhs", str(tmp_path / "f.field"), "--out", str(tmp_path / "u.field"),
-         "--norm", json.dumps({"kind": "Lp", "p": 2.0})],
-        capture_output=True, text=True)
+    out = run_python("-m", "morreylab.cli", "solve",
+                     "--op", json.dumps({"kind": "laplace", "lam": 2.0}),
+                     "--rhs", str(tmp_path / "f.field"), "--out", str(tmp_path / "u.field"),
+                     "--norm", json.dumps({"kind": "Lp", "p": 2.0}))
     assert out.returncode == 0
     data = json.loads(out.stdout)
     assert math.isfinite(data["ratio"])
