@@ -27,7 +27,7 @@ __all__ = ["CheckConfig", "CheckReport", "register", "REGISTRY", "run_check",
 DEFAULT_SEED = 0x5EED
 DEFAULT_SLACK = 0.05  # the slack of a check that names none
 
-REGISTRY = {}  # id -> (fn, description, tags)
+REGISTRY = {}  # id -> (fn, description)
 
 
 @dataclass
@@ -90,11 +90,11 @@ def _jsonify(x):
         return str(x)
 
 
-def register(check_id, description, tags=()):
+def register(check_id, description):
     def deco(fn):
         if check_id in REGISTRY:
             raise ValueError(f"duplicate check id {check_id}")
-        REGISTRY[check_id] = (fn, description, tuple(tags))
+        REGISTRY[check_id] = (fn, description)
         return fn
 
     return deco
@@ -115,7 +115,7 @@ def run_check(check_id, cfg=None):
     if check_id not in REGISTRY:
         raise KeyError(check_id)
     cfg = cfg or CheckConfig()
-    fn, _desc, _tags = REGISTRY[check_id]
+    fn, _desc = REGISTRY[check_id]
     t0 = time.perf_counter()
     out = fn(cfg)
     ms = (time.perf_counter() - t0) * 1000.0
@@ -173,8 +173,11 @@ def run_suite(pattern="*", cfg=None, progress=None):
 
 
 def list_checks():
+    """(id, description, ()) for every check, sorted by id.  Checks carry no
+    tags; the empty third slot stays for bench/workloads.py, which unpacks
+    three values."""
     load_all_checks()
-    return [(cid, REGISTRY[cid][1], REGISTRY[cid][2]) for cid in sorted(REGISTRY)]
+    return [(cid, REGISTRY[cid][1], ()) for cid in sorted(REGISTRY)]
 
 
 OK_VERDICTS = ("pass", "diverged_as_expected")

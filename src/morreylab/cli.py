@@ -133,15 +133,14 @@ def cmd_list_checks(args):
 
     rows = list_checks()
     if args.format == "json":
-        print(json.dumps([{"id": i, "description": d, "tags": list(t)}
-                          for i, d, t in rows], indent=2))
+        print(json.dumps([{"id": i, "description": d} for i, d, _ in rows], indent=2))
     elif args.format == "md":
         print("| id | description |")
         print("|----|-------------|")
-        for i, d, _t in rows:
+        for i, d, _ in rows:
             print(f"| `{i}` | {d} |")
     else:
-        for i, d, _t in rows:
+        for i, d, _ in rows:
             print(f"{i:26s} {d}")
 
 

@@ -522,8 +522,9 @@ def _member_means(weighted, dens, member, forward=None, dens_forward=None, windo
     the _Forward holders of weighted and of dens.
     mu(E) is the exact cell count for dx, a correlation of dens otherwise.
     Axes of weighted before the stencil's are a batch, as in _correlate; the
-    count carries none and broadcasts over them.  An empty member has mean
-    0.
+    count carries none and broadcasts over them.  Every member holds its
+    anchor cell, so the count on dx is >= 1; a member of mu-measure 0 has
+    mean 0.
 
     On dx, `window` = (cells, start, span) says that weighted is the part of
     a grid of shape `cells` from index `start` on, and that the grid is zero
@@ -532,13 +533,11 @@ def _member_means(weighted, dens, member, forward=None, dens_forward=None, windo
     whole grid, so the count is the grid's, read on those anchors alone."""
     cells, start, span = window or (weighted.shape[weighted.ndim - member.mask.ndim:], (), None)
     num = _correlate(weighted, member, forward, span)
-    if dens is not None:
-        den = _correlate(dens, member, dens_forward)
-    else:
+    if dens is None:
         box = tuple(slice(a + lo, a + hi) for a, (lo, hi) in zip(start, span or ()))
         den = _COUNTS.get(member, cells, box)
-        if member.mask[member.origin]:  # every member holds its anchor cell: den >= 1
-            return num / den, den
+        return num / den, den
+    den = _correlate(dens, member, dens_forward)
     with np.errstate(invalid="ignore", divide="ignore"):
         return np.where(den > 0, num / den, 0.0), den
 

@@ -86,18 +86,22 @@ def parabolic_power_weight(grid, alpha):
     return Weight(f)
 
 
-def _dual_field(weight, p):
-    """The field w^{-1/(p-1)} with exact singular-cell masses when the
-    closed form of w is known; pointwise powers otherwise."""
+# closed form of w -> (constructor, sign): w^e is constructor(grid, sign * a * e)
+_POWER_OF_CLOSED_FORM = {"radial_power": (power_weight, 1.0),
+                         "parabolic_power": (parabolic_power_weight, -1.0)}
+
+
+def _weight_power(weight, e):
+    """The field w^e: rebuilt by the weight's own constructor when its
+    closed form is known, so singular cells keep exact masses; else the
+    pointwise power, +inf where that is not finite, with w's features."""
     grid = weight.grid
-    expo = -1.0 / (p - 1.0)
     cf = weight.field.meta.get("closed_form")
-    if cf is not None and cf[0] == "radial_power":
-        return power_weight(grid, cf[1] * expo).field
-    if cf is not None and cf[0] == "parabolic_power":
-        return parabolic_power_weight(grid, -cf[1] * expo).field
+    if cf is not None and cf[0] in _POWER_OF_CLOSED_FORM:
+        make, sign = _POWER_OF_CLOSED_FORM[cf[0]]
+        return make(grid, sign * cf[1] * e).field
     with np.errstate(divide="ignore", over="ignore"):
-        vals = weight.field.values ** expo
+        vals = weight.field.values ** e
     return Field(grid, np.where(np.isfinite(vals), vals, np.inf), weight.field.singular)
 
 
@@ -166,7 +170,7 @@ def ap_constant(weight, p, structure, return_argmax=False):
     wv = weight.field.values
     w_cube = _cube_field(wv)
     if p > 1:
-        dual_cube = _cube_field(_dual_field(weight, p).values)
+        dual_cube = _cube_field(_weight_power(weight, -1.0 / (p - 1.0)).values)
     else:
         capped = np.where(np.isfinite(wv), wv, np.finfo(float).max)
     best = 1.0
@@ -265,19 +269,11 @@ def reverse_holder(weight, p, structure, eps_grid=None):
     radii = _cube_radii(structure, grid)
     if eps_grid is None:
         eps_grid = [0.05 * 2 ** j for j in range(7)]  # 0.05 .. 3.2
-    cf = weight.field.meta.get("closed_form")
     w_cube = _cube_field(weight.field.values)
     w_q = {}  # cube means of w, by box: the same for every eps
     best = (0.0, 1.0)
     for eps in eps_grid:
-        if cf is not None and cf[0] == "radial_power":
-            wpow = power_weight(grid, cf[1] * (1 + eps)).field
-        else:
-            with np.errstate(over="ignore"):
-                wpow = Field(grid, np.where(
-                    np.isfinite(weight.field.values),
-                    weight.field.values ** (1 + eps), np.inf))
-        wpow_cube = _cube_field(wpow.values)
+        wpow_cube = _cube_field(_weight_power(weight, 1 + eps).values)
         sup = 1.0
         finite = True
         for _rho, box, _stride, new in _sweep(grid, structure, radii, "box"):
@@ -307,7 +303,7 @@ def self_improve(weight, p, structure):
     (1 + eps)/(p - 1) = 1/(q - 1)."""
     if p <= 1:
         raise ValueError("self improvement needs p > 1")
-    dual = Weight(_dual_field(weight, p))
+    dual = Weight(_weight_power(weight, -1.0 / (p - 1.0)))
     eps, _ = reverse_holder(dual, p / (p - 1.0), structure)
     if eps == 0.0:
         import warnings

@@ -2,6 +2,7 @@ import json
 import math
 import os
 import pkgutil
+import re
 import runpy
 import subprocess
 import sys
@@ -43,6 +44,13 @@ def run_python(*args, check=False):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
     return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env,
                           check=check)
+
+
+def test_pyproject_declares_the_numpy_the_fft_needs():
+    # maximal._fft_correlate passes out= to np.fft.ifft, which numpy added in
+    # 2.0.  A regex reads the floor: tomllib is missing on Python 3.10.
+    floor = re.search(r'"numpy>=(\d+)', (SRC.parent / "pyproject.toml").read_text())
+    assert floor is not None and int(floor.group(1)) >= 2
 
 
 def test_registry_complete():
@@ -105,6 +113,7 @@ def test_list_checks_formats_identical_content():
     out = run_python("-m", "morreylab.cli", "list-checks", "--format", "json")
     data = json.loads(out.stdout)
     assert {d["id"] for d in data} == {i for i, _, _ in rows}
+    assert all(set(d) == {"id", "description"} for d in data)
     out_md = run_python("-m", "morreylab.cli", "list-checks", "--format", "md")
     md_ids = [line.split("`")[1] for line in out_md.stdout.splitlines()
               if line.startswith("| `")]
@@ -120,7 +129,7 @@ def test_cli_crashing_check_gets_an_error_row_and_exit_3(tmp_path, monkeypatch, 
         raise RuntimeError("internal")
 
     load_all_checks()
-    monkeypatch.setitem(REGISTRY, "dyadic-n-crash", (crash, "raises", ()))
+    monkeypatch.setitem(REGISTRY, "dyadic-n-crash", (crash, "raises"))
     csv, out = tmp_path / "r.csv", tmp_path / "r.json"
     with pytest.raises(SystemExit) as info:
         main(["check", "dyadic-*", "--csv", str(csv), "--out", str(out)])
@@ -383,27 +392,36 @@ def test_python_m_morreylab_runs_the_cli():
     assert out.returncode == 0, out.stderr
     assert out.stdout.split()[0] == sorted(EXPECTED_IDS)[0]
 
-@pytest.mark.parametrize("alpha, action, p", [(1.5, "ap", 2.0), (-0.9, "rh", 1.5)])
-def test_cli_weight_on_a_saved_weight_matches_the_library(tmp_path, alpha, action, p):
+@pytest.mark.parametrize("kind, alpha, action, p, want", [
+    ("radial", 1.5, "ap", 2.0, math.inf),
+    ("radial", -0.9, "rh", 1.5, 0.1),
+    ("parabolic", 1.0, "rh", 2.0, 1.6),
+], ids=["1.5-ap-2.0", "-0.9-rh-1.5", "parabolic-1.0-rh-2.0"])
+def test_cli_weight_on_a_saved_weight_matches_the_library(tmp_path, kind, alpha, action, p,
+                                                          want):
     # the CLI sees the closed form of a saved power weight, as the library does:
-    # |x|^1.5 is outside A_2, and |x|^-0.9 has reverse Holder exponent 0.1 on [0, 3.2]
+    # |x|^1.5 is outside A_2, |x|^-0.9 has reverse Holder exponent 0.1 on
+    # [0, 3.2], and (|x| + sqrt|t|)^-1 has 1.6, the last grid eps with 1 + eps < 3
     from morreylab.cli import main
     from morreylab.grid import make_grid, make_structure, save_field
-    from morreylab.weights import ap_constant, power_weight, reverse_holder
+    from morreylab.weights import (ap_constant, parabolic_power_weight, power_weight,
+                                   reverse_holder)
 
-    g = make_grid(1, 1.0, 256)
-    w = power_weight(g, alpha)
-    save_field(w.field, tmp_path / "w.field")
+    if kind == "radial":
+        w, s = power_weight(make_grid(1, 1.0, 256), alpha), make_structure(1)
+    else:
+        w = parabolic_power_weight(make_grid(2, (1.0, 1.0), (64, 64)), alpha)
+        s = make_structure(2, (2, 1))
+    save_field(w.field, tmp_path / "w.field", s.anisotropy)
     main(["weight", action, "--field", str(tmp_path / "w.field"), "--p", str(p),
           "--out", str(tmp_path / "r.json")])
     data = json.loads((tmp_path / "r.json").read_text())
-    s = make_structure(1)
     if action == "ap":
-        assert data["constant"] == ap_constant(w, p, s) == math.inf
+        assert data["constant"] == ap_constant(w, p, s) == want
     else:
         eps, n = reverse_holder(w, p, s)
         assert (data["eps"], data["constant"]) == (eps, n)
-        assert eps == 0.1
+        assert eps == want
 
 
 def test_cli_solve_pipeline(tmp_path):

@@ -207,6 +207,27 @@ def test_reverse_holder_integrability_threshold():
     assert 0.0 < eps < 1.0
 
 
+def test_reverse_holder_parabolic_power_keeps_its_closed_form():
+    # (|x| + sqrt|t|)^{-(1+eps)} is locally integrable in (1+1)-D only for
+    # 1 + eps < 3: 1.6 is the largest default-grid eps below that.  N near
+    # the threshold carries the midpoint error of the corner-cell masses,
+    # so only its finiteness is asserted.
+    g = make_grid(2, (1.0, 1.0), (64, 64))
+    eps, n = reverse_holder(parabolic_power_weight(g, 1.0), 2.0, make_structure(2, (2, 1)))
+    assert eps == 1.6 and math.isfinite(n)
+
+
+# the cubes of the largest radius all hold the infinite cell: inf / inf
+@pytest.mark.filterwarnings("ignore:All-NaN slice encountered:RuntimeWarning")
+def test_reverse_holder_takes_a_pointwise_weight_with_a_singular_cell():
+    # |x|^-1 without its closed form: the pointwise power keeps the
+    # singular features, so the infinite cell stays a legal Field
+    w = power_weight(make_grid(1, 1.0, 256), -1.0)
+    pointwise = Weight(Field(w.grid, w.field.values, w.field.singular))
+    assert not np.isfinite(pointwise.field.values).all()
+    assert reverse_holder(pointwise, 2.0, S1) == reverse_holder(w, 2.0, S1)
+
+
 def test_reverse_holder_sqrt_weight_grid_oracle():
     # independent grid search oracle at one scale family
     g = make_grid(1, 1.0, 512)
