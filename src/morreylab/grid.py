@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import copy
 import functools
+import itertools
 import json
 import math
 from dataclasses import dataclass, field as dfield
@@ -134,14 +135,36 @@ def make_grid(dim, half_extent, cells, periodic=False):
 #
 # Center sampling of |x|^{-gamma} at the origin is undefined, so the cell
 # containing a declared singular point stores the exact cell average from
-# radial closed-form integration (equal-volume ball rule).  When a requested
-# power of the field is not locally integrable the exact mass is +inf, which
-# propagates into norms; that is the honest value, not an overflow.
+# radial closed-form integration.  One ball rule, _ball_rule_mass, gives the
+# mass of every radial and subspace power (and the self cells of the Riesz
+# and Newtonian kernels); one per-axis rule, _singular_cell, names the cell
+# that holds a singular coordinate.  When a requested power of the field is
+# not locally integrable the exact mass is +inf, which propagates into
+# norms; that is the honest value, not an overflow.
 #
 # Every feature answers power_masses(grid, p) and scaled(c); singular_field
 # writes the cell averages and power_integrand the masses, so nothing else
 # needs to know the feature types.
 # ---------------------------------------------------------------------------
+
+
+def _ball_rule_mass(scale, vol, m, g, mean=False):
+    """scale times the integral of |y|^{-g} over the ball of R^m with volume
+    vol centred at 0 (the equal-volume ball rule): scale s_m r^{m-g}/(m-g)
+    with s_m r^m/m = vol, or that over vol with mean=True; +inf when g >= m
+    (not integrable)."""
+    if g >= m:
+        return math.inf
+    s = unit_sphere_area(m)
+    r_eq = (vol * m / s) ** (1.0 / m)
+    return scale * s * r_eq ** (m - g) / ((m - g) * (vol if mean else 1.0))
+
+
+def _singular_cell(grid, i, c):
+    """Index floor((c + L_i)/h_i) of the cell along axis i that holds the
+    coordinate c; None when c is off the grid."""
+    j = int(np.floor((c + grid.half_extent[i]) / grid.h[i]))
+    return j if 0 <= j < grid.cells[i] else None
 
 
 class _CellFeature:
@@ -170,31 +193,14 @@ class RadialPower(_CellFeature):
 
     def cell_indices(self, grid):
         """[] or [index of the cell holding the center]."""
-        idx = []
-        for i, c in enumerate(self.center):
-            L, n = grid.half_extent[i], grid.cells[i]
-            h = 2.0 * L / n
-            j = int(np.floor((c + L) / h))
-            if j < 0 or j >= n:
-                return []
-            idx.append(j)
-        return [tuple(idx)]
+        idx = tuple(_singular_cell(grid, i, c) for i, c in enumerate(self.center))
+        return [] if None in idx else [idx]
 
     def exact_power_mass(self, grid, p):
-        """Exact integral of |f|^p over the singular cell (ball rule).
-
-        The cell is replaced by the ball of equal volume centered at the
-        singular point; the radial integral is then elementary.  Returns
-        +inf when gamma*p >= d (non-integrable power).
-        """
-        d = grid.dim
-        g = self.gamma * p
-        vol = grid.cell_volume
-        if g >= d:
-            return math.inf
-        s = unit_sphere_area(d)
-        r_eq = (vol * d / s) ** (1.0 / d)
-        return abs(self.amp) ** p * s * r_eq ** (d - g) / (d - g)
+        """Exact integral of |f|^p over the singular cell (ball rule): the
+        cell is replaced by the ball of equal volume centered at the
+        singular point; +inf when gamma*p >= d (non-integrable power)."""
+        return _ball_rule_mass(abs(self.amp) ** p, grid.cell_volume, grid.dim, self.gamma * p)
 
 
 class SubspacePower(_CellFeature):
@@ -214,35 +220,20 @@ class SubspacePower(_CellFeature):
         sel = []
         for i in range(grid.dim):
             if i in self.axes:
-                L, n = grid.half_extent[i], grid.cells[i]
-                h = 2.0 * L / n
-                j = int(np.floor(L / h))
-                if j < 0 or j >= n:
+                j = _singular_cell(grid, i, 0.0)
+                if j is None:
                     return []
                 sel.append([j])
             else:
-                sel.append(list(range(grid.cells[i])))
-        out = [()]
-        for choices in sel:
-            out = [t + (c,) for t in out for c in choices]
-        return out
+                sel.append(range(grid.cells[i]))
+        return list(itertools.product(*sel))
 
     def exact_power_mass(self, grid, p):
-        m = len(self.axes)
-        g = self.gamma * p
-        if g >= m:
-            return math.inf
-        tv = 1.0
-        rest = 1.0
-        for i in range(grid.dim):
-            h = grid.h[i]
-            if i in self.axes:
-                tv *= h
-            else:
-                rest *= h
-        s = unit_sphere_area(m)
-        r_eq = (tv * m / s) ** (1.0 / m)
-        return abs(self.amp) ** p * s * r_eq ** (m - g) / (m - g) * rest
+        """The ball rule in the x' plane, times the cell's extent along the
+        other axes."""
+        tv = math.prod(h for i, h in enumerate(grid.h) if i in self.axes)
+        rest = math.prod(h for i, h in enumerate(grid.h) if i not in self.axes)
+        return _ball_rule_mass(abs(self.amp) ** p, tv, len(self.axes), self.gamma * p) * rest
 
 
 class ParabolicPower(_CellFeature):
@@ -260,14 +251,9 @@ class ParabolicPower(_CellFeature):
     def cell_indices(self, grid):
         if grid.dim != 2:
             raise ValueError("ParabolicPower exact masses implemented for d=1 (+t) only")
-        out = []
-        jt = int(np.floor(grid.half_extent[0] / grid.h[0]))
-        jx = int(np.floor(grid.half_extent[1] / grid.h[1]))
-        for dt in (-1, 0):
-            for dx in (-1, 0):
-                if 0 <= jt + dt < grid.cells[0] and 0 <= jx + dx < grid.cells[1]:
-                    out.append((jt + dt, jx + dx))
-        return out
+        jt, jx = _singular_cell(grid, 0, 0.0), _singular_cell(grid, 1, 0.0)
+        return [(jt + dt, jx + dx) for dt in (-1, 0) for dx in (-1, 0)
+                if 0 <= jt + dt < grid.cells[0] and 0 <= jx + dx < grid.cells[1]]
 
     @staticmethod
     def _quadrant_mass(ht, hx, g):
@@ -330,6 +316,8 @@ class ShellPower:
         mask = self.cell_mask_fn(grid)
         g = self.gamma * p
         hmin = self.transverse_h if self.transverse_h else min(grid.h)
+        # this is the m = 1 ball rule, but _ball_rule_mass rounds some of
+        # these masses differently, which would move the lqp-asym rows
         if g >= 1.0:
             mass = math.inf
         else:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Field, _wavenumbers, unit_sphere_area
+from .grid import Field, _ball_rule_mass, _wavenumbers, unit_sphere_area
 from .maximal import _circular_correlate, _fft_correlate
 
 __all__ = [
@@ -80,23 +80,12 @@ def _radial_kernel(grid, profile, self_avg):
     return ker
 
 
-def _ball_rule_average(grid, expo, const=1.0):
-    """Exact cell average of const*|x|^expo via the equal-volume ball."""
-    d = grid.dim
-    if expo <= -d:
-        return math.inf
-    s = unit_sphere_area(d)
-    vol = grid.cell_volume
-    r_eq = (vol * d / s) ** (1.0 / d)
-    return const * s * r_eq ** (d + expo) / ((d + expo) * vol)
-
-
 def riesz_kernel_array(grid, alpha):
     """|x|^{alpha-d} on the offset grid (bare kernel, no constant)."""
     d = grid.dim
     if not 0 < alpha < d:
         raise ValueError("need 0 < alpha < d")
-    avg = _ball_rule_average(grid, alpha - d)
+    avg = _ball_rule_mass(1.0, grid.cell_volume, d, d - alpha, mean=True)
     return _radial_kernel(grid, lambda r: r ** (alpha - d), avg)
 
 
@@ -105,7 +94,7 @@ def newtonian_kernel_array(grid):
     if d < 3:
         raise ValueError("newtonian kernel needs d >= 3")
     c = newtonian_constant(d)
-    avg = _ball_rule_average(grid, 2 - d, c)
+    avg = _ball_rule_mass(c, grid.cell_volume, d, d - 2, mean=True)
     return _radial_kernel(grid, lambda r: c * r ** (2.0 - d), avg)
 
 
@@ -283,13 +272,14 @@ def heat_resolvent_modewise(field, lam, a_of_t=None, delta=None):
 
 
 def _check_sdelta(a, delta):
-    ev = np.linalg.eigvalsh(a)
-    lo, hi = float(ev.min()), float(ev.max())
-    if lo < delta - 1e-12 or hi > 1.0 / delta + 1e-12:
-        t_bad = int(np.argmin(ev[:, 0]))
+    """ValueError naming the first slab of the path a (one matrix per slab)
+    with an eigenvalue outside [delta, 1/delta]."""
+    ev = np.linalg.eigvalsh(a)  # ascending per slab
+    bad = (ev[:, 0] < delta - 1e-12) | (ev[:, -1] > 1.0 / delta + 1e-12)
+    if bad.any():
         raise ValueError(
-            f"coefficient path leaves S_delta (eigenvalues [{lo:.4g}, {hi:.4g}]) "
-            f"first at slab {t_bad}"
+            f"coefficient path leaves S_delta (eigenvalues [{ev.min():.4g}, {ev.max():.4g}]) "
+            f"first at slab {int(np.argmax(bad))}"
         )
 
 

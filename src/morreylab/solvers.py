@@ -15,7 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import ConfigError, Field, _wavenumbers
-from .potentials import heat_resolvent_modewise
+from .maximal import classical_maximal
+from .norms import evaluate_norms
+from .potentials import _check_sdelta, heat_resolvent_modewise
 
 __all__ = [
     "OperatorSpec",
@@ -66,9 +68,7 @@ class OperatorSpec:
         if self.kind not in ("laplace", "heat", "heat_at"):
             raise ValueError(f"unknown operator kind {self.kind!r}")
         if self.a_of_t is not None and self.delta is not None:
-            ev = np.linalg.eigvalsh(np.asarray(self.a_of_t))
-            if ev.min() < self.delta - 1e-12 or ev.max() > 1 / self.delta + 1e-12:
-                raise ValueError("a(t) leaves S_delta")
+            _check_sdelta(np.asarray(self.a_of_t), self.delta)
 
 
 def _xaxes(grid, parabolic):
@@ -274,8 +274,6 @@ def apriori_ratios(u, ops, norm_spec, structure, norm_eval=None):
     one dict per op with the parts, the denominator and the ratio (inf when
     the denominator is floored).
     """
-    from .norms import evaluate_norms
-
     grid = u.grid
     derivatives = spectral_derivative_fields(u, structure)
     du, d2, lap, ut = derivatives
@@ -315,8 +313,6 @@ def oscillation_estimate(u, f_rhs, structure, kappa, rho, p, center=None):
     (cylinders and kappa^{(d+2)/p} on parabolic structures).  Returns the
     left side and both right-hand terms so callers can fit the constants.
     """
-    from .maximal import classical_maximal
-
     if kappa < 2:
         raise ValueError("need kappa >= 2")
     grid = u.grid

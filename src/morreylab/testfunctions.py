@@ -12,27 +12,18 @@ import math
 
 import numpy as np
 
-from .grid import (
-    Field,
-    ParabolicPower,
-    RadialPower,
-    ShellPower,
-    SubspacePower,
-    singular_field,
-)
+from .grid import Field, RadialPower, ShellPower, SubspacePower, singular_field
+from .weights import parabolic_power_weight, power_weight
 
 __all__ = ["test_function", "TEST_FUNCTION_IDS"]
 
 
 def _power(grid, gamma, amp=1.0):
-    """|x|^{-gamma}; the singular cell stores the exact ball-rule average."""
-    r = grid.radius()
-    if gamma == 0:
-        return Field(grid, np.full(grid.cells, amp))
-    with np.errstate(divide="ignore"):
-        vals = amp * np.where(r > 0, r ** (-gamma), np.inf)
-    feats = [RadialPower((0.0,) * grid.dim, gamma, amp)] if gamma > 0 else []
-    return singular_field(grid, vals, feats)
+    """|x|^{-gamma}: the field of power_weight(grid, -gamma), whose singular
+    cell holds the exact ball-rule average and which keeps its closed form;
+    amp times that field otherwise."""
+    f = power_weight(grid, -gamma).field
+    return f if amp == 1.0 else amp * f
 
 
 def _gaussian(grid, sigma=1.0, center=None, amp=1.0):
@@ -172,8 +163,7 @@ def _exp_drift_pair(grid, lam=1.0):
         b_du = (d - 1) * mu * u / np.where(r > 0, r, np.inf)
         b_mag = (d - 1) / np.where(r > 0, r, np.inf)
     resid = lap + b_du - lam * u
-    bidx = RadialPower((0.0,) * d, 1.0, d - 1)
-    bfield = Field(grid, np.where(np.isfinite(b_mag), b_mag, 0.0), [bidx])
+    bfield = singular_field(grid, b_mag, [RadialPower((0.0,) * d, 1.0, d - 1)])
     resid[~np.isfinite(resid)] = 0.0
     return Field(grid, u), bfield, Field(grid, resid)
 
@@ -182,14 +172,13 @@ def _exp_drift_pair(grid, lam=1.0):
 
 
 def _parab_sing(grid):
+    """The field of parabolic_power_weight(grid, 1.0), with its exact
+    corner-cell masses, cut to |t| <= 1, |x| <= 1."""
+    w = parabolic_power_weight(grid, 1.0).field
     xs = grid.mesh()
-    rr = np.sqrt(sum(m ** 2 for m in xs[1:])) if grid.dim > 1 else np.zeros(grid.cells)
-    rho = rr + np.sqrt(np.abs(xs[0]))
+    rr = np.sqrt(sum(m ** 2 for m in xs[1:])) if grid.dim > 1 else 0.0
     box = (np.abs(xs[0]) <= 1.0) & (rr <= 1.0)
-    with np.errstate(divide="ignore"):
-        vals = np.where((rho > 0) & box, 1.0 / rho, 0.0)
-    # the exact corner-cell masses are known for d = 1 only
-    return singular_field(grid, vals, [ParabolicPower(1.0)] if grid.dim == 2 else [])
+    return Field(grid, np.where(box, w.values, 0.0), w.singular)
 
 
 # -- lqp_vs_lpq: finite reversed-order norm, divergent standard order --------

@@ -12,6 +12,7 @@ continuum integral, not a discretization artifact).
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 
@@ -264,7 +265,7 @@ def ainf_profile(weight, p, structure, seed=0):
 def reverse_holder(weight, p, structure, eps_grid=None):
     """Largest eps on a search grid with a finite uniform constant N in
     (w^{1+eps})_Q <= N (w_Q)^{1+eps} over cubes of the _cube_radii at every
-    cell; returns (eps, N)."""
+    cell; returns (eps, N), and (0.0, 1.0) when a cube mean of w is +inf."""
     grid = weight.grid
     radii = _cube_radii(structure, grid)
     if eps_grid is None:
@@ -279,9 +280,11 @@ def reverse_holder(weight, p, structure, eps_grid=None):
         for _rho, box, _stride, new in _sweep(grid, structure, radii, "box"):
             if not new:  # an equal box gives an equal ratio
                 continue
-            lhs = _cube_means(wpow_cube, box)
             if box not in w_q:
                 w_q[box] = _cube_means(w_cube, box)
+                if np.isinf(w_q[box]).any():  # w is not locally integrable
+                    return 0.0, 1.0
+            lhs = _cube_means(wpow_cube, box)
             rhs = w_q[box] ** (1 + eps)
             with np.errstate(invalid="ignore", divide="ignore"):
                 ratio = np.where(rhs > 0, lhs / rhs, np.inf)
@@ -306,8 +309,6 @@ def self_improve(weight, p, structure):
     dual = Weight(_weight_power(weight, -1.0 / (p - 1.0)))
     eps, _ = reverse_holder(dual, p / (p - 1.0), structure)
     if eps == 0.0:
-        import warnings
-
         warnings.warn("no reverse-Holder gain found; returning q = p")
         return p, ap_constant(weight, p, structure)
     q = 1.0 + (p - 1.0) / (1.0 + eps)

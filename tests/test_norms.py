@@ -259,6 +259,17 @@ def test_exp_drift_pair_residual_vanishes():
     assert np.abs(resid.values[outside]).max() <= 1e-8 * np.abs(u.values).max()
 
 
+def test_exp_drift_pair_drift_holds_its_exact_singular_cell_average():
+    # |b| = 2/|x| in 3-D: the cell at the origin holds the ball-rule average
+    # 4 pi r^2 / vol over the ball of the cell's volume, not its sample
+    g = make_grid(3, 4.0, 32)
+    _, b, _ = tf("exp_drift_pair", g, lam=1.0)
+    [(idx, _mass)] = b.power_mass_cells(1.0)
+    r_eq = (3.0 * g.cell_volume / (4.0 * math.pi)) ** (1.0 / 3.0)
+    assert b.values[idx] == pytest.approx(4.0 * math.pi * r_eq ** 2 / g.cell_volume, rel=1e-12)
+    assert b.values[idx] == pytest.approx(19.3439, rel=1e-5)
+
+
 def test_kappa_ridge_norm_bounds():
     # slashed norms behave like the closed-form envelopes
     g = make_grid(3, 0.75, 64)

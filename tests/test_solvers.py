@@ -203,6 +203,17 @@ def test_at_solver_rejects_bad_path():
         solve_heat(f, 1.0, a_of_t=bad, delta=0.5)
 
 
+def test_every_s_delta_error_names_the_first_bad_slab():
+    # slab 5 leaves S_delta above 1/delta; slab 6 holds the least eigenvalue
+    g = make_grid(2, (1.0, math.pi), (8, 8), periodic=True)
+    a = np.repeat(np.eye(1)[None], 8, axis=0)
+    a[5], a[6] = 3.0, 0.1
+    with pytest.raises(ValueError, match=r"leaves S_delta .* first at slab 5$"):
+        OperatorSpec("heat_at", a_of_t=a, delta=0.5)
+    with pytest.raises(ValueError, match=r"leaves S_delta .* first at slab 5$"):
+        solve_heat(Field(g, np.ones(g.cells)), 1.0, a_of_t=a, delta=0.5)
+
+
 def test_drift_zero_converges_immediately():
     g = make_grid(2, math.pi, 64, periodic=True)
     f = tf("random_band", g, kmax=4, seed=5)

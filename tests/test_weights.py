@@ -17,6 +17,7 @@ from morreylab.weights import (
     reverse_holder,
     self_improve,
 )
+from morreylab.testfunctions import test_function as tf
 from morreylab.weights import _running_min
 
 S1 = make_structure(1, (1,))
@@ -217,8 +218,6 @@ def test_reverse_holder_parabolic_power_keeps_its_closed_form():
     assert eps == 1.6 and math.isfinite(n)
 
 
-# the cubes of the largest radius all hold the infinite cell: inf / inf
-@pytest.mark.filterwarnings("ignore:All-NaN slice encountered:RuntimeWarning")
 def test_reverse_holder_takes_a_pointwise_weight_with_a_singular_cell():
     # |x|^-1 without its closed form: the pointwise power keeps the
     # singular features, so the infinite cell stays a legal Field
@@ -226,6 +225,22 @@ def test_reverse_holder_takes_a_pointwise_weight_with_a_singular_cell():
     pointwise = Weight(Field(w.grid, w.field.values, w.field.singular))
     assert not np.isfinite(pointwise.field.values).all()
     assert reverse_holder(pointwise, 2.0, S1) == reverse_holder(w, 2.0, S1)
+
+
+@pytest.mark.filterwarnings("error")
+def test_reverse_holder_finds_no_gain_for_a_non_integrable_weight_without_a_nan():
+    # |x|^-1 is not locally integrable in 1-D: a cube mean of w is +inf, and
+    # that alone ends the search, with no inf / inf ratio and no warning
+    w = power_weight(make_grid(1, 1.0, 256), -1.0)
+    assert reverse_holder(w, 2.0, S1) == (0.0, 1.0)
+
+
+def test_power_test_function_keeps_its_closed_form_as_a_weight():
+    # the power test field is power_weight's field, so as a weight its dual
+    # w^{-1} is rebuilt with the exact singular-cell mass, not raised pointwise
+    g = make_grid(1, 1.0, 256)
+    w = Weight(tf("power", g, gamma=0.5))
+    assert ap_constant(w, 2.0, S1) == ap_constant(power_weight(g, -0.5), 2.0, S1)
 
 
 def test_reverse_holder_sqrt_weight_grid_oracle():
