@@ -136,8 +136,8 @@ def make_grid(dim, half_extent, cells, periodic=False):
 # Center sampling of |x|^{-gamma} at the origin is undefined, so the cell
 # containing a declared singular point stores the exact cell average from
 # radial closed-form integration.  One ball rule, _ball_rule_mass, gives the
-# mass of every radial and subspace power (and the self cells of the Riesz
-# and Newtonian kernels); one per-axis rule, _singular_cell, names the cell
+# mass of every radial, subspace and shell power (and the self cells of the
+# Riesz and Newtonian kernels); one per-axis rule, _singular_cell, names the cell
 # that holds a singular coordinate.  When a requested power of the field is
 # not locally integrable the exact mass is +inf, which propagates into
 # norms; that is the honest value, not an overflow.
@@ -316,14 +316,10 @@ class ShellPower:
         mask = self.cell_mask_fn(grid)
         g = self.gamma * p
         hmin = self.transverse_h if self.transverse_h else min(grid.h)
-        # this is the m = 1 ball rule, but _ball_rule_mass rounds some of
-        # these masses differently, which would move the lqp-asym rows
-        if g >= 1.0:
-            mass = math.inf
-        else:
-            # transverse average of |s|^{-g} over a width-hmin slab, times
-            # the cell volume (area of the shell slice folded into vol/hmin)
-            mass = 2.0 * (hmin / 2.0) ** (1.0 - g) / ((1.0 - g) * hmin) * grid.cell_volume
+        # transverse average of |s|^{-g} over a width-hmin slab (the m = 1
+        # ball rule), times the cell volume (area of the shell slice folded
+        # into vol/hmin)
+        mass = _ball_rule_mass(1.0, hmin, 1, g, mean=True) * grid.cell_volume
         amps = np.abs(np.broadcast_to(self.amp_field, mask.shape)[mask]) ** p
         return list(zip(map(tuple, np.argwhere(mask)), (mass * amps).tolist()))
 
