@@ -5,6 +5,7 @@ import pytest
 
 from morreylab.grid import Field, lp_norm, make_grid, make_structure
 from morreylab.maximal import BallFamily, classical_maximal, member_offsets
+from morreylab.testfunctions import test_function as tf
 from morreylab.weights import (
     Weight,
     a1_constant,
@@ -17,7 +18,6 @@ from morreylab.weights import (
     reverse_holder,
     self_improve,
 )
-from morreylab.testfunctions import test_function as tf
 from morreylab.weights import _running_min
 
 S1 = make_structure(1, (1,))
