@@ -406,7 +406,8 @@ def check_fail_1174(cfg):
     radii = tuple(2.0 * max(g.h) * 2 ** (0.5 * j) for j in range(9))
     ratios = {}
     for kappa in (0.25, 0.1, 0.05):
-        u, b_du, d2 = test_function("kappa_ridge", g, kappa=kappa, beta=beta)
+        # u is not read: only the two fields of the ratio are kept
+        b_du, d2 = test_function("kappa_ridge", g, kappa=kappa, beta=beta)[1:]
         n_num = evaluate_norm(b_du, NormSpec("Epbr", p=p, beta=beta, r=0.7), s,
                               radii=radii)
         n_den = evaluate_norm(d2, NormSpec("Epbr", p=p, beta=beta, r=0.7), s,

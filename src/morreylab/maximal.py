@@ -223,8 +223,8 @@ class _Forward:
             self.values, self.key = values, key
         return self.array
 
-    def rfftn(self, values, lens, axes):
-        return self._keep(values, lens, lambda: np.fft.rfftn(values, s=lens, axes=axes))
+    def rfftn(self, values, lens):
+        return self._keep(values, lens, lambda: _rfftn(values, lens))
 
     def table(self, values, ax, pre, post):
         """(pre, c) of _summed_table along ax, extended by the axis length
@@ -273,46 +273,122 @@ def _spectrum_bytes(cells, member):
     return 16 * math.prod(lens[:-1]) * (lens[-1] // 2 + 1)
 
 
+@dataclass(frozen=True)
+class _Slabs:
+    """A real kernel given by its slabs along axis 0, kernel[i] = slab(i).
+    _fft_correlate builds its spectrum one slab at a time, so the whole
+    kernel is never held; array() stacks the same slabs."""
+
+    shape: tuple
+    slab: object  # i -> the array kernel[i]
+
+    @property
+    def ndim(self):
+        return len(self.shape)
+
+    def array(self):
+        out = np.empty(self.shape)
+        for i in range(self.shape[0]):
+            out[i] = self.slab(i)
+        return out
+
+
+def _flip(kernel):
+    """np.flip(kernel): reversed along every axis, slab by slab for _Slabs."""
+    if isinstance(kernel, _Slabs):
+        last = kernel.shape[0] - 1
+        return _Slabs(kernel.shape, lambda i: np.flip(kernel.slab(last - i)))
+    return np.flip(kernel)
+
+
+def _rfftn(values, lens):
+    """np.fft.rfftn(values, s=lens, axes=...) over the trailing len(lens)
+    axes, bit for bit, built in one zero-padded complex buffer.
+
+    The passes are numpy's, last axis first: one rfft into the buffer, then
+    one complex fft per axis, in place.  Each pass transforms only the lines
+    that values (or its partial transform) occupy, and an axis longer than
+    its length is cut to it, as numpy's n= cuts it.  A _Slabs kernel runs
+    the rfft and the passes of every axis after the first one slab at a
+    time."""
+    spec = np.zeros(values.shape[:values.ndim - len(lens)] + tuple(lens[:-1])
+                    + (lens[-1] // 2 + 1,), complex)
+    if not isinstance(values, _Slabs):
+        _rfft_passes(values, spec, lens)
+    elif len(lens) == 1:
+        _rfft_passes(values.array(), spec, lens)
+    else:
+        for i in range(min(values.shape[0], lens[0])):
+            _rfft_passes(values.slab(i), spec[i], lens[1:])
+        np.fft.fft(spec, n=lens[0], axis=0, out=spec)
+    return spec
+
+
+def _rfft_passes(values, spec, lens):
+    """The passes of _rfftn, from values into its buffer spec: rfft along the
+    last axis, then fft along each trailing axis before it, last to first,
+    each over the lines that values' cells (cut to lens) occupy."""
+    lead = (slice(None),) * (values.ndim - len(lens))
+    cut = tuple(slice(min(n, m)) for n, m in zip(values.shape[len(lead):], lens))
+    np.fft.rfft(values[lead + cut[:-1]], n=lens[-1], axis=-1, out=spec[lead + cut[:-1]])
+    for ax in range(len(lens) - 2, -1, -1):
+        part = spec[lead + cut[:ax]]
+        np.fft.fft(part, n=lens[ax], axis=len(lead) + ax, out=part)
+
+
 def _fft_correlate(values, kernel, origin, forward=None, span=None):
     """corr(c) = sum_k kernel[k] values(c + k - origin) over the trailing
     kernel.ndim axes of values, zero outside the domain; leading axes are a
-    batch.  Any real kernel.  The anchors c kept are those of `span`, one
-    (lo, hi) pair per kernel axis relative to index 0 of values, which may
-    reach past either end; None keeps the cells of values.
+    batch.  Any real kernel, an array or _Slabs.  The anchors c kept are
+    those of `span`, one (lo, hi) pair per kernel axis relative to index 0
+    of values, which may reach past either end; None keeps the cells of
+    values.
 
     One linear correlation by numpy.fft.  Each axis is transformed at the
     shortest length at which no nonzero output wraps onto a kept anchor
-    (_transform_lens), and the kernel spectrum is pruned: one axis at a
-    time, last to first, so each pass transforms only the lines the kernel
-    (or its partial transform) occupies.  Kernel entries or values past the
-    transform length reach no kept anchor.  A span that starts before the
-    first output, lo < origin - (s - 1), keeps anchors that no kernel cell
-    reaches from the values, and is refused.  A _Forward holder passed as
-    `forward` keeps the forward spectrum of values for the next call at the
-    same lengths.  The product overwrites the kernel spectrum, which is this
-    call's own, unless batch axes broadcast it, and every complex inverse
-    pass runs in place; each crops its axis to the anchors kept, so the next
-    pass transforms only their lines.
+    (_transform_lens), and both spectra are built by _rfftn, in one buffer
+    each, so the kernel spectrum is pruned: each pass transforms only the
+    lines the kernel (or its partial transform) occupies.  Kernel entries
+    or values past the transform length reach no kept anchor.  A span that
+    starts before the first output, lo < origin - (s - 1), keeps anchors
+    that no kernel cell reaches from the values, and is refused.  A _Forward
+    holder passed as `forward` keeps the forward spectrum of values for the
+    next call at the same lengths.  With one batch row (or none) the
+    product overwrites the kernel spectrum, which is this call's own; a
+    larger batch multiplies, inverts and crops one row at a time into its
+    own product, so at most one row's product is alive.  Every complex
+    inverse pass runs in place and crops its axis to the anchors kept, so
+    the next pass transforms only their lines.
     """
-    axes = tuple(range(values.ndim - kernel.ndim, values.ndim))
-    cells = values.shape[axes[0]:]
+    nb = values.ndim - kernel.ndim  # batch axes
+    cells = values.shape[nb:]
     lens = _transform_lens(cells, kernel.shape, origin, span)
-    spec = np.fft.rfft(np.flip(kernel), n=lens[-1], axis=-1)
-    for ax in range(kernel.ndim - 2, -1, -1):
-        spec = np.fft.fft(spec, n=lens[ax], axis=ax)
-    spec = spec.reshape((1,) * axes[0] + spec.shape)  # batch axes of length one
-    fwd = (forward or _Forward()).rfftn(values, lens, axes)
-    # in place only where the product has the kernel spectrum's shape and
-    # dtype: a batch of more than one broadcasts it
-    same = fwd.shape == spec.shape and fwd.dtype == spec.dtype
-    spec = np.multiply(fwd, spec, out=spec if same else None)
+    spec = _rfftn(_flip(kernel), lens)
+    fwd = (forward or _Forward()).rfftn(values, lens)
     # corr(c) sits at index c + (s - 1 - origin) of the linear correlation
     keep = [slice(lo + s - 1 - o, hi + s - 1 - o) for s, o, (lo, hi)
             in zip(kernel.shape, origin, span or [(0, n) for n in cells])]
     if any(k.start < 0 for k in keep):
         raise ValueError(f"span {span} starts before the first output of a kernel "
                          f"of shape {kernel.shape} and origin {origin}")
-    for ax, m, k in zip(axes[:-1], lens, keep):
+    batch = values.shape[:nb]
+    if math.prod(batch) == 1:
+        spec = spec.reshape(fwd.shape)  # batch axes of length one
+        np.multiply(fwd, spec, out=spec)
+        del fwd  # unless a holder keeps it, it goes before the inverse
+        return _inverse(spec, lens, keep)
+    out = np.empty(batch + tuple(k.stop - k.start for k in keep))
+    for row in np.ndindex(batch):
+        out[row] = _inverse(np.multiply(fwd[row], spec), lens, keep)
+    return out
+
+
+def _inverse(spec, lens, keep):
+    """The inverse of a product spectrum over its trailing len(lens) axes,
+    cropped to `keep`: ifft in place along every axis but the last, each
+    cropped before the next, then irfft along the last."""
+    nb = spec.ndim - len(lens)
+    for ax, m, k in zip(range(nb, spec.ndim - 1), lens, keep):
         spec = np.fft.ifft(spec, n=m, axis=ax, out=spec)[(slice(None),) * ax + (k,)]
     return np.fft.irfft(spec, n=lens[-1], axis=-1)[..., keep[-1]]
 

@@ -78,9 +78,9 @@ class NormSpec:
             )
 
 
-# Bytes of the forward spectra of one stack of fields in _morrey_sup.  A
-# stack of k > 1 fields also makes their product with the kernel spectrum,
-# which broadcasts over the stack, so a stack holds about twice this.  32 MB
+# Bytes of the forward spectra of one stack of fields in _morrey_sup.  The
+# product with the kernel spectrum goes one row at a time, so a stack adds
+# one row's product and its output to this, not a second stack.  32 MB
 # takes the two 125^3 spectra (15 MB each) of `adams` at the default grid,
 # whose Riesz potential peaks higher: `check '*'` read 4.59 s and 169 MB
 # peak RSS with it, against 4.78 s and 175 MB with a 4.5 MB cap, which

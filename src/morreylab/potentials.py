@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import Field, _ball_rule_mass, _wavenumbers, unit_sphere_area
-from .maximal import _circular_correlate, _fft_correlate
+from .maximal import _circular_correlate, _fft_correlate, _flip, _Slabs
 
 __all__ = [
     "KernelSpec",
@@ -69,19 +69,27 @@ def _offset_mesh(grid):
 
 
 def _radial_kernel(grid, profile, self_avg):
-    """Kernel sampled on the (2n-1)^d offset grid; origin gets self_avg."""
-    mesh = _offset_mesh(grid)
-    r = np.sqrt(sum(m ** 2 for m in mesh))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ker = profile(r)
+    """profile(|x|) on the (2n-1)^d offset grid, as _Slabs along axis 0:
+    each slab is evaluated when it is read.  The origin and every
+    non-finite value get self_avg."""
+    first, *rest = _offset_mesh(grid)
     origin = tuple(n - 1 for n in grid.cells)
-    ker[origin] = self_avg
-    ker[~np.isfinite(ker)] = self_avg
-    return ker
+
+    def slab(i):
+        # slab i keeps its axis of length one, so that a 1-D kernel is
+        # evaluated as an array, not as a scalar
+        r = np.sqrt(sum(m ** 2 for m in [first[i:i + 1]] + rest))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ker = profile(r)
+        if i == origin[0]:
+            ker[(0,) + origin[1:]] = self_avg
+        ker[~np.isfinite(ker)] = self_avg
+        return ker[0]
+
+    return _Slabs(tuple(2 * n - 1 for n in grid.cells), slab)
 
 
-def riesz_kernel_array(grid, alpha):
-    """|x|^{alpha-d} on the offset grid (bare kernel, no constant)."""
+def _riesz_kernel(grid, alpha):
     d = grid.dim
     if not 0 < alpha < d:
         raise ValueError("need 0 < alpha < d")
@@ -89,7 +97,13 @@ def riesz_kernel_array(grid, alpha):
     return _radial_kernel(grid, lambda r: r ** (alpha - d), avg)
 
 
-def newtonian_kernel_array(grid):
+def riesz_kernel_array(grid, alpha):
+    """|x|^{alpha-d} on the offset grid (bare kernel, no constant): the stack
+    of the slabs that apply_kernel transforms."""
+    return _riesz_kernel(grid, alpha).array()
+
+
+def _newtonian_kernel(grid):
     d = grid.dim
     if d < 3:
         raise ValueError("newtonian kernel needs d >= 3")
@@ -98,12 +112,23 @@ def newtonian_kernel_array(grid):
     return _radial_kernel(grid, lambda r: c * r ** (2.0 - d), avg)
 
 
+def newtonian_kernel_array(grid):
+    """c_d |x|^{2-d} on the offset grid: the stack of the slabs that
+    apply_kernel transforms."""
+    return _newtonian_kernel(grid).array()
+
+
 def elliptic_resolvent_kernel(grid, lam):
     """G_lam(x) = integral_0^inf (4 pi t)^{-d/2} exp(-|x|^2/4t - lam t) dt.
 
     Closed form (2 pi)^{-d/2} (sqrt(lam)/|x|)^{d/2-1} K_{d/2-1}(sqrt(lam)|x|);
-    decays exponentially.  Self cell via fine radial quadrature.
+    decays exponentially.  Self cell via fine radial quadrature.  The stack
+    of the slabs that apply_kernel transforms.
     """
+    return _elliptic_resolvent_kernel(grid, lam).array()
+
+
+def _elliptic_resolvent_kernel(grid, lam):
     from scipy.special import kv as _besselk  # the only scipy use of the package
 
     if lam <= 0:
@@ -155,9 +180,10 @@ def parabolic_kernel_array(grid, alpha, k):
 
 def _linear_convolve(values, ker):
     """out(c) = sum_j ker[j] values(c - j + n - 1), zero outside the domain:
-    the linear convolution with a kernel whose index j holds the offset
-    j - (n - 1) on each axis (ker.shape = m, offsets -(n - 1) .. m - n)."""
-    return _fft_correlate(values, np.flip(ker), [m - n for m, n in zip(ker.shape, values.shape)])
+    the linear convolution with a kernel (an array or _Slabs) whose index j
+    holds the offset j - (n - 1) on each axis (ker.shape = m, offsets
+    -(n - 1) .. m - n)."""
+    return _fft_correlate(values, _flip(ker), [m - n for m, n in zip(ker.shape, values.shape)])
 
 
 def _support_margin_warning(field, policy):
@@ -196,16 +222,17 @@ def apply_kernel(field, spec):
         return apply_parabolic_conjugate(field, spec.alpha, spec.k)
     _support_margin_warning(field, spec.policy)
     if spec.kind == "riesz":
-        ker = riesz_kernel_array(grid, spec.alpha)
+        ker = _riesz_kernel(grid, spec.alpha)
     elif spec.kind == "newtonian":
-        ker = newtonian_kernel_array(grid)
+        ker = _newtonian_kernel(grid)
     elif spec.kind == "elliptic_resolvent":
-        ker = elliptic_resolvent_kernel(grid, spec.lam)
+        ker = _elliptic_resolvent_kernel(grid, spec.lam)
     else:
         raise AssertionError
     if spec.policy == "periodic":
         # ker holds the offsets -(n - 1) .. n - 1, centred at index n - 1
-        return Field(grid, _circular_correlate(field.values, np.flip(ker)) * grid.cell_volume)
+        return Field(grid, _circular_correlate(field.values, np.flip(ker.array()))
+                     * grid.cell_volume)
     return Field(grid, _linear_convolve(field.values, ker) * grid.cell_volume)
 
 

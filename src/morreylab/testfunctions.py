@@ -123,24 +123,32 @@ def _kappa_ridge(grid, kappa, beta, h_deriv=1e-5):
     """u_k(x) = f(|x|/kappa), f = t^{2-beta} on [2,3], smooth, 0 outside (1,4).
 
     Returns (u, |b Du|, |D^2 u|) with b = |x|^{-1}, all sampled from closed
-    forms (f', f'' by high-order central differences of the analytic f,
+    forms (f', f'' by second-order central differences of the analytic f,
     which is smooth; the result carries no grid differentiation error).
+    Each is evaluated one slab along axis 0 at a time, straight into its
+    output, so the peak holds the three outputs and one slab's temporaries.
     """
 
     def f(t):
         return t ** (2.0 - beta) * _smooth_window(t, 1.0, 2.0, 3.0, 4.0)
 
     d = grid.dim
-    r = grid.radius()
-    t = r / kappa
-    # f at the three points of the differences, each evaluated once
-    u, up, um = f(t), f(t + h_deriv), f(t - h_deriv)
-    fpv = (up - um) / (2 * h_deriv)
-    fppv = (up - 2 * u + um) / h_deriv ** 2
-    with np.errstate(divide="ignore", invalid="ignore"):
-        b_du = np.where(r > 0, np.abs(fpv) / (kappa * r), 0.0)
-        radial = np.where(r > 0, fpv / (kappa * r), 0.0)
-    d2 = np.sqrt((fppv / kappa ** 2) ** 2 + (d - 1) * radial ** 2)
+    # |D^2 u| takes over the buffer of r: each slab of r is read before its
+    # slab of |D^2 u| is written
+    r = d2 = grid.radius()
+    u, b_du = np.empty_like(r), np.empty_like(r)
+    for i in range(grid.cells[0]):
+        ri = r[i]
+        t = ri / kappa
+        # f at the three points of the differences, each evaluated once
+        ui, up, um = f(t), f(t + h_deriv), f(t - h_deriv)
+        fpv = (up - um) / (2 * h_deriv)
+        fppv = (up - 2 * ui + um) / h_deriv ** 2
+        with np.errstate(divide="ignore", invalid="ignore"):
+            b_du[i] = np.where(ri > 0, np.abs(fpv) / (kappa * ri), 0.0)
+            radial = np.where(ri > 0, fpv / (kappa * ri), 0.0)
+        u[i] = ui
+        d2[i] = np.sqrt((fppv / kappa ** 2) ** 2 + (d - 1) * radial ** 2)
     return Field(grid, u), Field(grid, b_du), Field(grid, d2)
 
 

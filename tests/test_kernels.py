@@ -30,6 +30,8 @@ from morreylab.maximal import (
     _Member,
     _mean_oscillation,
     _member_means,
+    _rfftn,
+    _Slabs,
     _stencil_count,
     _transform_lens,
     classical_maximal,
@@ -38,9 +40,9 @@ from morreylab.maximal import (
 )
 from morreylab.norms import (NormSpec, _family_radii, _mixed_morrey_sup, _morrey_sup,
                              bmo_seminorms, evaluate_norm)
-from morreylab.potentials import (KernelSpec, apply_kernel, apply_parabolic,
-                                  elliptic_resolvent_kernel, parabolic_kernel_array,
-                                  riesz_kernel_array)
+from morreylab.potentials import (KernelSpec, _linear_convolve, apply_kernel, apply_parabolic,
+                                  elliptic_resolvent_kernel, newtonian_kernel_array,
+                                  parabolic_kernel_array, riesz_kernel_array)
 
 SETTINGS = settings(max_examples=60, deadline=None)
 
@@ -276,8 +278,9 @@ def test_no_span_keeps_the_dense_lengths_and_bits(case):
 
 @pytest.mark.parametrize("batch", [(), (2,)])
 def test_correlation_leaves_the_holders_spectrum_as_made(batch):
-    # the product overwrites the call's own kernel spectrum (or, with batch
-    # axes, a new array), never the holder's: after every correlation the
+    # the product overwrites the call's own kernel spectrum (or, with more
+    # than one batch row, each row's own product), never the holder's
+    # spectrum: after every correlation the
     # kept spectrum still equals a fresh rfftn, and each result equals one
     # made without a holder
     rng = np.random.default_rng(13)
@@ -322,6 +325,68 @@ def test_apply_kernel_linear_matches_fftconvolve(dim, cells):
             warnings.simplefilter("ignore")  # the random source reaches the edge
             got = apply_kernel(f, spec).values
         _oracle_close(got, fftconvolve(f.values, ker, mode="full")[full_slice] * g.cell_volume)
+
+
+@pytest.mark.parametrize("batch", [(), (2,)])
+@pytest.mark.parametrize("cells, lens", [
+    ((12,), (16,)), ((12,), (25,)), ((12,), (9,)),
+    ((6, 10), (8, 15)), ((6, 10), (9, 7)), ((6, 10), (4, 12)),
+    ((5, 6, 7), (8, 9, 10)), ((5, 6, 7), (15, 7, 11)), ((5, 6, 7), (3, 10, 5)),
+])
+def test_one_buffer_spectrum_is_numpys_rfftn(cells, lens, batch):
+    # _rfftn equals numpy.fft.rfftn bit for bit at 5-smooth and odd lengths,
+    # and at lengths shorter than an axis, where numpy's n= cuts the values;
+    # a kernel given as _Slabs gives the same spectrum
+    values = np.random.default_rng(len(cells) + sum(lens)).standard_normal(batch + cells)
+    want = np.fft.rfftn(values, s=lens, axes=tuple(range(len(batch), values.ndim)))
+    assert np.array_equal(_rfftn(values, lens), want)
+    if not batch:
+        assert np.array_equal(_rfftn(_Slabs(values.shape, values.__getitem__), lens), want)
+
+
+@pytest.mark.parametrize("dim, cells", [(1, 30), (2, (12, 18)), (3, (10, 14, 8))])
+def test_apply_kernel_from_slabs_is_the_dense_kernels_correlation(dim, cells):
+    # apply_kernel builds its radial kernel spectra slab by slab; they equal
+    # the correlation with the dense kernel arrays bit for bit
+    g = make_grid(dim, 1.0, cells)
+    f = Field(g, np.random.default_rng(dim).standard_normal(g.cells))
+    kernels = [(KernelSpec("riesz", alpha=0.5), riesz_kernel_array(g, 0.5)),
+               (KernelSpec("elliptic_resolvent", lam=2.0), elliptic_resolvent_kernel(g, 2.0))]
+    if dim == 3:
+        kernels.append((KernelSpec("newtonian"), newtonian_kernel_array(g)))
+    for spec, ker in kernels:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the random source reaches the edge
+            got = apply_kernel(f, spec).values
+        assert np.array_equal(got, _linear_convolve(f.values, ker) * g.cell_volume), spec.kind
+
+
+def test_fft_correlate_of_one_field_holds_two_spectra(traced_peak):
+    """The tracemalloc peak of one 48^3 field correlated with a 33^3 kernel
+    at 64^3 lengths, with no holder.  One spectrum is 64 x 64 x 33 complex,
+    2.06 MiB.  numpy.fft.rfftn's forward spectrum, a kernel spectrum made
+    one array per pass and the forward spectrum kept to the end peaked at
+    5.79 MiB (2.81 spectra); one buffer per spectrum, with the forward
+    spectrum dropped after the product, peaks at 4.25 MiB (2.06)."""
+    values = np.random.default_rng(0).standard_normal((1, 48, 48, 48))
+    kernel, origin = np.ones((33, 33, 33)), (16, 16, 16)
+    assert _transform_lens(values.shape[1:], kernel.shape, origin) == (64, 64, 64)
+    peak, _ = traced_peak(lambda: _fft_correlate(values, kernel, origin))
+    assert peak <= 2.2 * 16 * 64 * 64 * 33
+
+
+def test_apply_kernel_never_holds_the_dense_kernel(traced_peak):
+    """The tracemalloc peak of apply_kernel's Riesz potential of a 40^3
+    field (80^3 transforms; one spectrum is 80 x 80 x 41 complex, 4.0 MiB).
+    With the dense 79^3 kernel, its radius array and numpy.fft.rfftn it
+    peaked at 13.78 MiB (3.44 spectra); with the kernel built slab by slab
+    into its spectrum, at 8.02 MiB (2.0)."""
+    g = make_grid(3, 1.5, 40)
+    f = Field(g, np.random.default_rng(1).standard_normal(g.cells))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the random source reaches the edge
+        peak, _ = traced_peak(lambda: apply_kernel(f, KernelSpec("riesz", alpha=1.0)))
+    assert peak <= 2.2 * 16 * 80 * 80 * 41
 
 
 @pytest.mark.parametrize("dim, cells", [(1, 40), (2, (12, 18)), (3, 10)])
@@ -507,7 +572,7 @@ def test_box_sums_of_one_field_read_one_holder_table():
     fwd, tables = _Forward(), []
     for k, bounds in enumerate(cases):
         if k == 10:
-            fwd.rfftn(values, (18, 16), (1, 2))
+            fwd.rfftn(values, (18, 16))
             assert fwd.key == (18, 16)
         got = _box_sum(values, bounds, fwd)
         want = _box_sum(values, bounds)
