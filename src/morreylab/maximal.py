@@ -356,9 +356,10 @@ def _fft_correlate(values, kernel, origin, forward=None, span=None):
     next call at the same lengths.  With one batch row (or none) the
     product overwrites the kernel spectrum, which is this call's own; a
     larger batch multiplies, inverts and crops one row at a time into its
-    own product, so at most one row's product is alive.  Every complex
-    inverse pass runs in place and crops its axis to the anchors kept, so
-    the next pass transforms only their lines.
+    own product, so at most one row's product is alive, and each row's
+    irfft writes into its row of the output.  Every complex inverse pass
+    runs in place and crops its axis to the anchors kept, so the next pass
+    transforms only their lines.
     """
     nb = values.ndim - kernel.ndim  # batch axes
     cells = values.shape[nb:]
@@ -377,20 +378,22 @@ def _fft_correlate(values, kernel, origin, forward=None, span=None):
         np.multiply(fwd, spec, out=spec)
         del fwd  # unless a holder keeps it, it goes before the inverse
         return _inverse(spec, lens, keep)
-    out = np.empty(batch + tuple(k.stop - k.start for k in keep))
+    # each row's irfft writes straight into its row of the output
+    out = np.empty(batch + tuple(k.stop - k.start for k in keep[:-1]) + (lens[-1],))
     for row in np.ndindex(batch):
-        out[row] = _inverse(np.multiply(fwd[row], spec), lens, keep)
-    return out
+        _inverse(np.multiply(fwd[row], spec), lens, keep, out[row])
+    return out[..., keep[-1]]
 
 
-def _inverse(spec, lens, keep):
+def _inverse(spec, lens, keep, out=None):
     """The inverse of a product spectrum over its trailing len(lens) axes,
     cropped to `keep`: ifft in place along every axis but the last, each
-    cropped before the next, then irfft along the last."""
+    cropped before the next, then irfft along the last into `out` (a new
+    array if None), whose last axis is cropped last, as a view."""
     nb = spec.ndim - len(lens)
     for ax, m, k in zip(range(nb, spec.ndim - 1), lens, keep):
         spec = np.fft.ifft(spec, n=m, axis=ax, out=spec)[(slice(None),) * ax + (k,)]
-    return np.fft.irfft(spec, n=lens[-1], axis=-1)[..., keep[-1]]
+    return np.fft.irfft(spec, n=lens[-1], axis=-1, out=out)[..., keep[-1]]
 
 
 def _circular_correlate(values, kernel):
